@@ -17,8 +17,9 @@
 use crate::relation::{Relation, Tuple};
 use crate::value::Value;
 use matchrules_core::schema::AttrId;
-use matchrules_runtime::WorkPool;
+use matchrules_runtime::{CowVec, WorkPool};
 use matchrules_simdist::filters::StringSig;
+use std::sync::Arc;
 
 /// Minimum tuples per chunk when signatures are extracted over a pool:
 /// one extraction is a few hundred nanoseconds, so chunks this size
@@ -110,10 +111,14 @@ impl AttrSig {
 }
 
 /// Signatures for every needed attribute of every tuple of one relation.
+///
+/// Rows are immutable once extracted and held in a [`CowVec`], so a
+/// clone (an index snapshot's successor) shares them and
+/// [`RelationPrep::push_row`] on the clone leaves the original untouched.
 #[derive(Debug, Clone)]
 pub struct RelationPrep {
     needs: SigNeeds,
-    rows: Vec<Box<[AttrSig]>>,
+    rows: CowVec<Arc<[AttrSig]>>,
 }
 
 impl RelationPrep {
@@ -126,23 +131,19 @@ impl RelationPrep {
     /// is identical to the serial build).
     pub fn build_in(pool: &WorkPool, relation: &Relation, needs: &SigNeeds) -> Self {
         if needs.is_empty() {
-            return RelationPrep { needs: needs.clone(), rows: Vec::new() };
+            return Self::empty(needs);
         }
         let tuples = relation.tuples();
         let chunks = pool.par_ranges(tuples.len(), PREP_MIN_CHUNK, |_, range| {
             tuples[range].iter().map(|t| Self::row_of(t, needs)).collect::<Vec<_>>()
         });
-        let mut rows = Vec::with_capacity(tuples.len());
-        for chunk in chunks {
-            rows.extend(chunk);
-        }
-        RelationPrep { needs: needs.clone(), rows }
+        RelationPrep { needs: needs.clone(), rows: chunks.into_iter().flatten().collect() }
     }
 
     /// A prep with no rows yet — the starting point of a probe *batch*,
     /// where rows are pushed one by one without building a [`Relation`].
     pub fn empty(needs: &SigNeeds) -> Self {
-        RelationPrep { needs: needs.clone(), rows: Vec::new() }
+        RelationPrep { needs: needs.clone(), rows: CowVec::new() }
     }
 
     /// A one-tuple prep — the probe side of a point query against a
@@ -170,7 +171,7 @@ impl RelationPrep {
         &self.needs
     }
 
-    fn row_of(tuple: &Tuple, needs: &SigNeeds) -> Box<[AttrSig]> {
+    fn row_of(tuple: &Tuple, needs: &SigNeeds) -> Arc<[AttrSig]> {
         // Slots are assigned in mark order, not attribute order — place
         // each signature by its slot, or lookups would read the wrong
         // attribute's signature.

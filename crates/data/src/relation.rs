@@ -13,17 +13,19 @@ use std::sync::Arc;
 /// Stable tuple identifier, unique within its relation.
 pub type TupleId = u64;
 
-/// A tuple: id plus one value per schema attribute.
+/// A tuple: id plus one value per schema attribute. Tuples are never
+/// mutated in place, so the values are refcounted: cloning a tuple (into
+/// an index, a snapshot, a rebuild's input) shares them.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Tuple {
     id: TupleId,
-    values: Vec<Value>,
+    values: Arc<[Value]>,
 }
 
 impl Tuple {
     /// Creates a tuple; the arity is validated by [`Relation::push`].
     pub fn new(id: TupleId, values: Vec<Value>) -> Self {
-        Tuple { id, values }
+        Tuple { id, values: values.into() }
     }
 
     /// The tuple's id.

@@ -91,11 +91,11 @@ use matchrules_core::dependency::SimilarityAtom;
 use matchrules_core::negation::NegativeRule;
 use matchrules_core::operators::OperatorId;
 use matchrules_core::relative_key::RelativeKey;
-use matchrules_core::schema::AttrId;
+use matchrules_core::schema::{AttrId, Schema};
 use matchrules_data::eval::{AtomTrace, FilterStats, KernelClass, RuntimeOps};
 use matchrules_data::prep::{AttrSig, RelationPrep, SigNeeds};
 use matchrules_data::relation::{Relation, Tuple, TupleId};
-use matchrules_runtime::WorkPool;
+use matchrules_runtime::{CowMap, CowVec, WorkPool, CHUNK_LEN};
 use matchrules_simdist::edit::theta_bound;
 use matchrules_simdist::filters::FILTER_Q;
 use std::cell::RefCell;
@@ -223,7 +223,7 @@ fn ratio_ok(ratio: f64, a: u32, b: u32) -> bool {
 enum AtomIndex {
     /// Equality atom: value → slots carrying it (`Null` values excluded —
     /// null matches nothing, so such tuples can never satisfy the atom).
-    Exact { left: AttrId, right: AttrId, buckets: HashMap<String, Vec<u32>> },
+    Exact { left: AttrId, right: AttrId, buckets: CowMap<String, Vec<u32>> },
     /// Thresholded edit atom: gram hash → compressed posting list of
     /// slots whose string contains the gram, plus the sparse list of
     /// slots whose string is shorter than `safe_len` (scanned whenever
@@ -239,16 +239,16 @@ enum AtomIndex {
         right: AttrId,
         theta: f64,
         safe_len: usize,
-        postings: HashMap<u64, PostingList>,
-        sparse: Vec<u32>,
-        lens: Vec<u32>,
-        masks: Vec<u64>,
+        postings: CowMap<u64, PostingList>,
+        sparse: Arc<Vec<u32>>,
+        lens: CowVec<u32>,
+        masks: CowVec<u64>,
     },
     /// Derived-key atom (soundex, digit equality, synonym tables):
     /// key → slots deriving it. Matching values share a key and every
     /// non-null value derives at least one, so the union of the probe's
     /// key buckets is a superset of the atom's match set.
-    Derived { left: AttrId, right: AttrId, op: OperatorId, buckets: HashMap<String, Vec<u32>> },
+    Derived { left: AttrId, right: AttrId, op: OperatorId, buckets: CowMap<String, Vec<u32>> },
     /// Element-set atom (token Jaccard, q-gram Dice): element hash →
     /// slots containing it, with per-slot element counts for the
     /// `min ≥ min_ratio·max` size filter. Slots whose value produces no
@@ -259,9 +259,9 @@ enum AtomIndex {
         right: AttrId,
         op: OperatorId,
         min_ratio: f64,
-        postings: HashMap<u64, PostingList>,
-        counts: Vec<u32>,
-        empty: Vec<u32>,
+        postings: CowMap<u64, PostingList>,
+        counts: CowVec<u32>,
+        empty: Arc<Vec<u32>>,
     },
     /// Char-bag-bounded atom (Jaro–Winkler above 0.8): character →
     /// slots whose *sorted-char prefix* (the first `n − ⌈α·n⌉ + 1`
@@ -276,9 +276,9 @@ enum AtomIndex {
         left: AttrId,
         right: AttrId,
         alpha: f64,
-        postings: HashMap<char, PostingList>,
-        lens: Vec<u32>,
-        empty: Vec<u32>,
+        postings: CowMap<char, PostingList>,
+        lens: CowVec<u32>,
+        empty: Arc<Vec<u32>>,
     },
 }
 
@@ -294,7 +294,7 @@ impl AtomIndex {
         match self {
             AtomIndex::Exact { right, buckets, .. } => {
                 if let Some(s) = tuple.get(*right).as_str() {
-                    buckets.entry(s.to_owned()).or_default().push(slot);
+                    buckets.or_default(s.to_owned()).push(slot);
                 }
             }
             AtomIndex::Qgram { right, safe_len, postings, sparse, lens, masks, .. } => {
@@ -317,10 +317,10 @@ impl AtomIndex {
                 lens.push(sig.sig().char_len() as u32);
                 masks.push(sig.sig().bag().presence_mask());
                 if sig.sig().char_len() < *safe_len {
-                    sparse.push(slot);
+                    Arc::make_mut(sparse).push(slot);
                 }
                 for hash in sig.sig().qgrams().distinct_hashes() {
-                    postings.entry(hash).or_default().push(slot);
+                    postings.or_default(hash).push(slot);
                 }
             }
             AtomIndex::Derived { right, op, buckets, .. } => {
@@ -330,7 +330,7 @@ impl AtomIndex {
                     keys.sort_unstable();
                     keys.dedup();
                     for key in keys {
-                        buckets.entry(key).or_default().push(slot);
+                        buckets.or_default(key).push(slot);
                     }
                 }
             }
@@ -342,12 +342,12 @@ impl AtomIndex {
                         ops.index_elements_into(*op, s, &mut elems);
                         counts.push(elems.len() as u32);
                         if elems.is_empty() {
-                            empty.push(slot);
+                            Arc::make_mut(empty).push(slot);
                         } else {
                             elems.sort_unstable();
                             elems.dedup();
                             for elem in elems {
-                                postings.entry(elem).or_default().push(slot);
+                                postings.or_default(elem).push(slot);
                             }
                         }
                     }
@@ -361,13 +361,13 @@ impl AtomIndex {
                         let n = chars.len();
                         lens.push(n as u32);
                         if n == 0 {
-                            empty.push(slot);
+                            Arc::make_mut(empty).push(slot);
                         } else {
                             chars.sort_unstable();
                             chars.truncate(n - overlap_need(*alpha, n) + 1);
                             chars.dedup();
                             for c in chars {
-                                postings.entry(c).or_default().push(slot);
+                                postings.or_default(c).push(slot);
                             }
                         }
                     }
@@ -382,45 +382,45 @@ impl AtomIndex {
         let mut scratch = Vec::new();
         match (self, other) {
             (AtomIndex::Exact { buckets, .. }, AtomIndex::Exact { buckets: partial, .. }) => {
-                for (value, slots) in partial {
-                    buckets.entry(value).or_default().extend(slots);
+                for (value, slots) in partial.into_entries() {
+                    buckets.or_default(value).extend(slots);
                 }
             }
             (
                 AtomIndex::Qgram { postings, sparse, lens, masks, .. },
                 AtomIndex::Qgram { postings: p2, sparse: s2, lens: l2, masks: m2, .. },
             ) => {
-                for (hash, list) in p2 {
-                    postings.entry(hash).or_default().extend_from(&list, &mut scratch);
+                for (hash, list) in p2.iter() {
+                    postings.or_default(*hash).extend_from(list, &mut scratch);
                 }
-                sparse.extend(s2);
-                lens.extend(l2);
-                masks.extend(m2);
+                Arc::make_mut(sparse).extend_from_slice(&s2);
+                lens.extend(l2.iter().copied());
+                masks.extend(m2.iter().copied());
             }
             (AtomIndex::Derived { buckets, .. }, AtomIndex::Derived { buckets: partial, .. }) => {
-                for (key, slots) in partial {
-                    buckets.entry(key).or_default().extend(slots);
+                for (key, slots) in partial.into_entries() {
+                    buckets.or_default(key).extend(slots);
                 }
             }
             (
                 AtomIndex::Tokens { postings, counts, empty, .. },
                 AtomIndex::Tokens { postings: p2, counts: c2, empty: e2, .. },
             ) => {
-                for (elem, list) in p2 {
-                    postings.entry(elem).or_default().extend_from(&list, &mut scratch);
+                for (elem, list) in p2.iter() {
+                    postings.or_default(*elem).extend_from(list, &mut scratch);
                 }
-                counts.extend(c2);
-                empty.extend(e2);
+                counts.extend(c2.iter().copied());
+                Arc::make_mut(empty).extend_from_slice(&e2);
             }
             (
                 AtomIndex::BagPrefix { postings, lens, empty, .. },
                 AtomIndex::BagPrefix { postings: p2, lens: l2, empty: e2, .. },
             ) => {
-                for (c, list) in p2 {
-                    postings.entry(c).or_default().extend_from(&list, &mut scratch);
+                for (c, list) in p2.iter() {
+                    postings.or_default(*c).extend_from(list, &mut scratch);
                 }
-                lens.extend(l2);
-                empty.extend(e2);
+                lens.extend(l2.iter().copied());
+                Arc::make_mut(empty).extend_from_slice(&e2);
             }
             _ => unreachable!("parallel build merges atom indices of one shape"),
         }
@@ -431,37 +431,37 @@ impl AtomIndex {
     fn empty_like(&self) -> AtomIndex {
         match self {
             AtomIndex::Exact { left, right, .. } => {
-                AtomIndex::Exact { left: *left, right: *right, buckets: HashMap::new() }
+                AtomIndex::Exact { left: *left, right: *right, buckets: CowMap::new() }
             }
             AtomIndex::Qgram { left, right, theta, safe_len, .. } => AtomIndex::Qgram {
                 left: *left,
                 right: *right,
                 theta: *theta,
                 safe_len: *safe_len,
-                postings: HashMap::new(),
-                sparse: Vec::new(),
-                lens: Vec::new(),
-                masks: Vec::new(),
+                postings: CowMap::new(),
+                sparse: Arc::default(),
+                lens: CowVec::new(),
+                masks: CowVec::new(),
             },
             AtomIndex::Derived { left, right, op, .. } => {
-                AtomIndex::Derived { left: *left, right: *right, op: *op, buckets: HashMap::new() }
+                AtomIndex::Derived { left: *left, right: *right, op: *op, buckets: CowMap::new() }
             }
             AtomIndex::Tokens { left, right, op, min_ratio, .. } => AtomIndex::Tokens {
                 left: *left,
                 right: *right,
                 op: *op,
                 min_ratio: *min_ratio,
-                postings: HashMap::new(),
-                counts: Vec::new(),
-                empty: Vec::new(),
+                postings: CowMap::new(),
+                counts: CowVec::new(),
+                empty: Arc::default(),
             },
             AtomIndex::BagPrefix { left, right, alpha, .. } => AtomIndex::BagPrefix {
                 left: *left,
                 right: *right,
                 alpha: *alpha,
-                postings: HashMap::new(),
-                lens: Vec::new(),
-                empty: Vec::new(),
+                postings: CowMap::new(),
+                lens: CowVec::new(),
+                empty: Arc::default(),
             },
         }
     }
@@ -620,7 +620,7 @@ impl AtomIndex {
         tuple: &Tuple,
         prep: &RelationPrep,
         ops: &RuntimeOps,
-        alive: &[bool],
+        alive: &CowVec<bool>,
     ) {
         fn drop_from(list: &mut Vec<u32>, slot: u32) {
             if let Ok(i) = list.binary_search(&slot) {
@@ -655,7 +655,7 @@ impl AtomIndex {
                     return;
                 }
                 if sig.sig().char_len() < *safe_len {
-                    drop_from(sparse, slot);
+                    drop_from(Arc::make_mut(sparse), slot);
                 }
                 for hash in sig.sig().qgrams().distinct_hashes() {
                     let emptied = match postings.get_mut(&hash) {
@@ -695,7 +695,7 @@ impl AtomIndex {
                     let mut elems = Vec::new();
                     ops.index_elements_into(*op, s, &mut elems);
                     if elems.is_empty() {
-                        drop_from(empty, slot);
+                        drop_from(Arc::make_mut(empty), slot);
                         return;
                     }
                     elems.sort_unstable();
@@ -719,7 +719,7 @@ impl AtomIndex {
                     let mut chars: Vec<char> = s.chars().collect();
                     let n = chars.len();
                     if n == 0 {
-                        drop_from(empty, slot);
+                        drop_from(Arc::make_mut(empty), slot);
                         return;
                     }
                     chars.sort_unstable();
@@ -755,35 +755,112 @@ enum SlotFilter<'a> {
     None,
     /// The size-ratio bound of element and char-bag anchors:
     /// `min ≥ ratio·max` over per-slot counts vs the probe's count.
-    Ratio { ratio: f64, counts: &'a [u32], probe: u32 },
+    Ratio { ratio: f64, counts: &'a CowVec<u32>, probe: u32 },
     /// The edit-atom prefilters: length window plus char-bag
     /// presence-mask bound, both against `theta_bound(θ, max(len))`.
-    EditMeta { lens: &'a [u32], masks: &'a [u64], theta: f64, probe_len: u32, probe_mask: u64 },
+    EditMeta {
+        lens: &'a CowVec<u32>,
+        masks: &'a CowVec<u64>,
+        theta: f64,
+        probe_len: u32,
+        probe_mask: u64,
+    },
+}
+
+/// The edit-atom prefilter on one slot's length `ls` and presence mask
+/// `sm` (fetched lazily: most rejects are decided by the length alone).
+#[inline]
+fn edit_meta_ok(
+    ls: u32,
+    sm: impl FnOnce() -> u64,
+    theta: f64,
+    probe_len: u32,
+    probe_mask: u64,
+) -> bool {
+    if ls == NULL_SLOT {
+        return false;
+    }
+    let bound = theta_bound(theta, probe_len.max(ls) as usize);
+    if probe_len.abs_diff(ls) as usize > bound {
+        return false;
+    }
+    let sm = sm();
+    let diff = (probe_mask & !sm).count_ones().max((sm & !probe_mask).count_ones());
+    diff as usize <= bound
 }
 
 impl SlotFilter<'_> {
-    #[inline]
+    /// Whether one slot passes — the membership-probe form, for the few
+    /// slots of a small running intersection.
     fn accepts(&self, slot: u32) -> bool {
-        match self {
+        let slot = slot as usize;
+        match *self {
             SlotFilter::None => true,
-            SlotFilter::Ratio { ratio, counts, probe } => {
-                ratio_ok(*ratio, counts[slot as usize], *probe)
-            }
+            SlotFilter::Ratio { ratio, counts, probe } => ratio_ok(ratio, counts[slot], probe),
             SlotFilter::EditMeta { lens, masks, theta, probe_len, probe_mask } => {
-                let ls = lens[slot as usize];
-                if ls == NULL_SLOT {
-                    return false;
-                }
-                let bound = theta_bound(*theta, (*probe_len).max(ls) as usize);
-                if probe_len.abs_diff(ls) as usize > bound {
-                    return false;
-                }
-                let sm = masks[slot as usize];
-                let diff = (probe_mask & !sm).count_ones().max((sm & !probe_mask).count_ones());
-                diff as usize <= bound
+                edit_meta_ok(lens[slot], || masks[slot], theta, probe_len, probe_mask)
             }
         }
     }
+
+    /// Scans the set bits of `words` out in ascending order, keeping the
+    /// slots that pass — the bulk form, for a coarse anchor's union of
+    /// thousands of slots. Each variant gets its own monomorphized loop
+    /// over plain slices (see [`scan_runs`]): no per-slot variant match,
+    /// no per-slot walk down a [`CowVec`] spine.
+    fn scan_out(&self, words: &[u64], stats: &mut FilterStats) -> Vec<u32> {
+        match *self {
+            SlotFilter::None => scan_runs(words, stats, |_| (), |_, _| true),
+            SlotFilter::Ratio { ratio, counts, probe } => scan_runs(
+                words,
+                stats,
+                |base| counts.run_of(base),
+                |counts, offset| ratio_ok(ratio, counts[offset], probe),
+            ),
+            SlotFilter::EditMeta { lens, masks, theta, probe_len, probe_mask } => scan_runs(
+                words,
+                stats,
+                |base| (lens.run_of(base), masks.run_of(base)),
+                |(lens, masks), offset| {
+                    edit_meta_ok(lens[offset], || masks[offset], theta, probe_len, probe_mask)
+                },
+            ),
+        }
+    }
+}
+
+/// Walks a slot bitmap one [`CHUNK_LEN`] window at a time — the unit in
+/// which every per-slot [`CowVec`] of an index is contiguous — resolving
+/// the window's metadata `run_of(first slot)` once, then testing each set
+/// bit with `accepts(&run, offset into the window)`.
+fn scan_runs<R>(
+    words: &[u64],
+    stats: &mut FilterStats,
+    run_of: impl Fn(usize) -> R,
+    accepts: impl Fn(&R, usize) -> bool,
+) -> Vec<u32> {
+    let mut out = Vec::new();
+    for (window, group) in words.chunks(CHUNK_LEN / 64).enumerate() {
+        if group.iter().all(|&word| word == 0) {
+            continue;
+        }
+        let base = window * CHUNK_LEN;
+        let run = run_of(base);
+        for (w, &word) in group.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let offset = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                stats.linear_steps += 1;
+                if accepts(&run, offset) {
+                    out.push((base + offset) as u32);
+                } else {
+                    stats.retrieval_rejects += 1;
+                }
+            }
+        }
+    }
+    out
 }
 
 /// One atom's retrieval, resolved against a probe but not yet
@@ -843,21 +920,7 @@ impl<'a> PreparedAtom<'a> {
             return self.plain.first().map(|list| list.to_vec()).unwrap_or_default();
         }
         self.or_bitmap(n_slots, words, decode, stats);
-        let mut out = Vec::new();
-        for (w, &word) in words.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let slot = (w as u32) * 64 + bits.trailing_zeros();
-                bits &= bits - 1;
-                stats.linear_steps += 1;
-                if self.filter.accepts(slot) {
-                    out.push(slot);
-                } else {
-                    stats.retrieval_rejects += 1;
-                }
-            }
-        }
-        out
+        self.filter.scan_out(words, stats)
     }
 }
 
@@ -1160,16 +1223,25 @@ fn mask_allows(mask: u64, key: usize) -> bool {
 /// compiled disjunction. See the [module docs](self) for the anchor
 /// design.
 ///
-/// The index is `Clone`: serving layers publish immutable copies as
-/// snapshots and mutate a fresh clone off to the side.
+/// The index is `Clone`, and a clone is **structurally shared** with its
+/// source: every per-slot sequence is a [`CowVec`], every anchor map a
+/// [`CowMap`], every immutable leaf (tuple values, signature rows,
+/// sealed posting payloads, the compiled keys) an `Arc`. Cloning copies
+/// spines of refcounts, and [`MatchIndex::insert`] /
+/// [`MatchIndex::remove`] on the clone copy only the chunks and stripes
+/// they touch — the source never changes. Serving layers rely on exactly
+/// that: they publish an index as an immutable snapshot and build its
+/// successor from a clone, paying per write for what the write touches,
+/// not for the shard. An index nobody cloned mutates fully in place.
 #[derive(Clone)]
 pub struct MatchIndex {
-    keys: Vec<RelativeKey>,
-    negatives: Vec<NegativeRule>,
+    keys: Arc<[RelativeKey]>,
+    negatives: Arc<[NegativeRule]>,
     ops: Arc<RuntimeOps>,
+    schema: Arc<Schema>,
     /// The indexed tuples; slots are positions, removals leave tombstones.
-    relation: Relation,
-    alive: Vec<bool>,
+    tuples: CowVec<Tuple>,
+    alive: CowVec<bool>,
     live: usize,
     /// Signature cache for the indexed side, extended on insert.
     prep: RelationPrep,
@@ -1179,8 +1251,8 @@ pub struct MatchIndex {
     atom_indices: Vec<AtomIndex>,
     /// Per key: positions into `atom_indices` of the key's indexed atoms.
     /// An empty list means the key is unindexable and scans.
-    key_atoms: Vec<Vec<usize>>,
-    by_id: HashMap<TupleId, u32>,
+    key_atoms: Arc<[Vec<usize>]>,
+    by_id: CowMap<TupleId, u32>,
     /// The selectivity snapshot that ordered `key_atoms` at build time.
     planner: SelectivitySnapshot,
     /// Live selectivity EWMAs, fed by the query path and harvested when
@@ -1218,8 +1290,9 @@ impl MatchIndex {
         Self::build_in(&WorkPool::serial(), probe_arity, relation, keys, negatives, ops)
     }
 
-    /// Builds the index over `relation` (cloned: the index owns its data
-    /// so it can be maintained incrementally), anchoring each key as
+    /// Builds the index over `relation` (the index holds its own handles
+    /// on the tuples — sharing their values — so it can be maintained
+    /// incrementally), anchoring each key as
     /// described in the [module docs](self). `probe_arity` is the arity
     /// of the probe side's schema — for a reflexive (dedup) setting it
     /// equals the relation's own arity.
@@ -1294,7 +1367,7 @@ impl MatchIndex {
                     KernelClass::Equality => Some(AtomIndex::Exact {
                         left: atom.left,
                         right: atom.right,
-                        buckets: HashMap::new(),
+                        buckets: CowMap::new(),
                     }),
                     KernelClass::Edit { theta } => {
                         qgram_safe_len(theta, FILTER_Q).map(|safe_len| AtomIndex::Qgram {
@@ -1302,34 +1375,34 @@ impl MatchIndex {
                             right: atom.right,
                             theta,
                             safe_len,
-                            postings: HashMap::new(),
-                            sparse: Vec::new(),
-                            lens: Vec::new(),
-                            masks: Vec::new(),
+                            postings: CowMap::new(),
+                            sparse: Arc::default(),
+                            lens: CowVec::new(),
+                            masks: CowVec::new(),
                         })
                     }
                     KernelClass::DerivedKey => Some(AtomIndex::Derived {
                         left: atom.left,
                         right: atom.right,
                         op: atom.op,
-                        buckets: HashMap::new(),
+                        buckets: CowMap::new(),
                     }),
                     KernelClass::TokenSet { min_ratio } => Some(AtomIndex::Tokens {
                         left: atom.left,
                         right: atom.right,
                         op: atom.op,
                         min_ratio,
-                        postings: HashMap::new(),
-                        counts: Vec::new(),
-                        empty: Vec::new(),
+                        postings: CowMap::new(),
+                        counts: CowVec::new(),
+                        empty: Arc::default(),
                     }),
                     KernelClass::Bounded { alpha } => Some(AtomIndex::BagPrefix {
                         left: atom.left,
                         right: atom.right,
                         alpha,
-                        postings: HashMap::new(),
-                        lens: Vec::new(),
-                        empty: Vec::new(),
+                        postings: CowMap::new(),
+                        lens: CowVec::new(),
+                        empty: Arc::default(),
                     }),
                     KernelClass::Opaque => None,
                 };
@@ -1357,26 +1430,34 @@ impl MatchIndex {
         }
 
         // Populate every atom index: per-chunk partial indices, folded in
-        // chunk order so slot lists come out ascending.
+        // chunk order so slot lists come out ascending. A one-thread pool
+        // gets one chunk: partials it would only fold back together
+        // serially are pure overhead.
         let tuples = relation.tuples();
-        let partials: Vec<Vec<AtomIndex>> =
-            pool.par_ranges(tuples.len(), BUILD_MIN_CHUNK, |_, range| {
-                let mut partial: Vec<AtomIndex> =
-                    atom_indices.iter().map(AtomIndex::empty_like).collect();
-                for pos in range {
-                    for atom in &mut partial {
-                        atom.add(pos as u32, &tuples[pos], &prep, &ops);
-                    }
+        let min_chunk = if pool.threads() == 1 { tuples.len() } else { BUILD_MIN_CHUNK };
+        let partials: Vec<Vec<AtomIndex>> = pool.par_ranges(tuples.len(), min_chunk, |_, range| {
+            let mut partial: Vec<AtomIndex> =
+                atom_indices.iter().map(AtomIndex::empty_like).collect();
+            for pos in range {
+                for atom in &mut partial {
+                    atom.add(pos as u32, &tuples[pos], &prep, &ops);
                 }
-                partial
-            });
+            }
+            partial
+        });
+        let mut partials = partials.into_iter();
+        // The first chunk's partial *is* the index so far; folding it
+        // into the empty shapes would re-insert every entry.
+        if let Some(first) = partials.next() {
+            atom_indices = first;
+        }
         for chunk in partials {
             for (atom, partial) in atom_indices.iter_mut().zip(chunk) {
                 atom.merge(partial);
             }
         }
 
-        let mut by_id = HashMap::with_capacity(tuples.len());
+        let mut by_id = CowMap::new();
         for (pos, tuple) in tuples.iter().enumerate() {
             if by_id.insert(tuple.id(), pos as u32).is_some() {
                 return Err(IndexError::DuplicateId { id: tuple.id() });
@@ -1384,16 +1465,17 @@ impl MatchIndex {
         }
 
         Ok(MatchIndex {
-            keys: keys.to_vec(),
-            negatives: negatives.to_vec(),
+            keys: keys.into(),
+            negatives: negatives.into(),
             ops,
-            relation: relation.clone(),
-            alive: vec![true; tuples.len()],
+            schema: relation.schema().clone(),
+            tuples: tuples.iter().cloned().collect(),
+            alive: tuples.iter().map(|_| true).collect(),
             live: tuples.len(),
             prep,
             probe_needs,
             atom_indices,
-            key_atoms,
+            key_atoms: key_atoms.into(),
             by_id,
             planner: planner.clone(),
             observer: Arc::new(SelectivityObserver::default()),
@@ -1424,10 +1506,17 @@ impl MatchIndex {
         self.live == 0
     }
 
-    /// The indexed relation (tombstoned tuples included — check
-    /// [`MatchIndex::contains`] before trusting a slot).
-    pub fn relation(&self) -> &Relation {
-        &self.relation
+    /// Slots allocated so far, tombstoned ones included: every
+    /// [`QueryHit::slot`] is below this, and slots are handed out in
+    /// insertion order and never reused.
+    pub fn slots(&self) -> usize {
+        self.tuples.len()
+    }
+
+    /// The live tuples with their slots, in slot (= insertion) order.
+    pub fn live_tuples(&self) -> impl Iterator<Item = (usize, &Tuple)> {
+        (self.tuples.iter().zip(self.alive.iter()).enumerate())
+            .filter_map(|(slot, (tuple, &alive))| alive.then_some((slot, tuple)))
     }
 
     /// Whether `id` is indexed and live.
@@ -1436,10 +1525,42 @@ impl MatchIndex {
     }
 
     /// The live tuple with `id` — `None` for unknown *and* for removed
-    /// ids (unlike scanning [`MatchIndex::relation`], which still holds
-    /// tombstoned tuples).
+    /// ids.
     pub fn get(&self, id: TupleId) -> Option<&Tuple> {
-        self.by_id.get(&id).map(|&slot| &self.relation.tuples()[slot as usize])
+        self.by_id.get(&id).map(|&slot| &self.tuples[slot as usize])
+    }
+
+    /// Checks the structural invariants (tests only): every per-slot
+    /// sequence covers exactly the allocated slots, `by_id` and the
+    /// liveness flags describe the same live set, and every posting
+    /// list passes [`PostingList::check_invariants`].
+    #[doc(hidden)]
+    pub fn check_invariants(&self) {
+        let slots = self.tuples.len();
+        assert_eq!(self.alive.len(), slots, "one liveness flag per slot");
+        assert!(self.prep.is_empty() || self.prep.len() == slots, "one signature row per slot");
+        assert_eq!(self.live_tuples().count(), self.live, "live count matches the flags");
+        assert_eq!(self.by_id.len(), self.live, "one id entry per live tuple");
+        for (slot, tuple) in self.live_tuples() {
+            assert_eq!(self.by_id.get(&tuple.id()), Some(&(slot as u32)), "id maps to its slot");
+        }
+        for atom in &self.atom_indices {
+            match atom {
+                AtomIndex::Exact { .. } | AtomIndex::Derived { .. } => {}
+                AtomIndex::Qgram { postings, lens, masks, .. } => {
+                    assert_eq!((lens.len(), masks.len()), (slots, slots));
+                    postings.values().for_each(PostingList::check_invariants);
+                }
+                AtomIndex::Tokens { postings, counts, .. } => {
+                    assert_eq!(counts.len(), slots);
+                    postings.values().for_each(PostingList::check_invariants);
+                }
+                AtomIndex::BagPrefix { postings, lens, .. } => {
+                    assert_eq!(lens.len(), slots);
+                    postings.values().for_each(PostingList::check_invariants);
+                }
+            }
+        }
     }
 
     /// Aggregate shape counters.
@@ -1453,7 +1574,7 @@ impl MatchIndex {
             bag_anchors: 0,
             scan_keys: self.key_atoms.iter().filter(|refs| refs.is_empty()).count(),
             live: self.live,
-            tombstones: self.relation.len() - self.live,
+            tombstones: self.tuples.len() - self.live,
             exact_buckets: 0,
             posting_lists: 0,
             sparse_entries: 0,
@@ -1576,7 +1697,7 @@ impl MatchIndex {
         stats: &mut FilterStats,
     ) -> Vec<(usize, u64)> {
         let prune = self.key_atoms.len() <= 64;
-        let n_slots = self.relation.len();
+        let n_slots = self.tuples.len();
         PROBE_SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
             let ProbeScratch { words, and_words, decode, keys, elems, chars } = scratch;
@@ -1766,7 +1887,7 @@ impl MatchIndex {
         let mut stats = FilterStats::default();
         let mut key_evals = 0usize;
         let mut hits = Vec::new();
-        for slot in 0..self.relation.len() {
+        for slot in 0..self.tuples.len() {
             if !self.alive[slot] {
                 continue;
             }
@@ -1780,7 +1901,7 @@ impl MatchIndex {
                 &mut stats,
             ) {
                 if !self.vetoed_at(probe, &probe_prep, 0, slot, &mut stats) {
-                    hits.push(QueryHit { id: self.relation.tuples()[slot].id(), slot, key });
+                    hits.push(QueryHit { id: self.tuples[slot].id(), slot, key });
                 }
             }
         }
@@ -1832,7 +1953,7 @@ impl MatchIndex {
                 self.matching_key_at(probe, probe_prep, row, slot, mask, &mut key_evals, &mut stats)
             {
                 if !self.vetoed_at(probe, probe_prep, row, slot, &mut stats) {
-                    hits.push(QueryHit { id: self.relation.tuples()[slot].id(), slot, key });
+                    hits.push(QueryHit { id: self.tuples[slot].id(), slot, key });
                 }
             }
         }
@@ -1849,11 +1970,9 @@ impl MatchIndex {
     /// from. Building a fresh index over this snapshot answers every
     /// query exactly like `self`.
     pub fn live_relation(&self) -> Relation {
-        let mut rel = Relation::new(self.relation.schema().clone());
-        for (slot, tuple) in self.relation.tuples().iter().enumerate() {
-            if self.alive[slot] {
-                rel.push(tuple.clone());
-            }
+        let mut rel = Relation::new(self.schema.clone());
+        for (_, tuple) in self.live_tuples() {
+            rel.push(tuple.clone());
         }
         rel
     }
@@ -1869,7 +1988,7 @@ impl MatchIndex {
     pub fn explain(&self, probe: &Tuple, id: TupleId) -> Result<PairTrace, IndexError> {
         let &slot = self.by_id.get(&id).ok_or(IndexError::UnknownId { id })?;
         let probe_prep = RelationPrep::single(probe, &self.probe_needs);
-        let tuple = &self.relation.tuples()[slot as usize];
+        let tuple = &self.tuples[slot as usize];
         let keys: Vec<KeyTrace> = self
             .keys
             .iter()
@@ -1903,7 +2022,7 @@ impl MatchIndex {
     /// Inserts one tuple, indexing it under every anchor; returns its
     /// slot. The tuple is immediately visible to queries.
     pub fn insert(&mut self, tuple: Tuple) -> Result<usize, IndexError> {
-        let expected = self.relation.schema().arity();
+        let expected = self.schema.arity();
         if tuple.values().len() != expected {
             return Err(IndexError::ArityMismatch { expected, got: tuple.values().len() });
         }
@@ -1911,10 +2030,10 @@ impl MatchIndex {
             return Err(IndexError::DuplicateId { id: tuple.id() });
         }
         assert!(
-            self.relation.len() < u32::MAX as usize,
+            self.tuples.len() < u32::MAX as usize,
             "match index supports at most u32::MAX tuples"
         );
-        let slot = self.relation.len() as u32;
+        let slot = self.tuples.len() as u32;
         // Prep first: the atom indices read the new row's signatures.
         self.prep.push_row(&tuple);
         for atom in &mut self.atom_indices {
@@ -1923,7 +2042,7 @@ impl MatchIndex {
         self.by_id.insert(tuple.id(), slot);
         self.alive.push(true);
         self.live += 1;
-        self.relation.push(tuple);
+        self.tuples.push(tuple);
         Ok(slot as usize)
     }
 
@@ -1932,13 +2051,13 @@ impl MatchIndex {
     /// entry immediately, compressed posting lists count it dead and
     /// rewrite each block in place once half its entries are dead — so a
     /// heavily-churned index keeps probing at near-fresh cost without a
-    /// rebuild. (The relation and signature cache still hold the tuple;
+    /// rebuild. (The slot and its signature row still hold the tuple;
     /// rebuild to reclaim that space.)
     pub fn remove(&mut self, id: TupleId) -> Result<(), IndexError> {
         let slot = self.by_id.remove(&id).ok_or(IndexError::UnknownId { id })?;
-        self.alive[slot as usize] = false;
+        *self.alive.get_mut(slot as usize) = false;
         self.live -= 1;
-        let tuple = &self.relation.tuples()[slot as usize];
+        let tuple = &self.tuples[slot as usize];
         for atom in &mut self.atom_indices {
             atom.remove_slot(slot, tuple, &self.prep, &self.ops, &self.alive);
         }
@@ -1962,7 +2081,7 @@ impl MatchIndex {
         key_evals: &mut usize,
         stats: &mut FilterStats,
     ) -> Option<usize> {
-        let tuple = &self.relation.tuples()[slot];
+        let tuple = &self.tuples[slot];
         for (key, k) in self.keys.iter().enumerate() {
             if !mask_allows(mask, key) {
                 continue;
@@ -1993,7 +2112,7 @@ impl MatchIndex {
         slot: usize,
         stats: &mut FilterStats,
     ) -> bool {
-        let tuple = &self.relation.tuples()[slot];
+        let tuple = &self.tuples[slot];
         self.negatives.iter().any(|rule| {
             rule.vetoes(|atom| {
                 self.ops.atom_matches_prepped(
@@ -2298,19 +2417,15 @@ mod tests {
             let probe = Tuple::new(1000 + i as u64, vec![Value::str(p)]);
             let hits: Vec<u64> = index.query(&probe).hits.iter().map(|h| h.id).collect();
             let scan: Vec<u64> = index
-                .relation()
-                .tuples()
-                .iter()
-                .filter(|t| {
-                    index.contains(t.id()) && ops2.value_matches(op, probe.get(0), t.get(0))
-                })
-                .map(|t| t.id())
+                .live_tuples()
+                .filter(|(_, t)| ops2.value_matches(op, probe.get(0), t.get(0)))
+                .map(|(_, t)| t.id())
                 .collect();
             assert_eq!(hits, scan, "{op_name} probe {p:?}");
             let cands = index.candidates_for(&probe);
             for hit in &hits {
-                let slot = index.relation().tuples().iter().position(|t| t.id() == *hit);
-                assert!(cands.contains(&slot.unwrap()), "{op_name} probe {p:?} missed {hit}");
+                let (slot, _) = index.live_tuples().find(|(_, t)| t.id() == *hit).unwrap();
+                assert!(cands.contains(&slot), "{op_name} probe {p:?} missed {hit}");
             }
         }
     }

@@ -9,7 +9,9 @@
 //! discard whole blocks without decoding them. Blocks whose values all
 //! fall inside one 256-slot aligned window are stored as a 4-word bitset
 //! (`Bits`) — those union into a probe bitmap with four `u64` ORs; the
-//! rest are byte-wise varint deltas (`Deltas`).
+//! rest are byte-wise varint deltas (`Deltas`) behind a refcount, so
+//! cloning a list (a snapshot's successor copying the stripe it lives
+//! in) shares every sealed payload and copies only headers and the tail.
 //!
 //! Removal is tombstone-first: `note_removed` bumps a per-block dead
 //! counter and rewrites the block in place (dropping dead slots, under
@@ -19,6 +21,8 @@
 //! still surface from a cursor or a bitmap union — callers filter
 //! candidates through `alive` at the end, exactly as the uncompressed
 //! index always has.
+
+use std::sync::Arc;
 
 /// Entries per sealed block. 128 keeps varint blocks within two cache
 /// lines and makes half-dead rewrites cheap.
@@ -30,7 +34,7 @@ const BITS_SPAN: u32 = 256;
 #[derive(Clone, Debug)]
 enum BlockData {
     /// Varint-encoded: first value absolute, then the gaps.
-    Deltas(Box<[u8]>),
+    Deltas(Arc<[u8]>),
     /// Dense block: bit `slot - base` set for each value; `base` is
     /// 256-aligned so the words line up with any 256-aligned bitmap.
     Bits { base: u32, words: [u64; 4] },
@@ -70,7 +74,7 @@ impl Block {
                 write_varint(&mut bytes, delta);
                 prev = v;
             }
-            Block { max, count, dead: 0, data: BlockData::Deltas(bytes.into_boxed_slice()) }
+            Block { max, count, dead: 0, data: BlockData::Deltas(bytes.into()) }
         }
     }
 
@@ -229,9 +233,14 @@ impl PostingList {
 
     /// Records that `slot` was tombstoned. Tail entries are removed
     /// outright; sealed blocks bump their dead counter and rewrite in
-    /// place (keeping only slots still live under `alive`) once at
-    /// least half the block is dead.
-    pub fn note_removed(&mut self, slot: u32, alive: &[bool]) {
+    /// place (keeping only slots still live under `alive`, which must
+    /// cover every stored slot) once at least half the block is dead.
+    /// A rewritten block gets a fresh payload; the old one stays intact
+    /// for any clone still sharing it.
+    pub fn note_removed<A>(&mut self, slot: u32, alive: &A)
+    where
+        A: std::ops::Index<usize, Output = bool> + ?Sized,
+    {
         if let Ok(i) = self.tail.binary_search(&slot) {
             self.tail.remove(i);
             self.total -= 1;
@@ -244,7 +253,7 @@ impl PostingList {
         if u32::from(block.dead) * 2 >= u32::from(block.count) {
             let mut values = Vec::with_capacity(block.count as usize);
             block.decode_into(&mut values);
-            values.retain(|&v| alive.get(v as usize).is_some_and(|&a| a));
+            values.retain(|&v| alive[v as usize]);
             self.total -= block.count as usize - values.len();
             self.dead -= block.dead as usize;
             if values.is_empty() {

@@ -75,11 +75,16 @@ impl<T> EpochCell<T> {
     }
 
     /// Publishes a new snapshot and bumps the epoch. The lock is held
-    /// only for the pointer swap; build the value before calling.
+    /// only for the pointer swap; build the value before calling. The
+    /// displaced snapshot is dropped *after* the lock is released: when
+    /// the cell held its last reference, freeing it (a whole retired
+    /// view) must not stall every `load` queued behind the mutex.
     pub fn store(&self, value: Arc<T>) {
         let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
-        *slot = value;
+        let displaced = std::mem::replace(&mut *slot, value);
         self.epoch.fetch_add(1, Ordering::Release);
+        drop(slot);
+        drop(displaced);
     }
 
     /// Atomically replaces the snapshot with `f(current)` and returns the
@@ -89,8 +94,10 @@ impl<T> EpochCell<T> {
     pub fn update(&self, f: impl FnOnce(&Arc<T>) -> Arc<T>) -> Arc<T> {
         let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
         let next = f(&slot);
-        *slot = next.clone();
+        let displaced = std::mem::replace(&mut *slot, next.clone());
         self.epoch.fetch_add(1, Ordering::Release);
+        drop(slot);
+        drop(displaced); // outside the lock, as in `store`
         next
     }
 }
@@ -146,6 +153,26 @@ mod tests {
         cell.store(Arc::new("b"));
         assert_eq!(cell.epoch(), 1);
         assert_eq!(*cell.load().0, "b");
+    }
+
+    #[test]
+    fn displaced_snapshot_is_dropped_outside_the_lock() {
+        // A value whose Drop loads from the cell: dropping it while the
+        // slot mutex is held would self-deadlock.
+        struct LoadsOnDrop(Option<Arc<EpochCell<LoadsOnDrop>>>);
+        impl Drop for LoadsOnDrop {
+            fn drop(&mut self) {
+                if let Some(cell) = &self.0 {
+                    cell.load();
+                }
+            }
+        }
+        let cell = Arc::new(EpochCell::new(Arc::new(LoadsOnDrop(None))));
+        cell.store(Arc::new(LoadsOnDrop(Some(cell.clone()))));
+        // The cell holds the only reference to each displaced value.
+        cell.store(Arc::new(LoadsOnDrop(Some(cell.clone()))));
+        cell.update(|_| Arc::new(LoadsOnDrop(None)));
+        assert_eq!(cell.epoch(), 3);
     }
 
     #[test]

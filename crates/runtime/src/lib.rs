@@ -44,12 +44,14 @@
 #![warn(missing_docs)]
 
 mod config;
+mod cow;
 mod epoch;
 mod pool;
 mod reduce;
 mod sort;
 
 pub use config::{ExecConfig, Threads};
+pub use cow::{CowMap, CowVec, CHUNK_LEN, STRIPES};
 pub use epoch::{EpochCell, EpochReader};
 pub use pool::WorkPool;
 pub use reduce::ordered_reduce;

@@ -47,11 +47,19 @@ impl<T> ProbeCache<T> {
         }
     }
 
+    /// Whether the cache holds anything at all (capacity > 0). Callers
+    /// check this before computing a probe signature or building the
+    /// shared answer for [`ProbeCache::put`], so a cache-off server
+    /// pays nothing for the cache it does not have.
+    pub(crate) fn enabled(&self) -> bool {
+        self.capacity > 0
+    }
+
     /// The cached answer for `sig` computed at exactly `epoch`, if any.
     /// An entry found at a stale epoch counts as an invalidation (and a
     /// miss).
     pub(crate) fn get(&self, sig: u64, epoch: u64) -> Option<Arc<T>> {
-        if self.capacity == 0 {
+        if !self.enabled() {
             return None;
         }
         let map = self.map.lock().unwrap_or_else(|e| e.into_inner());
@@ -79,7 +87,7 @@ impl<T> ProbeCache<T> {
     /// recency — epoch invalidation makes entries cheap to recompute
     /// and wholesale drops keep the path std-only and O(1) amortized.
     pub(crate) fn put(&self, sig: u64, epoch: u64, response: Arc<T>) {
-        if self.capacity == 0 {
+        if !self.enabled() {
             return;
         }
         let mut map = self.map.lock().unwrap_or_else(|e| e.into_inner());

@@ -2,6 +2,7 @@
 
 use crate::engine::{
     schemas_compatible, EngineBuilder, FilterStats, MatchEngine, MatchIndex, MatchPlan,
+    QueryOutcome,
 };
 use crate::refine::{LabelStore, RefineConfig, Refinement, RefinementReport, Refiner};
 use crate::server::cache::ProbeCache;
@@ -12,8 +13,7 @@ use crate::service::{
 use matchrules_core::dependency::MatchingDependency;
 use matchrules_core::schema::Schema;
 use matchrules_data::relation::Relation;
-use matchrules_runtime::{EpochCell, EpochReader, ExecConfig, WorkPool};
-use std::collections::HashMap;
+use matchrules_runtime::{CowVec, EpochCell, EpochReader, ExecConfig, WorkPool};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
@@ -23,8 +23,9 @@ use std::sync::{Arc, Mutex, RwLock};
 pub struct ServerConfig {
     /// Number of shards the store and index are split into; `0` resolves
     /// to the executor's thread count (at least 1). More shards mean
-    /// more mutation concurrency and smaller copy-on-publish clones, at
-    /// the cost of fanning every probe out further.
+    /// more mutation concurrency (writers serialize per shard), at the
+    /// cost of fanning every probe out further; a write's own cost does
+    /// not depend on shard size (snapshots are structurally shared).
     pub shards: usize,
     /// Capacity of the probe-result cache (answers, not bytes); `0`
     /// disables caching.
@@ -73,13 +74,42 @@ fn check_schema(record: &Record, expected: &Arc<Schema>) -> Result<(), ServiceEr
 }
 
 /// One shard's immutable state: its slice of the store inside a
-/// [`MatchIndex`], plus the global sequence number of every live record
-/// (assigned at upsert in arrival order, across all shards) — what lets
-/// a fan-out query merge per-shard hits back into the store order a
-/// single-owner [`crate::service::MatchService`] would report.
+/// [`MatchIndex`], plus — aligned with the index's slots — the global
+/// arrival number of every record (assigned at upsert, across all
+/// shards): what lets a fan-out query merge per-shard hits back into the
+/// store order a single-owner [`crate::service::MatchService`] reports.
+///
+/// A published snapshot is never mutated. A writer clones it (both
+/// fields are structurally shared: refcounted spines, no data) and
+/// mutates the clone, copying only the chunks and stripes it touches.
+#[derive(Clone)]
 struct ShardSnapshot {
     index: MatchIndex,
-    seq_of: HashMap<u64, u64>,
+    seq: CowVec<u64>,
+}
+
+impl ShardSnapshot {
+    /// Inserts or replaces `record` under `id`, stamped with arrival
+    /// number `seq`; returns whether a replacement happened.
+    fn upsert(&mut self, id: RecordId, record: &Record, seq: u64) -> Result<bool, ServiceError> {
+        let replaced = self.index.contains(id.0);
+        if replaced {
+            self.index.remove(id.0)?;
+        }
+        self.index.insert(record.to_tuple(id.0))?;
+        self.seq.push(seq);
+        Ok(replaced)
+    }
+
+    /// The same live records, order and stamps re-indexed under `engine`
+    /// (slots compacted), atom intersections planned around the
+    /// selectivities this snapshot observed in live traffic.
+    fn rebuilt(&self, engine: &MatchEngine) -> Result<ShardSnapshot, ServiceError> {
+        let index = engine
+            .index_planned(&self.index.live_relation(), &self.index.observed_selectivity())?;
+        let seq = self.index.live_tuples().map(|(slot, _)| self.seq[slot]).collect();
+        Ok(ShardSnapshot { index, seq })
+    }
 }
 
 /// One compiled rule set with its version stamp.
@@ -95,6 +125,31 @@ struct RuleEpoch {
 struct ServerView {
     rules: Arc<RuleEpoch>,
     shards: Vec<Arc<ShardSnapshot>>,
+}
+
+impl ServerView {
+    /// Merges one probe's per-shard outcomes (in shard order) into the
+    /// answer a single owner reports: counters summed, hits in store
+    /// order.
+    fn merge<'a>(&self, outcomes: impl Iterator<Item = &'a QueryOutcome>) -> QueryResponse {
+        let mut hits: Vec<(u64, ServiceHit)> = Vec::new();
+        let mut candidates = 0;
+        let mut key_evals = 0;
+        let mut stats = FilterStats::default();
+        for (shard, outcome) in self.shards.iter().zip(outcomes) {
+            candidates += outcome.candidates;
+            key_evals += outcome.key_evals;
+            stats.merge(&outcome.stats);
+            for h in &outcome.hits {
+                hits.push((shard.seq[h.slot], ServiceHit { id: RecordId(h.id), key: h.key }));
+            }
+        }
+        // Per-shard hits arrive in shard-local slot order; the global
+        // arrival stamp restores the store order.
+        hits.sort_unstable_by_key(|&(seq, _)| seq);
+        let hits = hits.into_iter().map(|(_, h)| h).collect();
+        QueryResponse { hits, candidates, key_evals, stats, version: self.rules.version }
+    }
 }
 
 /// Which anchor kinds the serving plan's [`MatchIndex`] compiled, via
@@ -240,7 +295,7 @@ impl MatchServer {
         let snapshots: Vec<Arc<ShardSnapshot>> = (0..shards)
             .map(|_| {
                 let index = engine.index(&empty).expect("an empty relation has no duplicate ids");
-                Arc::new(ShardSnapshot { index, seq_of: HashMap::new() })
+                Arc::new(ShardSnapshot { index, seq: CowVec::new() })
             })
             .collect();
         let labels = Mutex::new(LabelStore::new(
@@ -339,9 +394,7 @@ impl MatchServer {
         let (view, _) = self.view.load();
         let mut rows: Vec<(u64, _)> = Vec::new();
         for shard in &view.shards {
-            for tuple in shard.index.live_relation().tuples() {
-                rows.push((shard.seq_of[&tuple.id()], tuple.clone()));
-            }
+            rows.extend(shard.index.live_tuples().map(|(slot, t)| (shard.seq[slot], t.clone())));
         }
         rows.sort_unstable_by_key(|&(seq, _)| seq);
         let mut rel = Relation::new(view.rules.engine.plan().pair().right().clone());
@@ -428,51 +481,25 @@ impl MatchServer {
         }
         self.queries.fetch_add(probes.len() as u64, Ordering::Relaxed);
         self.batch_queries.fetch_add(1, Ordering::Relaxed);
-        let mut responses: Vec<Option<QueryResponse>> = Vec::with_capacity(probes.len());
-        let mut sigs: Vec<u64> = Vec::with_capacity(probes.len());
-        let mut misses: Vec<usize> = Vec::new();
-        for (i, probe) in probes.iter().enumerate() {
-            let sig = probe.signature();
-            sigs.push(sig);
-            match self.cache.get(sig, epoch) {
-                Some(cached) => responses.push(Some((*cached).clone())),
-                None => {
-                    responses.push(None);
-                    misses.push(i);
-                }
-            }
-        }
+        let sigs: Option<Vec<u64>> =
+            self.cache.enabled().then(|| probes.iter().map(Record::signature).collect());
+        let mut responses: Vec<Option<QueryResponse>> = match &sigs {
+            Some(sigs) => (sigs.iter())
+                .map(|&sig| self.cache.get(sig, epoch).map(|hit| (*hit).clone()))
+                .collect(),
+            None => vec![None; probes.len()],
+        };
+        let misses: Vec<usize> = (0..probes.len()).filter(|&i| responses[i].is_none()).collect();
         if !misses.is_empty() {
             let tuples: Vec<_> = misses.iter().map(|&i| probes[i].to_tuple(0)).collect();
             let per_shard = self
                 .pool
                 .par_tasks(view.shards.len(), |s| view.shards[s].index.query_batch(&tuples));
             for (k, &i) in misses.iter().enumerate() {
-                let mut hits: Vec<(u64, ServiceHit)> = Vec::new();
-                let mut candidates = 0;
-                let mut key_evals = 0;
-                let mut stats = FilterStats::default();
-                for (shard, outcomes) in view.shards.iter().zip(&per_shard) {
-                    let outcome = &outcomes[k];
-                    candidates += outcome.candidates;
-                    key_evals += outcome.key_evals;
-                    stats.merge(&outcome.stats);
-                    for h in &outcome.hits {
-                        hits.push((
-                            shard.seq_of[&h.id],
-                            ServiceHit { id: RecordId(h.id), key: h.key },
-                        ));
-                    }
+                let response = view.merge(per_shard.iter().map(|outcomes| &outcomes[k]));
+                if let Some(sigs) = &sigs {
+                    self.cache.put(sigs[i], epoch, Arc::new(response.clone()));
                 }
-                hits.sort_unstable_by_key(|&(seq, _)| seq);
-                let response = QueryResponse {
-                    hits: hits.into_iter().map(|(_, h)| h).collect(),
-                    candidates,
-                    key_evals,
-                    stats,
-                    version: view.rules.version,
-                };
-                self.cache.put(sigs[i], epoch, Arc::new(response.clone()));
                 responses[i] = Some(response);
             }
         }
@@ -517,8 +544,11 @@ impl MatchServer {
         check_schema(probe, view.rules.engine.plan().pair().left())?;
         self.queries.fetch_add(1, Ordering::Relaxed);
         let bucket = top_k.checked_next_power_of_two().unwrap_or(usize::MAX);
-        let sig = mix_key(mix_key(probe.signature(), bucket as u64), min_score.to_bits());
-        if let Some(cached) = self.ranked_cache.get(sig, epoch) {
+        let sig = self
+            .ranked_cache
+            .enabled()
+            .then(|| mix_key(mix_key(probe.signature(), bucket as u64), min_score.to_bits()));
+        if let Some(cached) = sig.and_then(|sig| self.ranked_cache.get(sig, epoch)) {
             let mut response = (*cached).clone();
             response.hits.truncate(top_k);
             return Ok(response);
@@ -535,7 +565,7 @@ impl MatchServer {
                 .map(|h| {
                     let stored = shard.index.get(h.id).expect("query hits are live records");
                     let score = model.score(engine.runtime(), &tuple, stored);
-                    (shard.seq_of[&h.id], ScoredHit { id: RecordId(h.id), key: h.key, score })
+                    (shard.seq[h.slot], ScoredHit { id: RecordId(h.id), key: h.key, score })
                 })
                 .collect();
             (scored, outcome.candidates, outcome.key_evals)
@@ -555,9 +585,11 @@ impl MatchServer {
         hits.sort_by(|a, b| b.score.total_cmp(&a.score));
         hits.retain(|h| h.score >= min_score);
         hits.truncate(bucket);
-        let full = RankedResponse { hits, candidates, key_evals, version: view.rules.version };
-        self.ranked_cache.put(sig, epoch, Arc::new(full.clone()));
-        let mut response = full;
+        let mut response =
+            RankedResponse { hits, candidates, key_evals, version: view.rules.version };
+        if let Some(sig) = sig {
+            self.ranked_cache.put(sig, epoch, Arc::new(response.clone()));
+        }
         response.hits.truncate(top_k);
         Ok(response)
     }
@@ -570,36 +602,17 @@ impl MatchServer {
     ) -> Result<QueryResponse, ServiceError> {
         check_schema(probe, view.rules.engine.plan().pair().left())?;
         self.queries.fetch_add(1, Ordering::Relaxed);
-        let sig = probe.signature();
-        if let Some(cached) = self.cache.get(sig, epoch) {
+        let sig = self.cache.enabled().then(|| probe.signature());
+        if let Some(cached) = sig.and_then(|sig| self.cache.get(sig, epoch)) {
             return Ok((*cached).clone());
         }
         let tuple = probe.to_tuple(0);
         let outcomes =
             self.pool.par_tasks(view.shards.len(), |s| view.shards[s].index.query(&tuple));
-        let mut hits: Vec<(u64, ServiceHit)> = Vec::new();
-        let mut candidates = 0;
-        let mut key_evals = 0;
-        let mut stats = FilterStats::default();
-        for (shard, outcome) in view.shards.iter().zip(&outcomes) {
-            candidates += outcome.candidates;
-            key_evals += outcome.key_evals;
-            stats.merge(&outcome.stats);
-            for h in &outcome.hits {
-                hits.push((shard.seq_of[&h.id], ServiceHit { id: RecordId(h.id), key: h.key }));
-            }
+        let response = view.merge(outcomes.iter());
+        if let Some(sig) = sig {
+            self.cache.put(sig, epoch, Arc::new(response.clone()));
         }
-        // Per-shard hits arrive in shard-local slot order; the global
-        // arrival stamp restores the store order a single owner reports.
-        hits.sort_unstable_by_key(|&(seq, _)| seq);
-        let response = QueryResponse {
-            hits: hits.into_iter().map(|(_, h)| h).collect(),
-            candidates,
-            key_evals,
-            stats,
-            version: view.rules.version,
-        };
-        self.cache.put(sig, epoch, Arc::new(response.clone()));
         Ok(response)
     }
 
@@ -620,7 +633,13 @@ impl MatchServer {
     /// happened. Equivalent to a one-element
     /// [`MatchServer::upsert_batch`].
     pub fn upsert(&self, id: RecordId, record: &Record) -> Result<bool, ServiceError> {
-        Ok(self.upsert_batch(&[(id, record.clone())])?[0])
+        let _gate = self.swap_gate.read().unwrap_or_else(|e| e.into_inner());
+        check_schema(record, &self.store_schema())?;
+        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        let replaced =
+            self.mutate_shard(shard_of(id, self.shards()), |shard| shard.upsert(id, record, seq))?;
+        self.upserts.fetch_add(1, Ordering::Relaxed);
+        Ok(replaced)
     }
 
     /// Inserts or replaces a batch of records, stamping each with the
@@ -633,28 +652,29 @@ impl MatchServer {
     /// batch mutates nothing.
     pub fn upsert_batch(&self, items: &[(RecordId, Record)]) -> Result<Vec<bool>, ServiceError> {
         let _gate = self.swap_gate.read().unwrap_or_else(|e| e.into_inner());
-        {
-            // Rules cannot change while the gate is held, so one check
-            // per item against the current store schema suffices.
-            let (view, _) = self.view.load();
-            let schema = view.rules.engine.plan().pair().right().clone();
-            for (_, record) in items {
-                check_schema(record, &schema)?;
-            }
+        // Rules cannot change while the gate is held, so one check per
+        // item against the current store schema suffices.
+        let schema = self.store_schema();
+        for (_, record) in items {
+            check_schema(record, &schema)?;
         }
-        let shards = self.shard_locks.len();
+        let shards = self.shards();
         let base = self.seq.fetch_add(items.len() as u64, Ordering::Relaxed);
-        let mut groups: Vec<Vec<(usize, u64)>> = vec![Vec::new(); shards];
+        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); shards];
         for (pos, (id, _)) in items.iter().enumerate() {
-            groups[shard_of(*id, shards)].push((pos, base + pos as u64));
+            groups[shard_of(*id, shards)].push(pos);
         }
         let occupied: Vec<usize> = (0..shards).filter(|&s| !groups[s].is_empty()).collect();
         let applied = self.pool.par_tasks(occupied.len(), |k| {
-            self.apply_upserts(occupied[k], &groups[occupied[k]], items)
+            self.mutate_shard(occupied[k], |shard| {
+                (groups[occupied[k]].iter())
+                    .map(|&pos| shard.upsert(items[pos].0, &items[pos].1, base + pos as u64))
+                    .collect::<Result<Vec<bool>, _>>()
+            })
         });
         let mut replaced = vec![false; items.len()];
-        for shard_result in applied {
-            for (pos, flag) in shard_result? {
+        for (flags, &s) in applied.into_iter().zip(&occupied) {
+            for (flag, &pos) in flags?.into_iter().zip(&groups[s]) {
                 replaced[pos] = flag;
             }
         }
@@ -662,40 +682,28 @@ impl MatchServer {
         Ok(replaced)
     }
 
-    /// Applies one shard's slice of an upsert batch: clone the shard
-    /// snapshot, mutate the clone, publish it. Holds the shard's writer
-    /// lock so same-shard batches serialize; the publish itself is a
-    /// pointer swap on the shared view.
-    fn apply_upserts(
+    /// The one write path: clone shard `s`'s snapshot, apply `mutate` to
+    /// the clone, publish it. Holds the shard's writer lock so same-shard
+    /// writes serialize; the publish itself is a pointer swap on the
+    /// shared view. When `mutate` fails nothing is published.
+    fn mutate_shard<R>(
         &self,
         s: usize,
-        ops: &[(usize, u64)],
-        items: &[(RecordId, Record)],
-    ) -> Result<Vec<(usize, bool)>, ServiceError> {
+        mutate: impl FnOnce(&mut ShardSnapshot) -> Result<R, ServiceError>,
+    ) -> Result<R, ServiceError> {
         let _shard = self.shard_locks[s].lock().unwrap_or_else(|e| e.into_inner());
         // Loaded under the shard lock: sees every earlier publish for
         // this shard (writers publish before releasing the lock).
         let (view, _) = self.view.load();
-        let mut index = view.shards[s].index.clone();
-        let mut seq_of = view.shards[s].seq_of.clone();
-        let mut flags = Vec::with_capacity(ops.len());
-        for &(pos, seq) in ops {
-            let (id, record) = &items[pos];
-            let replaced = index.contains(id.0);
-            if replaced {
-                index.remove(id.0)?;
-            }
-            index.insert(record.to_tuple(id.0))?;
-            seq_of.insert(id.0, seq);
-            flags.push((pos, replaced));
-        }
-        let snapshot = Arc::new(ShardSnapshot { index, seq_of });
+        let mut next = ShardSnapshot::clone(&view.shards[s]);
+        let out = mutate(&mut next)?;
+        let snapshot = Arc::new(next);
         self.view.update(|v| {
             let mut shards = v.shards.clone();
             shards[s] = snapshot.clone();
             Arc::new(ServerView { rules: v.rules.clone(), shards })
         });
-        Ok(flags)
+        Ok(out)
     }
 
     /// Removes one record from query visibility. Equivalent to a
@@ -710,37 +718,24 @@ impl MatchServer {
     /// (mutation batches are atomic per shard, not across shards).
     pub fn remove_batch(&self, ids: &[RecordId]) -> Result<(), ServiceError> {
         let _gate = self.swap_gate.read().unwrap_or_else(|e| e.into_inner());
-        let shards = self.shard_locks.len();
+        let shards = self.shards();
         let mut groups: Vec<Vec<RecordId>> = vec![Vec::new(); shards];
         for &id in ids {
             groups[shard_of(id, shards)].push(id);
         }
         let occupied: Vec<usize> = (0..shards).filter(|&s| !groups[s].is_empty()).collect();
-        let applied = self
-            .pool
-            .par_tasks(occupied.len(), |k| self.apply_removes(occupied[k], &groups[occupied[k]]));
+        let applied = self.pool.par_tasks(occupied.len(), |k| {
+            self.mutate_shard(occupied[k], |shard| {
+                // (A tombstoned slot keeps its stamp; nothing reads it.)
+                (groups[occupied[k]].iter()).try_for_each(|&id| {
+                    shard.index.remove(id.0).map_err(|_| ServiceError::UnknownRecord { id })
+                })
+            })
+        });
         for shard_result in applied {
             shard_result?;
         }
         self.removes.fetch_add(ids.len() as u64, Ordering::Relaxed);
-        Ok(())
-    }
-
-    fn apply_removes(&self, s: usize, ids: &[RecordId]) -> Result<(), ServiceError> {
-        let _shard = self.shard_locks[s].lock().unwrap_or_else(|e| e.into_inner());
-        let (view, _) = self.view.load();
-        let mut index = view.shards[s].index.clone();
-        let mut seq_of = view.shards[s].seq_of.clone();
-        for &id in ids {
-            index.remove(id.0).map_err(|_| ServiceError::UnknownRecord { id })?;
-            seq_of.remove(&id.0);
-        }
-        let snapshot = Arc::new(ShardSnapshot { index, seq_of });
-        self.view.update(|v| {
-            let mut shards = v.shards.clone();
-            shards[s] = snapshot.clone();
-            Arc::new(ServerView { rules: v.rules.clone(), shards })
-        });
         Ok(())
     }
 
@@ -792,18 +787,10 @@ impl MatchServer {
             EngineBuilder::from_plan(view.rules.engine.plan()).operators(registry.clone());
         let plan = add_rules(builder).compile()?;
         let engine = MatchEngine::from_plan(plan, &registry)?;
-        let rebuilt = self.pool.par_tasks(view.shards.len(), |s| {
-            let shard = &view.shards[s];
-            // Each rebuilt shard plans its atom intersections around the
-            // selectivities its predecessor observed in live traffic.
-            let index = engine
-                .index_planned(&shard.index.live_relation(), &shard.index.observed_selectivity())?;
-            Ok::<_, ServiceError>(Arc::new(ShardSnapshot { index, seq_of: shard.seq_of.clone() }))
-        });
-        let mut shards = Vec::with_capacity(rebuilt.len());
-        for shard in rebuilt {
-            shards.push(shard?);
-        }
+        let shards = (self.pool)
+            .par_tasks(view.shards.len(), |s| view.shards[s].rebuilt(&engine).map(Arc::new))
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
         let version = RuleVersion(view.rules.version.0 + 1);
         self.view
             .store(Arc::new(ServerView { rules: Arc::new(RuleEpoch { engine, version }), shards }));

@@ -84,7 +84,7 @@ proptest! {
             prop_assert_eq!(index.stats().tombstones, removed.len());
             prop_assert_eq!(
                 index.stats().live + index.stats().tombstones,
-                index.relation().len()
+                index.slots()
             );
 
             // The cycled index answers exactly like a fresh index over
