@@ -360,6 +360,16 @@ mod tests {
                 "true partner of probe {l} not found"
             );
         }
+        // And the fuzzy anchors retrieve fewer candidates than the
+        // sorted-neighborhood windows examine.
+        let windowed = w.engine.match_pairs(&w.left, &w.right).expect("windowed run");
+        let indexed = w.engine.match_pairs_indexed(&w.left, &w.right).expect("indexed run");
+        assert!(
+            indexed.candidates() < windowed.candidates(),
+            "index must examine strictly fewer candidates ({} vs {})",
+            indexed.candidates(),
+            windowed.candidates()
+        );
     }
 
     #[test]

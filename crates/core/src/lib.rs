@@ -58,7 +58,6 @@ pub mod cost;
 pub mod deduction;
 pub mod dependency;
 pub mod error;
-pub mod fds;
 pub mod negation;
 pub mod operators;
 pub mod paper;

@@ -12,8 +12,8 @@
 //!   the one chunk or stripe it lands in, so a writer holding a clone of
 //!   a published snapshot copies just what it touches, and the published
 //!   side never changes;
-//! * an **unshared** owner (bulk load, batch build, a single-owner
-//!   service) finds every refcount at 1 and never copies at all — there
+//! * an **unshared** owner (bulk load, batch build, a swap or compact
+//!   rebuild) finds every refcount at 1 and never copies at all — there
 //!   is no separate "mutable" representation.
 //!
 //! [`CHUNK_LEN`] and [`STRIPES`] are constants, not configuration: the

@@ -14,7 +14,8 @@
 
 use matchrules::data::dirty::{generate_dirty, NoiseConfig};
 use matchrules::engine::Preset;
-use matchrules::service::{MatchService, Record, RecordId};
+use matchrules::server::MatchServer;
+use matchrules::service::{Record, RecordId};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The §6 synthetic catalog: credit records probe a billing store.
@@ -37,17 +38,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         engine.plan().score_model().is_fitted(),
     );
 
-    // Serve the billing side, then rank a few credit probes.
-    let mut service = MatchService::new(engine.clone());
+    // Serve the billing side (one bulk load), then rank a few credit
+    // probes.
+    let server = MatchServer::new(engine);
+    let mut batch = Vec::with_capacity(data.billing.len());
     for t in data.billing.tuples() {
-        let record = Record::from_values(service.store_schema().clone(), t.values().to_vec())?;
-        service.upsert(RecordId(t.id()), &record)?;
+        let record = Record::from_values(server.store_schema(), t.values().to_vec())?;
+        batch.push((RecordId(t.id()), record));
     }
+    server.upsert_batch(&batch)?;
 
     let mut shown = 0;
     for t in data.credit.tuples() {
-        let probe = Record::from_values(service.probe_schema().clone(), t.values().to_vec())?;
-        let ranked = service.query_ranked(&probe, 3, 0.0)?;
+        let probe = Record::from_values(server.probe_schema(), t.values().to_vec())?;
+        let ranked = server.query_ranked(&probe, 3, 0.0)?;
         if ranked.hits.len() < 2 {
             continue;
         }

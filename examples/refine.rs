@@ -1,13 +1,13 @@
 //! Refining rules against labeled data: dirty data → labels → candidate
 //! pool → θ-tuned selection → zero-downtime swap.
 //!
-//! A service starts from a deliberately weak rule set (one exact key,
-//! one over-strict fuzzy key), a labeled sample is generated from the
-//! §6.2 noise ladder's ground truth, and the refinement loop mines
-//! candidates, sweeps every fuzzy atom over a θ grid, evaluates each
-//! candidate through the indexed engine, and greedily selects the
-//! F1-maximizing subset — which then hot-swaps into the running service.
-//! Run with:
+//! A server starts from a deliberately weak rule set (one exact key,
+//! one over-strict fuzzy key), a labeled sample generated from the §6.2
+//! noise ladder's ground truth is submitted to it, and one `refine`
+//! call runs the loop — mine candidates, sweep every fuzzy atom over a
+//! θ grid, evaluate each candidate through the indexed engine, greedily
+//! select the F1-maximizing subset — and hot-swaps the selection into
+//! the running server. Run with:
 //!
 //! ```sh
 //! cargo run --release --example refine
@@ -15,8 +15,9 @@
 
 use matchrules::data::dirty::{generate_dirty, NoiseConfig};
 use matchrules::engine::{EngineBuilder, Preset};
-use matchrules::refine::{CandidateOrigin, LabelStore, Refiner};
-use matchrules::service::{MatchService, Record, RecordId};
+use matchrules::refine::{CandidateOrigin, LabelStore};
+use matchrules::server::MatchServer;
+use matchrules::service::{Record, RecordId};
 
 /// One exact key plus one over-strict fuzzy key (`≈jw` is registered at
 /// θ = 0.90) — plenty of headroom for refinement to claw back recall
@@ -39,35 +40,38 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &NoiseConfig { seed: 0x5EED_0F1E, ..NoiseConfig::default() },
     );
 
-    // A service running the weak rules over the billing store.
+    // A server running the weak rules over the billing store.
     let engine = EngineBuilder::new()
         .schema_pair(shape.pair)
         .md_text(WEAK_RULES)
         .target_ids(shape.target)
         .statistics_from(&data.credit, &data.billing)
         .build()?;
-    let mut service = MatchService::new(engine);
+    let server = MatchServer::new(engine);
+    let mut batch = Vec::with_capacity(data.billing.len());
     for t in data.billing.tuples() {
-        let record = Record::from_values(service.store_schema().clone(), t.values().to_vec())?;
-        service.upsert(RecordId(t.id()), &record)?;
+        let record = Record::from_values(server.store_schema(), t.values().to_vec())?;
+        batch.push((RecordId(t.id()), record));
     }
-    println!("serving v{} with {} rules\n", service.version().number(), 2);
+    server.upsert_batch(&batch)?;
+    println!("serving {} with {} rules\n", server.version(), server.plan().sigma().len());
 
     // The ground truth doubles as a labeled-data factory: every true
     // pair positive, two deterministic negatives per positive.
     let labels = LabelStore::from_truth(&data.credit, &data.billing, &data.truth, 2)?;
+    let pairs: Vec<(Record, Record, bool)> =
+        labels.pairs().iter().map(|p| (p.left.clone(), p.right.clone(), p.is_match)).collect();
+    let summary = server.submit_labels(&pairs)?;
     println!(
         "labeled sample: {} pairs ({} positive, {} negative)",
-        labels.len(),
-        labels.positives(),
-        labels.negatives()
+        summary.total, summary.positives, summary.negatives
     );
 
     // Mine candidates from the labels, θ-sweep every fuzzy atom,
-    // evaluate through the indexed engine, select greedily on F1.
-    let refiner = Refiner::new(service.plan(), service.registry());
-    let refinement = refiner.refine(&labels)?;
-    let report = &refinement.report;
+    // evaluate through the indexed engine, select greedily on F1 — and
+    // hot-swap the selection in: same store, bumped version, extended
+    // operator world.
+    let (version, report) = server.refine(1.0)?;
 
     println!(
         "\npool: {} candidates ({} selection)",
@@ -106,21 +110,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
 
-    // Hot-swap the selected rules into the running service: same store,
-    // bumped version, extended operator world.
-    let version = service.swap_rules_refined(&refinement)?;
-    println!("\nswapped to v{} with {} rules", version.number(), refinement.rules.len());
+    println!("\nswapped to {version} with {} rules", report.selected.len());
 
     // The refined rules serve immediately.
-    let probe = Record::from_values(
-        service.probe_schema().clone(),
-        data.credit.tuples()[0].values().to_vec(),
-    )?;
-    let answer = service.query(&probe)?;
-    println!(
-        "probe #0 matches {} stored records at v{}",
-        answer.hits.len(),
-        answer.version.number()
-    );
+    let probe =
+        Record::from_values(server.probe_schema(), data.credit.tuples()[0].values().to_vec())?;
+    let answer = server.query(&probe)?;
+    println!("probe #0 matches {} stored records at {}", answer.hits.len(), answer.version);
     Ok(())
 }

@@ -3,10 +3,10 @@
 //! `MatchClient` — upsert, query (with fired-RCK provenance), explain,
 //! hot-swap the rules with zero read downtime, query again, stats.
 //!
-//! `match_service.rs` shows the in-process facade; this is the same
-//! semantics as a network service: shard-parallel writes, lock-free
-//! epoch reads, and every answer stamped with the rule version that
-//! produced it. Run with:
+//! Every call the client makes is a `&self` method of the in-process
+//! `MatchServer` too; the wire adds nothing but framing: shard-parallel
+//! writes, lock-free epoch reads, and every answer stamped with the
+//! rule version that produced it. Run with:
 //!
 //! ```sh
 //! cargo run --release --example server

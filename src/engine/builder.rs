@@ -212,7 +212,7 @@ impl EngineBuilder {
     /// the original. The operator *registry* is the standard one — pass
     /// the original through [`EngineBuilder::operators`] when it was
     /// customized (as
-    /// [`MatchService::swap_rules`](crate::service::MatchService::swap_rules)
+    /// [`MatchServer::swap_rules`](crate::server::MatchServer::swap_rules)
     /// does).
     pub fn from_plan(plan: &MatchPlan) -> Self {
         let mut b = Self::new();

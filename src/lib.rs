@@ -103,20 +103,24 @@
 //! # Ok(()) }
 //! ```
 //!
-//! ## Serving layer: MatchService
+//! ## Serving layer: MatchServer
 //!
-//! The [`service`] module wraps all of that into a long-lived, stateful
-//! front door: a record store with stable external ids, field-name
-//! inputs (never build a `Relation` by hand), point queries stamped with
-//! a rule version, **hot-swappable rules** (recompile + reindex off to
-//! the side, swap atomically — the store survives rule iteration), and
-//! per-pair **match explanations** tracing every atom and the MD
-//! deduction path behind the fired key:
+//! [`MatchServer`] wraps all of that into a long-lived, stateful front
+//! door: a record store with stable external ids, field-name inputs
+//! (never build a `Relation` by hand; the vocabulary lives in
+//! [`service`]), point queries stamped with a rule version,
+//! **hot-swappable rules** (recompile + reindex off to the side, swap
+//! atomically with zero read downtime — the store survives rule
+//! iteration), and per-pair **match explanations** tracing every atom
+//! and the MD deduction path behind the fired key. It takes `&self`
+//! everywhere — share it behind an `Arc`, or put it behind the TCP
+//! front in [`server::net`]:
 //!
 //! ```
 //! use matchrules::engine::EngineBuilder;
 //! use matchrules::core::schema::{AttrKind, Schema};
-//! use matchrules::service::{MatchService, RecordId};
+//! use matchrules::server::MatchServer;
+//! use matchrules::service::RecordId;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! # let crm = Schema::kinded("crm", &[
@@ -136,35 +140,35 @@
 //!     )
 //!     .target(&["first", "last", "mobile"], &["fname", "lname", "contact"])
 //!     .build()?;
-//! let mut service = MatchService::new(engine);
+//! let server = MatchServer::new(engine);
 //!
 //! // Upsert order records (field-name inputs, schema-checked).
-//! let order = service.record_builder()
+//! let order = server.record_builder()
 //!     .field("fname", "Marx").field("lname", "Clifford")
 //!     .field("contact", "908-1111111").field("email", "mc@gm.com")
 //!     .build()?;
-//! service.upsert(RecordId(1), &order)?;
+//! server.upsert(RecordId(1), &order)?;
 //!
 //! // Point query with a CRM probe: matched ids + which RCK fired,
 //! // stamped with the rule version.
-//! let probe = service.probe_builder()
+//! let probe = server.probe_builder()
 //!     .field("first", "Mark").field("last", "Clifford")
 //!     .field("mobile", "908-1111111").field("mail", "mc@gm.com")
 //!     .build()?;
-//! let response = service.query(&probe)?;
+//! let response = server.query(&probe)?;
 //! assert_eq!(response.hits.len(), 1);
 //! assert_eq!(response.version.number(), 1);
 //!
 //! // Hot-swap the rule set: the store survives, the version bumps.
-//! let v2 = service.swap_rules(
+//! let v2 = server.swap_rules(
 //!     "crm[mail] = orders[email] /\\ crm[mobile] = orders[contact] -> \
 //!      crm[first,last,mobile] <=> orders[fname,lname,contact]",
 //! )?;
 //! assert_eq!(v2.number(), 2);
-//! assert_eq!(service.query(&probe)?.hits.len(), 1);
+//! assert_eq!(server.query(&probe)?.hits.len(), 1);
 //!
 //! // Explain the decision: per-atom trace + the MD deduction path.
-//! let why = service.explain(&probe, RecordId(1))?;
+//! let why = server.explain(&probe, RecordId(1))?;
 //! assert!(why.matched);
 //! assert!(why.keys.iter().any(|k| k.matched));
 //! println!("{why}");
@@ -178,7 +182,7 @@
 //! confidence on top: per-atom graded agreement features scored by a
 //! Fellegi–Sunter model (EM-fitted when the builder is given
 //! `statistics_from` samples, a clamped prior otherwise), always a
-//! finite posterior in `[0, 1]`. [`MatchService::query_ranked`] returns
+//! finite posterior in `[0, 1]`. [`MatchServer::query_ranked`] returns
 //! **exactly** the boolean hit set — scored, sorted, thresholded and
 //! truncated — and [`MatchEngine::dedup_resolved`] /
 //! [`MatchEngine::resolve_links`](engine::MatchEngine::resolve_links)
@@ -188,7 +192,8 @@
 //! ```
 //! use matchrules::engine::EngineBuilder;
 //! use matchrules::core::schema::{AttrKind, Schema};
-//! use matchrules::service::{MatchService, RecordId};
+//! use matchrules::server::MatchServer;
+//! use matchrules::service::RecordId;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! # let crm = Schema::kinded("crm", &[
@@ -207,22 +212,22 @@
 //!     )
 //!     .target(&["first", "last", "mobile"], &["fname", "lname", "contact"])
 //!     .build()?;
-//! let mut service = MatchService::new(engine);
+//! let server = MatchServer::new(engine);
 //! for (id, fname, email) in [(1, "Marx", "mc@gm.com"), (2, "Nora", "mc@gm.com")] {
-//!     let order = service.record_builder()
+//!     let order = server.record_builder()
 //!         .field("fname", fname).field("lname", "Clifford")
 //!         .field("contact", "908-1111111").field("email", email)
 //!         .build()?;
-//!     service.upsert(RecordId(id), &order)?;
+//!     server.upsert(RecordId(id), &order)?;
 //! }
 //!
-//! let probe = service.probe_builder()
+//! let probe = server.probe_builder()
 //!     .field("first", "Mark").field("last", "Clifford")
 //!     .field("mobile", "908-1111111").field("mail", "mc@gm.com")
 //!     .build()?;
 //! // Same hit set as `query`, best-first with calibrated scores.
-//! let ranked = service.query_ranked(&probe, 10, 0.0)?;
-//! assert_eq!(ranked.hits.len(), service.query(&probe)?.hits.len());
+//! let ranked = server.query_ranked(&probe, 10, 0.0)?;
+//! assert_eq!(ranked.hits.len(), server.query(&probe)?.hits.len());
 //! for pair in ranked.hits.windows(2) {
 //!     assert!(pair[0].score >= pair[1].score);
 //! }
@@ -230,16 +235,14 @@
 //!     assert!(hit.score.is_finite() && (0.0..=1.0).contains(&hit.score));
 //! }
 //! // `top_k` truncates; a `min_score` threshold filters; NaN is an error.
-//! assert_eq!(service.query_ranked(&probe, 1, 0.0)?.hits.len(), 1);
-//! assert!(service.query_ranked(&probe, 10, f64::NAN).is_err());
+//! assert_eq!(server.query_ranked(&probe, 1, 0.0)?.hits.len(), 1);
+//! assert!(server.query_ranked(&probe, 10, f64::NAN).is_err());
 //! # Ok(()) }
 //! ```
 //!
-//! The same calibrated path is served concurrently by
-//! [`server::MatchServer::query_ranked`] (sharded, cached by
-//! `(probe, top_k bucket, min_score)`, byte-identical across thread and
-//! shard counts) and over the wire via
-//! [`server::MatchClient::query_ranked`].
+//! Ranked answers are cached by `(probe, top_k bucket, min_score)`,
+//! byte-identical across thread and shard counts, and served over the
+//! wire via [`server::MatchClient::query_ranked`].
 //!
 //! ## Refining rules against labeled data
 //!
@@ -250,14 +253,17 @@
 //! feedback), and a [`refine::Refiner`] grows a candidate pool from the
 //! serving plan's rules — mined proposals plus per-atom θ-threshold
 //! sweeps — evaluates every candidate on the labels through the indexed
-//! engine, and selects the F_β-maximizing subset. The resulting
-//! [`refine::Refinement`] hot-swaps into a running service:
+//! engine, and selects the F_β-maximizing subset. A running server
+//! drives the whole loop: [`MatchServer::submit_labels`] accumulates the
+//! labels, [`MatchServer::refine`] selects and hot-swaps the resulting
+//! [`refine::Refinement`] in:
 //!
 //! ```
 //! use matchrules::data::dirty::{generate_dirty, NoiseConfig};
 //! use matchrules::engine::{EngineBuilder, Preset};
-//! use matchrules::refine::{LabelStore, Refiner};
-//! use matchrules::service::MatchService;
+//! use matchrules::refine::LabelStore;
+//! use matchrules::server::MatchServer;
+//! use matchrules::service::Record;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // Dirty data with known ground truth (the §6.2 noise ladder).
@@ -265,7 +271,7 @@
 //! let data = generate_dirty(&shape.pair, &shape.target, 40,
 //!     &NoiseConfig { seed: 7, ..NoiseConfig::default() });
 //!
-//! // A service running a deliberately weak rule: one exact key.
+//! // A server running a deliberately weak rule: one exact key.
 //! let engine = EngineBuilder::new()
 //!     .schema_pair(shape.pair)
 //!     .md_text(
@@ -275,25 +281,29 @@
 //!     )
 //!     .target_ids(shape.target)
 //!     .build()?;
-//! let mut service = MatchService::new(engine);
+//! let server = MatchServer::new(engine);
 //!
-//! // Ground truth -> labels, labels -> selected θ-tuned rules.
+//! // Ground truth -> labeled record pairs, submitted to the server.
 //! let labels = LabelStore::from_truth(&data.credit, &data.billing, &data.truth, 2)?;
-//! let refinement = Refiner::new(service.plan(), service.registry()).refine(&labels)?;
-//! assert!(refinement.report.after.f1() >= refinement.report.before.f1());
+//! let pairs: Vec<(Record, Record, bool)> =
+//!     labels.pairs().iter().map(|p| (p.left.clone(), p.right.clone(), p.is_match)).collect();
+//! server.submit_labels(&pairs)?;
 //!
-//! // Deploy: the store survives, the version bumps, the operator
-//! // world extends (θ-variants arrive as aliased operators).
-//! let v2 = service.swap_rules_refined(&refinement)?;
+//! // Select θ-tuned rules on F1 and deploy: the store survives, the
+//! // version bumps, the operator world extends (θ-variants arrive as
+//! // aliased operators).
+//! let (v2, report) = server.refine(1.0)?;
+//! assert!(report.after.f1() >= report.before.f1());
 //! assert_eq!(v2.number(), 2);
 //! # Ok(()) }
 //! ```
 //!
-//! The same loop runs against a live [`server::MatchServer`] — labels
-//! stream in over the wire (`SubmitLabels`), and a `Refine` request
-//! selects and deploys without restarting
-//! ([`server::MatchClient::submit_labels`] /
-//! [`server::MatchClient::refine`]).
+//! The same two calls are wire frames — labels stream in over TCP
+//! (`SubmitLabels`), and a `Refine` request selects and deploys without
+//! restarting ([`server::MatchClient::submit_labels`] /
+//! [`server::MatchClient::refine`]). To inspect a selection before
+//! deploying it, run a [`refine::Refiner`] by hand and pass its
+//! [`refine::Refinement`] to [`MatchServer::swap_rules_refined`].
 //!
 //! ## Parallel execution
 //!
@@ -361,4 +371,5 @@ pub use matchrules_matcher as matcher;
 pub use matchrules_simdist as simdist;
 
 pub use engine::{EngineBuilder, MatchEngine, MatchPlan, MatchReport, Preset};
-pub use service::{MatchService, Record, RecordId, RuleVersion, ServiceError};
+pub use server::MatchServer;
+pub use service::{Record, RecordId, RuleVersion, ServiceError};

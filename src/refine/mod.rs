@@ -27,10 +27,10 @@
 //!    tie-breaks; identical at any thread count).
 //! 5. **Deploy** — the resulting [`Refinement`] carries the chosen
 //!    rules *plus* the extended operator table/registry, and hot-swaps
-//!    into a running
-//!    [`MatchService::swap_rules_refined`](crate::service::MatchService::swap_rules_refined)
-//!    or [`MatchServer`](crate::server::MatchServer) (also reachable
-//!    over the wire via the `SubmitLabels`/`Refine` frames) with a
+//!    into a running server through
+//!    [`MatchServer::swap_rules_refined`](crate::server::MatchServer::swap_rules_refined)
+//!    (also reachable over the wire via the `SubmitLabels`/`Refine`
+//!    frames) with a
 //!    [`RefinementReport`] of before/after quality, per-rule marginal
 //!    gains and the chosen θ per swept atom.
 //!
@@ -217,10 +217,8 @@ impl RefinementReport {
 /// The deployable outcome of a refinement run: the selected rules
 /// together with the operator world they were compiled against — an
 /// *extension* of the serving plan's table, which
-/// [`MatchService::swap_rules_refined`](crate::service::MatchService::swap_rules_refined)
-/// and
 /// [`MatchServer::swap_rules_refined`](crate::server::MatchServer::swap_rules_refined)
-/// validate before swapping.
+/// validates before swapping.
 #[derive(Debug, Clone)]
 pub struct Refinement {
     /// The selected rules (compiled against [`Refinement::ops`]).

@@ -16,7 +16,7 @@
 //!
 //! Interning is append-only, so the pool's table is always a superset of
 //! the plan's: existing `OperatorId`s keep their meaning, which is what
-//! lets the selected set hot-swap into a running service.
+//! lets the selected set hot-swap into a running server.
 
 use matchrules_core::dependency::{MatchingDependency, SimilarityAtom};
 use matchrules_core::operators::{OperatorId, OperatorTable};

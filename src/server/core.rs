@@ -1,4 +1,5 @@
-//! [`MatchServer`]: the sharded, concurrent server core.
+//! [`MatchServer`]: the one serving core — sharded, concurrent, and at
+//! one shard the single-owner service.
 
 use crate::engine::{
     schemas_compatible, EngineBuilder, FilterStats, MatchEngine, MatchIndex, MatchPlan,
@@ -73,11 +74,29 @@ fn check_schema(record: &Record, expected: &Arc<Schema>) -> Result<(), ServiceEr
     }
 }
 
+/// Whether `refinement` may replace the rules of `serving`.
+fn check_deployable(refinement: &Refinement, serving: &MatchPlan) -> Result<(), ServiceError> {
+    if !refinement.extends(serving.ops()) {
+        return Err(ServiceError::Refinement {
+            message: "refinement's operator table does not extend the serving plan's \
+                      (was it produced against a different server?)"
+                .to_owned(),
+        });
+    }
+    if refinement.rules.is_empty() {
+        return Err(ServiceError::Refinement {
+            message: "refinement selected no rules; refusing to deploy an empty rule set"
+                .to_owned(),
+        });
+    }
+    Ok(())
+}
+
 /// One shard's immutable state: its slice of the store inside a
 /// [`MatchIndex`], plus — aligned with the index's slots — the global
 /// arrival number of every record (assigned at upsert, across all
-/// shards): what lets a fan-out query merge per-shard hits back into the
-/// store order a single-owner [`crate::service::MatchService`] reports.
+/// shards): what lets a fan-out query merge per-shard hits back into
+/// store order.
 ///
 /// A published snapshot is never mutated. A writer clones it (both
 /// fields are structurally shared: refcounted spines, no data) and
@@ -128,9 +147,9 @@ struct ServerView {
 }
 
 impl ServerView {
-    /// Merges one probe's per-shard outcomes (in shard order) into the
-    /// answer a single owner reports: counters summed, hits in store
-    /// order.
+    /// Merges one probe's per-shard outcomes (in shard order) into one
+    /// answer: counters summed, hits in store order. Over one shard this
+    /// is the identity on the shard's own (slot) order.
     fn merge<'a>(&self, outcomes: impl Iterator<Item = &'a QueryOutcome>) -> QueryResponse {
         let mut hits: Vec<(u64, ServiceHit)> = Vec::new();
         let mut candidates = 0;
@@ -210,17 +229,30 @@ pub struct ServerStats {
     pub index: IndexKinds,
 }
 
-/// The sharded, concurrent server core: a
-/// [`MatchService`](crate::service::MatchService) re-architected for
-/// many threads.
+/// The serving core: a record store with stable external
+/// [`RecordId`]s behind incrementally maintained
+/// [`MatchIndex`](crate::engine::MatchIndex)es, versioned rule hot-swap
+/// and per-pair match explanations, built for many threads.
 ///
+/// * **Store** — [`MatchServer::upsert`] / [`MatchServer::remove`] /
+///   [`MatchServer::get`] maintain records of the plan's *right* schema
+///   (for a dedup/reflexive plan, the only schema); every record is
+///   immediately visible to queries. [`MatchServer::compact`] reclaims
+///   the slots removals and replacements leave behind.
+/// * **Query** — [`MatchServer::query`] takes a probe [`Record`] of the
+///   plan's *left* schema and returns exactly the hits a batch
+///   [`MatchEngine::match_pairs_indexed`] run over
+///   [`MatchServer::snapshot`] would report for that probe: matched id,
+///   the RCK that fired, filter stats, and the current [`RuleVersion`].
 /// * **Sharding** — records are routed by a hash of their [`RecordId`]
 ///   to one of N shards, each holding its own
 ///   [`MatchIndex`](crate::engine::MatchIndex). Mutations on different
 ///   shards run concurrently (per-shard writer locks); a probe fans out
 ///   over all shards and merges hits back into global arrival order, so
-///   answers are hit-for-hit identical to a single-owner service fed
-///   the same operations.
+///   answers are hit-for-hit identical at every shard count. One shard
+///   (`ServerConfig { shards: 1, .. }`) is the single-owner
+///   configuration: the fan-out runs inline on the calling thread and
+///   the merge is the identity.
 /// * **Lock-free reads** — the entire state (rules + all shard
 ///   snapshots) is one immutable `ServerView` behind an
 ///   [`EpochCell`]; writers build replacements off to the side and swap
@@ -386,10 +418,9 @@ impl MatchServer {
             .map(|t| Record::from_tuple(schema, t))
     }
 
-    /// The live store as one relation, in global arrival (store) order —
-    /// exactly what a single-owner service's
-    /// [`snapshot`](crate::service::MatchService::snapshot) would hold
-    /// after the same operations.
+    /// The live store as one relation, in global arrival (store) order
+    /// whatever the shard count, ids as tuple ids — what batch runs and
+    /// equivalence tests consume.
     pub fn snapshot(&self) -> Relation {
         let (view, _) = self.view.load();
         let mut rows: Vec<(u64, _)> = Vec::new();
@@ -451,14 +482,15 @@ impl MatchServer {
         ServerReader { server: self, cached: EpochReader::new(&self.view) }
     }
 
-    /// Every live record the probe matches, with the RCK that fired —
-    /// hit-for-hit identical (ids, keys, order, version) to a
-    /// single-owner [`MatchService::query`](crate::service::MatchService::query)
-    /// fed the same operation sequence. Aggregate counters
-    /// ([`QueryResponse::candidates`], [`QueryResponse::key_evals`],
-    /// [`QueryResponse::stats`]) are summed across shards and may differ
-    /// from the single-owner run: each shard prunes its own candidate
-    /// retrieval independently.
+    /// Every live record the probe matches (some RCK accepts, no
+    /// negative rule vetoes), with the RCK that fired — exactly the hits
+    /// a batch [`MatchEngine::match_pairs_indexed`] run over
+    /// [`MatchServer::snapshot`] reports for this probe, hit-for-hit
+    /// identical (ids, keys, order, version) at every shard count.
+    /// Aggregate counters ([`QueryResponse::candidates`],
+    /// [`QueryResponse::key_evals`], [`QueryResponse::stats`]) are
+    /// summed across shards and depend on the shard count: each shard
+    /// prunes its own candidate retrieval independently.
     pub fn query(&self, probe: &Record) -> Result<QueryResponse, ServiceError> {
         let (view, epoch) = self.view.load();
         self.respond(&view, epoch, probe)
@@ -511,11 +543,13 @@ impl MatchServer {
     /// [`ScoreModel`](crate::engine::ScoreModel), sorted by score
     /// descending (ties keep store order), filtered to
     /// `score >= min_score` and truncated to `top_k` — answer-for-answer
-    /// identical (ids, keys, scores, order) to a single-owner
-    /// [`MatchService::query_ranked`](crate::service::MatchService::query_ranked)
-    /// fed the same operations, at any shard count. Scoring is a pure
-    /// function of the immutable plan, so scores are byte-identical
-    /// across thread counts and repeat queries at one rule version.
+    /// identical (ids, keys, scores, order) at any shard count. The
+    /// rules stay the sound candidate generator: scores never add or
+    /// drop a hit, and `min_score <= 0.0` with `top_k >= hits` returns
+    /// the full boolean hit set. `min_score` must not be NaN
+    /// ([`ServiceError::InvalidThreshold`]). Scoring is a pure function
+    /// of the immutable plan, so scores are byte-identical across thread
+    /// counts and repeat queries at one rule version.
     ///
     /// Answers are cached at the `top_k` *bucket* cap (next power of
     /// two) keyed on `(signature, bucket, min_score bits, epoch)`, so
@@ -579,7 +613,7 @@ impl MatchServer {
             hits.extend(scored);
         }
         // Store order first, then a *stable* sort by score: equal scores
-        // keep global arrival order, exactly like the single-owner path.
+        // keep global arrival order.
         hits.sort_unstable_by_key(|&(seq, _)| seq);
         let mut hits: Vec<ScoredHit> = hits.into_iter().map(|(_, h)| h).collect();
         hits.sort_by(|a, b| b.score.total_cmp(&a.score));
@@ -617,8 +651,10 @@ impl MatchServer {
     }
 
     /// Explains the decision for `(probe, stored record id)` under the
-    /// current rules; agrees exactly with [`MatchServer::query`]. See
-    /// [`MatchService::explain`](crate::service::MatchService::explain).
+    /// current rules: every key's every atom (operator, deciding stage,
+    /// θ-bound, exact edit distance, pass/fail), the veto outcome, and —
+    /// when a key fired — the MD deduction path that makes that key a
+    /// key. Decisions agree exactly with [`MatchServer::query`].
     pub fn explain(&self, probe: &Record, id: RecordId) -> Result<MatchExplanation, ServiceError> {
         let (view, _) = self.view.load();
         check_schema(probe, view.rules.engine.plan().pair().left())?;
@@ -725,104 +761,119 @@ impl MatchServer {
         }
         let occupied: Vec<usize> = (0..shards).filter(|&s| !groups[s].is_empty()).collect();
         let applied = self.pool.par_tasks(occupied.len(), |k| {
+            let group = &groups[occupied[k]];
             self.mutate_shard(occupied[k], |shard| {
                 // (A tombstoned slot keeps its stamp; nothing reads it.)
-                (groups[occupied[k]].iter()).try_for_each(|&id| {
+                group.iter().try_for_each(|&id| {
                     shard.index.remove(id.0).map_err(|_| ServiceError::UnknownRecord { id })
                 })
-            })
+            })?;
+            // Counted per published group: a failure on another shard
+            // does not undo this one.
+            self.removes.fetch_add(group.len() as u64, Ordering::Relaxed);
+            Ok(())
         });
-        for shard_result in applied {
-            shard_result?;
-        }
-        self.removes.fetch_add(ids.len() as u64, Ordering::Relaxed);
-        Ok(())
+        applied.into_iter().collect()
     }
 
-    /// Replaces the rule set with MDs parsed from `md_text`, with
-    /// **zero read downtime**: the new plan is compiled and every
-    /// shard's index rebuilt at version v+1 entirely off to the side
-    /// (reads keep serving v throughout, never blocking or failing),
-    /// then the whole view — rules plus all shards — is published in
-    /// one atomic store. Mutations are gated for the duration so the
-    /// rebuild sees a frozen store. On error the old version keeps
-    /// serving untouched. The rebuild also reclaims tombstoned slots
-    /// (it doubles as a compaction).
+    /// Replaces the rule set with MDs parsed from `md_text` (the
+    /// [`crate::core::parser`] syntax, against the existing schema pair
+    /// and operator table), with **zero read downtime**: the new plan is
+    /// compiled and every shard's index rebuilt at version v+1 entirely
+    /// off to the side (reads keep serving v throughout, never blocking
+    /// or failing), then the whole view — rules plus all shards — is
+    /// published in one atomic store. Mutations are gated for the
+    /// duration so the rebuild sees a frozen store. On error (parse,
+    /// compile, resolution) the old version keeps serving untouched. The
+    /// rebuild also reclaims tombstoned slots (it doubles as a
+    /// [`MatchServer::compact`]).
     pub fn swap_rules(&self, md_text: &str) -> Result<RuleVersion, ServiceError> {
-        let text = md_text.to_owned();
-        self.swap_with(move |b| b.md_text(&text))
+        self.swap_with_registry(None, |b| b.md_text(md_text))
     }
 
-    /// [`MatchServer::swap_rules`] for programmatic MDs; the same
-    /// operator-table caveats as
-    /// [`MatchService::swap_rules_with`](crate::service::MatchService::swap_rules_with)
-    /// apply.
+    /// [`MatchServer::swap_rules`] for programmatic MDs. Attribute pairs
+    /// are revalidated against the schema pair at compile, but the
+    /// atoms' `OperatorId`s are only meaningful against **the serving
+    /// plan's** operator table ([`MatchPlan::ops`]) — pass MDs taken from
+    /// [`MatchPlan::sigma`] or built against that table, not ones
+    /// interned into a foreign table (out-of-range ids fail the compile;
+    /// in-range foreign ids would rebind to whatever operator happens to
+    /// hold that id here).
     pub fn swap_rules_with(
         &self,
         mds: Vec<MatchingDependency>,
     ) -> Result<RuleVersion, ServiceError> {
-        self.swap_with(move |b| b.mds(mds))
-    }
-
-    fn swap_with(
-        &self,
-        add_rules: impl FnOnce(EngineBuilder) -> EngineBuilder,
-    ) -> Result<RuleVersion, ServiceError> {
-        self.swap_with_registry(None, add_rules)
-    }
-
-    /// [`MatchServer::swap_with`] with an optional registry override —
-    /// the new engine compiles *and runs* against it, which is how a
-    /// refined swap carries its θ-alias bindings into the serving
-    /// runtime (not just its table). `None` keeps the serving registry.
-    fn swap_with_registry(
-        &self,
-        registry: Option<crate::simdist::ops::OpRegistry>,
-        add_rules: impl FnOnce(EngineBuilder) -> EngineBuilder,
-    ) -> Result<RuleVersion, ServiceError> {
-        let _gate = self.swap_gate.write().unwrap_or_else(|e| e.into_inner());
-        let (view, _) = self.view.load();
-        let registry = registry.unwrap_or_else(|| view.rules.engine.registry().clone());
-        let builder =
-            EngineBuilder::from_plan(view.rules.engine.plan()).operators(registry.clone());
-        let plan = add_rules(builder).compile()?;
-        let engine = MatchEngine::from_plan(plan, &registry)?;
-        let shards = (self.pool)
-            .par_tasks(view.shards.len(), |s| view.shards[s].rebuilt(&engine).map(Arc::new))
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()?;
-        let version = RuleVersion(view.rules.version.0 + 1);
-        self.view
-            .store(Arc::new(ServerView { rules: Arc::new(RuleEpoch { engine, version }), shards }));
-        Ok(version)
+        self.swap_with_registry(None, move |b| b.mds(mds))
     }
 
     /// Deploys a [`Refinement`] with the same zero-downtime mechanics as
     /// [`MatchServer::swap_rules`]: the refinement's selected rules swap
     /// in together with the extended operator table/registry they were
     /// compiled against (θ-sweep aliases included). The refinement's
-    /// table must *extend* the serving plan's — otherwise the swap is
-    /// refused with [`ServiceError::Refinement`] and the old version
-    /// keeps serving.
+    /// table must *extend* the serving plan's — every existing
+    /// `OperatorId` keeps its meaning — otherwise the swap is refused
+    /// with [`ServiceError::Refinement`] and the old version keeps
+    /// serving.
     pub fn swap_rules_refined(&self, refinement: &Refinement) -> Result<RuleVersion, ServiceError> {
-        if !refinement.extends(self.view.load().0.rules.engine.plan().ops()) {
-            return Err(ServiceError::Refinement {
-                message: "refinement's operator table does not extend the serving plan's \
-                          (was it produced against a different server?)"
-                    .to_owned(),
-            });
-        }
-        if refinement.rules.is_empty() {
-            return Err(ServiceError::Refinement {
-                message: "refinement selected no rules; refusing to deploy an empty rule set"
-                    .to_owned(),
-            });
-        }
-        let ops = refinement.ops.clone();
-        let rules = refinement.rules.clone();
-        self.swap_with_registry(Some(refinement.registry.clone()), move |b| {
-            b.operator_table(ops).mds(rules)
+        self.swap_with_registry(Some(refinement), |b| {
+            b.operator_table(refinement.ops.clone()).mds(refinement.rules.clone())
         })
+    }
+
+    /// The one swap path behind the three `swap_rules*` fronts: compile
+    /// `add_rules` against the serving plan, rebuild, publish at v+1.
+    /// With a `refinement`, the new engine compiles *and runs* against
+    /// its registry — which is how a refined swap carries its θ-alias
+    /// bindings into the serving runtime (not just its table) — after
+    /// the refinement is checked against the plan it is about to
+    /// replace: the check reads the same view as the rebuild, under the
+    /// gate, so no other swap can land in between.
+    fn swap_with_registry(
+        &self,
+        refinement: Option<&Refinement>,
+        add_rules: impl FnOnce(EngineBuilder) -> EngineBuilder,
+    ) -> Result<RuleVersion, ServiceError> {
+        let _gate = self.swap_gate.write().unwrap_or_else(|e| e.into_inner());
+        let (view, _) = self.view.load();
+        let serving = &view.rules.engine;
+        let registry = match refinement {
+            Some(refinement) => {
+                check_deployable(refinement, serving.plan())?;
+                refinement.registry.clone()
+            }
+            None => serving.registry().clone(),
+        };
+        let builder = EngineBuilder::from_plan(serving.plan()).operators(registry.clone());
+        let plan = add_rules(builder).compile()?;
+        let engine = MatchEngine::from_plan(plan, &registry)?;
+        let version = RuleVersion(view.rules.version.0 + 1);
+        self.republish(&view, Arc::new(RuleEpoch { engine, version }))?;
+        Ok(version)
+    }
+
+    /// Rebuilds every shard of `view` under `rules` off to the side
+    /// (slots compacted, observed selectivities folded into the new
+    /// plans) and publishes rules plus shards in one store. The caller
+    /// holds the swap gate's write side, so `view` is the frozen store.
+    fn republish(&self, view: &ServerView, rules: Arc<RuleEpoch>) -> Result<(), ServiceError> {
+        let shards = (self.pool)
+            .par_tasks(view.shards.len(), |s| view.shards[s].rebuilt(&rules.engine).map(Arc::new))
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()?;
+        self.view.store(Arc::new(ServerView { rules, shards }));
+        Ok(())
+    }
+
+    /// Rebuilds every shard's index over its live records under the
+    /// *current* rules, reclaiming the tombstoned slots removals and
+    /// replacements leave behind — and folding the selectivities observed
+    /// so far into the rebuilt index's plans. Query answers are
+    /// unchanged and the rule version does not move; reads keep serving
+    /// throughout, mutations are gated like for a swap.
+    pub fn compact(&self) -> Result<(), ServiceError> {
+        let _gate = self.swap_gate.write().unwrap_or_else(|e| e.into_inner());
+        let (view, _) = self.view.load();
+        self.republish(&view, view.rules.clone())
     }
 
     /// Appends labeled pairs (probe record, stored-shape record, is a
@@ -895,6 +946,15 @@ impl MatchServer {
             .map_err(|e| ServiceError::Refinement { message: e.to_string() })?;
         let version = self.swap_rules_refined(&refinement)?;
         Ok((version, refinement.report))
+    }
+
+    /// The engine executing the current rule version — a cheap clone
+    /// (plan and operators are shared) that keeps describing the version
+    /// it was loaded at. Its [`MatchEngine::registry`] is what a
+    /// [`Refiner`] seeds from so custom and θ-alias operators keep their
+    /// bindings.
+    pub fn engine(&self) -> MatchEngine {
+        self.view.load().0.rules.engine.clone()
     }
 
     /// The currently compiled plan, for rendering keys and inspecting
@@ -973,6 +1033,64 @@ mod tests {
                 seen[s] = true;
             }
             assert!(seen.iter().all(|&s| s), "512 sequential ids should touch every shard");
+        }
+    }
+
+    fn people_server(shards: usize) -> MatchServer {
+        let people = Schema::text("people", &["name", "email"]).unwrap();
+        let engine = EngineBuilder::new()
+            .dedup_schema(people)
+            .md_text("people[email] = people[email] -> people[name] <=> people[name]")
+            .target(&["name"], &["name"])
+            .build()
+            .unwrap();
+        MatchServer::with_config(
+            engine,
+            ServerConfig { shards, cache_capacity: 0, exec: ExecConfig::serial() },
+        )
+    }
+
+    fn person(server: &MatchServer, n: u64) -> Record {
+        let email = format!("p{n}@example.org");
+        server.record_builder().field("name", "Ada").field("email", email.as_str()).build().unwrap()
+    }
+
+    #[test]
+    fn remove_batch_counts_the_groups_that_published() {
+        let server = people_server(2);
+        let known = RecordId(1);
+        // Routed to the other shard, and never stored.
+        let unknown = (2..)
+            .map(RecordId)
+            .find(|&id| shard_of(id, 2) != shard_of(known, 2))
+            .expect("some id routes to the other shard");
+        server.upsert(known, &person(&server, 1)).unwrap();
+        server.upsert(RecordId(0), &person(&server, 0)).unwrap();
+
+        let err = server.remove_batch(&[known, unknown]);
+        assert!(matches!(err, Err(ServiceError::UnknownRecord { id }) if id == unknown), "{err:?}");
+        assert_eq!(server.len(), 1, "the known id's shard group still applied");
+        assert!(!server.contains(known));
+        assert_eq!(server.stats().removes, 1, "and was counted");
+    }
+
+    #[test]
+    fn compact_reclaims_tombstones_without_moving_the_version() {
+        for shards in [1, 2] {
+            let server = people_server(shards);
+            for n in 0..8 {
+                server.upsert(RecordId(n), &person(&server, n)).unwrap();
+            }
+            server.upsert(RecordId(0), &person(&server, 100)).unwrap();
+            server.remove(RecordId(1)).unwrap();
+            let tombstones = || -> usize {
+                server.view.load().0.shards.iter().map(|s| s.index.stats().tombstones).sum()
+            };
+            assert_eq!(tombstones(), 2, "a replacement and a removal each leave one");
+            server.compact().unwrap();
+            assert_eq!(tombstones(), 0);
+            assert_eq!(server.version(), RuleVersion(1));
+            assert_eq!(server.len(), 7);
         }
     }
 

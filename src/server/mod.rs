@@ -1,9 +1,10 @@
-//! The sharded, concurrent server: [`MatchService`] semantics at
-//! many-thread scale, plus a std-only TCP wire front.
+//! The serving layer: one long-lived, stateful core — record upsert,
+//! versioned rule hot-swap, per-pair match explanations — plus a
+//! std-only TCP wire front.
 //!
-//! [`MatchService`](crate::service::MatchService) is single-owner
-//! (`&mut self` mutations); this module re-architects the same
-//! semantics for concurrency:
+//! The [`engine`](crate::engine) compiles MDs into an immutable
+//! [`MatchPlan`](crate::engine::MatchPlan) and executes it over batches;
+//! this module turns that artifact into a server:
 //!
 //! * [`MatchServer`] — the core. Records are hashed by [`RecordId`]
 //!   onto N shards, each an independent
@@ -57,7 +58,6 @@
 //! # Ok(()) }
 //! ```
 //!
-//! [`MatchService`]: crate::service::MatchService
 //! [`RecordId`]: crate::service::RecordId
 
 mod cache;

@@ -92,7 +92,7 @@ pub struct DeductionStep {
 
 /// The full explanation of one `(probe, stored record)` decision at one
 /// rule version. Produced by
-/// [`MatchService::explain`](crate::service::MatchService::explain);
+/// [`MatchServer::explain`](crate::server::MatchServer::explain);
 /// `Display` renders a multi-line human-readable trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatchExplanation {

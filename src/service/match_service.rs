@@ -1,18 +1,13 @@
-//! [`MatchService`]: the long-lived, stateful front door of the engine.
+//! The id and response types every serving call speaks: [`RecordId`],
+//! [`RuleVersion`], and the answers of
+//! [`MatchServer::query`](crate::server::MatchServer::query) and
+//! [`MatchServer::query_ranked`](crate::server::MatchServer::query_ranked).
 
-use crate::engine::{
-    schemas_compatible, EngineBuilder, FilterStats, IndexStats, MatchEngine, MatchIndex, MatchPlan,
-};
-use crate::service::explain::MatchExplanation;
-use crate::service::record::{Record, RecordBuilder, ServiceError};
-use matchrules_core::dependency::MatchingDependency;
-use matchrules_core::schema::Schema;
-use matchrules_data::relation::Relation;
+use crate::engine::FilterStats;
 use std::fmt;
-use std::sync::Arc;
 
 /// Stable external identifier of a stored record. Ids are chosen by the
-/// caller, never recycled by the service, and survive rule hot-swaps.
+/// caller, never recycled by the server, and survive rule hot-swaps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RecordId(pub u64);
 
@@ -22,10 +17,12 @@ impl fmt::Display for RecordId {
     }
 }
 
-/// Monotone version of the service's rule set: `v1` at construction,
-/// bumped by every successful [`MatchService::swap_rules`]. Stamped on
-/// every [`QueryResponse`] and [`MatchExplanation`] so callers can tell
-/// which rules produced an answer.
+/// Monotone version of the server's rule set: `v1` at construction,
+/// bumped by every successful
+/// [`MatchServer::swap_rules`](crate::server::MatchServer::swap_rules).
+/// Stamped on every [`QueryResponse`] and
+/// [`MatchExplanation`](crate::service::MatchExplanation) so callers can
+/// tell which rules produced an answer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RuleVersion(pub(crate) u64);
 
@@ -48,8 +45,8 @@ impl fmt::Display for RuleVersion {
 pub struct ServiceHit {
     /// Id of the matched record.
     pub id: RecordId,
-    /// Index (into [`MatchPlan::rcks`]) of the first key that accepted
-    /// the pair — render it with
+    /// Index (into [`MatchPlan::rcks`](crate::engine::MatchPlan::rcks))
+    /// of the first key that accepted the pair — render it with
     /// `plan.rcks()[key].display(plan.pair(), plan.ops())`.
     pub key: usize,
 }
@@ -60,8 +57,8 @@ pub struct ServiceHit {
 pub struct ScoredHit {
     /// Id of the matched record.
     pub id: RecordId,
-    /// Index (into [`MatchPlan::rcks`]) of the first key that accepted
-    /// the pair.
+    /// Index (into [`MatchPlan::rcks`](crate::engine::MatchPlan::rcks))
+    /// of the first key that accepted the pair.
     pub key: usize,
     /// Calibrated match confidence in `[0, 1]` — the plan's
     /// [`ScoreModel`](crate::engine::ScoreModel) posterior for the
@@ -69,7 +66,8 @@ pub struct ScoredHit {
     pub score: f64,
 }
 
-/// The stamped answer of one [`MatchService::query_ranked`].
+/// The stamped answer of one
+/// [`MatchServer::query_ranked`](crate::server::MatchServer::query_ranked).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RankedResponse {
     /// The surviving hits, sorted by score descending (ties keep store
@@ -84,7 +82,8 @@ pub struct RankedResponse {
     pub version: RuleVersion,
 }
 
-/// The stamped answer of one [`MatchService::query`].
+/// The stamped answer of one
+/// [`MatchServer::query`](crate::server::MatchServer::query).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QueryResponse {
     /// The matched records, in stored (slot) order.
@@ -99,371 +98,4 @@ pub struct QueryResponse {
     pub stats: FilterStats,
     /// The rule version that produced this answer.
     pub version: RuleVersion,
-}
-
-/// A stateful record-matching service over one compiled
-/// [`MatchEngine`]: a record store with stable external [`RecordId`]s,
-/// an incrementally maintained [`MatchIndex`], versioned rule hot-swap
-/// and per-pair match explanations.
-///
-/// * **Store** — [`MatchService::upsert`] / [`MatchService::remove`] /
-///   [`MatchService::get`] maintain records of the plan's *right* schema
-///   (for a dedup/reflexive plan, the only schema); every record is
-///   immediately visible to queries.
-/// * **Query** — [`MatchService::query`] takes a probe [`Record`] of the
-///   plan's *left* schema and returns exactly the hits a batch
-///   [`MatchEngine::match_pairs_indexed`] run over the equivalent
-///   relation would report for that probe: matched id, the RCK that
-///   fired, filter stats, and the current [`RuleVersion`].
-/// * **Rule hot-swap** — [`MatchService::swap_rules`] recompiles a new
-///   MD set against the existing schema/operator world, rebuilds the
-///   index off to the side, then swaps atomically; the store survives,
-///   the version bumps. A failed swap leaves the service unchanged.
-/// * **Explanation** — [`MatchService::explain`] traces one
-///   (probe, record) pair: per-atom operator, θ-bound, computed distance
-///   and pass/fail, plus the MD deduction path that makes the fired RCK
-///   a key at all.
-///
-/// See the crate-level quickstart for an end-to-end example.
-pub struct MatchService {
-    engine: MatchEngine,
-    index: MatchIndex,
-    version: RuleVersion,
-}
-
-impl fmt::Debug for MatchService {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("MatchService")
-            .field("version", &self.version)
-            .field("records", &self.index.len())
-            .field("rcks", &self.engine.plan().rcks().len())
-            .finish()
-    }
-}
-
-impl MatchService {
-    /// A service over `engine`'s compiled plan, with an empty store at
-    /// rule version `v1`.
-    pub fn new(engine: MatchEngine) -> MatchService {
-        let empty = Relation::new(engine.plan().pair().right().clone());
-        let index = engine.index(&empty).expect("an empty relation has no duplicate ids");
-        MatchService { engine, index, version: RuleVersion(1) }
-    }
-
-    /// The engine executing the current rule version.
-    pub fn engine(&self) -> &MatchEngine {
-        &self.engine
-    }
-
-    /// The currently compiled plan.
-    pub fn plan(&self) -> &MatchPlan {
-        self.engine.plan()
-    }
-
-    /// The operator registry the serving engine executes against —
-    /// what a [`Refiner`](crate::refine::Refiner) seeds from so custom
-    /// and θ-alias operators keep their bindings.
-    pub fn registry(&self) -> &crate::simdist::ops::OpRegistry {
-        self.engine.registry()
-    }
-
-    /// The current rule version.
-    pub fn version(&self) -> RuleVersion {
-        self.version
-    }
-
-    /// The schema stored records instantiate (the plan's right side).
-    pub fn store_schema(&self) -> &Arc<Schema> {
-        self.plan().pair().right()
-    }
-
-    /// The schema probe records instantiate (the plan's left side; equal
-    /// to [`MatchService::store_schema`] for reflexive plans).
-    pub fn probe_schema(&self) -> &Arc<Schema> {
-        self.plan().pair().left()
-    }
-
-    /// A [`RecordBuilder`] over the store schema.
-    pub fn record_builder(&self) -> RecordBuilder {
-        Record::builder(self.store_schema().clone())
-    }
-
-    /// A [`RecordBuilder`] over the probe schema.
-    pub fn probe_builder(&self) -> RecordBuilder {
-        Record::builder(self.probe_schema().clone())
-    }
-
-    /// Number of live records.
-    pub fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    /// Whether a live record carries `id`.
-    pub fn contains(&self, id: RecordId) -> bool {
-        self.index.contains(id.0)
-    }
-
-    /// Shape counters of the backing index (anchors, buckets, live
-    /// records, tombstones).
-    pub fn stats(&self) -> IndexStats {
-        self.index.stats()
-    }
-
-    fn check_schema(record: &Record, expected: &Arc<Schema>) -> Result<(), ServiceError> {
-        if Arc::ptr_eq(record.schema(), expected) || schemas_compatible(record.schema(), expected) {
-            Ok(())
-        } else {
-            Err(ServiceError::SchemaMismatch {
-                expected: format!("{}/{}", expected.name(), expected.arity()),
-                got: format!("{}/{}", record.schema().name(), record.schema().arity()),
-            })
-        }
-    }
-
-    /// Inserts `record` under `id`, or replaces the record previously
-    /// stored under `id`; returns whether a replacement happened. The
-    /// record is immediately visible to queries. A replaced record
-    /// re-enters at the freshest store position (hits are reported in
-    /// store order).
-    pub fn upsert(&mut self, id: RecordId, record: &Record) -> Result<bool, ServiceError> {
-        Self::check_schema(record, self.store_schema())?;
-        let replaced = self.index.contains(id.0);
-        if replaced {
-            self.index.remove(id.0)?;
-        }
-        self.index.insert(record.to_tuple(id.0))?;
-        Ok(replaced)
-    }
-
-    /// Removes the record stored under `id` from query visibility.
-    pub fn remove(&mut self, id: RecordId) -> Result<(), ServiceError> {
-        self.index.remove(id.0).map_err(|_| ServiceError::UnknownRecord { id })
-    }
-
-    /// The live record stored under `id`.
-    pub fn get(&self, id: RecordId) -> Option<Record> {
-        self.index.get(id.0).map(|t| Record::from_tuple(self.store_schema().clone(), t))
-    }
-
-    /// Every live record the probe matches (some RCK accepts, no
-    /// negative rule vetoes), with the key that fired — exactly the hits
-    /// a batch [`MatchEngine::match_pairs_indexed`] run over
-    /// [`MatchService::snapshot`] would report for this probe — stamped
-    /// with the current rule version.
-    pub fn query(&self, probe: &Record) -> Result<QueryResponse, ServiceError> {
-        Self::check_schema(probe, self.probe_schema())?;
-        let outcome = self.index.query(&probe.to_tuple(0));
-        Ok(QueryResponse {
-            hits: outcome
-                .hits
-                .iter()
-                .map(|h| ServiceHit { id: RecordId(h.id), key: h.key })
-                .collect(),
-            candidates: outcome.candidates,
-            key_evals: outcome.key_evals,
-            stats: outcome.stats,
-            version: self.version,
-        })
-    }
-
-    /// Queries a batch of probes in one call, sharing signature
-    /// extraction and scratch across the batch. Responses are
-    /// byte-identical — hits, counters, version — to calling
-    /// [`MatchService::query`] once per probe, at a fraction of the
-    /// per-probe overhead; one malformed probe fails the whole batch
-    /// before any work runs.
-    pub fn query_batch(&self, probes: &[Record]) -> Result<Vec<QueryResponse>, ServiceError> {
-        for probe in probes {
-            Self::check_schema(probe, self.probe_schema())?;
-        }
-        let tuples: Vec<_> = probes.iter().map(|p| p.to_tuple(0)).collect();
-        Ok(self
-            .index
-            .query_batch(&tuples)
-            .into_iter()
-            .map(|outcome| QueryResponse {
-                hits: outcome
-                    .hits
-                    .iter()
-                    .map(|h| ServiceHit { id: RecordId(h.id), key: h.key })
-                    .collect(),
-                candidates: outcome.candidates,
-                key_evals: outcome.key_evals,
-                stats: outcome.stats,
-                version: self.version,
-            })
-            .collect())
-    }
-
-    /// [`MatchService::query`], ranked: the **same hit set** the boolean
-    /// query reports (the rules stay the sound candidate generator;
-    /// scores never add or drop a hit), each hit scored by the plan's
-    /// compiled [`ScoreModel`](crate::engine::ScoreModel), sorted by
-    /// score descending (ties keep store order), filtered to
-    /// `score >= min_score`, and truncated to the best `top_k`.
-    ///
-    /// `min_score` must not be NaN
-    /// ([`ServiceError::InvalidThreshold`]); `min_score <= 0.0` with
-    /// `top_k >= hits` returns the full boolean hit set. Scores are
-    /// deterministic — byte-identical across thread counts and repeat
-    /// queries at the same rule version.
-    pub fn query_ranked(
-        &self,
-        probe: &Record,
-        top_k: usize,
-        min_score: f64,
-    ) -> Result<RankedResponse, ServiceError> {
-        if min_score.is_nan() {
-            return Err(ServiceError::InvalidThreshold);
-        }
-        Self::check_schema(probe, self.probe_schema())?;
-        let probe_tuple = probe.to_tuple(0);
-        let outcome = self.index.query(&probe_tuple);
-        let model = self.plan().score_model();
-        let runtime = self.engine.runtime();
-        let mut hits: Vec<ScoredHit> = outcome
-            .hits
-            .iter()
-            .map(|h| {
-                let stored = self.index.get(h.id).expect("query hits are live records");
-                let score = model.score(runtime, &probe_tuple, stored);
-                ScoredHit { id: RecordId(h.id), key: h.key, score }
-            })
-            .collect();
-        // Stable sort: equal scores keep the boolean query's store order.
-        hits.sort_by(|a, b| b.score.total_cmp(&a.score));
-        hits.retain(|h| h.score >= min_score);
-        hits.truncate(top_k);
-        Ok(RankedResponse {
-            hits,
-            candidates: outcome.candidates,
-            key_evals: outcome.key_evals,
-            version: self.version,
-        })
-    }
-
-    /// Explains the decision for `(probe, stored record id)`: every
-    /// key's every atom (operator, deciding stage, θ-bound, exact edit
-    /// distance, pass/fail), the veto outcome, and — when a key fired —
-    /// the MD deduction path that makes that key a key. Decisions agree
-    /// exactly with [`MatchService::query`].
-    pub fn explain(&self, probe: &Record, id: RecordId) -> Result<MatchExplanation, ServiceError> {
-        Self::check_schema(probe, self.probe_schema())?;
-        let trace = self
-            .index
-            .explain(&probe.to_tuple(0), id.0)
-            .map_err(|_| ServiceError::UnknownRecord { id })?;
-        Ok(MatchExplanation::from_trace(trace, id, self.plan(), self.version))
-    }
-
-    /// The live store as a relation (records in store order, ids as
-    /// tuple ids) — what batch runs and equivalence tests consume.
-    pub fn snapshot(&self) -> Relation {
-        self.index.live_relation()
-    }
-
-    /// Replaces the rule set with MDs parsed from `md_text` (the
-    /// [`crate::core::parser`] syntax, against the existing schema pair
-    /// and operator table): recompiles the plan, rebuilds the index over
-    /// the surviving store off to the side, then swaps both atomically
-    /// and returns the bumped [`RuleVersion`]. On error (parse, compile,
-    /// resolution) the service keeps serving the old version untouched.
-    pub fn swap_rules(&mut self, md_text: &str) -> Result<RuleVersion, ServiceError> {
-        let text = md_text.to_owned();
-        self.swap_with(move |b| b.md_text(&text))
-    }
-
-    /// [`MatchService::swap_rules`] for programmatic MDs. Attribute
-    /// pairs are revalidated against the schema pair at compile, but the
-    /// atoms' `OperatorId`s are only meaningful against **this plan's**
-    /// operator table ([`MatchPlan::ops`]) — pass MDs taken from
-    /// [`MatchPlan::sigma`] or built against that table, not ones
-    /// interned into a foreign table (out-of-range ids fail the compile;
-    /// in-range foreign ids would rebind to whatever operator happens to
-    /// hold that id here).
-    pub fn swap_rules_with(
-        &mut self,
-        mds: Vec<MatchingDependency>,
-    ) -> Result<RuleVersion, ServiceError> {
-        self.swap_with(move |b| b.mds(mds))
-    }
-
-    /// Deploys a [`Refinement`](crate::refine::Refinement): swaps in its
-    /// selected rules together with the extended operator table and
-    /// registry they were compiled against (θ-sweep aliases included).
-    /// The refinement's table must *extend* this service's — every
-    /// existing `OperatorId` keeps its meaning — otherwise the swap is
-    /// refused with [`ServiceError::Refinement`] and the service keeps
-    /// serving untouched.
-    pub fn swap_rules_refined(
-        &mut self,
-        refinement: &crate::refine::Refinement,
-    ) -> Result<RuleVersion, ServiceError> {
-        if !refinement.extends(self.engine.plan().ops()) {
-            return Err(ServiceError::Refinement {
-                message: "refinement's operator table does not extend the serving plan's \
-                          (was it produced against a different service?)"
-                    .to_owned(),
-            });
-        }
-        if refinement.rules.is_empty() {
-            return Err(ServiceError::Refinement {
-                message: "refinement selected no rules; refusing to deploy an empty rule set"
-                    .to_owned(),
-            });
-        }
-        let ops = refinement.ops.clone();
-        let rules = refinement.rules.clone();
-        self.swap_with_registry(refinement.registry.clone(), move |b| {
-            b.operator_table(ops).mds(rules)
-        })
-    }
-
-    fn swap_with(
-        &mut self,
-        add_rules: impl FnOnce(EngineBuilder) -> EngineBuilder,
-    ) -> Result<RuleVersion, ServiceError> {
-        self.swap_with_registry(self.engine.registry().clone(), add_rules)
-    }
-
-    /// [`MatchService::swap_with`] with an explicit registry — the new
-    /// engine compiles *and runs* against `registry`, which is how a
-    /// refined swap carries its θ-alias bindings into the serving
-    /// runtime (not just its table).
-    fn swap_with_registry(
-        &mut self,
-        registry: crate::simdist::ops::OpRegistry,
-        add_rules: impl FnOnce(EngineBuilder) -> EngineBuilder,
-    ) -> Result<RuleVersion, ServiceError> {
-        // Compile and rebuild entirely off to the side; `self` is only
-        // touched once everything succeeded.
-        let builder = EngineBuilder::from_plan(self.engine.plan()).operators(registry.clone());
-        let plan = add_rules(builder).compile()?;
-        let engine = MatchEngine::from_plan(plan, &registry)?;
-        // The new version plans its atom intersections around the
-        // selectivities the old version observed in live traffic.
-        let index = engine
-            .index_planned(&self.index.live_relation(), &self.index.observed_selectivity())?;
-        self.engine = engine;
-        self.index = index;
-        self.version = RuleVersion(self.version.0 + 1);
-        Ok(self.version)
-    }
-
-    /// Rebuilds the index over the live store under the *current* rules,
-    /// reclaiming tombstoned slots left by removals and upserts — and
-    /// folding the selectivities observed so far into the rebuilt
-    /// index's plans. Query answers are unchanged; the rule version does
-    /// not move.
-    pub fn compact(&mut self) -> Result<(), ServiceError> {
-        self.index = self
-            .engine
-            .index_planned(&self.index.live_relation(), &self.index.observed_selectivity())?;
-        Ok(())
-    }
 }

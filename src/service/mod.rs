@@ -1,38 +1,28 @@
-//! The serving layer: a stateful [`MatchService`] with record upsert,
-//! versioned rule hot-swap, and per-pair match explanations.
-//!
-//! The [`engine`](crate::engine) compiles MDs into an immutable
-//! [`MatchPlan`](crate::engine::MatchPlan) and executes it over batches;
-//! this module turns that artifact into a **long-lived service**:
+//! The serving vocabulary: the record, id, response, error and
+//! explanation types [`MatchServer`](crate::server::MatchServer) and the
+//! wire protocol speak.
 //!
 //! * [`Record`] / [`RecordBuilder`] — the owned input type. Callers set
-//!   fields by name against the service's schemas and never touch
+//!   fields by name against the server's schemas and never touch
 //!   `Relation`s or `Tuple`s; unknown fields fail with a typed
 //!   [`ServiceError`] naming the offender and suggesting the nearest
 //!   schema attribute.
-//! * [`MatchService`] — owns a record store with stable external
-//!   [`RecordId`]s and an incrementally maintained
-//!   [`MatchIndex`](crate::engine::MatchIndex).
-//!   [`upsert`](MatchService::upsert) / [`remove`](MatchService::remove)
-//!   / [`get`](MatchService::get) maintain it;
-//!   [`query`](MatchService::query) answers point lookups with the
-//!   matched ids, the RCK that fired, filter stats and the current
-//!   [`RuleVersion`].
-//! * [`swap_rules`](MatchService::swap_rules) — rule iteration without
-//!   losing serving state: a new MD set is recompiled against the
-//!   existing schema/operator world, the index is rebuilt off to the
-//!   side, and both are swapped atomically; a failed swap leaves the old
-//!   version serving.
-//! * [`explain`](MatchService::explain) — a [`MatchExplanation`] for any
-//!   (probe, record) pair: per-atom operator, θ-bound, computed
-//!   distance, deciding pipeline stage and pass/fail, plus the MD
-//!   deduction path that makes the fired RCK a key relative to the
-//!   target.
+//! * [`RecordId`] / [`RuleVersion`] — stable external record ids, and
+//!   the monotone stamp every answer carries so callers can tell which
+//!   rules produced it.
+//! * [`QueryResponse`] / [`RankedResponse`] — matched ids with the RCK
+//!   that fired ([`ServiceHit`]), optionally scored ([`ScoredHit`]),
+//!   plus the work counters of the probe.
+//! * [`MatchExplanation`] — the trace of one (probe, record) pair:
+//!   per-atom operator, θ-bound, computed distance, deciding pipeline
+//!   stage and pass/fail, plus the MD deduction path that makes the
+//!   fired RCK a key relative to the target.
 //!
 //! ```
 //! use matchrules::engine::EngineBuilder;
 //! use matchrules::core::schema::Schema;
-//! use matchrules::service::{MatchService, RecordId};
+//! use matchrules::server::MatchServer;
+//! use matchrules::service::RecordId;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let people = Schema::text("people", &["name", "phone", "email"])?;
@@ -41,23 +31,23 @@
 //!     .md_text("people[email] = people[email] -> people[name,phone] <=> people[name,phone]")
 //!     .target(&["name", "phone"], &["name", "phone"])
 //!     .build()?;
-//! let mut service = MatchService::new(engine);
+//! let server = MatchServer::new(engine);
 //!
-//! let ada = service.record_builder()
+//! let ada = server.record_builder()
 //!     .field("name", "Ada Lovelace")
 //!     .field("phone", "020-7946-0001")
 //!     .field("email", "ada@example.org")
 //!     .build()?;
-//! service.upsert(RecordId(1), &ada)?;
+//! server.upsert(RecordId(1), &ada)?;
 //!
-//! let probe = service.probe_builder()
+//! let probe = server.probe_builder()
 //!     .field("name", "A. Lovelace")
 //!     .field("email", "ada@example.org")
 //!     .build()?;
-//! let response = service.query(&probe)?;
+//! let response = server.query(&probe)?;
 //! assert_eq!(response.hits.len(), 1);
 //! assert_eq!(response.hits[0].id, RecordId(1));
-//! let why = service.explain(&probe, RecordId(1))?;
+//! let why = server.explain(&probe, RecordId(1))?;
 //! assert!(why.matched);
 //! # Ok(()) }
 //! ```
@@ -68,6 +58,6 @@ mod record;
 
 pub use explain::{AtomExplanation, DeductionStep, KeyExplanation, MatchExplanation};
 pub use match_service::{
-    MatchService, QueryResponse, RankedResponse, RecordId, RuleVersion, ScoredHit, ServiceHit,
+    QueryResponse, RankedResponse, RecordId, RuleVersion, ScoredHit, ServiceHit,
 };
 pub use record::{Record, RecordBuilder, ServiceError};

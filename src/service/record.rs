@@ -1,7 +1,7 @@
 //! [`Record`]: the owned, schema-checked input type of the serving
 //! layer, and the typed [`ServiceError`]s it raises.
 //!
-//! Callers of a [`MatchService`](crate::service::MatchService) never
+//! Callers of a [`MatchServer`](crate::server::MatchServer) never
 //! touch [`Relation`](matchrules_data::relation::Relation)s or
 //! [`Tuple`](matchrules_data::relation::Tuple)s: they build `Record`s by
 //! field *name* against a schema, and every name is validated — an
@@ -128,7 +128,7 @@ fn nearest_attribute(schema: &Schema, field: &str) -> Option<String> {
 /// An owned record: one value per attribute of the schema it was built
 /// against (unset fields are `Null` — missing data, which matches
 /// nothing). Built with a [`RecordBuilder`]; consumed by
-/// [`MatchService`](crate::service::MatchService) upserts and queries.
+/// [`MatchServer`](crate::server::MatchServer) upserts and queries.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
     schema: Arc<Schema>,

@@ -4,8 +4,9 @@
 //!   every rule version, before and after a hot swap — with calibrated
 //!   scores in `[0, 1]`, sorted descending, never NaN (proptest);
 //! * scores are **byte-identical** (`f64::to_bits`) across 1/2/8
-//!   threads and across 1/2/8 server shards, and the sharded server's
-//!   ranked answers equal the single-owner service's;
+//!   threads and across 1/2/8 server shards, and every server's ranked
+//!   answers equal a direct `MatchIndex` + `ScoreModel` pass over the
+//!   same records;
 //! * `top_k` / `min_score` only truncate and filter (never reorder),
 //!   a NaN threshold is a typed error, and the server's bucket cache
 //!   serves consistent prefixes;
@@ -15,12 +16,13 @@
 //!   one link, links a subset of the rule-matched pairs.
 
 use matchrules::data::dirty::{generate_dirty, DirtyData, NoiseConfig};
+use matchrules::data::relation::Tuple;
 use matchrules::engine::{
-    resolve_one_to_one, resolve_one_to_one_shared, EngineBuilder, ExecConfig, MatchEngine, Preset,
-    ScoredEdge, Threads,
+    resolve_one_to_one, resolve_one_to_one_shared, EngineBuilder, ExecConfig, MatchEngine,
+    MatchIndex, Preset, ScoredEdge, Threads,
 };
 use matchrules::server::{MatchServer, ServerConfig};
-use matchrules::service::{MatchService, Record, RecordId, ServiceError};
+use matchrules::service::{Record, RecordId, ServiceError};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -55,16 +57,6 @@ fn fitted_engine(data: &DirtyData, threads: usize) -> MatchEngine {
         .expect("preset engine builds")
 }
 
-fn filled_service(data: &DirtyData, threads: usize) -> MatchService {
-    let mut service = MatchService::new(fitted_engine(data, threads));
-    for t in data.billing.tuples() {
-        let record = Record::from_values(service.store_schema().clone(), t.values().to_vec())
-            .expect("store record builds");
-        service.upsert(RecordId(t.id()), &record).unwrap();
-    }
-    service
-}
-
 fn filled_server(data: &DirtyData, shards: usize, threads: usize) -> MatchServer {
     let server = MatchServer::with_config(
         fitted_engine(data, threads),
@@ -87,18 +79,42 @@ fn filled_server(data: &DirtyData, shards: usize, threads: usize) -> MatchServer
     server
 }
 
-fn probe_for(service: &MatchService, t: &matchrules::data::relation::Tuple) -> Record {
-    Record::from_values(service.probe_schema().clone(), t.values().to_vec()).unwrap()
+fn probe_for(server: &MatchServer, t: &Tuple) -> Record {
+    Record::from_values(server.probe_schema(), t.values().to_vec()).unwrap()
 }
 
-/// Asserts the ranked contract for one service at its current rule
+/// `(id, fired key, score bits)` of every ranked hit, in answer order.
+fn ranked_bits(server: &MatchServer, t: &Tuple) -> Vec<(u64, usize, u64)> {
+    let ranked = server.query_ranked(&probe_for(server, t), usize::MAX, 0.0).unwrap();
+    ranked.hits.iter().map(|h| (h.id.0, h.key, h.score.to_bits())).collect()
+}
+
+/// The ranked answer computed without a server: every boolean hit of a
+/// directly built `index`, scored by the plan's model, stable-sorted by
+/// score descending (ties keep store order).
+fn reference_bits(engine: &MatchEngine, index: &MatchIndex, t: &Tuple) -> Vec<(u64, usize, u64)> {
+    let model = engine.plan().score_model();
+    let mut hits: Vec<(u64, usize, f64)> = (index.query(t).hits.iter())
+        .map(|h| {
+            let stored = index.get(h.id).expect("query hits are live records");
+            (h.id, h.key, model.score(engine.runtime(), t, stored))
+        })
+        .collect();
+    hits.sort_by(|a, b| b.2.total_cmp(&a.2));
+    hits.into_iter().map(|(id, key, score)| (id, key, score.to_bits())).collect()
+}
+
+/// Asserts the ranked contract for one server at its current rule
 /// version: same hit set as boolean, monotone scores in `[0, 1]`, no
-/// NaN.
-fn assert_ranked_contract(service: &MatchService, data: &DirtyData) {
+/// NaN — and bit for bit the answer of a direct index over its store.
+fn assert_ranked_contract(server: &MatchServer, data: &DirtyData) {
+    let engine = server.engine();
+    let index = engine.index(&server.snapshot()).expect("the store indexes");
     for t in data.credit.tuples() {
-        let probe = probe_for(service, t);
-        let boolean = service.query(&probe).unwrap();
-        let ranked = service.query_ranked(&probe, usize::MAX, f64::NEG_INFINITY).unwrap();
+        assert_eq!(ranked_bits(server, t), reference_bits(&engine, &index, t));
+        let probe = probe_for(server, t);
+        let boolean = server.query(&probe).unwrap();
+        let ranked = server.query_ranked(&probe, usize::MAX, f64::NEG_INFINITY).unwrap();
         let boolean_ids: BTreeSet<u64> = boolean.hits.iter().map(|h| h.id.0).collect();
         let ranked_ids: BTreeSet<u64> = ranked.hits.iter().map(|h| h.id.0).collect();
         assert_eq!(ranked_ids, boolean_ids, "ranked hit set diverged for probe {}", t.id());
@@ -124,64 +140,40 @@ proptest! {
         persons in 8usize..20,
     ) {
         let data = dirty(seed, persons);
-        let mut service = filled_service(&data, 2);
-        assert_ranked_contract(&service, &data);
-        let v2 = service.swap_rules(SWAPPED_RULES).unwrap();
-        prop_assert_eq!(v2.number(), 2);
-        assert_ranked_contract(&service, &data);
+        for shards in SHARD_SWEEP {
+            let server = filled_server(&data, shards, 2);
+            assert_ranked_contract(&server, &data);
+            let v2 = server.swap_rules(SWAPPED_RULES).unwrap();
+            prop_assert_eq!(v2.number(), 2);
+            assert_ranked_contract(&server, &data);
+        }
     }
 
-    /// Scores are byte-identical across 1/2/8 engine threads and across
-    /// 1/2/8 server shards; the sharded server's ranked answers equal
-    /// the single-owner service's hit for hit, bit for bit.
+    /// Scores are byte-identical across 1/2/8 engine threads (on the
+    /// 1-shard single owner) and across 1/2/8 server shards: every
+    /// configuration equals, hit for hit and bit for bit, one serial
+    /// `MatchIndex` + `ScoreModel` pass over the billing relation.
     #[test]
     fn scores_identical_across_threads_and_shards(
         seed in 0u64..100_000,
         persons in 8usize..16,
     ) {
         let data = dirty(seed, persons);
-        let baseline = filled_service(&data, 1);
-        let reference: Vec<Vec<(u64, usize, u64)>> = data
-            .credit
-            .tuples()
-            .iter()
-            .map(|t| {
-                let probe = probe_for(&baseline, t);
-                baseline
-                    .query_ranked(&probe, usize::MAX, 0.0)
-                    .unwrap()
-                    .hits
-                    .iter()
-                    .map(|h| (h.id.0, h.key, h.score.to_bits()))
-                    .collect()
-            })
-            .collect();
+        let engine = fitted_engine(&data, 1);
+        let index = engine.index(&data.billing).expect("billing indexes");
+        let reference: Vec<Vec<(u64, usize, u64)>> =
+            data.credit.tuples().iter().map(|t| reference_bits(&engine, &index, t)).collect();
         for threads in THREAD_SWEEP {
-            let service = filled_service(&data, threads);
+            let server = filled_server(&data, 1, threads);
             for (t, expected) in data.credit.tuples().iter().zip(&reference) {
-                let probe = probe_for(&service, t);
-                let got: Vec<(u64, usize, u64)> = service
-                    .query_ranked(&probe, usize::MAX, 0.0)
-                    .unwrap()
-                    .hits
-                    .iter()
-                    .map(|h| (h.id.0, h.key, h.score.to_bits()))
-                    .collect();
+                let got = ranked_bits(&server, t);
                 prop_assert_eq!(&got, expected, "scores diverged at {} threads", threads);
             }
         }
         for shards in SHARD_SWEEP {
             let server = filled_server(&data, shards, 2);
             for (t, expected) in data.credit.tuples().iter().zip(&reference) {
-                let probe =
-                    Record::from_values(server.probe_schema(), t.values().to_vec()).unwrap();
-                let got: Vec<(u64, usize, u64)> = server
-                    .query_ranked(&probe, usize::MAX, 0.0)
-                    .unwrap()
-                    .hits
-                    .iter()
-                    .map(|h| (h.id.0, h.key, h.score.to_bits()))
-                    .collect();
+                let got = ranked_bits(&server, t);
                 prop_assert_eq!(&got, expected, "scores diverged at {} shards", shards);
             }
         }
@@ -266,46 +258,96 @@ proptest! {
 }
 
 /// `top_k` truncates the ranked order (prefix property), `min_score`
-/// filters it, and a NaN threshold is a typed error on both the
-/// single-owner service and the sharded server.
+/// filters it, and a NaN threshold is a typed error — on the 1-shard
+/// single owner and on a sharded server.
 #[test]
 fn top_k_truncates_and_nan_threshold_is_an_error() {
     let data = dirty(7, 12);
-    let service = filled_service(&data, 2);
-    let server = filled_server(&data, 2, 2);
-    let mut exercised = false;
-    for t in data.credit.tuples() {
-        let probe = probe_for(&service, t);
-        let full = service.query_ranked(&probe, usize::MAX, 0.0).unwrap();
-        let one = service.query_ranked(&probe, 1, 0.0).unwrap();
-        assert_eq!(one.hits.as_slice(), &full.hits[..full.hits.len().min(1)]);
-        if full.hits.len() > 1 {
-            exercised = true;
-            // A threshold above the best score empties the answer.
-            let strict = service.query_ranked(&probe, usize::MAX, 1.1).unwrap();
-            assert!(strict.hits.is_empty());
-            // Server-side: `top_k` 5 and 8 share the 8-bucket cache
-            // entry, and the smaller request serves a prefix of the
-            // larger answer.
-            let server_probe =
-                Record::from_values(server.probe_schema(), t.values().to_vec()).unwrap();
-            let wide = server.query_ranked(&server_probe, 8, 0.0).unwrap();
-            let narrow = server.query_ranked(&server_probe, 5, 0.0).unwrap();
-            assert_eq!(narrow.hits.as_slice(), &wide.hits[..wide.hits.len().min(5)]);
+    for shards in [1, 2] {
+        let server = filled_server(&data, shards, 2);
+        let mut exercised = false;
+        for t in data.credit.tuples() {
+            let probe = probe_for(&server, t);
+            let full = server.query_ranked(&probe, usize::MAX, 0.0).unwrap();
+            let one = server.query_ranked(&probe, 1, 0.0).unwrap();
+            assert_eq!(one.hits.as_slice(), &full.hits[..full.hits.len().min(1)]);
+            if full.hits.len() > 1 {
+                exercised = true;
+                // A threshold above the best score empties the answer.
+                let strict = server.query_ranked(&probe, usize::MAX, 1.1).unwrap();
+                assert!(strict.hits.is_empty());
+                // `top_k` 5 and 8 share the 8-bucket cache entry, and
+                // the smaller request serves a prefix of the larger
+                // answer.
+                let wide = server.query_ranked(&probe, 8, 0.0).unwrap();
+                let narrow = server.query_ranked(&probe, 5, 0.0).unwrap();
+                assert_eq!(narrow.hits.as_slice(), &wide.hits[..wide.hits.len().min(5)]);
+            }
+            assert!(matches!(
+                server.query_ranked(&probe, 5, f64::NAN),
+                Err(ServiceError::InvalidThreshold)
+            ));
         }
-        assert!(matches!(
-            service.query_ranked(&probe, 5, f64::NAN),
-            Err(ServiceError::InvalidThreshold)
-        ));
-        let server_probe = Record::from_values(server.probe_schema(), t.values().to_vec()).unwrap();
-        assert!(matches!(
-            server.query_ranked(&server_probe, 5, f64::NAN),
-            Err(ServiceError::InvalidThreshold)
-        ));
+        assert!(exercised, "at least one probe should have multiple hits");
+        let stats = server.stats();
+        assert!(stats.cache_hits > 0, "repeat ranked queries should hit the bucket cache");
     }
-    assert!(exercised, "at least one probe should have multiple hits");
-    let stats = server.stats();
-    assert!(stats.cache_hits > 0, "repeat ranked queries should hit the bucket cache");
+}
+
+/// `resolve_links` on a cross-relation report emits a one-to-one
+/// matching over the rule-matched pairs, and that matching is at least
+/// as precise as closing the same pairs transitively into clusters — on
+/// every rung of the noise ladder.
+#[test]
+fn one_to_one_links_are_a_matching_at_least_as_precise_as_closure() {
+    use matchrules::data::unionfind::UnionFind;
+    use matchrules::matcher::metrics::evaluate_pairs;
+
+    let shape = Preset::Extended.paper_setting();
+    for attr_error_prob in [0.2, 0.5, 0.8] {
+        let data = generate_dirty(
+            &shape.pair,
+            &shape.target,
+            150,
+            &NoiseConfig { attr_error_prob, seed: 0xACE5, ..Default::default() },
+        );
+        let engine = fitted_engine(&data, 2);
+        let report = engine.match_pairs_indexed(&data.credit, &data.billing).expect("indexed run");
+        let matched = report.index_pairs();
+        let links =
+            engine.resolve_links(&data.credit, &data.billing, &report, 0.0).expect("links resolve");
+        let (mut lefts, mut rights) = (BTreeSet::new(), BTreeSet::new());
+        for link in &links {
+            assert!(matched.contains(&(link.left, link.right)), "a link must be a matched pair");
+            assert!(lefts.insert(link.left), "credit row {} linked twice", link.left);
+            assert!(rights.insert(link.right), "billing row {} linked twice", link.right);
+        }
+
+        // The closure baseline: every cross pair of every cluster the
+        // matched pairs connect.
+        let n_left = data.credit.len();
+        let mut clusters = UnionFind::new(n_left + data.billing.len());
+        for &(l, r) in &matched {
+            clusters.union(l, n_left + r);
+        }
+        let mut closure = Vec::new();
+        for cluster in clusters.groups() {
+            let split = cluster.partition_point(|&x| x < n_left);
+            for &l in &cluster[..split] {
+                closure.extend(cluster[split..].iter().map(|&r| (l, r - n_left)));
+            }
+        }
+        let one_to_one: Vec<(usize, usize)> = links.iter().map(|l| (l.left, l.right)).collect();
+        let (one_q, closure_q) =
+            (evaluate_pairs(&one_to_one, &data.truth), evaluate_pairs(&closure, &data.truth));
+        assert!(!links.is_empty() && closure.len() >= matched.len());
+        assert!(
+            one_q.precision() >= closure_q.precision() - 1e-9,
+            "one-to-one precision {:.4} fell below closure {:.4} at error {attr_error_prob}",
+            one_q.precision(),
+            closure_q.precision(),
+        );
+    }
 }
 
 /// The ranked path round-trips over TCP: `MatchClient::query_ranked`

@@ -8,8 +8,8 @@
 //!   freeloaders survive selection (proptest);
 //! * the whole run is deterministic across engine thread counts, and
 //!   `refine → swap_rules_refined` answers **hit-for-hit identically**
-//!   to a fresh service/server compiled directly from the selected
-//!   rules — at 1, 2 and 8 threads and shards (proptest);
+//!   to a fresh engine compiled directly from the selected rules — at
+//!   1, 2 and 8 threads and shards (proptest);
 //! * a running `MatchServer` accepts `SubmitLabels` and `Refine` over
 //!   the TCP wire, hot-swaps the selected rules with zero downtime, and
 //!   keeps answering.
@@ -21,7 +21,7 @@ use matchrules::refine::{LabelStore, RefineConfig, Refinement, Refiner};
 use matchrules::server::net::serve;
 use matchrules::server::wire::{Request, Response, WireLabel};
 use matchrules::server::{MatchClient, MatchServer, ServerConfig};
-use matchrules::service::{MatchService, Record, RecordId};
+use matchrules::service::{Record, RecordId};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -74,19 +74,17 @@ fn refine_once(data: &DirtyData, threads: usize, beta: f64) -> Refinement {
     refiner.refine(&labels_for(data)).expect("refinement selects a rule set")
 }
 
-/// Upserts every billing tuple into `service` and returns the probe
-/// records (one per credit tuple).
-fn fill_service(service: &mut MatchService, data: &DirtyData) -> Vec<Record> {
+/// A `shards`-shard server over `engine` holding every billing tuple.
+fn filled_server(engine: MatchEngine, data: &DirtyData, shards: usize) -> MatchServer {
+    let server = MatchServer::with_config(
+        engine,
+        ServerConfig { shards, cache_capacity: 16, ..ServerConfig::default() },
+    );
     for t in data.billing.tuples() {
-        let record =
-            Record::from_values(service.store_schema().clone(), t.values().to_vec()).unwrap();
-        service.upsert(RecordId(t.id()), &record).unwrap();
+        let record = Record::from_values(server.store_schema(), t.values().to_vec()).unwrap();
+        server.upsert(RecordId(t.id()), &record).unwrap();
     }
-    data.credit
-        .tuples()
-        .iter()
-        .map(|t| Record::from_values(service.probe_schema().clone(), t.values().to_vec()).unwrap())
-        .collect()
+    server
 }
 
 proptest! {
@@ -122,9 +120,9 @@ proptest! {
 
     /// The same labels produce the same refinement at every engine
     /// thread count, and deploying it via `swap_rules_refined` answers
-    /// hit-for-hit identically to a fresh service compiled directly
-    /// from the selected rules — at 1, 2 and 8 threads, and on sharded
-    /// servers at 1, 2 and 8 shards.
+    /// hit-for-hit identically to a fresh engine compiled directly from
+    /// the selected rules — on the 1-shard single owner at 1, 2 and 8
+    /// threads, and on sharded servers at 1, 2 and 8 shards.
     #[test]
     fn refine_swap_equals_fresh_build_across_threads_and_shards(seed in 0u64..1024) {
         let data = dirty(50, seed);
@@ -132,7 +130,7 @@ proptest! {
         let shape = Preset::Extended.paper_setting();
 
         // The fresh build: selected rules + extended operator world,
-        // compiled from scratch.
+        // compiled from scratch, probing a direct index over billing.
         let fresh_engine = EngineBuilder::new()
             .schema_pair(shape.pair)
             .operator_table(baseline.ops.clone())
@@ -143,8 +141,19 @@ proptest! {
             .statistics_from(&data.credit, &data.billing)
             .build()
             .expect("fresh engine compiles from the selected rules");
-        let mut fresh = MatchService::new(fresh_engine);
-        let probes = fill_service(&mut fresh, &data);
+        let fresh = fresh_engine.index(&data.billing).expect("billing indexes");
+        let direct: Vec<Vec<(u64, usize)>> = (data.credit.tuples().iter())
+            .map(|t| fresh.query(t).hits.iter().map(|h| (h.id, h.key)).collect())
+            .collect();
+        let served = |server: &MatchServer| -> Vec<Vec<(u64, usize)>> {
+            (data.credit.tuples().iter())
+                .map(|t| {
+                    let probe =
+                        Record::from_values(server.probe_schema(), t.values().to_vec()).unwrap();
+                    server.query(&probe).unwrap().hits.iter().map(|h| (h.id.0, h.key)).collect()
+                })
+                .collect()
+        };
 
         for threads in THREAD_SWEEP {
             let refinement = refine_once(&data, threads, 1.0);
@@ -154,39 +163,67 @@ proptest! {
             prop_assert_eq!(refinement.report.after, baseline.report.after);
             prop_assert_eq!(refinement.report.before, baseline.report.before);
 
-            // Single-owner service: refine → swap ≡ fresh build.
-            let mut service = MatchService::new(weak_engine(&data, threads));
-            fill_service(&mut service, &data);
-            let version = service.swap_rules_refined(&refinement).unwrap();
+            // Single owner (one shard): refine → swap ≡ fresh build.
+            let server = filled_server(weak_engine(&data, threads), &data, 1);
+            let version = server.swap_rules_refined(&refinement).unwrap();
             prop_assert_eq!(version.number(), 2);
-            for probe in &probes {
-                let swapped = service.query(probe).unwrap();
-                let direct = fresh.query(probe).unwrap();
-                prop_assert_eq!(&swapped.hits, &direct.hits);
-            }
+            prop_assert_eq!(served(&server), direct.clone(), "threads={}", threads);
         }
 
         for shards in THREAD_SWEEP {
-            let server = MatchServer::with_config(
-                weak_engine(&data, 2),
-                ServerConfig { shards, cache_capacity: 16, ..ServerConfig::default() },
-            );
-            for t in data.billing.tuples() {
-                let record =
-                    Record::from_values(server.store_schema(), t.values().to_vec()).unwrap();
-                server.upsert(RecordId(t.id()), &record).unwrap();
-            }
+            let server = filled_server(weak_engine(&data, 2), &data, shards);
             let version = server.swap_rules_refined(&baseline).unwrap();
             prop_assert_eq!(version.number(), 2);
-            for probe in &probes {
-                let probe = Record::from_values(server.probe_schema(), probe.values().to_vec())
-                    .unwrap();
-                let swapped = server.query(&probe).unwrap();
-                let direct = fresh.query(&probe).unwrap();
-                prop_assert_eq!(&swapped.hits, &direct.hits, "shards={}", shards);
-            }
+            prop_assert_eq!(served(&server), direct.clone(), "shards={}", shards);
         }
     }
+}
+
+/// On every rung of the noise ladder the refined rules' F1 is at least
+/// the seed's, and across the ladder the θ-sweep earns its place: at
+/// least one selected rule is a swept variant. The seed is an exact key
+/// that dies with noisy emails plus a fuzzy name key at the registry's
+/// tight base threshold (`≈jw` is registered at 0.90) — typo'd positives
+/// land just below it, which is the headroom looser variants recover.
+#[test]
+fn refined_f1_holds_on_every_noise_rung_and_the_theta_sweep_contributes() {
+    const JW_SEED_RULES: &str = "\
+        credit[email] = billing[email] -> \
+        credit[FN,MN,LN,street,city,county,state,zip,tel,email,gender] <=> \
+        billing[FN,MN,LN,street,city,county,state,zip,phn,email,gender]\n\
+        credit[LN] ~jw billing[LN] /\\ credit[FN] ~jw billing[FN] -> \
+        credit[FN,MN,LN,street,city,county,state,zip,tel,email,gender] <=> \
+        billing[FN,MN,LN,street,city,county,state,zip,phn,email,gender]\n";
+    let shape = Preset::Extended.paper_setting();
+    let mut theta_variants = 0;
+    for attr_error_prob in [0.2, 0.5, 0.8] {
+        let data = generate_dirty(
+            &shape.pair,
+            &shape.target,
+            100,
+            &NoiseConfig { attr_error_prob, seed: 0xF1DE, ..NoiseConfig::default() },
+        );
+        let engine = EngineBuilder::new()
+            .schema_pair(shape.pair.clone())
+            .md_text(JW_SEED_RULES)
+            .target_ids(shape.target.clone())
+            .top_k(5)
+            .statistics_from(&data.credit, &data.billing)
+            .build()
+            .expect("seed rules compile");
+        let refinement = Refiner::new(engine.plan(), engine.registry())
+            .refine(&labels_for(&data))
+            .expect("refinement selects a rule set");
+        let report = &refinement.report;
+        assert!(
+            report.after.f1() >= report.before.f1(),
+            "refined F1 {:.4} fell below seed F1 {:.4} at error {attr_error_prob}",
+            report.after.f1(),
+            report.before.f1(),
+        );
+        theta_variants += report.theta_variants_selected();
+    }
+    assert!(theta_variants >= 1, "no θ-sweep variant was selected on any rung");
 }
 
 /// A served refinement round-trip: a server accumulates labels through
@@ -195,14 +232,7 @@ proptest! {
 #[test]
 fn server_submit_labels_then_refine_swaps_live() {
     let data = dirty(60, 0xBEEF);
-    let server = MatchServer::with_config(
-        weak_engine(&data, 2),
-        ServerConfig { shards: 2, cache_capacity: 16, ..ServerConfig::default() },
-    );
-    for t in data.billing.tuples() {
-        let record = Record::from_values(server.store_schema(), t.values().to_vec()).unwrap();
-        server.upsert(RecordId(t.id()), &record).unwrap();
-    }
+    let server = filled_server(weak_engine(&data, 2), &data, 2);
 
     let labels = labels_for(&data);
     let pairs: Vec<(Record, Record, bool)> = labels
@@ -268,14 +298,7 @@ fn conflicting_label_batch_is_rejected_atomically() {
 #[test]
 fn wire_submit_labels_and_refine_end_to_end() {
     let data = dirty(60, 0xC0FFEE);
-    let server = Arc::new(MatchServer::with_config(
-        weak_engine(&data, 2),
-        ServerConfig { shards: 2, cache_capacity: 16, ..ServerConfig::default() },
-    ));
-    for t in data.billing.tuples() {
-        let record = Record::from_values(server.store_schema(), t.values().to_vec()).unwrap();
-        server.upsert(RecordId(t.id()), &record).unwrap();
-    }
+    let server = Arc::new(filled_server(weak_engine(&data, 2), &data, 2));
     let handle = serve(server.clone(), "127.0.0.1:0").unwrap();
     let mut client = MatchClient::connect(handle.addr()).unwrap();
 

@@ -1,9 +1,10 @@
 //! The MatchServer contract, end to end:
 //!
-//! * sharded servers (1/2/8 shards) answer every probe hit-for-hit
-//!   identically to a single-owner `MatchService` fed the same operation
-//!   sequence — including across a mid-stream `swap_rules`, replacements
-//!   and removals (proptest);
+//! * sharded servers (1/2/8 shards; one shard is the single owner)
+//!   answer every probe hit-for-hit identically to the batch
+//!   `match_pairs_indexed` path over their store, and keep the store in
+//!   arrival order — including across a mid-stream `swap_rules`,
+//!   replacements and removals (proptest);
 //! * `swap_rules` has zero read downtime: readers hammering the server
 //!   during repeated swaps never fail, never block on the rebuild, and
 //!   observe only monotonically non-decreasing rule versions;
@@ -16,7 +17,7 @@ use matchrules::data::relation::Relation;
 use matchrules::engine::{EngineBuilder, ExecConfig, Preset, Threads};
 use matchrules::server::net::serve;
 use matchrules::server::{ClientError, MatchClient, MatchServer, ServerConfig};
-use matchrules::service::{MatchService, Record, RecordId};
+use matchrules::service::{Record, RecordId};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -52,32 +53,36 @@ fn store_record(server: &MatchServer, t: &matchrules::data::relation::Tuple) -> 
     Record::from_values(server.store_schema(), t.values().to_vec()).unwrap()
 }
 
-/// Every probe must get hit-for-hit identical answers (ids, fired keys,
-/// order, rule version) from the sharded server and the single-owner
-/// service. Aggregate counters (`candidates`, `key_evals`, `stats`) are
-/// *not* compared: each shard prunes its own retrieval independently,
-/// so the work accounting legitimately differs — the answers may not.
-fn assert_equivalent(service: &MatchService, server: &MatchServer, credit: &Relation) {
-    for t in credit.tuples() {
-        let probe_a =
-            Record::from_values(service.probe_schema().clone(), t.values().to_vec()).unwrap();
-        let probe_b = Record::from_values(server.probe_schema(), t.values().to_vec()).unwrap();
-        let a = service.query(&probe_a).unwrap();
-        let b = server.query(&probe_b).unwrap();
-        assert_eq!(a.hits, b.hits, "hits diverged for probe {}", t.id());
-        assert_eq!(a.version, b.version);
+/// Every probe must get hit-for-hit the answer (ids, fired keys, order)
+/// the batch `match_pairs_indexed` path reports over the server's
+/// store, and the store must hold exactly `expected_ids`, in that order.
+/// Aggregate counters (`candidates`, `key_evals`, `stats`) are *not*
+/// compared: each shard prunes its own retrieval independently, so the
+/// work accounting legitimately depends on the shard count — the
+/// answers may not.
+fn assert_equivalent(server: &MatchServer, credit: &Relation, expected_ids: &[u64]) {
+    let snapshot = server.snapshot();
+    let ids: Vec<u64> = snapshot.tuples().iter().map(|t| t.id()).collect();
+    assert_eq!(ids, expected_ids, "store order diverged");
+    let report = server.engine().match_pairs_indexed(credit, &snapshot).expect("batch run");
+    for (l, t) in credit.tuples().iter().enumerate() {
+        let probe = Record::from_values(server.probe_schema(), t.values().to_vec()).unwrap();
+        let response = server.query(&probe).unwrap();
+        let expected: Vec<(u64, usize)> =
+            report.pairs().iter().filter(|p| p.left == l).map(|p| (p.right_id, p.key)).collect();
+        let got: Vec<(u64, usize)> = response.hits.iter().map(|h| (h.id.0, h.key)).collect();
+        assert_eq!(got, expected, "hits diverged for probe {}", t.id());
+        assert_eq!(response.version, server.version());
     }
-    // The merged store snapshots agree too (same records, same order).
-    let ids = |rel: &Relation| rel.tuples().iter().map(|t| t.id()).collect::<Vec<_>>();
-    assert_eq!(ids(&service.snapshot()), ids(&server.snapshot()), "store order diverged");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// 1-, 2- and 8-shard servers answer byte-identically to a single
-    /// `MatchService` through a full lifecycle: bulk upsert, rule swap,
-    /// more upserts, a replacement and a removal.
+    /// 1-, 2- and 8-shard servers answer byte-identically to the batch
+    /// path — and so to each other, the 1-shard single owner included —
+    /// through a full lifecycle: bulk upsert, rule swap, more upserts, a
+    /// replacement and a removal.
     #[test]
     fn sharded_answers_equal_single_owner(seed in 0u64..100_000, persons in 8usize..20) {
         let shape = Preset::Extended.paper_setting();
@@ -89,62 +94,55 @@ proptest! {
         );
         let tuples = data.billing.tuples();
         let mid = tuples.len() / 2;
+        let mut explanations = Vec::new();
         for shards in SHARD_SWEEP {
-            let engine = Preset::Extended.builder().top_k(5).threads(2).build().unwrap();
-            let mut service = MatchService::new(engine);
             let server = extended_server(shards, 2);
+            // The store order the operations below must produce: an
+            // upsert (re-)enters at the end, a removal leaves a gap.
+            let mut order: Vec<u64> = Vec::new();
 
-            // Phase 1: bulk upsert the first half (the server takes it
-            // as one batch, the service one by one — same sequence).
+            // Phase 1: bulk upsert the first half as one batch.
             let batch: Vec<(RecordId, Record)> = tuples[..mid]
                 .iter()
                 .map(|t| (RecordId(t.id()), store_record(&server, t)))
                 .collect();
-            for (id, record) in &batch {
-                service.upsert(*id, record).unwrap();
-            }
             let replaced = server.upsert_batch(&batch).unwrap();
             prop_assert!(replaced.iter().all(|&r| !r), "fresh ids never report replacement");
-            assert_equivalent(&service, &server, &data.credit);
+            order.extend(tuples[..mid].iter().map(|t| t.id()));
+            assert_equivalent(&server, &data.credit, &order);
 
-            // Phase 2: swap rules mid-stream on both sides.
-            let v2_service = service.swap_rules(SWAPPED_RULES).unwrap();
-            let v2_server = server.swap_rules(SWAPPED_RULES).unwrap();
-            prop_assert_eq!(v2_service.number(), 2);
-            prop_assert_eq!(v2_server.number(), 2);
-            assert_equivalent(&service, &server, &data.credit);
+            // Phase 2: swap rules mid-stream.
+            prop_assert_eq!(server.swap_rules(SWAPPED_RULES).unwrap().number(), 2);
+            assert_equivalent(&server, &data.credit, &order);
 
             // Phase 3: the second half arrives under the new rules,
             // plus a replacement (an old id re-upserted with the first
             // new tuple's values) and a removal.
-            let replaced_id = RecordId(tuples[0].id());
-            let replacement = store_record(&server, &tuples[mid]);
-            service.upsert(replaced_id, &replacement).unwrap();
-            prop_assert!(server.upsert(replaced_id, &replacement).unwrap());
+            let replaced_id = tuples[0].id();
+            prop_assert!(server
+                .upsert(RecordId(replaced_id), &store_record(&server, &tuples[mid]))
+                .unwrap());
+            order.retain(|&id| id != replaced_id);
+            order.push(replaced_id);
             for t in &tuples[mid..] {
-                let record = store_record(&server, t);
-                service.upsert(RecordId(t.id()), &record).unwrap();
-                server.upsert(RecordId(t.id()), &record).unwrap();
+                prop_assert!(!server.upsert(RecordId(t.id()), &store_record(&server, t)).unwrap());
+                order.push(t.id());
             }
-            let removed_id = RecordId(tuples[1].id());
-            service.remove(removed_id).unwrap();
-            server.remove(removed_id).unwrap();
-            prop_assert!(!server.contains(removed_id));
-            assert_equivalent(&service, &server, &data.credit);
+            let removed_id = tuples[1].id();
+            server.remove(RecordId(removed_id)).unwrap();
+            prop_assert!(!server.contains(RecordId(removed_id)));
+            order.retain(|&id| id != removed_id);
+            assert_equivalent(&server, &data.credit, &order);
 
-            // Explanations agree as well (rendered form included).
-            let probe_tuple = &data.credit.tuples()[0];
-            let probe_a = Record::from_values(
-                service.probe_schema().clone(), probe_tuple.values().to_vec()).unwrap();
-            let probe_b = Record::from_values(
-                server.probe_schema(), probe_tuple.values().to_vec()).unwrap();
-            let id = RecordId(tuples[2].id());
-            let why_a = service.explain(&probe_a, id).unwrap();
-            let why_b = server.explain(&probe_b, id).unwrap();
-            prop_assert_eq!(why_a.matched, why_b.matched);
-            prop_assert_eq!(why_a.fired_key, why_b.fired_key);
-            prop_assert_eq!(why_a.to_string(), why_b.to_string());
+            // Explanations (rendered form included) agree across shard
+            // counts; their agreement with `query` and `lhs_matches` is
+            // `service_api`'s.
+            let probe = Record::from_values(
+                server.probe_schema(), data.credit.tuples()[0].values().to_vec()).unwrap();
+            let why = server.explain(&probe, RecordId(tuples[2].id())).unwrap();
+            explanations.push((why.matched, why.fired_key, why.to_string()));
         }
+        prop_assert!(explanations.windows(2).all(|w| w[0] == w[1]), "explanations diverged");
     }
 }
 
@@ -249,8 +247,10 @@ fn swap_rules_has_zero_read_downtime() {
     assert_eq!(server.version().number(), 1 + swaps, "every swap bumped the version exactly once");
 }
 
-/// Repeat probes are served from the cache; any publish (upsert or
-/// swap) invalidates it wholesale, so answers never go stale.
+/// Repeat probes are served from the cache — the first pass over a
+/// probe set is all misses, the second all hits, boolean and ranked
+/// alike; any publish (mutation or swap) strands every entry at the old
+/// epoch, so a stale answer never serves.
 #[test]
 fn probe_cache_serves_repeats_and_invalidates_on_publish() {
     let shape = Preset::Extended.paper_setting();
@@ -269,27 +269,42 @@ fn probe_cache_serves_repeats_and_invalidates_on_publish() {
         .collect();
     server.upsert_batch(&batch).unwrap();
 
-    let probe =
-        Record::from_values(server.probe_schema(), data.credit.tuples()[0].values().to_vec())
-            .unwrap();
-    let first = server.query(&probe).unwrap();
-    let second = server.query(&probe).unwrap();
-    assert_eq!(first, second);
-    let stats = server.stats();
-    assert!(stats.cache_hits >= 1, "the repeat probe must hit the cache");
+    let probes: Vec<Record> = (data.credit.tuples().iter().take(8))
+        .map(|t| Record::from_values(server.probe_schema(), t.values().to_vec()).unwrap())
+        .collect();
+    let pass = || -> Vec<_> {
+        let answer = |p| (server.query(p).unwrap(), server.query_ranked(p, 10, 0.0).unwrap());
+        probes.iter().map(answer).collect()
+    };
+    let first = pass();
+    assert_eq!(server.stats().cache_hits, 0, "the first pass is all misses");
+    assert_eq!(pass(), first);
+    let warm = server.stats();
+    assert_eq!(warm.cache_hits as usize, 2 * probes.len(), "the second pass is all hits");
 
-    // A mutation invalidates: the same probe is recomputed against the
-    // new store and sees the removal.
-    if let Some(hit) = first.hits.first() {
-        server.remove(hit.id).unwrap();
-        let after = server.query(&probe).unwrap();
-        assert!(after.hits.iter().all(|h| h.id != hit.id), "stale cached hit served");
+    // A mutation invalidates: every probe is recomputed against the new
+    // store — the removed record is gone from its answers — and no
+    // stale entry serves.
+    let removed = (first.iter().find_map(|(boolean, _)| boolean.hits.first()))
+        .expect("some probe matches a stored record")
+        .id;
+    server.remove(removed).unwrap();
+    for (boolean, ranked) in pass() {
+        assert!(boolean.hits.iter().all(|h| h.id != removed), "stale cached hit served");
+        assert!(ranked.hits.iter().all(|h| h.id != removed), "stale cached ranked hit served");
     }
+    let cold = server.stats();
+    assert_eq!(cold.cache_hits, warm.cache_hits, "stale entries never serve");
+    assert!(
+        cold.cache_invalidations >= 2 * probes.len() as u64,
+        "every stale lookup counts as an invalidation"
+    );
 
     // A swap invalidates too, and restamps the version.
     server.swap_rules(SWAPPED_RULES).unwrap();
-    let after_swap = server.query(&probe).unwrap();
+    let after_swap = server.query(&probes[0]).unwrap();
     assert_eq!(after_swap.version.number(), 2);
+    assert_eq!(server.stats().cache_hits, warm.cache_hits);
 }
 
 /// End-to-end over TCP: connect, learn schemas, upsert, query (with
