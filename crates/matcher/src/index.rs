@@ -50,6 +50,19 @@
 //! indexable (all operators opaque) falls back to scanning every live
 //! tuple, so correctness never depends on indexability.
 //!
+//! How a key's intersection is computed is planned **per probe**, from
+//! the exact posting volume each atom's lists hold for that probe (read
+//! off list headers, no decoding): the cheapest atom is retrieved first,
+//! further atoms are AND'ed in at the bitmap level only while they are
+//! small against the running set, every remaining atom's per-entry
+//! prefilter (length window, presence mask, size ratio) runs before any
+//! of its lists is touched, and the survivors are tested against the
+//! rest by membership cursors or against a materialized union —
+//! whichever walks fewer entries. The index stores no plan and learns
+//! nothing from traffic; a plan is a pure function of the probe and
+//! the index version, and any plan yields the same hits, because every
+//! intersection prefix is a superset of what the key accepts.
+//!
 //! A candidate set is the union over the plan's RCKs — deduplicated
 //! across keys, with each candidate remembering *which* keys retrieved
 //! it — always a superset of the tuples any key accepts. Every candidate
@@ -101,7 +114,6 @@ use matchrules_simdist::filters::FILTER_Q;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Minimum tuples per chunk when anchor indices are built over a pool:
@@ -466,23 +478,6 @@ impl AtomIndex {
         }
     }
 
-    /// Relative retrieval cost, for the cheapest-first intersection
-    /// order: exact buckets are one hash lookup on a tiny list; derived
-    /// keys a handful of lookups; element postings union a few dozen
-    /// lists; gram postings union more and longer lists; char-prefix
-    /// postings have the coarsest buckets (single characters). The plan
-    /// cost model prices atoms of every rank as indexed retrievals, not
-    /// scans.
-    fn cost_rank(&self) -> u8 {
-        match self {
-            AtomIndex::Exact { .. } => 0,
-            AtomIndex::Derived { .. } => 1,
-            AtomIndex::Tokens { .. } => 2,
-            AtomIndex::Qgram { .. } => 3,
-            AtomIndex::BagPrefix { .. } => 4,
-        }
-    }
-
     /// Resolves the probe against this atom's buckets/postings into a
     /// [`PreparedAtom`]: the posting lists and plain slot lists whose
     /// union (filtered by the per-entry prefilter) is the atom's
@@ -536,13 +531,11 @@ impl AtomIndex {
                         pa.comp.push(list);
                     }
                 }
-                pa.filter = SlotFilter::EditMeta {
-                    lens,
-                    masks,
-                    theta: *theta,
-                    probe_len: sig.sig().char_len() as u32,
-                    probe_mask: sig.sig().bag().presence_mask(),
-                };
+                let len = sig.sig().char_len() as u32;
+                let (len_lo, len_hi) = edit_len_window(*theta, len);
+                let mask = sig.sig().bag().presence_mask();
+                let edit = EditProbe { theta: *theta, len, mask, len_lo, len_hi };
+                pa.filter = SlotFilter::EditMeta { lens, masks, edit };
             }
             AtomIndex::Derived { left, op, buckets, .. } => {
                 let Some(s) = probe.get(*left).as_str() else {
@@ -756,36 +749,53 @@ enum SlotFilter<'a> {
     /// The size-ratio bound of element and char-bag anchors:
     /// `min ≥ ratio·max` over per-slot counts vs the probe's count.
     Ratio { ratio: f64, counts: &'a CowVec<u32>, probe: u32 },
-    /// The edit-atom prefilters: length window plus char-bag
-    /// presence-mask bound, both against `theta_bound(θ, max(len))`.
-    EditMeta {
-        lens: &'a CowVec<u32>,
-        masks: &'a CowVec<u64>,
-        theta: f64,
-        probe_len: u32,
-        probe_mask: u64,
-    },
+    /// The edit-atom prefilters: the probe's length window
+    /// ([`edit_len_window`]) plus the char-bag presence-mask bound
+    /// against `theta_bound(θ, max(len))`.
+    EditMeta { lens: &'a CowVec<u32>, masks: &'a CowVec<u64>, edit: EditProbe },
+}
+
+/// The probe side of the edit-atom prefilter, computed once per probe.
+struct EditProbe {
+    theta: f64,
+    len: u32,
+    mask: u64,
+    /// Inclusive bounds of the stored lengths within the θ-bound of
+    /// `len` (see [`edit_len_window`]).
+    len_lo: u32,
+    len_hi: u32,
+}
+
+/// The stored lengths `ls` passing the edit prefilter's length test
+/// against a probe of `probe_len` characters, as an inclusive interval:
+/// `|p − ls| ≤ ⌊(1 − θ)·max(p, ls)⌋`. Below `p` that is
+/// `ls ≥ p − ⌊(1 − θ)·p⌋`; above it, `ls − ⌊(1 − θ)·ls⌋ ≤ p`, whose left
+/// side never decreases as `ls` grows (the floor rises by at most one
+/// per step), so the accepted lengths are contiguous and end at most at
+/// `p/θ`. Finite for every `θ > 0` — q-gram anchors exist only for
+/// `θ > 2/3` — and never reaches [`NULL_SLOT`].
+fn edit_len_window(theta: f64, probe_len: u32) -> (u32, u32) {
+    debug_assert!(theta > 0.0, "edit anchors need θ > 0");
+    let p = probe_len as usize;
+    let passes = |ls: usize| ls - theta_bound(theta, ls) <= p;
+    // Two past the real-arithmetic end `p/θ`, then settle downwards.
+    let mut hi = ((p as f64 / theta) as usize).saturating_add(2).min(NULL_SLOT as usize - 1);
+    while hi > p && !passes(hi) {
+        hi -= 1;
+    }
+    ((p - theta_bound(theta, p)) as u32, hi as u32)
 }
 
 /// The edit-atom prefilter on one slot's length `ls` and presence mask
 /// `sm` (fetched lazily: most rejects are decided by the length alone).
 #[inline]
-fn edit_meta_ok(
-    ls: u32,
-    sm: impl FnOnce() -> u64,
-    theta: f64,
-    probe_len: u32,
-    probe_mask: u64,
-) -> bool {
-    if ls == NULL_SLOT {
+fn edit_meta_ok(ls: u32, sm: impl FnOnce() -> u64, edit: &EditProbe) -> bool {
+    if ls < edit.len_lo || ls > edit.len_hi {
         return false;
     }
-    let bound = theta_bound(theta, probe_len.max(ls) as usize);
-    if probe_len.abs_diff(ls) as usize > bound {
-        return false;
-    }
+    let bound = theta_bound(edit.theta, edit.len.max(ls) as usize);
     let sm = sm();
-    let diff = (probe_mask & !sm).count_ones().max((sm & !probe_mask).count_ones());
+    let diff = (edit.mask & !sm).count_ones().max((sm & !edit.mask).count_ones());
     diff as usize <= bound
 }
 
@@ -797,8 +807,8 @@ impl SlotFilter<'_> {
         match *self {
             SlotFilter::None => true,
             SlotFilter::Ratio { ratio, counts, probe } => ratio_ok(ratio, counts[slot], probe),
-            SlotFilter::EditMeta { lens, masks, theta, probe_len, probe_mask } => {
-                edit_meta_ok(lens[slot], || masks[slot], theta, probe_len, probe_mask)
+            SlotFilter::EditMeta { lens, masks, ref edit } => {
+                edit_meta_ok(lens[slot], || masks[slot], edit)
             }
         }
     }
@@ -817,13 +827,11 @@ impl SlotFilter<'_> {
                 |base| counts.run_of(base),
                 |counts, offset| ratio_ok(ratio, counts[offset], probe),
             ),
-            SlotFilter::EditMeta { lens, masks, theta, probe_len, probe_mask } => scan_runs(
+            SlotFilter::EditMeta { lens, masks, ref edit } => scan_runs(
                 words,
                 stats,
                 |base| (lens.run_of(base), masks.run_of(base)),
-                |(lens, masks), offset| {
-                    edit_meta_ok(lens[offset], || masks[offset], theta, probe_len, probe_mask)
-                },
+                |(lens, masks), offset| edit_meta_ok(lens[offset], || masks[offset], edit),
             ),
         }
     }
@@ -877,6 +885,19 @@ struct PreparedAtom<'a> {
 impl<'a> PreparedAtom<'a> {
     fn empty() -> Self {
         PreparedAtom { comp: Vec::new(), plain: Vec::new(), filter: SlotFilter::None }
+    }
+
+    /// Entries the atom's lists hold between them — the exact size of
+    /// its unfiltered, undeduplicated union, read off list headers
+    /// without decoding anything.
+    fn volume(&self) -> usize {
+        self.comp.iter().map(|list| list.len()).sum::<usize>()
+            + self.plain.iter().map(|list| list.len()).sum::<usize>()
+    }
+
+    /// Lists a membership probe walks per slot.
+    fn lists(&self) -> usize {
+        self.comp.len() + self.plain.len()
     }
 
     /// ORs the atom's *unfiltered* union into `words` (cleared first,
@@ -950,24 +971,15 @@ fn gallop_intersect(acc: &mut Vec<u32>, list: &[u32], stats: &mut FilterStats) {
     acc.truncate(kept);
 }
 
-/// When the running candidate set is at most this small, a key's next
-/// atom is intersected by *membership probes* (per-list galloping
-/// cursors over the compressed blocks) instead of materializing the
-/// atom's full union — the whole point of skip pointers.
-const LAZY_MAX: usize = 8;
-
 /// Intersects `acc` with an unmaterialized atom by membership: a slot
-/// survives iff it passes the per-entry filter and appears on at least
-/// one of the atom's lists. Cursor targets ascend with `acc`, so whole
-/// blocks are skipped on their max without decoding. Produces exactly
-/// the same `acc` as `gallop_intersect` against the materialized union.
-fn lazy_intersect(acc: &mut Vec<u32>, pa: &PreparedAtom<'_>, stats: &mut FilterStats) {
+/// survives iff it appears on at least one of the atom's lists. Cursor
+/// targets ascend with `acc`, so whole blocks are skipped on their max
+/// without decoding. Callers have already run `acc` through the atom's
+/// per-entry filter, so this produces exactly the `acc` that
+/// `gallop_intersect` against the materialized union would.
+fn member_intersect(acc: &mut Vec<u32>, pa: &PreparedAtom<'_>, stats: &mut FilterStats) {
     let mut cursors: Vec<_> = pa.comp.iter().map(|list| list.cursor()).collect();
     acc.retain(|&slot| {
-        if !pa.filter.accepts(slot) {
-            stats.retrieval_rejects += 1;
-            return false;
-        }
         cursors.iter_mut().any(|cur| cur.advance_to(slot) == Some(slot))
             || pa.plain.iter().any(|plain| plain.binary_search(&slot).is_ok())
     });
@@ -976,6 +988,12 @@ fn lazy_intersect(acc: &mut Vec<u32>, pa: &PreparedAtom<'_>, stats: &mut FilterS
         stats.blocks_skipped += cur.blocks_skipped;
     }
 }
+
+/// A key's next posting-backed atom is OR'd into the running bitmap
+/// only while its volume is at most this multiple of the running
+/// popcount. Past that, decoding its whole union costs more than
+/// testing the few survivors against it one slot at a time.
+const FOLD_RATIO: usize = 4;
 
 /// Reusable per-thread buffers of the probe hot path: the union bitmap,
 /// block-decode scratch and the probe-side key/element/char buffers.
@@ -999,90 +1017,6 @@ fn popcount(words: &[u64]) -> usize {
 
 thread_local! {
     static PROBE_SCRATCH: RefCell<ProbeScratch> = RefCell::new(ProbeScratch::default());
-}
-
-/// EWMA weight of one new selectivity observation (≈ the last 16 probes
-/// dominate).
-const EWMA_ALPHA: f64 = 1.0 / 16.0;
-
-/// Lock-free observed-selectivity accumulator: one EWMA cell per anchor
-/// kind (indexed by `AtomIndex::cost_rank`), updated from the query hot
-/// path with relaxed atomics — races can drop an update, never corrupt
-/// a value — and frozen into a [`SelectivitySnapshot`] when a new index
-/// version is built.
-#[derive(Debug)]
-pub struct SelectivityObserver {
-    cells: [AtomicU64; 5],
-}
-
-impl Default for SelectivityObserver {
-    fn default() -> Self {
-        // NaN = no observation yet (0.0 is a meaningful selectivity).
-        SelectivityObserver { cells: std::array::from_fn(|_| AtomicU64::new(f64::NAN.to_bits())) }
-    }
-}
-
-impl SelectivityObserver {
-    /// Folds one observation (retrieved fraction of live tuples) into
-    /// the kind's EWMA.
-    fn observe(&self, kind: u8, selectivity: f64) {
-        let cell = &self.cells[kind as usize];
-        let old = f64::from_bits(cell.load(Ordering::Relaxed));
-        let new = if old.is_nan() { selectivity } else { old + EWMA_ALPHA * (selectivity - old) };
-        cell.store(new.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Freezes the current EWMAs into a snapshot; kinds never observed
-    /// keep their rank from `fallback` (typically the snapshot that
-    /// ordered the current index).
-    fn snapshot(&self, fallback: &SelectivitySnapshot) -> SelectivitySnapshot {
-        let mut by_kind = fallback.by_kind;
-        for (kind, cell) in self.cells.iter().enumerate() {
-            let v = f64::from_bits(cell.load(Ordering::Relaxed));
-            if !v.is_nan() {
-                by_kind[kind] = v;
-            }
-        }
-        SelectivitySnapshot { by_kind }
-    }
-}
-
-/// Per-anchor-kind selectivity ranks (lower = more selective = first)
-/// ordering every key's atom intersections, frozen at build time — so
-/// answers and work accounting are deterministic for the lifetime of an
-/// index (one `RuleVersion` in the serving stack), no matter how the
-/// live EWMAs move underneath. Any ordering is *correct* (an
-/// intersection prefix is a sound candidate superset and verification
-/// decides membership); the snapshot only tunes how fast candidate sets
-/// shrink.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SelectivitySnapshot {
-    by_kind: [f64; 5],
-}
-
-impl Default for SelectivitySnapshot {
-    /// Ranks equal to the static `cost_rank` order — the default build
-    /// reproduces the untuned cheapest-first order exactly.
-    fn default() -> Self {
-        SelectivitySnapshot { by_kind: [0.0, 1.0, 2.0, 3.0, 4.0] }
-    }
-}
-
-impl SelectivitySnapshot {
-    /// A snapshot with explicit ranks, indexed by anchor kind in
-    /// `cost_rank` order: exact, derived, tokens, q-gram, bag-prefix.
-    pub fn from_ranks(by_kind: [f64; 5]) -> Self {
-        SelectivitySnapshot { by_kind }
-    }
-
-    /// The ranks, in the same kind order as [`Self::from_ranks`].
-    pub fn ranks(&self) -> [f64; 5] {
-        self.by_kind
-    }
-
-    fn rank(&self, kind: u8) -> f64 {
-        self.by_kind[kind as usize]
-    }
 }
 
 /// When a key's running candidate set is this small, further
@@ -1253,12 +1187,6 @@ pub struct MatchIndex {
     /// An empty list means the key is unindexable and scans.
     key_atoms: Arc<[Vec<usize>]>,
     by_id: CowMap<TupleId, u32>,
-    /// The selectivity snapshot that ordered `key_atoms` at build time.
-    planner: SelectivitySnapshot,
-    /// Live selectivity EWMAs, fed by the query path and harvested when
-    /// the next index version is built. Shared across clones: serving
-    /// snapshots of one lineage pool their observations.
-    observer: Arc<SelectivityObserver>,
 }
 
 impl fmt::Debug for MatchIndex {
@@ -1316,35 +1244,6 @@ impl MatchIndex {
         keys: &[RelativeKey],
         negatives: &[NegativeRule],
         ops: Arc<RuntimeOps>,
-    ) -> Result<Self, IndexError> {
-        Self::build_planned(
-            pool,
-            probe_arity,
-            relation,
-            keys,
-            negatives,
-            ops,
-            &SelectivitySnapshot::default(),
-        )
-    }
-
-    /// [`MatchIndex::build_in`] with an explicit [`SelectivitySnapshot`]
-    /// ordering each key's atom intersections — the adaptive-planner
-    /// entry point. Serving layers pass the previous index's
-    /// [`MatchIndex::observed_selectivity`] so each new version probes
-    /// most-selective-first; the default snapshot reproduces the static
-    /// cheapest-first order. The snapshot only reorders *work* —
-    /// verified hits are identical under every snapshot, because any
-    /// intersection prefix is a sound candidate superset.
-    #[allow(clippy::too_many_arguments)]
-    pub fn build_planned(
-        pool: &WorkPool,
-        probe_arity: usize,
-        relation: &Relation,
-        keys: &[RelativeKey],
-        negatives: &[NegativeRule],
-        ops: Arc<RuntimeOps>,
-        planner: &SelectivitySnapshot,
     ) -> Result<Self, IndexError> {
         assert!(
             relation.len() <= u32::MAX as usize,
@@ -1415,16 +1314,9 @@ impl MatchIndex {
                     refs.push(pos);
                 }
             }
-            // Most selective retrievals first, once and for all, by the
-            // planner snapshot's per-kind rank (the default ranks equal
-            // the static cost order: exact buckets are one hash lookup
-            // on a tiny list, gram postings union dozens of lists).
-            // Probing iterates this order directly; static cost then
-            // position break rank ties so the order is total.
-            refs.sort_by(|&a, &b| {
-                let (ka, kb) = (atom_indices[a].cost_rank(), atom_indices[b].cost_rank());
-                planner.rank(ka).total_cmp(&planner.rank(kb)).then(ka.cmp(&kb)).then(a.cmp(&b))
-            });
+            // By position: each probe orders the atoms by its own posting
+            // volumes, and position breaks volume ties.
+            refs.sort_unstable();
             refs.dedup();
             key_atoms.push(refs);
         }
@@ -1477,23 +1369,7 @@ impl MatchIndex {
             atom_indices,
             key_atoms: key_atoms.into(),
             by_id,
-            planner: planner.clone(),
-            observer: Arc::new(SelectivityObserver::default()),
         })
-    }
-
-    /// The selectivity snapshot that ordered this index's intersections
-    /// at build time.
-    pub fn planner_snapshot(&self) -> &SelectivitySnapshot {
-        &self.planner
-    }
-
-    /// The selectivities observed on this index's query path so far,
-    /// frozen into a snapshot (kinds not yet observed keep their
-    /// build-time rank) — pass to [`MatchIndex::build_planned`] when
-    /// building the next version so its plans reflect live traffic.
-    pub fn observed_selectivity(&self) -> SelectivitySnapshot {
-        self.observer.snapshot(&self.planner)
     }
 
     /// Number of live (queryable) tuples.
@@ -1680,15 +1556,26 @@ impl MatchIndex {
     /// is the probe's position in `probe_prep` (batched probes share one
     /// prep).
     ///
-    /// Per key, the first atom's retrieval is *materialized* (posting
-    /// blocks OR'd into a bitmap, prefilters applied while scanning it
-    /// out); each later atom either galloping-intersects a previously
-    /// materialized retrieval, or — when the running set is at most
-    /// [`LAZY_MAX`] — probes the atom's compressed blocks by membership
-    /// without materializing at all. Which path runs depends only on the
-    /// probe and the index version, so answers *and* counters are
-    /// deterministic per probe. Each materialization feeds the
-    /// [`SelectivityObserver`] for the next version's plans.
+    /// Each key is planned from this probe's own posting volumes (the
+    /// entries its atoms' lists hold, read off list headers; ties broken
+    /// by atom position):
+    ///
+    /// 1. *Order* — cheapest atom first.
+    /// 2. *Fold* — the cheapest atom's union is OR'd into a bitmap, and
+    ///    each next posting-backed atom is AND'ed in while its volume is
+    ///    at most [`FOLD_RATIO`] times the running popcount; the bitmap
+    ///    is then scanned out once through the folded atoms' prefilters.
+    /// 3. *Prefilter* — the survivors run through every remaining atom's
+    ///    prefilter, which costs a metadata lookup and decodes nothing.
+    /// 4. *Intersect* — each remaining atom, cheapest first, either
+    ///    tests the survivors by membership (galloping cursors that skip
+    ///    whole blocks) when `survivors × lists < volume`, or is
+    ///    materialized (memoized for later keys) and galloped against.
+    ///    Once at most [`ENOUGH`] survive, the remaining atoms are left
+    ///    to verification.
+    ///
+    /// The plan depends only on the probe and the index version, so
+    /// answers *and* counters are deterministic per probe.
     fn candidate_masks(
         &self,
         probe: &Tuple,
@@ -1701,15 +1588,13 @@ impl MatchIndex {
         PROBE_SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
             let ProbeScratch { words, and_words, decode, keys, elems, chars } = scratch;
-            // Prepare and materialize each distinct atom at most once,
-            // lazily: several keys usually share atoms, and a key whose
-            // earlier atoms already pin the candidates down never pays
-            // for its gram retrievals. The refs were ordered
-            // most-selective-first at build time.
+            // Prepare and materialize each distinct atom at most once:
+            // several keys usually share atoms.
             let mut prepared: Vec<Option<PreparedAtom<'_>>> =
                 (0..self.atom_indices.len()).map(|_| None).collect();
             let mut retrieved: Vec<Option<Vec<u32>>> = vec![None; self.atom_indices.len()];
             let mut pairs: Vec<(u32, u64)> = Vec::new();
+            let mut order: Vec<(usize, usize)> = Vec::new();
             for (key, refs) in self.key_atoms.iter().enumerate() {
                 if refs.is_empty() {
                     // Unindexable key: every live slot is a candidate, no
@@ -1722,115 +1607,103 @@ impl MatchIndex {
                         .collect();
                 }
                 let bit = if prune { 1u64 << key } else { NO_PRUNE };
-                let mut acc: Option<Vec<u32>> = None;
 
-                // Bitmap-AND prefix: while no candidate vector exists
-                // yet, fold the key's leading un-memoized posting-backed
-                // atoms at the *bitmap* level — whole-word ANDs instead
-                // of per-slot scans — deferring every per-entry filter
-                // until the intersected set is scanned out once. Dense
-                // unions (shared q-grams, common tokens) shrink each
-                // other before any slot is visited individually.
-                let mut folded: Vec<usize> = Vec::new();
-                let mut taken = 0usize;
-                for &pos in refs.iter().take(if refs.len() >= 2 { refs.len() } else { 0 }) {
-                    if retrieved[pos].is_some() {
-                        break; // a memoized union intersects cheaper below
-                    }
-                    if !folded.is_empty() && popcount(words) <= LAZY_MAX {
-                        break; // small enough; remaining atoms go lazy
-                    }
-                    if prepared[pos].is_none() {
-                        prepared[pos] = Some(
-                            self.atom_indices[pos]
-                                .prepare(probe, probe_prep, row, &self.ops, keys, elems, chars),
-                        );
-                    }
-                    let pa = prepared[pos].as_ref().expect("prepared above");
-                    if pa.comp.is_empty() {
-                        break; // plain buckets short-circuit via materialize
-                    }
-                    let target = if folded.is_empty() { &mut *words } else { &mut *and_words };
-                    pa.or_bitmap(n_slots, target, decode, stats);
-                    self.observer.observe(
-                        self.atom_indices[pos].cost_rank(),
-                        popcount(target) as f64 / self.live.max(1) as f64,
-                    );
-                    if !folded.is_empty() {
+                // Order: (volume, position), cheapest first.
+                order.clear();
+                for &pos in refs {
+                    let pa = prepared[pos].get_or_insert_with(|| {
+                        self.atom_indices[pos]
+                            .prepare(probe, probe_prep, row, &self.ops, keys, elems, chars)
+                    });
+                    order.push((pa.volume(), pos));
+                }
+                order.sort_unstable();
+                let (cheapest, first) = order[0];
+                if cheapest == 0 {
+                    continue; // an atom retrieving nothing empties the key
+                }
+                let atom = |pos: usize| prepared[pos].as_ref().expect("every key atom is prepared");
+
+                // Fold: OR the cheapest union into the bitmap and AND in
+                // each next un-memoized posting-backed atom that is small
+                // against the running popcount — whole-word operations,
+                // every per-entry filter deferred to one scan-out.
+                let mut applied = 1;
+                let mut acc = if let Some(list) = &retrieved[first] {
+                    list.clone()
+                } else if atom(first).comp.is_empty() {
+                    // Plain buckets: materialize short-circuits them.
+                    let list = atom(first).materialize(n_slots, words, decode, stats);
+                    retrieved[first] = Some(list.clone());
+                    list
+                } else {
+                    atom(first).or_bitmap(n_slots, words, decode, stats);
+                    while let Some(&(volume, pos)) = order.get(applied) {
+                        let next = atom(pos);
+                        if retrieved[pos].is_some()
+                            || next.comp.is_empty()
+                            || volume > FOLD_RATIO * popcount(words)
+                        {
+                            break;
+                        }
+                        next.or_bitmap(n_slots, and_words, decode, stats);
                         for (w, m) in words.iter_mut().zip(and_words.iter()) {
                             *w &= *m;
                         }
+                        applied += 1;
                     }
-                    folded.push(pos);
-                    taken += 1;
-                }
-                if folded.len() > 1 {
-                    // Scan the intersection out once, through every
-                    // deferred per-entry filter.
-                    let mut out = Vec::new();
-                    for (w, &word) in words.iter().enumerate() {
-                        let mut bits = word;
-                        while bits != 0 {
-                            let slot = (w as u32) * 64 + bits.trailing_zeros();
-                            bits &= bits - 1;
-                            stats.linear_steps += 1;
-                            let ok = folded.iter().all(|&p| {
-                                prepared[p]
-                                    .as_ref()
-                                    .expect("folded atoms prepared")
-                                    .filter
-                                    .accepts(slot)
-                            });
-                            if ok {
-                                out.push(slot);
-                            } else {
-                                stats.retrieval_rejects += 1;
+                    if applied == 1 {
+                        let list = atom(first).filter.scan_out(words, stats);
+                        retrieved[first] = Some(list.clone());
+                        list
+                    } else {
+                        let folded = &order[..applied];
+                        let mut out = Vec::new();
+                        for (w, &word) in words.iter().enumerate() {
+                            let mut bits = word;
+                            while bits != 0 {
+                                let slot = (w as u32) * 64 + bits.trailing_zeros();
+                                bits &= bits - 1;
+                                stats.linear_steps += 1;
+                                if folded.iter().all(|&(_, p)| atom(p).filter.accepts(slot)) {
+                                    out.push(slot);
+                                } else {
+                                    stats.retrieval_rejects += 1;
+                                }
                             }
                         }
+                        out
                     }
-                    acc = Some(out);
-                } else {
-                    taken = 0; // a lone atom materializes (and memoizes) below
+                };
+
+                // Prefilter: every remaining atom's per-entry test runs
+                // before any of their lists is touched.
+                let rest = &order[applied..];
+                if !rest.is_empty() {
+                    acc.retain(|&slot| {
+                        let ok = rest.iter().all(|&(_, p)| atom(p).filter.accepts(slot));
+                        stats.retrieval_rejects += u64::from(!ok);
+                        ok
+                    });
                 }
 
-                for &pos in &refs[taken..] {
-                    if acc.as_ref().is_some_and(|a| a.len() <= ENOUGH) {
+                // Intersect, cheapest first: test the few survivors by
+                // membership unless that walks more entries than the
+                // atom's whole union holds.
+                for &(volume, pos) in rest {
+                    if acc.len() <= ENOUGH {
                         break; // already cheap to verify; a prefix is sound
                     }
-                    if prepared[pos].is_none() {
-                        prepared[pos] = Some(
-                            self.atom_indices[pos]
-                                .prepare(probe, probe_prep, row, &self.ops, keys, elems, chars),
-                        );
-                    }
-                    let pa = prepared[pos].as_ref().expect("prepared above");
-                    match acc {
-                        Some(ref mut a) if retrieved[pos].is_none() && a.len() <= LAZY_MAX => {
-                            // Small running set against an atom nobody
-                            // materialized: membership-probe its blocks.
-                            lazy_intersect(a, pa, stats);
-                        }
-                        _ => {
-                            if retrieved[pos].is_none() {
-                                let list = pa.materialize(n_slots, words, decode, stats);
-                                self.observer.observe(
-                                    self.atom_indices[pos].cost_rank(),
-                                    list.len() as f64 / self.live.max(1) as f64,
-                                );
-                                retrieved[pos] = Some(list);
-                            }
-                            let list = retrieved[pos].as_deref().expect("materialized above");
-                            match acc {
-                                None => acc = Some(list.to_vec()),
-                                Some(ref mut a) => gallop_intersect(a, list, stats),
-                            }
-                        }
-                    }
-                    if acc.as_ref().is_some_and(Vec::is_empty) {
-                        break;
+                    let pa = atom(pos);
+                    if retrieved[pos].is_none() && acc.len() * pa.lists() < volume {
+                        member_intersect(&mut acc, pa, stats);
+                    } else {
+                        let list = retrieved[pos]
+                            .get_or_insert_with(|| pa.materialize(n_slots, words, decode, stats));
+                        gallop_intersect(&mut acc, list, stats);
                     }
                 }
-                pairs.extend(acc.unwrap_or_default().into_iter().map(|slot| (slot, bit)));
+                pairs.extend(acc.into_iter().map(|slot| (slot, bit)));
             }
             pairs.sort_unstable_by_key(|&(slot, _)| slot);
             let pairs_len = pairs.len();
@@ -2568,6 +2441,29 @@ mod tests {
                     assert!(
                         grams - (bound * (q + 1)) as i64 >= 1,
                         "θ={theta} la={la} lb={lb}: safe length {safe} is wrong"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn edit_len_window_equals_the_per_slot_length_test_exhaustively() {
+        // The interval must accept exactly the stored lengths the
+        // per-slot test `|p − ls| ≤ θ-bound(max(p, ls))` accepts, and
+        // never the null sentinel.
+        let mask = 0b1011;
+        for theta in [0.7, 0.75, 0.8, 0.9, 1.0] {
+            for p in 0..=64u32 {
+                let (len_lo, len_hi) = edit_len_window(theta, p);
+                let edit = EditProbe { theta, len: p, mask, len_lo, len_hi };
+                for ls in (0..=128u32).chain([NULL_SLOT]) {
+                    let per_slot = ls != NULL_SLOT
+                        && p.abs_diff(ls) as usize <= theta_bound(theta, p.max(ls) as usize);
+                    assert_eq!(
+                        edit_meta_ok(ls, || mask, &edit),
+                        per_slot,
+                        "θ={theta} p={p} ls={ls}: window [{len_lo}, {len_hi}]"
                     );
                 }
             }

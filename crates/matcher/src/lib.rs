@@ -44,7 +44,7 @@ pub mod sortkey;
 pub mod windowing;
 
 pub use fellegi_sunter::{FsConfig, FsError, FsMatcher};
-pub use index::{IndexError, IndexStats, MatchIndex, QueryHit, QueryOutcome, SelectivitySnapshot};
+pub use index::{IndexError, IndexStats, MatchIndex, QueryHit, QueryOutcome};
 pub use key::KeyMatcher;
 pub use metrics::{evaluate_pairs, BlockingQuality, MatchQuality};
 pub use scoring::{

@@ -64,7 +64,6 @@ pub use builder::{EngineBuilder, EngineError};
 pub use matchrules_data::eval::{AtomStage, AtomTrace, FilterStats, KernelClass};
 pub use matchrules_matcher::index::{
     IndexError, IndexStats, KeyTrace, MatchIndex, PairTrace, QueryHit, QueryOutcome,
-    SelectivitySnapshot,
 };
 pub use matchrules_matcher::scoring::{
     resolve_one_to_one, resolve_one_to_one_shared, ScoreConfig, ScoreModel, ScoredEdge,

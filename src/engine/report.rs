@@ -10,7 +10,7 @@ use matchrules_data::eval::{FilterStats, RuntimeOps};
 use matchrules_data::relation::{InstancePair, Relation, TupleId};
 use matchrules_data::unionfind::UnionFind;
 use matchrules_matcher::blocking::multi_pass_block_in;
-use matchrules_matcher::index::{MatchIndex, SelectivitySnapshot};
+use matchrules_matcher::index::MatchIndex;
 use matchrules_matcher::key::{KeyMatcher, PAR_MATCH_MIN_CHUNK};
 use matchrules_matcher::metrics::{evaluate_pairs, MatchQuality};
 use matchrules_matcher::scoring::{resolve_one_to_one, resolve_one_to_one_shared, ScoredEdge};
@@ -601,6 +601,11 @@ impl MatchEngine {
     /// of rescanning windows per batch. The build runs on the engine's
     /// pool; see [`MatchIndex`] for the per-RCK anchor design.
     ///
+    /// The index carries no retrieval plan: every probe orders each
+    /// key's atoms by the posting volumes that probe meets, so a rebuild
+    /// (rule swap, compaction) is this same call and needs no state
+    /// from the index it replaces.
+    ///
     /// ```
     /// use matchrules::engine::Preset;
     /// use matchrules::data::fig1;
@@ -623,29 +628,14 @@ impl MatchEngine {
     /// # Ok(()) }
     /// ```
     pub fn index(&self, relation: &Relation) -> Result<MatchIndex, EngineError> {
-        self.index_planned(relation, &SelectivitySnapshot::default())
-    }
-
-    /// [`MatchEngine::index`] with an explicit selectivity snapshot
-    /// ordering each key's atom intersections — typically the previous
-    /// index version's
-    /// [`observed_selectivity`](MatchIndex::observed_selectivity), so
-    /// rebuilt indices plan around live traffic. Hit sets are identical
-    /// under every snapshot; only retrieval work moves.
-    pub fn index_planned(
-        &self,
-        relation: &Relation,
-        planner: &SelectivitySnapshot,
-    ) -> Result<MatchIndex, EngineError> {
         self.check_side(Side::Right, relation)?;
-        MatchIndex::build_planned(
+        MatchIndex::build_in(
             &self.pool,
             self.plan.pair().left().arity(),
             relation,
             self.plan.rcks(),
             self.plan.negatives(),
             self.runtime.clone(),
-            planner,
         )
         .map_err(EngineError::from)
     }

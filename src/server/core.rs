@@ -121,11 +121,9 @@ impl ShardSnapshot {
     }
 
     /// The same live records, order and stamps re-indexed under `engine`
-    /// (slots compacted), atom intersections planned around the
-    /// selectivities this snapshot observed in live traffic.
+    /// (slots compacted).
     fn rebuilt(&self, engine: &MatchEngine) -> Result<ShardSnapshot, ServiceError> {
-        let index = engine
-            .index_planned(&self.index.live_relation(), &self.index.observed_selectivity())?;
+        let index = engine.index(&self.index.live_relation())?;
         let seq = self.index.live_tuples().map(|(slot, _)| self.seq[slot]).collect();
         Ok(ShardSnapshot { index, seq })
     }
@@ -852,8 +850,7 @@ impl MatchServer {
     }
 
     /// Rebuilds every shard of `view` under `rules` off to the side
-    /// (slots compacted, observed selectivities folded into the new
-    /// plans) and publishes rules plus shards in one store. The caller
+    /// (slots compacted) and publishes rules plus shards in one store. The caller
     /// holds the swap gate's write side, so `view` is the frozen store.
     fn republish(&self, view: &ServerView, rules: Arc<RuleEpoch>) -> Result<(), ServiceError> {
         let shards = (self.pool)
@@ -866,8 +863,7 @@ impl MatchServer {
 
     /// Rebuilds every shard's index over its live records under the
     /// *current* rules, reclaiming the tombstoned slots removals and
-    /// replacements leave behind — and folding the selectivities observed
-    /// so far into the rebuilt index's plans. Query answers are
+    /// replacements leave behind. Query answers are
     /// unchanged and the rule version does not move; reads keep serving
     /// throughout, mutations are gated like for a swap.
     pub fn compact(&self) -> Result<(), ServiceError> {

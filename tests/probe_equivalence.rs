@@ -1,16 +1,16 @@
 //! The differential harness pinning the probe hot path:
 //!
-//! * **compressed == reference** — `MatchIndex::query` (compressed
-//!   postings, galloping intersection, per-entry prefilters, provenance
-//!   pruning) returns exactly the hits of `query_reference` (brute-force
-//!   verification of every live tuple) on every probe, at 1, 2 and 8
-//!   build threads;
+//! * **compressed == reference** — `MatchIndex::query` (per-probe plan,
+//!   compressed postings, galloping intersection, per-entry prefilters,
+//!   provenance pruning) returns exactly the hits of `query_reference`
+//!   (brute-force verification of every live tuple) on every probe, at
+//!   1, 2 and 8 build threads, on a catalog where every branch of the
+//!   plan runs;
+//! * **cheapest anchor first** — decoding work is bounded by the atom
+//!   with the smallest posting volume, whatever the atom order;
 //! * **batched == sequential** — `query_batch` / `query_batch_in` are
 //!   byte-for-byte identical (hits, candidates, every work counter) to
 //!   one-by-one `query` calls, at 1, 2 and 8 pool threads;
-//! * **planner invariance** — any `SelectivitySnapshot`, including one
-//!   harvested from live traffic, reorders retrieval work but never
-//!   changes a hit set;
 //! * **sharded server** — `MatchServer::query_batch` agrees
 //!   response-for-response with per-probe `query` at 1, 2 and 8 shards;
 //! * **tombstone hygiene** — block-level purging keeps a half-removed
@@ -18,23 +18,33 @@
 //!   work counters), and posting-list block invariants survive
 //!   insert → remove → insert churn.
 
+use matchrules::core::dependency::SimilarityAtom;
+use matchrules::core::operators::OperatorTable;
+use matchrules::core::relative_key::RelativeKey;
 use matchrules::core::schema::Schema;
 use matchrules::data::dirty::{generate_dirty, NoiseConfig};
+use matchrules::data::eval::{paper_registry, RuntimeOps};
 use matchrules::data::relation::{Relation, Tuple};
 use matchrules::data::Value;
 use matchrules::engine::{
-    EngineBuilder, ExecConfig, MatchEngine, Preset, QueryOutcome, SelectivitySnapshot,
+    EngineBuilder, ExecConfig, FilterStats, MatchEngine, MatchIndex, Preset, QueryOutcome,
 };
-use matchrules::matcher::postings::PostingList;
+use matchrules::matcher::postings::{PostingList, BLOCK_LEN};
 use matchrules::server::{MatchServer, ServerConfig};
 use matchrules::service::{Record, RecordId};
+use matchrules::simdist::filters::{QgramSig, FILTER_Q};
 use matchrules_runtime::WorkPool;
 use proptest::collection;
 use proptest::prelude::*;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 const THREAD_SWEEP: [usize; 3] = [1, 2, 8];
 const SHARD_SWEEP: [usize; 3] = [1, 2, 8];
+
+/// Persons behind the compressed == reference catalog (1.8 stored
+/// records each).
+const PLAN_CATALOG_PERSONS: usize = 1000;
 
 /// The Extended-preset synthetic catalog: equality, edit and derived
 /// anchors, nulls and near-misses included.
@@ -113,24 +123,93 @@ fn work_of(outcome: &QueryOutcome) -> u64 {
 
 #[test]
 fn probe_compressed_equals_brute_force_reference_at_every_thread_count() {
-    let (engine, credit, billing) = catalog(80, 42);
-    let mut matched_any = false;
+    // Large enough that common grams seal posting blocks, so the plan's
+    // branches all run: folds that stop at an atom too large for the
+    // running bitmap, membership cursors, and materialize-and-gallop.
+    let (engine, credit, billing) = catalog(PLAN_CATALOG_PERSONS, 42);
+    let reference = engine.index(&billing).expect("index builds");
+    let expected: Vec<Vec<(u64, usize)>> =
+        credit.tuples().iter().map(|p| hit_ids(&reference.query_reference(p))).collect();
+    assert!(expected.iter().any(|h| !h.is_empty()), "the catalog must exercise a match");
+    let mut work = FilterStats::default();
     for threads in THREAD_SWEEP {
-        let engine = engine.with_exec(ExecConfig::fixed(threads));
-        let index = engine.index(&billing).expect("index builds");
-        for probe in credit.tuples() {
+        let index = engine.with_exec(ExecConfig::fixed(threads)).index(&billing).expect("builds");
+        for (probe, expected) in credit.tuples().iter().zip(&expected) {
             let fast = index.query(probe);
-            let reference = index.query_reference(probe);
             assert_eq!(
-                hit_ids(&fast),
-                hit_ids(&reference),
+                &hit_ids(&fast),
+                expected,
                 "compressed probe diverged from the brute-force reference at {threads} threads"
             );
             assert_eq!(hit_ids(&fast), hit_ids(&index.query_unpruned(probe)));
-            matched_any |= !fast.hits.is_empty();
+            work.merge(&fast.stats);
         }
     }
-    assert!(matched_any, "the catalog must exercise at least one match");
+    assert!(work.blocks_skipped > 0, "no membership cursor skipped a block: {work:?}");
+    assert!(work.gallop_steps > 0, "no atom was materialized and galloped against: {work:?}");
+}
+
+#[test]
+fn probe_decoding_is_bounded_by_the_cheapest_atom() {
+    // Key `street ≈d ∧ name ≈d`, street interned first. Every street
+    // ends in " Street", " Avenue" or " Road", so the probe's suffix
+    // grams each hold a third of the store and seal as delta blocks;
+    // names are distinct, so their grams are rare.
+    const ROWS: u64 = 1536;
+    let schema = Arc::new(Schema::text("R", &["street", "name"]).expect("schema"));
+    let mut rel = Relation::new(schema);
+    for i in 0..ROWS {
+        let suffix = ["Street", "Avenue", "Road"][(i % 3) as usize];
+        let street = format!("{} {suffix}", letters(i ^ 0x5157, 6));
+        rel.push(Tuple::new(i + 1, vec![Value::str(&street), Value::str(letters(i, 7))]));
+    }
+    let mut table = OperatorTable::new();
+    let d = table.intern("≈d");
+    let ops = Arc::new(RuntimeOps::resolve(&table, &paper_registry()).expect("≈d resolves"));
+    let key = RelativeKey::new(vec![SimilarityAtom::new(0, 0, d), SimilarityAtom::new(1, 1, d)]);
+    let index = MatchIndex::build(2, &rel, &[key], &[], ops).expect("index builds");
+
+    let probe = Tuple::new(9_999, rel.tuples()[999].values().to_vec());
+    let outcome = index.query(&probe);
+    assert_eq!(hit_ids(&outcome), hit_ids(&index.query_reference(&probe)));
+    assert!(!outcome.hits.is_empty(), "the probe copies a stored row");
+
+    // Sealed blocks on the posting lists of the probe's name grams.
+    let grams = |s: &str| -> HashSet<u64> {
+        let chars: Vec<char> = s.chars().collect();
+        QgramSig::of_chars(&chars, FILTER_Q).distinct_hashes().collect()
+    };
+    let probe_grams = grams(probe.get(1).as_str().expect("name"));
+    let name_blocks: usize = probe_grams
+        .iter()
+        .map(|g| {
+            let on_list = rel
+                .tuples()
+                .iter()
+                .filter(|t| grams(t.get(1).as_str().expect("name")).contains(g))
+                .count();
+            on_list / BLOCK_LEN
+        })
+        .sum();
+    assert!(
+        outcome.stats.blocks_decoded <= name_blocks as u64,
+        "decoded {} blocks; the name lists hold {name_blocks}",
+        outcome.stats.blocks_decoded
+    );
+}
+
+/// `len` lowercase letters drawn from a splitmix64 stream seeded by `i`.
+fn letters(i: u64, len: usize) -> String {
+    let mut x = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    (0..len)
+        .map(|_| {
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            char::from(b'a' + ((z ^ (z >> 31)) % 26) as u8)
+        })
+        .collect()
 }
 
 #[test]
@@ -152,40 +231,6 @@ fn probe_batched_equals_sequential_byte_for_byte() {
             sequential,
             "pooled batch diverged at {threads} threads"
         );
-    }
-}
-
-#[test]
-fn probe_planner_snapshots_reorder_work_but_never_change_hits() {
-    let (engine, credit, billing) = catalog(60, 1234);
-    let baseline = engine.index(&billing).expect("default build");
-    let expected: Vec<Vec<(u64, usize)>> =
-        credit.tuples().iter().map(|p| hit_ids(&baseline.query(p))).collect();
-
-    let snapshots = [
-        SelectivitySnapshot::default(),
-        SelectivitySnapshot::from_ranks([4.0, 3.0, 2.0, 1.0, 0.0]), // reversed
-        SelectivitySnapshot::from_ranks([0.0; 5]),                  // all tied
-        baseline.observed_selectivity(), // harvested from the probes above
-    ];
-    for (which, snapshot) in snapshots.iter().enumerate() {
-        let index = engine.index_planned(&billing, snapshot).expect("planned build");
-        for (probe, expected) in credit.tuples().iter().zip(&expected) {
-            assert_eq!(
-                &hit_ids(&index.query(probe)),
-                expected,
-                "snapshot #{which} ({:?}) changed a hit set",
-                snapshot.ranks()
-            );
-        }
-    }
-
-    // The default snapshot reproduces the untuned plan exactly — same
-    // candidates and counters, not just the same hits.
-    let default_build =
-        engine.index_planned(&billing, &SelectivitySnapshot::default()).expect("default planned");
-    for probe in credit.tuples() {
-        assert_eq!(default_build.query(probe), baseline.query(probe));
     }
 }
 
