@@ -81,9 +81,9 @@ pub fn workload(k: usize, seed: u64) -> Workload {
 
 /// A prepared person-name serving workload: probe and record relations
 /// over a names schema whose RCKs retrieve exclusively through the
-/// non-equality anchors — jaro-winkler (char-bag prefix buckets),
-/// soundex (derived-key buckets) and tokens (element postings), with
-/// one equality tie-breaker on the phone.
+/// non-equality anchors — jaro-winkler and tokens (element postings)
+/// and soundex (key buckets), with one equality tie-breaker on the
+/// phone.
 pub struct NamesWorkload {
     /// The compiled engine; its `MatchIndex` must report zero scan keys.
     pub engine: MatchEngine,
@@ -312,6 +312,8 @@ pub fn exp4_windowing(w: &Workload) -> (ReductionRow, ReductionRow) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use matchrules::engine::OpClass;
+    use std::collections::HashSet;
 
     #[test]
     fn fig8_point_runs() {
@@ -343,7 +345,14 @@ mod tests {
         let index = w.engine.index(&w.right).expect("index builds");
         let stats = index.stats();
         assert_eq!(stats.scan_keys, 0, "no scan fallback: {stats:?}");
-        assert!(stats.derived_anchors >= 1 && stats.token_anchors >= 1 && stats.bag_anchors >= 1);
+        // One key anchor per distinct equality atom, plus soundex's; element
+        // anchors for jaro-winkler and tokens.
+        let plan = w.engine.plan();
+        let atoms = plan.rcks().iter().flat_map(|key| key.atoms());
+        let equality = atoms.filter(|a| plan.atom_class(a.op) == OpClass::Equality);
+        let equality = equality.collect::<HashSet<_>>().len();
+        assert_eq!(stats.key_anchors, equality + 1, "soundex must land on a key anchor");
+        assert!(stats.element_anchors >= 2);
         // Index hit set == exhaustive scan hit set, probe by probe, and
         // every true (same-id) pair is found through the fuzzy anchors.
         let batch = w.engine.match_all(&w.left, &w.right).expect("batch run");

@@ -7,10 +7,10 @@
 //! caches it per [`OperatorId`], so atom evaluation in hot loops is an array
 //! index plus the metric call.
 //!
-//! Resolution also **compiles** each operator's
-//! [`KernelSpec`]: equality and the
-//! thresholded edit operators evaluate through a plain enum `match`
-//! instead of a virtual call, and the edit kernels additionally run on
+//! Resolution also records each operator's [`OpClass`], which
+//! **compiles** the two classes that have a compiled form: equality and
+//! the thresholded edit operators evaluate through a plain enum `match`
+//! instead of a virtual call, and the edit class additionally runs on
 //! the per-relation caches of [`crate::prep`] — cheap pair filters
 //! (length / character bag / positional q-grams) first, then the banded
 //! DP on cached character buffers with per-worker scratch rows. The
@@ -28,9 +28,7 @@ use matchrules_simdist::edit::{
     theta_bound, EditScratch,
 };
 use matchrules_simdist::filters::Rejection;
-use matchrules_simdist::ops::{
-    AliasOp, DamerauOp, IndexStrategy, KernelSpec, OpRegistry, SimilarityOp,
-};
+use matchrules_simdist::ops::{AliasOp, DamerauOp, OpClass, OpRegistry, SimilarityOp};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -39,6 +37,19 @@ thread_local! {
     // are called once per surviving candidate pair, and this is what
     // keeps those calls allocation-free.
     static EDIT_SCRATCH: RefCell<EditScratch> = RefCell::new(EditScratch::new());
+}
+
+/// The edit distance of two character buffers if it is within `bound`
+/// (OSA with `transpositions`, plain Levenshtein without), by the banded
+/// DP on this thread's scratch rows.
+fn banded_distance(transpositions: bool, a: &[char], b: &[char], bound: usize) -> Option<usize> {
+    EDIT_SCRATCH.with_borrow_mut(|scratch| {
+        if transpositions {
+            damerau_levenshtein_within_chars(a, b, bound, scratch)
+        } else {
+            levenshtein_within_chars(a, b, bound, scratch)
+        }
+    })
 }
 
 /// Filter-effectiveness counters for the compiled similarity hot path:
@@ -185,102 +196,6 @@ pub struct AtomFeature {
     pub strength: f64,
 }
 
-/// The compiled form of one resolved operator.
-#[derive(Debug, Clone, Copy)]
-enum Kernel {
-    /// `a == b` on the string contents.
-    Equality,
-    /// Damerau–Levenshtein (OSA) within `theta_bound(theta, max_len)`.
-    Damerau { theta: f64 },
-    /// Levenshtein within the same bound.
-    Levenshtein { theta: f64 },
-    /// No compiled form: call the trait object.
-    Dyn,
-}
-
-impl Kernel {
-    fn of(spec: KernelSpec) -> Kernel {
-        match spec {
-            KernelSpec::Equality => Kernel::Equality,
-            KernelSpec::Damerau { theta } => Kernel::Damerau { theta },
-            KernelSpec::Levenshtein { theta } => Kernel::Levenshtein { theta },
-            KernelSpec::Opaque => Kernel::Dyn,
-        }
-    }
-}
-
-/// The retrieval class of a resolved operator — what an index builder
-/// needs to know to pick *anchor* atoms. Derived from each operator's
-/// declared [`IndexStrategy`] (the
-/// `IndexableAtom` capability every `simdist` op implements), so a new
-/// operator becomes index-ready by declaring a strategy, with no changes
-/// here or in the index.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum KernelClass {
-    /// Compiles to plain string equality: exact hash buckets.
-    Equality,
-    /// Compiles to a thresholded edit-distance kernel (Damerau or plain
-    /// Levenshtein — for candidate generation they share the same
-    /// `theta_bound` and the same sound filters): q-gram posting lists.
-    Edit {
-        /// The threshold θ of `dist(a, b) ≤ ⌊(1 − θ)·max(|a|, |b|)⌋`.
-        theta: f64,
-    },
-    /// The operator derives exact-bucketable keys (soundex codes, digit
-    /// strings, synonym class ids): matching values share a key, so a
-    /// hash bucket per key retrieves a superset of the match set.
-    DerivedKey,
-    /// The operator decomposes values into element multisets (tokens,
-    /// q-grams) with a sound size-ratio prefilter: matching values share
-    /// an element and satisfy `|min| ≥ min_ratio·|max|`, so element
-    /// posting lists plus the ratio filter retrieve a superset.
-    TokenSet {
-        /// Lower bound on `|smaller| / |larger|` for matching pairs.
-        min_ratio: f64,
-    },
-    /// The operator admits a character-multiset overlap bound: matching
-    /// values share ≥ `⌈alpha·max(len)⌉` characters (with multiplicity),
-    /// so sorted-char-prefix buckets retrieve a superset.
-    Bounded {
-        /// The overlap fraction of the bound.
-        alpha: f64,
-    },
-    /// No retrieval strategy; atoms under this operator force a scan.
-    Opaque,
-}
-
-impl KernelClass {
-    /// Maps an operator's declared retrieval strategy to its index class.
-    fn of(strategy: IndexStrategy) -> KernelClass {
-        match strategy {
-            IndexStrategy::Exact => KernelClass::Equality,
-            IndexStrategy::EditGrams { theta } => KernelClass::Edit { theta },
-            IndexStrategy::DerivedKeys => KernelClass::DerivedKey,
-            IndexStrategy::Elements { min_ratio } => KernelClass::TokenSet { min_ratio },
-            IndexStrategy::BagPrefix { alpha } => KernelClass::Bounded { alpha },
-            IndexStrategy::Scan => KernelClass::Opaque,
-        }
-    }
-
-    /// Whether atoms of this class can anchor index retrieval (anything
-    /// but a scan fallback).
-    pub fn is_indexable(self) -> bool {
-        !matches!(self, KernelClass::Opaque)
-    }
-
-    /// A short lowercase name for reports (`"equality"`, `"derived-key"`, …).
-    pub fn name(self) -> &'static str {
-        match self {
-            KernelClass::Equality => "equality",
-            KernelClass::Edit { .. } => "edit",
-            KernelClass::DerivedKey => "derived-key",
-            KernelClass::TokenSet { .. } => "token-set",
-            KernelClass::Bounded { .. } => "bounded",
-            KernelClass::Opaque => "scan",
-        }
-    }
-}
-
 /// The paper's runtime registry: the standard metric set plus the alias
 /// `≈d` → Damerau–Levenshtein at θ = 0.75 (the intro example's name
 /// similarity: "Mark" ≈d "Marx", "Clifford" ≈d "Clivord").
@@ -293,56 +208,55 @@ pub fn paper_registry() -> OpRegistry {
 /// Resolved operator bindings for one `OperatorTable`.
 pub struct RuntimeOps {
     resolved: Vec<Arc<dyn SimilarityOp>>,
-    kernels: Vec<Kernel>,
-    classes: Vec<KernelClass>,
+    classes: Vec<OpClass>,
 }
 
 impl RuntimeOps {
     /// Resolves every operator of `table` against `registry` by name and
-    /// compiles each binding's kernel.
+    /// records each binding's [`OpClass`].
     /// Fails with [`CoreError::UnknownOperator`] if a symbol has no
     /// executable binding.
     pub fn resolve(table: &OperatorTable, registry: &OpRegistry) -> Result<Self> {
         let mut resolved = Vec::with_capacity(table.len());
-        let mut kernels = Vec::with_capacity(table.len());
         let mut classes = Vec::with_capacity(table.len());
         for id in table.ids() {
             let name = table.name(id);
             let op = registry
                 .get(name)
                 .ok_or_else(|| CoreError::UnknownOperator { name: name.to_owned() })?;
-            kernels.push(Kernel::of(op.kernel()));
-            classes.push(KernelClass::of(op.index_strategy()));
+            classes.push(op.class());
             resolved.push(op.clone());
         }
-        Ok(RuntimeOps { resolved, kernels, classes })
+        Ok(RuntimeOps { resolved, classes })
     }
 
     /// Whether `op` compiles to an edit-distance kernel, i.e. whether
     /// attributes compared under it benefit from a
     /// [`RelationPrep`] signature.
     pub fn needs_signature(&self, op: OperatorId) -> bool {
-        matches!(self.kernels[op.0 as usize], Kernel::Damerau { .. } | Kernel::Levenshtein { .. })
+        matches!(self.class(op), OpClass::Edit { .. })
     }
 
-    /// The [`KernelClass`] of `op` — how (and whether) an inverted index
-    /// can use an atom under this operator as a retrieval anchor. Derived
-    /// from the operator's declared `IndexStrategy` at resolve time.
-    pub fn kernel_class(&self, op: OperatorId) -> KernelClass {
+    /// The [`OpClass`] `op` declared at resolve time: how it is evaluated
+    /// here, and how (and whether) an inverted index can anchor atoms
+    /// under it.
+    pub fn class(&self, op: OperatorId) -> OpClass {
         self.classes[op.0 as usize]
     }
 
-    /// Appends `op`'s exact-bucketable derived keys for `s` to `out`
-    /// (operators classed [`KernelClass::DerivedKey`] only; at least one
-    /// key per value by contract).
+    /// Appends `op`'s bucket keys for `s` to `out` (operators classed
+    /// [`OpClass::Keys`]; at least one key per value by contract). Under
+    /// [`OpClass::Equality`] the key is the value itself, so callers need
+    /// not ask.
     pub fn derived_keys_into(&self, op: OperatorId, s: &str, out: &mut Vec<String>) {
         self.resolved[op.0 as usize].derived_keys(s, out);
     }
 
-    /// Appends `op`'s hashed index elements for `s` to `out` (operators
-    /// classed [`KernelClass::TokenSet`] only).
-    pub fn index_elements_into(&self, op: OperatorId, s: &str, out: &mut Vec<u64>) {
-        self.resolved[op.0 as usize].index_elements(s, out);
+    /// Appends `op`'s index elements for `s` to `out` and returns
+    /// the size its ratio bound applies to (operators classed
+    /// [`OpClass::Elements`] only).
+    pub fn index_elements_into(&self, op: OperatorId, s: &str, out: &mut Vec<u64>) -> usize {
+        self.resolved[op.0 as usize].index_elements(s, out)
     }
 
     /// Evaluates `a ≈op b` on values. `Null` matches nothing.
@@ -388,17 +302,12 @@ impl RuntimeOps {
         r: usize,
         stats: &mut FilterStats,
     ) -> bool {
-        match self.kernels[atom.op.0 as usize] {
-            Kernel::Equality => match (t1.get(atom.left).as_str(), t2.get(atom.right).as_str()) {
+        match self.class(atom.op) {
+            OpClass::Equality => match (t1.get(atom.left).as_str(), t2.get(atom.right).as_str()) {
                 (Some(x), Some(y)) => x == y,
                 _ => false,
             },
-            kernel @ (Kernel::Damerau { .. } | Kernel::Levenshtein { .. }) => {
-                let (damerau, theta) = match kernel {
-                    Kernel::Damerau { theta } => (true, theta),
-                    Kernel::Levenshtein { theta } => (false, theta),
-                    _ => unreachable!("outer arm admits only edit kernels"),
-                };
+            OpClass::Edit { theta, transpositions } => {
                 let (Some(sa), Some(sb)) = (p1.sig(l, atom.left), p2.sig(r, atom.right)) else {
                     // The caller prepped without this attribute — fall
                     // back to the uncached path rather than mis-decide.
@@ -433,24 +342,13 @@ impl RuntimeOps {
                     }
                     None => {
                         stats.dp_runs += 1;
-                        EDIT_SCRATCH.with_borrow_mut(|scratch| {
-                            if damerau {
-                                damerau_levenshtein_within_chars(
-                                    sa.chars(),
-                                    sb.chars(),
-                                    bound,
-                                    scratch,
-                                )
-                                .is_some()
-                            } else {
-                                levenshtein_within_chars(sa.chars(), sb.chars(), bound, scratch)
-                                    .is_some()
-                            }
-                        })
+                        banded_distance(transpositions, sa.chars(), sb.chars(), bound).is_some()
                     }
                 }
             }
-            Kernel::Dyn => self.atom_matches(atom, t1, t2),
+            OpClass::Keys | OpClass::Elements { .. } | OpClass::Scan => {
+                self.atom_matches(atom, t1, t2)
+            }
         }
     }
 
@@ -474,17 +372,12 @@ impl RuntimeOps {
         r: usize,
     ) -> AtomTrace {
         let decided = |matched, stage| AtomTrace { matched, stage, bound: None, distance: None };
-        match self.kernels[atom.op.0 as usize] {
-            Kernel::Equality => match (t1.get(atom.left).as_str(), t2.get(atom.right).as_str()) {
+        match self.class(atom.op) {
+            OpClass::Equality => match (t1.get(atom.left).as_str(), t2.get(atom.right).as_str()) {
                 (Some(x), Some(y)) => decided(x == y, AtomStage::Equality),
                 _ => decided(false, AtomStage::Null),
             },
-            kernel @ (Kernel::Damerau { .. } | Kernel::Levenshtein { .. }) => {
-                let (damerau, theta) = match kernel {
-                    Kernel::Damerau { theta } => (true, theta),
-                    Kernel::Levenshtein { theta } => (false, theta),
-                    _ => unreachable!("outer arm admits only edit kernels"),
-                };
+            OpClass::Edit { theta, transpositions } => {
                 let (a_owned, b_owned);
                 let (sa, sb) = match (p1.sig(l, atom.left), p2.sig(r, atom.right)) {
                     (Some(sa), Some(sb)) => (sa, sb),
@@ -505,7 +398,7 @@ impl RuntimeOps {
                         t1.get(atom.left).as_str().expect("non-null"),
                         t2.get(atom.right).as_str().expect("non-null"),
                     );
-                    if damerau {
+                    if transpositions {
                         damerau_levenshtein(x, y)
                     } else {
                         levenshtein(x, y)
@@ -529,32 +422,20 @@ impl RuntimeOps {
                     Some(Rejection::Length) => with(false, AtomStage::LengthFilter, exact()),
                     Some(Rejection::Bag) => with(false, AtomStage::BagFilter, exact()),
                     Some(Rejection::Qgram) => with(false, AtomStage::QgramFilter, exact()),
-                    None => {
-                        let within = EDIT_SCRATCH.with_borrow_mut(|scratch| {
-                            if damerau {
-                                damerau_levenshtein_within_chars(
-                                    sa.chars(),
-                                    sb.chars(),
-                                    bound,
-                                    scratch,
-                                )
-                            } else {
-                                levenshtein_within_chars(sa.chars(), sb.chars(), bound, scratch)
-                            }
-                        });
-                        match within {
-                            Some(d) => with(true, AtomStage::BandedDp, d),
-                            None => with(false, AtomStage::BandedDp, exact()),
-                        }
-                    }
+                    None => match banded_distance(transpositions, sa.chars(), sb.chars(), bound) {
+                        Some(d) => with(true, AtomStage::BandedDp, d),
+                        None => with(false, AtomStage::BandedDp, exact()),
+                    },
                 }
             }
-            Kernel::Dyn => match (t1.get(atom.left).as_str(), t2.get(atom.right).as_str()) {
-                (Some(x), Some(y)) => {
-                    decided(self.resolved[atom.op.0 as usize].matches(x, y), AtomStage::Dynamic)
+            OpClass::Keys | OpClass::Elements { .. } | OpClass::Scan => {
+                match (t1.get(atom.left).as_str(), t2.get(atom.right).as_str()) {
+                    (Some(x), Some(y)) => {
+                        decided(self.resolved[atom.op.0 as usize].matches(x, y), AtomStage::Dynamic)
+                    }
+                    _ => decided(false, AtomStage::Null),
                 }
-                _ => decided(false, AtomStage::Null),
-            },
+            }
         }
     }
 
@@ -568,17 +449,12 @@ impl RuntimeOps {
     /// scores 0.
     pub fn atom_feature(&self, atom: &SimilarityAtom, t1: &Tuple, t2: &Tuple) -> AtomFeature {
         let miss = AtomFeature { matched: false, strength: 0.0 };
-        match self.kernels[atom.op.0 as usize] {
-            Kernel::Equality => match (t1.get(atom.left).as_str(), t2.get(atom.right).as_str()) {
+        match self.class(atom.op) {
+            OpClass::Equality => match (t1.get(atom.left).as_str(), t2.get(atom.right).as_str()) {
                 (Some(x), Some(y)) if x == y => AtomFeature { matched: true, strength: 1.0 },
                 _ => miss,
             },
-            kernel @ (Kernel::Damerau { .. } | Kernel::Levenshtein { .. }) => {
-                let (damerau, theta) = match kernel {
-                    Kernel::Damerau { theta } => (true, theta),
-                    Kernel::Levenshtein { theta } => (false, theta),
-                    _ => unreachable!("outer arm admits only edit kernels"),
-                };
+            OpClass::Edit { theta, transpositions } => {
                 let sa = AttrSig::of_value(t1.get(atom.left));
                 let sb = AttrSig::of_value(t2.get(atom.right));
                 if sa.is_null() || sb.is_null() {
@@ -592,14 +468,7 @@ impl RuntimeOps {
                 if sa.sig().prefilter(sb.sig(), bound).is_some() {
                     return miss;
                 }
-                let within = EDIT_SCRATCH.with_borrow_mut(|scratch| {
-                    if damerau {
-                        damerau_levenshtein_within_chars(sa.chars(), sb.chars(), bound, scratch)
-                    } else {
-                        levenshtein_within_chars(sa.chars(), sb.chars(), bound, scratch)
-                    }
-                });
-                match within {
+                match banded_distance(transpositions, sa.chars(), sb.chars(), bound) {
                     // θ-margin: distance 0 would be 1.0, the bound itself
                     // stays strictly positive (the pair did match).
                     Some(d) => AtomFeature {
@@ -609,16 +478,20 @@ impl RuntimeOps {
                     None => miss,
                 }
             }
-            Kernel::Dyn => match (t1.get(atom.left).as_str(), t2.get(atom.right).as_str()) {
-                (Some(x), Some(y)) => {
-                    let op = &self.resolved[atom.op.0 as usize];
-                    let matched = op.matches(x, y);
-                    let sim = op.similarity(x, y);
-                    let strength = if sim.is_nan() { 0.0 } else { sim.clamp(0.0, 1.0) };
-                    AtomFeature { matched, strength }
+            OpClass::Keys | OpClass::Elements { .. } | OpClass::Scan => {
+                match (t1.get(atom.left).as_str(), t2.get(atom.right).as_str()) {
+                    (Some(x), Some(y)) => {
+                        let op = &self.resolved[atom.op.0 as usize];
+                        if !op.matches(x, y) {
+                            return miss;
+                        }
+                        let sim = op.similarity(x, y);
+                        let strength = if sim.is_nan() { 0.0 } else { sim.clamp(0.0, 1.0) };
+                        AtomFeature { matched: true, strength }
+                    }
+                    _ => miss,
                 }
-                _ => miss,
-            },
+            }
         }
     }
 
@@ -796,8 +669,6 @@ mod tests {
                         let f = ops.atom_feature(atom, lt, rt);
                         assert_eq!(f.matched, ops.atom_matches(atom, lt, rt), "{atom:?}");
                         assert!(f.strength.is_finite() && (0.0..=1.0).contains(&f.strength));
-                        // Strength is positive iff the atom matched (for
-                        // the compiled kernels exercised here).
                         assert_eq!(f.matched, f.strength > 0.0, "{atom:?}");
                     }
                 }
@@ -832,6 +703,23 @@ mod tests {
             &Tuple::new(2, vec![Value::str("x")]),
         );
         assert_eq!(null, AtomFeature { matched: false, strength: 0.0 });
+        // An operator verified through its trait object scores a mismatch
+        // 0 too, however similar the pair: jw("martha", "marhtx") ≈ 0.87
+        // misses ≈jw@0.9.
+        let mut table = OperatorTable::new();
+        let jw = table.intern("≈jw");
+        let ops = RuntimeOps::resolve(&table, &paper_registry()).unwrap();
+        let pair = |a: &str, b: &str| {
+            ops.atom_feature(
+                &SimilarityAtom::new(0, 0, jw),
+                &Tuple::new(1, vec![Value::str(a)]),
+                &Tuple::new(2, vec![Value::str(b)]),
+            )
+        };
+        let near = pair("martha", "marhtx");
+        assert!(!near.matched && near.strength == 0.0, "{near:?}");
+        let hit = pair("martha", "marhta");
+        assert!(hit.matched && hit.strength > 0.9, "{hit:?}");
     }
 
     #[test]
@@ -885,7 +773,7 @@ mod tests {
     }
 
     #[test]
-    fn kernel_classes_follow_index_strategies() {
+    fn resolved_classes_follow_the_operators() {
         let mut table = OperatorTable::new();
         let eq = table.intern("=");
         let dl = table.intern("≈d");
@@ -894,23 +782,28 @@ mod tests {
         let tok = table.intern("≈tok");
         let qg = table.intern("≈qg");
         let ops = RuntimeOps::resolve(&table, &paper_registry()).unwrap();
-        assert_eq!(ops.kernel_class(eq), KernelClass::Equality);
-        assert_eq!(ops.kernel_class(dl), KernelClass::Edit { theta: 0.75 });
-        assert_eq!(ops.kernel_class(sx), KernelClass::DerivedKey);
-        assert!(matches!(ops.kernel_class(jw), KernelClass::Bounded { .. }));
-        assert!(matches!(ops.kernel_class(tok), KernelClass::TokenSet { .. }));
-        assert!(matches!(ops.kernel_class(qg), KernelClass::TokenSet { .. }));
-        assert!(ops.kernel_class(sx).is_indexable());
-        assert!(!KernelClass::Opaque.is_indexable());
-        assert_eq!(KernelClass::DerivedKey.name(), "derived-key");
+        assert_eq!(ops.class(eq), OpClass::Equality);
+        assert_eq!(ops.class(dl), OpClass::Edit { theta: 0.75, transpositions: true });
+        assert_eq!(ops.class(sx), OpClass::Keys);
+        for op in [jw, tok, qg] {
+            assert!(matches!(ops.class(op), OpClass::Elements { .. }));
+        }
+        assert!(ops.needs_signature(dl) && !ops.needs_signature(eq) && !ops.needs_signature(jw));
 
-        // Derived keys / elements surface through the runtime table.
+        // Keys / elements and their sizes surface through the runtime table.
         let mut keys = Vec::new();
         ops.derived_keys_into(sx, "Robert", &mut keys);
-        assert_eq!(keys, vec!["R163".to_owned()]);
+        ops.derived_keys_into(eq, "Robert", &mut keys);
+        assert_eq!(keys, vec!["R163".to_owned(), "Robert".to_owned()]);
         let mut elems = Vec::new();
-        ops.index_elements_into(tok, "oak street oak", &mut elems);
-        assert_eq!(elems.len(), 2); // set semantics: {oak, street}
+        // Set semantics: {oak, street}.
+        assert_eq!(ops.index_elements_into(tok, "oak street oak", &mut elems), 2);
+        assert_eq!(elems.len(), 2);
+        // Jaro–Winkler: the size is the character count; the elements are
+        // the sorted prefix (n − ⌈0.5·n⌉ + 1 = 4 of "aahmrt").
+        elems.clear();
+        assert_eq!(ops.index_elements_into(jw, "martha", &mut elems), 6);
+        assert_eq!(elems, "aahm".chars().map(u64::from).collect::<Vec<_>>());
     }
 
     #[test]

@@ -6,10 +6,16 @@
 //! decide matches. That makes RCKs the natural source of **index keys**,
 //! not merely sort/block keys: the index builds one inverted index per
 //! distinct *indexable atom* appearing in the compiled RCKs (shared when
-//! several keys mention the same atom),
+//! several keys mention the same atom). [`anchor_of`] picks one of three
+//! anchor kinds from the operator's declared [`OpClass`], so an operator
+//! becomes index-ready by declaring its class, with no change here:
 //!
-//! * **exact buckets** for equality atoms — a hash map from the
-//!   attribute's string value to the tuple slots carrying it;
+//! * **key buckets** for equality and key-deriving atoms — a hash map
+//!   from each key the operator derives for the attribute's value (the
+//!   value itself under `=`; soundex codes, digit strings or synonym
+//!   classes otherwise) to the tuple slots deriving it. Matching values
+//!   share a key by the operator's contract, so the union of the probe's
+//!   buckets is a superset of the atom's match set;
 //! * **q-gram posting lists** for thresholded edit-distance atoms —
 //!   reusing the [`StringSig`](matchrules_simdist::filters::StringSig)
 //!   signatures of the relation preparation cache. A posting list alone
@@ -19,28 +25,14 @@
 //!   into a **sparse list** that short probes always scan; the safe
 //!   length is derived from the same `θ`-bound arithmetic that makes the
 //!   q-gram count filter sound (see [`qgram_safe_len`]);
-//! * **derived-key buckets** for operators that emit exact-bucketable
-//!   keys (soundex codes, digit strings, synonym classes) — matching
-//!   values share a key by the operator's `IndexStrategy` contract, so a
-//!   hash bucket per key retrieves a superset of the atom's match set;
-//! * **element posting lists** for token/q-gram set operators — one list
-//!   per distinct element, with candidates filtered by the operator's
-//!   sound element-count ratio bound (Jaccard ≥ s forces the smaller set
-//!   to hold ≥ s·|larger| elements), plus an **empty list** retrieved
-//!   only by element-less probes (∅ ≈ ∅ scores 1 under both Dice and
-//!   Jaccard conventions);
-//! * **sorted-char-prefix buckets** for operators with a character-bag
-//!   overlap bound (Jaro–Winkler above 0.8): a matching pair shares
-//!   ≥ `⌈α·max(len)⌉` characters with multiplicity, so the two sorted
-//!   char sequences must share a value within their first
-//!   `len − ⌈α·len⌉ + 1` characters — each side is indexed/probed under
-//!   the distinct characters of that prefix, with a length-ratio filter
-//!   and an empty-string bucket handled as above.
-//!
-//! Which anchor (if any) an atom gets is decided by the operator's
-//! declared `IndexStrategy`, surfaced through
-//! [`KernelClass`] — operators are index-ready by
-//! capability, not by a hardcoded operator list.
+//! * **element posting lists** for operators that decompose values into
+//!   elements — word tokens (Jaccard), padded q-grams (Dice), the
+//!   distinct characters of a sorted-character prefix (Jaro–Winkler
+//!   above 0.8) — one list per distinct element, with candidates
+//!   filtered by the operator's sound size-ratio bound (Jaccard ≥ s
+//!   forces the smaller set to hold ≥ s·|larger| elements), plus an
+//!   **empty list** retrieved only by element-less probes (∅ ≈ ∅ holds
+//!   under every such operator; a one-sided ∅ never matches).
 //!
 //! Because an RCK is a *conjunction*, a key's candidates are the
 //! **intersection** of its indexed atoms' retrievals (each retrieval is a
@@ -105,12 +97,13 @@ use matchrules_core::negation::NegativeRule;
 use matchrules_core::operators::OperatorId;
 use matchrules_core::relative_key::RelativeKey;
 use matchrules_core::schema::{AttrId, Schema};
-use matchrules_data::eval::{AtomTrace, FilterStats, KernelClass, RuntimeOps};
+use matchrules_data::eval::{AtomTrace, FilterStats, RuntimeOps};
 use matchrules_data::prep::{AttrSig, RelationPrep, SigNeeds};
 use matchrules_data::relation::{Relation, Tuple, TupleId};
 use matchrules_runtime::{CowMap, CowVec, WorkPool, CHUNK_LEN};
 use matchrules_simdist::edit::theta_bound;
 use matchrules_simdist::filters::FILTER_Q;
+use matchrules_simdist::ops::OpClass;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::fmt;
@@ -203,39 +196,120 @@ pub fn qgram_safe_len(theta: f64, q: usize) -> Option<usize> {
     Some(safe)
 }
 
-/// Float slack absorbing rounding error in ratio/overlap arithmetic.
-/// Always applied in the permissive direction, so a filter can only get
+/// Float slack absorbing rounding error in ratio arithmetic. Always
+/// applied in the permissive direction, so a filter can only get
 /// *weaker* than the exact real-arithmetic bound — never unsound.
 const RATIO_EPS: f64 = 1e-9;
 
-/// Sentinel in per-slot aligned arrays (`counts` / `lens`) for slots
+/// Sentinel in per-slot aligned arrays (`sizes` / `lens`) for slots
 /// whose anchor value is `Null`. Such slots appear on no posting or
 /// empty list, so the sentinel is never read by a ratio filter.
 const NULL_SLOT: u32 = u32::MAX;
 
-/// The minimum character-multiset overlap `⌈α·n⌉` a match must reach
-/// against a string of `n` characters, computed with downward float
-/// slack (an underestimate only lengthens the indexed prefix — sound).
-fn overlap_need(alpha: f64, n: usize) -> usize {
-    ((alpha * n as f64) - RATIO_EPS).ceil().max(1.0) as usize
-}
-
-/// The sound size-ratio filter shared by element and char-bag anchors:
-/// keeps a pair iff `min(a, b) ≥ ratio·max(a, b)` up to float slack.
+/// The element anchors' size-ratio filter: keeps a pair iff
+/// `min(a, b) ≥ ratio·max(a, b)` up to float slack.
 fn ratio_ok(ratio: f64, a: u32, b: u32) -> bool {
     let (min, max) = if a <= b { (a, b) } else { (b, a) };
     min as f64 + RATIO_EPS >= ratio * max as f64
 }
 
+/// The kind of inverted index an atom gets — what [`anchor_of`] maps an
+/// operator's [`OpClass`] to.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Anchor {
+    /// Buckets over the keys the operator derives (the raw value for
+    /// equality).
+    Keys,
+    /// q-gram posting lists, plus a sparse list of the values shorter
+    /// than `safe_len` ([`qgram_safe_len`]).
+    Grams {
+        /// The threshold θ of the operator's edit bound.
+        theta: f64,
+        /// The length from which a within-bound pair shares a gram.
+        safe_len: usize,
+    },
+    /// Element posting lists with a size-ratio prefilter, plus a list of
+    /// the element-less values.
+    Elements {
+        /// The sound lower bound on `min(size) / max(size)` of a match.
+        min_ratio: f64,
+    },
+}
+
+impl Anchor {
+    /// A short name for reports: `"keys"`, `"qgram"` or `"elements"`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Anchor::Keys => "keys",
+            Anchor::Grams { .. } => "qgram",
+            Anchor::Elements { .. } => "elements",
+        }
+    }
+}
+
+/// The anchor atoms under an operator of `class` get — `None` when such
+/// atoms cannot anchor retrieval, so a key made only of them scans:
+/// [`OpClass::Scan`] operators, and edit thresholds too loose for gram
+/// sharing to be guaranteed at any length (see [`qgram_safe_len`]). The
+/// one place a class turns into an anchor: [`MatchIndex::build_in`]
+/// builds from it, and a compiled plan reports from it.
+pub fn anchor_of(class: OpClass) -> Option<Anchor> {
+    match class {
+        OpClass::Equality | OpClass::Keys => Some(Anchor::Keys),
+        OpClass::Edit { theta, .. } => {
+            qgram_safe_len(theta, FILTER_Q).map(|safe_len| Anchor::Grams { theta, safe_len })
+        }
+        OpClass::Elements { min_ratio } => Some(Anchor::Elements { min_ratio }),
+        OpClass::Scan => None,
+    }
+}
+
+/// Reusable buffers for what an operator derives from one value — its
+/// keys and its elements. Index maintenance and probe preparation both
+/// fill them, so neither allocates a fresh list per tuple.
+#[derive(Default)]
+struct AnchorScratch {
+    keys: Vec<String>,
+    elems: Vec<u64>,
+}
+
+impl AnchorScratch {
+    /// Calls `f` once per distinct key `op` derives from `s`. An equality
+    /// operator keys on the value itself, which is passed straight
+    /// through: no call into the operator, no copy.
+    fn for_each_key(&mut self, ops: &RuntimeOps, op: OperatorId, s: &str, mut f: impl FnMut(&str)) {
+        if ops.class(op) == OpClass::Equality {
+            return f(s);
+        }
+        self.keys.clear();
+        ops.derived_keys_into(op, s, &mut self.keys);
+        self.keys.sort_unstable();
+        self.keys.dedup();
+        self.keys.iter().for_each(|key| f(key));
+    }
+
+    /// `op`'s elements for `s`, sorted and deduplicated, into
+    /// `self.elems`; returns the size the ratio bound applies to.
+    fn elements_of(&mut self, ops: &RuntimeOps, op: OperatorId, s: &str) -> u32 {
+        self.elems.clear();
+        let size = ops.index_elements_into(op, s, &mut self.elems);
+        self.elems.sort_unstable();
+        self.elems.dedup();
+        size as u32
+    }
+}
+
 /// An inverted index over one indexable atom, shared by every key that
-/// mentions the atom. Each variant realises one `IndexStrategy` from
-/// `simdist` (surfaced as a [`KernelClass`]); see the [module
-/// docs](self) for the per-variant soundness argument.
+/// mentions the atom: one variant per [`Anchor`]; see the [module
+/// docs](self) for the per-kind soundness argument.
 #[derive(Clone)]
 enum AtomIndex {
-    /// Equality atom: value → slots carrying it (`Null` values excluded —
-    /// null matches nothing, so such tuples can never satisfy the atom).
-    Exact { left: AttrId, right: AttrId, buckets: CowMap<String, Vec<u32>> },
+    /// Key atom (equality, soundex, digit equality, synonym tables):
+    /// key → slots deriving it. Matching values share a key and every
+    /// non-null value derives at least one, so the union of the probe's
+    /// key buckets is a superset of the atom's match set. `Null` values
+    /// derive nothing: null matches nothing.
+    Keys { left: AttrId, right: AttrId, op: OperatorId, buckets: CowMap<String, Vec<u32>> },
     /// Thresholded edit atom: gram hash → compressed posting list of
     /// slots whose string contains the gram, plus the sparse list of
     /// slots whose string is shorter than `safe_len` (scanned whenever
@@ -246,7 +320,7 @@ enum AtomIndex {
     /// window and presence-mask prefilters — both sound because each
     /// lower-bounds the OSA distance the verification kernel would
     /// compute.
-    Qgram {
+    Grams {
         left: AttrId,
         right: AttrId,
         theta: f64,
@@ -256,60 +330,73 @@ enum AtomIndex {
         lens: CowVec<u32>,
         masks: CowVec<u64>,
     },
-    /// Derived-key atom (soundex, digit equality, synonym tables):
-    /// key → slots deriving it. Matching values share a key and every
-    /// non-null value derives at least one, so the union of the probe's
-    /// key buckets is a superset of the atom's match set.
-    Derived { left: AttrId, right: AttrId, op: OperatorId, buckets: CowMap<String, Vec<u32>> },
-    /// Element-set atom (token Jaccard, q-gram Dice): element hash →
-    /// slots containing it, with per-slot element counts for the
-    /// `min ≥ min_ratio·max` size filter. Slots whose value produces no
-    /// elements live on `empty`, retrieved only by element-less probes
-    /// (∅ ≈ ∅ scores 1; a one-sided ∅ can never match).
-    Tokens {
+    /// Element atom (token Jaccard, q-gram Dice, Jaro–Winkler): element
+    /// → slots containing it, with per-slot sizes for the
+    /// `min ≥ min_ratio·max` filter. Slots whose value produces no
+    /// elements live on `empty`, retrieved only by element-less probes.
+    Elements {
         left: AttrId,
         right: AttrId,
         op: OperatorId,
         min_ratio: f64,
         postings: CowMap<u64, PostingList>,
-        counts: CowVec<u32>,
-        empty: Arc<Vec<u32>>,
-    },
-    /// Char-bag-bounded atom (Jaro–Winkler above 0.8): character →
-    /// slots whose *sorted-char prefix* (the first `n − ⌈α·n⌉ + 1`
-    /// sorted characters) contains it. A pair with multiset overlap
-    /// `m ≥ max(⌈α·|a|⌉, ⌈α·|b|⌉)` must share a character value between
-    /// the two prefixes — otherwise all `m` matched characters of one
-    /// side avoid its own prefix, leaving at most `⌈α·n⌉ − 1 < m` of
-    /// them, a contradiction. `lens` backs the length-ratio filter
-    /// (`min(len) ≥ α·max(len)` is implied by the overlap bound);
-    /// `empty` is the empty-string bucket, as above.
-    BagPrefix {
-        left: AttrId,
-        right: AttrId,
-        alpha: f64,
-        postings: CowMap<char, PostingList>,
-        lens: CowVec<u32>,
+        sizes: CowVec<u32>,
         empty: Arc<Vec<u32>>,
     },
 }
 
 impl AtomIndex {
+    /// An empty index anchoring `atom` as `anchor`.
+    fn new(atom: &SimilarityAtom, anchor: Anchor) -> AtomIndex {
+        let (left, right, op) = (atom.left, atom.right, atom.op);
+        match anchor {
+            Anchor::Keys => AtomIndex::Keys { left, right, op, buckets: CowMap::new() },
+            Anchor::Grams { theta, safe_len } => AtomIndex::Grams {
+                left,
+                right,
+                theta,
+                safe_len,
+                postings: CowMap::new(),
+                sparse: Arc::default(),
+                lens: CowVec::new(),
+                masks: CowVec::new(),
+            },
+            Anchor::Elements { min_ratio } => AtomIndex::Elements {
+                left,
+                right,
+                op,
+                min_ratio,
+                postings: CowMap::new(),
+                sizes: CowVec::new(),
+                empty: Arc::default(),
+            },
+        }
+    }
+
     /// Indexes one tuple (slot ids arrive in ascending order, so every
     /// bucket/posting/sparse list stays sorted; variants with per-slot
     /// aligned arrays push exactly one entry per call). Gram signatures
     /// come from `prep` — edit-atom attributes are always marked in the
     /// relation's signature needs, so the extraction already done for
-    /// pair evaluation is not repeated here; derived keys and elements
-    /// come from the operator via `ops`.
-    fn add(&mut self, slot: u32, tuple: &Tuple, prep: &RelationPrep, ops: &RuntimeOps) {
+    /// pair evaluation is not repeated here; keys and elements come from
+    /// the operator via `ops`, through `scratch`.
+    fn add(
+        &mut self,
+        slot: u32,
+        tuple: &Tuple,
+        prep: &RelationPrep,
+        ops: &RuntimeOps,
+        scratch: &mut AnchorScratch,
+    ) {
         match self {
-            AtomIndex::Exact { right, buckets, .. } => {
+            AtomIndex::Keys { right, op, buckets, .. } => {
                 if let Some(s) = tuple.get(*right).as_str() {
-                    buckets.or_default(s.to_owned()).push(slot);
+                    scratch.for_each_key(ops, *op, s, |key| {
+                        buckets.or_default(key.to_owned()).push(slot);
+                    });
                 }
             }
-            AtomIndex::Qgram { right, safe_len, postings, sparse, lens, masks, .. } => {
+            AtomIndex::Grams { right, safe_len, postings, sparse, lens, masks, .. } => {
                 let computed;
                 let sig = match prep.sig(slot as usize, *right) {
                     Some(sig) => sig,
@@ -335,52 +422,16 @@ impl AtomIndex {
                     postings.or_default(hash).push(slot);
                 }
             }
-            AtomIndex::Derived { right, op, buckets, .. } => {
-                if let Some(s) = tuple.get(*right).as_str() {
-                    let mut keys = Vec::new();
-                    ops.derived_keys_into(*op, s, &mut keys);
-                    keys.sort_unstable();
-                    keys.dedup();
-                    for key in keys {
-                        buckets.or_default(key).push(slot);
-                    }
-                }
-            }
-            AtomIndex::Tokens { right, op, postings, counts, empty, .. } => {
+            AtomIndex::Elements { right, op, postings, sizes, empty, .. } => {
                 match tuple.get(*right).as_str() {
-                    None => counts.push(NULL_SLOT),
+                    None => sizes.push(NULL_SLOT),
                     Some(s) => {
-                        let mut elems = Vec::new();
-                        ops.index_elements_into(*op, s, &mut elems);
-                        counts.push(elems.len() as u32);
-                        if elems.is_empty() {
+                        sizes.push(scratch.elements_of(ops, *op, s));
+                        if scratch.elems.is_empty() {
                             Arc::make_mut(empty).push(slot);
-                        } else {
-                            elems.sort_unstable();
-                            elems.dedup();
-                            for elem in elems {
-                                postings.or_default(elem).push(slot);
-                            }
                         }
-                    }
-                }
-            }
-            AtomIndex::BagPrefix { right, alpha, postings, lens, empty, .. } => {
-                match tuple.get(*right).as_str() {
-                    None => lens.push(NULL_SLOT),
-                    Some(s) => {
-                        let mut chars: Vec<char> = s.chars().collect();
-                        let n = chars.len();
-                        lens.push(n as u32);
-                        if n == 0 {
-                            Arc::make_mut(empty).push(slot);
-                        } else {
-                            chars.sort_unstable();
-                            chars.truncate(n - overlap_need(*alpha, n) + 1);
-                            chars.dedup();
-                            for c in chars {
-                                postings.or_default(c).push(slot);
-                            }
+                        for &elem in &scratch.elems {
+                            postings.or_default(elem).push(slot);
                         }
                     }
                 }
@@ -393,14 +444,14 @@ impl AtomIndex {
     fn merge(&mut self, other: AtomIndex) {
         let mut scratch = Vec::new();
         match (self, other) {
-            (AtomIndex::Exact { buckets, .. }, AtomIndex::Exact { buckets: partial, .. }) => {
-                for (value, slots) in partial.into_entries() {
-                    buckets.or_default(value).extend(slots);
+            (AtomIndex::Keys { buckets, .. }, AtomIndex::Keys { buckets: partial, .. }) => {
+                for (key, slots) in partial.into_entries() {
+                    buckets.or_default(key).extend(slots);
                 }
             }
             (
-                AtomIndex::Qgram { postings, sparse, lens, masks, .. },
-                AtomIndex::Qgram { postings: p2, sparse: s2, lens: l2, masks: m2, .. },
+                AtomIndex::Grams { postings, sparse, lens, masks, .. },
+                AtomIndex::Grams { postings: p2, sparse: s2, lens: l2, masks: m2, .. },
             ) => {
                 for (hash, list) in p2.iter() {
                     postings.or_default(*hash).extend_from(list, &mut scratch);
@@ -409,72 +460,17 @@ impl AtomIndex {
                 lens.extend(l2.iter().copied());
                 masks.extend(m2.iter().copied());
             }
-            (AtomIndex::Derived { buckets, .. }, AtomIndex::Derived { buckets: partial, .. }) => {
-                for (key, slots) in partial.into_entries() {
-                    buckets.or_default(key).extend(slots);
-                }
-            }
             (
-                AtomIndex::Tokens { postings, counts, empty, .. },
-                AtomIndex::Tokens { postings: p2, counts: c2, empty: e2, .. },
+                AtomIndex::Elements { postings, sizes, empty, .. },
+                AtomIndex::Elements { postings: p2, sizes: s2, empty: e2, .. },
             ) => {
                 for (elem, list) in p2.iter() {
                     postings.or_default(*elem).extend_from(list, &mut scratch);
                 }
-                counts.extend(c2.iter().copied());
-                Arc::make_mut(empty).extend_from_slice(&e2);
-            }
-            (
-                AtomIndex::BagPrefix { postings, lens, empty, .. },
-                AtomIndex::BagPrefix { postings: p2, lens: l2, empty: e2, .. },
-            ) => {
-                for (c, list) in p2.iter() {
-                    postings.or_default(*c).extend_from(list, &mut scratch);
-                }
-                lens.extend(l2.iter().copied());
+                sizes.extend(s2.iter().copied());
                 Arc::make_mut(empty).extend_from_slice(&e2);
             }
             _ => unreachable!("parallel build merges atom indices of one shape"),
-        }
-    }
-
-    /// An empty index of the same shape (the per-chunk accumulator of
-    /// the parallel build).
-    fn empty_like(&self) -> AtomIndex {
-        match self {
-            AtomIndex::Exact { left, right, .. } => {
-                AtomIndex::Exact { left: *left, right: *right, buckets: CowMap::new() }
-            }
-            AtomIndex::Qgram { left, right, theta, safe_len, .. } => AtomIndex::Qgram {
-                left: *left,
-                right: *right,
-                theta: *theta,
-                safe_len: *safe_len,
-                postings: CowMap::new(),
-                sparse: Arc::default(),
-                lens: CowVec::new(),
-                masks: CowVec::new(),
-            },
-            AtomIndex::Derived { left, right, op, .. } => {
-                AtomIndex::Derived { left: *left, right: *right, op: *op, buckets: CowMap::new() }
-            }
-            AtomIndex::Tokens { left, right, op, min_ratio, .. } => AtomIndex::Tokens {
-                left: *left,
-                right: *right,
-                op: *op,
-                min_ratio: *min_ratio,
-                postings: CowMap::new(),
-                counts: CowVec::new(),
-                empty: Arc::default(),
-            },
-            AtomIndex::BagPrefix { left, right, alpha, .. } => AtomIndex::BagPrefix {
-                left: *left,
-                right: *right,
-                alpha: *alpha,
-                postings: CowMap::new(),
-                lens: CowVec::new(),
-                empty: Arc::default(),
-            },
         }
     }
 
@@ -485,29 +481,28 @@ impl AtomIndex {
     /// against the probe. An unsatisfiable probe value (`Null`)
     /// prepares an empty retrieval. `probe_prep` is the probe side's
     /// signature cache and `row` the probe's position in it (batched
-    /// probes share one prep). The string/element buffers are reusable
-    /// scratch.
-    #[allow(clippy::too_many_arguments)]
+    /// probes share one prep).
     fn prepare<'a>(
         &'a self,
         probe: &Tuple,
         probe_prep: &RelationPrep,
         row: usize,
         ops: &RuntimeOps,
-        keybuf: &mut Vec<String>,
-        elembuf: &mut Vec<u64>,
-        charbuf: &mut Vec<char>,
+        scratch: &mut AnchorScratch,
     ) -> PreparedAtom<'a> {
         let mut pa = PreparedAtom::empty();
         match self {
-            AtomIndex::Exact { left, buckets, .. } => {
-                if let Some(s) = probe.get(*left).as_str() {
-                    if let Some(bucket) = buckets.get(s) {
+            AtomIndex::Keys { left, op, buckets, .. } => {
+                let Some(s) = probe.get(*left).as_str() else {
+                    return pa; // null matches nothing
+                };
+                scratch.for_each_key(ops, *op, s, |key| {
+                    if let Some(bucket) = buckets.get(key) {
                         pa.plain.push(bucket.as_slice());
                     }
-                }
+                });
             }
-            AtomIndex::Qgram { left, theta, safe_len, postings, sparse, lens, masks, .. } => {
+            AtomIndex::Grams { left, theta, safe_len, postings, sparse, lens, masks, .. } => {
                 let computed;
                 let sig = match probe_prep.sig(row, *left) {
                     Some(sig) => sig,
@@ -517,7 +512,7 @@ impl AtomIndex {
                     }
                 };
                 if sig.is_null() {
-                    return pa; // null matches nothing
+                    return pa;
                 }
                 if sig.sig().char_len() < *safe_len {
                     // Short probe: pairs below the safe length need not
@@ -537,64 +532,23 @@ impl AtomIndex {
                 let edit = EditProbe { theta: *theta, len, mask, len_lo, len_hi };
                 pa.filter = SlotFilter::EditMeta { lens, masks, edit };
             }
-            AtomIndex::Derived { left, op, buckets, .. } => {
+            AtomIndex::Elements { left, op, min_ratio, postings, sizes, empty, .. } => {
                 let Some(s) = probe.get(*left).as_str() else {
                     return pa;
                 };
-                keybuf.clear();
-                ops.derived_keys_into(*op, s, keybuf);
-                keybuf.sort_unstable();
-                keybuf.dedup();
-                for key in keybuf.iter() {
-                    if let Some(bucket) = buckets.get(key) {
-                        pa.plain.push(bucket.as_slice());
-                    }
-                }
-            }
-            AtomIndex::Tokens { left, op, min_ratio, postings, counts, empty, .. } => {
-                let Some(s) = probe.get(*left).as_str() else {
-                    return pa;
-                };
-                elembuf.clear();
-                ops.index_elements_into(*op, s, elembuf);
-                if elembuf.is_empty() {
-                    // ∅ ≈ ∅ scores 1; an element-less probe can only
-                    // match element-less tuples (the ratio bound rules
-                    // everything else out).
+                let size = scratch.elements_of(ops, *op, s);
+                if scratch.elems.is_empty() {
+                    // An element-less probe can only match element-less
+                    // tuples (the ratio bound rules everything else out).
                     pa.plain.push(empty.as_slice());
                     return pa;
                 }
-                let probe_count = elembuf.len() as u32;
-                elembuf.sort_unstable();
-                elembuf.dedup();
-                for elem in elembuf.iter() {
+                for elem in &scratch.elems {
                     if let Some(list) = postings.get(elem) {
                         pa.comp.push(list);
                     }
                 }
-                pa.filter = SlotFilter::Ratio { ratio: *min_ratio, counts, probe: probe_count };
-            }
-            AtomIndex::BagPrefix { left, alpha, postings, lens, empty, .. } => {
-                let Some(s) = probe.get(*left).as_str() else {
-                    return pa;
-                };
-                charbuf.clear();
-                charbuf.extend(s.chars());
-                let n = charbuf.len();
-                if n == 0 {
-                    // jw("", "") = 1 via equality; "" matches nothing else.
-                    pa.plain.push(empty.as_slice());
-                    return pa;
-                }
-                charbuf.sort_unstable();
-                charbuf.truncate(n - overlap_need(*alpha, n) + 1);
-                charbuf.dedup();
-                for &c in charbuf.iter() {
-                    if let Some(list) = postings.get(&c) {
-                        pa.comp.push(list);
-                    }
-                }
-                pa.filter = SlotFilter::Ratio { ratio: *alpha, counts: lens, probe: n as u32 };
+                pa.filter = SlotFilter::Ratio { ratio: *min_ratio, sizes, probe: size };
             }
         }
         pa
@@ -605,7 +559,7 @@ impl AtomIndex {
     /// stored tuple. Plain lists drop the entry immediately; compressed
     /// posting lists tombstone it and rewrite their block once half dead
     /// (`alive` drives the rewrite's liveness check). Aligned per-slot
-    /// metadata (`counts` / `lens` / `masks`) keeps its entry: slots are
+    /// metadata (`sizes` / `lens` / `masks`) keeps its entry: slots are
     /// never reused, and the data stays correct for any stale reader.
     fn remove_slot(
         &mut self,
@@ -614,28 +568,48 @@ impl AtomIndex {
         prep: &RelationPrep,
         ops: &RuntimeOps,
         alive: &CowVec<bool>,
+        scratch: &mut AnchorScratch,
     ) {
         fn drop_from(list: &mut Vec<u32>, slot: u32) {
             if let Ok(i) = list.binary_search(&slot) {
                 list.remove(i);
             }
         }
+        fn drop_posting(
+            postings: &mut CowMap<u64, PostingList>,
+            key: u64,
+            slot: u32,
+            alive: &CowVec<bool>,
+        ) {
+            let emptied = match postings.get_mut(&key) {
+                Some(list) => {
+                    list.note_removed(slot, alive);
+                    list.is_empty()
+                }
+                None => false,
+            };
+            if emptied {
+                postings.remove(&key);
+            }
+        }
         match self {
-            AtomIndex::Exact { right, buckets, .. } => {
+            AtomIndex::Keys { right, op, buckets, .. } => {
                 if let Some(s) = tuple.get(*right).as_str() {
-                    let emptied = match buckets.get_mut(s) {
-                        Some(bucket) => {
-                            drop_from(bucket, slot);
-                            bucket.is_empty()
+                    scratch.for_each_key(ops, *op, s, |key| {
+                        let emptied = match buckets.get_mut(key) {
+                            Some(bucket) => {
+                                drop_from(bucket, slot);
+                                bucket.is_empty()
+                            }
+                            None => false,
+                        };
+                        if emptied {
+                            buckets.remove(key);
                         }
-                        None => false,
-                    };
-                    if emptied {
-                        buckets.remove(s);
-                    }
+                    });
                 }
             }
-            AtomIndex::Qgram { right, safe_len, postings, sparse, .. } => {
+            AtomIndex::Grams { right, safe_len, postings, sparse, .. } => {
                 let computed;
                 let sig = match prep.sig(slot as usize, *right) {
                     Some(sig) => sig,
@@ -651,84 +625,17 @@ impl AtomIndex {
                     drop_from(Arc::make_mut(sparse), slot);
                 }
                 for hash in sig.sig().qgrams().distinct_hashes() {
-                    let emptied = match postings.get_mut(&hash) {
-                        Some(list) => {
-                            list.note_removed(slot, alive);
-                            list.is_empty()
-                        }
-                        None => false,
-                    };
-                    if emptied {
-                        postings.remove(&hash);
-                    }
+                    drop_posting(postings, hash, slot, alive);
                 }
             }
-            AtomIndex::Derived { right, op, buckets, .. } => {
+            AtomIndex::Elements { right, op, postings, empty, .. } => {
                 if let Some(s) = tuple.get(*right).as_str() {
-                    let mut keys = Vec::new();
-                    ops.derived_keys_into(*op, s, &mut keys);
-                    keys.sort_unstable();
-                    keys.dedup();
-                    for key in keys {
-                        let emptied = match buckets.get_mut(&key) {
-                            Some(bucket) => {
-                                drop_from(bucket, slot);
-                                bucket.is_empty()
-                            }
-                            None => false,
-                        };
-                        if emptied {
-                            buckets.remove(&key);
-                        }
-                    }
-                }
-            }
-            AtomIndex::Tokens { right, op, postings, empty, .. } => {
-                if let Some(s) = tuple.get(*right).as_str() {
-                    let mut elems = Vec::new();
-                    ops.index_elements_into(*op, s, &mut elems);
-                    if elems.is_empty() {
+                    scratch.elements_of(ops, *op, s);
+                    if scratch.elems.is_empty() {
                         drop_from(Arc::make_mut(empty), slot);
-                        return;
                     }
-                    elems.sort_unstable();
-                    elems.dedup();
-                    for elem in elems {
-                        let emptied = match postings.get_mut(&elem) {
-                            Some(list) => {
-                                list.note_removed(slot, alive);
-                                list.is_empty()
-                            }
-                            None => false,
-                        };
-                        if emptied {
-                            postings.remove(&elem);
-                        }
-                    }
-                }
-            }
-            AtomIndex::BagPrefix { right, alpha, postings, empty, .. } => {
-                if let Some(s) = tuple.get(*right).as_str() {
-                    let mut chars: Vec<char> = s.chars().collect();
-                    let n = chars.len();
-                    if n == 0 {
-                        drop_from(Arc::make_mut(empty), slot);
-                        return;
-                    }
-                    chars.sort_unstable();
-                    chars.truncate(n - overlap_need(*alpha, n) + 1);
-                    chars.dedup();
-                    for c in chars {
-                        let emptied = match postings.get_mut(&c) {
-                            Some(list) => {
-                                list.note_removed(slot, alive);
-                                list.is_empty()
-                            }
-                            None => false,
-                        };
-                        if emptied {
-                            postings.remove(&c);
-                        }
+                    for &elem in &scratch.elems {
+                        drop_posting(postings, elem, slot, alive);
                     }
                 }
             }
@@ -743,12 +650,11 @@ impl AtomIndex {
 /// rejects would be rejected by the corresponding verification filter
 /// (size ratio, length window, char-bag bound) anyway.
 enum SlotFilter<'a> {
-    /// No per-entry metadata (exact / derived buckets, empty-value
-    /// lists).
+    /// No per-entry metadata (key buckets, empty-value lists).
     None,
-    /// The size-ratio bound of element and char-bag anchors:
-    /// `min ≥ ratio·max` over per-slot counts vs the probe's count.
-    Ratio { ratio: f64, counts: &'a CowVec<u32>, probe: u32 },
+    /// The size-ratio bound of element anchors: `min ≥ ratio·max` over
+    /// per-slot sizes vs the probe's size.
+    Ratio { ratio: f64, sizes: &'a CowVec<u32>, probe: u32 },
     /// The edit-atom prefilters: the probe's length window
     /// ([`edit_len_window`]) plus the char-bag presence-mask bound
     /// against `theta_bound(θ, max(len))`.
@@ -806,7 +712,7 @@ impl SlotFilter<'_> {
         let slot = slot as usize;
         match *self {
             SlotFilter::None => true,
-            SlotFilter::Ratio { ratio, counts, probe } => ratio_ok(ratio, counts[slot], probe),
+            SlotFilter::Ratio { ratio, sizes, probe } => ratio_ok(ratio, sizes[slot], probe),
             SlotFilter::EditMeta { lens, masks, ref edit } => {
                 edit_meta_ok(lens[slot], || masks[slot], edit)
             }
@@ -821,11 +727,11 @@ impl SlotFilter<'_> {
     fn scan_out(&self, words: &[u64], stats: &mut FilterStats) -> Vec<u32> {
         match *self {
             SlotFilter::None => scan_runs(words, stats, |_| (), |_, _| true),
-            SlotFilter::Ratio { ratio, counts, probe } => scan_runs(
+            SlotFilter::Ratio { ratio, sizes, probe } => scan_runs(
                 words,
                 stats,
-                |base| counts.run_of(base),
-                |counts, offset| ratio_ok(ratio, counts[offset], probe),
+                |base| sizes.run_of(base),
+                |sizes, offset| ratio_ok(ratio, sizes[offset], probe),
             ),
             SlotFilter::EditMeta { lens, masks, ref edit } => scan_runs(
                 words,
@@ -875,9 +781,9 @@ fn scan_runs<R>(
 /// materialized: the compressed posting lists and plain slot slices
 /// whose union — filtered per entry — is the atom's candidate set.
 struct PreparedAtom<'a> {
-    /// Compressed posting lists (gram / element / char-prefix postings).
+    /// Compressed posting lists (gram / element postings).
     comp: Vec<&'a PostingList>,
-    /// Plain sorted slot lists (exact/derived buckets, sparse/empty).
+    /// Plain sorted slot lists (key buckets, sparse/empty lists).
     plain: Vec<&'a [u32]>,
     filter: SlotFilter<'a>,
 }
@@ -927,7 +833,7 @@ impl<'a> PreparedAtom<'a> {
     /// Materializes the filtered union, ascending and deduplicated: OR
     /// every list into a bitmap over the relation's slots (bitset blocks
     /// land as four word-ORs each), then scan set bits through the
-    /// per-entry filter. A single unfiltered plain list (exact bucket,
+    /// per-entry filter. A single unfiltered plain list (key bucket,
     /// empty-value list) short-circuits without touching the bitmap.
     fn materialize(
         &self,
@@ -995,18 +901,17 @@ fn member_intersect(acc: &mut Vec<u32>, pa: &PreparedAtom<'_>, stats: &mut Filte
 /// testing the few survivors against it one slot at a time.
 const FOLD_RATIO: usize = 4;
 
-/// Reusable per-thread buffers of the probe hot path: the union bitmap,
-/// block-decode scratch and the probe-side key/element/char buffers.
-/// Thread-local so concurrent queries (server shards, batched pools)
-/// never contend, and sequential queries never re-allocate.
+/// Reusable per-thread buffers of the probe hot path — the union bitmap
+/// and block-decode scratch — plus the key/element buffers that probes
+/// and index maintenance share. Thread-local so concurrent queries
+/// (server shards, batched pools) never contend, and sequential calls
+/// never re-allocate.
 #[derive(Default)]
 struct ProbeScratch {
     words: Vec<u64>,
     and_words: Vec<u64>,
     decode: Vec<u32>,
-    keys: Vec<String>,
-    elems: Vec<u64>,
-    chars: Vec<char>,
+    anchor: AnchorScratch,
 }
 
 /// Set bits in a bitmap (the size of the running intersection during
@@ -1099,28 +1004,23 @@ impl PairTrace {
 pub struct IndexStats {
     /// Number of keys.
     pub keys: usize,
-    /// Distinct equality atoms indexed (exact buckets).
-    pub exact_anchors: usize,
+    /// Distinct atoms indexed as key buckets (equality, soundex, digits,
+    /// synonym tables).
+    pub key_anchors: usize,
     /// Distinct edit atoms indexed (q-gram postings + sparse list).
     pub qgram_anchors: usize,
-    /// Distinct derived-key atoms indexed (soundex / digits / synonym
-    /// buckets).
-    pub derived_anchors: usize,
-    /// Distinct element-set atoms indexed (token / q-gram postings).
-    pub token_anchors: usize,
-    /// Distinct char-bag-bounded atoms indexed (sorted-char-prefix
-    /// postings).
-    pub bag_anchors: usize,
+    /// Distinct atoms indexed as element postings (tokens, q-gram Dice,
+    /// Jaro–Winkler).
+    pub element_anchors: usize,
     /// Keys with no indexable atom (full scan per probe).
     pub scan_keys: usize,
     /// Live (queryable) tuples.
     pub live: usize,
     /// Removed tuples still occupying slots (rebuild to compact).
     pub tombstones: usize,
-    /// Distinct bucket values across all exact and derived-key anchors.
+    /// Distinct bucket keys across all key anchors.
     pub exact_buckets: usize,
-    /// Distinct posting lists across all q-gram, element and char-bag
-    /// anchors.
+    /// Distinct posting lists across all q-gram and element anchors.
     pub posting_lists: usize,
     /// Slots on sparse/empty lists (short strings below an edit atom's
     /// safe length, element-less or empty values under set/bag anchors).
@@ -1196,11 +1096,9 @@ impl fmt::Debug for MatchIndex {
             .field("keys", &stats.keys)
             .field("live", &stats.live)
             .field("tombstones", &stats.tombstones)
-            .field("exact_anchors", &stats.exact_anchors)
+            .field("key_anchors", &stats.key_anchors)
             .field("qgram_anchors", &stats.qgram_anchors)
-            .field("derived_anchors", &stats.derived_anchors)
-            .field("token_anchors", &stats.token_anchors)
-            .field("bag_anchors", &stats.bag_anchors)
+            .field("element_anchors", &stats.element_anchors)
             .field("scan_keys", &stats.scan_keys)
             .finish()
     }
@@ -1256,63 +1154,20 @@ impl MatchIndex {
         // One inverted index per distinct indexable atom (several keys
         // often share an atom — email equality, say — and pay for one
         // index); each key records which of them constrain it.
-        let mut atom_indices: Vec<AtomIndex> = Vec::new();
-        let mut atom_of: HashMap<(AttrId, AttrId, u16), usize> = HashMap::new();
+        let mut anchors: Vec<(SimilarityAtom, Anchor)> = Vec::new();
+        let mut atom_of: HashMap<SimilarityAtom, usize> = HashMap::new();
         let mut key_atoms: Vec<Vec<usize>> = Vec::with_capacity(keys.len());
         for key in keys {
             let mut refs = Vec::new();
             for atom in key.atoms() {
-                let empty = match ops.kernel_class(atom.op) {
-                    KernelClass::Equality => Some(AtomIndex::Exact {
-                        left: atom.left,
-                        right: atom.right,
-                        buckets: CowMap::new(),
-                    }),
-                    KernelClass::Edit { theta } => {
-                        qgram_safe_len(theta, FILTER_Q).map(|safe_len| AtomIndex::Qgram {
-                            left: atom.left,
-                            right: atom.right,
-                            theta,
-                            safe_len,
-                            postings: CowMap::new(),
-                            sparse: Arc::default(),
-                            lens: CowVec::new(),
-                            masks: CowVec::new(),
-                        })
-                    }
-                    KernelClass::DerivedKey => Some(AtomIndex::Derived {
-                        left: atom.left,
-                        right: atom.right,
-                        op: atom.op,
-                        buckets: CowMap::new(),
-                    }),
-                    KernelClass::TokenSet { min_ratio } => Some(AtomIndex::Tokens {
-                        left: atom.left,
-                        right: atom.right,
-                        op: atom.op,
-                        min_ratio,
-                        postings: CowMap::new(),
-                        counts: CowVec::new(),
-                        empty: Arc::default(),
-                    }),
-                    KernelClass::Bounded { alpha } => Some(AtomIndex::BagPrefix {
-                        left: atom.left,
-                        right: atom.right,
-                        alpha,
-                        postings: CowMap::new(),
-                        lens: CowVec::new(),
-                        empty: Arc::default(),
-                    }),
-                    KernelClass::Opaque => None,
+                let Some(anchor) = anchor_of(ops.class(atom.op)) else {
+                    continue;
                 };
-                if let Some(empty) = empty {
-                    let pos =
-                        *atom_of.entry((atom.left, atom.right, atom.op.0)).or_insert_with(|| {
-                            atom_indices.push(empty);
-                            atom_indices.len() - 1
-                        });
-                    refs.push(pos);
-                }
+                let pos = *atom_of.entry(*atom).or_insert_with(|| {
+                    anchors.push((*atom, anchor));
+                    anchors.len() - 1
+                });
+                refs.push(pos);
             }
             // By position: each probe orders the atoms by its own posting
             // volumes, and position breaks volume ties.
@@ -1325,24 +1180,25 @@ impl MatchIndex {
         // chunk order so slot lists come out ascending. A one-thread pool
         // gets one chunk: partials it would only fold back together
         // serially are pure overhead.
+        let empty = || -> Vec<AtomIndex> {
+            anchors.iter().map(|(atom, anchor)| AtomIndex::new(atom, *anchor)).collect()
+        };
         let tuples = relation.tuples();
         let min_chunk = if pool.threads() == 1 { tuples.len() } else { BUILD_MIN_CHUNK };
         let partials: Vec<Vec<AtomIndex>> = pool.par_ranges(tuples.len(), min_chunk, |_, range| {
-            let mut partial: Vec<AtomIndex> =
-                atom_indices.iter().map(AtomIndex::empty_like).collect();
+            let mut partial = empty();
+            let mut scratch = AnchorScratch::default();
             for pos in range {
                 for atom in &mut partial {
-                    atom.add(pos as u32, &tuples[pos], &prep, &ops);
+                    atom.add(pos as u32, &tuples[pos], &prep, &ops, &mut scratch);
                 }
             }
             partial
         });
         let mut partials = partials.into_iter();
         // The first chunk's partial *is* the index so far; folding it
-        // into the empty shapes would re-insert every entry.
-        if let Some(first) = partials.next() {
-            atom_indices = first;
-        }
+        // into empty shapes would re-insert every entry.
+        let mut atom_indices = partials.next().unwrap_or_else(empty);
         for chunk in partials {
             for (atom, partial) in atom_indices.iter_mut().zip(chunk) {
                 atom.merge(partial);
@@ -1422,17 +1278,13 @@ impl MatchIndex {
         }
         for atom in &self.atom_indices {
             match atom {
-                AtomIndex::Exact { .. } | AtomIndex::Derived { .. } => {}
-                AtomIndex::Qgram { postings, lens, masks, .. } => {
+                AtomIndex::Keys { .. } => {}
+                AtomIndex::Grams { postings, lens, masks, .. } => {
                     assert_eq!((lens.len(), masks.len()), (slots, slots));
                     postings.values().for_each(PostingList::check_invariants);
                 }
-                AtomIndex::Tokens { postings, counts, .. } => {
-                    assert_eq!(counts.len(), slots);
-                    postings.values().for_each(PostingList::check_invariants);
-                }
-                AtomIndex::BagPrefix { postings, lens, .. } => {
-                    assert_eq!(lens.len(), slots);
+                AtomIndex::Elements { postings, sizes, .. } => {
+                    assert_eq!(sizes.len(), slots);
                     postings.values().for_each(PostingList::check_invariants);
                 }
             }
@@ -1443,11 +1295,9 @@ impl MatchIndex {
     pub fn stats(&self) -> IndexStats {
         let mut stats = IndexStats {
             keys: self.key_atoms.len(),
-            exact_anchors: 0,
+            key_anchors: 0,
             qgram_anchors: 0,
-            derived_anchors: 0,
-            token_anchors: 0,
-            bag_anchors: 0,
+            element_anchors: 0,
             scan_keys: self.key_atoms.iter().filter(|refs| refs.is_empty()).count(),
             live: self.live,
             tombstones: self.tuples.len() - self.live,
@@ -1458,42 +1308,26 @@ impl MatchIndex {
             postings_uncompressed_bytes: 0,
         };
         for atom in &self.atom_indices {
-            match atom {
-                AtomIndex::Exact { buckets, .. } => {
-                    stats.exact_anchors += 1;
+            let (postings, sparse) = match atom {
+                AtomIndex::Keys { buckets, .. } => {
+                    stats.key_anchors += 1;
                     stats.exact_buckets += buckets.len();
+                    continue;
                 }
-                AtomIndex::Qgram { postings, sparse, .. } => {
+                AtomIndex::Grams { postings, sparse, .. } => {
                     stats.qgram_anchors += 1;
-                    stats.posting_lists += postings.len();
-                    stats.sparse_entries += sparse.len();
-                    for list in postings.values() {
-                        stats.postings_bytes += list.bytes();
-                        stats.postings_uncompressed_bytes += list.uncompressed_bytes();
-                    }
+                    (postings, sparse)
                 }
-                AtomIndex::Derived { buckets, .. } => {
-                    stats.derived_anchors += 1;
-                    stats.exact_buckets += buckets.len();
+                AtomIndex::Elements { postings, empty, .. } => {
+                    stats.element_anchors += 1;
+                    (postings, empty)
                 }
-                AtomIndex::Tokens { postings, empty, .. } => {
-                    stats.token_anchors += 1;
-                    stats.posting_lists += postings.len();
-                    stats.sparse_entries += empty.len();
-                    for list in postings.values() {
-                        stats.postings_bytes += list.bytes();
-                        stats.postings_uncompressed_bytes += list.uncompressed_bytes();
-                    }
-                }
-                AtomIndex::BagPrefix { postings, empty, .. } => {
-                    stats.bag_anchors += 1;
-                    stats.posting_lists += postings.len();
-                    stats.sparse_entries += empty.len();
-                    for list in postings.values() {
-                        stats.postings_bytes += list.bytes();
-                        stats.postings_uncompressed_bytes += list.uncompressed_bytes();
-                    }
-                }
+            };
+            stats.posting_lists += postings.len();
+            stats.sparse_entries += sparse.len();
+            for list in postings.values() {
+                stats.postings_bytes += list.bytes();
+                stats.postings_uncompressed_bytes += list.uncompressed_bytes();
             }
         }
         stats
@@ -1587,7 +1421,7 @@ impl MatchIndex {
         let n_slots = self.tuples.len();
         PROBE_SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
-            let ProbeScratch { words, and_words, decode, keys, elems, chars } = scratch;
+            let ProbeScratch { words, and_words, decode, anchor } = scratch;
             // Prepare and materialize each distinct atom at most once:
             // several keys usually share atoms.
             let mut prepared: Vec<Option<PreparedAtom<'_>>> =
@@ -1612,8 +1446,7 @@ impl MatchIndex {
                 order.clear();
                 for &pos in refs {
                     let pa = prepared[pos].get_or_insert_with(|| {
-                        self.atom_indices[pos]
-                            .prepare(probe, probe_prep, row, &self.ops, keys, elems, chars)
+                        self.atom_indices[pos].prepare(probe, probe_prep, row, &self.ops, anchor)
                     });
                     order.push((pa.volume(), pos));
                 }
@@ -1909,9 +1742,11 @@ impl MatchIndex {
         let slot = self.tuples.len() as u32;
         // Prep first: the atom indices read the new row's signatures.
         self.prep.push_row(&tuple);
-        for atom in &mut self.atom_indices {
-            atom.add(slot, &tuple, &self.prep, &self.ops);
-        }
+        PROBE_SCRATCH.with_borrow_mut(|scratch| {
+            for atom in &mut self.atom_indices {
+                atom.add(slot, &tuple, &self.prep, &self.ops, &mut scratch.anchor);
+            }
+        });
         self.by_id.insert(tuple.id(), slot);
         self.alive.push(true);
         self.live += 1;
@@ -1931,9 +1766,18 @@ impl MatchIndex {
         *self.alive.get_mut(slot as usize) = false;
         self.live -= 1;
         let tuple = &self.tuples[slot as usize];
-        for atom in &mut self.atom_indices {
-            atom.remove_slot(slot, tuple, &self.prep, &self.ops, &self.alive);
-        }
+        PROBE_SCRATCH.with_borrow_mut(|scratch| {
+            for atom in &mut self.atom_indices {
+                atom.remove_slot(
+                    slot,
+                    tuple,
+                    &self.prep,
+                    &self.ops,
+                    &self.alive,
+                    &mut scratch.anchor,
+                );
+            }
+        });
         Ok(())
     }
 
@@ -2006,7 +1850,7 @@ mod tests {
     use matchrules_data::eval::paper_registry;
     use matchrules_data::fig1;
     use matchrules_data::value::Value;
-    use matchrules_simdist::ops::{EqualityOp, SynonymOp};
+    use matchrules_simdist::ops::{EqualityOp, SimilarityOp, SynonymOp};
 
     fn fig1_index(
     ) -> (matchrules_core::paper::PaperSetting, matchrules_data::relation::InstancePair, MatchIndex)
@@ -2142,7 +1986,7 @@ mod tests {
         assert!(hits.iter().any(|h| h.slot == t4_slot));
     }
 
-    /// A registry whose `≈opaque` operator declares `IndexStrategy::Scan`
+    /// A registry whose `≈opaque` operator declares `OpClass::Scan`
     /// (a synonym table with a fallback — the one standard shape retrieval
     /// cannot cover) but still matches like plain equality.
     fn scan_registry() -> matchrules_simdist::ops::OpRegistry {
@@ -2304,11 +2148,11 @@ mod tests {
     }
 
     #[test]
-    fn derived_anchor_buckets_soundex_codes() {
+    fn key_anchor_buckets_soundex_codes() {
         let values = ["Robert", "Rupert", "Smith", "Smyth", "", "908-1111"];
         let (index, ops) = single_atom_index("≈sx", &values);
         let stats = index.stats();
-        assert_eq!(stats.derived_anchors, 1);
+        assert_eq!(stats.key_anchors, 1);
         assert_eq!(stats.scan_keys, 0);
         assert_matches_scan(&index, &ops, "≈sx", &["Robert", "Smith", "smith", "", "none"]);
         // Soundex twins are retrieved through one bucket, not a scan.
@@ -2328,7 +2172,7 @@ mod tests {
         ];
         let (index, ops) = single_atom_index("≈tok", &values);
         let stats = index.stats();
-        assert_eq!(stats.token_anchors, 1);
+        assert_eq!(stats.element_anchors, 1);
         assert_eq!(stats.scan_keys, 0);
         assert!(stats.sparse_entries >= 1, "token-less value on the empty list");
         assert_matches_scan(
@@ -2348,17 +2192,17 @@ mod tests {
         let values = ["Clifford", "Cliford", "Washington", ""];
         let (index, ops) = single_atom_index("≈qg", &values);
         let stats = index.stats();
-        assert_eq!(stats.token_anchors, 1, "Dice anchors through element postings");
+        assert_eq!(stats.element_anchors, 1, "Dice anchors through element postings");
         assert_eq!(stats.qgram_anchors, 0);
         assert_matches_scan(&index, &ops, "≈qg", &["Clifford", "Washingtan", "", "zzz"]);
     }
 
     #[test]
-    fn bag_prefix_anchor_is_sound_for_jaro_winkler() {
+    fn element_anchor_is_sound_for_jaro_winkler() {
         let values = ["Clifford", "Cliford", "martha", "marhta", "Jones", ""];
         let (index, ops) = single_atom_index("≈jw", &values);
         let stats = index.stats();
-        assert_eq!(stats.bag_anchors, 1);
+        assert_eq!(stats.element_anchors, 1);
         assert_eq!(stats.scan_keys, 0, "jw at 0.9 must be indexable");
         assert_matches_scan(&index, &ops, "≈jw", &["Clifford", "marhta", "Jonse", "", "xyz"]);
         // An empty probe only reaches the empty-string bucket.
@@ -2407,6 +2251,65 @@ mod tests {
         assert_eq!(outcome.candidates, 2);
         assert_eq!(outcome.stats.dedup_saved, 1);
         assert_eq!(outcome.hits.len(), 2);
+    }
+
+    /// An `Equality`-class operator that keeps the trait's panicking
+    /// default `derived_keys`.
+    #[derive(Debug)]
+    struct BareEquality;
+
+    impl SimilarityOp for BareEquality {
+        fn name(&self) -> &str {
+            "≈same"
+        }
+        fn matches(&self, a: &str, b: &str) -> bool {
+            a == b
+        }
+        fn class(&self) -> OpClass {
+            OpClass::Equality
+        }
+    }
+
+    #[test]
+    fn equality_class_keys_on_the_value_without_asking_the_operator() {
+        let mut registry = paper_registry();
+        registry.register(Arc::new(BareEquality));
+        let mut table = OperatorTable::new();
+        let op = table.intern("≈same");
+        let ops = Arc::new(RuntimeOps::resolve(&table, &registry).unwrap());
+        let schema = Arc::new(Schema::text("R", &["v"]).unwrap());
+        let mut rel = Relation::new(schema);
+        for (i, v) in ["Mark", "Marx", "Mark"].iter().enumerate() {
+            rel.push(Tuple::new(i as u64 + 1, vec![Value::str(v)]));
+        }
+        let key = RelativeKey::new(vec![SimilarityAtom::new(0, 0, op)]);
+        // Build, probe and remove would each panic if they asked the operator.
+        let mut index = MatchIndex::build(1, &rel, &[key], &[], ops).unwrap();
+        assert_eq!(index.stats().key_anchors, 1);
+        let probe = Tuple::new(9, vec![Value::str("Mark")]);
+        let ids = |index: &MatchIndex| -> Vec<u64> {
+            index.query(&probe).hits.iter().map(|h| h.id).collect()
+        };
+        assert_eq!(ids(&index), vec![1, 3]);
+        index.remove(1).unwrap();
+        assert_eq!(ids(&index), vec![3]);
+    }
+
+    #[test]
+    fn anchor_of_maps_every_class() {
+        assert_eq!(anchor_of(OpClass::Equality), Some(Anchor::Keys));
+        assert_eq!(anchor_of(OpClass::Keys), Some(Anchor::Keys));
+        assert_eq!(
+            anchor_of(OpClass::Edit { theta: 0.8, transpositions: false }),
+            Some(Anchor::Grams { theta: 0.8, safe_len: 2 })
+        );
+        // Too loose for gram sharing at any length: the atom scans.
+        assert_eq!(anchor_of(OpClass::Edit { theta: 0.6, transpositions: true }), None);
+        assert_eq!(
+            anchor_of(OpClass::Elements { min_ratio: 0.5 }),
+            Some(Anchor::Elements { min_ratio: 0.5 })
+        );
+        assert_eq!(anchor_of(OpClass::Scan), None);
     }
 
     #[test]

@@ -29,7 +29,8 @@
 //! * [`phonetic`] — Soundex, used by §6 Exp-4 to encode names for blocking.
 //! * [`token`] — token-set similarity for multi-word fields such as
 //!   addresses.
-//! * [`ops`] — the [`ops::SimilarityOp`] trait, thresholded
+//! * [`ops`] — the [`ops::SimilarityOp`] trait with each operator's
+//!   [`ops::OpClass`] (how it is evaluated and indexed), thresholded
 //!   operator wrappers, synonym-table operators (the paper's §8 "constant
 //!   transformation" extension), and the runtime [`ops::OpRegistry`]
 //!   that maps the symbolic operators of the reasoning core to executable

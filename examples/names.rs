@@ -6,8 +6,8 @@
 //! set whose every atom is fuzzy — jaro-winkler on first names, soundex
 //! on surnames, token-set similarity on cities — and shows that the
 //! `MatchIndex` still serves it with **zero scan-fallback keys**: each
-//! operator declares its own retrieval strategy (`IndexableAtom`), so
-//! jaro-winkler probes char-bag prefix buckets, soundex probes derived
+//! operator declares its own class (`OpClass`), so jaro-winkler probes
+//! postings of its sorted-character prefix, soundex probes buckets of
 //! phonetic codes, and the token atom probes word posting lists. Run
 //! with:
 //!
@@ -68,14 +68,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let index = engine.index(&signups)?;
     let stats = index.stats();
     println!(
-        "index over {} signups: {} derived-key + {} token + {} char-bag + {} exact anchors, \
-         {} scan keys\n",
-        stats.live,
-        stats.derived_anchors,
-        stats.token_anchors,
-        stats.bag_anchors,
-        stats.exact_anchors,
-        stats.scan_keys
+        "index over {} signups: {} key + {} element anchors, {} scan keys\n",
+        stats.live, stats.key_anchors, stats.element_anchors, stats.scan_keys
     );
     assert_eq!(stats.scan_keys, 0, "no key may fall back to scanning");
 

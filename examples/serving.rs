@@ -60,8 +60,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut index = engine.index(&orders_rel)?;
     let stats = index.stats();
     println!(
-        "index over {} orders: {} exact atom indices, {} q-gram atom indices\n",
-        stats.live, stats.exact_anchors, stats.qgram_anchors
+        "index over {} orders: {} key atom indices, {} q-gram atom indices\n",
+        stats.live, stats.key_anchors, stats.qgram_anchors
     );
 
     // ...query many. Which orders belong to this CRM record?

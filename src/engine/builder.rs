@@ -11,7 +11,7 @@ use matchrules_core::parser::parse_md_set;
 use matchrules_core::rck::find_rcks;
 use matchrules_core::relative_key::Target;
 use matchrules_core::schema::{AttrKind, Schema, SchemaPair, Side};
-use matchrules_data::eval::{paper_registry, KernelClass, RuntimeOps};
+use matchrules_data::eval::{paper_registry, RuntimeOps};
 use matchrules_data::relation::Relation;
 use matchrules_matcher::fellegi_sunter::rck_comparison_vector;
 use matchrules_matcher::pipeline::{apply_length_stats, rck_block_key, rck_sort_keys};
@@ -486,10 +486,9 @@ impl EngineBuilder {
         // binding — not at the first match call. The resolved runtime also
         // drives the score-model fit below.
         let runtime = RuntimeOps::resolve(&ops, &self.registry)?;
-        // Per-operator kernel classes, frozen into the plan: `describe()`
-        // reports them and `MatchIndex` builds the matching anchor kinds.
-        let atom_classes: Vec<KernelClass> =
-            (0..ops.len()).map(|i| runtime.kernel_class(OperatorId(i as u16))).collect();
+        // Per-operator classes, frozen into the plan: `describe()` reports
+        // the anchor kinds `MatchIndex` builds from them.
+        let atom_classes = (0..ops.len()).map(|i| runtime.class(OperatorId(i as u16))).collect();
 
         // Cost model: configured weights plus measured `lt` statistics
         // (after checking the measured relations instantiate the schemas —

@@ -20,13 +20,11 @@
 //!
 //! Next to batch matching and dedup there is a third execution mode:
 //! [`MatchEngine::index`] compiles the plan's RCKs into a [`MatchIndex`]
-//! (per-RCK inverted indices — exact buckets for equality atoms, q-gram
-//! posting lists for edit atoms, derived-key buckets for phonetic and
-//! normalizing atoms, token posting lists with a sound ratio prefilter
-//! for token-set atoms, and sorted-char-prefix buckets for bounded atoms
-//! like Jaro–Winkler; every operator declares its strategy through
-//! `IndexableAtom`, surfaced per plan as [`KernelClass`] via
-//! [`MatchPlan::atom_class`]), which answers point queries
+//! (per-RCK inverted indices — key buckets for equality, phonetic and
+//! normalizing atoms, q-gram posting lists for edit atoms, and element
+//! posting lists with a sound size-ratio prefilter for token, q-gram and
+//! Jaro–Winkler atoms; every operator declares its [`OpClass`], reported
+//! per plan via [`MatchPlan::atom_class`]), which answers point queries
 //! ([`MatchIndex::query`]: matched ids plus which RCK fired), supports
 //! incremental [`MatchIndex::insert`]/[`MatchIndex::remove`], and backs
 //! [`MatchEngine::match_pairs_indexed`] — batch matching whose candidates
@@ -61,7 +59,7 @@ pub mod preset;
 pub(crate) use builder::schemas_compatible;
 
 pub use builder::{EngineBuilder, EngineError};
-pub use matchrules_data::eval::{AtomStage, AtomTrace, FilterStats, KernelClass};
+pub use matchrules_data::eval::{AtomStage, AtomTrace, FilterStats};
 pub use matchrules_matcher::index::{
     IndexError, IndexStats, KeyTrace, MatchIndex, PairTrace, QueryHit, QueryOutcome,
 };
@@ -69,6 +67,7 @@ pub use matchrules_matcher::scoring::{
     resolve_one_to_one, resolve_one_to_one_shared, ScoreConfig, ScoreModel, ScoredEdge,
 };
 pub use matchrules_runtime::{ExecConfig, Threads};
+pub use matchrules_simdist::ops::OpClass;
 pub use plan::MatchPlan;
 pub use preset::Preset;
 pub use report::{

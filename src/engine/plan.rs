@@ -5,30 +5,14 @@ use matchrules_core::negation::NegativeRule;
 use matchrules_core::operators::{OperatorId, OperatorTable};
 use matchrules_core::relative_key::{RelativeKey, Target};
 use matchrules_core::schema::SchemaPair;
-use matchrules_data::eval::KernelClass;
 use matchrules_data::relation::Relation;
-use matchrules_matcher::index::qgram_safe_len;
+use matchrules_matcher::index::anchor_of;
 use matchrules_matcher::scoring::ScoreModel;
 use matchrules_matcher::sortkey::SortKey;
 use matchrules_runtime::ExecConfig;
-use matchrules_simdist::filters::FILTER_Q;
+use matchrules_simdist::ops::OpClass;
 use std::fmt;
 use std::fmt::Write as _;
-
-/// The retrieval anchor kind a [`MatchIndex`](crate::engine::MatchIndex)
-/// gives atoms of `class` — `None` when such atoms force a scan (opaque
-/// operators, and edit thresholds too loose for gram sharing to be
-/// guaranteed at any length).
-fn anchor_kind(class: KernelClass) -> Option<&'static str> {
-    match class {
-        KernelClass::Equality => Some("exact"),
-        KernelClass::Edit { theta } => qgram_safe_len(theta, FILTER_Q).map(|_| "qgram"),
-        KernelClass::DerivedKey => Some("derived-key"),
-        KernelClass::TokenSet { .. } => Some("token"),
-        KernelClass::Bounded { .. } => Some("char-bag"),
-        KernelClass::Opaque => None,
-    }
-}
 
 /// The compiled match plan: schemas, the MD set, the deduced top-k RCKs,
 /// and the sort/block keys derived from them via attribute kinds.
@@ -51,10 +35,9 @@ pub struct MatchPlan {
     target: Target,
     rcks: Vec<RelativeKey>,
     rck_costs: Vec<f64>,
-    /// Per-operator retrieval class (indexed by `OperatorId`), derived
-    /// from each resolved operator's declared `IndexStrategy` at compile
-    /// time.
-    atom_classes: Vec<KernelClass>,
+    /// Per-operator class (indexed by `OperatorId`), as each resolved
+    /// operator declared it at compile time.
+    atom_classes: Vec<OpClass>,
     complete: bool,
     negatives: Vec<NegativeRule>,
     sort_keys: Vec<SortKey>,
@@ -77,7 +60,7 @@ impl MatchPlan {
         target: Target,
         rcks: Vec<RelativeKey>,
         rck_costs: Vec<f64>,
-        atom_classes: Vec<KernelClass>,
+        atom_classes: Vec<OpClass>,
         complete: bool,
         negatives: Vec<NegativeRule>,
         sort_keys: Vec<SortKey>,
@@ -154,10 +137,10 @@ impl MatchPlan {
         self.complete
     }
 
-    /// The retrieval class of `op` — how (and whether) the RCK-driven
-    /// index can anchor atoms under this operator, as declared by the
-    /// resolved operator's `IndexStrategy` at compile time.
-    pub fn atom_class(&self, op: OperatorId) -> KernelClass {
+    /// The class of `op` — how atoms under it are evaluated, and how (and
+    /// whether) the RCK-driven index can anchor them — as the resolved
+    /// operator declared it at compile time.
+    pub fn atom_class(&self, op: OperatorId) -> OpClass {
         self.atom_classes[op.0 as usize]
     }
 
@@ -168,7 +151,7 @@ impl MatchPlan {
     pub fn fully_indexable(&self) -> bool {
         self.rcks
             .iter()
-            .all(|key| key.atoms().iter().any(|a| anchor_kind(self.atom_class(a.op)).is_some()))
+            .all(|key| key.atoms().iter().any(|a| anchor_of(self.atom_class(a.op)).is_some()))
     }
 
     /// The `top_k` bound the plan was compiled with (how many RCKs
@@ -270,7 +253,7 @@ impl MatchPlan {
     /// use std::sync::Arc;
     ///
     /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-    /// // A synonym operator with a fallback declares IndexStrategy::Scan.
+    /// // A synonym operator with a fallback declares OpClass::Scan.
     /// let mut registry = paper_registry();
     /// registry.register(Arc::new(
     ///     SynonymOp::from_groups("≈nick", [["Bob", "Robert"].as_slice()])
@@ -308,8 +291,9 @@ impl MatchPlan {
             let mut kinds: Vec<&'static str> = Vec::new();
             let mut unindexable: Vec<&str> = Vec::new();
             for atom in key.atoms() {
-                match anchor_kind(self.atom_class(atom.op)) {
-                    Some(kind) => {
+                match anchor_of(self.atom_class(atom.op)) {
+                    Some(anchor) => {
+                        let kind = anchor.name();
                         if !kinds.contains(&kind) {
                             kinds.push(kind);
                         }

@@ -170,24 +170,21 @@ impl ServerView {
 }
 
 /// Which anchor kinds the serving plan's [`MatchIndex`] compiled, via
-/// [`ServerStats::index`]: how many RCK atoms retrieve through exact
-/// buckets, q-gram postings, derived-key buckets, token postings or
-/// char-bag prefix buckets — and how many keys fell back to scans.
+/// [`ServerStats::index`]: how many RCK atoms retrieve through key
+/// buckets, q-gram postings or element postings — and how many keys fell
+/// back to scans.
 ///
 /// Every shard compiles the same plan, so the anchor composition is a
 /// property of the rule version, not of any shard's contents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IndexKinds {
-    /// Equality atoms indexed as exact buckets.
-    pub exact_anchors: u64,
+    /// Equality, phonetic and normalizing atoms indexed as key buckets.
+    pub key_anchors: u64,
     /// Edit-distance atoms indexed as q-gram posting lists.
     pub qgram_anchors: u64,
-    /// Phonetic/normalizing atoms indexed as derived-key buckets.
-    pub derived_anchors: u64,
-    /// Token/element-set atoms indexed as element posting lists.
-    pub token_anchors: u64,
-    /// Bounded atoms (Jaro–Winkler) indexed as char-bag prefix buckets.
-    pub bag_anchors: u64,
+    /// Token, q-gram and Jaro–Winkler atoms indexed as element posting
+    /// lists.
+    pub element_anchors: u64,
     /// Keys with no indexable atom: every probe scans all live tuples.
     pub scan_keys: u64,
 }
@@ -446,11 +443,9 @@ impl MatchServer {
             Some(shard) => {
                 let s = shard.index.stats();
                 IndexKinds {
-                    exact_anchors: s.exact_anchors as u64,
+                    key_anchors: s.key_anchors as u64,
                     qgram_anchors: s.qgram_anchors as u64,
-                    derived_anchors: s.derived_anchors as u64,
-                    token_anchors: s.token_anchors as u64,
-                    bag_anchors: s.bag_anchors as u64,
+                    element_anchors: s.element_anchors as u64,
                     scan_keys: s.scan_keys as u64,
                 }
             }

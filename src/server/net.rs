@@ -349,11 +349,9 @@ fn stats_to_wire(server: &MatchServer) -> WireStats {
         cache_hits: stats.cache_hits,
         cache_misses: stats.cache_misses,
         cache_invalidations: stats.cache_invalidations,
-        exact_anchors: stats.index.exact_anchors,
+        key_anchors: stats.index.key_anchors,
         qgram_anchors: stats.index.qgram_anchors,
-        derived_anchors: stats.index.derived_anchors,
-        token_anchors: stats.index.token_anchors,
-        bag_anchors: stats.index.bag_anchors,
+        element_anchors: stats.index.element_anchors,
         scan_keys: stats.index.scan_keys,
         store_schema: schema_to_wire(&server.store_schema()),
         probe_schema: schema_to_wire(&server.probe_schema()),

@@ -248,16 +248,13 @@ pub struct WireStats {
     pub cache_misses: u64,
     /// Probe-cache invalidations (stale-epoch lookups and sweeps).
     pub cache_invalidations: u64,
-    /// Equality atoms indexed as exact buckets.
-    pub exact_anchors: u64,
+    /// Atoms indexed as key buckets (equality, phonetic, normalizing).
+    pub key_anchors: u64,
     /// Edit-distance atoms indexed as q-gram posting lists.
     pub qgram_anchors: u64,
-    /// Phonetic/normalizing atoms indexed as derived-key buckets.
-    pub derived_anchors: u64,
-    /// Token/element-set atoms indexed as element posting lists.
-    pub token_anchors: u64,
-    /// Bounded atoms indexed as char-bag prefix buckets.
-    pub bag_anchors: u64,
+    /// Atoms indexed as element posting lists (tokens, q-grams,
+    /// Jaro–Winkler).
+    pub element_anchors: u64,
     /// Keys with no indexable atom (scan fallback).
     pub scan_keys: u64,
     /// The schema stored records instantiate.
@@ -492,7 +489,7 @@ impl Request {
         let request = match r.u8("request opcode")? {
             1 => Request::Query { values: r.values()? },
             2 => {
-                let n = r.count("probe count")?;
+                let n = r.count("probe count", U32)?;
                 let mut probes = Vec::with_capacity(n);
                 for _ in 0..n {
                     probes.push(r.values()?);
@@ -500,7 +497,7 @@ impl Request {
                 Request::QueryBatch { probes }
             }
             3 => {
-                let n = r.count("item count")?;
+                let n = r.count("item count", U64 + U32)?;
                 let mut items = Vec::with_capacity(n);
                 for _ in 0..n {
                     let id = r.u64("record id")?;
@@ -509,7 +506,7 @@ impl Request {
                 Request::UpsertBatch { items }
             }
             4 => {
-                let n = r.count("id count")?;
+                let n = r.count("id count", U64)?;
                 let mut ids = Vec::with_capacity(n);
                 for _ in 0..n {
                     ids.push(r.u64("record id")?);
@@ -528,7 +525,7 @@ impl Request {
                 Request::QueryRanked { values, top_k, min_score_bits: r.u64("min-score bits")? }
             }
             9 => {
-                let n = r.count("label count")?;
+                let n = r.count("label count", U32 + U32 + 1)?;
                 let mut items = Vec::with_capacity(n);
                 for _ in 0..n {
                     let left = r.values()?;
@@ -605,11 +602,9 @@ impl Response {
                 put_u64(&mut out, s.cache_hits);
                 put_u64(&mut out, s.cache_misses);
                 put_u64(&mut out, s.cache_invalidations);
-                put_u64(&mut out, s.exact_anchors);
+                put_u64(&mut out, s.key_anchors);
                 put_u64(&mut out, s.qgram_anchors);
-                put_u64(&mut out, s.derived_anchors);
-                put_u64(&mut out, s.token_anchors);
-                put_u64(&mut out, s.bag_anchors);
+                put_u64(&mut out, s.element_anchors);
                 put_u64(&mut out, s.scan_keys);
                 put_schema(&mut out, &s.store_schema);
                 put_schema(&mut out, &s.probe_schema);
@@ -657,7 +652,7 @@ impl Response {
         let response = match r.u8("response opcode")? {
             1 => Response::Query(r.wire_query()?),
             2 => {
-                let n = r.count("answer count")?;
+                let n = r.count("answer count", U32 + 3 * U64)?;
                 let mut qs = Vec::with_capacity(n);
                 for _ in 0..n {
                     qs.push(r.wire_query()?);
@@ -665,7 +660,7 @@ impl Response {
                 Response::QueryBatch(qs)
             }
             3 => {
-                let n = r.count("flag count")?;
+                let n = r.count("flag count", 1)?;
                 let mut replaced = Vec::with_capacity(n);
                 for _ in 0..n {
                     replaced.push(r.bool("replacement flag")?);
@@ -687,7 +682,7 @@ impl Response {
             7 => {
                 let version = r.u64("rule version")?;
                 let epoch = r.u64("epoch")?;
-                let n = r.count("shard count")?;
+                let n = r.count("shard count", U64)?;
                 let mut shard_records = Vec::with_capacity(n);
                 for _ in 0..n {
                     shard_records.push(r.u64("shard record count")?);
@@ -703,11 +698,9 @@ impl Response {
                     cache_hits: r.u64("cache hits")?,
                     cache_misses: r.u64("cache misses")?,
                     cache_invalidations: r.u64("cache invalidations")?,
-                    exact_anchors: r.u64("exact anchors")?,
+                    key_anchors: r.u64("key anchors")?,
                     qgram_anchors: r.u64("qgram anchors")?,
-                    derived_anchors: r.u64("derived anchors")?,
-                    token_anchors: r.u64("token anchors")?,
-                    bag_anchors: r.u64("bag anchors")?,
+                    element_anchors: r.u64("element anchors")?,
                     scan_keys: r.u64("scan keys")?,
                     store_schema: r.schema()?,
                     probe_schema: r.schema()?,
@@ -731,7 +724,7 @@ impl Response {
                 let after_precision_bits = r.u64("after precision bits")?;
                 let after_recall_bits = r.u64("after recall bits")?;
                 let after_f1_bits = r.u64("after f1 bits")?;
-                let n = r.count("rule count")?;
+                let n = r.count("rule count", U32)?;
                 let mut rules = Vec::with_capacity(n);
                 for _ in 0..n {
                     rules.push(r.string("rendered rule")?);
@@ -761,6 +754,13 @@ impl Response {
 // ---------------------------------------------------------------------
 // Decoding
 // ---------------------------------------------------------------------
+
+/// Encoded widths of the fixed-size fields, from which the minimum
+/// element sizes handed to [`Reader::count`] are summed. A string or a
+/// value vector is at least its `u32` length prefix, a value at least its
+/// tag byte.
+const U32: usize = 4;
+const U64: usize = 8;
 
 /// A bounds-checked cursor over a frame body. Every read either
 /// advances or fails with a typed error naming the field.
@@ -799,12 +799,15 @@ impl<'a> Reader<'a> {
         Ok(u64::from_be_bytes(self.take(8, context)?.try_into().expect("8 bytes")))
     }
 
-    /// An element count, sanity-bounded by the remaining bytes (every
-    /// element occupies at least one byte) so a hostile count can never
-    /// drive a huge allocation.
-    fn count(&mut self, context: &'static str) -> Result<usize, ProtocolError> {
+    /// An element count, bounded by the remaining bytes: `n` elements of
+    /// at least `min_size` encoded bytes each must fit in what is left.
+    /// The bound is what keeps `Vec::with_capacity(n)` safe — an element
+    /// in memory can be several times its smallest encoding, so a count
+    /// checked against one byte per element would let one frame reserve
+    /// gigabytes.
+    fn count(&mut self, context: &'static str, min_size: usize) -> Result<usize, ProtocolError> {
         let n = self.u32(context)? as usize;
-        if n > self.buf.len() - self.pos {
+        if n.saturating_mul(min_size) > self.buf.len() - self.pos {
             return Err(ProtocolError::Truncated { context });
         }
         Ok(n)
@@ -825,7 +828,7 @@ impl<'a> Reader<'a> {
     }
 
     fn values(&mut self) -> Result<Vec<Option<String>>, ProtocolError> {
-        let n = self.count("value count")?;
+        let n = self.count("value count", 1)?;
         let mut values = Vec::with_capacity(n);
         for _ in 0..n {
             values.push(self.value()?);
@@ -835,7 +838,7 @@ impl<'a> Reader<'a> {
 
     fn schema(&mut self) -> Result<WireSchema, ProtocolError> {
         let name = self.string("schema name")?;
-        let n = self.count("attribute count")?;
+        let n = self.count("attribute count", U32)?;
         let mut attributes = Vec::with_capacity(n);
         for _ in 0..n {
             attributes.push(self.string("attribute name")?);
@@ -844,7 +847,7 @@ impl<'a> Reader<'a> {
     }
 
     fn wire_query(&mut self) -> Result<WireQuery, ProtocolError> {
-        let n = self.count("hit count")?;
+        let n = self.count("hit count", U64 + U32)?;
         let mut hits = Vec::with_capacity(n);
         for _ in 0..n {
             let id = self.u64("hit id")?;
@@ -859,7 +862,7 @@ impl<'a> Reader<'a> {
     }
 
     fn wire_ranked(&mut self) -> Result<WireRanked, ProtocolError> {
-        let n = self.count("hit count")?;
+        let n = self.count("hit count", U64 + U32 + U64)?;
         let mut hits = Vec::with_capacity(n);
         for _ in 0..n {
             let id = self.u64("hit id")?;
@@ -1059,11 +1062,9 @@ mod tests {
                 cache_hits: 50,
                 cache_misses: 50,
                 cache_invalidations: 7,
-                exact_anchors: 2,
+                key_anchors: 3,
                 qgram_anchors: 1,
-                derived_anchors: 1,
-                token_anchors: 1,
-                bag_anchors: 1,
+                element_anchors: 2,
                 scan_keys: 0,
                 store_schema: WireSchema { name: "crm".into(), attributes: vec!["a".into()] },
                 probe_schema: WireSchema { name: "orders".into(), attributes: vec!["b".into()] },
@@ -1126,5 +1127,42 @@ mod tests {
         body.extend_from_slice(&0u32.to_be_bytes()); // empty right values
         body.push(7); // bad polarity
         assert!(matches!(Request::decode(&body), Err(ProtocolError::UnknownTag { tag: 7, .. })));
+
+        // A count of 5 over 8 remaining bytes: one byte per element would
+        // fit, the element's smallest encoding does not. Every counted
+        // shape must fail at its count, before reserving capacity for it.
+        fn truncated_at<T: fmt::Debug>(decoded: Result<T, ProtocolError>) -> &'static str {
+            match decoded {
+                Err(ProtocolError::Truncated { context }) => context,
+                other => panic!("expected a truncation, got {other:?}"),
+            }
+        }
+        let counted = |prefix: &[u8]| {
+            let mut body = prefix.to_vec();
+            body.extend_from_slice(&5u32.to_be_bytes());
+            body.extend_from_slice(&[0; 8]);
+            body
+        };
+        let zeros = |opcode: u8, n: usize| [vec![opcode], vec![0; n]].concat();
+        assert_eq!(truncated_at(Request::decode(&counted(&[9]))), "label count");
+        assert_eq!(truncated_at(Request::decode(&counted(&[2]))), "probe count");
+        assert_eq!(truncated_at(Request::decode(&counted(&[3]))), "item count");
+        assert_eq!(truncated_at(Request::decode(&counted(&[4]))), "id count");
+        assert_eq!(truncated_at(Response::decode(&counted(&[1]))), "hit count");
+        assert_eq!(truncated_at(Response::decode(&counted(&[8]))), "hit count");
+        assert_eq!(truncated_at(Response::decode(&counted(&[2]))), "answer count");
+        // Stats: version and epoch, then the shard count; with no shards,
+        // eleven counters and an empty schema name precede the attributes.
+        assert_eq!(truncated_at(Response::decode(&counted(&zeros(7, 16)))), "shard count");
+        let before_attributes = 16 + 4 + 11 * 8 + 4;
+        assert_eq!(
+            truncated_at(Response::decode(&counted(&zeros(7, before_attributes)))),
+            "attribute count"
+        );
+        // Refine: three counters, the exhaustive flag, six score bits.
+        assert_eq!(
+            truncated_at(Response::decode(&counted(&zeros(10, 3 * 8 + 1 + 6 * 8)))),
+            "rule count"
+        );
     }
 }

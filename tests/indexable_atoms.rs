@@ -1,7 +1,7 @@
-//! The IndexableAtom contract, per anchor kind, end to end through the
-//! engine: for each of the new `AtomIndex` variants — derived-key
-//! buckets (`≈sx`, `≈num`), element postings (`≈tok`, `≈qg`) and
-//! char-bag prefix buckets (`≈jw`) — a `MatchIndex` built over
+//! The `OpClass` retrieval contract, per anchor kind, end to end through
+//! the engine: for each fuzzy operator — key buckets (`≈sx`, `≈num`) and
+//! element postings (`≈tok`, `≈qg`, and `≈jw` over its sorted-character
+//! prefix) — a `MatchIndex` built over
 //! arbitrary proptest-generated strings must answer every point query
 //! with **exactly** the hit set the exhaustive scan path reports
 //! (superset-of-scan + no-false-positives in one assertion), at 1, 2
@@ -12,9 +12,10 @@
 use matchrules::core::schema::Schema;
 use matchrules::data::relation::{Relation, Tuple};
 use matchrules::data::Value;
-use matchrules::engine::{EngineBuilder, ExecConfig, MatchEngine};
+use matchrules::engine::{EngineBuilder, ExecConfig, MatchEngine, MatchPlan, OpClass};
 use proptest::prelude::*;
 use proptest::{collection, TestCaseError};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 const THREAD_SWEEP: [usize; 3] = [1, 2, 8];
@@ -29,6 +30,13 @@ fn single_op_engine(op: &str) -> MatchEngine {
         .target(&["v"], &["v"])
         .build()
         .expect("engine builds")
+}
+
+/// The distinct equality atoms across the plan's RCKs — each gets its own
+/// key anchor.
+fn equality_atoms(plan: &MatchPlan) -> usize {
+    let atoms = plan.rcks().iter().flat_map(|key| key.atoms());
+    atoms.filter(|a| plan.atom_class(a.op) == OpClass::Equality).collect::<HashSet<_>>().len()
 }
 
 /// Ids are positions + 1; `Relation::push_strs` would fold `""` into
@@ -122,7 +130,7 @@ fn assert_index_equals_scan(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Derived-key anchor (soundex codes): index == scan on arbitrary
+    /// Key anchor (soundex codes): index == scan on arbitrary
     /// short alphabetic-ish strings, empty strings included.
     #[test]
     fn soundex_index_equals_scan(
@@ -132,7 +140,7 @@ proptest! {
         assert_index_equals_scan("~sx", &left, &right)?;
     }
 
-    /// Derived-key anchor (digit projection): strings mixing digits and
+    /// Key anchor (digit projection): strings mixing digits and
     /// separators, so several raw forms share one derived key.
     #[test]
     fn digits_index_equals_scan(
@@ -162,7 +170,8 @@ proptest! {
         assert_index_equals_scan("~qg", &left, &right)?;
     }
 
-    /// Char-bag prefix anchor (the Jaro–Winkler bound): a narrow
+    /// Element-posting anchor (the Jaro–Winkler sorted-character prefix,
+    /// character-count ratio prefilter): a narrow
     /// alphabet maximizes near-misses right at the 0.9 threshold.
     #[test]
     fn jaro_winkler_index_equals_scan(
@@ -213,9 +222,13 @@ fn combined_name_plan_has_no_scan_keys_and_matches_scan() {
     let index = engine.index(&rrel).expect("index builds");
     let stats = index.stats();
     assert_eq!(stats.scan_keys, 0, "no key may fall back to scanning: {stats:?}");
-    assert!(stats.derived_anchors >= 1, "soundex must land on a derived-key anchor");
-    assert!(stats.token_anchors >= 1, "tokens must land on an element anchor");
-    assert!(stats.bag_anchors >= 1, "jaro-winkler must land on a char-bag anchor");
+    // Equality atoms get key anchors too, so soundex's is the one more.
+    assert_eq!(
+        stats.key_anchors,
+        equality_atoms(engine.plan()) + 1,
+        "soundex must land on a key anchor"
+    );
+    assert!(stats.element_anchors >= 2, "jaro-winkler and tokens must land on element anchors");
 
     let batch = engine.with_exec(ExecConfig::serial()).match_all(&lrel, &rrel).expect("batch");
     let mut matched_any = false;

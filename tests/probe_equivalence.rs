@@ -65,8 +65,8 @@ fn catalog(persons: usize, seed: u64) -> (MatchEngine, Relation, Relation) {
     (engine, data.credit, data.billing)
 }
 
-/// A names plan over the serving-shaped anchors (jaro-winkler char-bag,
-/// soundex derived keys, token postings, exact buckets).
+/// A names plan over the serving-shaped anchors (jaro-winkler and token
+/// element postings, soundex and phone key buckets).
 fn names_engine() -> MatchEngine {
     let a = Schema::text("a", &["first", "last", "city", "phone"]).expect("schema a");
     let b = Schema::text("b", &["first", "last", "city", "phone"]).expect("schema b");

@@ -149,11 +149,9 @@ impl Gen {
                 cache_hits: self.next(),
                 cache_misses: self.next(),
                 cache_invalidations: self.next(),
-                exact_anchors: self.next(),
+                key_anchors: self.next(),
                 qgram_anchors: self.next(),
-                derived_anchors: self.next(),
-                token_anchors: self.next(),
-                bag_anchors: self.next(),
+                element_anchors: self.next(),
                 scan_keys: self.next(),
                 store_schema: self.schema(),
                 probe_schema: self.schema(),
