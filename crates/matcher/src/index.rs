@@ -114,7 +114,7 @@ use std::sync::Arc;
 /// would be all claiming overhead.
 const BUILD_MIN_CHUNK: usize = 256;
 
-/// Minimum probes per chunk when a query batch runs over a pool: one
+/// Minimum probes per chunk when a probe batch runs over a pool: one
 /// probe is tens of microseconds, so smaller chunks would be claiming
 /// overhead.
 const BATCH_MIN_CHUNK: usize = 16;
@@ -1625,20 +1625,6 @@ impl MatchIndex {
             prep.push_row(probe);
         }
         probes.iter().enumerate().map(|(row, p)| self.query_impl_at(p, &prep, row, true)).collect()
-    }
-
-    /// [`MatchIndex::query_batch`] chunked over `pool`. Chunks are
-    /// mapped back in probe order, so the outcomes are identical to the
-    /// serial batch (and to one-by-one queries) at any thread count.
-    pub fn query_batch_in(&self, pool: &WorkPool, probes: &[Tuple]) -> Vec<QueryOutcome> {
-        let mut prep = RelationPrep::empty(&self.probe_needs);
-        for probe in probes {
-            prep.push_row(probe);
-        }
-        let chunks = pool.par_ranges(probes.len(), BATCH_MIN_CHUNK, |_, range| {
-            range.map(|row| self.query_impl_at(&probes[row], &prep, row, true)).collect::<Vec<_>>()
-        });
-        chunks.into_iter().flatten().collect()
     }
 
     fn query_impl_at(

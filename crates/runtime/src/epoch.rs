@@ -129,13 +129,6 @@ impl<T> EpochReader<T> {
         }
         &self.value
     }
-
-    /// The epoch the cached snapshot was published at — after
-    /// [`EpochReader::get`], the epoch of the value it returned. Lets
-    /// callers key caches on "which publish produced this".
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
 }
 
 #[cfg(test)]

@@ -84,14 +84,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Server-side counters, per shard.
     let stats = client.stats()?;
     println!(
-        "\nstats: v{}, epoch {}, {:?} records/shard, {} queries, {} upserts, cache {}/{}",
-        stats.version,
-        stats.epoch,
-        stats.shard_records,
-        stats.queries,
-        stats.upserts,
-        stats.cache_hits,
-        stats.cache_hits + stats.cache_misses,
+        "\nstats: v{}, epoch {}, {:?} records/shard, {} queries, {} upserts",
+        stats.version, stats.epoch, stats.shard_records, stats.queries, stats.upserts,
     );
 
     handle.shutdown();

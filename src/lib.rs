@@ -240,9 +240,8 @@
 //! # Ok(()) }
 //! ```
 //!
-//! Ranked answers are cached by `(probe, top_k bucket, min_score)`,
-//! byte-identical across thread and shard counts, and served over the
-//! wire via [`server::MatchClient::query_ranked`].
+//! Ranked answers are byte-identical across thread and shard counts,
+//! and served over the wire via [`server::MatchClient::query_ranked`].
 //!
 //! ## Refining rules against labeled data
 //!

@@ -6,21 +6,21 @@ use crate::engine::{
     QueryOutcome,
 };
 use crate::refine::{LabelStore, RefineConfig, Refinement, RefinementReport, Refiner};
-use crate::server::cache::ProbeCache;
 use crate::service::{
     MatchExplanation, QueryResponse, RankedResponse, Record, RecordBuilder, RecordId, RuleVersion,
     ScoredHit, ServiceError, ServiceHit,
 };
 use matchrules_core::dependency::MatchingDependency;
 use matchrules_core::schema::Schema;
-use matchrules_data::relation::Relation;
+use matchrules_data::relation::{Relation, Tuple};
 use matchrules_runtime::{CowVec, EpochCell, EpochReader, ExecConfig, WorkPool};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-/// Construction knobs of a [`MatchServer`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Construction knobs of a [`MatchServer`]. The default is one shard per
+/// executor thread on the default executor.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerConfig {
     /// Number of shards the store and index are split into; `0` resolves
     /// to the executor's thread count (at least 1). More shards mean
@@ -28,18 +28,12 @@ pub struct ServerConfig {
     /// cost of fanning every probe out further; a write's own cost does
     /// not depend on shard size (snapshots are structurally shared).
     pub shards: usize,
-    /// Capacity of the probe-result cache (answers, not bytes); `0`
-    /// disables caching.
+    /// Inert: the server keeps no answer cache, so this is ignored. The
+    /// field stays only because the benchmark harness still sets it.
     pub cache_capacity: usize,
     /// Thread budget for shard fan-out (probes, batch mutations, swap
     /// rebuilds) and for the TCP front's connection workers.
     pub exec: ExecConfig,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        ServerConfig { shards: 0, cache_capacity: 1024, exec: ExecConfig::default() }
-    }
 }
 
 /// Routes a record id to its shard: a splitmix64 finalizer over the raw
@@ -51,16 +45,6 @@ fn shard_of(id: RecordId, shards: usize) -> usize {
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^= x >> 31;
     (x % shards as u64) as usize
-}
-
-/// Folds one more word into a probe-signature digest (the ranked cache
-/// keys on `(signature, top_k bucket, min_score bits)`): a splitmix64
-/// round over the running value xor the next word.
-fn mix_key(seed: u64, word: u64) -> u64 {
-    let mut x = (seed ^ word).wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 fn check_schema(record: &Record, expected: &Arc<Schema>) -> Result<(), ServiceError> {
@@ -200,7 +184,7 @@ pub struct ServerStats {
     pub shard_records: Vec<usize>,
     /// Total live records.
     pub records: usize,
-    /// Probes answered (cache hits included) since construction.
+    /// Probes answered since construction.
     pub queries: u64,
     /// Batched query calls served since construction (each batch also
     /// adds its probe count to `queries`).
@@ -209,17 +193,14 @@ pub struct ServerStats {
     pub upserts: u64,
     /// Records removed since construction.
     pub removes: u64,
-    /// Probe-cache hits since construction (boolean and ranked caches
-    /// summed).
+    /// Inert, always 0: the server keeps no answer cache. Kept, like
+    /// `cache_misses` and `cache_invalidations`, only because the
+    /// benchmark harness still reads it.
     pub cache_hits: u64,
-    /// Probe-cache misses since construction (both caches summed).
+    /// Inert, always 0 (see `cache_hits`).
     pub cache_misses: u64,
-    /// Cache invalidations since construction (both caches summed):
-    /// entries found stranded at a stale epoch, plus stale entries
-    /// swept to make room.
+    /// Inert, always 0 (see `cache_hits`).
     pub cache_invalidations: u64,
-    /// Entries currently held by the probe caches (both caches summed).
-    pub cache_entries: usize,
     /// Anchor-kind composition of the serving rule version's index.
     pub index: IndexKinds,
 }
@@ -252,16 +233,14 @@ pub struct ServerStats {
 ///   snapshots) is one immutable `ServerView` behind an
 ///   [`EpochCell`]; writers build replacements off to the side and swap
 ///   a pointer. Steady-state readers (see [`MatchServer::reader`])
-///   revalidate with one atomic load and touch no lock.
+///   revalidate with one atomic load and touch no lock. Boolean,
+///   batched and ranked reads share one shard fan-out; nothing is
+///   memoised, so every answer is computed against the view it loaded.
 /// * **Zero-downtime swap** — [`MatchServer::swap_rules`] recompiles,
 ///   rebuilds every shard's index at version v+1 off to the side, then
 ///   publishes the whole view in one store. Readers serve v until the
 ///   instant they serve v+1; no read ever blocks or fails. Mutations
 ///   are briefly gated (they would race the rebuild), reads never.
-/// * **Probe cache** — answers are cached keyed on
-///   ([`Record::signature`], publish epoch); any publish — upsert,
-///   remove or swap — strands the whole cache at the old epoch at once,
-///   so a stale answer can never be served.
 ///
 /// The server takes `&self` everywhere and is `Send + Sync`: share it
 /// behind an `Arc` and call it from as many threads as you like.
@@ -275,13 +254,6 @@ pub struct MatchServer {
     /// rebuild. Queries take neither.
     swap_gate: RwLock<()>,
     pool: WorkPool,
-    cache: ProbeCache<QueryResponse>,
-    /// The ranked twin of `cache`: answers keyed on
-    /// `(signature ⊕ top_k bucket ⊕ min_score bits, epoch)`. Ranked
-    /// answers are computed and cached at the bucket cap (the next power
-    /// of two ≥ `top_k`) and truncated per request, so nearby `top_k`
-    /// values share entries.
-    ranked_cache: ProbeCache<RankedResponse>,
     /// Labeled pairs accumulated from [`MatchServer::submit_labels`] —
     /// the training set [`MatchServer::refine`] selects against.
     labels: Mutex<LabelStore>,
@@ -308,13 +280,13 @@ impl fmt::Debug for MatchServer {
 
 impl MatchServer {
     /// A server over `engine`'s compiled plan with [`ServerConfig`]
-    /// defaults: one shard per executor thread, a 1024-entry probe
-    /// cache, empty store, rule version `v1`.
+    /// defaults: one shard per executor thread, empty store, rule
+    /// version `v1`.
     pub fn new(engine: MatchEngine) -> MatchServer {
         Self::with_config(engine, ServerConfig::default())
     }
 
-    /// A server with explicit sharding/caching/threading knobs.
+    /// A server with explicit sharding/threading knobs.
     pub fn with_config(engine: MatchEngine, config: ServerConfig) -> MatchServer {
         let pool = WorkPool::new(config.exec);
         let shards = if config.shards == 0 { pool.threads().max(1) } else { config.shards };
@@ -335,8 +307,6 @@ impl MatchServer {
             shard_locks: (0..shards).map(|_| Mutex::new(())).collect(),
             swap_gate: RwLock::new(()),
             pool,
-            cache: ProbeCache::new(config.cache_capacity),
-            ranked_cache: ProbeCache::new(config.cache_capacity),
             labels,
             seq: AtomicU64::new(0),
             queries: AtomicU64::new(0),
@@ -431,12 +401,10 @@ impl MatchServer {
     }
 
     /// Aggregate counters: version, epoch, per-shard sizes, query and
-    /// mutation totals, cache effectiveness.
+    /// mutation totals, index anchor kinds.
     pub fn stats(&self) -> ServerStats {
         let (view, epoch) = self.view.load();
         let shard_records: Vec<usize> = view.shards.iter().map(|s| s.index.len()).collect();
-        let (bool_hits, bool_misses, bool_invalidations) = self.cache.counters();
-        let (ranked_hits, ranked_misses, ranked_invalidations) = self.ranked_cache.counters();
         // Anchor kinds are identical across shards (same compiled plan);
         // read shard 0's composition rather than summing duplicates.
         let index = match view.shards.first() {
@@ -460,10 +428,9 @@ impl MatchServer {
             batch_queries: self.batch_queries.load(Ordering::Relaxed),
             upserts: self.upserts.load(Ordering::Relaxed),
             removes: self.removes.load(Ordering::Relaxed),
-            cache_hits: bool_hits + ranked_hits,
-            cache_misses: bool_misses + ranked_misses,
-            cache_invalidations: bool_invalidations + ranked_invalidations,
-            cache_entries: self.cache.len() + self.ranked_cache.len(),
+            cache_hits: 0,
+            cache_misses: 0,
+            cache_invalidations: 0,
             index,
         }
     }
@@ -485,50 +452,22 @@ impl MatchServer {
     /// summed across shards and depend on the shard count: each shard
     /// prunes its own candidate retrieval independently.
     pub fn query(&self, probe: &Record) -> Result<QueryResponse, ServiceError> {
-        let (view, epoch) = self.view.load();
-        self.respond(&view, epoch, probe)
+        self.query_in(&self.view.load().0, probe)
     }
 
     /// [`MatchServer::query`] for a batch of probes, all answered
     /// against one consistent view (no mutation or swap can interleave
-    /// *within* the returned vector). Probes missing the cache are
-    /// probed through each shard's
-    /// [`query_batch`](crate::engine::MatchIndex::query_batch), sharing
-    /// signature extraction and scratch across the whole miss set —
-    /// answers stay response-for-response identical to
-    /// [`MatchServer::query`] per probe. Schemas are validated up front;
-    /// one malformed probe fails the batch before any work runs.
+    /// *within* the returned vector). The batch goes through each
+    /// shard's [`query_batch`](crate::engine::MatchIndex::query_batch)
+    /// at once, sharing signature extraction and scratch — answers stay
+    /// response-for-response identical to [`MatchServer::query`] per
+    /// probe. Schemas are validated up front; one malformed probe fails
+    /// the batch before any work runs.
     pub fn query_batch(&self, probes: &[Record]) -> Result<Vec<QueryResponse>, ServiceError> {
-        let (view, epoch) = self.view.load();
-        let schema = view.rules.engine.plan().pair().left();
-        for probe in probes {
-            check_schema(probe, schema)?;
-        }
-        self.queries.fetch_add(probes.len() as u64, Ordering::Relaxed);
+        let (view, _) = self.view.load();
+        let tuples = self.admit(&view, probes)?;
         self.batch_queries.fetch_add(1, Ordering::Relaxed);
-        let sigs: Option<Vec<u64>> =
-            self.cache.enabled().then(|| probes.iter().map(Record::signature).collect());
-        let mut responses: Vec<Option<QueryResponse>> = match &sigs {
-            Some(sigs) => (sigs.iter())
-                .map(|&sig| self.cache.get(sig, epoch).map(|hit| (*hit).clone()))
-                .collect(),
-            None => vec![None; probes.len()],
-        };
-        let misses: Vec<usize> = (0..probes.len()).filter(|&i| responses[i].is_none()).collect();
-        if !misses.is_empty() {
-            let tuples: Vec<_> = misses.iter().map(|&i| probes[i].to_tuple(0)).collect();
-            let per_shard = self
-                .pool
-                .par_tasks(view.shards.len(), |s| view.shards[s].index.query_batch(&tuples));
-            for (k, &i) in misses.iter().enumerate() {
-                let response = view.merge(per_shard.iter().map(|outcomes| &outcomes[k]));
-                if let Some(sigs) = &sigs {
-                    self.cache.put(sigs[i], epoch, Arc::new(response.clone()));
-                }
-                responses[i] = Some(response);
-            }
-        }
-        Ok(responses.into_iter().map(|r| r.expect("every probe answered")).collect())
+        Ok(self.answer(&view, &tuples))
     }
 
     /// [`MatchServer::query`], ranked: the same hit set the boolean
@@ -543,24 +482,23 @@ impl MatchServer {
     /// ([`ServiceError::InvalidThreshold`]). Scoring is a pure function
     /// of the immutable plan, so scores are byte-identical across thread
     /// counts and repeat queries at one rule version.
-    ///
-    /// Answers are cached at the `top_k` *bucket* cap (next power of
-    /// two) keyed on `(signature, bucket, min_score bits, epoch)`, so
-    /// nearby `top_k` values share cache entries.
     pub fn query_ranked(
         &self,
         probe: &Record,
         top_k: usize,
         min_score: f64,
     ) -> Result<RankedResponse, ServiceError> {
-        let (view, epoch) = self.view.load();
-        self.respond_ranked(&view, epoch, probe, top_k, min_score)
+        self.query_ranked_in(&self.view.load().0, probe, top_k, min_score)
     }
 
-    fn respond_ranked(
+    fn query_in(&self, view: &ServerView, probe: &Record) -> Result<QueryResponse, ServiceError> {
+        let tuples = self.admit(view, std::slice::from_ref(probe))?;
+        Ok(self.answer(view, &tuples).pop().expect("one answer per probe"))
+    }
+
+    fn query_ranked_in(
         &self,
         view: &ServerView,
-        epoch: u64,
         probe: &Record,
         top_k: usize,
         min_score: f64,
@@ -568,79 +506,49 @@ impl MatchServer {
         if min_score.is_nan() {
             return Err(ServiceError::InvalidThreshold);
         }
-        check_schema(probe, view.rules.engine.plan().pair().left())?;
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        let bucket = top_k.checked_next_power_of_two().unwrap_or(usize::MAX);
-        let sig = self
-            .ranked_cache
-            .enabled()
-            .then(|| mix_key(mix_key(probe.signature(), bucket as u64), min_score.to_bits()));
-        if let Some(cached) = sig.and_then(|sig| self.ranked_cache.get(sig, epoch)) {
-            let mut response = (*cached).clone();
-            response.hits.truncate(top_k);
-            return Ok(response);
-        }
-        let tuple = probe.to_tuple(0);
+        let tuples = self.admit(view, std::slice::from_ref(probe))?;
+        let boolean = self.answer(view, &tuples).pop().expect("one answer per probe");
         let engine = &view.rules.engine;
         let model = engine.plan().score_model();
-        let outcomes = self.pool.par_tasks(view.shards.len(), |s| {
-            let shard = &view.shards[s];
-            let outcome = shard.index.query(&tuple);
-            let scored: Vec<(u64, ScoredHit)> = outcome
-                .hits
-                .iter()
-                .map(|h| {
-                    let stored = shard.index.get(h.id).expect("query hits are live records");
-                    let score = model.score(engine.runtime(), &tuple, stored);
-                    (shard.seq[h.slot], ScoredHit { id: RecordId(h.id), key: h.key, score })
-                })
-                .collect();
-            (scored, outcome.candidates, outcome.key_evals)
-        });
-        let mut hits: Vec<(u64, ScoredHit)> = Vec::new();
-        let mut candidates = 0;
-        let mut key_evals = 0;
-        for (scored, c, k) in outcomes {
-            candidates += c;
-            key_evals += k;
-            hits.extend(scored);
-        }
-        // Store order first, then a *stable* sort by score: equal scores
-        // keep global arrival order.
-        hits.sort_unstable_by_key(|&(seq, _)| seq);
-        let mut hits: Vec<ScoredHit> = hits.into_iter().map(|(_, h)| h).collect();
+        let mut hits: Vec<ScoredHit> = (boolean.hits.iter())
+            .map(|h| {
+                let shard = &view.shards[shard_of(h.id, view.shards.len())];
+                let stored = shard.index.get(h.id.0).expect("query hits are live records");
+                let score = model.score(engine.runtime(), &tuples[0], stored);
+                ScoredHit { id: h.id, key: h.key, score }
+            })
+            .collect();
+        // The merged hits are in store order; a *stable* sort by score
+        // keeps that order among equal scores.
         hits.sort_by(|a, b| b.score.total_cmp(&a.score));
         hits.retain(|h| h.score >= min_score);
-        hits.truncate(bucket);
-        let mut response =
-            RankedResponse { hits, candidates, key_evals, version: view.rules.version };
-        if let Some(sig) = sig {
-            self.ranked_cache.put(sig, epoch, Arc::new(response.clone()));
-        }
-        response.hits.truncate(top_k);
-        Ok(response)
+        hits.truncate(top_k);
+        let QueryResponse { candidates, key_evals, version, .. } = boolean;
+        Ok(RankedResponse { hits, candidates, key_evals, version })
     }
 
-    fn respond(
-        &self,
-        view: &ServerView,
-        epoch: u64,
-        probe: &Record,
-    ) -> Result<QueryResponse, ServiceError> {
-        check_schema(probe, view.rules.engine.plan().pair().left())?;
-        self.queries.fetch_add(1, Ordering::Relaxed);
-        let sig = self.cache.enabled().then(|| probe.signature());
-        if let Some(cached) = sig.and_then(|sig| self.cache.get(sig, epoch)) {
-            return Ok((*cached).clone());
+    /// Validates every probe against `view`'s probe schema — one
+    /// malformed probe fails the call before any work runs — counts them
+    /// as answered, and converts them to tuples.
+    fn admit(&self, view: &ServerView, probes: &[Record]) -> Result<Vec<Tuple>, ServiceError> {
+        let schema = view.rules.engine.plan().pair().left();
+        for probe in probes {
+            check_schema(probe, schema)?;
         }
-        let tuple = probe.to_tuple(0);
-        let outcomes =
-            self.pool.par_tasks(view.shards.len(), |s| view.shards[s].index.query(&tuple));
-        let response = view.merge(outcomes.iter());
-        if let Some(sig) = sig {
-            self.cache.put(sig, epoch, Arc::new(response.clone()));
-        }
-        Ok(response)
+        self.queries.fetch_add(probes.len() as u64, Ordering::Relaxed);
+        Ok(probes.iter().map(|probe| probe.to_tuple(0)).collect())
+    }
+
+    /// The one read path: every probe goes through each shard's
+    /// [`MatchIndex::query_batch`] (shards fanned out on the pool), and
+    /// each probe's per-shard outcomes merge into one answer in store
+    /// order.
+    fn answer(&self, view: &ServerView, probes: &[Tuple]) -> Vec<QueryResponse> {
+        let per_shard =
+            self.pool.par_tasks(view.shards.len(), |s| view.shards[s].index.query_batch(probes));
+        (0..probes.len())
+            .map(|k| view.merge(per_shard.iter().map(|outcomes| &outcomes[k])))
+            .collect()
     }
 
     /// Explains the decision for `(probe, stored record id)` under the
@@ -983,7 +891,7 @@ pub struct ServerReader<'a> {
 
 impl fmt::Debug for ServerReader<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ServerReader").field("epoch", &self.cached.epoch()).finish()
+        f.debug_struct("ServerReader").finish_non_exhaustive()
     }
 }
 
@@ -991,9 +899,7 @@ impl ServerReader<'_> {
     /// [`MatchServer::query`] through the cached view: lock-free while
     /// the epoch is unchanged, one refresh after a publish.
     pub fn query(&mut self, probe: &Record) -> Result<QueryResponse, ServiceError> {
-        let view = self.cached.get(&self.server.view).clone();
-        let epoch = self.cached.epoch();
-        self.server.respond(&view, epoch, probe)
+        self.server.query_in(self.cached.get(&self.server.view), probe)
     }
 
     /// [`MatchServer::query_ranked`] through the cached view.
@@ -1003,9 +909,7 @@ impl ServerReader<'_> {
         top_k: usize,
         min_score: f64,
     ) -> Result<RankedResponse, ServiceError> {
-        let view = self.cached.get(&self.server.view).clone();
-        let epoch = self.cached.epoch();
-        self.server.respond_ranked(&view, epoch, probe, top_k, min_score)
+        self.server.query_ranked_in(self.cached.get(&self.server.view), probe, top_k, min_score)
     }
 }
 
@@ -1037,7 +941,7 @@ mod tests {
             .unwrap();
         MatchServer::with_config(
             engine,
-            ServerConfig { shards, cache_capacity: 0, exec: ExecConfig::serial() },
+            ServerConfig { shards, exec: ExecConfig::serial(), ..ServerConfig::default() },
         )
     }
 
@@ -1089,6 +993,174 @@ mod tests {
     fn default_config_resolves_shards_from_the_pool() {
         let config = ServerConfig::default();
         assert_eq!(config.shards, 0, "0 means auto");
-        assert!(config.cache_capacity > 0);
+    }
+
+    /// A server holding twelve people, all named "Ada", over three emails
+    /// (`p0`..`p2`, by id mod 3), upserted in an arrival order that is
+    /// not id order, so store order and id order disagree.
+    fn filled_people_server(shards: usize) -> MatchServer {
+        let server = people_server(shards);
+        for id in [9u64, 3, 11, 0, 7, 1, 10, 4, 6, 2, 8, 5] {
+            server.upsert(RecordId(id), &person(&server, id % 3)).unwrap();
+        }
+        server
+    }
+
+    fn ids(response: &QueryResponse) -> Vec<u64> {
+        response.hits.iter().map(|h| h.id.0).collect()
+    }
+
+    fn foreign_probe() -> Record {
+        let other = Arc::new(Schema::text("other", &["x"]).unwrap());
+        Record::builder(other).field("x", "y").build().unwrap()
+    }
+
+    #[test]
+    fn every_read_path_counts_each_probe_once() {
+        let server = filled_people_server(2);
+        let probe = person(&server, 0);
+        let before = server.stats();
+        server.query(&probe).unwrap();
+        server.query_ranked(&probe, 3, 0.0).unwrap();
+        server.reader().query(&probe).unwrap();
+        server.reader().query_ranked(&probe, 3, 0.0).unwrap();
+        server.query_batch(&[probe.clone(), probe.clone(), probe]).unwrap();
+        let after = server.stats();
+        assert_eq!(after.queries - before.queries, 7, "4 single probes + a batch of 3");
+        assert_eq!(after.batch_queries - before.batch_queries, 1);
+    }
+
+    #[test]
+    fn a_rejected_read_fails_before_counting_anything() {
+        let server = filled_people_server(2);
+        let good = person(&server, 0);
+        let bad = foreign_probe();
+        let mismatch =
+            |r: Result<_, ServiceError>| matches!(r, Err(ServiceError::SchemaMismatch { .. }));
+        assert!(mismatch(server.query(&bad).map(drop)));
+        assert!(mismatch(server.query_ranked(&bad, 3, 0.0).map(drop)));
+        assert!(mismatch(server.reader().query(&bad).map(drop)));
+        assert!(mismatch(server.query_batch(&[good.clone(), bad]).map(drop)));
+        assert!(matches!(
+            server.query_ranked(&good, 3, f64::NAN),
+            Err(ServiceError::InvalidThreshold)
+        ));
+        let stats = server.stats();
+        assert_eq!((stats.queries, stats.batch_queries), (0, 0), "no failed read is counted");
+    }
+
+    #[test]
+    fn an_empty_batch_answers_nothing() {
+        for shards in [1, 2] {
+            let server = filled_people_server(shards);
+            assert_eq!(server.query_batch(&[]).unwrap(), Vec::new());
+            let stats = server.stats();
+            assert_eq!((stats.queries, stats.batch_queries), (0, 1));
+        }
+    }
+
+    #[test]
+    fn repeated_probes_in_one_batch_answer_like_single_queries() {
+        for shards in [1, 2, 3] {
+            let server = filled_people_server(shards);
+            let unmatched = server.record_builder().field("email", "nobody@example.org").build();
+            let probes = vec![
+                person(&server, 0),
+                person(&server, 1),
+                person(&server, 0),
+                unmatched.unwrap(),
+                person(&server, 0),
+            ];
+            let batch = server.query_batch(&probes).unwrap();
+            let singles: Vec<QueryResponse> =
+                probes.iter().map(|p| server.query(p).unwrap()).collect();
+            assert_eq!(batch, singles, "{shards} shards");
+            assert_eq!(batch[0], batch[2]);
+            assert_eq!(batch[0], batch[4]);
+            assert!(batch[3].hits.is_empty(), "a probe with no name or email match has no hits");
+        }
+    }
+
+    #[test]
+    fn ranked_ties_keep_store_order_and_top_k_serves_a_prefix() {
+        for shards in [1, 2, 3] {
+            let server = filled_people_server(shards);
+            let probe = person(&server, 0);
+            let boolean = server.query(&probe).unwrap();
+            assert_eq!(boolean.hits.len(), 12, "every record shares the name: {:?}", ids(&boolean));
+            let mut by_id = ids(&boolean);
+            by_id.sort_unstable();
+            assert_ne!(ids(&boolean), by_id, "store order is arrival order, not id order");
+
+            let full = server.query_ranked(&probe, usize::MAX, f64::NEG_INFINITY).unwrap();
+            assert_eq!(
+                (full.candidates, full.key_evals, full.version),
+                (boolean.candidates, boolean.key_evals, boolean.version)
+            );
+            // The expected answer: the boolean hits (store order) stable-
+            // sorted by score, so each score tier keeps store order.
+            let mut expected: Vec<(u64, usize)> =
+                boolean.hits.iter().map(|h| (h.id.0, h.key)).collect();
+            let score_of = |id: u64| full.hits.iter().find(|h| h.id.0 == id).unwrap().score;
+            expected.sort_by(|a, b| score_of(b.0).total_cmp(&score_of(a.0)));
+            let ranked: Vec<(u64, usize)> = full.hits.iter().map(|h| (h.id.0, h.key)).collect();
+            assert_eq!(ranked, expected, "{shards} shards: ties keep store order");
+            // The best tier is the records identical to the probe.
+            let best = full.hits[0].score;
+            let top_tier: Vec<u64> =
+                full.hits.iter().take_while(|h| h.score == best).map(|h| h.id.0).collect();
+            let exact: Vec<u64> = ids(&boolean).into_iter().filter(|id| id % 3 == 0).collect();
+            assert_eq!(top_tier, exact);
+
+            let top = server.query_ranked(&probe, 2, f64::NEG_INFINITY).unwrap();
+            assert_eq!(top.hits.as_slice(), &full.hits[..2]);
+            assert!(server.query_ranked(&probe, 0, 0.0).unwrap().hits.is_empty());
+            let above_rest = server.query_ranked(&probe, usize::MAX, best).unwrap();
+            assert_eq!(above_rest.hits.as_slice(), &full.hits[..top_tier.len()]);
+            assert!(server.query_ranked(&probe, usize::MAX, best + 0.5).unwrap().hits.is_empty());
+        }
+    }
+
+    #[test]
+    fn a_reader_sees_every_publish_on_its_next_read() {
+        let server = filled_people_server(2);
+        let probe = person(&server, 0);
+        let mut reader = server.reader();
+        assert_eq!(reader.query(&probe).unwrap(), server.query(&probe).unwrap());
+
+        server.upsert(RecordId(100), &person(&server, 0)).unwrap();
+        let after_upsert = reader.query(&probe).unwrap();
+        assert!(ids(&after_upsert).contains(&100), "the reader refreshed after the upsert");
+        assert_eq!(after_upsert, server.query(&probe).unwrap());
+
+        server.remove(RecordId(100)).unwrap();
+        assert!(!ids(&reader.query(&probe).unwrap()).contains(&100));
+        let ranked = reader.query_ranked(&probe, usize::MAX, 0.0).unwrap();
+        assert!(ranked.hits.iter().all(|h| h.id != RecordId(100)));
+        assert_eq!(ranked, server.query_ranked(&probe, usize::MAX, 0.0).unwrap());
+    }
+
+    #[test]
+    fn inert_cache_fields_stay_zero_through_reads_writes_and_swaps() {
+        let server = filled_people_server(2);
+        let probe = person(&server, 0);
+        let inert = |stats: &ServerStats| {
+            (stats.cache_hits, stats.cache_misses, stats.cache_invalidations) == (0, 0, 0)
+        };
+        for _ in 0..2 {
+            server.query(&probe).unwrap();
+            server.query_ranked(&probe, 3, 0.0).unwrap();
+            server.query_batch(std::slice::from_ref(&probe)).unwrap();
+        }
+        assert!(inert(&server.stats()));
+        server.upsert(RecordId(100), &person(&server, 0)).unwrap();
+        server.remove(RecordId(100)).unwrap();
+        server.query(&probe).unwrap();
+        assert!(inert(&server.stats()));
+        let v2 = server
+            .swap_rules("people[email] = people[email] -> people[name] <=> people[name]")
+            .unwrap();
+        assert_eq!(server.query(&probe).unwrap().version, v2);
+        assert!(inert(&server.stats()));
     }
 }

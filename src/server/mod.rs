@@ -14,9 +14,8 @@
 //!   shard snapshots) is one immutable view behind an atomically
 //!   swapped epoch cell, so reads are lock-free in the steady state and
 //!   a [`swap_rules`](MatchServer::swap_rules) rebuild at version v+1
-//!   flips in with **zero read downtime**. Answers are cached keyed on
-//!   ([`Record::signature`](crate::service::Record::signature), publish
-//!   epoch) — any mutation or swap invalidates the cache wholesale.
+//!   flips in with **zero read downtime**. Boolean, batched and ranked
+//!   reads share one shard fan-out; nothing is memoised.
 //! * [`wire`] — a length-prefixed binary protocol (std-only, no serde)
 //!   with typed [`ProtocolError`]s: `query`, `query_batch`,
 //!   `upsert_batch`, `explain`, `swap_rules`, `stats`, every response
@@ -60,7 +59,6 @@
 //!
 //! [`RecordId`]: crate::service::RecordId
 
-mod cache;
 mod core;
 pub mod net;
 pub mod wire;

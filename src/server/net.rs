@@ -346,9 +346,6 @@ fn stats_to_wire(server: &MatchServer) -> WireStats {
         batch_queries: stats.batch_queries,
         upserts: stats.upserts,
         removes: stats.removes,
-        cache_hits: stats.cache_hits,
-        cache_misses: stats.cache_misses,
-        cache_invalidations: stats.cache_invalidations,
         key_anchors: stats.index.key_anchors,
         qgram_anchors: stats.index.qgram_anchors,
         element_anchors: stats.index.element_anchors,

@@ -242,12 +242,6 @@ pub struct WireStats {
     pub upserts: u64,
     /// Records removed since the server started.
     pub removes: u64,
-    /// Probe-cache hits.
-    pub cache_hits: u64,
-    /// Probe-cache misses.
-    pub cache_misses: u64,
-    /// Probe-cache invalidations (stale-epoch lookups and sweeps).
-    pub cache_invalidations: u64,
     /// Atoms indexed as key buckets (equality, phonetic, normalizing).
     pub key_anchors: u64,
     /// Edit-distance atoms indexed as q-gram posting lists.
@@ -599,9 +593,6 @@ impl Response {
                 put_u64(&mut out, s.batch_queries);
                 put_u64(&mut out, s.upserts);
                 put_u64(&mut out, s.removes);
-                put_u64(&mut out, s.cache_hits);
-                put_u64(&mut out, s.cache_misses);
-                put_u64(&mut out, s.cache_invalidations);
                 put_u64(&mut out, s.key_anchors);
                 put_u64(&mut out, s.qgram_anchors);
                 put_u64(&mut out, s.element_anchors);
@@ -695,9 +686,6 @@ impl Response {
                     batch_queries: r.u64("batch query counter")?,
                     upserts: r.u64("upsert counter")?,
                     removes: r.u64("remove counter")?,
-                    cache_hits: r.u64("cache hits")?,
-                    cache_misses: r.u64("cache misses")?,
-                    cache_invalidations: r.u64("cache invalidations")?,
                     key_anchors: r.u64("key anchors")?,
                     qgram_anchors: r.u64("qgram anchors")?,
                     element_anchors: r.u64("element anchors")?,
@@ -1059,9 +1047,6 @@ mod tests {
                 batch_queries: 4,
                 upserts: 8,
                 removes: 1,
-                cache_hits: 50,
-                cache_misses: 50,
-                cache_invalidations: 7,
                 key_anchors: 3,
                 qgram_anchors: 1,
                 element_anchors: 2,
@@ -1152,9 +1137,9 @@ mod tests {
         assert_eq!(truncated_at(Response::decode(&counted(&[8]))), "hit count");
         assert_eq!(truncated_at(Response::decode(&counted(&[2]))), "answer count");
         // Stats: version and epoch, then the shard count; with no shards,
-        // eleven counters and an empty schema name precede the attributes.
+        // eight counters and an empty schema name precede the attributes.
         assert_eq!(truncated_at(Response::decode(&counted(&zeros(7, 16)))), "shard count");
-        let before_attributes = 16 + 4 + 11 * 8 + 4;
+        let before_attributes = 16 + 4 + 8 * 8 + 4;
         assert_eq!(
             truncated_at(Response::decode(&counted(&zeros(7, before_attributes)))),
             "attribute count"

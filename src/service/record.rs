@@ -165,44 +165,6 @@ impl Record {
         &self.values
     }
 
-    /// A stable 64-bit byte signature of the record: FNV-1a over the
-    /// schema's name and arity plus every value in schema attribute
-    /// order, each length-prefixed and tagged (`Null` is distinct from
-    /// `""`). The signature is **order- and schema-deterministic** — it
-    /// depends only on the schema identity and the value bytes, never on
-    /// builder assignment order, process, platform or run — which makes
-    /// it a sound cache key: two records with equal signatures built
-    /// against one schema are equal with overwhelming probability, and
-    /// equal records always have equal signatures.
-    pub fn signature(&self) -> u64 {
-        // FNV-1a, 64-bit: simple, stable across runs (unlike
-        // `DefaultHasher`, whose output is unspecified between releases).
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut hash = OFFSET;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                hash ^= b as u64;
-                hash = hash.wrapping_mul(PRIME);
-            }
-        };
-        eat(self.schema.name().as_bytes());
-        eat(&(self.schema.arity() as u64).to_le_bytes());
-        for value in &self.values {
-            match value.as_str() {
-                // Tag + length prefix: `Null` ≠ `""`, and value
-                // boundaries cannot shift (["ab","c"] ≠ ["a","bc"]).
-                None => eat(&[0]),
-                Some(s) => {
-                    eat(&[1]);
-                    eat(&(s.len() as u64).to_le_bytes());
-                    eat(s.as_bytes());
-                }
-            }
-        }
-        hash
-    }
-
     /// The value of the named field; unknown names get the same typed
     /// error (with suggestion) as the builder.
     pub fn get(&self, field: &str) -> Result<&Value, ServiceError> {
@@ -324,45 +286,32 @@ mod tests {
     }
 
     #[test]
-    fn signature_is_deterministic_and_ignores_assignment_order() {
-        let a = Record::builder(schema())
-            .field("first", "Mark")
-            .field("mail", "mc@gm.com")
-            .build()
-            .unwrap();
-        let b = Record::builder(schema())
-            .field("mail", "mc@gm.com")
-            .field("first", "Mark")
-            .build()
-            .unwrap();
-        assert_eq!(a.signature(), b.signature(), "assignment order must not matter");
-        assert_eq!(a.signature(), a.clone().signature(), "same record, same signature");
-        // Pinned value: the signature is stable across runs and
-        // platforms — a silent change would invalidate persisted caches.
-        let empty = Record::builder(schema()).build().unwrap();
-        assert_eq!(empty.signature(), 0x5d67_37ba_8b45_f7c3);
+    fn assignment_order_does_not_change_the_record() {
+        let a = Record::builder(schema()).field("first", "Mark").field("mail", "mc@gm.com");
+        let b = Record::builder(schema()).field("mail", "mc@gm.com").field("first", "Mark");
+        assert_eq!(a.build().unwrap(), b.build().unwrap());
     }
 
     #[test]
-    fn signature_separates_values_null_and_schema() {
-        let base = Record::builder(schema()).field("first", "Mark").build().unwrap();
-        let other = Record::builder(schema()).field("first", "Marx").build().unwrap();
-        assert_ne!(base.signature(), other.signature());
-        // Null and "" are different records.
-        let null_last = Record::builder(schema()).field("first", "Mark").build().unwrap();
-        let empty_last =
-            Record::builder(schema()).field("first", "Mark").field("last", "").build().unwrap();
-        assert_ne!(null_last.signature(), empty_last.signature());
-        // Boundary shifts cannot collide: ["ab", "c"] vs ["a", "bc"].
-        let ab_c =
-            Record::builder(schema()).field("first", "ab").field("last", "c").build().unwrap();
-        let a_bc =
-            Record::builder(schema()).field("first", "a").field("last", "bc").build().unwrap();
-        assert_ne!(ab_c.signature(), a_bc.signature());
-        // Same values under another schema sign differently.
-        let alt = Arc::new(Schema::text("mdm", &["first", "last", "mobile", "mail"]).unwrap());
-        let same_values = Record::from_values(alt, base.values().to_vec()).unwrap();
-        assert_ne!(base.signature(), same_values.signature());
+    fn values_null_and_schema_keep_records_apart() {
+        let with = |value: Value| {
+            let mut values = vec![Value::Null; 4];
+            values[0] = value;
+            Record::from_values(schema(), values).unwrap()
+        };
+        assert_ne!(with(Value::str("")), with(Value::Null), "\"\" is a value, not missing data");
+        assert_ne!(with(Value::str("Mark")), with(Value::str("Marx")));
+        let other = Arc::new(Schema::text("erp", &["first", "last", "mobile", "mail"]).unwrap());
+        let twin = Record::from_values(other, vec![Value::Null; 4]).unwrap();
+        assert_ne!(twin, with(Value::Null), "same values under another schema");
+    }
+
+    #[test]
+    fn tuple_form_round_trips() {
+        let rec = Record::builder(schema()).field("last", "Clifford").build().unwrap();
+        let tuple = rec.to_tuple(7);
+        assert_eq!(tuple.id(), 7);
+        assert_eq!(Record::from_tuple(schema(), &tuple), rec);
     }
 
     #[test]

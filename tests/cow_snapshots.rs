@@ -18,7 +18,8 @@
 //!   pinning the pre-stream view for the whole stream (so every write
 //!   copies against a shared snapshot, never in place): afterwards the
 //!   server answers — boolean and ranked — exactly like a server freshly
-//!   loaded from its own `snapshot()`.
+//!   loaded from its own `snapshot()`, and the refreshed reader answers
+//!   — boolean and ranked — exactly like the server.
 
 use matchrules::data::dirty::{generate_dirty, DirtyData, NoiseConfig};
 use matchrules::data::relation::Tuple;
@@ -202,8 +203,8 @@ proptest! {
         for shards in SHARD_SWEEP {
             let config = ServerConfig {
                 shards,
-                cache_capacity: 64,
                 exec: ExecConfig { threads: Threads::Fixed(2) },
+                ..ServerConfig::default()
             };
             let server = MatchServer::with_config(engine(), config);
             let record = |row: usize| {
@@ -260,6 +261,7 @@ proptest! {
                 // The reader refreshes to the published view on use.
                 prop_assert_eq!(&pinned.query(probe).unwrap(), &live);
                 let ranked = server.query_ranked(probe, 5, 0.0).unwrap();
+                prop_assert_eq!(&pinned.query_ranked(probe, 5, 0.0).unwrap(), &ranked);
                 prop_assert_eq!(ranked.hits, fresh.query_ranked(probe, 5, 0.0).unwrap().hits);
             }
         }

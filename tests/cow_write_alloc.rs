@@ -76,9 +76,9 @@ fn prefix(relation: &Relation, rows: usize) -> Relation {
 }
 
 /// Median bytes one `upsert` of a fresh record allocates on a 1-shard,
-/// cache-off, inline-executor server holding `store`.
+/// inline-executor server holding `store`.
 fn upsert_bytes(store: &Relation) -> u64 {
-    let config = ServerConfig { shards: 1, cache_capacity: 0, exec: ExecConfig::serial() };
+    let config = ServerConfig { shards: 1, exec: ExecConfig::serial(), ..ServerConfig::default() };
     let server = MatchServer::with_config(engine(), config);
     let record = |row: usize| {
         let values = store.tuples()[row].values().to_vec();

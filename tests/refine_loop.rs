@@ -76,10 +76,8 @@ fn refine_once(data: &DirtyData, threads: usize, beta: f64) -> Refinement {
 
 /// A `shards`-shard server over `engine` holding every billing tuple.
 fn filled_server(engine: MatchEngine, data: &DirtyData, shards: usize) -> MatchServer {
-    let server = MatchServer::with_config(
-        engine,
-        ServerConfig { shards, cache_capacity: 16, ..ServerConfig::default() },
-    );
+    let server =
+        MatchServer::with_config(engine, ServerConfig { shards, ..ServerConfig::default() });
     for t in data.billing.tuples() {
         let record = Record::from_values(server.store_schema(), t.values().to_vec()).unwrap();
         server.upsert(RecordId(t.id()), &record).unwrap();

@@ -8,7 +8,6 @@
 //! * `swap_rules` has zero read downtime: readers hammering the server
 //!   during repeated swaps never fail, never block on the rebuild, and
 //!   observe only monotonically non-decreasing rule versions;
-//! * the probe cache serves repeats and is invalidated by every publish;
 //! * the TCP front round-trips upsert/query/explain/swap/stats/remove
 //!   through `MatchClient`, with service errors typed, not fatal.
 
@@ -43,8 +42,8 @@ fn extended_server(shards: usize, threads: usize) -> MatchServer {
         engine,
         ServerConfig {
             shards,
-            cache_capacity: 32,
             exec: ExecConfig { threads: Threads::Fixed(threads) },
+            ..ServerConfig::default()
         },
     )
 }
@@ -247,66 +246,6 @@ fn swap_rules_has_zero_read_downtime() {
     assert_eq!(server.version().number(), 1 + swaps, "every swap bumped the version exactly once");
 }
 
-/// Repeat probes are served from the cache — the first pass over a
-/// probe set is all misses, the second all hits, boolean and ranked
-/// alike; any publish (mutation or swap) strands every entry at the old
-/// epoch, so a stale answer never serves.
-#[test]
-fn probe_cache_serves_repeats_and_invalidates_on_publish() {
-    let shape = Preset::Extended.paper_setting();
-    let data = generate_dirty(
-        &shape.pair,
-        &shape.target,
-        20,
-        &NoiseConfig { seed: 0xCAC4E, ..Default::default() },
-    );
-    let server = extended_server(2, 1);
-    let batch: Vec<(RecordId, Record)> = data
-        .billing
-        .tuples()
-        .iter()
-        .map(|t| (RecordId(t.id()), store_record(&server, t)))
-        .collect();
-    server.upsert_batch(&batch).unwrap();
-
-    let probes: Vec<Record> = (data.credit.tuples().iter().take(8))
-        .map(|t| Record::from_values(server.probe_schema(), t.values().to_vec()).unwrap())
-        .collect();
-    let pass = || -> Vec<_> {
-        let answer = |p| (server.query(p).unwrap(), server.query_ranked(p, 10, 0.0).unwrap());
-        probes.iter().map(answer).collect()
-    };
-    let first = pass();
-    assert_eq!(server.stats().cache_hits, 0, "the first pass is all misses");
-    assert_eq!(pass(), first);
-    let warm = server.stats();
-    assert_eq!(warm.cache_hits as usize, 2 * probes.len(), "the second pass is all hits");
-
-    // A mutation invalidates: every probe is recomputed against the new
-    // store — the removed record is gone from its answers — and no
-    // stale entry serves.
-    let removed = (first.iter().find_map(|(boolean, _)| boolean.hits.first()))
-        .expect("some probe matches a stored record")
-        .id;
-    server.remove(removed).unwrap();
-    for (boolean, ranked) in pass() {
-        assert!(boolean.hits.iter().all(|h| h.id != removed), "stale cached hit served");
-        assert!(ranked.hits.iter().all(|h| h.id != removed), "stale cached ranked hit served");
-    }
-    let cold = server.stats();
-    assert_eq!(cold.cache_hits, warm.cache_hits, "stale entries never serve");
-    assert!(
-        cold.cache_invalidations >= 2 * probes.len() as u64,
-        "every stale lookup counts as an invalidation"
-    );
-
-    // A swap invalidates too, and restamps the version.
-    server.swap_rules(SWAPPED_RULES).unwrap();
-    let after_swap = server.query(&probes[0]).unwrap();
-    assert_eq!(after_swap.version.number(), 2);
-    assert_eq!(server.stats().cache_hits, warm.cache_hits);
-}
-
 /// End-to-end over TCP: connect, learn schemas, upsert, query (with
 /// fired-RCK provenance), explain, swap rules, stats, remove — then a
 /// service error that leaves the connection usable.
@@ -325,8 +264,8 @@ fn tcp_front_round_trips_and_swaps() {
         engine,
         ServerConfig {
             shards: 2,
-            cache_capacity: 16,
             exec: ExecConfig { threads: Threads::Fixed(1) },
+            ..ServerConfig::default()
         },
     ));
     let handle = serve(server.clone(), "127.0.0.1:0").unwrap();

@@ -40,8 +40,8 @@ fn server_over(engine: MatchEngine, shards: usize, threads: usize) -> MatchServe
         engine,
         ServerConfig {
             shards,
-            cache_capacity: 32,
             exec: ExecConfig { threads: Threads::Fixed(threads) },
+            ..ServerConfig::default()
         },
     )
 }
@@ -219,6 +219,20 @@ fn upsert_remove_get_roundtrip() {
         assert!(server.epoch() > epoch_before, "compaction publishes");
         assert_eq!(server.snapshot().tuples(), store_before.tuples());
         assert_query_equals_batch(&server, &credit);
+
+        // Removing a record that answers a probe takes it out of that
+        // probe's boolean and ranked answers at once.
+        let (probe, matched) = (credit.tuples().iter())
+            .find_map(|t| {
+                let probe = probe_record(&server, t);
+                let matched = server.query(&probe).unwrap().hits.first()?.id;
+                Some((probe, matched))
+            })
+            .expect("some probe matches a stored record");
+        server.remove(matched).unwrap();
+        assert!(server.query(&probe).unwrap().hits.iter().all(|h| h.id != matched));
+        let ranked = server.query_ranked(&probe, usize::MAX, 0.0).unwrap();
+        assert!(ranked.hits.iter().all(|h| h.id != matched));
     }
 }
 

@@ -146,9 +146,6 @@ impl Gen {
                 batch_queries: self.next(),
                 upserts: self.next(),
                 removes: self.next(),
-                cache_hits: self.next(),
-                cache_misses: self.next(),
-                cache_invalidations: self.next(),
                 key_anchors: self.next(),
                 qgram_anchors: self.next(),
                 element_anchors: self.next(),
