@@ -12,22 +12,23 @@
 //! to the shared [`MatchServer`], and the answer encoded back. Service
 //! failures (schema mismatch, unknown record, a rule set that fails to
 //! compile) travel as [`Response::Error`] and leave the connection
-//! usable; protocol failures (garbage bytes, oversized frames) answer
-//! with an error frame and close the connection, whose framing state is
-//! unknown.
+//! usable, and so does an answer too large for one frame; protocol
+//! failures (garbage bytes, oversized frames) answer with an error frame
+//! and close the connection, whose framing state is unknown. Frames are
+//! read by the wire's own frame reader, given the shutdown flag.
 //!
 //! [`wire`]: crate::server::wire
 
 use crate::server::core::MatchServer;
 use crate::server::wire::{
-    read_response, write_request, write_response, ProtocolError, Request, Response, WireHit,
-    WireQuery, WireRanked, WireRefinement, WireSchema, WireScoredHit, WireStats, MAX_FRAME,
+    read_frame_until, read_response, write_request, write_response, ProtocolError, Request,
+    Response, WireHit, WireQuery, WireRanked, WireRefinement, WireSchema, WireScoredHit, WireStats,
 };
 use crate::service::{QueryResponse, RankedResponse, Record, RecordId, ServiceError};
 use matchrules_core::schema::Schema;
 use matchrules_data::value::Value;
 use std::fmt;
-use std::io::{self, Read};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -140,7 +141,9 @@ fn handle_connection(mut stream: TcpStream, server: &MatchServer, stop: &AtomicB
     let _ = stream.set_read_timeout(Some(POLL));
     let _ = stream.set_nodelay(true);
     loop {
-        let request = match read_request_polling(&mut stream, stop) {
+        let request = read_frame_until(&mut stream, Some(stop))
+            .and_then(|body| body.map(|body| Request::decode(&body)).transpose());
+        let request = match request {
             Ok(None) => return,
             Ok(Some(request)) => request,
             Err(e) => {
@@ -154,61 +157,19 @@ fn handle_connection(mut stream: TcpStream, server: &MatchServer, stop: &AtomicB
             Ok(response) => response,
             Err(e) => Response::Error { message: e.to_string() },
         };
-        if write_response(&mut stream, &response).is_err() {
+        // An answer too large for one frame is refused before any byte
+        // is written, so the framing is intact: answer the error instead
+        // and keep the connection.
+        let sent = match write_response(&mut stream, &response) {
+            Err(e @ ProtocolError::Oversized { .. }) => {
+                write_response(&mut stream, &Response::Error { message: e.to_string() })
+            }
+            sent => sent,
+        };
+        if sent.is_err() {
             return;
         }
     }
-}
-
-fn retriable(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut | io::ErrorKind::Interrupted
-    )
-}
-
-/// [`crate::server::wire::read_request`] over a socket with a read
-/// timeout: timeouts while *no* frame is in flight re-check `stop` and
-/// keep waiting; mid-frame timeouts keep reading (the client is
-/// sending) unless `stop` fires.
-fn read_request_polling(
-    stream: &mut TcpStream,
-    stop: &AtomicBool,
-) -> Result<Option<Request>, ProtocolError> {
-    let mut prefix = [0u8; 4];
-    let mut filled = 0;
-    while filled < prefix.len() {
-        match stream.read(&mut prefix[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None),
-            Ok(0) => return Err(ProtocolError::Truncated { context: "frame length prefix" }),
-            Ok(n) => filled += n,
-            Err(e) if retriable(&e) => {
-                if stop.load(Ordering::Acquire) {
-                    return Ok(None);
-                }
-            }
-            Err(e) => return Err(ProtocolError::Io(e)),
-        }
-    }
-    let len = u32::from_be_bytes(prefix) as usize;
-    if len > MAX_FRAME {
-        return Err(ProtocolError::Oversized { len: len as u64 });
-    }
-    let mut body = vec![0u8; len];
-    let mut filled = 0;
-    while filled < len {
-        match stream.read(&mut body[filled..]) {
-            Ok(0) => return Err(ProtocolError::Truncated { context: "frame body" }),
-            Ok(n) => filled += n,
-            Err(e) if retriable(&e) => {
-                if stop.load(Ordering::Acquire) {
-                    return Ok(None);
-                }
-            }
-            Err(e) => return Err(ProtocolError::Io(e)),
-        }
-    }
-    Request::decode(&body).map(Some)
 }
 
 /// Applies one decoded request to the shared server.

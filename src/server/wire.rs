@@ -3,22 +3,43 @@
 //!
 //! A frame is a big-endian `u32` byte length followed by that many body
 //! bytes; the body is an opcode byte followed by the message fields.
-//! Values (record fields) encode as a tag byte — `0` null, `1` string —
-//! with strings as `u32` length + UTF-8 bytes. Counts are `u32`, ids and
-//! counters `u64`. There is no self-description and no schema on the
-//! wire: probes and records are positional value vectors against the
-//! schemas the client learns from [`Response::Stats`].
+//! There is no self-description and no schema on the wire: probes and
+//! records are positional value vectors against the schemas the client
+//! learns from [`Response::Stats`].
+//!
+//! # The codec
+//!
+//! Every type that crosses the wire has exactly one impl of a private
+//! `Wire` trait, which writes it, reads it back and states `MIN`, the
+//! fewest bytes any value of it encodes to:
+//!
+//! * integers are big-endian — `u32` counts and lengths, `u64` ids,
+//!   counters and `f64::to_bits` payloads; a `bool` is one byte, `0` or
+//!   `1`;
+//! * a `String` is its `u32` byte length, then UTF-8 bytes;
+//! * an `Option<T>` is a tag byte, `0` none or `1` followed by the `T` —
+//!   the record values (null or a string) and `Explain`'s fired key;
+//! * a `Vec<T>` is a `u32` count, then the elements; a tuple is its parts
+//!   in order;
+//! * a `Wire*` struct is its fields in declaration order, and a message
+//!   is its opcode, then its fields in declaration order. One list per
+//!   struct and one opcode row per message variant generate both
+//!   directions, so the encoder and the decoder cannot drift apart.
 //!
 //! Decoding is **total**: any byte sequence either decodes to a message
-//! or fails with a typed [`ProtocolError`] — truncated input, an unknown
-//! tag, an oversized frame and trailing garbage are all errors, never
-//! panics, and a frame longer than [`MAX_FRAME`] is rejected *before*
-//! any allocation. [`read_frame`] distinguishes a clean end-of-stream
-//! (`Ok(None)`) from a connection dying mid-frame
+//! or fails with a typed [`ProtocolError`] naming the field — truncated
+//! input, an unknown tag, an oversized frame and trailing garbage are
+//! all errors, never panics, and a frame longer than [`MAX_FRAME`] is
+//! rejected *before* any allocation. Counts are bounded in one place,
+//! `Vec<T>`'s decoder: `n` elements of at least `T::MIN` bytes each must
+//! fit in the bytes that remain, so no count can reserve more elements
+//! than the frame could hold. [`read_frame`] distinguishes a clean
+//! end-of-stream (`Ok(None)`) from a connection dying mid-frame
 //! ([`ProtocolError::Truncated`]).
 
 use std::fmt;
 use std::io::{self, Read, Write};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Hard cap on a frame's body length (16 MiB). A peer announcing more
 /// is rejected with [`ProtocolError::Oversized`] before any buffer is
@@ -98,6 +119,242 @@ impl From<io::Error> for ProtocolError {
     }
 }
 
+// ---------------------------------------------------------------------
+// The codec
+// ---------------------------------------------------------------------
+
+/// One wire type: how it is written, how it is read back, and the fewest
+/// bytes any value of it encodes to.
+trait Wire: Sized {
+    /// The smallest encoding of any value, in bytes — what bounds a
+    /// count of these elements.
+    const MIN: usize;
+
+    /// Appends the encoding to `out`.
+    fn put(&self, out: &mut Vec<u8>);
+
+    /// Reads one value; `context` names the field in errors.
+    fn get(r: &mut Reader<'_>, context: &'static str) -> Result<Self, ProtocolError>;
+}
+
+/// A bounds-checked cursor over a frame body. Every read either
+/// advances or fails with a typed error naming the field.
+struct Reader<'a> {
+    buf: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Reader<'a> {
+    fn get<T: Wire>(&mut self, context: &'static str) -> Result<T, ProtocolError> {
+        T::get(self, context)
+    }
+
+    fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
+    fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], ProtocolError> {
+        if self.remaining() < n {
+            return Err(ProtocolError::Truncated { context });
+        }
+        let slice = &self.buf[self.pos..self.pos + n];
+        self.pos += n;
+        Ok(slice)
+    }
+
+    fn finish(self) -> Result<(), ProtocolError> {
+        match self.remaining() {
+            0 => Ok(()),
+            extra => Err(ProtocolError::TrailingBytes { extra }),
+        }
+    }
+}
+
+macro_rules! wire_int {
+    ($($int:ty),*) => {$(
+        impl Wire for $int {
+            const MIN: usize = std::mem::size_of::<$int>();
+
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_be_bytes());
+            }
+
+            fn get(r: &mut Reader<'_>, context: &'static str) -> Result<Self, ProtocolError> {
+                let bytes = r.take(<$int as Wire>::MIN, context)?;
+                Ok(<$int>::from_be_bytes(bytes.try_into().expect("took MIN bytes")))
+            }
+        }
+    )*};
+}
+
+wire_int!(u8, u32, u64);
+
+impl Wire for bool {
+    const MIN: usize = <u8 as Wire>::MIN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u8).put(out);
+    }
+
+    fn get(r: &mut Reader<'_>, context: &'static str) -> Result<Self, ProtocolError> {
+        match r.get::<u8>(context)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            tag => Err(ProtocolError::UnknownTag { context, tag }),
+        }
+    }
+}
+
+impl Wire for String {
+    const MIN: usize = <u32 as Wire>::MIN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        out.extend_from_slice(self.as_bytes());
+    }
+
+    fn get(r: &mut Reader<'_>, context: &'static str) -> Result<Self, ProtocolError> {
+        let len = r.get::<u32>(context)? as usize;
+        let bytes = r.take(len, context)?;
+        String::from_utf8(bytes.to_vec()).map_err(|_| ProtocolError::InvalidUtf8 { context })
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    const MIN: usize = <bool as Wire>::MIN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.is_some().put(out);
+        if let Some(value) = self {
+            value.put(out);
+        }
+    }
+
+    fn get(r: &mut Reader<'_>, context: &'static str) -> Result<Self, ProtocolError> {
+        Ok(if r.get::<bool>(context)? { Some(r.get(context)?) } else { None })
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    const MIN: usize = <u32 as Wire>::MIN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        for item in self {
+            item.put(out);
+        }
+    }
+
+    /// The one place a count is bounded: `n` elements of at least
+    /// `T::MIN` bytes each must fit in what is left of the body. That is
+    /// what keeps `Vec::with_capacity(n)` safe — an element in memory can
+    /// be several times its smallest encoding, so a count checked against
+    /// one byte per element would let one frame reserve gigabytes.
+    fn get(r: &mut Reader<'_>, context: &'static str) -> Result<Self, ProtocolError> {
+        let n = r.get::<u32>(context)? as usize;
+        if n.saturating_mul(T::MIN) > r.remaining() {
+            return Err(ProtocolError::Truncated { context });
+        }
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(r.get(context)?);
+        }
+        Ok(items)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    const MIN: usize = A::MIN + B::MIN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+
+    fn get(r: &mut Reader<'_>, context: &'static str) -> Result<Self, ProtocolError> {
+        Ok((r.get(context)?, r.get(context)?))
+    }
+}
+
+impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
+    const MIN: usize = A::MIN + B::MIN + C::MIN;
+
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+        self.2.put(out);
+    }
+
+    fn get(r: &mut Reader<'_>, context: &'static str) -> Result<Self, ProtocolError> {
+        Ok((r.get(context)?, r.get(context)?, r.get(context)?))
+    }
+}
+
+/// Declares a `Wire*` struct and its codec from one field list: fields
+/// travel in declaration order, each named by its field in errors, and
+/// `MIN` is the sum of theirs.
+macro_rules! wire_struct {
+    ($(#[$attr:meta])* pub struct $name:ident {
+        $($(#[$field_attr:meta])* pub $field:ident: $ty:ty,)*
+    }) => {
+        $(#[$attr])*
+        pub struct $name {
+            $($(#[$field_attr])* pub $field: $ty,)*
+        }
+
+        impl Wire for $name {
+            const MIN: usize = 0 $(+ <$ty as Wire>::MIN)*;
+
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$field.put(out);)*
+            }
+
+            fn get(r: &mut Reader<'_>, _: &'static str) -> Result<Self, ProtocolError> {
+                Ok($name { $($field: r.get(stringify!($field))?,)* })
+            }
+        }
+    };
+}
+
+/// Generates a message enum's `encode` and `decode` from one opcode
+/// table. Each row names a variant with its fields in declaration order
+/// — or its one payload, bound to the name given — and that row is both
+/// directions.
+macro_rules! wire_message {
+    ($name:ident, $context:literal {
+        $($opcode:literal => $variant:ident $({ $($field:ident),* })? $(($payload:ident))?,)*
+    }) => {
+        impl $name {
+            /// Encodes the message body (opcode + fields, no length prefix).
+            pub fn encode(&self) -> Vec<u8> {
+                let mut out = Vec::new();
+                match self {
+                    $($name::$variant $({ $($field),* })? $(($payload))? => {
+                        out.push($opcode);
+                        $($($field.put(&mut out);)*)?
+                        $($payload.put(&mut out);)?
+                    })*
+                }
+                out
+            }
+
+            /// Decodes one message from a complete frame body; every byte
+            /// must be consumed.
+            pub fn decode(body: &[u8]) -> Result<$name, ProtocolError> {
+                let mut r = Reader { buf: body, pos: 0 };
+                let message = match r.get::<u8>($context)? {
+                    $($opcode => $name::$variant
+                        $({ $($field: r.get(stringify!($field))?),* })?
+                        $((r.get(stringify!($payload))?))?,)*
+                    tag => return Err(ProtocolError::UnknownTag { context: $context, tag }),
+                };
+                r.finish()?;
+                Ok(message)
+            }
+        }
+    };
+}
+
 /// One labeled pair on the wire: `(probe values, stored-shape values,
 /// is a match)` — both sides positional against their schema, unset
 /// fields null.
@@ -166,125 +423,139 @@ pub enum Request {
     },
 }
 
-/// One query hit on the wire: the matched id and the index of the RCK
-/// that fired (into the plan's key list — the fired-RCK provenance).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireHit {
-    /// Id of the matched record.
-    pub id: u64,
-    /// Index of the first RCK that accepted the pair.
-    pub key: u32,
+wire_struct! {
+    /// One query hit on the wire: the matched id and the index of the RCK
+    /// that fired (into the plan's key list — the fired-RCK provenance).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct WireHit {
+        /// Id of the matched record.
+        pub id: u64,
+        /// Index of the first RCK that accepted the pair.
+        pub key: u32,
+    }
 }
 
-/// A query answer on the wire.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireQuery {
-    /// The matched records, in store order.
-    pub hits: Vec<WireHit>,
-    /// Candidates retrieved and verified for this probe.
-    pub candidates: u64,
-    /// RCK evaluations the verification ran.
-    pub key_evals: u64,
-    /// The rule version that produced this answer.
-    pub version: u64,
+wire_struct! {
+    /// A query answer on the wire.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct WireQuery {
+        /// The matched records, in store order.
+        pub hits: Vec<WireHit>,
+        /// Candidates retrieved and verified for this probe.
+        pub candidates: u64,
+        /// RCK evaluations the verification ran.
+        pub key_evals: u64,
+        /// The rule version that produced this answer.
+        pub version: u64,
+    }
 }
 
-/// One ranked hit on the wire: the matched id, the fired-RCK index, and
-/// the calibrated score as `f64::to_bits` (bit-exact transport — ranked
-/// answers are byte-identical across the wire).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WireScoredHit {
-    /// Id of the matched record.
-    pub id: u64,
-    /// Index of the first RCK that accepted the pair.
-    pub key: u32,
-    /// The calibrated match confidence, as `f64::to_bits`.
-    pub score_bits: u64,
+wire_struct! {
+    /// One ranked hit on the wire: the matched id, the fired-RCK index, and
+    /// the calibrated score as `f64::to_bits` (bit-exact transport — ranked
+    /// answers are byte-identical across the wire).
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct WireScoredHit {
+        /// Id of the matched record.
+        pub id: u64,
+        /// Index of the first RCK that accepted the pair.
+        pub key: u32,
+        /// The calibrated match confidence, as `f64::to_bits`.
+        pub score_bits: u64,
+    }
 }
 
-/// A ranked query answer on the wire.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireRanked {
-    /// The surviving hits, sorted by score descending.
-    pub hits: Vec<WireScoredHit>,
-    /// Candidates retrieved and verified for this probe.
-    pub candidates: u64,
-    /// RCK evaluations the verification ran.
-    pub key_evals: u64,
-    /// The rule version that produced this answer.
-    pub version: u64,
+wire_struct! {
+    /// A ranked query answer on the wire.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct WireRanked {
+        /// The surviving hits, sorted by score descending.
+        pub hits: Vec<WireScoredHit>,
+        /// Candidates retrieved and verified for this probe.
+        pub candidates: u64,
+        /// RCK evaluations the verification ran.
+        pub key_evals: u64,
+        /// The rule version that produced this answer.
+        pub version: u64,
+    }
 }
 
-/// One schema on the wire: its name and attribute names in order.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireSchema {
-    /// The schema name.
-    pub name: String,
-    /// Attribute names, in positional order.
-    pub attributes: Vec<String>,
+wire_struct! {
+    /// One schema on the wire: its name and attribute names in order.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct WireSchema {
+        /// The schema name.
+        pub name: String,
+        /// Attribute names, in positional order.
+        pub attributes: Vec<String>,
+    }
 }
 
-/// Server counters and schemas on the wire.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireStats {
-    /// The rule version currently serving.
-    pub version: u64,
-    /// The publish epoch (bumps on every mutation and swap).
-    pub epoch: u64,
-    /// Live records per shard.
-    pub shard_records: Vec<u64>,
-    /// Probes answered since the server started.
-    pub queries: u64,
-    /// Batched query calls served since the server started (each batch
-    /// also adds its probe count to `queries`).
-    pub batch_queries: u64,
-    /// Records upserted since the server started.
-    pub upserts: u64,
-    /// Records removed since the server started.
-    pub removes: u64,
-    /// Atoms indexed as key buckets (equality, phonetic, normalizing).
-    pub key_anchors: u64,
-    /// Edit-distance atoms indexed as q-gram posting lists.
-    pub qgram_anchors: u64,
-    /// Atoms indexed as element posting lists (tokens, q-grams,
-    /// Jaro–Winkler).
-    pub element_anchors: u64,
-    /// Keys with no indexable atom (scan fallback).
-    pub scan_keys: u64,
-    /// The schema stored records instantiate.
-    pub store_schema: WireSchema,
-    /// The schema probes instantiate.
-    pub probe_schema: WireSchema,
+wire_struct! {
+    /// Server counters and schemas on the wire.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct WireStats {
+        /// The rule version currently serving.
+        pub version: u64,
+        /// The publish epoch (bumps on every mutation and swap).
+        pub epoch: u64,
+        /// Live records per shard.
+        pub shard_records: Vec<u64>,
+        /// Probes answered since the server started.
+        pub queries: u64,
+        /// Batched query calls served since the server started (each batch
+        /// also adds its probe count to `queries`).
+        pub batch_queries: u64,
+        /// Records upserted since the server started.
+        pub upserts: u64,
+        /// Records removed since the server started.
+        pub removes: u64,
+        /// Atoms indexed as key buckets (equality, phonetic, normalizing).
+        pub key_anchors: u64,
+        /// Edit-distance atoms indexed as q-gram posting lists.
+        pub qgram_anchors: u64,
+        /// Atoms indexed as element posting lists (tokens, q-grams,
+        /// Jaro–Winkler).
+        pub element_anchors: u64,
+        /// Keys with no indexable atom (scan fallback).
+        pub scan_keys: u64,
+        /// The schema stored records instantiate.
+        pub store_schema: WireSchema,
+        /// The schema probes instantiate.
+        pub probe_schema: WireSchema,
+    }
 }
 
-/// A refinement outcome on the wire: the deployed version, before/after
-/// quality on the labeled sample (as `f64::to_bits`), and the selected
-/// rules rendered.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireRefinement {
-    /// The bumped rule version now serving the selected rules.
-    pub version: u64,
-    /// Candidates evaluated (seed + hand-written + mined + θ-variants).
-    pub pool_size: u64,
-    /// How many of the selected rules are θ-sweep variants.
-    pub theta_variants: u64,
-    /// Whether exact exhaustive selection ran (vs greedy).
-    pub exhaustive: bool,
-    /// Precision of the previous rules on the labels, as `f64::to_bits`.
-    pub before_precision_bits: u64,
-    /// Recall of the previous rules on the labels, as `f64::to_bits`.
-    pub before_recall_bits: u64,
-    /// F1 of the previous rules on the labels, as `f64::to_bits`.
-    pub before_f1_bits: u64,
-    /// Precision of the selected rules on the labels, as `f64::to_bits`.
-    pub after_precision_bits: u64,
-    /// Recall of the selected rules on the labels, as `f64::to_bits`.
-    pub after_recall_bits: u64,
-    /// F1 of the selected rules on the labels, as `f64::to_bits`.
-    pub after_f1_bits: u64,
-    /// The selected rules, rendered with relation/attribute/operator
-    /// names.
-    pub rules: Vec<String>,
+wire_struct! {
+    /// A refinement outcome on the wire: the deployed version, before/after
+    /// quality on the labeled sample (as `f64::to_bits`), and the selected
+    /// rules rendered.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub struct WireRefinement {
+        /// The bumped rule version now serving the selected rules.
+        pub version: u64,
+        /// Candidates evaluated (seed + hand-written + mined + θ-variants).
+        pub pool_size: u64,
+        /// How many of the selected rules are θ-sweep variants.
+        pub theta_variants: u64,
+        /// Whether exact exhaustive selection ran (vs greedy).
+        pub exhaustive: bool,
+        /// Precision of the previous rules on the labels, as `f64::to_bits`.
+        pub before_precision_bits: u64,
+        /// Recall of the previous rules on the labels, as `f64::to_bits`.
+        pub before_recall_bits: u64,
+        /// F1 of the previous rules on the labels, as `f64::to_bits`.
+        pub before_f1_bits: u64,
+        /// Precision of the selected rules on the labels, as `f64::to_bits`.
+        pub after_precision_bits: u64,
+        /// Recall of the selected rules on the labels, as `f64::to_bits`.
+        pub after_recall_bits: u64,
+        /// F1 of the selected rules on the labels, as `f64::to_bits`.
+        pub after_f1_bits: u64,
+        /// The selected rules, rendered with relation/attribute/operator
+        /// names.
+        pub rules: Vec<String>,
+    }
 }
 
 /// A server-to-client message.
@@ -347,532 +618,32 @@ pub enum Response {
     },
 }
 
-// ---------------------------------------------------------------------
-// Encoding
-// ---------------------------------------------------------------------
+wire_message!(Request, "request opcode" {
+    1 => Query { values },
+    2 => QueryBatch { probes },
+    3 => UpsertBatch { items },
+    4 => RemoveBatch { ids },
+    5 => Explain { values, id },
+    6 => SwapRules { md_text },
+    7 => Stats,
+    8 => QueryRanked { values, top_k, min_score_bits },
+    9 => SubmitLabels { items },
+    10 => Refine { beta_bits },
+});
 
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_be_bytes());
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn put_value(out: &mut Vec<u8>, v: &Option<String>) {
-    match v {
-        None => out.push(0),
-        Some(s) => {
-            out.push(1);
-            put_str(out, s);
-        }
-    }
-}
-
-fn put_values(out: &mut Vec<u8>, values: &[Option<String>]) {
-    put_u32(out, values.len() as u32);
-    for v in values {
-        put_value(out, v);
-    }
-}
-
-fn put_schema(out: &mut Vec<u8>, s: &WireSchema) {
-    put_str(out, &s.name);
-    put_u32(out, s.attributes.len() as u32);
-    for a in &s.attributes {
-        put_str(out, a);
-    }
-}
-
-fn put_wire_query(out: &mut Vec<u8>, q: &WireQuery) {
-    put_u32(out, q.hits.len() as u32);
-    for h in &q.hits {
-        put_u64(out, h.id);
-        put_u32(out, h.key);
-    }
-    put_u64(out, q.candidates);
-    put_u64(out, q.key_evals);
-    put_u64(out, q.version);
-}
-
-fn put_wire_ranked(out: &mut Vec<u8>, q: &WireRanked) {
-    put_u32(out, q.hits.len() as u32);
-    for h in &q.hits {
-        put_u64(out, h.id);
-        put_u32(out, h.key);
-        put_u64(out, h.score_bits);
-    }
-    put_u64(out, q.candidates);
-    put_u64(out, q.key_evals);
-    put_u64(out, q.version);
-}
-
-impl Request {
-    /// Encodes the message body (opcode + fields, no length prefix).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match self {
-            Request::Query { values } => {
-                out.push(1);
-                put_values(&mut out, values);
-            }
-            Request::QueryBatch { probes } => {
-                out.push(2);
-                put_u32(&mut out, probes.len() as u32);
-                for p in probes {
-                    put_values(&mut out, p);
-                }
-            }
-            Request::UpsertBatch { items } => {
-                out.push(3);
-                put_u32(&mut out, items.len() as u32);
-                for (id, values) in items {
-                    put_u64(&mut out, *id);
-                    put_values(&mut out, values);
-                }
-            }
-            Request::RemoveBatch { ids } => {
-                out.push(4);
-                put_u32(&mut out, ids.len() as u32);
-                for id in ids {
-                    put_u64(&mut out, *id);
-                }
-            }
-            Request::Explain { values, id } => {
-                out.push(5);
-                put_values(&mut out, values);
-                put_u64(&mut out, *id);
-            }
-            Request::SwapRules { md_text } => {
-                out.push(6);
-                put_str(&mut out, md_text);
-            }
-            Request::Stats => out.push(7),
-            Request::QueryRanked { values, top_k, min_score_bits } => {
-                out.push(8);
-                put_values(&mut out, values);
-                put_u32(&mut out, *top_k);
-                put_u64(&mut out, *min_score_bits);
-            }
-            Request::SubmitLabels { items } => {
-                out.push(9);
-                put_u32(&mut out, items.len() as u32);
-                for (left, right, is_match) in items {
-                    put_values(&mut out, left);
-                    put_values(&mut out, right);
-                    out.push(*is_match as u8);
-                }
-            }
-            Request::Refine { beta_bits } => {
-                out.push(10);
-                put_u64(&mut out, *beta_bits);
-            }
-        }
-        out
-    }
-
-    /// Decodes one message from a complete frame body; every byte must
-    /// be consumed.
-    pub fn decode(body: &[u8]) -> Result<Request, ProtocolError> {
-        let mut r = Reader { buf: body, pos: 0 };
-        let request = match r.u8("request opcode")? {
-            1 => Request::Query { values: r.values()? },
-            2 => {
-                let n = r.count("probe count", U32)?;
-                let mut probes = Vec::with_capacity(n);
-                for _ in 0..n {
-                    probes.push(r.values()?);
-                }
-                Request::QueryBatch { probes }
-            }
-            3 => {
-                let n = r.count("item count", U64 + U32)?;
-                let mut items = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let id = r.u64("record id")?;
-                    items.push((id, r.values()?));
-                }
-                Request::UpsertBatch { items }
-            }
-            4 => {
-                let n = r.count("id count", U64)?;
-                let mut ids = Vec::with_capacity(n);
-                for _ in 0..n {
-                    ids.push(r.u64("record id")?);
-                }
-                Request::RemoveBatch { ids }
-            }
-            5 => {
-                let values = r.values()?;
-                Request::Explain { values, id: r.u64("record id")? }
-            }
-            6 => Request::SwapRules { md_text: r.string("md text")? },
-            7 => Request::Stats,
-            8 => {
-                let values = r.values()?;
-                let top_k = r.u32("top-k")?;
-                Request::QueryRanked { values, top_k, min_score_bits: r.u64("min-score bits")? }
-            }
-            9 => {
-                let n = r.count("label count", U32 + U32 + 1)?;
-                let mut items = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let left = r.values()?;
-                    let right = r.values()?;
-                    items.push((left, right, r.bool("label polarity")?));
-                }
-                Request::SubmitLabels { items }
-            }
-            10 => Request::Refine { beta_bits: r.u64("beta bits")? },
-            tag => return Err(ProtocolError::UnknownTag { context: "request opcode", tag }),
-        };
-        r.finish()?;
-        Ok(request)
-    }
-}
-
-impl Response {
-    /// Encodes the message body (opcode + fields, no length prefix).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match self {
-            Response::Query(q) => {
-                out.push(1);
-                put_wire_query(&mut out, q);
-            }
-            Response::QueryBatch(qs) => {
-                out.push(2);
-                put_u32(&mut out, qs.len() as u32);
-                for q in qs {
-                    put_wire_query(&mut out, q);
-                }
-            }
-            Response::UpsertBatch { replaced, version } => {
-                out.push(3);
-                put_u32(&mut out, replaced.len() as u32);
-                for &b in replaced {
-                    out.push(b as u8);
-                }
-                put_u64(&mut out, *version);
-            }
-            Response::RemoveBatch { version } => {
-                out.push(4);
-                put_u64(&mut out, *version);
-            }
-            Response::Explain { matched, fired_key, rendered, version } => {
-                out.push(5);
-                out.push(*matched as u8);
-                match fired_key {
-                    None => out.push(0),
-                    Some(k) => {
-                        out.push(1);
-                        put_u32(&mut out, *k);
-                    }
-                }
-                put_str(&mut out, rendered);
-                put_u64(&mut out, *version);
-            }
-            Response::SwapRules { version } => {
-                out.push(6);
-                put_u64(&mut out, *version);
-            }
-            Response::Stats(s) => {
-                out.push(7);
-                put_u64(&mut out, s.version);
-                put_u64(&mut out, s.epoch);
-                put_u32(&mut out, s.shard_records.len() as u32);
-                for &n in &s.shard_records {
-                    put_u64(&mut out, n);
-                }
-                put_u64(&mut out, s.queries);
-                put_u64(&mut out, s.batch_queries);
-                put_u64(&mut out, s.upserts);
-                put_u64(&mut out, s.removes);
-                put_u64(&mut out, s.key_anchors);
-                put_u64(&mut out, s.qgram_anchors);
-                put_u64(&mut out, s.element_anchors);
-                put_u64(&mut out, s.scan_keys);
-                put_schema(&mut out, &s.store_schema);
-                put_schema(&mut out, &s.probe_schema);
-            }
-            Response::QueryRanked(q) => {
-                out.push(8);
-                put_wire_ranked(&mut out, q);
-            }
-            Response::SubmitLabels { added, total, positives, negatives } => {
-                out.push(9);
-                put_u64(&mut out, *added);
-                put_u64(&mut out, *total);
-                put_u64(&mut out, *positives);
-                put_u64(&mut out, *negatives);
-            }
-            Response::Refine(rf) => {
-                out.push(10);
-                put_u64(&mut out, rf.version);
-                put_u64(&mut out, rf.pool_size);
-                put_u64(&mut out, rf.theta_variants);
-                out.push(rf.exhaustive as u8);
-                put_u64(&mut out, rf.before_precision_bits);
-                put_u64(&mut out, rf.before_recall_bits);
-                put_u64(&mut out, rf.before_f1_bits);
-                put_u64(&mut out, rf.after_precision_bits);
-                put_u64(&mut out, rf.after_recall_bits);
-                put_u64(&mut out, rf.after_f1_bits);
-                put_u32(&mut out, rf.rules.len() as u32);
-                for rule in &rf.rules {
-                    put_str(&mut out, rule);
-                }
-            }
-            Response::Error { message } => {
-                out.push(255);
-                put_str(&mut out, message);
-            }
-        }
-        out
-    }
-
-    /// Decodes one message from a complete frame body; every byte must
-    /// be consumed.
-    pub fn decode(body: &[u8]) -> Result<Response, ProtocolError> {
-        let mut r = Reader { buf: body, pos: 0 };
-        let response = match r.u8("response opcode")? {
-            1 => Response::Query(r.wire_query()?),
-            2 => {
-                let n = r.count("answer count", U32 + 3 * U64)?;
-                let mut qs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    qs.push(r.wire_query()?);
-                }
-                Response::QueryBatch(qs)
-            }
-            3 => {
-                let n = r.count("flag count", 1)?;
-                let mut replaced = Vec::with_capacity(n);
-                for _ in 0..n {
-                    replaced.push(r.bool("replacement flag")?);
-                }
-                Response::UpsertBatch { replaced, version: r.u64("rule version")? }
-            }
-            4 => Response::RemoveBatch { version: r.u64("rule version")? },
-            5 => {
-                let matched = r.bool("matched flag")?;
-                let fired_key = match r.u8("fired-key tag")? {
-                    0 => None,
-                    1 => Some(r.u32("fired key")?),
-                    tag => return Err(ProtocolError::UnknownTag { context: "fired-key tag", tag }),
-                };
-                let rendered = r.string("rendered explanation")?;
-                Response::Explain { matched, fired_key, rendered, version: r.u64("rule version")? }
-            }
-            6 => Response::SwapRules { version: r.u64("rule version")? },
-            7 => {
-                let version = r.u64("rule version")?;
-                let epoch = r.u64("epoch")?;
-                let n = r.count("shard count", U64)?;
-                let mut shard_records = Vec::with_capacity(n);
-                for _ in 0..n {
-                    shard_records.push(r.u64("shard record count")?);
-                }
-                Response::Stats(WireStats {
-                    version,
-                    epoch,
-                    shard_records,
-                    queries: r.u64("query counter")?,
-                    batch_queries: r.u64("batch query counter")?,
-                    upserts: r.u64("upsert counter")?,
-                    removes: r.u64("remove counter")?,
-                    key_anchors: r.u64("key anchors")?,
-                    qgram_anchors: r.u64("qgram anchors")?,
-                    element_anchors: r.u64("element anchors")?,
-                    scan_keys: r.u64("scan keys")?,
-                    store_schema: r.schema()?,
-                    probe_schema: r.schema()?,
-                })
-            }
-            8 => Response::QueryRanked(r.wire_ranked()?),
-            9 => Response::SubmitLabels {
-                added: r.u64("added counter")?,
-                total: r.u64("label total")?,
-                positives: r.u64("positive count")?,
-                negatives: r.u64("negative count")?,
-            },
-            10 => {
-                let version = r.u64("rule version")?;
-                let pool_size = r.u64("pool size")?;
-                let theta_variants = r.u64("theta variant count")?;
-                let exhaustive = r.bool("exhaustive flag")?;
-                let before_precision_bits = r.u64("before precision bits")?;
-                let before_recall_bits = r.u64("before recall bits")?;
-                let before_f1_bits = r.u64("before f1 bits")?;
-                let after_precision_bits = r.u64("after precision bits")?;
-                let after_recall_bits = r.u64("after recall bits")?;
-                let after_f1_bits = r.u64("after f1 bits")?;
-                let n = r.count("rule count", U32)?;
-                let mut rules = Vec::with_capacity(n);
-                for _ in 0..n {
-                    rules.push(r.string("rendered rule")?);
-                }
-                Response::Refine(WireRefinement {
-                    version,
-                    pool_size,
-                    theta_variants,
-                    exhaustive,
-                    before_precision_bits,
-                    before_recall_bits,
-                    before_f1_bits,
-                    after_precision_bits,
-                    after_recall_bits,
-                    after_f1_bits,
-                    rules,
-                })
-            }
-            255 => Response::Error { message: r.string("error message")? },
-            tag => return Err(ProtocolError::UnknownTag { context: "response opcode", tag }),
-        };
-        r.finish()?;
-        Ok(response)
-    }
-}
-
-// ---------------------------------------------------------------------
-// Decoding
-// ---------------------------------------------------------------------
-
-/// Encoded widths of the fixed-size fields, from which the minimum
-/// element sizes handed to [`Reader::count`] are summed. A string or a
-/// value vector is at least its `u32` length prefix, a value at least its
-/// tag byte.
-const U32: usize = 4;
-const U64: usize = 8;
-
-/// A bounds-checked cursor over a frame body. Every read either
-/// advances or fails with a typed error naming the field.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], ProtocolError> {
-        if self.buf.len() - self.pos < n {
-            return Err(ProtocolError::Truncated { context });
-        }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(slice)
-    }
-
-    fn u8(&mut self, context: &'static str) -> Result<u8, ProtocolError> {
-        Ok(self.take(1, context)?[0])
-    }
-
-    fn bool(&mut self, context: &'static str) -> Result<bool, ProtocolError> {
-        match self.u8(context)? {
-            0 => Ok(false),
-            1 => Ok(true),
-            tag => Err(ProtocolError::UnknownTag { context, tag }),
-        }
-    }
-
-    fn u32(&mut self, context: &'static str) -> Result<u32, ProtocolError> {
-        Ok(u32::from_be_bytes(self.take(4, context)?.try_into().expect("4 bytes")))
-    }
-
-    fn u64(&mut self, context: &'static str) -> Result<u64, ProtocolError> {
-        Ok(u64::from_be_bytes(self.take(8, context)?.try_into().expect("8 bytes")))
-    }
-
-    /// An element count, bounded by the remaining bytes: `n` elements of
-    /// at least `min_size` encoded bytes each must fit in what is left.
-    /// The bound is what keeps `Vec::with_capacity(n)` safe — an element
-    /// in memory can be several times its smallest encoding, so a count
-    /// checked against one byte per element would let one frame reserve
-    /// gigabytes.
-    fn count(&mut self, context: &'static str, min_size: usize) -> Result<usize, ProtocolError> {
-        let n = self.u32(context)? as usize;
-        if n.saturating_mul(min_size) > self.buf.len() - self.pos {
-            return Err(ProtocolError::Truncated { context });
-        }
-        Ok(n)
-    }
-
-    fn string(&mut self, context: &'static str) -> Result<String, ProtocolError> {
-        let len = self.u32(context)? as usize;
-        let bytes = self.take(len, context)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| ProtocolError::InvalidUtf8 { context })
-    }
-
-    fn value(&mut self) -> Result<Option<String>, ProtocolError> {
-        match self.u8("value tag")? {
-            0 => Ok(None),
-            1 => Ok(Some(self.string("value string")?)),
-            tag => Err(ProtocolError::UnknownTag { context: "value tag", tag }),
-        }
-    }
-
-    fn values(&mut self) -> Result<Vec<Option<String>>, ProtocolError> {
-        let n = self.count("value count", 1)?;
-        let mut values = Vec::with_capacity(n);
-        for _ in 0..n {
-            values.push(self.value()?);
-        }
-        Ok(values)
-    }
-
-    fn schema(&mut self) -> Result<WireSchema, ProtocolError> {
-        let name = self.string("schema name")?;
-        let n = self.count("attribute count", U32)?;
-        let mut attributes = Vec::with_capacity(n);
-        for _ in 0..n {
-            attributes.push(self.string("attribute name")?);
-        }
-        Ok(WireSchema { name, attributes })
-    }
-
-    fn wire_query(&mut self) -> Result<WireQuery, ProtocolError> {
-        let n = self.count("hit count", U64 + U32)?;
-        let mut hits = Vec::with_capacity(n);
-        for _ in 0..n {
-            let id = self.u64("hit id")?;
-            hits.push(WireHit { id, key: self.u32("hit key")? });
-        }
-        Ok(WireQuery {
-            hits,
-            candidates: self.u64("candidate counter")?,
-            key_evals: self.u64("key-eval counter")?,
-            version: self.u64("rule version")?,
-        })
-    }
-
-    fn wire_ranked(&mut self) -> Result<WireRanked, ProtocolError> {
-        let n = self.count("hit count", U64 + U32 + U64)?;
-        let mut hits = Vec::with_capacity(n);
-        for _ in 0..n {
-            let id = self.u64("hit id")?;
-            let key = self.u32("hit key")?;
-            hits.push(WireScoredHit { id, key, score_bits: self.u64("hit score bits")? });
-        }
-        Ok(WireRanked {
-            hits,
-            candidates: self.u64("candidate counter")?,
-            key_evals: self.u64("key-eval counter")?,
-            version: self.u64("rule version")?,
-        })
-    }
-
-    fn finish(self) -> Result<(), ProtocolError> {
-        if self.pos == self.buf.len() {
-            Ok(())
-        } else {
-            Err(ProtocolError::TrailingBytes { extra: self.buf.len() - self.pos })
-        }
-    }
-}
+wire_message!(Response, "response opcode" {
+    1 => Query(answer),
+    2 => QueryBatch(answers),
+    3 => UpsertBatch { replaced, version },
+    4 => RemoveBatch { version },
+    5 => Explain { matched, fired_key, rendered, version },
+    6 => SwapRules { version },
+    7 => Stats(stats),
+    8 => QueryRanked(answer),
+    9 => SubmitLabels { added, total, positives, negatives },
+    10 => Refine(report),
+    255 => Error { message },
+});
 
 // ---------------------------------------------------------------------
 // Framing
@@ -889,19 +660,34 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> Result<(), ProtocolError>
     Ok(())
 }
 
-/// Reads until `buf` is full or the stream ends; returns the bytes
-/// read. `Interrupted` is retried, any other I/O error propagates.
-fn read_full(r: &mut impl Read, buf: &mut [u8]) -> Result<usize, ProtocolError> {
+/// Reads until `buf` is full or the stream ends and returns the bytes
+/// read, or `None` once `stop` is seen set. `Interrupted` is retried;
+/// with a `stop` flag so are `WouldBlock` and `TimedOut` (a socket's
+/// read timeout), each after checking the flag. Any other I/O error
+/// propagates.
+fn read_full(
+    r: &mut impl Read,
+    buf: &mut [u8],
+    stop: Option<&AtomicBool>,
+) -> Result<Option<usize>, ProtocolError> {
+    use io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
     let mut filled = 0;
     while filled < buf.len() {
         match r.read(&mut buf[filled..]) {
             Ok(0) => break,
             Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(ProtocolError::Io(e)),
+            Err(e) => match (e.kind(), stop) {
+                (Interrupted, None) => {}
+                (Interrupted | WouldBlock | TimedOut, Some(stop)) => {
+                    if stop.load(Ordering::Acquire) {
+                        return Ok(None);
+                    }
+                }
+                _ => return Err(ProtocolError::Io(e)),
+            },
         }
     }
-    Ok(filled)
+    Ok(Some(filled))
 }
 
 /// Reads one frame body. `Ok(None)` is a clean end-of-stream (the peer
@@ -909,21 +695,34 @@ fn read_full(r: &mut impl Read, buf: &mut [u8]) -> Result<usize, ProtocolError> 
 /// [`ProtocolError::Truncated`], and a prefix announcing more than
 /// [`MAX_FRAME`] bytes is rejected before any allocation.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, ProtocolError> {
+    read_frame_until(r, None)
+}
+
+/// [`read_frame`], optionally until `stop` is set: for a server worker
+/// reading a socket with a read timeout. A timed-out read — the client
+/// idle between frames, or still sending one — re-checks the flag and
+/// keeps reading; a set flag ends the read with `Ok(None)`. Without a
+/// flag this is exactly [`read_frame`].
+pub(crate) fn read_frame_until(
+    r: &mut impl Read,
+    stop: Option<&AtomicBool>,
+) -> Result<Option<Vec<u8>>, ProtocolError> {
     let mut prefix = [0u8; 4];
-    match read_full(r, &mut prefix)? {
-        0 => return Ok(None),
-        4 => {}
-        _ => return Err(ProtocolError::Truncated { context: "frame length prefix" }),
+    match read_full(r, &mut prefix, stop)? {
+        None | Some(0) => return Ok(None),
+        Some(4) => {}
+        Some(_) => return Err(ProtocolError::Truncated { context: "frame length prefix" }),
     }
     let len = u32::from_be_bytes(prefix) as usize;
     if len > MAX_FRAME {
         return Err(ProtocolError::Oversized { len: len as u64 });
     }
     let mut body = vec![0u8; len];
-    if read_full(r, &mut body)? != len {
-        return Err(ProtocolError::Truncated { context: "frame body" });
+    match read_full(r, &mut body, stop)? {
+        None => Ok(None),
+        Some(n) if n == len => Ok(Some(body)),
+        Some(_) => Err(ProtocolError::Truncated { context: "frame body" }),
     }
-    Ok(Some(body))
 }
 
 /// Writes one request as a frame.
@@ -933,10 +732,7 @@ pub fn write_request(w: &mut impl Write, request: &Request) -> Result<(), Protoc
 
 /// Reads one request; `Ok(None)` on clean end-of-stream.
 pub fn read_request(r: &mut impl Read) -> Result<Option<Request>, ProtocolError> {
-    match read_frame(r)? {
-        None => Ok(None),
-        Some(body) => Request::decode(&body).map(Some),
-    }
+    read_frame(r)?.map(|body| Request::decode(&body)).transpose()
 }
 
 /// Writes one response as a frame.
@@ -946,10 +742,7 @@ pub fn write_response(w: &mut impl Write, response: &Response) -> Result<(), Pro
 
 /// Reads one response; `Ok(None)` on clean end-of-stream.
 pub fn read_response(r: &mut impl Read) -> Result<Option<Response>, ProtocolError> {
-    match read_frame(r)? {
-        None => Ok(None),
-        Some(body) => Response::decode(&body).map(Some),
-    }
+    read_frame(r)?.map(|body| Response::decode(&body)).transpose()
 }
 
 #[cfg(test)]
@@ -984,9 +777,10 @@ mod tests {
         assert!(matches!(write_frame(&mut sink, &body), Err(ProtocolError::Oversized { .. })));
     }
 
-    #[test]
-    fn request_round_trips() {
-        let requests = vec![
+    /// One fixed instance of every request shape (two of `SubmitLabels`:
+    /// with and without items).
+    fn sample_requests() -> Vec<Request> {
+        vec![
             Request::Query { values: vec![Some("a".into()), None, Some(String::new())] },
             Request::QueryBatch { probes: vec![vec![None], vec![Some("x".into())]] },
             Request::UpsertBatch { items: vec![(7, vec![Some("v".into())]), (8, vec![None])] },
@@ -1007,16 +801,13 @@ mod tests {
             },
             Request::SubmitLabels { items: vec![] },
             Request::Refine { beta_bits: 1.0f64.to_bits() },
-        ];
-        for request in requests {
-            let decoded = Request::decode(&request.encode()).unwrap();
-            assert_eq!(decoded, request);
-        }
+        ]
     }
 
-    #[test]
-    fn response_round_trips() {
-        let responses = vec![
+    /// One fixed instance of every response shape (two of `Explain`:
+    /// with and without a fired key).
+    fn sample_responses() -> Vec<Response> {
+        vec![
             Response::Query(WireQuery {
                 hits: vec![WireHit { id: 3, key: 1 }],
                 candidates: 9,
@@ -1078,12 +869,82 @@ mod tests {
                 rules: vec!["credit[FN] ≈dl@0.70 billing[FN] -> …".into()],
             }),
             Response::Error { message: "unknown record #9".into() },
-        ];
-        for response in responses {
+        ]
+    }
+
+    #[test]
+    fn request_round_trips() {
+        for request in sample_requests() {
+            let decoded = Request::decode(&request.encode()).unwrap();
+            assert_eq!(decoded, request);
+        }
+    }
+
+    #[test]
+    fn response_round_trips() {
+        for response in sample_responses() {
             let decoded = Response::decode(&response.encode()).unwrap();
             assert_eq!(decoded, response);
         }
     }
+
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// The exact bytes of every sample message. A round trip cannot see a
+    /// format change that alters both directions together; this can. Any
+    /// edit here is a wire-format change and breaks every deployed peer.
+    #[test]
+    fn golden_frames_pin_the_encoding() {
+        let requests: Vec<String> = sample_requests().iter().map(|m| hex(&m.encode())).collect();
+        assert_eq!(requests, GOLDEN_REQUESTS);
+        let responses: Vec<String> = sample_responses().iter().map(|m| hex(&m.encode())).collect();
+        assert_eq!(responses, GOLDEN_RESPONSES);
+        let mut framed = Vec::new();
+        write_request(&mut framed, &Request::Stats).unwrap();
+        assert_eq!(hex(&framed), "0000000107", "big-endian u32 length, then the body");
+    }
+
+    const GOLDEN_REQUESTS: [&str; 11] = [
+        "0100000003010000000161000100000000",
+        "0200000002000000010000000001010000000178",
+        "030000000200000000000000070000000101000000017600000000000000080000000100",
+        "040000000300000000000000010000000000000002ffffffffffffffff",
+        "0500000001010000000170000000000000002a",
+        "060000001c615b625d203d20615b625d202d3e20615b635d203c3d3e20615b635d",
+        "07",
+        "0800000002010000000170000000000a3fe0000000000000",
+        "09000000020000000201000000046d61726b000000000101000000046d617278010000000100000000010000",
+        "0900000000",
+        "0a3ff0000000000000",
+    ];
+    const GOLDEN_RESPONSES: [&str; 12] = [
+        "0100000001000000000000000300000001000000000000000900000000000000040000000000000002",
+        "0200000000",
+        "030000000201000000000000000001",
+        "040000000000000005",
+        "0501010000000200000007626563617573650000000000000003",
+        "050000000000000000000000000001",
+        "060000000000000009",
+        concat!(
+            "0700000000000000020000000000000011000000030000000000000003000000000000000000000000",
+            "0000000500000000000000640000000000000004000000000000000800000000000000010000000000",
+            "0000030000000000000001000000000000000200000000000000000000000363726d00000001000000",
+            "0161000000066f7264657273000000010000000162",
+        ),
+        concat!(
+            "08000000020000000000000003000000013fef0a3d70a3d70a0000000000000008000000003fdae147",
+            "ae147ae1000000000000000900000000000000040000000000000002",
+        ),
+        "090000000000000003000000000000000a00000000000000060000000000000004",
+        concat!(
+            "0a000000000000000400000000000000250000000000000002003feccccccccccccd3fd999999999999a",
+            "3fe199999999999a3fee6666666666663feccccccccccccd3fed70a3d70a3d7100000001000000286372",
+            "656469745b464e5d20e28988646c40302e37302062696c6c696e675b464e5d202d3e20e280a6",
+        ),
+        "ff00000011756e6b6e6f776e207265636f7264202339",
+    ];
 
     #[test]
     fn garbage_decodes_to_typed_errors_never_panics() {
@@ -1114,8 +975,9 @@ mod tests {
         assert!(matches!(Request::decode(&body), Err(ProtocolError::UnknownTag { tag: 7, .. })));
 
         // A count of 5 over 8 remaining bytes: one byte per element would
-        // fit, the element's smallest encoding does not. Every counted
-        // shape must fail at its count, before reserving capacity for it.
+        // fit, the element's smallest encoding does not. Each counted
+        // field of each message fails under its own name; that it fails
+        // at the count, before reserving capacity, is the next test's.
         fn truncated_at<T: fmt::Debug>(decoded: Result<T, ProtocolError>) -> &'static str {
             match decoded {
                 Err(ProtocolError::Truncated { context }) => context,
@@ -1129,25 +991,117 @@ mod tests {
             body
         };
         let zeros = |opcode: u8, n: usize| [vec![opcode], vec![0; n]].concat();
-        assert_eq!(truncated_at(Request::decode(&counted(&[9]))), "label count");
-        assert_eq!(truncated_at(Request::decode(&counted(&[2]))), "probe count");
-        assert_eq!(truncated_at(Request::decode(&counted(&[3]))), "item count");
-        assert_eq!(truncated_at(Request::decode(&counted(&[4]))), "id count");
-        assert_eq!(truncated_at(Response::decode(&counted(&[1]))), "hit count");
-        assert_eq!(truncated_at(Response::decode(&counted(&[8]))), "hit count");
-        assert_eq!(truncated_at(Response::decode(&counted(&[2]))), "answer count");
+        assert_eq!(truncated_at(Request::decode(&counted(&[9]))), "items");
+        assert_eq!(truncated_at(Request::decode(&counted(&[2]))), "probes");
+        assert_eq!(truncated_at(Request::decode(&counted(&[3]))), "items");
+        assert_eq!(truncated_at(Request::decode(&counted(&[4]))), "ids");
+        assert_eq!(truncated_at(Response::decode(&counted(&[1]))), "hits");
+        assert_eq!(truncated_at(Response::decode(&counted(&[8]))), "hits");
+        assert_eq!(truncated_at(Response::decode(&counted(&[2]))), "answers");
         // Stats: version and epoch, then the shard count; with no shards,
         // eight counters and an empty schema name precede the attributes.
-        assert_eq!(truncated_at(Response::decode(&counted(&zeros(7, 16)))), "shard count");
+        assert_eq!(truncated_at(Response::decode(&counted(&zeros(7, 16)))), "shard_records");
         let before_attributes = 16 + 4 + 8 * 8 + 4;
         assert_eq!(
             truncated_at(Response::decode(&counted(&zeros(7, before_attributes)))),
-            "attribute count"
+            "attributes"
         );
         // Refine: three counters, the exhaustive flag, six score bits.
         assert_eq!(
             truncated_at(Response::decode(&counted(&zeros(10, 3 * 8 + 1 + 6 * 8)))),
-            "rule count"
+            "rules"
         );
+    }
+
+    /// Every counted shape's `MIN` is exact: `n` elements decode from
+    /// `n × MIN` zero bytes (the smallest encoding is a valid one), and one
+    /// byte less fails at the count itself, before any element is read
+    /// or any capacity reserved.
+    #[test]
+    fn counts_are_bounded_by_the_exact_smallest_encoding() {
+        fn check<T: Wire + fmt::Debug>(min: usize) {
+            assert_eq!(T::MIN, min);
+            let body = [5u32.to_be_bytes().to_vec(), vec![0; 5 * min]].concat();
+            let mut r = Reader { buf: &body, pos: 0 };
+            assert_eq!(r.get::<Vec<T>>("count").unwrap().len(), 5);
+            r.finish().unwrap();
+            let mut r = Reader { buf: &body[..body.len() - 1], pos: 0 };
+            let short = r.get::<Vec<T>>("count");
+            assert!(
+                matches!(short, Err(ProtocolError::Truncated { context: "count" })),
+                "{short:?}"
+            );
+            assert_eq!(r.pos, 4, "failed at the count, not inside an element");
+        }
+        check::<WireLabel>(9); // labels
+        check::<(u64, Vec<Option<String>>)>(12); // upsert items
+        check::<u64>(8); // ids, shard records
+        check::<Vec<Option<String>>>(4); // probes
+        check::<Option<String>>(1); // values
+        check::<WireHit>(12);
+        check::<WireScoredHit>(20);
+        check::<WireQuery>(28); // batch answers
+        check::<bool>(1); // replacement flags
+        check::<String>(4); // attributes, rules
+    }
+
+    /// A reader that fails with `stall` before every byte it hands out
+    /// (one per call) — a slow peer behind a socket with a read timeout —
+    /// and sets `stop` once `stop_after` bytes are out.
+    struct Stalling<'a> {
+        data: &'a [u8],
+        pos: usize,
+        stalled: bool,
+        stall: io::ErrorKind,
+        stop: &'a AtomicBool,
+        stop_after: usize,
+    }
+
+    impl Read for Stalling<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.pos == self.stop_after {
+                self.stop.store(true, Ordering::Release);
+            }
+            self.stalled = !self.stalled;
+            if self.stalled {
+                return Err(self.stall.into());
+            }
+            let n = usize::from(self.pos < self.data.len());
+            buf[..n].copy_from_slice(&self.data[self.pos..self.pos + n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn stop_flag_reader_keeps_reading_through_stalls_until_stopped() {
+        let mut framed = Vec::new();
+        write_frame(&mut framed, b"stalled").unwrap();
+        let read = |stall: io::ErrorKind, stop_after: usize, flag: bool| {
+            let stop = AtomicBool::new(false);
+            let mut r =
+                Stalling { data: &framed, pos: 0, stalled: false, stall, stop: &stop, stop_after };
+            let frame = read_frame_until(&mut r, flag.then_some(&stop));
+            (frame, r.pos)
+        };
+        use io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+        for stall in [TimedOut, WouldBlock, Interrupted] {
+            // Flag clear: the frame reassembles.
+            let (frame, pos) = read(stall, usize::MAX, true);
+            assert_eq!(frame.unwrap().as_deref(), Some(&b"stalled"[..]), "{stall:?}");
+            assert_eq!(pos, framed.len());
+            // Flag set mid-prefix, then mid-body: the read ends there.
+            for stop_after in [2, 4 + 3] {
+                let (frame, pos) = read(stall, stop_after, true);
+                assert!(matches!(frame, Ok(None)), "{stall:?} at {stop_after}: {frame:?}");
+                assert_eq!(pos, stop_after);
+            }
+        }
+        // Without a flag it is `read_frame`: `Interrupted` is retried, a
+        // timeout is an I/O error.
+        let (frame, _) = read(Interrupted, usize::MAX, false);
+        assert_eq!(frame.unwrap().as_deref(), Some(&b"stalled"[..]));
+        let (frame, _) = read(TimedOut, usize::MAX, false);
+        assert!(matches!(frame, Err(ProtocolError::Io(e)) if e.kind() == TimedOut));
     }
 }

@@ -9,17 +9,25 @@
 //!   during repeated swaps never fail, never block on the rebuild, and
 //!   observe only monotonically non-decreasing rule versions;
 //! * the TCP front round-trips upsert/query/explain/swap/stats/remove
-//!   through `MatchClient`, with service errors typed, not fatal.
+//!   through `MatchClient`, with service errors typed, not fatal;
+//! * over TCP, a frame that does not decode gets one error frame and a
+//!   close, while a wrong-arity probe and an answer too large for one
+//!   frame are errors on a connection that keeps serving, and a client
+//!   that hangs up mid-frame frees its worker.
 
+use matchrules::core::schema::Schema;
 use matchrules::data::dirty::{generate_dirty, NoiseConfig};
 use matchrules::data::relation::Relation;
 use matchrules::engine::{EngineBuilder, ExecConfig, Preset, Threads};
-use matchrules::server::net::serve;
-use matchrules::server::{ClientError, MatchClient, MatchServer, ServerConfig};
+use matchrules::server::net::{serve, serve_with};
+use matchrules::server::wire::{read_response, write_frame};
+use matchrules::server::{ClientError, MatchClient, MatchServer, Request, Response, ServerConfig};
 use matchrules::service::{Record, RecordId};
 use proptest::prelude::*;
+use std::io::Write;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::thread;
 use std::time::Duration;
 
@@ -246,13 +254,8 @@ fn swap_rules_has_zero_read_downtime() {
     assert_eq!(server.version().number(), 1 + swaps, "every swap bumped the version exactly once");
 }
 
-/// End-to-end over TCP: connect, learn schemas, upsert, query (with
-/// fired-RCK provenance), explain, swap rules, stats, remove — then a
-/// service error that leaves the connection usable.
-#[test]
-fn tcp_front_round_trips_and_swaps() {
-    use matchrules::core::schema::Schema;
-
+/// A 2-shard server deduplicating `people(name, phone, email)` on email.
+fn people_server() -> Arc<MatchServer> {
     let people = Schema::text("people", &["name", "phone", "email"]).unwrap();
     let engine = EngineBuilder::new()
         .dedup_schema(people)
@@ -260,14 +263,30 @@ fn tcp_front_round_trips_and_swaps() {
         .target(&["name", "phone"], &["name", "phone"])
         .build()
         .unwrap();
-    let server = Arc::new(MatchServer::with_config(
+    Arc::new(MatchServer::with_config(
         engine,
         ServerConfig {
             shards: 2,
             exec: ExecConfig { threads: Threads::Fixed(1) },
             ..ServerConfig::default()
         },
-    ));
+    ))
+}
+
+/// A raw connection that gives up on a silent server instead of hanging
+/// the test.
+fn raw_connection(addr: SocketAddr) -> TcpStream {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    stream
+}
+
+/// End-to-end over TCP: connect, learn schemas, upsert, query (with
+/// fired-RCK provenance), explain, swap rules, stats, remove — then a
+/// service error that leaves the connection usable.
+#[test]
+fn tcp_front_round_trips_and_swaps() {
+    let server = people_server();
     let handle = serve(server.clone(), "127.0.0.1:0").unwrap();
 
     let mut client = MatchClient::connect(handle.addr()).unwrap();
@@ -335,4 +354,77 @@ fn tcp_front_round_trips_and_swaps() {
     handle.shutdown();
     // The server object itself is untouched by the front shutting down.
     assert_eq!(server.len(), 1);
+}
+
+/// A frame that does not decode is answered with exactly one error
+/// frame, and then the server closes the connection: its framing state
+/// is unknown.
+#[test]
+fn tcp_garbage_frame_gets_one_error_then_the_connection_closes() {
+    let handle = serve(people_server(), "127.0.0.1:0").unwrap();
+    let mut stream = raw_connection(handle.addr());
+    write_frame(&mut stream, &[0xEE, 1, 2]).unwrap();
+    match read_response(&mut stream).unwrap() {
+        Some(Response::Error { message }) => assert!(message.contains("unknown tag"), "{message}"),
+        other => panic!("expected one error frame, got {other:?}"),
+    }
+    assert!(read_response(&mut stream).unwrap().is_none(), "then a clean close");
+}
+
+/// A probe of the wrong arity is a service error: it is answered, and
+/// the same connection goes on serving.
+#[test]
+fn tcp_wrong_arity_probe_is_answered_and_the_connection_stays_usable() {
+    let handle = serve(people_server(), "127.0.0.1:0").unwrap();
+    let mut client = MatchClient::connect(handle.addr()).unwrap();
+    client.upsert(1, &[("name", "Ada"), ("email", "ada@example.org")]).unwrap();
+    let short = Request::Query { values: vec![Some("ada@example.org".into())] };
+    assert!(matches!(client.request(&short).unwrap(), Response::Error { .. }));
+    let answer = client.query(&[("email", "ada@example.org")]).unwrap();
+    assert_eq!(answer.hits.iter().map(|h| h.id).collect::<Vec<_>>(), [1]);
+}
+
+/// With one worker, a client that sends half a frame and hangs up frees
+/// that worker: the next client connects and is served.
+#[test]
+fn tcp_half_frame_then_close_frees_the_only_worker() {
+    let handle = serve_with(people_server(), "127.0.0.1:0", 1).unwrap();
+    let mut half = raw_connection(handle.addr());
+    half.write_all(&[0, 0, 0, 9, b'x']).unwrap();
+    drop(half);
+    // The next client runs on a thread, so a worker that is never freed
+    // fails the test instead of hanging it.
+    let addr = handle.addr();
+    let (served, answer) = mpsc::channel();
+    let next = thread::spawn(move || {
+        let stats = MatchClient::connect(addr).and_then(|mut client| client.stats());
+        served.send(stats.map(|stats| stats.version)).unwrap();
+    });
+    let version = answer.recv_timeout(Duration::from_secs(30)).expect("the next client is served");
+    assert_eq!(version.unwrap(), 1);
+    next.join().unwrap();
+}
+
+/// An answer that encodes past `MAX_FRAME` is refused before a byte of it
+/// is written, so it is answered as an error and the connection keeps
+/// serving — not dropped. 500 records share one email, so each probe on
+/// it answers 500 hits (28 + 500 × 12 bytes), and a legal batch of 3 000
+/// such probes (87 kB of request) asks for 18 MB of answer.
+#[test]
+fn tcp_oversized_answer_is_an_error_frame_not_a_disconnect() {
+    let handle = serve(people_server(), "127.0.0.1:0").unwrap();
+    let mut client = MatchClient::connect(handle.addr()).unwrap();
+    let email = Some("shared@example.org".to_owned());
+    let items = (0..500).map(|id| (id, vec![None, None, email.clone()])).collect();
+    assert!(matches!(
+        client.request(&Request::UpsertBatch { items }).unwrap(),
+        Response::UpsertBatch { .. }
+    ));
+    let probes = vec![vec![None, None, email]; 3_000];
+    match client.request(&Request::QueryBatch { probes }).unwrap() {
+        Response::Error { message } => assert!(message.contains("exceeds"), "{message}"),
+        Response::QueryBatch(answers) => panic!("{} answers fit in one frame", answers.len()),
+        _ => panic!("expected an error frame"),
+    }
+    assert_eq!(client.stats().unwrap().version, 1, "the connection still answers");
 }
