@@ -904,7 +904,7 @@ const FOLD_RATIO: usize = 4;
 /// Reusable per-thread buffers of the probe hot path — the union bitmap
 /// and block-decode scratch — plus the key/element buffers that probes
 /// and index maintenance share. Thread-local so concurrent queries
-/// (server shards, batched pools) never contend, and sequential calls
+/// (server readers, batched pools) never contend, and sequential calls
 /// never re-allocate.
 #[derive(Default)]
 struct ProbeScratch {
@@ -1066,7 +1066,7 @@ fn mask_allows(mask: u64, key: usize) -> bool {
 /// they touch — the source never changes. Serving layers rely on exactly
 /// that: they publish an index as an immutable snapshot and build its
 /// successor from a clone, paying per write for what the write touches,
-/// not for the shard. An index nobody cloned mutates fully in place.
+/// not for the store. An index nobody cloned mutates fully in place.
 #[derive(Clone)]
 pub struct MatchIndex {
     keys: Arc<[RelativeKey]>,

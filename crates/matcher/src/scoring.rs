@@ -42,7 +42,7 @@ impl Default for ScoreConfig {
 /// A calibrated pair-scoring model over a fixed atom comparison vector.
 ///
 /// Scoring is a pure function of (model, tuple pair): no interior state,
-/// no randomness, no thread- or shard-dependence — which is what makes
+/// no randomness, no thread dependence — which is what makes
 /// ranked serving byte-identical across execution layouts.
 #[derive(Debug, Clone)]
 pub struct ScoreModel {

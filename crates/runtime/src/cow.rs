@@ -3,7 +3,7 @@
 //!
 //! A serving layer publishes immutable snapshots and builds the next one
 //! from a *clone* of the current one. With plain `Vec`/`HashMap` fields
-//! that clone copies the whole shard for every write. These containers
+//! that clone copies the whole store for every write. These containers
 //! keep `#[derive(Clone)]` working but change what a clone costs:
 //!
 //! * a clone copies only a **spine** of `Arc`s (one per chunk / stripe) —

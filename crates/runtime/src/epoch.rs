@@ -86,20 +86,6 @@ impl<T> EpochCell<T> {
         drop(slot);
         drop(displaced);
     }
-
-    /// Atomically replaces the snapshot with `f(current)` and returns the
-    /// new value. The lock is held across `f`, so keep `f` cheap (pointer
-    /// shuffling, not index rebuilding) — concurrent `update`s serialize
-    /// here, which is exactly what a multi-writer publish point needs.
-    pub fn update(&self, f: impl FnOnce(&Arc<T>) -> Arc<T>) -> Arc<T> {
-        let mut slot = self.slot.lock().unwrap_or_else(|e| e.into_inner());
-        let next = f(&slot);
-        let displaced = std::mem::replace(&mut *slot, next.clone());
-        self.epoch.fetch_add(1, Ordering::Release);
-        drop(slot);
-        drop(displaced); // outside the lock, as in `store`
-        next
-    }
 }
 
 /// A per-reader cache over an [`EpochCell`]: holds the last snapshot and
@@ -164,7 +150,7 @@ mod tests {
         cell.store(Arc::new(LoadsOnDrop(Some(cell.clone()))));
         // The cell holds the only reference to each displaced value.
         cell.store(Arc::new(LoadsOnDrop(Some(cell.clone()))));
-        cell.update(|_| Arc::new(LoadsOnDrop(None)));
+        cell.store(Arc::new(LoadsOnDrop(None)));
         assert_eq!(cell.epoch(), 3);
     }
 
@@ -178,22 +164,6 @@ mod tests {
         cell.store(Arc::new(11));
         assert_eq!(**reader.get(&cell), 11);
         assert_ne!(Arc::as_ptr(reader.get(&cell)), first);
-    }
-
-    #[test]
-    fn update_serializes_read_modify_write() {
-        let cell = EpochCell::new(Arc::new(0u64));
-        thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    for _ in 0..100 {
-                        cell.update(|v| Arc::new(**v + 1));
-                    }
-                });
-            }
-        });
-        assert_eq!(*cell.load().0, 400);
-        assert_eq!(cell.epoch(), 400);
     }
 
     #[test]

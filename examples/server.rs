@@ -1,11 +1,11 @@
-//! The sharded server end to end: spawn `MatchServer` behind the TCP
+//! The server end to end: spawn `MatchServer` behind the TCP
 //! front on an ephemeral port, then drive it purely over the wire with
 //! `MatchClient` — upsert, query (with fired-RCK provenance), explain,
 //! hot-swap the rules with zero read downtime, query again, stats.
 //!
 //! Every call the client makes is a `&self` method of the in-process
-//! `MatchServer` too; the wire adds nothing but framing: shard-parallel
-//! writes, lock-free epoch reads, and every answer stamped with the
+//! `MatchServer` too; the wire adds nothing but framing: one writer at
+//! a time, lock-free epoch reads, and every answer stamped with the
 //! rule version that produced it. Run with:
 //!
 //! ```sh
@@ -14,7 +14,7 @@
 
 use matchrules::core::schema::{AttrKind, Schema};
 use matchrules::engine::EngineBuilder;
-use matchrules::server::{MatchClient, MatchServer, ServerConfig};
+use matchrules::server::{MatchClient, MatchServer};
 use std::sync::Arc;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -33,14 +33,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .target(&["name", "phone"], &["name", "phone"])
         .build()?;
 
-    // Four shards; records hash onto them by id, probes fan out across
-    // all of them and merge back into arrival order.
-    let server = Arc::new(MatchServer::with_config(
-        engine,
-        ServerConfig { shards: 4, ..Default::default() },
-    ));
+    let server = Arc::new(MatchServer::new(engine));
     let handle = matchrules::server::net::serve(server.clone(), "127.0.0.1:0")?;
-    println!("serving on {} with {} shards\n", handle.addr(), server.shards());
+    println!("serving on {}\n", handle.addr());
 
     // The client learns both schemas from a stats round-trip, so it can
     // send (field, value) pairs instead of positional tuples.
@@ -81,11 +76,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let fresh = client.query(&[("phone", "201-5550000")])?;
     println!("phone probe at v{}: {} hit(s)", fresh.version, fresh.hits.len());
 
-    // Server-side counters, per shard.
+    // Server-side counters.
     let stats = client.stats()?;
     println!(
-        "\nstats: v{}, epoch {}, {:?} records/shard, {} queries, {} upserts",
-        stats.version, stats.epoch, stats.shard_records, stats.queries, stats.upserts,
+        "\nstats: v{}, epoch {}, {} queries, {} upserts",
+        stats.version, stats.epoch, stats.queries, stats.upserts,
     );
 
     handle.shutdown();

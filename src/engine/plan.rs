@@ -181,7 +181,7 @@ impl MatchPlan {
     /// ([`EngineBuilder::statistics_from`](crate::engine::EngineBuilder::statistics_from)),
     /// otherwise the clamped prior. Scoring through it is a pure function
     /// of the tuple pair, so ranked results are identical across thread
-    /// and shard layouts.
+    /// counts.
     pub fn score_model(&self) -> &ScoreModel {
         &self.score_model
     }

@@ -585,7 +585,7 @@ impl MatchEngine {
     /// Calibrated match confidence of one tuple pair under the plan's
     /// compiled [`ScoreModel`](matchrules_matcher::scoring::ScoreModel):
     /// always in `[0, 1]`, never NaN, and a pure function of the pair —
-    /// identical across thread counts and shard layouts.
+    /// identical across thread counts.
     pub fn score_pair(
         &self,
         t1: &matchrules_data::relation::Tuple,

@@ -240,7 +240,7 @@
 //! # Ok(()) }
 //! ```
 //!
-//! Ranked answers are byte-identical across thread and shard counts,
+//! Ranked answers are byte-identical across thread counts,
 //! and served over the wire via [`server::MatchClient::query_ranked`].
 //!
 //! ## Refining rules against labeled data

@@ -1,9 +1,9 @@
-//! [`MatchServer`]: the one serving core — sharded, concurrent, and at
-//! one shard the single-owner service.
+//! [`MatchServer`]: the one serving core — one published (rules,
+//! [`MatchIndex`]) view that readers load without a lock and one writer
+//! at a time replaces.
 
 use crate::engine::{
-    schemas_compatible, EngineBuilder, FilterStats, MatchEngine, MatchIndex, MatchPlan,
-    QueryOutcome,
+    schemas_compatible, EngineBuilder, MatchEngine, MatchIndex, MatchPlan, QueryOutcome,
 };
 use crate::refine::{LabelStore, RefineConfig, Refinement, RefinementReport, Refiner};
 use crate::service::{
@@ -13,38 +13,24 @@ use crate::service::{
 use matchrules_core::dependency::MatchingDependency;
 use matchrules_core::schema::Schema;
 use matchrules_data::relation::{Relation, Tuple};
-use matchrules_runtime::{CowVec, EpochCell, EpochReader, ExecConfig, WorkPool};
+use matchrules_runtime::{EpochCell, EpochReader, ExecConfig};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 
-/// Construction knobs of a [`MatchServer`]. The default is one shard per
-/// executor thread on the default executor.
+/// Construction knobs of a [`MatchServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ServerConfig {
-    /// Number of shards the store and index are split into; `0` resolves
-    /// to the executor's thread count (at least 1). More shards mean
-    /// more mutation concurrency (writers serialize per shard), at the
-    /// cost of fanning every probe out further; a write's own cost does
-    /// not depend on shard size (snapshots are structurally shared).
+    /// Inert: the server holds one index, so this is ignored. The field
+    /// stays only because the benchmark harness still sets it.
     pub shards: usize,
     /// Inert: the server keeps no answer cache, so this is ignored. The
     /// field stays only because the benchmark harness still sets it.
     pub cache_capacity: usize,
-    /// Thread budget for shard fan-out (probes, batch mutations, swap
-    /// rebuilds) and for the TCP front's connection workers.
+    /// Thread budget the TCP front sizes its connection-worker cap from
+    /// (see [`MatchServer::threads`]). Index builds run on the engine's
+    /// own pool.
     pub exec: ExecConfig,
-}
-
-/// Routes a record id to its shard: a splitmix64 finalizer over the raw
-/// id, reduced modulo the shard count. Dense sequential ids (the common
-/// external-id shape) spread uniformly instead of striping.
-fn shard_of(id: RecordId, shards: usize) -> usize {
-    let mut x = id.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^= x >> 31;
-    (x % shards as u64) as usize
 }
 
 fn check_schema(record: &Record, expected: &Arc<Schema>) -> Result<(), ServiceError> {
@@ -76,43 +62,6 @@ fn check_deployable(refinement: &Refinement, serving: &MatchPlan) -> Result<(), 
     Ok(())
 }
 
-/// One shard's immutable state: its slice of the store inside a
-/// [`MatchIndex`], plus — aligned with the index's slots — the global
-/// arrival number of every record (assigned at upsert, across all
-/// shards): what lets a fan-out query merge per-shard hits back into
-/// store order.
-///
-/// A published snapshot is never mutated. A writer clones it (both
-/// fields are structurally shared: refcounted spines, no data) and
-/// mutates the clone, copying only the chunks and stripes it touches.
-#[derive(Clone)]
-struct ShardSnapshot {
-    index: MatchIndex,
-    seq: CowVec<u64>,
-}
-
-impl ShardSnapshot {
-    /// Inserts or replaces `record` under `id`, stamped with arrival
-    /// number `seq`; returns whether a replacement happened.
-    fn upsert(&mut self, id: RecordId, record: &Record, seq: u64) -> Result<bool, ServiceError> {
-        let replaced = self.index.contains(id.0);
-        if replaced {
-            self.index.remove(id.0)?;
-        }
-        self.index.insert(record.to_tuple(id.0))?;
-        self.seq.push(seq);
-        Ok(replaced)
-    }
-
-    /// The same live records, order and stamps re-indexed under `engine`
-    /// (slots compacted).
-    fn rebuilt(&self, engine: &MatchEngine) -> Result<ShardSnapshot, ServiceError> {
-        let index = engine.index(&self.index.live_relation())?;
-        let seq = self.index.live_tuples().map(|(slot, _)| self.seq[slot]).collect();
-        Ok(ShardSnapshot { index, seq })
-    }
-}
-
 /// One compiled rule set with its version stamp.
 struct RuleEpoch {
     engine: MatchEngine,
@@ -120,36 +69,37 @@ struct RuleEpoch {
 }
 
 /// The whole server state as one immutable value: the current rules and
-/// every shard snapshot. Published through a single [`EpochCell`], so
-/// one load observes a *consistent* cross-shard view — a reader can
-/// never see shard 0 at version 2 next to shard 1 at version 1.
+/// the index holding the store, in store (slot) order. Published through
+/// a single [`EpochCell`], so one load observes rules and records of the
+/// same moment.
+///
+/// A published view is never mutated. A writer clones the index (its
+/// containers are structurally shared: refcounted spines, no data) and
+/// mutates the clone, copying only the chunks and stripes it touches.
 struct ServerView {
     rules: Arc<RuleEpoch>,
-    shards: Vec<Arc<ShardSnapshot>>,
+    index: MatchIndex,
 }
 
 impl ServerView {
-    /// Merges one probe's per-shard outcomes (in shard order) into one
-    /// answer: counters summed, hits in store order. Over one shard this
-    /// is the identity on the shard's own (slot) order.
-    fn merge<'a>(&self, outcomes: impl Iterator<Item = &'a QueryOutcome>) -> QueryResponse {
-        let mut hits: Vec<(u64, ServiceHit)> = Vec::new();
-        let mut candidates = 0;
-        let mut key_evals = 0;
-        let mut stats = FilterStats::default();
-        for (shard, outcome) in self.shards.iter().zip(outcomes) {
-            candidates += outcome.candidates;
-            key_evals += outcome.key_evals;
-            stats.merge(&outcome.stats);
-            for h in &outcome.hits {
-                hits.push((shard.seq[h.slot], ServiceHit { id: RecordId(h.id), key: h.key }));
-            }
-        }
-        // Per-shard hits arrive in shard-local slot order; the global
-        // arrival stamp restores the store order.
-        hits.sort_unstable_by_key(|&(seq, _)| seq);
-        let hits = hits.into_iter().map(|(_, h)| h).collect();
-        QueryResponse { hits, candidates, key_evals, stats, version: self.rules.version }
+    /// The same live records, in the same order, indexed under `rules`
+    /// (slots compacted).
+    fn rebuilt(&self, rules: Arc<RuleEpoch>) -> Result<ServerView, ServiceError> {
+        let index = rules.engine.index(&self.index.live_relation())?;
+        Ok(ServerView { rules, index })
+    }
+
+    /// The one read path: every probe goes through
+    /// [`MatchIndex::query_batch`], and each outcome is stamped with the
+    /// rule version.
+    fn answer(&self, probes: &[Tuple]) -> Vec<QueryResponse> {
+        let version = self.rules.version;
+        (self.index.query_batch(probes).into_iter())
+            .map(|QueryOutcome { hits, candidates, key_evals, stats }| {
+                let hits = hits.iter().map(|h| ServiceHit { id: RecordId(h.id), key: h.key });
+                QueryResponse { hits: hits.collect(), candidates, key_evals, stats, version }
+            })
+            .collect()
     }
 }
 
@@ -157,9 +107,6 @@ impl ServerView {
 /// [`ServerStats::index`]: how many RCK atoms retrieve through key
 /// buckets, q-gram postings or element postings — and how many keys fell
 /// back to scans.
-///
-/// Every shard compiles the same plan, so the anchor composition is a
-/// property of the rule version, not of any shard's contents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IndexKinds {
     /// Equality, phonetic and normalizing atoms indexed as key buckets.
@@ -180,8 +127,6 @@ pub struct ServerStats {
     pub version: RuleVersion,
     /// The publish epoch — bumps on every mutation and every swap.
     pub epoch: u64,
-    /// Live records per shard (the shard count is the length).
-    pub shard_records: Vec<usize>,
     /// Total live records.
     pub records: usize,
     /// Probes answered since construction.
@@ -206,60 +151,56 @@ pub struct ServerStats {
 }
 
 /// The serving core: a record store with stable external
-/// [`RecordId`]s behind incrementally maintained
-/// [`MatchIndex`](crate::engine::MatchIndex)es, versioned rule hot-swap
+/// [`RecordId`]s behind one incrementally maintained
+/// [`MatchIndex`](crate::engine::MatchIndex), versioned rule hot-swap
 /// and per-pair match explanations, built for many threads.
 ///
 /// * **Store** — [`MatchServer::upsert`] / [`MatchServer::remove`] /
 ///   [`MatchServer::get`] maintain records of the plan's *right* schema
 ///   (for a dedup/reflexive plan, the only schema); every record is
-///   immediately visible to queries. [`MatchServer::compact`] reclaims
-///   the slots removals and replacements leave behind.
+///   immediately visible to queries. Store order is arrival order: a
+///   replacement re-enters at the end. [`MatchServer::compact`]
+///   reclaims the slots removals and replacements leave behind.
 /// * **Query** — [`MatchServer::query`] takes a probe [`Record`] of the
-///   plan's *left* schema and returns exactly the hits a batch
-///   [`MatchEngine::match_pairs_indexed`] run over
-///   [`MatchServer::snapshot`] would report for that probe: matched id,
+///   plan's *left* schema and returns exactly the answer a
+///   [`MatchIndex`](crate::engine::MatchIndex) built over
+///   [`MatchServer::snapshot`] gives for that probe — and so the hits a
+///   batch [`MatchEngine::match_pairs_indexed`] run reports: matched id,
 ///   the RCK that fired, filter stats, and the current [`RuleVersion`].
-/// * **Sharding** — records are routed by a hash of their [`RecordId`]
-///   to one of N shards, each holding its own
-///   [`MatchIndex`](crate::engine::MatchIndex). Mutations on different
-///   shards run concurrently (per-shard writer locks); a probe fans out
-///   over all shards and merges hits back into global arrival order, so
-///   answers are hit-for-hit identical at every shard count. One shard
-///   (`ServerConfig { shards: 1, .. }`) is the single-owner
-///   configuration: the fan-out runs inline on the calling thread and
-///   the merge is the identity.
-/// * **Lock-free reads** — the entire state (rules + all shard
-///   snapshots) is one immutable `ServerView` behind an
-///   [`EpochCell`]; writers build replacements off to the side and swap
-///   a pointer. Steady-state readers (see [`MatchServer::reader`])
-///   revalidate with one atomic load and touch no lock. Boolean,
-///   batched and ranked reads share one shard fan-out; nothing is
-///   memoised, so every answer is computed against the view it loaded.
+/// * **One writer** — mutations serialize on one writer lock. Each
+///   clones the published index (structurally shared, so a write costs
+///   what it touches, not the store), mutates the clone and publishes
+///   it. A batch publishes once, and a batch that fails publishes
+///   nothing: [`MatchServer::upsert_batch`] and
+///   [`MatchServer::remove_batch`] are atomic.
+/// * **Lock-free reads** — the entire state (rules + index) is one
+///   immutable `ServerView` behind an [`EpochCell`]; writers build
+///   replacements off to the side and swap a pointer. Steady-state
+///   readers (see [`MatchServer::reader`]) revalidate with one atomic
+///   load and touch no lock. Boolean, batched and ranked reads share one
+///   path; nothing is memoised, so every answer is computed against the
+///   view it loaded.
 /// * **Zero-downtime swap** — [`MatchServer::swap_rules`] recompiles,
-///   rebuilds every shard's index at version v+1 off to the side, then
-///   publishes the whole view in one store. Readers serve v until the
-///   instant they serve v+1; no read ever blocks or fails. Mutations
-///   are briefly gated (they would race the rebuild), reads never.
+///   rebuilds the index at version v+1 off to the side (on the engine's
+///   own pool), then publishes rules and index in one store. Readers
+///   serve v until the instant they serve v+1; no read ever blocks or
+///   fails. The swap holds the writer lock, so mutations wait for it;
+///   reads never do.
 ///
 /// The server takes `&self` everywhere and is `Send + Sync`: share it
 /// behind an `Arc` and call it from as many threads as you like.
 pub struct MatchServer {
     view: EpochCell<ServerView>,
-    /// Writer gates, one per shard: serialize mutations *within* a
-    /// shard while different shards proceed concurrently.
-    shard_locks: Vec<Mutex<()>>,
-    /// Mutators take `read`, [`MatchServer::swap_rules`] takes `write`:
-    /// a swap sees a frozen store, mutations never interleave a
-    /// rebuild. Queries take neither.
-    swap_gate: RwLock<()>,
-    pool: WorkPool,
+    /// Held by every mutation, swap and compaction from loading the view
+    /// to publishing its successor, so no publish is lost to a
+    /// concurrent one. Queries never take it. A writer that panics
+    /// publishes nothing, so a poisoned lock is safe to reuse.
+    writer: Mutex<()>,
+    /// The executor's resolved thread count (see [`MatchServer::threads`]).
+    threads: usize,
     /// Labeled pairs accumulated from [`MatchServer::submit_labels`] —
     /// the training set [`MatchServer::refine`] selects against.
     labels: Mutex<LabelStore>,
-    /// Global arrival counter; each upserted record is stamped with the
-    /// next value so cross-shard hits can be merged in store order.
-    seq: AtomicU64,
     queries: AtomicU64,
     batch_queries: AtomicU64,
     upserts: AtomicU64,
@@ -272,43 +213,32 @@ impl fmt::Debug for MatchServer {
         f.debug_struct("MatchServer")
             .field("version", &view.rules.version)
             .field("epoch", &epoch)
-            .field("shards", &view.shards.len())
-            .field("records", &view.shards.iter().map(|s| s.index.len()).sum::<usize>())
+            .field("records", &view.index.len())
             .finish()
     }
 }
 
 impl MatchServer {
     /// A server over `engine`'s compiled plan with [`ServerConfig`]
-    /// defaults: one shard per executor thread, empty store, rule
-    /// version `v1`.
+    /// defaults: empty store, rule version `v1`.
     pub fn new(engine: MatchEngine) -> MatchServer {
         Self::with_config(engine, ServerConfig::default())
     }
 
-    /// A server with explicit sharding/threading knobs.
+    /// A server with an explicit executor for its TCP front.
     pub fn with_config(engine: MatchEngine, config: ServerConfig) -> MatchServer {
-        let pool = WorkPool::new(config.exec);
-        let shards = if config.shards == 0 { pool.threads().max(1) } else { config.shards };
         let empty = Relation::new(engine.plan().pair().right().clone());
-        let snapshots: Vec<Arc<ShardSnapshot>> = (0..shards)
-            .map(|_| {
-                let index = engine.index(&empty).expect("an empty relation has no duplicate ids");
-                Arc::new(ShardSnapshot { index, seq: CowVec::new() })
-            })
-            .collect();
+        let index = engine.index(&empty).expect("an empty relation has no duplicate ids");
         let labels = Mutex::new(LabelStore::new(
             engine.plan().pair().left().clone(),
             engine.plan().pair().right().clone(),
         ));
         let rules = Arc::new(RuleEpoch { engine, version: RuleVersion(1) });
         MatchServer {
-            view: EpochCell::new(Arc::new(ServerView { rules, shards: snapshots })),
-            shard_locks: (0..shards).map(|_| Mutex::new(())).collect(),
-            swap_gate: RwLock::new(()),
-            pool,
+            view: EpochCell::new(Arc::new(ServerView { rules, index })),
+            writer: Mutex::new(()),
+            threads: config.exec.resolve(),
             labels,
-            seq: AtomicU64::new(0),
             queries: AtomicU64::new(0),
             batch_queries: AtomicU64::new(0),
             upserts: AtomicU64::new(0),
@@ -316,15 +246,10 @@ impl MatchServer {
         }
     }
 
-    /// Number of shards (fixed at construction).
-    pub fn shards(&self) -> usize {
-        self.shard_locks.len()
-    }
-
-    /// The executor's resolved thread count — shard fan-out width, and
-    /// what the TCP front sizes its connection-worker cap from.
+    /// The executor's resolved thread count — what the TCP front sizes
+    /// its connection-worker cap from.
     pub fn threads(&self) -> usize {
-        self.pool.threads()
+        self.threads
     }
 
     /// The rule version currently serving.
@@ -357,9 +282,9 @@ impl MatchServer {
         Record::builder(self.probe_schema())
     }
 
-    /// Total live records across all shards.
+    /// Total live records.
     pub fn len(&self) -> usize {
-        self.view.load().0.shards.iter().map(|s| s.index.len()).sum()
+        self.view.load().0.index.len()
     }
 
     /// Whether the store is empty.
@@ -369,61 +294,31 @@ impl MatchServer {
 
     /// Whether a live record carries `id`.
     pub fn contains(&self, id: RecordId) -> bool {
-        let (view, _) = self.view.load();
-        view.shards[shard_of(id, view.shards.len())].index.contains(id.0)
+        self.view.load().0.index.contains(id.0)
     }
 
     /// The live record stored under `id`.
     pub fn get(&self, id: RecordId) -> Option<Record> {
         let (view, _) = self.view.load();
         let schema = view.rules.engine.plan().pair().right().clone();
-        view.shards[shard_of(id, view.shards.len())]
-            .index
-            .get(id.0)
-            .map(|t| Record::from_tuple(schema, t))
+        view.index.get(id.0).map(|t| Record::from_tuple(schema, t))
     }
 
-    /// The live store as one relation, in global arrival (store) order
-    /// whatever the shard count, ids as tuple ids — what batch runs and
-    /// equivalence tests consume.
+    /// The live store as one relation, in store order, ids as tuple ids —
+    /// what batch runs and equivalence tests consume.
     pub fn snapshot(&self) -> Relation {
-        let (view, _) = self.view.load();
-        let mut rows: Vec<(u64, _)> = Vec::new();
-        for shard in &view.shards {
-            rows.extend(shard.index.live_tuples().map(|(slot, t)| (shard.seq[slot], t.clone())));
-        }
-        rows.sort_unstable_by_key(|&(seq, _)| seq);
-        let mut rel = Relation::new(view.rules.engine.plan().pair().right().clone());
-        for (_, tuple) in rows {
-            rel.push(tuple);
-        }
-        rel
+        self.view.load().0.index.live_relation()
     }
 
-    /// Aggregate counters: version, epoch, per-shard sizes, query and
+    /// Aggregate counters: version, epoch, record count, query and
     /// mutation totals, index anchor kinds.
     pub fn stats(&self) -> ServerStats {
         let (view, epoch) = self.view.load();
-        let shard_records: Vec<usize> = view.shards.iter().map(|s| s.index.len()).collect();
-        // Anchor kinds are identical across shards (same compiled plan);
-        // read shard 0's composition rather than summing duplicates.
-        let index = match view.shards.first() {
-            Some(shard) => {
-                let s = shard.index.stats();
-                IndexKinds {
-                    key_anchors: s.key_anchors as u64,
-                    qgram_anchors: s.qgram_anchors as u64,
-                    element_anchors: s.element_anchors as u64,
-                    scan_keys: s.scan_keys as u64,
-                }
-            }
-            None => IndexKinds::default(),
-        };
+        let s = view.index.stats();
         ServerStats {
             version: view.rules.version,
             epoch,
-            records: shard_records.iter().sum(),
-            shard_records,
+            records: view.index.len(),
             queries: self.queries.load(Ordering::Relaxed),
             batch_queries: self.batch_queries.load(Ordering::Relaxed),
             upserts: self.upserts.load(Ordering::Relaxed),
@@ -431,7 +326,12 @@ impl MatchServer {
             cache_hits: 0,
             cache_misses: 0,
             cache_invalidations: 0,
-            index,
+            index: IndexKinds {
+                key_anchors: s.key_anchors as u64,
+                qgram_anchors: s.qgram_anchors as u64,
+                element_anchors: s.element_anchors as u64,
+                scan_keys: s.scan_keys as u64,
+            },
         }
     }
 
@@ -443,23 +343,22 @@ impl MatchServer {
     }
 
     /// Every live record the probe matches (some RCK accepts, no
-    /// negative rule vetoes), with the RCK that fired — exactly the hits
-    /// a batch [`MatchEngine::match_pairs_indexed`] run over
-    /// [`MatchServer::snapshot`] reports for this probe, hit-for-hit
-    /// identical (ids, keys, order, version) at every shard count.
-    /// Aggregate counters ([`QueryResponse::candidates`],
-    /// [`QueryResponse::key_evals`], [`QueryResponse::stats`]) are
-    /// summed across shards and depend on the shard count: each shard
-    /// prunes its own candidate retrieval independently.
+    /// negative rule vetoes), with the RCK that fired — byte-identical,
+    /// work counters ([`QueryResponse::candidates`],
+    /// [`QueryResponse::key_evals`], [`QueryResponse::stats`]) included,
+    /// to a [`MatchIndex::query`](crate::engine::MatchIndex::query) on an
+    /// index built over [`MatchServer::snapshot`] when the store holds no
+    /// tombstones; the hits (ids, keys, order) are those of a batch
+    /// [`MatchEngine::match_pairs_indexed`] run over the snapshot.
     pub fn query(&self, probe: &Record) -> Result<QueryResponse, ServiceError> {
         self.query_in(&self.view.load().0, probe)
     }
 
     /// [`MatchServer::query`] for a batch of probes, all answered
     /// against one consistent view (no mutation or swap can interleave
-    /// *within* the returned vector). The batch goes through each
-    /// shard's [`query_batch`](crate::engine::MatchIndex::query_batch)
-    /// at once, sharing signature extraction and scratch — answers stay
+    /// *within* the returned vector). The batch goes through the index's
+    /// [`query_batch`](crate::engine::MatchIndex::query_batch) at once,
+    /// sharing signature extraction and scratch — answers stay
     /// response-for-response identical to [`MatchServer::query`] per
     /// probe. Schemas are validated up front; one malformed probe fails
     /// the batch before any work runs.
@@ -467,18 +366,17 @@ impl MatchServer {
         let (view, _) = self.view.load();
         let tuples = self.admit(&view, probes)?;
         self.batch_queries.fetch_add(1, Ordering::Relaxed);
-        Ok(self.answer(&view, &tuples))
+        Ok(view.answer(&tuples))
     }
 
     /// [`MatchServer::query`], ranked: the same hit set the boolean
     /// query reports, scored by the plan's compiled
     /// [`ScoreModel`](crate::engine::ScoreModel), sorted by score
     /// descending (ties keep store order), filtered to
-    /// `score >= min_score` and truncated to `top_k` — answer-for-answer
-    /// identical (ids, keys, scores, order) at any shard count. The
-    /// rules stay the sound candidate generator: scores never add or
-    /// drop a hit, and `min_score <= 0.0` with `top_k >= hits` returns
-    /// the full boolean hit set. `min_score` must not be NaN
+    /// `score >= min_score` and truncated to `top_k`. The rules stay the
+    /// sound candidate generator: scores never add or drop a hit, and
+    /// `min_score <= 0.0` with `top_k >= hits` returns the full boolean
+    /// hit set. `min_score` must not be NaN
     /// ([`ServiceError::InvalidThreshold`]). Scoring is a pure function
     /// of the immutable plan, so scores are byte-identical across thread
     /// counts and repeat queries at one rule version.
@@ -493,7 +391,7 @@ impl MatchServer {
 
     fn query_in(&self, view: &ServerView, probe: &Record) -> Result<QueryResponse, ServiceError> {
         let tuples = self.admit(view, std::slice::from_ref(probe))?;
-        Ok(self.answer(view, &tuples).pop().expect("one answer per probe"))
+        Ok(view.answer(&tuples).pop().expect("one answer per probe"))
     }
 
     fn query_ranked_in(
@@ -507,19 +405,18 @@ impl MatchServer {
             return Err(ServiceError::InvalidThreshold);
         }
         let tuples = self.admit(view, std::slice::from_ref(probe))?;
-        let boolean = self.answer(view, &tuples).pop().expect("one answer per probe");
+        let boolean = view.answer(&tuples).pop().expect("one answer per probe");
         let engine = &view.rules.engine;
         let model = engine.plan().score_model();
         let mut hits: Vec<ScoredHit> = (boolean.hits.iter())
             .map(|h| {
-                let shard = &view.shards[shard_of(h.id, view.shards.len())];
-                let stored = shard.index.get(h.id.0).expect("query hits are live records");
+                let stored = view.index.get(h.id.0).expect("query hits are live records");
                 let score = model.score(engine.runtime(), &tuples[0], stored);
                 ScoredHit { id: h.id, key: h.key, score }
             })
             .collect();
-        // The merged hits are in store order; a *stable* sort by score
-        // keeps that order among equal scores.
+        // The hits are in store order; a *stable* sort by score keeps
+        // that order among equal scores.
         hits.sort_by(|a, b| b.score.total_cmp(&a.score));
         hits.retain(|h| h.score >= min_score);
         hits.truncate(top_k);
@@ -539,18 +436,6 @@ impl MatchServer {
         Ok(probes.iter().map(|probe| probe.to_tuple(0)).collect())
     }
 
-    /// The one read path: every probe goes through each shard's
-    /// [`MatchIndex::query_batch`] (shards fanned out on the pool), and
-    /// each probe's per-shard outcomes merge into one answer in store
-    /// order.
-    fn answer(&self, view: &ServerView, probes: &[Tuple]) -> Vec<QueryResponse> {
-        let per_shard =
-            self.pool.par_tasks(view.shards.len(), |s| view.shards[s].index.query_batch(probes));
-        (0..probes.len())
-            .map(|k| view.merge(per_shard.iter().map(|outcomes| &outcomes[k])))
-            .collect()
-    }
-
     /// Explains the decision for `(probe, stored record id)` under the
     /// current rules: every key's every atom (operator, deciding stage,
     /// θ-bound, exact edit distance, pass/fail), the veto outcome, and —
@@ -559,88 +444,79 @@ impl MatchServer {
     pub fn explain(&self, probe: &Record, id: RecordId) -> Result<MatchExplanation, ServiceError> {
         let (view, _) = self.view.load();
         check_schema(probe, view.rules.engine.plan().pair().left())?;
-        let trace = view.shards[shard_of(id, view.shards.len())]
-            .index
-            .explain(&probe.to_tuple(0), id.0)
+        let trace = (view.index.explain(&probe.to_tuple(0), id.0))
             .map_err(|_| ServiceError::UnknownRecord { id })?;
         Ok(MatchExplanation::from_trace(trace, id, view.rules.engine.plan(), view.rules.version))
+    }
+
+    /// The one publish path: under the writer lock, `next` builds the
+    /// successor of the current view, which is then stored. When `next`
+    /// fails nothing is published.
+    fn publish<R>(
+        &self,
+        next: impl FnOnce(&ServerView) -> Result<(ServerView, R), ServiceError>,
+    ) -> Result<R, ServiceError> {
+        let _writer = self.writer.lock().unwrap_or_else(|e| e.into_inner());
+        // Loaded under the lock: sees every earlier publish.
+        let (view, _) = self.view.load();
+        let (successor, out) = next(&view)?;
+        self.view.store(Arc::new(successor));
+        Ok(out)
+    }
+
+    /// A mutation: `apply` runs on a clone of the published index, and
+    /// the clone is published under the same rules.
+    fn mutate<R>(
+        &self,
+        apply: impl FnOnce(&mut MatchIndex) -> Result<R, ServiceError>,
+    ) -> Result<R, ServiceError> {
+        self.publish(|view| {
+            let mut index = view.index.clone();
+            let out = apply(&mut index)?;
+            Ok((ServerView { rules: view.rules.clone(), index }, out))
+        })
     }
 
     /// Inserts or replaces one record; returns whether a replacement
     /// happened. Equivalent to a one-element
     /// [`MatchServer::upsert_batch`].
     pub fn upsert(&self, id: RecordId, record: &Record) -> Result<bool, ServiceError> {
-        let _gate = self.swap_gate.read().unwrap_or_else(|e| e.into_inner());
-        check_schema(record, &self.store_schema())?;
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let replaced =
-            self.mutate_shard(shard_of(id, self.shards()), |shard| shard.upsert(id, record, seq))?;
-        self.upserts.fetch_add(1, Ordering::Relaxed);
-        Ok(replaced)
+        Ok(self.upsert_all(&[(id, record)])?[0])
     }
 
-    /// Inserts or replaces a batch of records, stamping each with the
-    /// next global arrival number in input order; returns per-item
-    /// replacement flags. Items are grouped by shard and the shard
-    /// groups applied concurrently; every record is visible to queries
-    /// as soon as its shard publishes. Mutations on the *same* shard
-    /// serialize; a concurrent [`MatchServer::swap_rules`] is excluded
-    /// for the duration. Schemas are validated up front, so a failed
-    /// batch mutates nothing.
+    /// Inserts or replaces a batch of records in input order (each new
+    /// or replaced record enters at the end of the store); returns
+    /// per-item replacement flags. The batch is atomic: it is published
+    /// once, after every item applied, and a failed batch — a schema
+    /// mismatch included — publishes nothing. So does an empty one.
     pub fn upsert_batch(&self, items: &[(RecordId, Record)]) -> Result<Vec<bool>, ServiceError> {
-        let _gate = self.swap_gate.read().unwrap_or_else(|e| e.into_inner());
-        // Rules cannot change while the gate is held, so one check per
-        // item against the current store schema suffices.
+        let items: Vec<(RecordId, &Record)> = items.iter().map(|(id, r)| (*id, r)).collect();
+        self.upsert_all(&items)
+    }
+
+    fn upsert_all(&self, items: &[(RecordId, &Record)]) -> Result<Vec<bool>, ServiceError> {
+        if items.is_empty() {
+            return Ok(Vec::new());
+        }
+        // A swap keeps the schema pair, so the store schema is fixed.
         let schema = self.store_schema();
         for (_, record) in items {
             check_schema(record, &schema)?;
         }
-        let shards = self.shards();
-        let base = self.seq.fetch_add(items.len() as u64, Ordering::Relaxed);
-        let mut groups: Vec<Vec<usize>> = vec![Vec::new(); shards];
-        for (pos, (id, _)) in items.iter().enumerate() {
-            groups[shard_of(*id, shards)].push(pos);
-        }
-        let occupied: Vec<usize> = (0..shards).filter(|&s| !groups[s].is_empty()).collect();
-        let applied = self.pool.par_tasks(occupied.len(), |k| {
-            self.mutate_shard(occupied[k], |shard| {
-                (groups[occupied[k]].iter())
-                    .map(|&pos| shard.upsert(items[pos].0, &items[pos].1, base + pos as u64))
-                    .collect::<Result<Vec<bool>, _>>()
-            })
-        });
-        let mut replaced = vec![false; items.len()];
-        for (flags, &s) in applied.into_iter().zip(&occupied) {
-            for (flag, &pos) in flags?.into_iter().zip(&groups[s]) {
-                replaced[pos] = flag;
-            }
-        }
+        let replaced = self.mutate(|index| {
+            (items.iter())
+                .map(|&(id, record)| {
+                    let replaced = index.contains(id.0);
+                    if replaced {
+                        index.remove(id.0)?;
+                    }
+                    index.insert(record.to_tuple(id.0))?;
+                    Ok(replaced)
+                })
+                .collect()
+        })?;
         self.upserts.fetch_add(items.len() as u64, Ordering::Relaxed);
         Ok(replaced)
-    }
-
-    /// The one write path: clone shard `s`'s snapshot, apply `mutate` to
-    /// the clone, publish it. Holds the shard's writer lock so same-shard
-    /// writes serialize; the publish itself is a pointer swap on the
-    /// shared view. When `mutate` fails nothing is published.
-    fn mutate_shard<R>(
-        &self,
-        s: usize,
-        mutate: impl FnOnce(&mut ShardSnapshot) -> Result<R, ServiceError>,
-    ) -> Result<R, ServiceError> {
-        let _shard = self.shard_locks[s].lock().unwrap_or_else(|e| e.into_inner());
-        // Loaded under the shard lock: sees every earlier publish for
-        // this shard (writers publish before releasing the lock).
-        let (view, _) = self.view.load();
-        let mut next = ShardSnapshot::clone(&view.shards[s]);
-        let out = mutate(&mut next)?;
-        let snapshot = Arc::new(next);
-        self.view.update(|v| {
-            let mut shards = v.shards.clone();
-            shards[s] = snapshot.clone();
-            Arc::new(ServerView { rules: v.rules.clone(), shards })
-        });
-        Ok(out)
     }
 
     /// Removes one record from query visibility. Equivalent to a
@@ -649,45 +525,32 @@ impl MatchServer {
         self.remove_batch(&[id])
     }
 
-    /// Removes a batch of records, shard groups applied concurrently.
-    /// An unknown id fails its *shard's* group wholesale before that
-    /// shard publishes anything; other shards' groups still apply
-    /// (mutation batches are atomic per shard, not across shards).
+    /// Removes a batch of records. The batch is atomic: an unknown id
+    /// fails it with [`ServiceError::UnknownRecord`] and nothing is
+    /// published. An empty batch publishes nothing either.
     pub fn remove_batch(&self, ids: &[RecordId]) -> Result<(), ServiceError> {
-        let _gate = self.swap_gate.read().unwrap_or_else(|e| e.into_inner());
-        let shards = self.shards();
-        let mut groups: Vec<Vec<RecordId>> = vec![Vec::new(); shards];
-        for &id in ids {
-            groups[shard_of(id, shards)].push(id);
+        if ids.is_empty() {
+            return Ok(());
         }
-        let occupied: Vec<usize> = (0..shards).filter(|&s| !groups[s].is_empty()).collect();
-        let applied = self.pool.par_tasks(occupied.len(), |k| {
-            let group = &groups[occupied[k]];
-            self.mutate_shard(occupied[k], |shard| {
-                // (A tombstoned slot keeps its stamp; nothing reads it.)
-                group.iter().try_for_each(|&id| {
-                    shard.index.remove(id.0).map_err(|_| ServiceError::UnknownRecord { id })
-                })
-            })?;
-            // Counted per published group: a failure on another shard
-            // does not undo this one.
-            self.removes.fetch_add(group.len() as u64, Ordering::Relaxed);
-            Ok(())
-        });
-        applied.into_iter().collect()
+        self.mutate(|index| {
+            (ids.iter()).try_for_each(|&id| {
+                index.remove(id.0).map_err(|_| ServiceError::UnknownRecord { id })
+            })
+        })?;
+        self.removes.fetch_add(ids.len() as u64, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Replaces the rule set with MDs parsed from `md_text` (the
     /// [`crate::core::parser`] syntax, against the existing schema pair
     /// and operator table), with **zero read downtime**: the new plan is
-    /// compiled and every shard's index rebuilt at version v+1 entirely
-    /// off to the side (reads keep serving v throughout, never blocking
-    /// or failing), then the whole view — rules plus all shards — is
-    /// published in one atomic store. Mutations are gated for the
-    /// duration so the rebuild sees a frozen store. On error (parse,
-    /// compile, resolution) the old version keeps serving untouched. The
-    /// rebuild also reclaims tombstoned slots (it doubles as a
-    /// [`MatchServer::compact`]).
+    /// compiled and the index rebuilt at version v+1 entirely off to the
+    /// side (reads keep serving v throughout, never blocking or failing),
+    /// then rules and index are published in one atomic store. The swap
+    /// holds the writer lock, so the rebuild sees a frozen store. On
+    /// error (parse, compile, resolution) the old version keeps serving
+    /// untouched. The rebuild also reclaims tombstoned slots (it doubles
+    /// as a [`MatchServer::compact`]).
     pub fn swap_rules(&self, md_text: &str) -> Result<RuleVersion, ServiceError> {
         self.swap_with_registry(None, |b| b.md_text(md_text))
     }
@@ -728,51 +591,36 @@ impl MatchServer {
     /// bindings into the serving runtime (not just its table) — after
     /// the refinement is checked against the plan it is about to
     /// replace: the check reads the same view as the rebuild, under the
-    /// gate, so no other swap can land in between.
+    /// writer lock, so no other swap can land in between.
     fn swap_with_registry(
         &self,
         refinement: Option<&Refinement>,
         add_rules: impl FnOnce(EngineBuilder) -> EngineBuilder,
     ) -> Result<RuleVersion, ServiceError> {
-        let _gate = self.swap_gate.write().unwrap_or_else(|e| e.into_inner());
-        let (view, _) = self.view.load();
-        let serving = &view.rules.engine;
-        let registry = match refinement {
-            Some(refinement) => {
-                check_deployable(refinement, serving.plan())?;
-                refinement.registry.clone()
-            }
-            None => serving.registry().clone(),
-        };
-        let builder = EngineBuilder::from_plan(serving.plan()).operators(registry.clone());
-        let plan = add_rules(builder).compile()?;
-        let engine = MatchEngine::from_plan(plan, &registry)?;
-        let version = RuleVersion(view.rules.version.0 + 1);
-        self.republish(&view, Arc::new(RuleEpoch { engine, version }))?;
-        Ok(version)
+        self.publish(|view| {
+            let serving = &view.rules.engine;
+            let registry = match refinement {
+                Some(refinement) => {
+                    check_deployable(refinement, serving.plan())?;
+                    refinement.registry.clone()
+                }
+                None => serving.registry().clone(),
+            };
+            let builder = EngineBuilder::from_plan(serving.plan()).operators(registry.clone());
+            let plan = add_rules(builder).compile()?;
+            let engine = MatchEngine::from_plan(plan, &registry)?;
+            let version = RuleVersion(view.rules.version.0 + 1);
+            Ok((view.rebuilt(Arc::new(RuleEpoch { engine, version }))?, version))
+        })
     }
 
-    /// Rebuilds every shard of `view` under `rules` off to the side
-    /// (slots compacted) and publishes rules plus shards in one store. The caller
-    /// holds the swap gate's write side, so `view` is the frozen store.
-    fn republish(&self, view: &ServerView, rules: Arc<RuleEpoch>) -> Result<(), ServiceError> {
-        let shards = (self.pool)
-            .par_tasks(view.shards.len(), |s| view.shards[s].rebuilt(&rules.engine).map(Arc::new))
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()?;
-        self.view.store(Arc::new(ServerView { rules, shards }));
-        Ok(())
-    }
-
-    /// Rebuilds every shard's index over its live records under the
-    /// *current* rules, reclaiming the tombstoned slots removals and
-    /// replacements leave behind. Query answers are
-    /// unchanged and the rule version does not move; reads keep serving
-    /// throughout, mutations are gated like for a swap.
+    /// Rebuilds the index over its live records under the *current*
+    /// rules, reclaiming the tombstoned slots removals and replacements
+    /// leave behind. Query answers and store order are unchanged and the
+    /// rule version does not move; reads keep serving throughout,
+    /// mutations wait like for a swap.
     pub fn compact(&self) -> Result<(), ServiceError> {
-        let _gate = self.swap_gate.write().unwrap_or_else(|e| e.into_inner());
-        let (view, _) = self.view.load();
-        self.republish(&view, view.rules.clone())
+        self.publish(|view| Ok((view.rebuilt(view.rules.clone())?, ())))
     }
 
     /// Appends labeled pairs (probe record, stored-shape record, is a
@@ -917,21 +765,7 @@ impl ServerReader<'_> {
 mod tests {
     use super::*;
 
-    #[test]
-    fn shard_routing_is_stable_and_covers_all_shards() {
-        for shards in [1usize, 2, 8] {
-            let mut seen = vec![false; shards];
-            for id in 0..512u64 {
-                let s = shard_of(RecordId(id), shards);
-                assert!(s < shards);
-                assert_eq!(s, shard_of(RecordId(id), shards), "routing must be deterministic");
-                seen[s] = true;
-            }
-            assert!(seen.iter().all(|&s| s), "512 sequential ids should touch every shard");
-        }
-    }
-
-    fn people_server(shards: usize) -> MatchServer {
+    fn people_server_on(exec: ExecConfig) -> MatchServer {
         let people = Schema::text("people", &["name", "email"]).unwrap();
         let engine = EngineBuilder::new()
             .dedup_schema(people)
@@ -939,10 +773,11 @@ mod tests {
             .target(&["name"], &["name"])
             .build()
             .unwrap();
-        MatchServer::with_config(
-            engine,
-            ServerConfig { shards, exec: ExecConfig::serial(), ..ServerConfig::default() },
-        )
+        MatchServer::with_config(engine, ServerConfig { exec, ..ServerConfig::default() })
+    }
+
+    fn people_server() -> MatchServer {
+        people_server_on(ExecConfig::serial())
     }
 
     fn person(server: &MatchServer, n: u64) -> Record {
@@ -950,56 +785,50 @@ mod tests {
         server.record_builder().field("name", "Ada").field("email", email.as_str()).build().unwrap()
     }
 
-    #[test]
-    fn remove_batch_counts_the_groups_that_published() {
-        let server = people_server(2);
-        let known = RecordId(1);
-        // Routed to the other shard, and never stored.
-        let unknown = (2..)
-            .map(RecordId)
-            .find(|&id| shard_of(id, 2) != shard_of(known, 2))
-            .expect("some id routes to the other shard");
-        server.upsert(known, &person(&server, 1)).unwrap();
-        server.upsert(RecordId(0), &person(&server, 0)).unwrap();
+    fn store_ids(server: &MatchServer) -> Vec<u64> {
+        server.snapshot().tuples().iter().map(|t| t.id()).collect()
+    }
 
-        let err = server.remove_batch(&[known, unknown]);
+    #[test]
+    fn a_failed_remove_batch_publishes_nothing() {
+        let server = people_server_on(ExecConfig::fixed(2));
+        for n in 0..8 {
+            server.upsert(RecordId(n), &person(&server, n)).unwrap();
+        }
+        let before = (server.len(), store_ids(&server), server.stats().removes, server.epoch());
+        let unknown = RecordId(100);
+        let batch: Vec<RecordId> =
+            (0..4).map(RecordId).chain([unknown]).chain((4..8).map(RecordId)).collect();
+
+        let err = server.remove_batch(&batch);
         assert!(matches!(err, Err(ServiceError::UnknownRecord { id }) if id == unknown), "{err:?}");
-        assert_eq!(server.len(), 1, "the known id's shard group still applied");
-        assert!(!server.contains(known));
-        assert_eq!(server.stats().removes, 1, "and was counted");
+        let after = (server.len(), store_ids(&server), server.stats().removes, server.epoch());
+        assert_eq!(after, before, "the failed batch removed, counted or published nothing");
     }
 
     #[test]
     fn compact_reclaims_tombstones_without_moving_the_version() {
-        for shards in [1, 2] {
-            let server = people_server(shards);
-            for n in 0..8 {
-                server.upsert(RecordId(n), &person(&server, n)).unwrap();
-            }
-            server.upsert(RecordId(0), &person(&server, 100)).unwrap();
-            server.remove(RecordId(1)).unwrap();
-            let tombstones = || -> usize {
-                server.view.load().0.shards.iter().map(|s| s.index.stats().tombstones).sum()
-            };
-            assert_eq!(tombstones(), 2, "a replacement and a removal each leave one");
-            server.compact().unwrap();
-            assert_eq!(tombstones(), 0);
-            assert_eq!(server.version(), RuleVersion(1));
-            assert_eq!(server.len(), 7);
+        let server = people_server();
+        for n in 0..8 {
+            server.upsert(RecordId(n), &person(&server, n)).unwrap();
         }
-    }
-
-    #[test]
-    fn default_config_resolves_shards_from_the_pool() {
-        let config = ServerConfig::default();
-        assert_eq!(config.shards, 0, "0 means auto");
+        server.upsert(RecordId(0), &person(&server, 100)).unwrap();
+        server.remove(RecordId(1)).unwrap();
+        let tombstones = || server.view.load().0.index.stats().tombstones;
+        assert_eq!(tombstones(), 2, "a replacement and a removal each leave one");
+        let order = store_ids(&server);
+        server.compact().unwrap();
+        assert_eq!(tombstones(), 0);
+        assert_eq!(store_ids(&server), order, "compaction keeps store order");
+        assert_eq!(server.version(), RuleVersion(1));
+        assert_eq!(server.len(), 7);
     }
 
     /// A server holding twelve people, all named "Ada", over three emails
     /// (`p0`..`p2`, by id mod 3), upserted in an arrival order that is
     /// not id order, so store order and id order disagree.
-    fn filled_people_server(shards: usize) -> MatchServer {
-        let server = people_server(shards);
+    fn filled_people_server() -> MatchServer {
+        let server = people_server();
         for id in [9u64, 3, 11, 0, 7, 1, 10, 4, 6, 2, 8, 5] {
             server.upsert(RecordId(id), &person(&server, id % 3)).unwrap();
         }
@@ -1017,7 +846,7 @@ mod tests {
 
     #[test]
     fn every_read_path_counts_each_probe_once() {
-        let server = filled_people_server(2);
+        let server = filled_people_server();
         let probe = person(&server, 0);
         let before = server.stats();
         server.query(&probe).unwrap();
@@ -1032,7 +861,7 @@ mod tests {
 
     #[test]
     fn a_rejected_read_fails_before_counting_anything() {
-        let server = filled_people_server(2);
+        let server = filled_people_server();
         let good = person(&server, 0);
         let bad = foreign_probe();
         let mismatch =
@@ -1051,79 +880,72 @@ mod tests {
 
     #[test]
     fn an_empty_batch_answers_nothing() {
-        for shards in [1, 2] {
-            let server = filled_people_server(shards);
-            assert_eq!(server.query_batch(&[]).unwrap(), Vec::new());
-            let stats = server.stats();
-            assert_eq!((stats.queries, stats.batch_queries), (0, 1));
-        }
+        let server = filled_people_server();
+        assert_eq!(server.query_batch(&[]).unwrap(), Vec::new());
+        let stats = server.stats();
+        assert_eq!((stats.queries, stats.batch_queries), (0, 1));
     }
 
     #[test]
     fn repeated_probes_in_one_batch_answer_like_single_queries() {
-        for shards in [1, 2, 3] {
-            let server = filled_people_server(shards);
-            let unmatched = server.record_builder().field("email", "nobody@example.org").build();
-            let probes = vec![
-                person(&server, 0),
-                person(&server, 1),
-                person(&server, 0),
-                unmatched.unwrap(),
-                person(&server, 0),
-            ];
-            let batch = server.query_batch(&probes).unwrap();
-            let singles: Vec<QueryResponse> =
-                probes.iter().map(|p| server.query(p).unwrap()).collect();
-            assert_eq!(batch, singles, "{shards} shards");
-            assert_eq!(batch[0], batch[2]);
-            assert_eq!(batch[0], batch[4]);
-            assert!(batch[3].hits.is_empty(), "a probe with no name or email match has no hits");
-        }
+        let server = filled_people_server();
+        let unmatched = server.record_builder().field("email", "nobody@example.org").build();
+        let probes = vec![
+            person(&server, 0),
+            person(&server, 1),
+            person(&server, 0),
+            unmatched.unwrap(),
+            person(&server, 0),
+        ];
+        let batch = server.query_batch(&probes).unwrap();
+        let singles: Vec<QueryResponse> = probes.iter().map(|p| server.query(p).unwrap()).collect();
+        assert_eq!(batch, singles);
+        assert_eq!(batch[0], batch[2]);
+        assert_eq!(batch[0], batch[4]);
+        assert!(batch[3].hits.is_empty(), "a probe with no name or email match has no hits");
     }
 
     #[test]
     fn ranked_ties_keep_store_order_and_top_k_serves_a_prefix() {
-        for shards in [1, 2, 3] {
-            let server = filled_people_server(shards);
-            let probe = person(&server, 0);
-            let boolean = server.query(&probe).unwrap();
-            assert_eq!(boolean.hits.len(), 12, "every record shares the name: {:?}", ids(&boolean));
-            let mut by_id = ids(&boolean);
-            by_id.sort_unstable();
-            assert_ne!(ids(&boolean), by_id, "store order is arrival order, not id order");
+        let server = filled_people_server();
+        let probe = person(&server, 0);
+        let boolean = server.query(&probe).unwrap();
+        assert_eq!(boolean.hits.len(), 12, "every record shares the name: {:?}", ids(&boolean));
+        let mut by_id = ids(&boolean);
+        by_id.sort_unstable();
+        assert_ne!(ids(&boolean), by_id, "store order is arrival order, not id order");
 
-            let full = server.query_ranked(&probe, usize::MAX, f64::NEG_INFINITY).unwrap();
-            assert_eq!(
-                (full.candidates, full.key_evals, full.version),
-                (boolean.candidates, boolean.key_evals, boolean.version)
-            );
-            // The expected answer: the boolean hits (store order) stable-
-            // sorted by score, so each score tier keeps store order.
-            let mut expected: Vec<(u64, usize)> =
-                boolean.hits.iter().map(|h| (h.id.0, h.key)).collect();
-            let score_of = |id: u64| full.hits.iter().find(|h| h.id.0 == id).unwrap().score;
-            expected.sort_by(|a, b| score_of(b.0).total_cmp(&score_of(a.0)));
-            let ranked: Vec<(u64, usize)> = full.hits.iter().map(|h| (h.id.0, h.key)).collect();
-            assert_eq!(ranked, expected, "{shards} shards: ties keep store order");
-            // The best tier is the records identical to the probe.
-            let best = full.hits[0].score;
-            let top_tier: Vec<u64> =
-                full.hits.iter().take_while(|h| h.score == best).map(|h| h.id.0).collect();
-            let exact: Vec<u64> = ids(&boolean).into_iter().filter(|id| id % 3 == 0).collect();
-            assert_eq!(top_tier, exact);
+        let full = server.query_ranked(&probe, usize::MAX, f64::NEG_INFINITY).unwrap();
+        assert_eq!(
+            (full.candidates, full.key_evals, full.version),
+            (boolean.candidates, boolean.key_evals, boolean.version)
+        );
+        // The expected answer: the boolean hits (store order) stable-
+        // sorted by score, so each score tier keeps store order.
+        let mut expected: Vec<(u64, usize)> =
+            boolean.hits.iter().map(|h| (h.id.0, h.key)).collect();
+        let score_of = |id: u64| full.hits.iter().find(|h| h.id.0 == id).unwrap().score;
+        expected.sort_by(|a, b| score_of(b.0).total_cmp(&score_of(a.0)));
+        let ranked: Vec<(u64, usize)> = full.hits.iter().map(|h| (h.id.0, h.key)).collect();
+        assert_eq!(ranked, expected, "ties keep store order");
+        // The best tier is the records identical to the probe.
+        let best = full.hits[0].score;
+        let top_tier: Vec<u64> =
+            full.hits.iter().take_while(|h| h.score == best).map(|h| h.id.0).collect();
+        let exact: Vec<u64> = ids(&boolean).into_iter().filter(|id| id % 3 == 0).collect();
+        assert_eq!(top_tier, exact);
 
-            let top = server.query_ranked(&probe, 2, f64::NEG_INFINITY).unwrap();
-            assert_eq!(top.hits.as_slice(), &full.hits[..2]);
-            assert!(server.query_ranked(&probe, 0, 0.0).unwrap().hits.is_empty());
-            let above_rest = server.query_ranked(&probe, usize::MAX, best).unwrap();
-            assert_eq!(above_rest.hits.as_slice(), &full.hits[..top_tier.len()]);
-            assert!(server.query_ranked(&probe, usize::MAX, best + 0.5).unwrap().hits.is_empty());
-        }
+        let top = server.query_ranked(&probe, 2, f64::NEG_INFINITY).unwrap();
+        assert_eq!(top.hits.as_slice(), &full.hits[..2]);
+        assert!(server.query_ranked(&probe, 0, 0.0).unwrap().hits.is_empty());
+        let above_rest = server.query_ranked(&probe, usize::MAX, best).unwrap();
+        assert_eq!(above_rest.hits.as_slice(), &full.hits[..top_tier.len()]);
+        assert!(server.query_ranked(&probe, usize::MAX, best + 0.5).unwrap().hits.is_empty());
     }
 
     #[test]
     fn a_reader_sees_every_publish_on_its_next_read() {
-        let server = filled_people_server(2);
+        let server = filled_people_server();
         let probe = person(&server, 0);
         let mut reader = server.reader();
         assert_eq!(reader.query(&probe).unwrap(), server.query(&probe).unwrap());
@@ -1142,7 +964,7 @@ mod tests {
 
     #[test]
     fn inert_cache_fields_stay_zero_through_reads_writes_and_swaps() {
-        let server = filled_people_server(2);
+        let server = filled_people_server();
         let probe = person(&server, 0);
         let inert = |stats: &ServerStats| {
             (stats.cache_hits, stats.cache_misses, stats.cache_invalidations) == (0, 0, 0)

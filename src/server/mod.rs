@@ -6,16 +6,15 @@
 //! [`MatchPlan`](crate::engine::MatchPlan) and executes it over batches;
 //! this module turns that artifact into a server:
 //!
-//! * [`MatchServer`] — the core. Records are hashed by [`RecordId`]
-//!   onto N shards, each an independent
-//!   [`MatchIndex`](crate::engine::MatchIndex); mutations on different
-//!   shards run concurrently, probes fan out over all shards and merge
-//!   hits back into global arrival order. The whole state (rules + all
-//!   shard snapshots) is one immutable view behind an atomically
+//! * [`MatchServer`] — the core. Records, keyed by [`RecordId`], live
+//!   in one [`MatchIndex`](crate::engine::MatchIndex) in arrival order.
+//!   Rules and index are one immutable view behind an atomically
 //!   swapped epoch cell, so reads are lock-free in the steady state and
 //!   a [`swap_rules`](MatchServer::swap_rules) rebuild at version v+1
-//!   flips in with **zero read downtime**. Boolean, batched and ranked
-//!   reads share one shard fan-out; nothing is memoised.
+//!   flips in with **zero read downtime**. Writers take one lock, clone
+//!   the index (structurally shared), mutate the clone and publish it.
+//!   Boolean, batched and ranked reads share one path; nothing is
+//!   memoised.
 //! * [`wire`] — a length-prefixed binary protocol (std-only, no serde)
 //!   with typed [`ProtocolError`]s: `query`, `query_batch`,
 //!   `upsert_batch`, `explain`, `swap_rules`, `stats`, every response
@@ -28,7 +27,7 @@
 //! ```
 //! use matchrules::engine::EngineBuilder;
 //! use matchrules::core::schema::Schema;
-//! use matchrules::server::{MatchServer, ServerConfig};
+//! use matchrules::server::MatchServer;
 //! use matchrules::service::RecordId;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -38,7 +37,7 @@
 //!     .md_text("people[email] = people[email] -> people[name,phone] <=> people[name,phone]")
 //!     .target(&["name", "phone"], &["name", "phone"])
 //!     .build()?;
-//! let server = MatchServer::with_config(engine, ServerConfig { shards: 4, ..Default::default() });
+//! let server = MatchServer::new(engine);
 //!
 //! let ada = server.record_builder()
 //!     .field("name", "Ada Lovelace")

@@ -302,7 +302,7 @@ fn stats_to_wire(server: &MatchServer) -> WireStats {
     WireStats {
         version: stats.version.number(),
         epoch: stats.epoch,
-        shard_records: stats.shard_records.iter().map(|&n| n as u64).collect(),
+        shard_records: vec![stats.records as u64],
         queries: stats.queries,
         batch_queries: stats.batch_queries,
         upserts: stats.upserts,

@@ -499,7 +499,8 @@ wire_struct! {
         pub version: u64,
         /// The publish epoch (bumps on every mutation and swap).
         pub epoch: u64,
-        /// Live records per shard.
+        /// One entry: the live record count. (A list under its old name,
+        /// so the frame layout stays unchanged.)
         pub shard_records: Vec<u64>,
         /// Probes answered since the server started.
         pub queries: u64,

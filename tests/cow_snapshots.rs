@@ -14,7 +14,7 @@
 //!   its live records, and both sides keep every structural invariant
 //!   (`MatchIndex::check_invariants`, which runs
 //!   `PostingList::check_invariants` on every posting list);
-//! * the same at the server, at 1, 2 and 8 shards, with a `ServerReader`
+//! * the same at the server, with a `ServerReader`
 //!   pinning the pre-stream view for the whole stream (so every write
 //!   copies against a shared snapshot, never in place): afterwards the
 //!   server answers — boolean and ranked — exactly like a server freshly
@@ -23,13 +23,12 @@
 
 use matchrules::data::dirty::{generate_dirty, DirtyData, NoiseConfig};
 use matchrules::data::relation::Tuple;
-use matchrules::engine::{ExecConfig, MatchEngine, Preset, QueryOutcome, Threads};
+use matchrules::engine::{ExecConfig, MatchEngine, Preset, QueryOutcome};
 use matchrules::server::{MatchServer, ServerConfig};
 use matchrules::service::{Record, RecordId};
 use proptest::prelude::*;
 use proptest::TestCaseError;
 
-const SHARD_SWEEP: [usize; 3] = [1, 2, 8];
 /// Ids of records the stream adds (the generated ones are dense from 0).
 const FRESH_BASE: u64 = 1_000_000;
 
@@ -200,70 +199,64 @@ proptest! {
     fn cow_server_stream_under_a_pinned_reader_equals_a_fresh_load(seed in 0u64..100_000) {
         let data = dirty(seed, 120);
         let stream = write_stream(&data, seed);
-        for shards in SHARD_SWEEP {
-            let config = ServerConfig {
-                shards,
-                exec: ExecConfig { threads: Threads::Fixed(2) },
-                ..ServerConfig::default()
-            };
-            let server = MatchServer::with_config(engine(), config);
-            let record = |row: usize| {
-                let values = data.billing.tuples()[row].values().to_vec();
-                Record::from_values(server.store_schema(), values).unwrap()
-            };
-            let initial: Vec<(RecordId, Record)> = (0..data.billing.len())
-                .map(|row| (RecordId(data.billing.tuples()[row].id()), record(row)))
-                .collect();
-            server.upsert_batch(&initial).unwrap();
-            let probes: Vec<Record> = (data.credit.tuples().iter())
-                .map(|t| Record::from_values(server.probe_schema(), t.values().to_vec()).unwrap())
-                .collect();
+        let config = ServerConfig { exec: ExecConfig::fixed(2), ..ServerConfig::default() };
+        let server = MatchServer::with_config(engine(), config);
+        let record = |row: usize| {
+            let values = data.billing.tuples()[row].values().to_vec();
+            Record::from_values(server.store_schema(), values).unwrap()
+        };
+        let initial: Vec<(RecordId, Record)> = (0..data.billing.len())
+            .map(|row| (RecordId(data.billing.tuples()[row].id()), record(row)))
+            .collect();
+        server.upsert_batch(&initial).unwrap();
+        let probes: Vec<Record> = (data.credit.tuples().iter())
+            .map(|t| Record::from_values(server.probe_schema(), t.values().to_vec()).unwrap())
+            .collect();
 
-            // Pins the loaded view: until it refreshes, every write
-            // below mutates a clone of a snapshot somebody still holds.
-            let mut pinned = server.reader();
-            pinned.query(&probes[0]).unwrap();
+        // Pins the loaded view: until it refreshes, every write
+        // below mutates a clone of a snapshot somebody still holds.
+        let mut pinned = server.reader();
+        pinned.query(&probes[0]).unwrap();
 
-            // Singles and batches both go through the one write path.
-            let mut pending_removes: Vec<RecordId> = Vec::new();
-            for write in &stream {
-                match *write {
-                    Write::Upsert { id, row } => {
-                        server.remove_batch(&pending_removes).unwrap();
-                        pending_removes.clear();
-                        server.upsert(RecordId(id), &record(row)).unwrap();
-                    }
-                    Write::Remove { id } if id % 3 == 0 => pending_removes.push(RecordId(id)),
-                    Write::Remove { id } => server.remove(RecordId(id)).unwrap(),
+        // Singles and batches both go through the one write path.
+        let mut pending_removes: Vec<RecordId> = Vec::new();
+        for write in &stream {
+            match *write {
+                Write::Upsert { id, row } => {
+                    server.remove_batch(&pending_removes).unwrap();
+                    pending_removes.clear();
+                    server.upsert(RecordId(id), &record(row)).unwrap();
                 }
+                Write::Remove { id } if id % 3 == 0 => pending_removes.push(RecordId(id)),
+                Write::Remove { id } => server.remove(RecordId(id)).unwrap(),
             }
-            server.remove_batch(&pending_removes).unwrap();
+        }
+        server.remove_batch(&pending_removes).unwrap();
 
-            // A server freshly loaded from the snapshot, in store order.
-            let snapshot = server.snapshot();
-            let fresh = MatchServer::with_config(engine(), config);
-            let reload: Vec<(RecordId, Record)> = (snapshot.tuples().iter())
-                .map(|t| {
-                    let record = Record::from_values(fresh.store_schema(), t.values().to_vec());
-                    (RecordId(t.id()), record.unwrap())
-                })
-                .collect();
-            fresh.upsert_batch(&reload).unwrap();
-            prop_assert_eq!(server.len(), fresh.len());
-            let ids = |s: &MatchServer| -> Vec<u64> {
-                s.snapshot().tuples().iter().map(Tuple::id).collect()
-            };
-            prop_assert_eq!(ids(&server), ids(&fresh), "store order at {} shards", shards);
+        // A server freshly loaded from the snapshot, in store order.
+        let snapshot = server.snapshot();
+        let fresh = MatchServer::with_config(engine(), config);
+        let reload: Vec<(RecordId, Record)> = (snapshot.tuples().iter())
+            .map(|t| {
+                let record = Record::from_values(fresh.store_schema(), t.values().to_vec());
+                (RecordId(t.id()), record.unwrap())
+            })
+            .collect();
+        fresh.upsert_batch(&reload).unwrap();
+        prop_assert_eq!(server.len(), fresh.len());
+        let ids = |s: &MatchServer| -> Vec<u64> {
+            s.snapshot().tuples().iter().map(Tuple::id).collect()
+        };
+        prop_assert_eq!(ids(&server), ids(&fresh), "store order");
 
-            for probe in &probes {
-                let live = server.query(probe).unwrap();
-                prop_assert_eq!(&live.hits, &fresh.query(probe).unwrap().hits);
-                // The reader refreshes to the published view on use.
-                prop_assert_eq!(&pinned.query(probe).unwrap(), &live);
-                let ranked = server.query_ranked(probe, 5, 0.0).unwrap();
-                prop_assert_eq!(&pinned.query_ranked(probe, 5, 0.0).unwrap(), &ranked);
-                prop_assert_eq!(ranked.hits, fresh.query_ranked(probe, 5, 0.0).unwrap().hits);
-            }
+        for probe in &probes {
+            let live = server.query(probe).unwrap();
+            prop_assert_eq!(&live.hits, &fresh.query(probe).unwrap().hits);
+            // The reader refreshes to the published view on use.
+            prop_assert_eq!(&pinned.query(probe).unwrap(), &live);
+            let ranked = server.query_ranked(probe, 5, 0.0).unwrap();
+            prop_assert_eq!(&pinned.query_ranked(probe, 5, 0.0).unwrap(), &ranked);
+            prop_assert_eq!(ranked.hits, fresh.query_ranked(probe, 5, 0.0).unwrap().hits);
         }
     }
 }

@@ -2,15 +2,15 @@
 //! in bytes by a counting global allocator — deterministic in what it
 //! counts (allocation requests, not time), so it can gate in CI.
 //!
-//! One `MatchServer::upsert` clones the target shard's published
-//! snapshot, mutates the clone and publishes it. With structural sharing
-//! that allocates spines (one `Arc` pointer per chunk / stripe) plus the
-//! chunks and stripes the one record touches — not the shard:
+//! One `MatchServer::upsert` clones the published index, mutates the
+//! clone and publishes it. With structural sharing that allocates spines
+//! (one `Arc` pointer per chunk / stripe) plus the chunks and stripes the
+//! one record touches — not the store:
 //!
-//! * **sub-linear in shard size**: an upsert into a 1-shard store of
-//!   8 000 records allocates less than 2× what it does at 1 000 records
-//!   (a deep copy would allocate ~8×);
-//! * **a small fraction of the shard**: less than 5% of what one full
+//! * **sub-linear in store size**: an upsert into a store of 8 000
+//!   records allocates less than 2× what it does at 1 000 records (a
+//!   deep copy would allocate ~8×);
+//! * **a small fraction of the store**: less than 5% of what one full
 //!   index build over those 8 000 records allocates (a deep copy is of
 //!   that order by construction).
 //!
@@ -75,10 +75,10 @@ fn prefix(relation: &Relation, rows: usize) -> Relation {
     out
 }
 
-/// Median bytes one `upsert` of a fresh record allocates on a 1-shard,
+/// Median bytes one `upsert` of a fresh record allocates on an
 /// inline-executor server holding `store`.
 fn upsert_bytes(store: &Relation) -> u64 {
-    let config = ServerConfig { shards: 1, exec: ExecConfig::serial(), ..ServerConfig::default() };
+    let config = ServerConfig { exec: ExecConfig::serial(), ..ServerConfig::default() };
     let server = MatchServer::with_config(engine(), config);
     let record = |row: usize| {
         let values = store.tuples()[row].values().to_vec();
@@ -100,7 +100,7 @@ fn upsert_bytes(store: &Relation) -> u64 {
 }
 
 #[test]
-fn cow_upsert_allocation_is_sublinear_in_shard_size() {
+fn cow_upsert_allocation_is_sublinear_in_store_size() {
     let shape = Preset::Extended.paper_setting();
     let data = generate_dirty(
         &shape.pair,
@@ -122,7 +122,7 @@ fn cow_upsert_allocation_is_sublinear_in_shard_size() {
 
     assert!(
         at_large < 2 * at_small,
-        "an upsert must not pay for the shard: {at_large} B at 8 000 records vs {at_small} B at 1 000"
+        "an upsert must not pay for the store: {at_large} B at 8 000 records vs {at_small} B at 1 000"
     );
     assert!(
         at_large * 20 < build,

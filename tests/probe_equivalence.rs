@@ -11,8 +11,8 @@
 //! * **batched == sequential** — `query_batch` is byte-for-byte
 //!   identical (hits, candidates, every work counter) to one-by-one
 //!   `query` calls;
-//! * **sharded server** — `MatchServer::query_batch` agrees
-//!   response-for-response with per-probe `query` at 1, 2 and 8 shards;
+//! * **server** — `MatchServer::query_batch` agrees response-for-response
+//!   with per-probe `query`, and both with the batch path;
 //! * **tombstone hygiene** — block-level purging keeps a half-removed
 //!   index probing within 1.5x of a freshly built one (by deterministic
 //!   work counters), and posting-list block invariants survive
@@ -39,7 +39,6 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 const THREAD_SWEEP: [usize; 3] = [1, 2, 8];
-const SHARD_SWEEP: [usize; 3] = [1, 2, 8];
 
 /// Persons behind the compressed == reference catalog (1.8 stored
 /// records each).
@@ -223,58 +222,47 @@ fn probe_batched_equals_sequential_byte_for_byte() {
 }
 
 #[test]
-fn probe_sharded_server_batches_agree_with_sequential_queries() {
+fn probe_server_batches_agree_with_sequential_queries() {
     let engine = names_engine();
-    let rows = names_rows();
-    let store_rows = names_relation(&engine.plan().pair().right().clone(), &rows);
-    let probe_schema = engine.plan().pair().left().clone();
-    let probes: Vec<Record> = store_rows
+    let store_rows = names_relation(&engine.plan().pair().right().clone(), &names_rows());
+    let probe_rows = names_relation(&engine.plan().pair().left().clone(), &names_rows());
+    let server = MatchServer::with_config(
+        engine,
+        ServerConfig { exec: ExecConfig::fixed(2), ..ServerConfig::default() },
+    );
+    let items: Vec<_> = store_rows
         .tuples()
         .iter()
         .map(|t| {
-            Record::from_values(probe_schema.clone(), t.values().to_vec()).expect("probe record")
+            let record = Record::from_values(server.store_schema(), t.values().to_vec())
+                .expect("store record");
+            (RecordId(t.id()), record)
+        })
+        .collect();
+    server.upsert_batch(&items).expect("upsert batch");
+    let probes: Vec<Record> = (probe_rows.tuples().iter())
+        .map(|t| {
+            Record::from_values(server.probe_schema(), t.values().to_vec()).expect("probe record")
         })
         .collect();
 
-    let mut reference: Option<Vec<Vec<(u64, usize)>>> = None;
-    for shards in SHARD_SWEEP {
-        let engine = names_engine();
-        let server = MatchServer::with_config(
-            engine,
-            ServerConfig { shards, exec: ExecConfig::fixed(2), ..ServerConfig::default() },
-        );
-        let items: Vec<_> = store_rows
-            .tuples()
-            .iter()
-            .map(|t| {
-                let record = Record::from_values(server.store_schema(), t.values().to_vec())
-                    .expect("store record");
-                (RecordId(t.id()), record)
-            })
-            .collect();
-        server.upsert_batch(&items).expect("upsert batch");
-
-        // Batch first, then singles (each its own one-probe fan-out) —
-        // every response must agree exactly.
-        let batched = server.query_batch(&probes).expect("batch query");
-        for (probe, from_batch) in probes.iter().zip(&batched) {
-            let single = server.query(probe).expect("single query");
-            assert_eq!(&single, from_batch, "batched response diverged at {shards} shards");
-        }
-        assert_eq!(server.stats().batch_queries, 1);
-
-        // And the hit sets must be identical across shard counts.
-        let hits: Vec<Vec<(u64, usize)>> =
-            batched.iter().map(|r| r.hits.iter().map(|h| (h.id.0, h.key)).collect()).collect();
-        match &reference {
-            None => reference = Some(hits),
-            Some(expected) => {
-                assert_eq!(&hits, expected, "hit sets diverged at {shards} shards")
-            }
-        }
+    // Batch first, then singles — every response must agree exactly, and
+    // the hits must be the batch path's over the server's snapshot.
+    let batched = server.query_batch(&probes).expect("batch query");
+    let report =
+        server.engine().match_pairs_indexed(&probe_rows, &server.snapshot()).expect("batch run");
+    for (l, (probe, from_batch)) in probes.iter().zip(&batched).enumerate() {
+        let single = server.query(probe).expect("single query");
+        assert_eq!(&single, from_batch, "batched response diverged for probe {l}");
+        let hits: Vec<(u64, usize)> = single.hits.iter().map(|h| (h.id.0, h.key)).collect();
+        let expected: Vec<(u64, usize)> =
+            report.pairs().iter().filter(|p| p.left == l).map(|p| (p.right_id, p.key)).collect();
+        assert_eq!(hits, expected, "probe {l} diverged from the batch path");
+        assert_eq!(single.version, server.version());
     }
+    assert_eq!(server.stats().batch_queries, 1);
     assert!(
-        reference.expect("sweep ran").iter().any(|h| !h.is_empty()),
+        batched.iter().any(|r| !r.hits.is_empty()),
         "the names instance must exercise at least one match"
     );
 }

@@ -4,9 +4,8 @@
 //!   every rule version, before and after a hot swap — with calibrated
 //!   scores in `[0, 1]`, sorted descending, never NaN (proptest);
 //! * scores are **byte-identical** (`f64::to_bits`) across 1/2/8
-//!   threads and across 1/2/8 server shards, and every server's ranked
-//!   answers equal a direct `MatchIndex` + `ScoreModel` pass over the
-//!   same records;
+//!   threads, and every server's ranked answers equal a direct
+//!   `MatchIndex` + `ScoreModel` pass over the same records;
 //! * `top_k` / `min_score` only truncate and filter (never reorder),
 //!   a NaN threshold is a typed error, and a smaller `top_k` serves a
 //!   prefix of a larger one;
@@ -19,14 +18,13 @@ use matchrules::data::dirty::{generate_dirty, DirtyData, NoiseConfig};
 use matchrules::data::relation::Tuple;
 use matchrules::engine::{
     resolve_one_to_one, resolve_one_to_one_shared, EngineBuilder, ExecConfig, MatchEngine,
-    MatchIndex, Preset, ScoredEdge, Threads,
+    MatchIndex, Preset, ScoredEdge,
 };
 use matchrules::server::{MatchServer, ServerConfig};
 use matchrules::service::{Record, RecordId, ServiceError};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
-const SHARD_SWEEP: [usize; 3] = [1, 2, 8];
 const THREAD_SWEEP: [usize; 3] = [1, 2, 8];
 
 /// A genuinely different rule set for the extended pair, so a swap
@@ -57,14 +55,10 @@ fn fitted_engine(data: &DirtyData, threads: usize) -> MatchEngine {
         .expect("preset engine builds")
 }
 
-fn filled_server(data: &DirtyData, shards: usize, threads: usize) -> MatchServer {
+fn filled_server(data: &DirtyData, threads: usize) -> MatchServer {
     let server = MatchServer::with_config(
         fitted_engine(data, threads),
-        ServerConfig {
-            shards,
-            exec: ExecConfig { threads: Threads::Fixed(threads) },
-            ..ServerConfig::default()
-        },
+        ServerConfig { exec: ExecConfig::fixed(threads), ..ServerConfig::default() },
     );
     let batch: Vec<(RecordId, Record)> = data
         .billing
@@ -140,21 +134,19 @@ proptest! {
         persons in 8usize..20,
     ) {
         let data = dirty(seed, persons);
-        for shards in SHARD_SWEEP {
-            let server = filled_server(&data, shards, 2);
-            assert_ranked_contract(&server, &data);
-            let v2 = server.swap_rules(SWAPPED_RULES).unwrap();
-            prop_assert_eq!(v2.number(), 2);
-            assert_ranked_contract(&server, &data);
-        }
+        let server = filled_server(&data, 2);
+        assert_ranked_contract(&server, &data);
+        let v2 = server.swap_rules(SWAPPED_RULES).unwrap();
+        prop_assert_eq!(v2.number(), 2);
+        assert_ranked_contract(&server, &data);
     }
 
-    /// Scores are byte-identical across 1/2/8 engine threads (on the
-    /// 1-shard single owner) and across 1/2/8 server shards: every
-    /// configuration equals, hit for hit and bit for bit, one serial
-    /// `MatchIndex` + `ScoreModel` pass over the billing relation.
+    /// Scores are byte-identical across 1/2/8 engine and server threads:
+    /// every configuration equals, hit for hit and bit for bit, one
+    /// serial `MatchIndex` + `ScoreModel` pass over the billing
+    /// relation.
     #[test]
-    fn scores_identical_across_threads_and_shards(
+    fn scores_identical_across_threads(
         seed in 0u64..100_000,
         persons in 8usize..16,
     ) {
@@ -164,17 +156,10 @@ proptest! {
         let reference: Vec<Vec<(u64, usize, u64)>> =
             data.credit.tuples().iter().map(|t| reference_bits(&engine, &index, t)).collect();
         for threads in THREAD_SWEEP {
-            let server = filled_server(&data, 1, threads);
+            let server = filled_server(&data, threads);
             for (t, expected) in data.credit.tuples().iter().zip(&reference) {
                 let got = ranked_bits(&server, t);
                 prop_assert_eq!(&got, expected, "scores diverged at {} threads", threads);
-            }
-        }
-        for shards in SHARD_SWEEP {
-            let server = filled_server(&data, shards, 2);
-            for (t, expected) in data.credit.tuples().iter().zip(&reference) {
-                let got = ranked_bits(&server, t);
-                prop_assert_eq!(&got, expected, "scores diverged at {} shards", shards);
             }
         }
     }
@@ -258,37 +243,34 @@ proptest! {
 }
 
 /// `top_k` truncates the ranked order (prefix property), `min_score`
-/// filters it, and a NaN threshold is a typed error — on the 1-shard
-/// single owner and on a sharded server.
+/// filters it, and a NaN threshold is a typed error.
 #[test]
 fn top_k_truncates_and_nan_threshold_is_an_error() {
     let data = dirty(7, 12);
-    for shards in [1, 2] {
-        let server = filled_server(&data, shards, 2);
-        let mut exercised = false;
-        for t in data.credit.tuples() {
-            let probe = probe_for(&server, t);
-            let full = server.query_ranked(&probe, usize::MAX, 0.0).unwrap();
-            let one = server.query_ranked(&probe, 1, 0.0).unwrap();
-            assert_eq!(one.hits.as_slice(), &full.hits[..full.hits.len().min(1)]);
-            if full.hits.len() > 1 {
-                exercised = true;
-                // A threshold above the best score empties the answer.
-                let strict = server.query_ranked(&probe, usize::MAX, 1.1).unwrap();
-                assert!(strict.hits.is_empty());
-                // The smaller request serves a prefix of the larger
-                // answer.
-                let wide = server.query_ranked(&probe, 8, 0.0).unwrap();
-                let narrow = server.query_ranked(&probe, 5, 0.0).unwrap();
-                assert_eq!(narrow.hits.as_slice(), &wide.hits[..wide.hits.len().min(5)]);
-            }
-            assert!(matches!(
-                server.query_ranked(&probe, 5, f64::NAN),
-                Err(ServiceError::InvalidThreshold)
-            ));
+    let server = filled_server(&data, 2);
+    let mut exercised = false;
+    for t in data.credit.tuples() {
+        let probe = probe_for(&server, t);
+        let full = server.query_ranked(&probe, usize::MAX, 0.0).unwrap();
+        let one = server.query_ranked(&probe, 1, 0.0).unwrap();
+        assert_eq!(one.hits.as_slice(), &full.hits[..full.hits.len().min(1)]);
+        if full.hits.len() > 1 {
+            exercised = true;
+            // A threshold above the best score empties the answer.
+            let strict = server.query_ranked(&probe, usize::MAX, 1.1).unwrap();
+            assert!(strict.hits.is_empty());
+            // The smaller request serves a prefix of the larger
+            // answer.
+            let wide = server.query_ranked(&probe, 8, 0.0).unwrap();
+            let narrow = server.query_ranked(&probe, 5, 0.0).unwrap();
+            assert_eq!(narrow.hits.as_slice(), &wide.hits[..wide.hits.len().min(5)]);
         }
-        assert!(exercised, "at least one probe should have multiple hits");
+        assert!(matches!(
+            server.query_ranked(&probe, 5, f64::NAN),
+            Err(ServiceError::InvalidThreshold)
+        ));
     }
+    assert!(exercised, "at least one probe should have multiple hits");
 }
 
 /// `resolve_links` on a cross-relation report emits a one-to-one
@@ -358,7 +340,7 @@ fn ranked_round_trips_over_tcp() {
     use std::sync::Arc;
 
     let data = dirty(0xD00D, 60);
-    let server = Arc::new(filled_server(&data, 2, 1));
+    let server = Arc::new(filled_server(&data, 1));
     let handle = serve(server.clone(), "127.0.0.1:0").unwrap();
     let mut client = MatchClient::connect(handle.addr()).unwrap();
 

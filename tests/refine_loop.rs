@@ -9,7 +9,7 @@
 //! * the whole run is deterministic across engine thread counts, and
 //!   `refine → swap_rules_refined` answers **hit-for-hit identically**
 //!   to a fresh engine compiled directly from the selected rules — at
-//!   1, 2 and 8 threads and shards (proptest);
+//!   1, 2 and 8 threads (proptest);
 //! * a running `MatchServer` accepts `SubmitLabels` and `Refine` over
 //!   the TCP wire, hot-swaps the selected rules with zero downtime, and
 //!   keeps answering.
@@ -20,7 +20,7 @@ use matchrules::engine::{EngineBuilder, MatchEngine, Preset};
 use matchrules::refine::{LabelStore, RefineConfig, Refinement, Refiner};
 use matchrules::server::net::serve;
 use matchrules::server::wire::{Request, Response, WireLabel};
-use matchrules::server::{MatchClient, MatchServer, ServerConfig};
+use matchrules::server::{MatchClient, MatchServer};
 use matchrules::service::{Record, RecordId};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -74,10 +74,9 @@ fn refine_once(data: &DirtyData, threads: usize, beta: f64) -> Refinement {
     refiner.refine(&labels_for(data)).expect("refinement selects a rule set")
 }
 
-/// A `shards`-shard server over `engine` holding every billing tuple.
-fn filled_server(engine: MatchEngine, data: &DirtyData, shards: usize) -> MatchServer {
-    let server =
-        MatchServer::with_config(engine, ServerConfig { shards, ..ServerConfig::default() });
+/// A server over `engine` holding every billing tuple.
+fn filled_server(engine: MatchEngine, data: &DirtyData) -> MatchServer {
+    let server = MatchServer::new(engine);
     for t in data.billing.tuples() {
         let record = Record::from_values(server.store_schema(), t.values().to_vec()).unwrap();
         server.upsert(RecordId(t.id()), &record).unwrap();
@@ -119,10 +118,9 @@ proptest! {
     /// The same labels produce the same refinement at every engine
     /// thread count, and deploying it via `swap_rules_refined` answers
     /// hit-for-hit identically to a fresh engine compiled directly from
-    /// the selected rules — on the 1-shard single owner at 1, 2 and 8
-    /// threads, and on sharded servers at 1, 2 and 8 shards.
+    /// the selected rules — at 1, 2 and 8 threads.
     #[test]
-    fn refine_swap_equals_fresh_build_across_threads_and_shards(seed in 0u64..1024) {
+    fn refine_swap_equals_fresh_build_across_threads(seed in 0u64..1024) {
         let data = dirty(50, seed);
         let baseline = refine_once(&data, 1, 1.0);
         let shape = Preset::Extended.paper_setting();
@@ -161,18 +159,11 @@ proptest! {
             prop_assert_eq!(refinement.report.after, baseline.report.after);
             prop_assert_eq!(refinement.report.before, baseline.report.before);
 
-            // Single owner (one shard): refine → swap ≡ fresh build.
-            let server = filled_server(weak_engine(&data, threads), &data, 1);
+            // refine → swap ≡ fresh build.
+            let server = filled_server(weak_engine(&data, threads), &data);
             let version = server.swap_rules_refined(&refinement).unwrap();
             prop_assert_eq!(version.number(), 2);
             prop_assert_eq!(served(&server), direct.clone(), "threads={}", threads);
-        }
-
-        for shards in THREAD_SWEEP {
-            let server = filled_server(weak_engine(&data, 2), &data, shards);
-            let version = server.swap_rules_refined(&baseline).unwrap();
-            prop_assert_eq!(version.number(), 2);
-            prop_assert_eq!(served(&server), direct.clone(), "shards={}", shards);
         }
     }
 }
@@ -230,7 +221,7 @@ fn refined_f1_holds_on_every_noise_rung_and_the_theta_sweep_contributes() {
 #[test]
 fn server_submit_labels_then_refine_swaps_live() {
     let data = dirty(60, 0xBEEF);
-    let server = filled_server(weak_engine(&data, 2), &data, 2);
+    let server = filled_server(weak_engine(&data, 2), &data);
 
     let labels = labels_for(&data);
     let pairs: Vec<(Record, Record, bool)> = labels
@@ -296,7 +287,7 @@ fn conflicting_label_batch_is_rejected_atomically() {
 #[test]
 fn wire_submit_labels_and_refine_end_to_end() {
     let data = dirty(60, 0xC0FFEE);
-    let server = Arc::new(filled_server(weak_engine(&data, 2), &data, 2));
+    let server = Arc::new(filled_server(weak_engine(&data, 2), &data));
     let handle = serve(server.clone(), "127.0.0.1:0").unwrap();
     let mut client = MatchClient::connect(handle.addr()).unwrap();
 

@@ -1,10 +1,12 @@
 //! The MatchServer contract, end to end:
 //!
-//! * sharded servers (1/2/8 shards; one shard is the single owner)
-//!   answer every probe hit-for-hit identically to the batch
-//!   `match_pairs_indexed` path over their store, and keep the store in
-//!   arrival order — including across a mid-stream `swap_rules`,
-//!   replacements and removals (proptest);
+//! * the server answers every probe hit-for-hit identically to the batch
+//!   `match_pairs_indexed` path over its store, at 1, 2 and 8 threads,
+//!   and keeps the store in arrival order — including across a
+//!   mid-stream `swap_rules`, replacements and removals (proptest);
+//! * every served answer is byte-identical, work counters included, to
+//!   a `MatchIndex` built over the server's own snapshot;
+//! * two concurrent writers racing a swapper lose no update;
 //! * `swap_rules` has zero read downtime: readers hammering the server
 //!   during repeated swaps never fail, never block on the rebuild, and
 //!   observe only monotonically non-decreasing rule versions;
@@ -16,9 +18,9 @@
 //!   that hangs up mid-frame frees its worker.
 
 use matchrules::core::schema::Schema;
-use matchrules::data::dirty::{generate_dirty, NoiseConfig};
-use matchrules::data::relation::Relation;
-use matchrules::engine::{EngineBuilder, ExecConfig, Preset, Threads};
+use matchrules::data::dirty::{generate_dirty, DirtyData, NoiseConfig};
+use matchrules::data::relation::{Relation, Tuple};
+use matchrules::engine::{EngineBuilder, ExecConfig, Preset};
 use matchrules::server::net::{serve, serve_with};
 use matchrules::server::wire::{read_response, write_frame};
 use matchrules::server::{ClientError, MatchClient, MatchServer, Request, Response, ServerConfig};
@@ -27,11 +29,11 @@ use proptest::prelude::*;
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::{mpsc, Arc, Barrier};
 use std::thread;
 use std::time::Duration;
 
-const SHARD_SWEEP: [usize; 3] = [1, 2, 8];
+const THREAD_SWEEP: [usize; 3] = [1, 2, 8];
 
 /// A genuinely different rule set for the extended pair (MDs 1, 6 and 7
 /// of the §6 setting dropped), so a swap changes the deduced RCKs.
@@ -44,29 +46,26 @@ const SWAPPED_RULES: &str = "\
     credit[FN,MN,LN,street,city,county,state,zip,tel,email,gender] <=> \
     billing[FN,MN,LN,street,city,county,state,zip,phn,email,gender]\n";
 
-fn extended_server(shards: usize, threads: usize) -> MatchServer {
+fn extended_server(threads: usize) -> MatchServer {
     let engine = Preset::Extended.builder().top_k(5).threads(threads).build().unwrap();
     MatchServer::with_config(
         engine,
-        ServerConfig {
-            shards,
-            exec: ExecConfig { threads: Threads::Fixed(threads) },
-            ..ServerConfig::default()
-        },
+        ServerConfig { exec: ExecConfig::fixed(threads), ..ServerConfig::default() },
     )
 }
 
-fn store_record(server: &MatchServer, t: &matchrules::data::relation::Tuple) -> Record {
+fn dirty(persons: usize, seed: u64) -> DirtyData {
+    let shape = Preset::Extended.paper_setting();
+    generate_dirty(&shape.pair, &shape.target, persons, &NoiseConfig { seed, ..Default::default() })
+}
+
+fn store_record(server: &MatchServer, t: &Tuple) -> Record {
     Record::from_values(server.store_schema(), t.values().to_vec()).unwrap()
 }
 
 /// Every probe must get hit-for-hit the answer (ids, fired keys, order)
 /// the batch `match_pairs_indexed` path reports over the server's
 /// store, and the store must hold exactly `expected_ids`, in that order.
-/// Aggregate counters (`candidates`, `key_evals`, `stats`) are *not*
-/// compared: each shard prunes its own retrieval independently, so the
-/// work accounting legitimately depends on the shard count — the
-/// answers may not.
 fn assert_equivalent(server: &MatchServer, credit: &Relation, expected_ids: &[u64]) {
     let snapshot = server.snapshot();
     let ids: Vec<u64> = snapshot.tuples().iter().map(|t| t.id()).collect();
@@ -86,34 +85,23 @@ fn assert_equivalent(server: &MatchServer, credit: &Relation, expected_ids: &[u6
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
-    /// 1-, 2- and 8-shard servers answer byte-identically to the batch
-    /// path — and so to each other, the 1-shard single owner included —
-    /// through a full lifecycle: bulk upsert, rule swap, more upserts, a
-    /// replacement and a removal.
+    /// Servers on 1, 2 and 8 threads answer hit-for-hit like the batch
+    /// path — and so like each other — through a full lifecycle: bulk
+    /// upsert, rule swap, more upserts, a replacement and a removal.
     #[test]
-    fn sharded_answers_equal_single_owner(seed in 0u64..100_000, persons in 8usize..20) {
-        let shape = Preset::Extended.paper_setting();
-        let data = generate_dirty(
-            &shape.pair,
-            &shape.target,
-            persons,
-            &NoiseConfig { seed, ..Default::default() },
-        );
+    fn served_answers_equal_the_batch_path(seed in 0u64..100_000, persons in 8usize..20) {
+        let data = dirty(persons, seed);
         let tuples = data.billing.tuples();
         let mid = tuples.len() / 2;
         let mut explanations = Vec::new();
-        for shards in SHARD_SWEEP {
-            let server = extended_server(shards, 2);
+        for threads in THREAD_SWEEP {
+            let server = extended_server(threads);
             // The store order the operations below must produce: an
             // upsert (re-)enters at the end, a removal leaves a gap.
             let mut order: Vec<u64> = Vec::new();
 
             // Phase 1: bulk upsert the first half as one batch.
-            let batch: Vec<(RecordId, Record)> = tuples[..mid]
-                .iter()
-                .map(|t| (RecordId(t.id()), store_record(&server, t)))
-                .collect();
-            let replaced = server.upsert_batch(&batch).unwrap();
+            let replaced = server.upsert_batch(&store_batch(&server, &tuples[..mid])).unwrap();
             prop_assert!(replaced.iter().all(|&r| !r), "fresh ids never report replacement");
             order.extend(tuples[..mid].iter().map(|t| t.id()));
             assert_equivalent(&server, &data.credit, &order);
@@ -141,7 +129,7 @@ proptest! {
             order.retain(|&id| id != removed_id);
             assert_equivalent(&server, &data.credit, &order);
 
-            // Explanations (rendered form included) agree across shard
+            // Explanations (rendered form included) agree across thread
             // counts; their agreement with `query` and `lhs_matches` is
             // `service_api`'s.
             let probe = Record::from_values(
@@ -153,27 +141,118 @@ proptest! {
     }
 }
 
+fn store_batch(server: &MatchServer, tuples: &[Tuple]) -> Vec<(RecordId, Record)> {
+    tuples.iter().map(|t| (RecordId(t.id()), store_record(server, t))).collect()
+}
+
+/// Every probe's served answer — single and batched — equals, byte for
+/// byte and work counters included, a direct `MatchIndex` built over
+/// `snapshot()`.
+fn assert_served_equals_direct_index(server: &MatchServer, credit: &Relation) {
+    let index = server.engine().index(&server.snapshot()).expect("the store indexes");
+    let probes: Vec<Record> = (credit.tuples().iter())
+        .map(|t| Record::from_values(server.probe_schema(), t.values().to_vec()).unwrap())
+        .collect();
+    let batched = server.query_batch(&probes).unwrap();
+    for ((t, probe), from_batch) in credit.tuples().iter().zip(&probes).zip(&batched) {
+        let direct = index.query(t);
+        let served = server.query(probe).unwrap();
+        let hits: Vec<(u64, usize)> = served.hits.iter().map(|h| (h.id.0, h.key)).collect();
+        let expected: Vec<(u64, usize)> = direct.hits.iter().map(|h| (h.id, h.key)).collect();
+        assert_eq!(hits, expected, "hits diverged for probe {}", t.id());
+        assert_eq!(
+            (served.candidates, served.key_evals, &served.stats),
+            (direct.candidates, direct.key_evals, &direct.stats),
+            "work counters diverged for probe {}",
+            t.id()
+        );
+        assert_eq!(served.version, server.version());
+        assert_eq!(&served, from_batch);
+    }
+}
+
+/// The served work counters are the index's own: after a bulk load, and
+/// again after churn (replacements, removals, fresh records) and
+/// `compact()`, every answer equals a direct index over the snapshot.
+#[test]
+fn served_counters_equal_a_direct_index() {
+    let data = dirty(60, 0xC0DE);
+    let server = extended_server(2);
+    let tuples = data.billing.tuples();
+    server.upsert_batch(&store_batch(&server, tuples)).unwrap();
+    assert_served_equals_direct_index(&server, &data.credit);
+
+    for (k, t) in tuples.iter().enumerate().step_by(3) {
+        let id = RecordId(t.id());
+        match k % 2 {
+            0 => server.remove(id).unwrap(),
+            _ => assert!(server.upsert(id, &store_record(&server, &tuples[k / 2])).unwrap()),
+        }
+    }
+    let fresh: Vec<(RecordId, Record)> = (tuples.iter().take(10).enumerate())
+        .map(|(k, t)| (RecordId(1_000_000 + k as u64), store_record(&server, t)))
+        .collect();
+    server.upsert_batch(&fresh).unwrap();
+    server.compact().unwrap();
+    assert_served_equals_direct_index(&server, &data.credit);
+}
+
+/// Two writers upsert disjoint id sets one record at a time while a
+/// third thread swaps the rules twice: no upsert is lost or doubled, the
+/// counters add up, and the answers still equal the batch path.
+#[test]
+fn concurrent_writers_lose_no_update() {
+    let data = dirty(80, 0x2417E);
+    let server = extended_server(2);
+    let tuples = data.billing.tuples();
+    let (evens, odds): (Vec<&Tuple>, Vec<&Tuple>) = tuples.iter().partition(|t| t.id() % 2 == 0);
+    let original = Preset::Extended.paper_setting().sigma;
+
+    // Each writer sends its share in thirds; the barrier before the second
+    // and third thirds releases a swap together with both writers, so
+    // each swap starts while upserts are still to come.
+    let barrier = Barrier::new(3);
+    thread::scope(|scope| {
+        for share in [&evens, &odds] {
+            let (server, barrier) = (&server, &barrier);
+            scope.spawn(move || {
+                for third in 0..3 {
+                    if third > 0 {
+                        barrier.wait();
+                    }
+                    for t in &share[third * share.len() / 3..(third + 1) * share.len() / 3] {
+                        let record = store_record(server, t);
+                        assert!(!server.upsert(RecordId(t.id()), &record).unwrap());
+                    }
+                }
+            });
+        }
+        barrier.wait();
+        assert_eq!(server.swap_rules(SWAPPED_RULES).unwrap().number(), 2);
+        barrier.wait();
+        assert_eq!(server.swap_rules_with(original).unwrap().number(), 3);
+    });
+
+    let mut stored: Vec<u64> = server.snapshot().tuples().iter().map(Tuple::id).collect();
+    let order = stored.clone();
+    stored.sort_unstable();
+    let mut sent: Vec<u64> = tuples.iter().map(Tuple::id).collect();
+    sent.sort_unstable();
+    assert_eq!(stored, sent, "every id present exactly once");
+    assert_eq!(server.len(), tuples.len());
+    assert_eq!(server.stats().upserts, tuples.len() as u64);
+    assert_equivalent(&server, &data.credit, &order);
+}
+
 /// The pinned zero-downtime contract: while `swap_rules` rebuilds and
-/// republishes every shard, concurrent readers keep getting answers —
+/// republishes the index, concurrent readers keep getting answers —
 /// no errors, no torn versions, versions only ever move forward — and
 /// some reads demonstrably complete *during* swap windows.
 #[test]
 fn swap_rules_has_zero_read_downtime() {
-    let shape = Preset::Extended.paper_setting();
-    let data = generate_dirty(
-        &shape.pair,
-        &shape.target,
-        120,
-        &NoiseConfig { seed: 0xD0C5, ..Default::default() },
-    );
-    let server = Arc::new(extended_server(4, 2));
-    let batch: Vec<(RecordId, Record)> = data
-        .billing
-        .tuples()
-        .iter()
-        .map(|t| (RecordId(t.id()), store_record(&server, t)))
-        .collect();
-    server.upsert_batch(&batch).unwrap();
+    let data = dirty(120, 0xD0C5);
+    let server = Arc::new(extended_server(2));
+    server.upsert_batch(&store_batch(&server, data.billing.tuples())).unwrap();
 
     let probes: Vec<Record> = data
         .credit
@@ -223,8 +302,8 @@ fn swap_rules_has_zero_read_downtime() {
         }
 
         // Alternate between the two rule sets until reads provably
-        // landed inside swap windows (each swap rebuilds 4 shards over
-        // 120+ records, a wide-open window; a handful of rounds is
+        // landed inside swap windows (each swap rebuilds the index over
+        // 200+ records, a wide-open window; a handful of rounds is
         // plenty even on one core).
         let original = Preset::Extended.paper_setting().sigma;
         for round in 0..5 {
@@ -254,7 +333,7 @@ fn swap_rules_has_zero_read_downtime() {
     assert_eq!(server.version().number(), 1 + swaps, "every swap bumped the version exactly once");
 }
 
-/// A 2-shard server deduplicating `people(name, phone, email)` on email.
+/// A server deduplicating `people(name, phone, email)` on email.
 fn people_server() -> Arc<MatchServer> {
     let people = Schema::text("people", &["name", "phone", "email"]).unwrap();
     let engine = EngineBuilder::new()
@@ -265,11 +344,7 @@ fn people_server() -> Arc<MatchServer> {
         .unwrap();
     Arc::new(MatchServer::with_config(
         engine,
-        ServerConfig {
-            shards: 2,
-            exec: ExecConfig { threads: Threads::Fixed(1) },
-            ..ServerConfig::default()
-        },
+        ServerConfig { exec: ExecConfig::fixed(1), ..ServerConfig::default() },
     ))
 }
 
@@ -321,7 +396,7 @@ fn tcp_front_round_trips_and_swaps() {
     // Stats reflect both sides of the conversation so far.
     let stats = client.stats().unwrap();
     assert_eq!(stats.version, 1);
-    assert_eq!(stats.shard_records.iter().sum::<u64>(), 2);
+    assert_eq!(stats.shard_records, [2], "one entry: the record count");
     assert!(stats.queries >= 1);
 
     // Hot-swap to phone-keyed rules: the email probe stops matching,
@@ -340,7 +415,7 @@ fn tcp_front_round_trips_and_swaps() {
     // Removal over the wire; a second client sees the same state.
     client.remove(&[1]).unwrap();
     let mut second = MatchClient::connect(handle.addr()).unwrap();
-    assert_eq!(second.stats().unwrap().shard_records.iter().sum::<u64>(), 1);
+    assert_eq!(second.stats().unwrap().shard_records, [1]);
 
     // Service errors are typed and do not poison the connection.
     let err = client.explain(&[("phone", "020-7946-0002")], 999).unwrap_err();
