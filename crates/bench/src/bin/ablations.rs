@@ -9,7 +9,7 @@
 //!
 //! Usage: `cargo run --release -p matchrules-bench --bin ablations [quick|paper]`
 
-use matchrules::engine::preset::standard_sort_keys;
+use matchrules_bench::baselines::{sorted_neighborhood, standard_sort_keys};
 use matchrules_bench::experiments::workload;
 use matchrules_bench::table::Table;
 use matchrules_bench::{time, Scale};
@@ -19,7 +19,6 @@ use matchrules_core::rck::find_rcks;
 use matchrules_data::mdgen::{generate, MdGenConfig};
 use matchrules_matcher::key::KeyMatcher;
 use matchrules_matcher::metrics::evaluate_pairs;
-use matchrules_matcher::sorted_neighborhood::{sorted_neighborhood, SnConfig};
 use std::collections::HashSet;
 
 fn main() {
@@ -39,12 +38,12 @@ fn union_of_keys(k: usize) {
     println!("== Ablation: single RCK vs union of top-k (K = {k}) ==\n");
     let w = workload(k, 0xab1);
     let rcks = w.engine.plan().rcks();
-    let cfg = SnConfig { window: 10, keys: standard_sort_keys(w.engine.plan().pair()) };
+    let keys = standard_sort_keys(w.engine.plan().pair());
     let mut table = Table::new(&["keys", "precision", "recall", "F1"]);
     for take in 1..=rcks.len() {
         let matcher = KeyMatcher::new(rcks.iter().take(take), w.engine.runtime());
-        let out = sorted_neighborhood(&w.data.credit, &w.data.billing, &matcher, &cfg);
-        let q = evaluate_pairs(&out.pairs, &w.data.truth);
+        let (pairs, _) = sorted_neighborhood(&w.data.credit, &w.data.billing, &matcher, &keys, 10);
+        let q = evaluate_pairs(&pairs, &w.data.truth);
         table.row(vec![
             take.to_string(),
             format!("{:.3}", q.precision()),
@@ -89,15 +88,16 @@ fn window_size(k: usize) {
     println!("== Ablation: window size (K = {k}) ==\n");
     let w = workload(k, 0xab3);
     let rcks = w.engine.plan().rcks();
+    let keys = standard_sort_keys(w.engine.plan().pair());
     let mut table = Table::new(&["window", "comparisons", "precision", "recall"]);
     for window in [2usize, 5, 10, 20, 40] {
-        let cfg = SnConfig { window, keys: standard_sort_keys(w.engine.plan().pair()) };
         let matcher = KeyMatcher::new(rcks.iter(), w.engine.runtime());
-        let out = sorted_neighborhood(&w.data.credit, &w.data.billing, &matcher, &cfg);
-        let q = evaluate_pairs(&out.pairs, &w.data.truth);
+        let (pairs, comparisons) =
+            sorted_neighborhood(&w.data.credit, &w.data.billing, &matcher, &keys, window);
+        let q = evaluate_pairs(&pairs, &w.data.truth);
         table.row(vec![
             window.to_string(),
-            out.comparisons.to_string(),
+            comparisons.to_string(),
             format!("{:.3}", q.precision()),
             format!("{:.3}", q.recall()),
         ]);

@@ -2,7 +2,9 @@
 //!
 //! Benchmark harness regenerating every figure of the paper's §6
 //! evaluation. Each experiment lives in [`experiments`] as a pure function
-//! (point → row), consumed from two directions:
+//! (point → row) over the baselines of [`baselines`] (sorted neighbourhood
+//! with hand rules, Fellegi–Sunter over an equality vector, manual blocking
+//! and windowing keys), consumed from two directions:
 //!
 //! * **binaries** (`src/bin/fig*.rs`) print the full paper-scale series as
 //!   text tables — one binary per figure, run with
@@ -16,6 +18,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod baselines;
 pub mod experiments;
 pub mod json;
 pub mod table;

@@ -89,33 +89,7 @@ impl Closure {
         seed: &[SimilarityAtom],
         extra_attrs: &[AttrRef],
     ) -> Closure {
-        let normalized: Vec<NormalRule> = sigma
-            .iter()
-            .enumerate()
-            .flat_map(|(i, md)| {
-                md.rhs().iter().map(move |&ident| NormalRule {
-                    source: i,
-                    lhs: md.lhs(),
-                    rhs_left: ident.left,
-                    rhs_right: ident.right,
-                })
-            })
-            .collect();
-        let mut builder = UniverseBuilder::default();
-        for rule in &normalized {
-            for atom in rule.lhs {
-                builder.add_atom(atom);
-            }
-            builder.add_ref(AttrRef::left(rule.rhs_left));
-            builder.add_ref(AttrRef::right(rule.rhs_right));
-        }
-        for atom in seed {
-            builder.add_atom(atom);
-        }
-        for &r in extra_attrs {
-            builder.add_ref(r);
-        }
-        let mut closure = builder.finish();
+        let (normalized, mut closure) = setup(sigma, seed, extra_attrs);
         let mut engine = Engine::new(&mut closure, &normalized);
         for atom in seed {
             engine.assert_atom(atom.left, atom.right, atom.op);
@@ -136,33 +110,7 @@ impl Closure {
         seed: &[SimilarityAtom],
         extra_attrs: &[AttrRef],
     ) -> Closure {
-        let normalized: Vec<NormalRule> = sigma
-            .iter()
-            .enumerate()
-            .flat_map(|(i, md)| {
-                md.rhs().iter().map(move |&ident| NormalRule {
-                    source: i,
-                    lhs: md.lhs(),
-                    rhs_left: ident.left,
-                    rhs_right: ident.right,
-                })
-            })
-            .collect();
-        let mut builder = UniverseBuilder::default();
-        for rule in &normalized {
-            for atom in rule.lhs {
-                builder.add_atom(atom);
-            }
-            builder.add_ref(AttrRef::left(rule.rhs_left));
-            builder.add_ref(AttrRef::right(rule.rhs_right));
-        }
-        for atom in seed {
-            builder.add_atom(atom);
-        }
-        for &r in extra_attrs {
-            builder.add_ref(r);
-        }
-        let mut closure = builder.finish();
+        let (normalized, mut closure) = setup(sigma, seed, extra_attrs);
         // Seed + propagate without the rule index: the engine's watcher
         // machinery is bypassed by giving it no rules.
         let mut engine = Engine::new(&mut closure, &[]);
@@ -261,6 +209,43 @@ impl Closure {
     fn get(&self, a: usize, b: usize, plane: usize) -> bool {
         self.bits[self.cell(a, b, plane)]
     }
+}
+
+/// The setup both closure engines share: Σ normalized into single-RHS-pair
+/// rules, and an empty matrix over the universe of every attribute and
+/// operator those rules, the seed and `extra_attrs` mention.
+fn setup<'s>(
+    sigma: &'s [MatchingDependency],
+    seed: &[SimilarityAtom],
+    extra_attrs: &[AttrRef],
+) -> (Vec<NormalRule<'s>>, Closure) {
+    let normalized: Vec<NormalRule> = sigma
+        .iter()
+        .enumerate()
+        .flat_map(|(i, md)| {
+            md.rhs().iter().map(move |&ident| NormalRule {
+                source: i,
+                lhs: md.lhs(),
+                rhs_left: ident.left,
+                rhs_right: ident.right,
+            })
+        })
+        .collect();
+    let mut builder = UniverseBuilder::default();
+    for rule in &normalized {
+        for atom in rule.lhs {
+            builder.add_atom(atom);
+        }
+        builder.add_ref(AttrRef::left(rule.rhs_left));
+        builder.add_ref(AttrRef::right(rule.rhs_right));
+    }
+    for atom in seed {
+        builder.add_atom(atom);
+    }
+    for &r in extra_attrs {
+        builder.add_ref(r);
+    }
+    (normalized, builder.finish())
 }
 
 /// A normalized (single-RHS-pair) view of a rule in Σ.

@@ -5,10 +5,8 @@
 //! independence model, a pair is a match with prior `p`, and field `i`
 //! agrees with probability `m_i` among matches and `u_i` among non-matches.
 //! EM estimates `(p, m, u)` without labels (Jaro 1989); the fitted model
-//! yields per-pair match weights `Σ γ_i·log(m_i/u_i) + (1−γ_i)·log((1−m_i)/(1−u_i))`
-//! and per-field discriminative powers used to pick comparison vectors —
-//! the paper's "EM algorithm … to estimate parameters such as weights and
-//! threshold" baseline (§6.2 Exp-2).
+//! yields per-pair match posteriors — the paper's "EM algorithm … to
+//! estimate parameters such as weights and threshold" (§6.2 Exp-2).
 
 use std::fmt;
 
@@ -56,26 +54,16 @@ pub struct EmModel {
     pub iterations: usize,
 }
 
-/// EM configuration.
-#[derive(Debug, Clone)]
-pub struct EmConfig {
-    /// Maximum iterations.
-    pub max_iters: usize,
-    /// Convergence tolerance on parameter movement.
-    pub tol: f64,
-    /// Initial match prior.
-    pub init_p: f64,
-    /// Initial `m` (agreement among matches).
-    pub init_m: f64,
-    /// Initial `u` (agreement among non-matches).
-    pub init_u: f64,
-}
-
-impl Default for EmConfig {
-    fn default() -> Self {
-        EmConfig { max_iters: 100, tol: 1e-6, init_p: 0.1, init_m: 0.9, init_u: 0.1 }
-    }
-}
+/// Maximum EM iterations.
+const MAX_ITERS: usize = 100;
+/// Convergence tolerance on parameter movement.
+const TOL: f64 = 1e-6;
+/// Initial match prior, and the prior model's `p`.
+const INIT_P: f64 = 0.1;
+/// Initial `m` (agreement among matches), and the prior model's `m`.
+const INIT_M: f64 = 0.9;
+/// Initial `u` (agreement among non-matches), and the prior model's `u`.
+const INIT_U: f64 = 0.1;
 
 const EPS: f64 = 1e-6;
 
@@ -85,14 +73,14 @@ fn clamp(x: f64) -> f64 {
 
 impl EmModel {
     /// An unfit prior model of dimension `d` built straight from the
-    /// initial parameters of `cfg` (clamped). Used as the fallback when no
+    /// initial EM parameters (clamped). Used as the fallback when no
     /// sample is available to fit on: posteriors stay defined, finite and
     /// monotone in the number of agreeing fields.
-    pub fn prior(d: usize, cfg: &EmConfig) -> Self {
+    pub fn prior(d: usize) -> Self {
         EmModel {
-            m: vec![clamp(cfg.init_m); d],
-            u: vec![clamp(cfg.init_u); d],
-            p: clamp(cfg.init_p),
+            m: vec![clamp(INIT_M); d],
+            u: vec![clamp(INIT_U); d],
+            p: clamp(INIT_P),
             iterations: 0,
         }
     }
@@ -131,44 +119,6 @@ impl EmModel {
         let eu = (lu - max).exp();
         em / (em + eu)
     }
-
-    /// Log-odds match weight of a comparison vector (base 2, as in the
-    /// record-linkage literature).
-    pub fn weight(&self, gamma: &[bool]) -> f64 {
-        gamma
-            .iter()
-            .enumerate()
-            .map(|(i, &agree)| {
-                if agree {
-                    (self.m[i] / self.u[i]).log2()
-                } else {
-                    ((1.0 - self.m[i]) / (1.0 - self.u[i])).log2()
-                }
-            })
-            .sum()
-    }
-
-    /// Per-field discriminative power: the gap between the agreement and
-    /// disagreement weights. High-power fields are the ones the EM baseline
-    /// "picks" for its comparison vector.
-    pub fn field_powers(&self) -> Vec<f64> {
-        (0..self.m.len())
-            .map(|i| {
-                let agree = (self.m[i] / self.u[i]).log2();
-                let disagree = ((1.0 - self.m[i]) / (1.0 - self.u[i])).log2();
-                agree - disagree
-            })
-            .collect()
-    }
-
-    /// Indices of the `k` most discriminative fields, best first.
-    pub fn top_fields(&self, k: usize) -> Vec<usize> {
-        let powers = self.field_powers();
-        let mut idx: Vec<usize> = (0..powers.len()).collect();
-        idx.sort_by(|&a, &b| powers[b].partial_cmp(&powers[a]).expect("finite powers"));
-        idx.truncate(k);
-        idx
-    }
 }
 
 /// Fits the model on comparison vectors (one per candidate pair).
@@ -178,8 +128,8 @@ impl EmModel {
 /// Returns [`EmError`] when `vectors` is empty or the vectors disagree on
 /// dimension. Every estimated probability is clamped into
 /// `[1e-6, 1 - 1e-6]`, so fully degenerate fields (always agreeing or
-/// never agreeing) still yield finite weights and posteriors.
-pub fn fit(vectors: &[Vec<bool>], cfg: &EmConfig) -> Result<EmModel, EmError> {
+/// never agreeing) still yield finite posteriors.
+pub fn fit(vectors: &[Vec<bool>]) -> Result<EmModel, EmError> {
     if vectors.is_empty() {
         return Err(EmError::EmptySample);
     }
@@ -189,12 +139,12 @@ pub fn fit(vectors: &[Vec<bool>], cfg: &EmConfig) -> Result<EmModel, EmError> {
     }
     let n = vectors.len() as f64;
 
-    let mut p = clamp(cfg.init_p);
-    let mut m = vec![clamp(cfg.init_m); d];
-    let mut u = vec![clamp(cfg.init_u); d];
+    let mut p = clamp(INIT_P);
+    let mut m = vec![clamp(INIT_M); d];
+    let mut u = vec![clamp(INIT_U); d];
 
     let mut iterations = 0;
-    for iter in 0..cfg.max_iters {
+    for iter in 0..MAX_ITERS {
         iterations = iter + 1;
         // E-step: posterior responsibility of the match class per vector.
         let model = EmModel { m: m.clone(), u: u.clone(), p, iterations };
@@ -225,7 +175,7 @@ pub fn fit(vectors: &[Vec<bool>], cfg: &EmConfig) -> Result<EmModel, EmError> {
         let np = clamp(sum_w / n);
         delta = delta.max((np - p).abs());
         p = np;
-        if delta < cfg.tol {
+        if delta < TOL {
             break;
         }
     }
@@ -255,7 +205,7 @@ mod tests {
         let true_m = [0.95, 0.9, 0.85];
         let true_u = [0.05, 0.1, 0.2];
         let vectors = synthesize(0.2, &true_m, &true_u, 20_000, 42);
-        let model = fit(&vectors, &EmConfig::default()).unwrap();
+        let model = fit(&vectors).unwrap();
         assert!((model.p - 0.2).abs() < 0.05, "p = {}", model.p);
         for i in 0..3 {
             assert!((model.m[i] - true_m[i]).abs() < 0.08, "m[{i}] = {}", model.m[i]);
@@ -266,60 +216,45 @@ mod tests {
     #[test]
     fn posterior_separates_classes() {
         let vectors = synthesize(0.15, &[0.95, 0.9], &[0.05, 0.1], 5_000, 7);
-        let model = fit(&vectors, &EmConfig::default()).unwrap();
+        let model = fit(&vectors).unwrap();
         let all_agree = model.posterior(&[true, true]);
         let none_agree = model.posterior(&[false, false]);
         assert!(all_agree > 0.9, "all-agree posterior {all_agree}");
         assert!(none_agree < 0.1, "none-agree posterior {none_agree}");
-        assert!(model.weight(&[true, true]) > model.weight(&[false, false]));
-    }
-
-    #[test]
-    fn field_powers_rank_informative_fields() {
-        // Field 0 is discriminative, field 1 is noise (agrees randomly).
-        let vectors = synthesize(0.2, &[0.95, 0.5], &[0.05, 0.5], 10_000, 9);
-        let model = fit(&vectors, &EmConfig::default()).unwrap();
-        let powers = model.field_powers();
-        assert!(powers[0] > powers[1]);
-        assert_eq!(model.top_fields(1), vec![0]);
-        assert_eq!(model.top_fields(5).len(), 2, "k caps at dimension");
     }
 
     #[test]
     fn converges_and_reports_iterations() {
         let vectors = synthesize(0.3, &[0.9], &[0.1], 2_000, 3);
-        let model = fit(&vectors, &EmConfig::default()).unwrap();
+        let model = fit(&vectors).unwrap();
         assert!(model.iterations < 100, "should converge before the cap");
     }
 
     #[test]
     fn empty_input_is_typed_error() {
-        assert_eq!(fit(&[], &EmConfig::default()).unwrap_err(), EmError::EmptySample);
+        assert_eq!(fit(&[]).unwrap_err(), EmError::EmptySample);
     }
 
     #[test]
     fn ragged_input_is_typed_error() {
         assert_eq!(
-            fit(&[vec![true], vec![true, false]], &EmConfig::default()).unwrap_err(),
+            fit(&[vec![true], vec![true, false]]).unwrap_err(),
             EmError::RaggedSample { expected: 1, got: 2 }
         );
     }
 
     /// Degenerate fields (always agreeing, never agreeing) must stay clamped
-    /// away from {0, 1} so weights and posteriors remain finite.
+    /// away from {0, 1} so posteriors remain finite.
     #[test]
     fn degenerate_fields_are_clamped_to_finite_weights() {
         // Field 0 always agrees, field 1 never does, across every vector.
         let vectors: Vec<Vec<bool>> = (0..500).map(|_| vec![true, false]).collect();
-        let model = fit(&vectors, &EmConfig::default()).unwrap();
+        let model = fit(&vectors).unwrap();
         for i in 0..2 {
             assert!((1e-6..=1.0 - 1e-6).contains(&model.m[i]), "m[{i}] = {}", model.m[i]);
             assert!((1e-6..=1.0 - 1e-6).contains(&model.u[i]), "u[{i}] = {}", model.u[i]);
         }
         assert!((1e-6..=1.0 - 1e-6).contains(&model.p), "p = {}", model.p);
-        let w = model.weight(&[true, true]);
-        assert!(w.is_finite(), "weight {w}");
-        assert!(model.field_powers().iter().all(|p| p.is_finite()));
         for gamma in [[true, true], [true, false], [false, true], [false, false]] {
             let post = model.posterior(&gamma);
             assert!(post.is_finite() && (0.0..=1.0).contains(&post), "posterior {post}");
@@ -330,7 +265,7 @@ mod tests {
     /// the number of agreeing fields.
     #[test]
     fn prior_model_is_finite_and_monotone() {
-        let model = EmModel::prior(3, &EmConfig::default());
+        let model = EmModel::prior(3);
         assert_eq!(model.iterations, 0);
         let p0 = model.posterior(&[false, false, false]);
         let p1 = model.posterior(&[true, false, false]);
@@ -345,7 +280,7 @@ mod tests {
     #[test]
     fn posterior_soft_matches_boolean_corners() {
         let vectors = synthesize(0.2, &[0.9, 0.85], &[0.1, 0.2], 5_000, 11);
-        let model = fit(&vectors, &EmConfig::default()).unwrap();
+        let model = fit(&vectors).unwrap();
         for gamma in [[true, true], [true, false], [false, true], [false, false]] {
             let soft: Vec<f64> = gamma.iter().map(|&g| if g { 1.0 } else { 0.0 }).collect();
             assert!((model.posterior(&gamma) - model.posterior_soft(&soft)).abs() < 1e-12);

@@ -1,47 +1,29 @@
-//! End-to-end wiring: data statistics → cost model → RCKs → sort/block keys.
+//! Plan wiring: data statistics → cost model, and RCKs → sort keys.
 //!
 //! Every function here is **schema-agnostic**: inputs are the MD set, the
 //! target lists and the relations/schema pair under consideration. Encoding
 //! choices (Soundex for names, digit extraction for phones and zips) are
 //! driven by the schemas' [`AttrKind`] metadata — attribute names never
 //! appear. The paper's concrete configurations (its manual baselines and
-//! fixed windowing keys) live with the presets in the facade crate.
+//! fixed windowing keys) live with the experiments in `crates/bench`.
 //!
-//! 1. compute per-pair `lt` statistics from the instances (the cost model's
-//!    length term);
-//! 2. run `findRCKs` for the top-k keys;
-//! 3. derive windowing/blocking keys from RCK attributes (the paper's
-//!    RCK-based configurations).
+//! 1. install per-pair `lt` statistics measured on the instances (the cost
+//!    model's length term);
+//! 2. derive windowing keys from RCK attributes (the paper's RCK-based
+//!    configurations).
 
 use crate::sortkey::{Encoding, KeyField, SortKey};
 use matchrules_core::cost::{CostModel, PairStats};
 use matchrules_core::dependency::MatchingDependency;
-use matchrules_core::rck::find_rcks;
 use matchrules_core::relative_key::{RelativeKey, Target};
 use matchrules_core::schema::{AttrId, AttrKind, SchemaPair};
-use matchrules_data::relation::Relation;
-
-/// Builds the §5 cost model with `lt` statistics measured on the data and
-/// the paper's uniform weights (`w1 = w2 = w3 = 1`, `ac ≡ 1`).
-///
-/// Lengths are scaled into `\[0, 1\]` (divided by the longest average) so the
-/// three cost terms stay commensurable.
-pub fn cost_model_from_data(
-    sigma: &[MatchingDependency],
-    target: &Target,
-    left: &Relation,
-    right: &Relation,
-) -> CostModel {
-    let mut model = CostModel::uniform();
-    apply_length_stats(&mut model, sigma, target, &left.avg_lengths(), &right.avg_lengths());
-    model
-}
 
 /// Installs scaled `lt` statistics into an existing cost model from
 /// per-attribute average lengths (one entry per schema attribute, as
-/// produced by [`Relation::avg_lengths`]). Shared by
-/// [`cost_model_from_data`] and the engine builder so the normalization
-/// cannot diverge between the two paths.
+/// produced by [`Relation::avg_lengths`](matchrules_data::relation::Relation::avg_lengths)).
+///
+/// Lengths are scaled into `\[0, 1\]` (divided by the longest average) so the
+/// three cost terms stay commensurable.
 pub fn apply_length_stats(
     model: &mut CostModel,
     sigma: &[MatchingDependency],
@@ -56,18 +38,6 @@ pub fn apply_length_stats(
         let avg = (left_lens[l] + right_lens[r]) / 2.0;
         model.set_stats(l, r, PairStats { avg_len: avg / max_len, accuracy: 1.0 });
     }
-}
-
-/// Runs findRCKs with data-driven statistics and returns the top `k` keys.
-pub fn top_rcks(
-    sigma: &[MatchingDependency],
-    target: &Target,
-    left: &Relation,
-    right: &Relation,
-    k: usize,
-) -> Vec<RelativeKey> {
-    let mut cost = cost_model_from_data(sigma, target, left, right);
-    find_rcks(sigma, target, k, &mut cost).keys
 }
 
 /// Encoding chosen per attribute kind when turning key atoms into sort/block
@@ -101,28 +71,11 @@ pub fn rck_sort_keys(pair: &SchemaPair, rcks: &[RelativeKey]) -> Vec<SortKey> {
         .collect()
 }
 
-/// The Exp-4 RCK blocking key: three attributes drawn from the top two
-/// RCKs, name components Soundex-encoded.
-pub fn rck_block_key(pair: &SchemaPair, rcks: &[RelativeKey]) -> SortKey {
-    let mut fields: Vec<KeyField> = Vec::new();
-    for key in rcks.iter().take(2) {
-        for atom in key.atoms() {
-            let f = field_for(pair, atom.left, atom.right);
-            if !fields.iter().any(|x| x.left == f.left && x.right == f.right) {
-                fields.push(f);
-            }
-            if fields.len() == 3 {
-                return SortKey::new(fields);
-            }
-        }
-    }
-    SortKey::new(fields)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use matchrules_core::paper;
+    use matchrules_core::rck::find_rcks;
     use matchrules_data::dirty::{generate_dirty, NoiseConfig};
 
     #[test]
@@ -130,8 +83,14 @@ mod tests {
         let setting = paper::extended();
         let cfg = NoiseConfig { seed: 2, ..Default::default() };
         let data = generate_dirty(&setting.pair, &setting.target, 60, &cfg);
-        let model =
-            cost_model_from_data(&setting.sigma, &setting.target, &data.credit, &data.billing);
+        let mut model = CostModel::uniform();
+        apply_length_stats(
+            &mut model,
+            &setting.sigma,
+            &setting.target,
+            &data.credit.avg_lengths(),
+            &data.billing.avg_lengths(),
+        );
         let l = |n: &str| setting.pair.left().attr(n).unwrap();
         let r = |n: &str| setting.pair.right().attr(n).unwrap();
         // street values are longer than state values → higher cost.
@@ -141,24 +100,12 @@ mod tests {
     }
 
     #[test]
-    fn top_rcks_produces_keys() {
-        let setting = paper::extended();
-        let cfg = NoiseConfig { seed: 3, ..Default::default() };
-        let data = generate_dirty(&setting.pair, &setting.target, 40, &cfg);
-        let rcks = top_rcks(&setting.sigma, &setting.target, &data.credit, &data.billing, 5);
-        assert!(!rcks.is_empty() && rcks.len() <= 5);
-    }
-
-    #[test]
     fn derived_keys_are_well_formed() {
         let setting = paper::extended();
-        let cfg = NoiseConfig { seed: 4, ..Default::default() };
-        let data = generate_dirty(&setting.pair, &setting.target, 40, &cfg);
-        let rcks = top_rcks(&setting.sigma, &setting.target, &data.credit, &data.billing, 5);
+        let rcks = find_rcks(&setting.sigma, &setting.target, 5, &mut CostModel::uniform()).keys;
         let sort_keys = rck_sort_keys(&setting.pair, &rcks);
-        assert!(!sort_keys.is_empty());
-        let block = rck_block_key(&setting.pair, &rcks);
-        assert!(block.fields().len() <= 3 && !block.fields().is_empty());
+        assert_eq!(sort_keys.len(), 2);
+        assert!(sort_keys.iter().all(|k| !k.fields().is_empty() && k.fields().len() <= 3));
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //!   parameters fit by the existing EM on a sample of the relation,
 //!   producing a calibrated match confidence in `[0, 1]`. Degenerate
 //!   samples fall back to a clamped prior model, so a score is always
-//!   defined and never NaN.
+//!   defined and never NaN. Its comparison vector is
+//!   [`rck_comparison_vector`], the union of the RCK atoms — FSrck's
+//!   vector in §6.2 Exp-2, whose classifier is this model's boolean
+//!   posterior (`model.em().posterior(γ)`) against a threshold.
 //! * [`resolve_one_to_one`] — a bipartite assignment resolver turning
 //!   scored candidate links into a one-to-one matching (each record in at
 //!   most one link) instead of greedy union-find closure: greedy
@@ -17,27 +20,62 @@
 //!   small conflict components (cf. Sadinle's bipartite-matching prior for
 //!   record linkage).
 
-use crate::em::{self, EmConfig, EmModel};
-use crate::fellegi_sunter::FsError;
+use crate::em::{self, EmError, EmModel};
 use matchrules_core::dependency::SimilarityAtom;
+use matchrules_core::relative_key::RelativeKey;
 use matchrules_data::eval::RuntimeOps;
 use matchrules_data::relation::{Relation, Tuple};
 use std::collections::HashMap;
+use std::fmt;
 
-/// Configuration for fitting a [`ScoreModel`].
-#[derive(Debug, Clone)]
-pub struct ScoreConfig {
-    /// Sample cap for EM fitting (paper: ≤ 30k).
-    pub em_sample: usize,
-    /// EM settings (the initial parameters double as the prior fallback).
-    pub em: EmConfig,
+/// Why a Fellegi–Sunter fit was rejected.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum FsError {
+    /// The comparison vector has no fields.
+    EmptyFields,
+    /// No candidate pairs were supplied to fit on.
+    NoCandidates,
+    /// The underlying EM fit failed.
+    Em(EmError),
 }
 
-impl Default for ScoreConfig {
-    fn default() -> Self {
-        ScoreConfig { em_sample: 30_000, em: EmConfig::default() }
+impl fmt::Display for FsError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FsError::EmptyFields => write!(f, "comparison vector cannot be empty"),
+            FsError::NoCandidates => write!(f, "need candidate pairs to fit on"),
+            FsError::Em(e) => write!(f, "EM fit failed: {e}"),
+        }
     }
 }
+
+impl std::error::Error for FsError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        match self {
+            FsError::Em(e) => Some(e),
+            _ => None,
+        }
+    }
+}
+
+impl From<EmError> for FsError {
+    fn from(e: EmError) -> Self {
+        FsError::Em(e)
+    }
+}
+
+/// Builds the RCK comparison vector: the union of the atoms of `keys`
+/// (deduplicated), keeping each atom's similarity operator.
+pub fn rck_comparison_vector(keys: &[RelativeKey]) -> Vec<SimilarityAtom> {
+    let mut atoms: Vec<SimilarityAtom> = keys.iter().flat_map(|k| k.atoms()).copied().collect();
+    atoms.sort_unstable();
+    atoms.dedup();
+    atoms
+}
+
+/// Sample cap for EM fitting (paper: ≤ 30k): a deterministic stride over
+/// the candidates.
+const EM_SAMPLE: usize = 30_000;
 
 /// A calibrated pair-scoring model over a fixed atom comparison vector.
 ///
@@ -65,7 +103,6 @@ impl ScoreModel {
         right: &Relation,
         candidates: &[(usize, usize)],
         ops: &RuntimeOps,
-        cfg: &ScoreConfig,
     ) -> Result<Self, FsError> {
         if atoms.is_empty() {
             return Err(FsError::EmptyFields);
@@ -73,25 +110,25 @@ impl ScoreModel {
         if candidates.is_empty() {
             return Err(FsError::NoCandidates);
         }
-        let step = (candidates.len() / cfg.em_sample.max(1)).max(1);
+        let step = (candidates.len() / EM_SAMPLE).max(1);
         let sample: Vec<Vec<bool>> = candidates
             .iter()
             .step_by(step)
-            .take(cfg.em_sample)
+            .take(EM_SAMPLE)
             .map(|&(l, r)| {
                 let (t1, t2) = (&left.tuples()[l], &right.tuples()[r]);
                 atoms.iter().map(|a| ops.atom_matches(a, t1, t2)).collect()
             })
             .collect();
-        let model = em::fit(&sample, &cfg.em)?;
+        let model = em::fit(&sample)?;
         Ok(ScoreModel { atoms, model, fitted: true })
     }
 
     /// An unfit model built from the clamped EM priors: defined for any
     /// atom vector, finite everywhere, monotone in the number (and
     /// strength) of agreeing atoms. The fallback when no sample exists.
-    pub fn prior(atoms: Vec<SimilarityAtom>, cfg: &EmConfig) -> Self {
-        let model = EmModel::prior(atoms.len(), cfg);
+    pub fn prior(atoms: Vec<SimilarityAtom>) -> Self {
+        let model = EmModel::prior(atoms.len());
         ScoreModel { atoms, model, fitted: false }
     }
 
@@ -103,11 +140,10 @@ impl ScoreModel {
         right: &Relation,
         candidates: &[(usize, usize)],
         ops: &RuntimeOps,
-        cfg: &ScoreConfig,
     ) -> Self {
-        match Self::fit(atoms.clone(), left, right, candidates, ops, cfg) {
+        match Self::fit(atoms.clone(), left, right, candidates, ops) {
             Ok(model) => model,
-            Err(_) => Self::prior(atoms, &cfg.em),
+            Err(_) => Self::prior(atoms),
         }
     }
 
@@ -424,13 +460,26 @@ mod tests {
     }
 
     #[test]
+    fn rck_comparison_vector_is_the_deduplicated_atom_union() {
+        let setting = paper::extended();
+        let mut cost = CostModel::uniform();
+        let keys = find_rcks(&setting.sigma, &setting.target, 5, &mut cost).keys;
+        let atoms = rck_comparison_vector(&keys);
+        assert!(!atoms.is_empty());
+        let mut dedup = atoms.clone();
+        dedup.dedup();
+        assert_eq!(dedup.len(), atoms.len(), "atoms are deduplicated");
+        assert!(keys.iter().flat_map(|k| k.atoms()).all(|a| atoms.contains(a)));
+    }
+
+    #[test]
     fn prior_model_scores_are_monotone_and_bounded() {
         let setting = paper::extended();
         let mut cost = CostModel::uniform();
         let keys = find_rcks(&setting.sigma, &setting.target, 5, &mut cost).keys;
-        let atoms = crate::fellegi_sunter::rck_comparison_vector(&keys);
+        let atoms = rck_comparison_vector(&keys);
         let ops = RuntimeOps::resolve(&setting.ops, &paper_registry()).unwrap();
-        let model = ScoreModel::prior(atoms, &EmConfig::default());
+        let model = ScoreModel::prior(atoms);
         assert!(!model.is_fitted());
 
         let data = generate_dirty(
@@ -477,7 +526,7 @@ mod tests {
         let ops = RuntimeOps::resolve(&setting.ops, &paper_registry()).unwrap();
         let mut cost = CostModel::uniform();
         let keys = find_rcks(&setting.sigma, &setting.target, 5, &mut cost).keys;
-        let atoms = crate::fellegi_sunter::rck_comparison_vector(&keys);
+        let atoms = rck_comparison_vector(&keys);
         // Fit on the truth's pairs plus shifted non-pairs.
         let mut candidates: Vec<(usize, usize)> = Vec::new();
         let n = data.credit.len().min(data.billing.len());
@@ -485,15 +534,8 @@ mod tests {
             candidates.push((i, i));
             candidates.push((i, (i + 7) % n));
         }
-        let model = ScoreModel::fit(
-            atoms.clone(),
-            &data.credit,
-            &data.billing,
-            &candidates,
-            &ops,
-            &ScoreConfig::default(),
-        )
-        .unwrap();
+        let model =
+            ScoreModel::fit(atoms.clone(), &data.credit, &data.billing, &candidates, &ops).unwrap();
         assert!(model.is_fitted());
         assert_eq!(model.atoms().len(), atoms.len());
         // True pairs outscore strangers on average under the fitted model.
@@ -517,38 +559,15 @@ mod tests {
 
         // Degenerate fit inputs are typed errors, not NaN factories.
         assert_eq!(
-            ScoreModel::fit(
-                vec![],
-                &data.credit,
-                &data.billing,
-                &candidates,
-                &ops,
-                &Default::default()
-            )
-            .unwrap_err(),
+            ScoreModel::fit(vec![], &data.credit, &data.billing, &candidates, &ops).unwrap_err(),
             FsError::EmptyFields
         );
         assert_eq!(
-            ScoreModel::fit(
-                atoms.clone(),
-                &data.credit,
-                &data.billing,
-                &[],
-                &ops,
-                &Default::default()
-            )
-            .unwrap_err(),
+            ScoreModel::fit(atoms.clone(), &data.credit, &data.billing, &[], &ops).unwrap_err(),
             FsError::NoCandidates
         );
         // fit_or_prior is total.
-        let fallback = ScoreModel::fit_or_prior(
-            atoms,
-            &data.credit,
-            &data.billing,
-            &[],
-            &ops,
-            &Default::default(),
-        );
+        let fallback = ScoreModel::fit_or_prior(atoms, &data.credit, &data.billing, &[], &ops);
         assert!(!fallback.is_fitted());
     }
 }

@@ -13,9 +13,8 @@ use matchrules_core::relative_key::Target;
 use matchrules_core::schema::{AttrKind, Schema, SchemaPair, Side};
 use matchrules_data::eval::{paper_registry, RuntimeOps};
 use matchrules_data::relation::Relation;
-use matchrules_matcher::fellegi_sunter::rck_comparison_vector;
-use matchrules_matcher::pipeline::{apply_length_stats, rck_block_key, rck_sort_keys};
-use matchrules_matcher::scoring::{ScoreConfig, ScoreModel};
+use matchrules_matcher::pipeline::{apply_length_stats, rck_sort_keys};
+use matchrules_matcher::scoring::{rck_comparison_vector, ScoreModel};
 use matchrules_matcher::windowing::multi_pass_window;
 use matchrules_runtime::{ExecConfig, Threads};
 use matchrules_simdist::ops::OpRegistry;
@@ -40,7 +39,7 @@ pub enum EngineError {
         got: String,
     },
     /// The plan deduced no keys, so the requested derived artifact
-    /// (sort/block key) does not exist.
+    /// (sort key) does not exist.
     NoKeys,
     /// A configuration value is out of its valid range.
     InvalidConfig {
@@ -50,6 +49,14 @@ pub enum EngineError {
     /// Building or maintaining a [`MatchIndex`](crate::engine::MatchIndex)
     /// failed (duplicate tuple ids, arity mismatch…).
     Index(matchrules_matcher::index::IndexError),
+    /// A report handed back to the engine names a tuple position past the
+    /// end of the relations it was given (a report from other relations).
+    PairOutOfRange {
+        /// The offending `(left, right)` positions.
+        pair: (usize, usize),
+        /// The given relations' lengths.
+        lens: (usize, usize),
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -72,6 +79,11 @@ impl fmt::Display for EngineError {
                 write!(f, "invalid engine configuration: {message}")
             }
             EngineError::Index(e) => write!(f, "{e}"),
+            EngineError::PairOutOfRange { pair, lens } => write!(
+                f,
+                "report pair {pair:?} lies outside the given relations ({} x {} tuples)",
+                lens.0, lens.1
+            ),
         }
     }
 }
@@ -395,7 +407,7 @@ impl EngineBuilder {
 
     /// Compiles the plan: applies kind overrides, parses MDs, validates
     /// operator bindings, builds the cost model, runs `findRCKs`, and
-    /// derives the kind-driven sort/block keys.
+    /// derives the kind-driven sort keys.
     pub fn compile(self) -> Result<MatchPlan, EngineError> {
         if self.window < 2 {
             return Err(EngineError::InvalidConfig {
@@ -411,11 +423,19 @@ impl EngineBuilder {
         }
         if self.top_k == 0 {
             return Err(EngineError::InvalidConfig {
-                message: "top_k must be at least 1: a plan with no RCKs derives no match, \
-                          sort or block keys and silently matches nothing (for the schema \
+                message: "top_k must be at least 1: a plan with no RCKs derives no match \
+                          or sort keys and silently matches nothing (for the schema \
                           pair and target alone, use Preset::paper_setting or keep the \
                           builder uncompiled)"
                     .to_owned(),
+            });
+        }
+        let (w1, w2, w3) = self.weights;
+        if [w1, w2, w3].iter().any(|w| !(w.is_finite() && *w >= 0.0)) {
+            return Err(EngineError::InvalidConfig {
+                message: format!(
+                    "cost weights must be finite and non-negative, got ({w1}, {w2}, {w3})"
+                ),
             });
         }
         let mut pair = self.pair.ok_or(EngineError::MissingSchemas)?;
@@ -493,7 +513,6 @@ impl EngineBuilder {
         // Cost model: configured weights plus measured `lt` statistics
         // (after checking the measured relations instantiate the schemas —
         // mismatched statistics would silently mis-rank RCKs).
-        let (w1, w2, w3) = self.weights;
         let mut cost = CostModel::new(w1, w2, w3);
         if let Some(stats) = &self.stats {
             for (measured, expected) in
@@ -511,8 +530,6 @@ impl EngineBuilder {
 
         let outcome = find_rcks(&sigma, &target, self.top_k, &mut cost);
         let sort_keys = rck_sort_keys(&pair, &outcome.keys);
-        let block_key =
-            if outcome.keys.is_empty() { None } else { Some(rck_block_key(&pair, &outcome.keys)) };
         // Per-key cost under the final model state (the `ct` counters as
         // findRCKs left them) — the ranking evidence `describe()` and
         // match explanations report.
@@ -542,11 +559,10 @@ impl EngineBuilder {
                     &stats.right_sample,
                     &candidates,
                     &runtime,
-                    &ScoreConfig::default(),
                 );
                 (model, Some((stats.left_sample.clone(), stats.right_sample.clone())))
             }
-            _ => (ScoreModel::prior(score_atoms, &ScoreConfig::default().em), None),
+            _ => (ScoreModel::prior(score_atoms), None),
         };
 
         Ok(MatchPlan::new(
@@ -560,7 +576,6 @@ impl EngineBuilder {
             outcome.complete,
             self.negatives,
             sort_keys,
-            block_key,
             self.window,
             self.top_k,
             self.weights,

@@ -9,14 +9,13 @@
 //!    operator registry, MDs (textual or programmatic), and the target
 //!    identity lists;
 //! 2. [`EngineBuilder::compile`] runs the reasoning **once**, producing an
-//!    immutable [`MatchPlan`] — the deduced top-k RCKs, the sort/block
-//!    keys derived from them via attribute kinds, and the cost model's
+//!    immutable [`MatchPlan`] — the deduced top-k RCKs, the sort keys
+//!    derived from them via attribute kinds, and the cost model's
 //!    provenance;
 //! 3. a cheap, reusable [`MatchEngine`] executes the plan over any
 //!    [`Relation`](matchrules_data::relation::Relation) pair instantiating
 //!    the schemas — [`MatchEngine::match_pairs`], [`MatchEngine::dedup`],
-//!    [`MatchEngine::block`], [`MatchEngine::window`] — returning
-//!    structured [`MatchReport`]s.
+//!    [`MatchEngine::window`] — returning structured [`MatchReport`]s.
 //!
 //! Next to batch matching and dedup there is a third execution mode:
 //! [`MatchEngine::index`] compiles the plan's RCKs into a [`MatchIndex`]
@@ -30,8 +29,8 @@
 //! [`MatchEngine::match_pairs_indexed`] — batch matching whose candidates
 //! come from the index instead of sorted-neighborhood windows.
 //!
-//! Execution is parallel by default: the engine runs windowing, blocking
-//! and pairwise key evaluation on a std-only work pool
+//! Execution is parallel by default: the engine runs windowing, index
+//! builds and pairwise key evaluation on a std-only work pool
 //! (`matchrules-runtime`), configured through [`ExecConfig`] on the
 //! builder ([`EngineBuilder::exec`]/[`EngineBuilder::threads`]) or per
 //! engine via [`MatchEngine::with_exec`]. Parallel output is
@@ -64,7 +63,7 @@ pub use matchrules_matcher::index::{
     IndexError, IndexStats, KeyTrace, MatchIndex, PairTrace, QueryHit, QueryOutcome,
 };
 pub use matchrules_matcher::scoring::{
-    resolve_one_to_one, resolve_one_to_one_shared, ScoreConfig, ScoreModel, ScoredEdge,
+    resolve_one_to_one, resolve_one_to_one_shared, ScoreModel, ScoredEdge,
 };
 pub use matchrules_runtime::{ExecConfig, Threads};
 pub use matchrules_simdist::ops::OpClass;

@@ -15,7 +15,7 @@ use std::fmt;
 use std::fmt::Write as _;
 
 /// The compiled match plan: schemas, the MD set, the deduced top-k RCKs,
-/// and the sort/block keys derived from them via attribute kinds.
+/// and the sort keys derived from them via attribute kinds.
 ///
 /// A plan is immutable and carries no references to instance data; compile
 /// it once (an `O(closure)` reasoning step) and execute it over any number
@@ -25,8 +25,8 @@ use std::fmt::Write as _;
 /// single-relation dedup, and the RCK-driven
 /// [`MatchIndex`](crate::engine::MatchIndex) (point queries and
 /// index-backed batch matching): the RCK list in [`MatchPlan::rcks`] is
-/// simultaneously the match predicate, the source of the derived
-/// sort/block keys, and the source of the index's retrieval anchors.
+/// simultaneously the match predicate, the source of the derived sort
+/// keys, and the source of the index's retrieval anchors.
 #[derive(Debug, Clone)]
 pub struct MatchPlan {
     pair: SchemaPair,
@@ -41,7 +41,6 @@ pub struct MatchPlan {
     complete: bool,
     negatives: Vec<NegativeRule>,
     sort_keys: Vec<SortKey>,
-    block_key: Option<SortKey>,
     window: usize,
     top_k: usize,
     weights: (f64, f64, f64),
@@ -64,7 +63,6 @@ impl MatchPlan {
         complete: bool,
         negatives: Vec<NegativeRule>,
         sort_keys: Vec<SortKey>,
-        block_key: Option<SortKey>,
         window: usize,
         top_k: usize,
         weights: (f64, f64, f64),
@@ -84,7 +82,6 @@ impl MatchPlan {
             complete,
             negatives,
             sort_keys,
-            block_key,
             window,
             top_k,
             weights,
@@ -201,11 +198,6 @@ impl MatchPlan {
     /// Sort keys derived from the top RCKs (multi-pass windowing).
     pub fn sort_keys(&self) -> &[SortKey] {
         &self.sort_keys
-    }
-
-    /// The blocking key derived from the top RCKs, when any key exists.
-    pub fn block_key(&self) -> Option<&SortKey> {
-        self.block_key.as_ref()
     }
 
     /// The configured sliding-window size.
@@ -326,9 +318,8 @@ impl MatchPlan {
         }
         let _ = writeln!(
             out,
-            "  derived: {} sort key(s), {} block key, window {}, threads {}",
+            "  derived: {} sort key(s), window {}, threads {}",
             self.sort_keys.len(),
-            if self.block_key.is_some() { "1" } else { "no" },
             self.window,
             self.exec.threads,
         );

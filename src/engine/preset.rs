@@ -1,15 +1,13 @@
 //! The paper's two settings as engine presets — proof that the figures
 //! are just one configuration of the general engine.
 //!
-//! This module (together with `matchrules_core::paper`, which owns the
-//! schema/MD text) is the **only** place the paper's attribute names
-//! appear: the manual baselines below are inherently tied to them, being
-//! the paper's hand-chosen expert configurations.
+//! The schemas, MDs and identity lists come from `matchrules_core::paper`,
+//! which owns the paper's attribute names; the hand-chosen baselines the
+//! §6 experiments compare against (fixed windowing keys, manual blocking
+//! key, the 25 hand rules) live with those experiments in `crates/bench`.
 
 use crate::engine::builder::EngineBuilder;
 use matchrules_core::paper;
-use matchrules_core::schema::SchemaPair;
-use matchrules_matcher::sortkey::{KeyField, SortKey};
 
 /// A ready-made paper configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,39 +40,6 @@ impl Preset {
     }
 }
 
-/// The fixed windowing keys used by Exp-2 and Exp-3 ("the same set of
-/// windowing keys were used in these experiments to make the evaluation
-/// fair"): one name/zip pass and one phone/e-mail pass, over the extended
-/// preset pair.
-pub fn standard_sort_keys(pair: &SchemaPair) -> Vec<SortKey> {
-    let l = |n: &str| pair.left().attr(n).expect("extended preset schema");
-    let r = |n: &str| pair.right().attr(n).expect("extended preset schema");
-    vec![
-        SortKey::new(vec![
-            KeyField::soundex(l("LN"), r("LN")),
-            KeyField::text(l("FN"), r("FN"), 2),
-            KeyField::text(l("zip"), r("zip"), 3),
-        ]),
-        SortKey::new(vec![
-            KeyField::digits(l("tel"), r("phn"), 0),
-            KeyField::text(l("email"), r("email"), 6),
-        ]),
-    ]
-}
-
-/// The Exp-4 manual blocking key: "three attributes manually chosen", one
-/// being the Soundex-encoded name — a plausible expert choice of name +
-/// city + state, over the extended preset pair.
-pub fn manual_block_key(pair: &SchemaPair) -> SortKey {
-    let l = |n: &str| pair.left().attr(n).expect("extended preset schema");
-    let r = |n: &str| pair.right().attr(n).expect("extended preset schema");
-    SortKey::new(vec![
-        KeyField::soundex(l("LN"), r("LN")),
-        KeyField::text(l("city"), r("city"), 6),
-        KeyField::text(l("state"), r("state"), 2),
-    ])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,9 +56,13 @@ mod tests {
     }
 
     #[test]
-    fn manual_keys_build_over_the_extended_pair() {
-        let plan = Preset::Extended.builder().compile().unwrap();
-        assert_eq!(standard_sort_keys(plan.pair()).len(), 2);
-        assert_eq!(manual_block_key(plan.pair()).fields().len(), 3);
+    fn extended_plan_derives_two_sort_keys() {
+        let plan = Preset::Extended.builder().top_k(5).compile().unwrap();
+        assert_eq!(plan.sort_keys().len(), 2);
+        assert!(
+            plan.describe().contains("derived: 2 sort key(s), window 10, threads"),
+            "{}",
+            plan.describe()
+        );
     }
 }

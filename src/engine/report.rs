@@ -9,7 +9,6 @@ use matchrules_data::enforce::{enforce, EnforceOutcome};
 use matchrules_data::eval::{FilterStats, RuntimeOps};
 use matchrules_data::relation::{InstancePair, Relation, TupleId};
 use matchrules_data::unionfind::UnionFind;
-use matchrules_matcher::blocking::multi_pass_block_in;
 use matchrules_matcher::index::MatchIndex;
 use matchrules_matcher::key::{KeyMatcher, PAR_MATCH_MIN_CHUNK};
 use matchrules_matcher::metrics::{evaluate_pairs, MatchQuality};
@@ -40,7 +39,7 @@ pub struct MatchedPair {
 /// generation, pairwise matching, transitive closure…).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Stage {
-    /// Stage name (`"window"`, `"block"`, `"match"`, `"closure"`…).
+    /// Stage name (`"window"`, `"prep"`, `"match"`, `"closure"`…).
     pub name: &'static str,
     /// Wall-clock time the stage took.
     pub elapsed: Duration,
@@ -422,18 +421,6 @@ impl MatchEngine {
         Ok(self.run(left, right, candidates, started, Vec::new()))
     }
 
-    /// Matches caller-provided candidate pairs (bring your own blocking).
-    pub fn match_candidates(
-        &self,
-        left: &Relation,
-        right: &Relation,
-        candidates: &[(usize, usize)],
-    ) -> Result<MatchReport, EngineError> {
-        self.check_side(Side::Left, left)?;
-        self.check_side(Side::Right, right)?;
-        Ok(self.run(left, right, candidates.to_vec(), Instant::now(), Vec::new()))
-    }
-
     /// Shared front half of the dedup modes: windowed (or exhaustive)
     /// `i < j` candidates over the reflexive plan, pairwise matching,
     /// corrected pair-space accounting.
@@ -512,31 +499,8 @@ impl MatchEngine {
         let started = Instant::now();
         let mut report = self.dedup_matched(relation, started)?;
         let resolve_started = Instant::now();
-        let model = self.plan.score_model();
-        let tuples = relation.tuples();
-        let edges: Vec<ScoredEdge> = report
-            .pairs()
-            .iter()
-            .map(|p| ScoredEdge {
-                left: p.left,
-                right: p.right,
-                score: model.score(&self.runtime, &tuples[p.left], &tuples[p.right]),
-            })
-            .collect();
-        let links = resolve_one_to_one_shared(&edges, min_score)
-            .into_iter()
-            .map(|i| {
-                let p = &report.pairs()[i];
-                ScoredLink {
-                    left: p.left,
-                    right: p.right,
-                    left_id: p.left_id,
-                    right_id: p.right_id,
-                    key: p.key,
-                    score: edges[i].score,
-                }
-            })
-            .collect();
+        let links =
+            self.scored_links(relation, relation, &report, resolve_one_to_one_shared, min_score)?;
         report.stages.push(Stage { name: "resolve", elapsed: resolve_started.elapsed() });
         report.elapsed = started.elapsed();
         Ok(ResolvedDedupReport { report, links })
@@ -547,6 +511,11 @@ impl MatchEngine {
     /// [`MatchEngine::match_pairs_indexed`]): each left and each right
     /// record ends up in at most one link. This is the scored alternative
     /// to transitively closing matched pairs into clusters.
+    ///
+    /// # Errors
+    ///
+    /// [`EngineError::PairOutOfRange`] when the report names a position
+    /// past the end of `left` or `right` (a report from other relations).
     pub fn resolve_links(
         &self,
         left: &Relation,
@@ -556,17 +525,37 @@ impl MatchEngine {
     ) -> Result<Vec<ScoredLink>, EngineError> {
         self.check_side(Side::Left, left)?;
         self.check_side(Side::Right, right)?;
+        self.scored_links(left, right, report, resolve_one_to_one, min_score)
+    }
+
+    /// Scores `report`'s matched pairs under the plan's
+    /// [`ScoreModel`](matchrules_matcher::scoring::ScoreModel) and keeps
+    /// the links `resolve` selects, in its order.
+    fn scored_links(
+        &self,
+        left: &Relation,
+        right: &Relation,
+        report: &MatchReport,
+        resolve: fn(&[ScoredEdge], f64) -> Vec<usize>,
+        min_score: f64,
+    ) -> Result<Vec<ScoredLink>, EngineError> {
         let model = self.plan.score_model();
-        let edges: Vec<ScoredEdge> = report
+        let edges = report
             .pairs()
             .iter()
-            .map(|p| ScoredEdge {
-                left: p.left,
-                right: p.right,
-                score: model.score(&self.runtime, &left.tuples()[p.left], &right.tuples()[p.right]),
+            .map(|p| match (left.tuples().get(p.left), right.tuples().get(p.right)) {
+                (Some(t1), Some(t2)) => Ok(ScoredEdge {
+                    left: p.left,
+                    right: p.right,
+                    score: model.score(&self.runtime, t1, t2),
+                }),
+                _ => Err(EngineError::PairOutOfRange {
+                    pair: (p.left, p.right),
+                    lens: (left.len(), right.len()),
+                }),
             })
-            .collect();
-        Ok(resolve_one_to_one(&edges, min_score)
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(resolve(&edges, min_score)
             .into_iter()
             .map(|i| {
                 let p = &report.pairs()[i];
@@ -686,19 +675,6 @@ impl MatchEngine {
             out
         });
         Ok(self.run(left, right, candidates, started, stages))
-    }
-
-    /// Candidate `(left, right)` pairs sharing the plan's RCK-derived
-    /// blocking key.
-    pub fn block(
-        &self,
-        left: &Relation,
-        right: &Relation,
-    ) -> Result<Vec<(usize, usize)>, EngineError> {
-        self.check_side(Side::Left, left)?;
-        self.check_side(Side::Right, right)?;
-        let key = self.plan.block_key().ok_or(EngineError::NoKeys)?;
-        Ok(multi_pass_block_in(&self.pool, left, right, std::slice::from_ref(key)))
     }
 
     /// Candidate `(left, right)` pairs from multi-pass windowing over the

@@ -307,7 +307,7 @@
 //! ## Parallel execution
 //!
 //! The engine runs on a std-only work pool (`matchrules-runtime`):
-//! windowing passes, blocking partitions and pairwise key evaluation all
+//! windowing passes, index builds and pairwise key evaluation all
 //! execute in parallel, and the output is **byte-identical** to a serial
 //! run. Configure it with [`engine::ExecConfig`] on the builder, or per
 //! engine — thread sweeps reuse one compiled plan:
@@ -344,8 +344,9 @@
 //!   (Damerau–Levenshtein, Jaro–Winkler, q-grams, Soundex, …);
 //! * [`data`] (`matchrules-data`) — relations, the dynamic (enforcement)
 //!   semantics, the Fig. 1 instance, and the §6 synthetic-data protocol;
-//! * [`matcher`] (`matchrules-matcher`) — Fellegi–Sunter + EM, Sorted
-//!   Neighborhood, blocking, windowing and quality metrics;
+//! * [`matcher`] (`matchrules-matcher`) — match keys, the RCK-driven
+//!   `MatchIndex`, windowing, Fellegi–Sunter + EM scoring and quality
+//!   metrics;
 //! * `matchrules-runtime` — the std-only parallel execution runtime
 //!   (work pool, parallel sort, deterministic ordered reductions);
 //! * [`engine`] — the schema-agnostic compile-once API over all of it;
@@ -354,7 +355,10 @@
 //!   [`Refinement`](refine::Refinement).
 //!
 //! See `examples/` for runnable end-to-end scenarios and `crates/bench` for
-//! the harness regenerating every figure of the paper's evaluation.
+//! the harness regenerating every figure of the paper's evaluation, together
+//! with the §6 baselines it compares against (sorted neighbourhood with 25
+//! hand rules, Fellegi–Sunter over an equality vector, manual blocking and
+//! windowing keys).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

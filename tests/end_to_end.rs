@@ -1,20 +1,17 @@
-//! End-to-end pipeline tests on generated dirty data: MDs → RCKs →
-//! matchers → metrics, plus the blocking/windowing quality gates — all
-//! driven through the compiled engine plan.
+//! End-to-end pipeline tests on generated dirty data: MDs → RCKs → the
+//! compiled engine plan → windowed candidates, matched pairs and scores,
+//! with quality gates on each. The §6 baseline comparisons (SN, FS and
+//! manual blocking/windowing against the RCKs) run in `crates/bench`
+//! (`baselines`).
 
 use matchrules::data::dirty::{generate_dirty, NoiseConfig};
 use matchrules::data::DirtyData;
-use matchrules::engine::preset::{manual_block_key, standard_sort_keys};
 use matchrules::engine::{MatchEngine, Preset};
-use matchrules::matcher::blocking::block_candidates;
-use matchrules::matcher::fellegi_sunter::{rck_comparison_vector, FsConfig, FsMatcher};
-use matchrules::matcher::key::KeyMatcher;
 use matchrules::matcher::metrics::{evaluate_pairs, BlockingQuality};
-use matchrules::matcher::rules::hernandez_stolfo_25;
-use matchrules::matcher::sorted_neighborhood::{sorted_neighborhood, SnConfig};
-use matchrules::matcher::windowing::multi_pass_window;
 
-const K: usize = 400;
+fn workload() -> (MatchEngine, DirtyData) {
+    workload_seeded(400, 0xE2E)
+}
 
 fn workload_seeded(k: usize, seed: u64) -> (MatchEngine, DirtyData) {
     // Shapes only: the preset's schema pair and target, no compiled plan.
@@ -30,95 +27,6 @@ fn workload_seeded(k: usize, seed: u64) -> (MatchEngine, DirtyData) {
     (engine, data)
 }
 
-fn workload() -> (MatchEngine, DirtyData) {
-    workload_seeded(K, 0xE2E)
-}
-
-/// The full Exp-3 pipeline hits paper-grade quality: SNrck precision ≥ 0.95
-/// and recall ≥ 0.7, beating the 25-rule baseline on F1.
-#[test]
-fn sn_pipeline_quality_gates() {
-    let (engine, data) = workload();
-    let plan = engine.plan();
-    let ops = engine.runtime();
-    assert!(!plan.rcks().is_empty());
-    let cfg = SnConfig { window: 10, keys: standard_sort_keys(plan.pair()) };
-
-    let rck_matcher = KeyMatcher::new(plan.rcks().iter(), ops);
-    let rck_out = sorted_neighborhood(&data.credit, &data.billing, &rck_matcher, &cfg);
-    let rck_q = evaluate_pairs(&rck_out.pairs, &data.truth);
-
-    let dl = plan.ops().get("≈d").unwrap();
-    let rules = hernandez_stolfo_25(plan.pair(), dl);
-    let base_matcher = KeyMatcher::new(rules.iter(), ops);
-    let base_out = sorted_neighborhood(&data.credit, &data.billing, &base_matcher, &cfg);
-    let base_q = evaluate_pairs(&base_out.pairs, &data.truth);
-
-    assert!(rck_q.precision() >= 0.95, "SNrck precision {}", rck_q.precision());
-    assert!(rck_q.recall() >= 0.70, "SNrck recall {}", rck_q.recall());
-    assert!(rck_q.f1() > base_q.f1(), "{} vs {}", rck_q.f1(), base_q.f1());
-}
-
-/// The full Exp-2 pipeline: FSrck recall ≥ 0.85 at precision ≥ 0.6 with
-/// the default posterior threshold.
-#[test]
-fn fs_pipeline_quality_gates() {
-    let (engine, data) = workload();
-    let plan = engine.plan();
-    let candidates =
-        multi_pass_window(&data.credit, &data.billing, &standard_sort_keys(plan.pair()), 10);
-    let fs = FsMatcher::fit(
-        rck_comparison_vector(plan.rcks()),
-        &data.credit,
-        &data.billing,
-        &candidates,
-        engine.runtime(),
-        &FsConfig::default(),
-    )
-    .expect("EM fit on windowed candidates");
-    let pairs = fs.classify(&data.credit, &data.billing, &candidates, engine.runtime());
-    let q = evaluate_pairs(&pairs, &data.truth);
-    assert!(q.recall() >= 0.85, "recall {}", q.recall());
-    assert!(q.precision() >= 0.6, "precision {}", q.precision());
-}
-
-/// Exp-4 blocking: the plan's RCK key's PC beats the manual key's at
-/// comparable RR, and both reduce the space by > 99%.
-#[test]
-fn blocking_quality_gates() {
-    let (engine, data) = workload();
-    let plan = engine.plan();
-    let rck_q = BlockingQuality::from_candidates(
-        block_candidates(&data.credit, &data.billing, plan.block_key().unwrap()),
-        &data.truth,
-    );
-    let manual_q = BlockingQuality::from_candidates(
-        block_candidates(&data.credit, &data.billing, &manual_block_key(plan.pair())),
-        &data.truth,
-    );
-    assert!(rck_q.pairs_completeness() > manual_q.pairs_completeness());
-    assert!(rck_q.reduction_ratio() > 0.99);
-    assert!(manual_q.reduction_ratio() > 0.99);
-}
-
-/// Exp-4 windowing: the engine's RCK sort keys dominate the manual key's
-/// PC.
-#[test]
-fn windowing_quality_gates() {
-    let (engine, data) = workload();
-    let plan = engine.plan();
-    let rck_q = BlockingQuality::from_candidates(
-        engine.window(&data.credit, &data.billing).unwrap(),
-        &data.truth,
-    );
-    let manual_q = BlockingQuality::from_candidates(
-        multi_pass_window(&data.credit, &data.billing, &[manual_block_key(plan.pair())], 10),
-        &data.truth,
-    );
-    assert!(rck_q.pairs_completeness() > manual_q.pairs_completeness());
-    assert!(rck_q.reduction_ratio() > 0.9);
-}
-
 /// Determinism: the whole engine pipeline is reproducible from the seed.
 #[test]
 fn pipeline_is_deterministic() {
@@ -132,37 +40,67 @@ fn pipeline_is_deterministic() {
     assert_eq!(run(), run());
 }
 
-/// Scaling the workload preserves the SNrck ≥ SN ordering (the "less
+/// The engine's windowing over the RCK-derived sort keys keeps 685 of the
+/// 720 true pairs while discarding 97% of the pair space — the RCK row of
+/// the Exp-4 windowing figure, which `crates/bench` pins against the
+/// manual key on this same workload.
+#[test]
+fn windowing_quality_gates() {
+    let (engine, data) = workload();
+    let q = BlockingQuality::from_candidates(
+        engine.window(&data.credit, &data.billing).unwrap(),
+        &data.truth,
+    );
+    assert_eq!((q.surviving_matches, q.surviving_non_matches), (685, 8_291), "{q:?}");
+    assert_eq!((q.total_matches, q.total_non_matches), (720, 287_280), "{q:?}");
+    assert!(q.pairs_completeness() > 0.95, "PC {}", q.pairs_completeness());
+    assert!(q.reduction_ratio() > 0.95, "RR {}", q.reduction_ratio());
+}
+
+/// Windowed RCK matching hits paper-grade quality: precision ≥ 0.95 and
+/// recall ≥ 0.7.
+#[test]
+fn windowed_matching_quality_gates() {
+    let (engine, data) = workload();
+    let q = engine.match_pairs(&data.credit, &data.billing).unwrap().score(&data.truth);
+    assert!(q.precision() >= 0.95, "precision {}", q.precision());
+    assert!(q.recall() >= 0.70, "recall {}", q.recall());
+}
+
+/// The plan's fitted score model, thresholded at 0.5 over the windowed
+/// candidates, recovers true pairs the boolean RCKs miss at precision
+/// ≥ 0.85.
+#[test]
+fn score_model_quality_gates() {
+    let (engine, data) = workload();
+    let candidates = engine.window(&data.credit, &data.billing).unwrap();
+    let scored: Vec<(usize, usize)> = candidates
+        .into_iter()
+        .filter(|&(c, b)| {
+            engine.score_pair(&data.credit.tuples()[c], &data.billing.tuples()[b]) >= 0.5
+        })
+        .collect();
+    let q = evaluate_pairs(&scored, &data.truth);
+    let rules = engine.match_pairs(&data.credit, &data.billing).unwrap().score(&data.truth);
+    assert!(q.recall() >= 0.8, "recall {}", q.recall());
+    assert!(q.precision() >= 0.85, "precision {}", q.precision());
+    assert!(q.true_positives > rules.true_positives, "{q:?} vs rules {rules:?}");
+}
+
+/// Windowing and matching quality hold as the workload grows (the "less
 /// sensitive to K" claim, in miniature).
 #[test]
-fn ordering_stable_across_sizes() {
+fn quality_stable_across_sizes() {
     for (k, seed) in [(150usize, 7u64), (500, 8)] {
         let (engine, data) = workload_seeded(k, seed);
-        let plan = engine.plan();
-        let ops = engine.runtime();
-        let cfg = SnConfig { window: 10, keys: standard_sort_keys(plan.pair()) };
-        let rck_q = evaluate_pairs(
-            &sorted_neighborhood(
-                &data.credit,
-                &data.billing,
-                &KeyMatcher::new(plan.rcks().iter(), ops),
-                &cfg,
-            )
-            .pairs,
+        let window = BlockingQuality::from_candidates(
+            engine.window(&data.credit, &data.billing).unwrap(),
             &data.truth,
         );
-        let dl = plan.ops().get("≈d").unwrap();
-        let rules = hernandez_stolfo_25(plan.pair(), dl);
-        let base_q = evaluate_pairs(
-            &sorted_neighborhood(
-                &data.credit,
-                &data.billing,
-                &KeyMatcher::new(rules.iter(), ops),
-                &cfg,
-            )
-            .pairs,
-            &data.truth,
-        );
-        assert!(rck_q.precision() > base_q.precision(), "K={k}");
+        assert!(window.pairs_completeness() > 0.9, "K={k}: PC {}", window.pairs_completeness());
+        assert!(window.reduction_ratio() > 0.9, "K={k}: RR {}", window.reduction_ratio());
+        let q = engine.match_pairs(&data.credit, &data.billing).unwrap().score(&data.truth);
+        assert!(q.precision() >= 0.95, "K={k}: precision {}", q.precision());
+        assert!(q.recall() >= 0.70, "K={k}: recall {}", q.recall());
     }
 }

@@ -123,12 +123,10 @@ fn windowed_matching_agrees_with_exhaustive_here() {
 }
 
 #[test]
-fn blocking_and_windowing_produce_candidates() {
+fn windowing_produces_candidates() {
     let engine = catalog_engine();
     let shop = shop_rows(&engine);
     let feed = feed_rows(&engine);
-    let blocks = engine.block(&shop, &feed).unwrap();
-    assert!(blocks.contains(&(0, 0)), "shared barcode blocks together");
     let windows = engine.window(&shop, &feed).unwrap();
     assert!(windows.contains(&(0, 0)));
 }
@@ -275,7 +273,7 @@ fn window_below_two_rejected_at_compile() {
 }
 
 /// `top_k(0)` used to compile into a silently degenerate plan (no RCKs,
-/// no sort/block keys, every match a miss); now it is a compile error.
+/// no sort keys, every match a miss); now it is a compile error.
 #[test]
 fn top_k_zero_rejected_at_compile() {
     let err = Preset::Extended.builder().top_k(0).compile().unwrap_err();
@@ -335,6 +333,19 @@ fn threads_zero_rejected_at_compile() {
     let err = Preset::Example11.builder().threads(0).compile().unwrap_err();
     assert!(matches!(err, EngineError::InvalidConfig { .. }), "{err}");
     assert!(err.to_string().contains("threads"), "{err}");
+}
+
+/// Negative or non-finite cost weights are a configuration error at
+/// compile, not a panic inside the cost model.
+#[test]
+fn invalid_cost_weights_rejected_at_compile() {
+    for (w1, w2, w3) in [(-1.0, 1.0, 1.0), (1.0, f64::NAN, 1.0), (1.0, 1.0, f64::INFINITY)] {
+        let err = Preset::Example11.builder().cost_weights(w1, w2, w3).compile().unwrap_err();
+        assert!(matches!(err, EngineError::InvalidConfig { .. }), "{err}");
+        assert!(err.to_string().contains("cost weights"), "{err}");
+    }
+    // Zero weights are legal: a term can be switched off.
+    assert!(Preset::Example11.builder().cost_weights(0.0, 1.0, 0.0).compile().is_ok());
 }
 
 /// Builder-level thread configuration lands in the compiled plan.

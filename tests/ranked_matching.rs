@@ -12,7 +12,9 @@
 //! * the one-to-one resolver never assigns a record twice — bipartite
 //!   and shared-node variants (proptest over random edge sets);
 //! * `dedup_resolved` emits a valid matching: every record in at most
-//!   one link, links a subset of the rule-matched pairs.
+//!   one link, links a subset of the rule-matched pairs;
+//! * `resolve_links` rejects a report whose positions fall outside the
+//!   relations it is given.
 
 use matchrules::data::dirty::{generate_dirty, DirtyData, NoiseConfig};
 use matchrules::data::relation::Tuple;
@@ -327,6 +329,27 @@ fn one_to_one_links_are_a_matching_at_least_as_precise_as_closure() {
             closure_q.precision(),
         );
     }
+}
+
+/// `resolve_links` checks the report against the relations it is given:
+/// a report from larger relations is a typed error, not an index panic.
+#[test]
+fn resolve_links_rejects_a_report_from_larger_relations() {
+    use matchrules::engine::EngineError;
+
+    let data = dirty(0xB16, 60);
+    let engine = fitted_engine(&data, 1);
+    let report = engine.match_pairs(&data.credit, &data.billing).expect("windowed run");
+    // Same schemas, a tenth of the persons: some matched position falls
+    // past the end.
+    let small = dirty(0xB16, 6);
+    assert!(report
+        .pairs()
+        .iter()
+        .any(|p| p.left >= small.credit.len() || p.right >= small.billing.len()));
+    let err = engine.resolve_links(&small.credit, &small.billing, &report, 0.0).unwrap_err();
+    assert!(matches!(err, EngineError::PairOutOfRange { .. }), "{err}");
+    assert!(engine.resolve_links(&data.credit, &data.billing, &report, 0.0).is_ok());
 }
 
 /// The ranked path round-trips over TCP: `MatchClient::query_ranked`
