@@ -29,6 +29,7 @@ use matchrules_simdist::edit::{
 };
 use matchrules_simdist::filters::Rejection;
 use matchrules_simdist::ops::{AliasOp, DamerauOp, OpClass, OpRegistry, SimilarityOp};
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -50,6 +51,43 @@ fn banded_distance(transpositions: bool, a: &[char], b: &[char], bound: usize) -
             levenshtein_within_chars(a, b, bound, scratch)
         }
     })
+}
+
+/// Where the edit ladder decided one pair: the deciding stage, the
+/// θ-derived bound `⌊(1 − θ)·max(|a|, |b|)⌋`, and the edit distance when
+/// it is within the bound (`None` when the pair does not match).
+struct Rung {
+    stage: AtomStage,
+    bound: usize,
+    distance: Option<usize>,
+}
+
+/// The one edit ladder that deciding, tracing and scoring an edit atom
+/// all climb: null → both empty → equal buffers → length / bag / q-gram
+/// prefilter → banded DP, on the two values' signatures.
+fn edit_ladder(theta: f64, transpositions: bool, a: &AttrSig, b: &AttrSig) -> Rung {
+    let max_len = a.sig().char_len().max(b.sig().char_len());
+    let bound = theta_bound(theta, max_len);
+    let (stage, distance) = if a.is_null() || b.is_null() {
+        (AtomStage::Null, None)
+    } else if max_len == 0 {
+        (AtomStage::BothEmpty, Some(0))
+    } else if a.chars() == b.chars() {
+        // Windowed candidates frequently agree on the compared attribute;
+        // equal buffers mean distance 0 ≤ any bound.
+        (AtomStage::EqualFast, Some(0))
+    } else {
+        match a.sig().prefilter(b.sig(), bound) {
+            Some(Rejection::Length) => (AtomStage::LengthFilter, None),
+            Some(Rejection::Bag) => (AtomStage::BagFilter, None),
+            Some(Rejection::Qgram) => (AtomStage::QgramFilter, None),
+            None => {
+                let d = banded_distance(transpositions, a.chars(), b.chars(), bound);
+                (AtomStage::BandedDp, d)
+            }
+        }
+    };
+    Rung { stage, bound, distance }
 }
 
 /// Filter-effectiveness counters for the compiled similarity hot path:
@@ -107,6 +145,20 @@ impl FilterStats {
         self.linear_steps += other.linear_steps;
         self.blocks_decoded += other.blocks_decoded;
         self.blocks_skipped += other.blocks_skipped;
+    }
+
+    /// Counts one evaluation decided at `stage`: the equal-buffers fast
+    /// path, each filter and the DP have a counter; the earlier stages
+    /// (null, both empty) and non-edit kernels count nothing.
+    fn record(&mut self, stage: AtomStage) {
+        match stage {
+            AtomStage::EqualFast => self.equal_fast += 1,
+            AtomStage::LengthFilter => self.length_rejects += 1,
+            AtomStage::BagFilter => self.bag_rejects += 1,
+            AtomStage::QgramFilter => self.qgram_rejects += 1,
+            AtomStage::BandedDp => self.dp_runs += 1,
+            AtomStage::Equality | AtomStage::Null | AtomStage::BothEmpty | AtomStage::Dynamic => {}
+        }
     }
 
     /// Total evaluations rejected by some filter.
@@ -285,11 +337,40 @@ impl RuntimeOps {
         lhs.iter().all(|atom| self.atom_matches(atom, t1, t2))
     }
 
-    /// Evaluates one LHS atom on the tuples at positions `l`/`r` through
-    /// the compiled kernel, using the per-relation caches where the
-    /// kernel supports them. Decides exactly like
-    /// [`RuntimeOps::atom_matches`]; `stats` records which filter stage
-    /// (or the DP) decided edit-kernel evaluations.
+    /// Evaluates one LHS atom through the compiled kernel, on the
+    /// signatures of the compared values where the kernel uses them:
+    /// `sa` of `t1`'s left attribute, `sb` of `t2`'s right one. Decides
+    /// exactly like [`RuntimeOps::atom_matches`]; `stats` records which
+    /// filter stage (or the DP) decided edit-kernel evaluations. An edit
+    /// atom missing a signature falls back to the uncached path rather
+    /// than mis-decide, and records nothing.
+    pub fn atom_matches_sigs(
+        &self,
+        atom: &SimilarityAtom,
+        t1: &Tuple,
+        t2: &Tuple,
+        sa: Option<&AttrSig>,
+        sb: Option<&AttrSig>,
+        stats: &mut FilterStats,
+    ) -> bool {
+        match (self.class(atom.op), sa, sb) {
+            (OpClass::Equality, ..) => {
+                match (t1.get(atom.left).as_str(), t2.get(atom.right).as_str()) {
+                    (Some(x), Some(y)) => x == y,
+                    _ => false,
+                }
+            }
+            (OpClass::Edit { theta, transpositions }, Some(sa), Some(sb)) => {
+                let rung = edit_ladder(theta, transpositions, sa, sb);
+                stats.record(rung.stage);
+                rung.distance.is_some()
+            }
+            _ => self.atom_matches(atom, t1, t2),
+        }
+    }
+
+    /// [`RuntimeOps::atom_matches_sigs`] on the tuples at positions
+    /// `l`/`r` of two prepared relations.
     #[allow(clippy::too_many_arguments)]
     pub fn atom_matches_prepped(
         &self,
@@ -302,151 +383,64 @@ impl RuntimeOps {
         r: usize,
         stats: &mut FilterStats,
     ) -> bool {
-        match self.class(atom.op) {
-            OpClass::Equality => match (t1.get(atom.left).as_str(), t2.get(atom.right).as_str()) {
-                (Some(x), Some(y)) => x == y,
-                _ => false,
-            },
-            OpClass::Edit { theta, transpositions } => {
-                let (Some(sa), Some(sb)) = (p1.sig(l, atom.left), p2.sig(r, atom.right)) else {
-                    // The caller prepped without this attribute — fall
-                    // back to the uncached path rather than mis-decide.
-                    return self.atom_matches(atom, t1, t2);
-                };
-                if sa.is_null() || sb.is_null() {
-                    return false;
-                }
-                let max_len = sa.sig().char_len().max(sb.sig().char_len());
-                if max_len == 0 {
-                    return true;
-                }
-                // Windowed candidates frequently agree on the compared
-                // attribute; equal buffers mean distance 0 ≤ any bound.
-                if sa.chars() == sb.chars() {
-                    stats.equal_fast += 1;
-                    return true;
-                }
-                let bound = theta_bound(theta, max_len);
-                match sa.sig().prefilter(sb.sig(), bound) {
-                    Some(Rejection::Length) => {
-                        stats.length_rejects += 1;
-                        false
-                    }
-                    Some(Rejection::Bag) => {
-                        stats.bag_rejects += 1;
-                        false
-                    }
-                    Some(Rejection::Qgram) => {
-                        stats.qgram_rejects += 1;
-                        false
-                    }
-                    None => {
-                        stats.dp_runs += 1;
-                        banded_distance(transpositions, sa.chars(), sb.chars(), bound).is_some()
-                    }
-                }
-            }
-            OpClass::Keys | OpClass::Elements { .. } | OpClass::Scan => {
-                self.atom_matches(atom, t1, t2)
-            }
-        }
+        self.atom_matches_sigs(atom, t1, t2, p1.sig(l, atom.left), p2.sig(r, atom.right), stats)
     }
 
     /// Traces one LHS atom: the same decision as
-    /// [`RuntimeOps::atom_matches_prepped`] (and therefore
+    /// [`RuntimeOps::atom_matches_sigs`] (and therefore
     /// [`RuntimeOps::atom_matches`]), plus *how* it was decided — which
     /// pipeline stage fired, the θ-derived edit bound, and the edit
     /// distance. This is the explanation path, called once per inspected
     /// pair, so unlike the hot path it always computes the **exact**
     /// distance for edit kernels, even when a filter (or the band) already
-    /// proved the pair out of bound.
-    #[allow(clippy::too_many_arguments)]
+    /// proved the pair out of bound, and it extracts any signature the
+    /// caller does not pass.
     pub fn atom_trace(
         &self,
         atom: &SimilarityAtom,
         t1: &Tuple,
         t2: &Tuple,
-        p1: &RelationPrep,
-        p2: &RelationPrep,
-        l: usize,
-        r: usize,
+        sa: Option<&AttrSig>,
+        sb: Option<&AttrSig>,
     ) -> AtomTrace {
         let decided = |matched, stage| AtomTrace { matched, stage, bound: None, distance: None };
+        let (Some(x), Some(y)) = (t1.get(atom.left).as_str(), t2.get(atom.right).as_str()) else {
+            return decided(false, AtomStage::Null);
+        };
         match self.class(atom.op) {
-            OpClass::Equality => match (t1.get(atom.left).as_str(), t2.get(atom.right).as_str()) {
-                (Some(x), Some(y)) => decided(x == y, AtomStage::Equality),
-                _ => decided(false, AtomStage::Null),
-            },
+            OpClass::Equality => decided(x == y, AtomStage::Equality),
             OpClass::Edit { theta, transpositions } => {
-                let (a_owned, b_owned);
-                let (sa, sb) = match (p1.sig(l, atom.left), p2.sig(r, atom.right)) {
-                    (Some(sa), Some(sb)) => (sa, sb),
-                    // The caller prepped without this attribute: extract
-                    // the signatures here (trace calls are per-pair, the
-                    // cost is irrelevant) rather than mis-describe.
-                    _ => {
-                        a_owned = AttrSig::of_value(t1.get(atom.left));
-                        b_owned = AttrSig::of_value(t2.get(atom.right));
-                        (&a_owned, &b_owned)
-                    }
-                };
-                if sa.is_null() || sb.is_null() {
-                    return decided(false, AtomStage::Null);
-                }
-                let exact = || {
-                    let (x, y) = (
-                        t1.get(atom.left).as_str().expect("non-null"),
-                        t2.get(atom.right).as_str().expect("non-null"),
-                    );
-                    if transpositions {
-                        damerau_levenshtein(x, y)
-                    } else {
-                        levenshtein(x, y)
-                    }
-                };
-                let max_len = sa.sig().char_len().max(sb.sig().char_len());
-                let bound = theta_bound(theta, max_len);
-                let with = |matched, stage, distance| AtomTrace {
-                    matched,
-                    stage,
-                    bound: Some(bound),
-                    distance: Some(distance),
-                };
-                if max_len == 0 {
-                    return with(true, AtomStage::BothEmpty, 0);
-                }
-                if sa.chars() == sb.chars() {
-                    return with(true, AtomStage::EqualFast, 0);
-                }
-                match sa.sig().prefilter(sb.sig(), bound) {
-                    Some(Rejection::Length) => with(false, AtomStage::LengthFilter, exact()),
-                    Some(Rejection::Bag) => with(false, AtomStage::BagFilter, exact()),
-                    Some(Rejection::Qgram) => with(false, AtomStage::QgramFilter, exact()),
-                    None => match banded_distance(transpositions, sa.chars(), sb.chars(), bound) {
-                        Some(d) => with(true, AtomStage::BandedDp, d),
-                        None => with(false, AtomStage::BandedDp, exact()),
-                    },
+                let sa = sa.map_or_else(
+                    || Cow::Owned(AttrSig::of_value(t1.get(atom.left))),
+                    Cow::Borrowed,
+                );
+                let sb = sb.map_or_else(
+                    || Cow::Owned(AttrSig::of_value(t2.get(atom.right))),
+                    Cow::Borrowed,
+                );
+                let rung = edit_ladder(theta, transpositions, &sa, &sb);
+                let exact =
+                    || if transpositions { damerau_levenshtein(x, y) } else { levenshtein(x, y) };
+                AtomTrace {
+                    matched: rung.distance.is_some(),
+                    stage: rung.stage,
+                    bound: Some(rung.bound),
+                    distance: Some(rung.distance.unwrap_or_else(exact)),
                 }
             }
             OpClass::Keys | OpClass::Elements { .. } | OpClass::Scan => {
-                match (t1.get(atom.left).as_str(), t2.get(atom.right).as_str()) {
-                    (Some(x), Some(y)) => {
-                        decided(self.resolved[atom.op.0 as usize].matches(x, y), AtomStage::Dynamic)
-                    }
-                    _ => decided(false, AtomStage::Null),
-                }
+                decided(self.resolved[atom.op.0 as usize].matches(x, y), AtomStage::Dynamic)
             }
         }
     }
 
     /// Computes the graded agreement feature of one atom: the same boolean
     /// decision as [`RuntimeOps::atom_matches`] plus an agreement strength
-    /// in `[0, 1]` for scoring. This is [`RuntimeOps::atom_trace`]'s cold
-    /// path made warm: it extracts signatures on the fly (no
-    /// [`RelationPrep`] needed, so it works on ad-hoc probe tuples), but —
-    /// unlike the trace — it never computes an exact out-of-bound edit
-    /// distance: a pair a filter or the band proves out of bound simply
-    /// scores 0.
+    /// in `[0, 1]` for scoring. Edit kernels climb the same ladder as the
+    /// hot path on signatures extracted on the fly (no [`RelationPrep`]
+    /// needed, so it works on ad-hoc probe tuples), but — unlike the
+    /// trace — never compute an exact out-of-bound edit distance: a pair
+    /// a filter or the band proves out of bound simply scores 0.
     pub fn atom_feature(&self, atom: &SimilarityAtom, t1: &Tuple, t2: &Tuple) -> AtomFeature {
         let miss = AtomFeature { matched: false, strength: 0.0 };
         match self.class(atom.op) {
@@ -457,26 +451,13 @@ impl RuntimeOps {
             OpClass::Edit { theta, transpositions } => {
                 let sa = AttrSig::of_value(t1.get(atom.left));
                 let sb = AttrSig::of_value(t2.get(atom.right));
-                if sa.is_null() || sb.is_null() {
-                    return miss;
-                }
-                let max_len = sa.sig().char_len().max(sb.sig().char_len());
-                if max_len == 0 || sa.chars() == sb.chars() {
-                    return AtomFeature { matched: true, strength: 1.0 };
-                }
-                let bound = theta_bound(theta, max_len);
-                if sa.sig().prefilter(sb.sig(), bound).is_some() {
-                    return miss;
-                }
-                match banded_distance(transpositions, sa.chars(), sb.chars(), bound) {
-                    // θ-margin: distance 0 would be 1.0, the bound itself
-                    // stays strictly positive (the pair did match).
-                    Some(d) => AtomFeature {
-                        matched: true,
-                        strength: 1.0 - d as f64 / (bound as f64 + 1.0),
-                    },
-                    None => miss,
-                }
+                let rung = edit_ladder(theta, transpositions, &sa, &sb);
+                // θ-margin: distance 0 scores 1.0, the bound itself stays
+                // strictly positive (the pair did match).
+                rung.distance.map_or(miss, |d| AtomFeature {
+                    matched: true,
+                    strength: 1.0 - d as f64 / (rung.bound as f64 + 1.0),
+                })
             }
             OpClass::Keys | OpClass::Elements { .. } | OpClass::Scan => {
                 match (t1.get(atom.left).as_str(), t2.get(atom.right).as_str()) {
@@ -627,7 +608,8 @@ mod tests {
             for (r, rt) in inst.right().tuples().iter().enumerate() {
                 for md in &setting.sigma {
                     for atom in md.lhs() {
-                        let trace = ops.atom_trace(atom, lt, rt, &lp, &rp, l, r);
+                        let (sa, sb) = (lp.sig(l, atom.left), rp.sig(r, atom.right));
+                        let trace = ops.atom_trace(atom, lt, rt, sa, sb);
                         assert_eq!(
                             trace.matched,
                             ops.atom_matches(atom, lt, rt),
@@ -646,16 +628,88 @@ mod tests {
         }
         assert!(traced > 0, "edit atoms were traced");
         // Tracing without prepared signatures extracts them on the fly.
-        let empty_l = RelationPrep::build(inst.left(), &SigNeeds::none(9));
-        let empty_r = RelationPrep::build(inst.right(), &SigNeeds::none(9));
         let dl = setting.ops.get("≈d").unwrap();
         let fn_l = setting.pair.left().attr("FN").unwrap();
         let fn_r = setting.pair.right().attr("FN").unwrap();
         let atom = SimilarityAtom::new(fn_l, fn_r, dl);
         let (t1, t2) = (&inst.left().tuples()[0], &inst.right().tuples()[0]);
-        let trace = ops.atom_trace(&atom, t1, t2, &empty_l, &empty_r, 0, 0);
+        let trace = ops.atom_trace(&atom, t1, t2, None, None);
         assert_eq!(trace.matched, ops.atom_matches(&atom, t1, t2));
         assert!(trace.bound.is_some() && trace.distance.is_some());
+    }
+
+    #[test]
+    fn one_ladder_decides_traces_and_scores_alike() {
+        use crate::prep::{RelationPrep, SigNeeds};
+        let mut table = OperatorTable::new();
+        let edit_ops = [table.intern("≈d"), table.intern("≈dl"), table.intern("≈lev")];
+        let ops = RuntimeOps::resolve(&table, &paper_registry()).unwrap();
+        // A splitmix64 stream over a small alphabet with multi-byte
+        // characters, so pairs collide, share grams and differ by few
+        // edits often.
+        let mut state = 0x1ADDu64;
+        let mut next = |n: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % n
+        };
+        const ALPHABET: [char; 5] = ['a', 'b', 'c', 'é', 'ß'];
+        let mut needs = SigNeeds::none(1);
+        needs.mark(0);
+        let mut seen = FilterStats::default();
+        let mut stages = Vec::new();
+        for _ in 0..4000 {
+            let word: String = (0..next(9)).map(|_| ALPHABET[next(5) as usize]).collect();
+            let mut other: Vec<char> = word.chars().collect();
+            match next(4) {
+                0 => {} // equal
+                1 => other = (0..next(9)).map(|_| ALPHABET[next(5) as usize]).collect(),
+                _ => {
+                    for _ in 0..=next(3) {
+                        let at = next(other.len() as u64 + 1) as usize;
+                        match next(3) {
+                            0 => other.insert(at, ALPHABET[next(5) as usize]),
+                            _ if at < other.len() && next(2) == 0 => drop(other.remove(at)),
+                            _ if at < other.len() => other[at] = ALPHABET[next(5) as usize],
+                            _ => {}
+                        }
+                    }
+                }
+            }
+            let value = |s: String, draw: u64| if draw == 0 { Value::Null } else { Value::str(s) };
+            let t1 = Tuple::new(1, vec![value(word, next(12))]);
+            let t2 = Tuple::new(2, vec![value(other.into_iter().collect(), next(12))]);
+            let (p1, p2) = (RelationPrep::single(&t1, &needs), RelationPrep::single(&t2, &needs));
+            for op in edit_ops {
+                let atom = SimilarityAtom::new(0, 0, op);
+                let mut stats = FilterStats::default();
+                let matched = ops.atom_matches_prepped(&atom, &t1, &t2, &p1, &p2, 0, 0, &mut stats);
+                let trace = ops.atom_trace(&atom, &t1, &t2, p1.sig(0, 0), p2.sig(0, 0));
+                let feature = ops.atom_feature(&atom, &t1, &t2);
+                let pair = (&t1, &t2, op);
+                assert_eq!(matched, ops.atom_matches(&atom, &t1, &t2), "{pair:?}");
+                assert_eq!(trace.matched, matched, "{pair:?}");
+                assert_eq!(feature.matched, matched, "{pair:?}");
+                assert_eq!(feature.strength > 0.0, matched, "{pair:?}");
+                // The counter the hot path bumped is the stage the trace
+                // reports (none for the stages before the filters).
+                let mut expected = FilterStats::default();
+                expected.record(trace.stage);
+                assert_eq!(stats, expected, "{pair:?}: traced {:?}", trace.stage);
+                if let (Some(bound), Some(distance)) = (trace.bound, trace.distance) {
+                    assert_eq!(matched, distance <= bound, "{pair:?}");
+                }
+                seen.merge(&stats);
+                if !stages.contains(&trace.stage) {
+                    stages.push(trace.stage);
+                }
+            }
+        }
+        // Every rung of the ladder was exercised.
+        assert_eq!(stages.len(), 7, "{stages:?}");
+        assert!(seen.rejected() > 0 && seen.dp_runs > 0 && seen.equal_fast > 0, "{seen:?}");
     }
 
     #[test]

@@ -17,9 +17,8 @@
 use crate::relation::{Relation, Tuple};
 use crate::value::Value;
 use matchrules_core::schema::AttrId;
-use matchrules_runtime::{CowVec, WorkPool};
+use matchrules_runtime::WorkPool;
 use matchrules_simdist::filters::StringSig;
-use std::sync::Arc;
 
 /// Minimum tuples per chunk when signatures are extracted over a pool:
 /// one extraction is a few hundred nanoseconds, so chunks this size
@@ -27,24 +26,25 @@ use std::sync::Arc;
 const PREP_MIN_CHUNK: usize = 256;
 
 /// Which attributes of a schema need filter signatures, mapped to dense
-/// signature slots.
+/// signature slots (in mark order).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SigNeeds {
     slots: Vec<Option<u32>>,
-    count: usize,
+    /// The marked attributes, by slot.
+    attrs: Vec<AttrId>,
 }
 
 impl SigNeeds {
     /// No needs over a schema of `arity` attributes.
     pub fn none(arity: usize) -> Self {
-        SigNeeds { slots: vec![None; arity], count: 0 }
+        SigNeeds { slots: vec![None; arity], attrs: Vec::new() }
     }
 
     /// Marks `attr` as needing a signature (idempotent).
     pub fn mark(&mut self, attr: AttrId) {
         if self.slots[attr].is_none() {
-            self.slots[attr] = Some(self.count as u32);
-            self.count += 1;
+            self.slots[attr] = Some(self.attrs.len() as u32);
+            self.attrs.push(attr);
         }
     }
 
@@ -59,12 +59,12 @@ impl SigNeeds {
 
     /// Number of attributes needing signatures.
     pub fn len(&self) -> usize {
-        self.count
+        self.attrs.len()
     }
 
     /// Whether nothing needs a signature.
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.attrs.is_empty()
     }
 
     fn slot(&self, attr: AttrId) -> Option<usize> {
@@ -111,14 +111,12 @@ impl AttrSig {
 }
 
 /// Signatures for every needed attribute of every tuple of one relation.
-///
-/// Rows are immutable once extracted and held in a [`CowVec`], so a
-/// clone (an index snapshot's successor) shares them and
-/// [`RelationPrep::push_row`] on the clone leaves the original untouched.
 #[derive(Debug, Clone)]
 pub struct RelationPrep {
     needs: SigNeeds,
-    rows: CowVec<Arc<[AttrSig]>>,
+    /// Row-major: the signatures of tuple `pos` are
+    /// `sigs[pos * needs.len()..][..needs.len()]`, in slot order.
+    sigs: Vec<AttrSig>,
 }
 
 impl RelationPrep {
@@ -135,15 +133,17 @@ impl RelationPrep {
         }
         let tuples = relation.tuples();
         let chunks = pool.par_ranges(tuples.len(), PREP_MIN_CHUNK, |_, range| {
-            tuples[range].iter().map(|t| Self::row_of(t, needs)).collect::<Vec<_>>()
+            let mut chunk = Self::empty(needs);
+            tuples[range].iter().for_each(|t| chunk.push_row(t));
+            chunk.sigs
         });
-        RelationPrep { needs: needs.clone(), rows: chunks.into_iter().flatten().collect() }
+        RelationPrep { needs: needs.clone(), sigs: chunks.into_iter().flatten().collect() }
     }
 
     /// A prep with no rows yet — the starting point of a probe *batch*,
     /// where rows are pushed one by one without building a [`Relation`].
     pub fn empty(needs: &SigNeeds) -> Self {
-        RelationPrep { needs: needs.clone(), rows: CowVec::new() }
+        RelationPrep { needs: needs.clone(), sigs: Vec::new() }
     }
 
     /// A one-tuple prep — the probe side of a point query against a
@@ -156,14 +156,10 @@ impl RelationPrep {
     }
 
     /// Appends the signatures of one more tuple, which becomes position
-    /// `self.len()` — the incremental-maintenance counterpart of the bulk
-    /// build, used when a tuple is inserted into an index over a relation
-    /// that was prepared earlier. No-op when nothing needs signatures.
+    /// `self.len()` — how a probe batch is prepared one tuple at a time.
+    /// No-op when nothing needs signatures.
     pub fn push_row(&mut self, tuple: &Tuple) {
-        if self.needs.is_empty() {
-            return;
-        }
-        self.rows.push(Self::row_of(tuple, &self.needs));
+        self.sigs.extend(self.needs.attrs.iter().map(|&attr| AttrSig::of_value(tuple.get(attr))));
     }
 
     /// The need set this prep was built for.
@@ -171,34 +167,21 @@ impl RelationPrep {
         &self.needs
     }
 
-    fn row_of(tuple: &Tuple, needs: &SigNeeds) -> Arc<[AttrSig]> {
-        // Slots are assigned in mark order, not attribute order — place
-        // each signature by its slot, or lookups would read the wrong
-        // attribute's signature.
-        let mut row: Vec<Option<AttrSig>> = vec![None; needs.len()];
-        for (attr, slot) in needs.slots.iter().enumerate() {
-            if let Some(slot) = slot {
-                row[*slot as usize] = Some(AttrSig::of_value(tuple.get(attr)));
-            }
-        }
-        row.into_iter().map(|sig| sig.expect("every slot is filled")).collect()
-    }
-
     /// The signature of attribute `attr` of the tuple at `pos`, when that
     /// attribute was marked in the build's [`SigNeeds`].
     pub fn sig(&self, pos: usize, attr: AttrId) -> Option<&AttrSig> {
         let slot = self.needs.slot(attr)?;
-        Some(&self.rows.get(pos)?[slot])
+        self.sigs.get(pos * self.needs.len() + slot)
     }
 
     /// Number of prepared tuples (0 when nothing needed signatures).
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.sigs.len().checked_div(self.needs.len()).unwrap_or(0)
     }
 
     /// Whether no signatures were prepared.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.sigs.is_empty()
     }
 }
 

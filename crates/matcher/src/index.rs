@@ -17,10 +17,11 @@
 //!   share a key by the operator's contract, so the union of the probe's
 //!   buckets is a superset of the atom's match set;
 //! * **q-gram posting lists** for thresholded edit-distance atoms —
-//!   reusing the [`StringSig`](matchrules_simdist::filters::StringSig)
-//!   signatures of the relation preparation cache. A posting list alone
-//!   would be unsound for short strings (a within-bound pair need not
-//!   share a gram when `max(|a|, |b|)` is small), so every tuple whose
+//!   keyed by the grams of each value's
+//!   [`StringSig`](matchrules_simdist::filters::StringSig) filter
+//!   signature. A posting list alone would be unsound for short strings
+//!   (a within-bound pair need not share a gram when `max(|a|, |b|)` is
+//!   small), so every tuple whose
 //!   anchor string is shorter than a per-atom *safe length* also goes
 //!   into a **sparse list** that short probes always scan; the safe
 //!   length is derived from the same `θ`-bound arithmetic that makes the
@@ -58,9 +59,10 @@
 //! A candidate set is the union over the plan's RCKs — deduplicated
 //! across keys, with each candidate remembering *which* keys retrieved
 //! it — always a superset of the tuples any key accepts. Every candidate
-//! is then verified through the same
-//! [`lhs_matches_prepped`](RuntimeOps::lhs_matches_prepped) path the
-//! batch engine uses, evaluating only the keys that retrieved it (a key
+//! is then verified through the same compiled kernels the batch engine
+//! uses ([`atom_matches_sigs`](RuntimeOps::atom_matches_sigs)), on
+//! signatures the index extracts for that candidate on demand — it keeps
+//! none per record — evaluating only the keys that retrieved it (a key
 //! whose retrieval missed the slot cannot accept it), so query answers
 //! are *exactly* the batch answers at a fraction of the verification
 //! work ([`QueryOutcome::key_evals`]).
@@ -376,18 +378,9 @@ impl AtomIndex {
     /// Indexes one tuple (slot ids arrive in ascending order, so every
     /// bucket/posting/sparse list stays sorted; variants with per-slot
     /// aligned arrays push exactly one entry per call). Gram signatures
-    /// come from `prep` — edit-atom attributes are always marked in the
-    /// relation's signature needs, so the extraction already done for
-    /// pair evaluation is not repeated here; keys and elements come from
-    /// the operator via `ops`, through `scratch`.
-    fn add(
-        &mut self,
-        slot: u32,
-        tuple: &Tuple,
-        prep: &RelationPrep,
-        ops: &RuntimeOps,
-        scratch: &mut AnchorScratch,
-    ) {
+    /// are extracted from the value here and dropped once indexed; keys
+    /// and elements come from the operator via `ops`, through `scratch`.
+    fn add(&mut self, slot: u32, tuple: &Tuple, ops: &RuntimeOps, scratch: &mut AnchorScratch) {
         match self {
             AtomIndex::Keys { right, op, buckets, .. } => {
                 if let Some(s) = tuple.get(*right).as_str() {
@@ -397,14 +390,7 @@ impl AtomIndex {
                 }
             }
             AtomIndex::Grams { right, safe_len, postings, sparse, lens, masks, .. } => {
-                let computed;
-                let sig = match prep.sig(slot as usize, *right) {
-                    Some(sig) => sig,
-                    None => {
-                        computed = AttrSig::of_value(tuple.get(*right));
-                        &computed
-                    }
-                };
+                let sig = AttrSig::of_value(tuple.get(*right));
                 if sig.is_null() {
                     // Null slots still need aligned metadata entries; they
                     // never appear on a posting or sparse list, so the
@@ -555,17 +541,17 @@ impl AtomIndex {
     }
 
     /// Purges `slot` from this atom's buckets and postings — the inverse
-    /// of [`AtomIndex::add`], recomputing the same anchor keys from the
-    /// stored tuple. Plain lists drop the entry immediately; compressed
-    /// posting lists tombstone it and rewrite their block once half dead
-    /// (`alive` drives the rewrite's liveness check). Aligned per-slot
-    /// metadata (`sizes` / `lens` / `masks`) keeps its entry: slots are
-    /// never reused, and the data stays correct for any stale reader.
+    /// of [`AtomIndex::add`], recomputing the same anchor keys (and gram
+    /// signature) from the stored tuple. Plain lists drop the entry
+    /// immediately; compressed posting lists tombstone it and rewrite
+    /// their block once half dead (`alive` drives the rewrite's liveness
+    /// check). Aligned per-slot metadata (`sizes` / `lens` / `masks`)
+    /// keeps its entry: slots are never reused, and the data stays
+    /// correct for any stale reader.
     fn remove_slot(
         &mut self,
         slot: u32,
         tuple: &Tuple,
-        prep: &RelationPrep,
         ops: &RuntimeOps,
         alive: &CowVec<bool>,
         scratch: &mut AnchorScratch,
@@ -610,14 +596,7 @@ impl AtomIndex {
                 }
             }
             AtomIndex::Grams { right, safe_len, postings, sparse, .. } => {
-                let computed;
-                let sig = match prep.sig(slot as usize, *right) {
-                    Some(sig) => sig,
-                    None => {
-                        computed = AttrSig::of_value(tuple.get(*right));
-                        &computed
-                    }
-                };
+                let sig = AttrSig::of_value(tuple.get(*right));
                 if sig.is_null() {
                     return;
                 }
@@ -1059,14 +1038,14 @@ fn mask_allows(mask: u64, key: usize) -> bool {
 ///
 /// The index is `Clone`, and a clone is **structurally shared** with its
 /// source: every per-slot sequence is a [`CowVec`], every anchor map a
-/// [`CowMap`], every immutable leaf (tuple values, signature rows,
-/// sealed posting payloads, the compiled keys) an `Arc`. Cloning copies
-/// spines of refcounts, and [`MatchIndex::insert`] /
-/// [`MatchIndex::remove`] on the clone copy only the chunks and stripes
-/// they touch — the source never changes. Serving layers rely on exactly
-/// that: they publish an index as an immutable snapshot and build its
-/// successor from a clone, paying per write for what the write touches,
-/// not for the store. An index nobody cloned mutates fully in place.
+/// [`CowMap`], every immutable leaf (tuple values, sealed posting
+/// payloads, the compiled keys) an `Arc`. Cloning copies spines of
+/// refcounts, and [`MatchIndex::insert`] / [`MatchIndex::remove`] on the
+/// clone copy only the chunks and stripes they touch — the source never
+/// changes. Serving layers rely on exactly that: they publish an index
+/// as an immutable snapshot and build its successor from a clone, paying
+/// per write for what the write touches, not for the store. An index
+/// nobody cloned mutates fully in place.
 #[derive(Clone)]
 pub struct MatchIndex {
     keys: Arc<[RelativeKey]>,
@@ -1077,9 +1056,8 @@ pub struct MatchIndex {
     tuples: CowVec<Tuple>,
     alive: CowVec<bool>,
     live: usize,
-    /// Signature cache for the indexed side, extended on insert.
-    prep: RelationPrep,
-    /// Signature needs of the probe side (probes are prepared per query).
+    /// Signature needs of the probe side (probes are prepared per query;
+    /// the stored side keeps no signatures, see [`CandidateSigs`]).
     probe_needs: SigNeeds,
     /// Inverted indices over the distinct indexable atoms of the keys.
     atom_indices: Vec<AtomIndex>,
@@ -1123,9 +1101,9 @@ impl MatchIndex {
     /// of the probe side's schema — for a reflexive (dedup) setting it
     /// equals the relation's own arity.
     ///
-    /// Signature extraction and anchor population are chunked over
-    /// `pool`, with per-chunk partial indices merged in chunk order, so a
-    /// parallel build is identical to a serial one.
+    /// Anchor population is chunked over `pool`, with per-chunk partial
+    /// indices merged in chunk order, so a parallel build is identical to
+    /// a serial one.
     ///
     /// Fails with [`IndexError::DuplicateId`] when the relation carries
     /// two tuples with one id (incremental maintenance addresses tuples
@@ -1148,8 +1126,7 @@ impl MatchIndex {
             "match index supports at most u32::MAX tuples"
         );
         let matcher = KeyMatcher::new(keys.iter(), &ops).with_negatives(negatives);
-        let (probe_needs, index_needs) = matcher.sig_needs(probe_arity, relation.schema().arity());
-        let prep = RelationPrep::build_in(pool, relation, &index_needs);
+        let (probe_needs, _) = matcher.sig_needs(probe_arity, relation.schema().arity());
 
         // One inverted index per distinct indexable atom (several keys
         // often share an atom — email equality, say — and pay for one
@@ -1190,7 +1167,7 @@ impl MatchIndex {
             let mut scratch = AnchorScratch::default();
             for pos in range {
                 for atom in &mut partial {
-                    atom.add(pos as u32, &tuples[pos], &prep, &ops, &mut scratch);
+                    atom.add(pos as u32, &tuples[pos], &ops, &mut scratch);
                 }
             }
             partial
@@ -1220,7 +1197,6 @@ impl MatchIndex {
             tuples: tuples.iter().cloned().collect(),
             alive: tuples.iter().map(|_| true).collect(),
             live: tuples.len(),
-            prep,
             probe_needs,
             atom_indices,
             key_atoms: key_atoms.into(),
@@ -1270,7 +1246,6 @@ impl MatchIndex {
     pub fn check_invariants(&self) {
         let slots = self.tuples.len();
         assert_eq!(self.alive.len(), slots, "one liveness flag per slot");
-        assert!(self.prep.is_empty() || self.prep.len() == slots, "one signature row per slot");
         assert_eq!(self.live_tuples().count(), self.live, "live count matches the flags");
         assert_eq!(self.by_id.len(), self.live, "one id entry per live tuple");
         for (slot, tuple) in self.live_tuples() {
@@ -1590,6 +1565,7 @@ impl MatchIndex {
     /// live tuple and the work counters reflect the scan.
     pub fn query_reference(&self, probe: &Tuple) -> QueryOutcome {
         let probe_prep = RelationPrep::single(probe, &self.probe_needs);
+        let mut sigs = CandidateSigs::default();
         let mut stats = FilterStats::default();
         let mut key_evals = 0usize;
         let mut hits = Vec::new();
@@ -1603,10 +1579,11 @@ impl MatchIndex {
                 0,
                 slot,
                 NO_PRUNE,
+                &mut sigs,
                 &mut key_evals,
                 &mut stats,
             ) {
-                if !self.vetoed_at(probe, &probe_prep, 0, slot, &mut stats) {
+                if !self.vetoed_at(probe, &probe_prep, 0, slot, &mut sigs, &mut stats) {
                     hits.push(QueryHit { id: self.tuples[slot].id(), slot, key });
                 }
             }
@@ -1637,14 +1614,22 @@ impl MatchIndex {
         let mut stats = FilterStats::default();
         let masked = self.candidate_masks(probe, probe_prep, row, &mut stats);
         let candidates = masked.len();
+        let mut sigs = CandidateSigs::default();
         let mut key_evals = 0usize;
         let mut hits = Vec::new();
         for (slot, mask) in masked {
             let mask = if prune { mask } else { NO_PRUNE };
-            if let Some(key) =
-                self.matching_key_at(probe, probe_prep, row, slot, mask, &mut key_evals, &mut stats)
-            {
-                if !self.vetoed_at(probe, probe_prep, row, slot, &mut stats) {
+            if let Some(key) = self.matching_key_at(
+                probe,
+                probe_prep,
+                row,
+                slot,
+                mask,
+                &mut sigs,
+                &mut key_evals,
+                &mut stats,
+            ) {
+                if !self.vetoed_at(probe, probe_prep, row, slot, &mut sigs, &mut stats) {
                     hits.push(QueryHit { id: self.tuples[slot].id(), slot, key });
                 }
             }
@@ -1679,35 +1664,23 @@ impl MatchIndex {
     /// Fails with [`IndexError::UnknownId`] when `id` is not live.
     pub fn explain(&self, probe: &Tuple, id: TupleId) -> Result<PairTrace, IndexError> {
         let &slot = self.by_id.get(&id).ok_or(IndexError::UnknownId { id })?;
-        let probe_prep = RelationPrep::single(probe, &self.probe_needs);
-        let tuple = &self.tuples[slot as usize];
-        let keys: Vec<KeyTrace> = self
-            .keys
-            .iter()
-            .enumerate()
-            .map(|(key, k)| {
-                let atoms: Vec<(SimilarityAtom, AtomTrace)> = k
-                    .atoms()
-                    .iter()
-                    .map(|atom| {
-                        let trace = self.ops.atom_trace(
-                            atom,
-                            probe,
-                            tuple,
-                            &probe_prep,
-                            &self.prep,
-                            0,
-                            slot as usize,
-                        );
-                        (*atom, trace)
-                    })
-                    .collect();
-                KeyTrace { key, matched: atoms.iter().all(|(_, t)| t.matched), atoms }
-            })
-            .collect();
+        let (slot, probe_prep) = (slot as usize, RelationPrep::single(probe, &self.probe_needs));
+        let tuple = &self.tuples[slot];
+        let mut sigs = CandidateSigs::default();
+        let mut keys: Vec<KeyTrace> = Vec::with_capacity(self.keys.len());
+        for (key, k) in self.keys.iter().enumerate() {
+            let atoms: Vec<(SimilarityAtom, AtomTrace)> = (k.atoms().iter())
+                .map(|atom| {
+                    let (sa, sb) =
+                        (probe_prep.sig(0, atom.left), sigs.for_atom(&self.ops, atom, slot, tuple));
+                    (*atom, self.ops.atom_trace(atom, probe, tuple, sa, sb))
+                })
+                .collect();
+            keys.push(KeyTrace { key, matched: atoms.iter().all(|(_, t)| t.matched), atoms });
+        }
         let matched_key = keys.iter().find(|k| k.matched).map(|k| k.key);
         let mut stats = FilterStats::default();
-        let vetoed = self.vetoed_at(probe, &probe_prep, 0, slot as usize, &mut stats);
+        let vetoed = self.vetoed_at(probe, &probe_prep, 0, slot, &mut sigs, &mut stats);
         Ok(PairTrace { keys, matched_key, vetoed })
     }
 
@@ -1726,11 +1699,9 @@ impl MatchIndex {
             "match index supports at most u32::MAX tuples"
         );
         let slot = self.tuples.len() as u32;
-        // Prep first: the atom indices read the new row's signatures.
-        self.prep.push_row(&tuple);
         PROBE_SCRATCH.with_borrow_mut(|scratch| {
             for atom in &mut self.atom_indices {
-                atom.add(slot, &tuple, &self.prep, &self.ops, &mut scratch.anchor);
+                atom.add(slot, &tuple, &self.ops, &mut scratch.anchor);
             }
         });
         self.by_id.insert(tuple.id(), slot);
@@ -1745,8 +1716,8 @@ impl MatchIndex {
     /// entry immediately, compressed posting lists count it dead and
     /// rewrite each block in place once half its entries are dead — so a
     /// heavily-churned index keeps probing at near-fresh cost without a
-    /// rebuild. (The slot and its signature row still hold the tuple;
-    /// rebuild to reclaim that space.)
+    /// rebuild. (The slot still holds the tuple's handle and its per-slot
+    /// retrieval metadata; rebuild to reclaim that space.)
     pub fn remove(&mut self, id: TupleId) -> Result<(), IndexError> {
         let slot = self.by_id.remove(&id).ok_or(IndexError::UnknownId { id })?;
         *self.alive.get_mut(slot as usize) = false;
@@ -1754,14 +1725,7 @@ impl MatchIndex {
         let tuple = &self.tuples[slot as usize];
         PROBE_SCRATCH.with_borrow_mut(|scratch| {
             for atom in &mut self.atom_indices {
-                atom.remove_slot(
-                    slot,
-                    tuple,
-                    &self.prep,
-                    &self.ops,
-                    &self.alive,
-                    &mut scratch.anchor,
-                );
+                atom.remove_slot(slot, tuple, &self.ops, &self.alive, &mut scratch.anchor);
             }
         });
         Ok(())
@@ -1781,6 +1745,7 @@ impl MatchIndex {
         row: usize,
         slot: usize,
         mask: u64,
+        sigs: &mut CandidateSigs,
         key_evals: &mut usize,
         stats: &mut FilterStats,
     ) -> Option<usize> {
@@ -1790,16 +1755,11 @@ impl MatchIndex {
                 continue;
             }
             *key_evals += 1;
-            if self.ops.lhs_matches_prepped(
-                k.atoms(),
-                probe,
-                tuple,
-                probe_prep,
-                &self.prep,
-                row,
-                slot,
-                stats,
-            ) {
+            if k.atoms().iter().all(|atom| {
+                let (sa, sb) =
+                    (probe_prep.sig(row, atom.left), sigs.for_atom(&self.ops, atom, slot, tuple));
+                self.ops.atom_matches_sigs(atom, probe, tuple, sa, sb, stats)
+            }) {
                 return Some(key);
             }
         }
@@ -1813,16 +1773,56 @@ impl MatchIndex {
         probe_prep: &RelationPrep,
         row: usize,
         slot: usize,
+        sigs: &mut CandidateSigs,
         stats: &mut FilterStats,
     ) -> bool {
         let tuple = &self.tuples[slot];
         self.negatives.iter().any(|rule| {
             rule.vetoes(|atom| {
-                self.ops.atom_matches_prepped(
-                    atom, probe, tuple, probe_prep, &self.prep, row, slot, stats,
-                )
+                let (sa, sb) =
+                    (probe_prep.sig(row, atom.left), sigs.for_atom(&self.ops, atom, slot, tuple));
+                self.ops.atom_matches_sigs(atom, probe, tuple, sa, sb, stats)
             })
         })
+    }
+}
+
+/// The stored-side signatures of the candidate under verification. The
+/// index keeps no signature per record: each is extracted on first use,
+/// at most once per (candidate, attribute), into slots reused from one
+/// candidate to the next.
+#[derive(Default)]
+struct CandidateSigs {
+    slot: Option<usize>,
+    by_attr: Vec<Option<AttrSig>>,
+}
+
+impl CandidateSigs {
+    /// The signature `atom`'s kernel compares on the stored side — of the
+    /// right attribute of `tuple`, stored at `slot` — or `None` when the
+    /// kernel uses none. Moving to another slot forgets the previous
+    /// candidate's signatures.
+    fn for_atom(
+        &mut self,
+        ops: &RuntimeOps,
+        atom: &SimilarityAtom,
+        slot: usize,
+        tuple: &Tuple,
+    ) -> Option<&AttrSig> {
+        if !ops.needs_signature(atom.op) {
+            return None;
+        }
+        if self.slot != Some(slot) {
+            self.slot = Some(slot);
+            self.by_attr.iter_mut().for_each(|sig| *sig = None);
+        }
+        if self.by_attr.len() <= atom.right {
+            self.by_attr.resize_with(atom.right + 1, || None);
+        }
+        Some(
+            self.by_attr[atom.right]
+                .get_or_insert_with(|| AttrSig::of_value(tuple.get(atom.right))),
+        )
     }
 }
 

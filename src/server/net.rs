@@ -15,7 +15,10 @@
 //! usable, and so does an answer too large for one frame; protocol
 //! failures (garbage bytes, oversized frames) answer with an error frame
 //! and close the connection, whose framing state is unknown. Frames are
-//! read by the wire's own frame reader, given the shutdown flag.
+//! read by the wire's own frame reader, given the shutdown flag. A client
+//! may idle between frames indefinitely, but one that stalls mid-frame
+//! for longer than the wire's frame deadline (10 s) is answered an error
+//! frame and dropped, freeing its worker.
 //!
 //! [`wire`]: crate::server::wire
 
@@ -23,6 +26,7 @@ use crate::server::core::MatchServer;
 use crate::server::wire::{
     read_frame_until, read_response, write_request, write_response, ProtocolError, Request,
     Response, WireHit, WireQuery, WireRanked, WireRefinement, WireSchema, WireScoredHit, WireStats,
+    FRAME_DEADLINE,
 };
 use crate::service::{QueryResponse, RankedResponse, Record, RecordId, ServiceError};
 use matchrules_core::schema::Schema;
@@ -141,7 +145,7 @@ fn handle_connection(mut stream: TcpStream, server: &MatchServer, stop: &AtomicB
     let _ = stream.set_read_timeout(Some(POLL));
     let _ = stream.set_nodelay(true);
     loop {
-        let request = read_frame_until(&mut stream, Some(stop))
+        let request = read_frame_until(&mut stream, Some(stop), FRAME_DEADLINE)
             .and_then(|body| body.map(|body| Request::decode(&body)).transpose());
         let request = match request {
             Ok(None) => return,

@@ -40,11 +40,19 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
 
 /// Hard cap on a frame's body length (16 MiB). A peer announcing more
 /// is rejected with [`ProtocolError::Oversized`] before any buffer is
 /// allocated.
 pub const MAX_FRAME: usize = 16 * 1024 * 1024;
+
+/// How long the rest of a frame may take once its first byte has
+/// arrived, when a server worker reads it. A peer stalling mid-frame
+/// past this fails the read with [`ProtocolError::Stalled`] instead of
+/// holding the worker until shutdown; idle time *between* frames is not
+/// limited.
+pub(crate) const FRAME_DEADLINE: Duration = Duration::from_secs(10);
 
 /// A typed wire-protocol failure. Every malformed input maps to one of
 /// these — decoding never panics.
@@ -72,6 +80,12 @@ pub enum ProtocolError {
         /// Which field was being read.
         context: &'static str,
     },
+    /// A frame began but its rest did not arrive within the reader's
+    /// deadline (counted from the frame's first byte).
+    Stalled {
+        /// Which field was being read.
+        context: &'static str,
+    },
     /// Bytes remained after a complete message was decoded.
     TrailingBytes {
         /// How many bytes were left over.
@@ -89,6 +103,9 @@ impl fmt::Display for ProtocolError {
             }
             ProtocolError::Truncated { context } => {
                 write!(f, "input ended while reading {context}")
+            }
+            ProtocolError::Stalled { context } => {
+                write!(f, "peer stalled mid-frame while sending {context}")
             }
             ProtocolError::UnknownTag { context, tag } => {
                 write!(f, "unknown tag {tag:#04x} while reading {context}")
@@ -664,19 +681,30 @@ pub fn write_frame(w: &mut impl Write, body: &[u8]) -> Result<(), ProtocolError>
 /// Reads until `buf` is full or the stream ends and returns the bytes
 /// read, or `None` once `stop` is seen set. `Interrupted` is retried;
 /// with a `stop` flag so are `WouldBlock` and `TimedOut` (a socket's
-/// read timeout), each after checking the flag. Any other I/O error
-/// propagates.
+/// read timeout), each after checking the flag. `started` is when the
+/// frame's first byte arrived (set here when it does); once `deadline`
+/// has passed since, the read fails with [`ProtocolError::Stalled`]
+/// naming `context`. Any other I/O error propagates.
 fn read_full(
     r: &mut impl Read,
     buf: &mut [u8],
+    context: &'static str,
     stop: Option<&AtomicBool>,
+    started: &mut Option<Instant>,
+    deadline: Duration,
 ) -> Result<Option<usize>, ProtocolError> {
     use io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
     let mut filled = 0;
     while filled < buf.len() {
+        if started.is_some_and(|at| at.elapsed() > deadline) {
+            return Err(ProtocolError::Stalled { context });
+        }
         match r.read(&mut buf[filled..]) {
             Ok(0) => break,
-            Ok(n) => filled += n,
+            Ok(n) => {
+                filled += n;
+                started.get_or_insert_with(Instant::now);
+            }
             Err(e) => match (e.kind(), stop) {
                 (Interrupted, None) => {}
                 (Interrupted | WouldBlock | TimedOut, Some(stop)) => {
@@ -696,20 +724,25 @@ fn read_full(
 /// [`ProtocolError::Truncated`], and a prefix announcing more than
 /// [`MAX_FRAME`] bytes is rejected before any allocation.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, ProtocolError> {
-    read_frame_until(r, None)
+    read_frame_until(r, None, Duration::MAX)
 }
 
 /// [`read_frame`], optionally until `stop` is set: for a server worker
-/// reading a socket with a read timeout. A timed-out read — the client
-/// idle between frames, or still sending one — re-checks the flag and
-/// keeps reading; a set flag ends the read with `Ok(None)`. Without a
-/// flag this is exactly [`read_frame`].
+/// reading a socket with a read timeout. A timed-out read re-checks the
+/// flag and keeps reading; a set flag ends the read with `Ok(None)`.
+/// The client may idle between frames for as long as it likes, but once
+/// a frame's first byte has arrived the rest must follow within
+/// `deadline` ([`FRAME_DEADLINE`] for a worker), or the read fails with
+/// [`ProtocolError::Stalled`]. Without a flag and with an unbounded
+/// deadline this is exactly [`read_frame`].
 pub(crate) fn read_frame_until(
     r: &mut impl Read,
     stop: Option<&AtomicBool>,
+    deadline: Duration,
 ) -> Result<Option<Vec<u8>>, ProtocolError> {
+    let mut started = None;
     let mut prefix = [0u8; 4];
-    match read_full(r, &mut prefix, stop)? {
+    match read_full(r, &mut prefix, "frame length prefix", stop, &mut started, deadline)? {
         None | Some(0) => return Ok(None),
         Some(4) => {}
         Some(_) => return Err(ProtocolError::Truncated { context: "frame length prefix" }),
@@ -719,7 +752,7 @@ pub(crate) fn read_frame_until(
         return Err(ProtocolError::Oversized { len: len as u64 });
     }
     let mut body = vec![0u8; len];
-    match read_full(r, &mut body, stop)? {
+    match read_full(r, &mut body, "frame body", stop, &mut started, deadline)? {
         None => Ok(None),
         Some(n) if n == len => Ok(Some(body)),
         Some(_) => Err(ProtocolError::Truncated { context: "frame body" }),
@@ -1082,7 +1115,7 @@ mod tests {
             let stop = AtomicBool::new(false);
             let mut r =
                 Stalling { data: &framed, pos: 0, stalled: false, stall, stop: &stop, stop_after };
-            let frame = read_frame_until(&mut r, flag.then_some(&stop));
+            let frame = read_frame_until(&mut r, flag.then_some(&stop), Duration::MAX);
             (frame, r.pos)
         };
         use io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
@@ -1104,5 +1137,52 @@ mod tests {
         assert_eq!(frame.unwrap().as_deref(), Some(&b"stalled"[..]));
         let (frame, _) = read(TimedOut, usize::MAX, false);
         assert!(matches!(frame, Err(ProtocolError::Io(e)) if e.kind() == TimedOut));
+    }
+
+    /// A peer that idles through `idle` read timeouts, then hands out
+    /// `data` one byte per call, then times out forever — each timeout
+    /// after a millisecond, like a socket with a short read timeout.
+    struct GoesQuiet<'a> {
+        data: &'a [u8],
+        pos: usize,
+        idle: usize,
+    }
+
+    impl Read for GoesQuiet<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.idle > 0 || self.pos == self.data.len() {
+                self.idle = self.idle.saturating_sub(1);
+                std::thread::sleep(Duration::from_millis(1));
+                return Err(io::ErrorKind::TimedOut.into());
+            }
+            buf[0] = self.data[self.pos];
+            self.pos += 1;
+            Ok(1)
+        }
+    }
+
+    #[test]
+    fn a_peer_stalling_mid_frame_fails_the_read_at_the_deadline() {
+        let mut framed = Vec::new();
+        write_frame(&mut framed, b"stalled").unwrap();
+        let stop = AtomicBool::new(false);
+        let deadline = Duration::from_millis(30);
+        let read = |data: &[u8], idle: usize| {
+            read_frame_until(&mut GoesQuiet { data, pos: 0, idle }, Some(&stop), deadline)
+        };
+        // The rest of the prefix, or of the body, never comes.
+        let frame = read(&framed[..2], 0);
+        assert!(
+            matches!(frame, Err(ProtocolError::Stalled { context: "frame length prefix" })),
+            "{frame:?}"
+        );
+        let frame = read(&framed[..6], 0);
+        assert!(
+            matches!(frame, Err(ProtocolError::Stalled { context: "frame body" })),
+            "{frame:?}"
+        );
+        // Idling before a frame's first byte is not counted: a whole
+        // frame after twice the deadline of silence reads normally.
+        assert_eq!(read(&framed, 60).unwrap().as_deref(), Some(&b"stalled"[..]));
     }
 }

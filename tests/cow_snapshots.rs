@@ -1,7 +1,7 @@
 //! Snapshot isolation of the structurally-shared write path.
 //!
-//! A published `MatchIndex` snapshot shares chunks, stripes, tuples,
-//! signature rows and sealed posting payloads with its successors; the
+//! A published `MatchIndex` snapshot shares chunks, stripes, tuples
+//! and sealed posting payloads with its successors; the
 //! invariant under test is *a published snapshot is never mutated* —
 //! writers copy what they touch:
 //!

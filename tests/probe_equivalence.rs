@@ -147,6 +147,43 @@ fn probe_compressed_equals_brute_force_reference_at_every_thread_count() {
     assert!(work.gallop_steps > 0, "no atom was materialized and galloped against: {work:?}");
 }
 
+/// The verification counters of `MatchIndex::query` summed over a fixed
+/// Extended probe sample, pinned at the values the index produced when
+/// it still kept a signature row per stored record. Verification now
+/// extracts a candidate's signatures on demand; it must run the same
+/// filters on the same signatures, so every stage counts exactly what it
+/// counted then. (A verifier that silently fell back to uncached
+/// evaluation would answer alike but zero these counters.)
+#[test]
+fn probe_verify_counters_match_parent() {
+    let (engine, credit, billing) = catalog(PLAN_CATALOG_PERSONS, 42);
+    let index = engine.index(&billing).expect("index builds");
+    let mut stats = FilterStats::default();
+    let mut key_evals = 0u64;
+    for probe in credit.tuples() {
+        let outcome = index.query(probe);
+        stats.merge(&outcome.stats);
+        key_evals += outcome.key_evals as u64;
+    }
+    let totals = [
+        ("equal_fast", stats.equal_fast),
+        ("length_rejects", stats.length_rejects),
+        ("bag_rejects", stats.bag_rejects),
+        ("qgram_rejects", stats.qgram_rejects),
+        ("dp_runs", stats.dp_runs),
+        ("key_evals", key_evals),
+    ];
+    let pinned = [
+        ("equal_fast", 313),
+        ("length_rejects", 0),
+        ("bag_rejects", 2),
+        ("qgram_rejects", 3),
+        ("dp_runs", 890),
+        ("key_evals", 1395),
+    ];
+    assert_eq!(totals, pinned, "verification ran different filter stages");
+}
+
 #[test]
 fn probe_decoding_is_bounded_by_the_cheapest_atom() {
     // Key `street ≈d ∧ name ≈d`, street interned first. Every street
