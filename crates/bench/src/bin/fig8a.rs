@@ -25,7 +25,7 @@ fn main() {
         let mut cells = vec![card.to_string()];
         for &y in &y_lens {
             let secs = fig8_findrcks_seconds(card, y, 20, 0x8a);
-            cells.push(format!("{secs:.3}"));
+            cells.push(format!("{secs:.4}"));
         }
         table.row(cells);
     }

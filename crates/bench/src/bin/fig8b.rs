@@ -23,7 +23,7 @@ fn main() {
         let mut cells = vec![m.to_string()];
         for &y in &y_lens {
             let secs = fig8_findrcks_seconds(card, y, m, 0x8b);
-            cells.push(format!("{secs:.3}"));
+            cells.push(format!("{secs:.4}"));
         }
         table.row(cells);
     }

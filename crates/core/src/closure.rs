@@ -11,9 +11,9 @@
 //!
 //! Three ingredients mirror the paper's procedures:
 //!
-//! * `Closure::assign` — `AssignVal`: record a fact unless it (or its
+//! * `Reasoner::assign` — `AssignVal`: record a fact unless it (or its
 //!   equality strengthening) is already known;
-//! * the worklist in `Closure::propagate` — `Propagate`/`Infer`: saturate
+//! * the worklist in `Reasoner::propagate` — `Propagate`/`Infer`: saturate
 //!   the generic-axiom consequences. For a new fact `a ≈ b`, any known
 //!   equality `b = c` yields `a ≈ c` (and symmetrically); for a new equality
 //!   `a = b`, any known `b ≈d c` yields `a ≈d c` (the Lemma 3.4 interactions
@@ -27,8 +27,21 @@
 //! yields the `O(n²)` bound of Theorem 4.1), rules are indexed by their LHS
 //! atoms with unsatisfied-atom counters — the classic Beeri–Bernstein
 //! linear-time structure the paper points to for its `O(n + h³)` refinement.
+//!
+//! **One engine, built once.** [`Reasoner::new`] pays for Σ once: it
+//! normalizes Σ into single-RHS-pair rules, fixes the attribute and
+//! operator universe, and indexes the watchers in a dense table with one
+//! chain per unordered universe pair. Theorem 4.1's `O(n + h³)` is
+//! therefore a per-Σ cost. Each question then costs a reset of the matrix
+//! (clearing just the cells the previous question set), a copy of the
+//! per-rule unsatisfied-atom counters from a template, and the work on the
+//! facts it actually touches (`O(h)` propagation per fact plus the watchers
+//! of its pair). findRCKs asks one `Reasoner` every question of a call;
+//! [`Closure::compute`] is a one-shot `Reasoner`, and
+//! [`Closure::compute_naive`] keeps the published control flow as the
+//! differential oracle.
 
-use crate::dependency::{MatchingDependency, SimilarityAtom};
+use crate::dependency::{IdentPair, MatchingDependency, SimilarityAtom};
 use crate::operators::OperatorId;
 use crate::schema::{AttrId, AttrRef};
 use std::collections::HashMap;
@@ -48,15 +61,9 @@ pub struct Fact {
 /// firing trace.
 #[derive(Debug, Clone)]
 pub struct Closure {
-    /// Dense universe of distinct attribute references (the `h` dimension).
-    attrs: Vec<AttrRef>,
-    attr_idx: HashMap<AttrRef, u32>,
-    /// Dense universe of operators (the `p` dimension); plane 0 is `=`.
-    planes: Vec<OperatorId>,
-    plane_idx: HashMap<OperatorId, u32>,
-    h: usize,
+    universe: Universe,
     bits: Vec<bool>,
-    /// Indices (into the normalized Σ) of rules that fired, in firing order.
+    /// Indices into Σ of the MDs that fired, in firing order.
     fired: Vec<usize>,
 }
 
@@ -67,7 +74,8 @@ impl Closure {
     /// `sigma` may contain general (multi-pair RHS) MDs; they are normalized
     /// internally. `extra_attrs` lets callers force additional attributes
     /// into the universe so they can be queried afterwards (typically the
-    /// RHS attributes of the MD under test).
+    /// RHS attributes of the MD under test). This is a one-shot
+    /// [`Reasoner`]; to ask many questions of one Σ, build the reasoner once.
     ///
     /// ```
     /// use matchrules_core::closure::Closure;
@@ -89,15 +97,13 @@ impl Closure {
         seed: &[SimilarityAtom],
         extra_attrs: &[AttrRef],
     ) -> Closure {
-        let (normalized, mut closure) = setup(sigma, seed, extra_attrs);
-        let mut engine = Engine::new(&mut closure, &normalized);
-        for atom in seed {
-            engine.assert_atom(atom.left, atom.right, atom.op);
-        }
-        engine.run();
-        let fired = engine.fired.iter().map(|&i| normalized[i].source).collect();
-        closure.fired = fired;
-        closure
+        // The universe takes the seed and the extra attributes in at build
+        // time, in the order a fresh closure has always numbered them, so
+        // the propagation order — and with it `fired()` — is the same.
+        let rules = normalize(sigma);
+        let mut reasoner = Reasoner::index(Universe::of(&rules, seed, extra_attrs), &rules);
+        reasoner.ask(seed);
+        reasoner.into_closure()
     }
 
     /// Runs MDClosure with the *published* control flow: a `repeat` loop
@@ -110,44 +116,39 @@ impl Closure {
         seed: &[SimilarityAtom],
         extra_attrs: &[AttrRef],
     ) -> Closure {
-        let (normalized, mut closure) = setup(sigma, seed, extra_attrs);
-        // Seed + propagate without the rule index: the engine's watcher
-        // machinery is bypassed by giving it no rules.
-        let mut engine = Engine::new(&mut closure, &[]);
-        for atom in seed {
-            engine.assert_atom(atom.left, atom.right, atom.op);
-        }
-        engine.run();
+        let rules = normalize(sigma);
+        // Seed + propagate without the rule index: a reasoner over the same
+        // universe but no rules only saturates the generic axioms.
+        let mut engine = Reasoner::index(Universe::of(&rules, seed, extra_attrs), &[]);
+        engine.ask(seed);
         // Fig. 5's repeat loop: scan Σ until no change; each rule fires at
         // most once (line 9).
-        let mut applied = vec![false; normalized.len()];
+        let mut applied = vec![false; rules.len()];
         let mut fired = Vec::new();
         loop {
             let mut changed = false;
-            for (ri, rule) in normalized.iter().enumerate() {
+            for (ri, rule) in rules.iter().enumerate() {
                 if applied[ri] {
                     continue;
                 }
-                let lhs_holds =
-                    rule.lhs.iter().all(|atom| engine.m.holds(atom.left, atom.right, atom.op));
+                let lhs_holds = rule.lhs.iter().all(|atom| {
+                    engine.holds(AttrRef::left(atom.left), AttrRef::right(atom.right), atom.op)
+                });
                 if !lhs_holds {
                     continue;
                 }
                 applied[ri] = true;
-                fired.push(ri);
+                fired.push(rule.source);
                 changed = true;
-                let ia = engine.m.attr_idx[&AttrRef::left(rule.rhs_left)];
-                let ib = engine.m.attr_idx[&AttrRef::right(rule.rhs_right)];
+                let (ia, ib) = engine.universe.rhs(rule.rhs);
                 engine.assign(ia, ib, 0);
-                engine.run();
+                engine.drain();
             }
             if !changed {
                 break;
             }
         }
-        let fired = fired.into_iter().map(|i| normalized[i].source).collect();
-        closure.fired = fired;
-        closure
+        Closure { universe: engine.universe, bits: engine.bits, fired }
     }
 
     /// Whether `R1[left] ≈op R2[right]` is in the closure (`=` facts satisfy
@@ -159,31 +160,19 @@ impl Closure {
     /// Whether `a ≈op b` is in the closure, for arbitrary attribute
     /// references (both sides of the schema pair).
     pub fn holds_refs(&self, a: AttrRef, b: AttrRef, op: OperatorId) -> bool {
-        if a == b {
-            // Reflexivity of every operator.
-            return true;
-        }
-        let (Some(&ia), Some(&ib)) = (self.attr_idx.get(&a), self.attr_idx.get(&b)) else {
-            return false;
-        };
-        if self.get(ia as usize, ib as usize, 0) {
-            return true;
-        }
-        match self.plane_idx.get(&op) {
-            Some(&p) => self.get(ia as usize, ib as usize, p as usize),
-            None => false,
-        }
+        self.universe.holds(&self.bits, a, b, op)
     }
 
     /// All non-reflexive facts in the closure (for inspection and traces).
     /// Each symmetric fact is reported once, with `a ≤ b`.
     pub fn facts(&self) -> Vec<Fact> {
+        let u = &self.universe;
         let mut out = Vec::new();
-        for ia in 0..self.h {
-            for ib in (ia + 1)..self.h {
-                for (pi, &op) in self.planes.iter().enumerate() {
-                    if self.get(ia, ib, pi) {
-                        out.push(Fact { a: self.attrs[ia], b: self.attrs[ib], op });
+        for ia in 0..u.h() {
+            for ib in (ia + 1)..u.h() {
+                for (pi, &op) in u.planes.iter().enumerate() {
+                    if self.bits[u.cell(ia, ib, pi)] {
+                        out.push(Fact { a: u.attrs[ia], b: u.attrs[ib], op });
                     }
                 }
             }
@@ -199,53 +188,19 @@ impl Closure {
 
     /// Number of distinct attributes in the universe (`h` of Theorem 4.1).
     pub fn universe_size(&self) -> usize {
-        self.h
-    }
-
-    fn cell(&self, a: usize, b: usize, plane: usize) -> usize {
-        (a * self.h + b) * self.planes.len() + plane
-    }
-
-    fn get(&self, a: usize, b: usize, plane: usize) -> bool {
-        self.bits[self.cell(a, b, plane)]
+        self.universe.h()
     }
 }
 
-/// The setup both closure engines share: Σ normalized into single-RHS-pair
-/// rules, and an empty matrix over the universe of every attribute and
-/// operator those rules, the seed and `extra_attrs` mention.
-fn setup<'s>(
-    sigma: &'s [MatchingDependency],
-    seed: &[SimilarityAtom],
-    extra_attrs: &[AttrRef],
-) -> (Vec<NormalRule<'s>>, Closure) {
-    let normalized: Vec<NormalRule> = sigma
+/// Σ normalized into single-RHS-pair rules, in Σ order.
+fn normalize(sigma: &[MatchingDependency]) -> Vec<NormalRule<'_>> {
+    sigma
         .iter()
         .enumerate()
         .flat_map(|(i, md)| {
-            md.rhs().iter().map(move |&ident| NormalRule {
-                source: i,
-                lhs: md.lhs(),
-                rhs_left: ident.left,
-                rhs_right: ident.right,
-            })
+            md.rhs().iter().map(move |&rhs| NormalRule { source: i, lhs: md.lhs(), rhs })
         })
-        .collect();
-    let mut builder = UniverseBuilder::default();
-    for rule in &normalized {
-        for atom in rule.lhs {
-            builder.add_atom(atom);
-        }
-        builder.add_ref(AttrRef::left(rule.rhs_left));
-        builder.add_ref(AttrRef::right(rule.rhs_right));
-    }
-    for atom in seed {
-        builder.add_atom(atom);
-    }
-    for &r in extra_attrs {
-        builder.add_ref(r);
-    }
-    (normalized, builder.finish())
+        .collect()
 }
 
 /// A normalized (single-RHS-pair) view of a rule in Σ.
@@ -253,19 +208,57 @@ struct NormalRule<'a> {
     /// Index of the originating MD in Σ.
     source: usize,
     lhs: &'a [SimilarityAtom],
-    rhs_left: AttrId,
-    rhs_right: AttrId,
+    rhs: IdentPair,
 }
 
-#[derive(Default)]
-struct UniverseBuilder {
+/// The dense universe of the matrix: distinct attribute references (the
+/// `h` dimension) and operators (the `p` dimension; plane 0 is `=`).
+#[derive(Debug, Clone, Default)]
+struct Universe {
     attrs: Vec<AttrRef>,
     attr_idx: HashMap<AttrRef, u32>,
     planes: Vec<OperatorId>,
     plane_idx: HashMap<OperatorId, u32>,
 }
 
-impl UniverseBuilder {
+impl Universe {
+    /// The universe of every attribute and operator `rules`, `seed` and
+    /// `extra_attrs` mention, numbered in that order, with `=` moved to
+    /// plane 0.
+    fn of(rules: &[NormalRule], seed: &[SimilarityAtom], extra_attrs: &[AttrRef]) -> Universe {
+        let mut u = Universe::default();
+        for (ri, rule) in rules.iter().enumerate() {
+            // The rules of one MD share its LHS: the first one adds it.
+            if ri == 0 || rules[ri - 1].source != rule.source {
+                for atom in rule.lhs {
+                    u.add_atom(atom);
+                }
+            }
+            u.add_ref(AttrRef::left(rule.rhs.left));
+            u.add_ref(AttrRef::right(rule.rhs.right));
+        }
+        for atom in seed {
+            u.add_atom(atom);
+        }
+        for &r in extra_attrs {
+            u.add_ref(r);
+        }
+        // Plane 0 must be equality even when no rule mentions `=` explicitly.
+        if u.planes.first() != Some(&OperatorId::EQ) {
+            if let Some(pos) = u.planes.iter().position(|&op| op == OperatorId::EQ) {
+                u.planes.swap(0, pos);
+            } else {
+                u.planes.insert(0, OperatorId::EQ);
+            }
+            u.plane_idx = u.planes.iter().enumerate().map(|(i, &op)| (op, i as u32)).collect();
+        }
+        u
+    }
+
+    fn h(&self) -> usize {
+        self.attrs.len()
+    }
+
     fn add_ref(&mut self, r: AttrRef) -> u32 {
         *self.attr_idx.entry(r).or_insert_with(|| {
             self.attrs.push(r);
@@ -280,110 +273,252 @@ impl UniverseBuilder {
         })
     }
 
-    fn add_atom(&mut self, atom: &SimilarityAtom) {
-        self.add_ref(AttrRef::left(atom.left));
-        self.add_ref(AttrRef::right(atom.right));
-        self.add_op(atom.op);
+    /// Adds the atom's attributes and operator (appending any that are new)
+    /// and returns them as universe indices.
+    fn add_atom(&mut self, atom: &SimilarityAtom) -> (u32, u32, u32) {
+        let a = self.add_ref(AttrRef::left(atom.left));
+        let b = self.add_ref(AttrRef::right(atom.right));
+        (a, b, self.add_op(atom.op))
     }
 
-    fn finish(mut self) -> Closure {
-        // Plane 0 must be equality even when no rule mentions `=` explicitly.
-        if self.planes.first() != Some(&OperatorId::EQ) {
-            if let Some(pos) = self.planes.iter().position(|&op| op == OperatorId::EQ) {
-                self.planes.swap(0, pos);
-            } else {
-                self.planes.insert(0, OperatorId::EQ);
-            }
-            self.plane_idx =
-                self.planes.iter().enumerate().map(|(i, &op)| (op, i as u32)).collect();
+    /// The universe indices of a rule's RHS pair (both are in the universe
+    /// by construction).
+    fn rhs(&self, rhs: IdentPair) -> (u32, u32) {
+        (self.attr_idx[&AttrRef::left(rhs.left)], self.attr_idx[&AttrRef::right(rhs.right)])
+    }
+
+    fn cell(&self, a: usize, b: usize, plane: usize) -> usize {
+        (a * self.h() + b) * self.planes.len() + plane
+    }
+
+    /// Whether `a ≈op b` holds in the matrix `bits` over this universe.
+    fn holds(&self, bits: &[bool], a: AttrRef, b: AttrRef, op: OperatorId) -> bool {
+        if a == b {
+            // Reflexivity of every operator.
+            return true;
         }
-        let h = self.attrs.len();
-        let p = self.planes.len();
-        Closure {
-            attrs: self.attrs,
-            attr_idx: self.attr_idx,
-            planes: self.planes,
-            plane_idx: self.plane_idx,
-            h,
-            bits: vec![false; h * h * p],
+        let (Some(&ia), Some(&ib)) = (self.attr_idx.get(&a), self.attr_idx.get(&b)) else {
+            return false;
+        };
+        let (ia, ib) = (ia as usize, ib as usize);
+        if bits[self.cell(ia, ib, 0)] {
+            return true;
+        }
+        match self.plane_idx.get(&op) {
+            Some(&p) => bits[self.cell(ia, ib, p as usize)],
+            None => false,
+        }
+    }
+}
+
+/// One watcher: a rule waiting for one of its LHS conjuncts, the pair
+/// being the slot the watcher sits in and `plane` the conjunct's operator.
+#[derive(Debug, Clone, Copy)]
+struct Watcher {
+    rule: u32,
+    plane: u32,
+    /// 1 + the index of the next watcher on the same pair, 0 at the end.
+    next: u32,
+}
+
+/// MDClosure over one Σ, built once and asked many questions.
+///
+/// [`Reasoner::new`] normalizes Σ, fixes the universe and indexes every
+/// rule by its LHS atoms; each question ([`Reasoner::deduces`],
+/// [`Reasoner::implies`]) only resets the matrix and
+/// the counters before running the worklist, and forgets everything the
+/// previous question deduced. A question that mentions an attribute or
+/// operator outside Σ's universe extends the universe for good.
+///
+/// ```
+/// use matchrules_core::closure::Reasoner;
+/// use matchrules_core::paper;
+///
+/// let setting = paper::example_1_1();
+/// let rcks = paper::example_2_4_rcks(&setting);
+/// let mut reasoner = Reasoner::new(&setting.sigma);
+/// for key in &rcks {
+///     assert!(reasoner.deduces(&key.to_md(&setting.target)));
+/// }
+/// // A sub-key of rck4 is not a key; asking first does not leak facts.
+/// let email_only = rcks[3].without(&rcks[3].atoms()[1]);
+/// assert!(!reasoner.deduces(&email_only.to_md(&setting.target)));
+/// ```
+#[derive(Debug, Clone)]
+pub struct Reasoner {
+    universe: Universe,
+    /// Per normalized rule: the index of its MD in Σ and its RHS pair as
+    /// universe indices.
+    rules: Vec<(usize, (u32, u32))>,
+    /// Per unordered universe pair (indexed by [`slot`]): 1 + the index of
+    /// its first watcher, 0 when none. Each pair's watchers are chained
+    /// through [`Watcher::next`] in rule order.
+    first: Vec<u32>,
+    watchers: Vec<Watcher>,
+    /// Per-rule LHS size: the template `remaining` is reset from.
+    lhs_len: Vec<u32>,
+    // Per-question state.
+    /// The `h × h × p` matrix.
+    bits: Vec<bool>,
+    /// The cells of `bits` the current question set: the next question
+    /// clears just these.
+    set: Vec<usize>,
+    /// Per-rule count of LHS atoms not yet satisfied.
+    remaining: Vec<u32>,
+    /// Per-watcher flag: its atom is satisfied (guards against double
+    /// counting when a pair is first similar and later equal).
+    satisfied: Vec<bool>,
+    /// Worklist of newly-recorded facts, as universe indices + plane.
+    queue: Vec<(u32, u32, u32)>,
+    /// Normalized rules fired, in firing order.
+    fired: Vec<u32>,
+}
+
+impl Reasoner {
+    /// Normalizes Σ and indexes its rules once, for any number of
+    /// questions.
+    pub fn new(sigma: &[MatchingDependency]) -> Reasoner {
+        let rules = normalize(sigma);
+        Reasoner::index(Universe::of(&rules, &[], &[]), &rules)
+    }
+
+    /// Decides `Σ |=m ϕ`.
+    pub fn deduces(&mut self, phi: &MatchingDependency) -> bool {
+        self.implies(phi.lhs(), phi.rhs())
+    }
+
+    /// Decides `Σ |=m ⋀ lhs → rhs`: whether every pair of `rhs` is an
+    /// equality fact in the closure of Σ and `lhs`.
+    pub fn implies(&mut self, lhs: &[SimilarityAtom], rhs: &[IdentPair]) -> bool {
+        self.ask(lhs);
+        // An attribute outside the universe is in no fact: such a pair
+        // does not hold, as in a closure that numbered it.
+        rhs.iter()
+            .all(|p| self.holds(AttrRef::left(p.left), AttrRef::right(p.right), OperatorId::EQ))
+    }
+
+    /// The closure of Σ and `seed` as a standalone [`Closure`] (a copy of
+    /// the matrix and universe), `extra_attrs` added to the universe.
+    #[cfg(test)]
+    fn closure(&mut self, seed: &[SimilarityAtom], extra_attrs: &[AttrRef]) -> Closure {
+        for &r in extra_attrs {
+            self.universe.add_ref(r);
+        }
+        self.ask(seed);
+        Closure { universe: self.universe.clone(), bits: self.bits.clone(), fired: self.sources() }
+    }
+
+    /// Lays out the watchers of `rules` over `universe` and allocates the
+    /// per-question state.
+    fn index(universe: Universe, rules: &[NormalRule]) -> Reasoner {
+        let h = universe.h();
+        let mut slots = Vec::new();
+        let mut watchers = Vec::new();
+        // (slot, plane) of each LHS atom of the current MD, shared by its
+        // rules.
+        let mut lhs = Vec::new();
+        for (ri, rule) in rules.iter().enumerate() {
+            if ri == 0 || rules[ri - 1].source != rule.source {
+                lhs.clear();
+                lhs.extend(rule.lhs.iter().map(|atom| {
+                    let ia = universe.attr_idx[&AttrRef::left(atom.left)];
+                    let ib = universe.attr_idx[&AttrRef::right(atom.right)];
+                    (slot(ia, ib), universe.plane_idx[&atom.op])
+                }));
+            }
+            for &(s, plane) in &lhs {
+                slots.push(s);
+                watchers.push(Watcher { rule: ri as u32, plane, next: 0 });
+            }
+        }
+        // Chain each pair's watchers, pushing to the front in reverse so
+        // the chains run in rule order. Only pairs some rule watches are
+        // written, so a large universe's zeroed table stays untouched.
+        let mut first = vec![0u32; h * (h + 1) / 2];
+        for (wi, &s) in slots.iter().enumerate().rev() {
+            watchers[wi].next = first[s];
+            first[s] = wi as u32 + 1;
+        }
+        let lhs_len: Vec<u32> = rules.iter().map(|r| r.lhs.len() as u32).collect();
+        Reasoner {
+            rules: rules.iter().map(|r| (r.source, universe.rhs(r.rhs))).collect(),
+            bits: vec![false; h * h * universe.planes.len()],
+            set: Vec::new(),
+            remaining: lhs_len.clone(),
+            satisfied: vec![false; watchers.len()],
+            universe,
+            first,
+            watchers,
+            lhs_len,
+            queue: Vec::new(),
             fired: Vec::new(),
         }
     }
-}
 
-/// One watcher: rule `rule` is waiting for its `atom`-th LHS conjunct on
-/// this attribute pair.
-#[derive(Clone, Copy)]
-struct Watcher {
-    rule: u32,
-    atom: u32,
-}
-
-/// The worklist engine: owns the matrix plus the rule index during a single
-/// `compute` run.
-struct Engine<'c, 'r> {
-    m: &'c mut Closure,
-    rules: &'r [NormalRule<'r>],
-    /// Watchers keyed by unordered universe-index pair.
-    watchers: HashMap<(u32, u32), Vec<Watcher>>,
-    /// Per-rule count of LHS atoms not yet satisfied.
-    remaining: Vec<u32>,
-    /// Per-rule bitmap of satisfied atoms (guards against double counting
-    /// when a pair is first similar and later equal).
-    satisfied: Vec<Vec<bool>>,
-    /// Worklist of newly-recorded facts, as universe indices + plane.
-    queue: Vec<(u32, u32, u32)>,
-    fired: Vec<usize>,
-}
-
-impl<'c, 'r> Engine<'c, 'r> {
-    fn new(m: &'c mut Closure, rules: &'r [NormalRule<'r>]) -> Self {
-        let mut watchers: HashMap<(u32, u32), Vec<Watcher>> = HashMap::new();
-        let mut remaining = Vec::with_capacity(rules.len());
-        let mut satisfied = Vec::with_capacity(rules.len());
-        for (ri, rule) in rules.iter().enumerate() {
-            remaining.push(rule.lhs.len() as u32);
-            satisfied.push(vec![false; rule.lhs.len()]);
-            for (ai, atom) in rule.lhs.iter().enumerate() {
-                let ia = m.attr_idx[&AttrRef::left(atom.left)];
-                let ib = m.attr_idx[&AttrRef::right(atom.right)];
-                watchers
-                    .entry(key(ia, ib))
-                    .or_default()
-                    .push(Watcher { rule: ri as u32, atom: ai as u32 });
-            }
+    /// Answers one question: forgets the previous one, seeds `seed`
+    /// (extending the universe with anything it mentions that is new) and
+    /// runs the worklist to fixpoint.
+    fn ask(&mut self, seed: &[SimilarityAtom]) {
+        for atom in seed {
+            self.universe.add_atom(atom);
         }
-        Engine { m, rules, watchers, remaining, satisfied, queue: Vec::new(), fired: Vec::new() }
+        let cells = self.universe.h() * self.universe.h() * self.universe.planes.len();
+        if self.bits.len() == cells {
+            for c in self.set.drain(..) {
+                self.bits[c] = false;
+            }
+        } else {
+            self.bits = vec![false; cells];
+            self.set.clear();
+        }
+        self.remaining.copy_from_slice(&self.lhs_len);
+        self.satisfied.fill(false);
+        self.fired.clear();
+        for atom in seed {
+            let (ia, ib, plane) = self.universe.add_atom(atom);
+            self.assign(ia, ib, plane);
+        }
+        self.drain();
     }
 
-    /// Seeds one LHS atom of the MD under test.
-    fn assert_atom(&mut self, left: AttrId, right: AttrId, op: OperatorId) {
-        let ia = self.m.attr_idx[&AttrRef::left(left)];
-        let ib = self.m.attr_idx[&AttrRef::right(right)];
-        let plane = self.m.plane_idx[&op];
-        self.assign(ia, ib, plane);
+    fn holds(&self, a: AttrRef, b: AttrRef, op: OperatorId) -> bool {
+        self.universe.holds(&self.bits, a, b, op)
+    }
+
+    /// The MDs of Σ behind the fired rules, in firing order.
+    fn sources(&self) -> Vec<usize> {
+        self.fired.iter().map(|&ri| self.rules[ri as usize].0).collect()
+    }
+
+    fn into_closure(self) -> Closure {
+        let fired = self.sources();
+        Closure { universe: self.universe, bits: self.bits, fired }
+    }
+
+    fn get(&self, a: usize, b: usize, plane: usize) -> bool {
+        self.bits[self.universe.cell(a, b, plane)]
     }
 
     /// `AssignVal` (Fig. 5): records the symmetric fact unless it is already
     /// known outright or via equality; enqueues it for propagation.
-    fn assign(&mut self, a: u32, b: u32, plane: u32) -> bool {
+    fn assign(&mut self, a: u32, b: u32, plane: u32) {
         if a == b {
-            return false; // reflexive facts carry no information
+            return; // reflexive facts carry no information
         }
         let (ia, ib, pl) = (a as usize, b as usize, plane as usize);
-        if self.m.get(ia, ib, 0) || self.m.get(ia, ib, pl) {
-            return false;
+        if self.get(ia, ib, 0) || self.get(ia, ib, pl) {
+            return;
         }
-        let c1 = self.m.cell(ia, ib, pl);
-        let c2 = self.m.cell(ib, ia, pl);
-        self.m.bits[c1] = true;
-        self.m.bits[c2] = true;
+        let c1 = self.universe.cell(ia, ib, pl);
+        let c2 = self.universe.cell(ib, ia, pl);
+        self.bits[c1] = true;
+        self.bits[c2] = true;
+        self.set.extend([c1, c2]);
         self.queue.push((a, b, plane));
-        true
     }
 
     /// Runs propagation and rule firing to fixpoint.
-    fn run(&mut self) {
+    fn drain(&mut self) {
         while let Some((a, b, plane)) = self.queue.pop() {
             self.notify(a, b, plane);
             self.propagate(a, b, plane);
@@ -391,67 +526,60 @@ impl<'c, 'r> Engine<'c, 'r> {
     }
 
     /// Wakes rules watching the pair `(a, b)`; fires those whose LHS became
-    /// fully satisfied. A watcher's atom is satisfied by its own operator or
-    /// by equality (line 7 of Fig. 5).
+    /// fully satisfied, in watcher order. A watcher's atom is satisfied by
+    /// its own operator or by equality (line 7 of Fig. 5).
     fn notify(&mut self, a: u32, b: u32, plane: u32) {
-        let op = self.m.planes[plane as usize];
-        let Some(watchers) = self.watchers.get(&key(a, b)) else { return };
-        let mut to_fire = Vec::new();
-        // Split borrows: copy the watcher list heads we need.
-        let watchers = watchers.clone();
-        for w in watchers {
-            let rule = &self.rules[w.rule as usize];
-            let atom = &rule.lhs[w.atom as usize];
-            if self.satisfied[w.rule as usize][w.atom as usize] {
+        // Pairs past the indexed universe (attributes a question added)
+        // have no watchers.
+        let mut next = self.first.get(slot(a, b)).copied().unwrap_or(0);
+        while next != 0 {
+            let wi = next as usize - 1;
+            let w = self.watchers[wi];
+            next = w.next;
+            if self.satisfied[wi] || (w.plane != plane && plane != 0) {
                 continue;
             }
-            if atom.op == op || op.is_eq() {
-                self.satisfied[w.rule as usize][w.atom as usize] = true;
-                self.remaining[w.rule as usize] -= 1;
-                if self.remaining[w.rule as usize] == 0 {
-                    to_fire.push(w.rule as usize);
-                }
+            self.satisfied[wi] = true;
+            let left = &mut self.remaining[w.rule as usize];
+            *left -= 1;
+            if *left == 0 {
+                self.fire(w.rule);
             }
-        }
-        for ri in to_fire {
-            self.fire(ri);
         }
     }
 
     /// Applies a rule: its RHS pair becomes an equality fact (Lemma 3.2 —
     /// on stable instances the matching operator yields equality).
-    fn fire(&mut self, rule_idx: usize) {
-        let rule = &self.rules[rule_idx];
-        self.fired.push(rule_idx);
-        let ia = self.m.attr_idx[&AttrRef::left(rule.rhs_left)];
-        let ib = self.m.attr_idx[&AttrRef::right(rule.rhs_right)];
+    fn fire(&mut self, rule: u32) {
+        self.fired.push(rule);
+        let (ia, ib) = self.rules[rule as usize].1;
         self.assign(ia, ib, 0);
     }
 
     /// `Propagate`/`Infer` (Fig. 6): saturates the generic-axiom
     /// consequences of the new fact `a ≈ b`.
     fn propagate(&mut self, a: u32, b: u32, plane: u32) {
-        let h = self.m.h as u32;
-        let p = self.m.planes.len() as u32;
+        let h = self.universe.h() as u32;
+        let p = self.universe.planes.len() as u32;
         for c in 0..h {
             if c == a || c == b {
                 continue;
             }
             // x ≈ y ∧ y = z ⇒ x ≈ z (both orientations).
-            if self.m.get(b as usize, c as usize, 0) {
+            if self.get(b as usize, c as usize, 0) {
                 self.assign(a, c, plane);
             }
-            if self.m.get(a as usize, c as usize, 0) {
+            if self.get(a as usize, c as usize, 0) {
                 self.assign(b, c, plane);
             }
             if plane == 0 {
                 // New equality a = b: carry existing similarities across it
                 // (the Lemma 3.4 interaction).
                 for d in 1..p {
-                    if self.m.get(b as usize, c as usize, d as usize) {
+                    if self.get(b as usize, c as usize, d as usize) {
                         self.assign(a, c, d);
                     }
-                    if self.m.get(a as usize, c as usize, d as usize) {
+                    if self.get(a as usize, c as usize, d as usize) {
                         self.assign(b, c, d);
                     }
                 }
@@ -460,13 +588,12 @@ impl<'c, 'r> Engine<'c, 'r> {
     }
 }
 
-/// Unordered pair key for the watcher index.
-fn key(a: u32, b: u32) -> (u32, u32) {
-    if a <= b {
-        (a, b)
-    } else {
-        (b, a)
-    }
+/// The slot of the unordered universe pair `{a, b}` in the watcher index:
+/// `hi·(hi+1)/2 + lo`, which does not depend on `h`, so attributes a
+/// question appends to the universe never move an indexed pair.
+fn slot(a: u32, b: u32) -> usize {
+    let (lo, hi) = if a <= b { (a as usize, b as usize) } else { (b as usize, a as usize) };
+    hi * (hi + 1) / 2 + lo
 }
 
 #[cfg(test)]
@@ -659,6 +786,50 @@ mod tests {
             f1.sort_by_key(key);
             f2.sort_by_key(key);
             assert_eq!(f1, f2, "closures diverge for seed {seed:?}");
+        }
+    }
+
+    /// One `Reasoner` asked a sequence of questions — deduced, refuted, and
+    /// seeds reaching outside Σ's universe — computes each closure exactly
+    /// as a fresh `compute_naive` does: every fact and the rules fired, so
+    /// nothing one question deduces leaks into the next.
+    #[test]
+    fn reused_reasoner_equals_fresh_closure() {
+        let pair = abc_pair();
+        let mut ops = OperatorTable::new();
+        let dl = ops.intern("≈dl");
+        let new_op = ops.intern("≈new");
+        let sigma = vec![
+            md(&pair, vec![SimilarityAtom::eq(0, 0)], vec![IdentPair::new(1, 1)]),
+            md(&pair, vec![SimilarityAtom::new(1, 1, dl)], vec![IdentPair::new(2, 2)]),
+            md(
+                &pair,
+                vec![SimilarityAtom::eq(2, 2), SimilarityAtom::new(0, 0, dl)],
+                vec![IdentPair::new(0, 0), IdentPair::new(1, 1)],
+            ),
+        ];
+        let canonical = |c: &Closure| {
+            let mut facts: Vec<_> =
+                c.facts().into_iter().map(|f| (f.a.min(f.b), f.a.max(f.b), f.op)).collect();
+            facts.sort();
+            let mut fired = c.fired().to_vec();
+            fired.sort_unstable();
+            (facts, fired)
+        };
+        let mut reasoner = Reasoner::new(&sigma);
+        for (seed, extra) in [
+            (vec![SimilarityAtom::eq(0, 0)], vec![]),
+            (vec![SimilarityAtom::new(2, 1, dl)], vec![AttrRef::left(1)]),
+            (vec![SimilarityAtom::eq(0, 0), SimilarityAtom::eq(5, 0)], vec![]),
+            (vec![SimilarityAtom::new(0, 0, dl)], vec![]),
+            (vec![SimilarityAtom::eq(2, 2), SimilarityAtom::new(0, 0, dl)], vec![]),
+            (vec![SimilarityAtom::new(1, 1, new_op), SimilarityAtom::eq(6, 1)], vec![]),
+            (vec![SimilarityAtom::new(0, 2, dl)], vec![AttrRef::right(7)]),
+            (vec![SimilarityAtom::eq(0, 0)], vec![]),
+        ] {
+            let reused = reasoner.closure(&seed, &extra);
+            let fresh = Closure::compute_naive(&sigma, &seed, &extra);
+            assert_eq!(canonical(&reused), canonical(&fresh), "closures diverge for {seed:?}");
         }
     }
 }

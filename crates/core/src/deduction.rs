@@ -6,6 +6,10 @@
 //! `D'` for Σ, `(D, D') |= Σ` entails `(D, D') |= ϕ`. Theorem 4.1 reduces
 //! this to the MDClosure computation: ϕ is deduced iff every RHS pair of ϕ
 //! is an equality fact in the closure of Σ and LHS(ϕ).
+//!
+//! Each function here answers one question with a fresh engine; to ask many
+//! questions of one Σ, build a [`Reasoner`](crate::closure::Reasoner) once
+//! and ask it.
 
 use crate::closure::Closure;
 use crate::dependency::MatchingDependency;

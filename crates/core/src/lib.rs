@@ -20,7 +20,8 @@
 //! * **Deduction** ([`deduction`], [`closure`]): the paper's `Σ |=m ϕ`
 //!   relation, decided by the **MDClosure** algorithm in `O(n² + h³)` time
 //!   (here with the Beeri–Bernstein rule index the paper suggests for its
-//!   `O(n + h³)` refinement).
+//!   `O(n + h³)` refinement, built once per Σ by a [`Reasoner`] that then
+//!   answers any number of questions).
 //! * **findRCKs** ([`rck`], [`cost`]): deduce `m` quality RCKs under the
 //!   diversity/statistics cost model of §5.
 //! * **Axioms** ([`axioms`]): the executable inference steps of Lemmas
@@ -66,7 +67,7 @@ pub mod rck;
 pub mod relative_key;
 pub mod schema;
 
-pub use closure::Closure;
+pub use closure::{Closure, Reasoner};
 pub use cost::CostModel;
 pub use deduction::deduces;
 pub use dependency::{IdentPair, MatchingDependency, SimilarityAtom};

@@ -17,13 +17,23 @@
 //! cheapest attributes and are subset-minimal (removing any single atom
 //! breaks them; by monotonicity of the closure this implies no sub-key
 //! works).
+//!
+//! **What a call pays for once.** One call builds one [`Reasoner`] over Σ
+//! and asks it every `minimize` question. It also builds Fig. 7 line 1's
+//! `pairing(Σ, Y1, Y2)` once, as a table of dense pair ids with each MD's
+//! LHS stored as a list of those ids. The MD order `sortMD` (line 6) then
+//! reads one cost per distinct pair from the [`CostModel`], sums each MD's
+//! LHS in LHS order, and orders `(lhs_cost, index)` keys — ascending cost,
+//! ties by position in Σ. A cursor walks that order. After a selection
+//! moves the `ct` counters (line 14), the unvisited suffix is re-costed
+//! and sorted again.
 
+use crate::closure::Reasoner;
 use crate::cost::CostModel;
-use crate::deduction::deduces;
-use crate::dependency::MatchingDependency;
+use crate::dependency::{IdentPair, MatchingDependency};
 use crate::relative_key::{RelativeKey, Target};
 use crate::schema::AttrId;
-use std::collections::HashSet;
+use std::collections::HashMap;
 
 /// The result of [`find_rcks`].
 #[derive(Debug, Clone)]
@@ -70,31 +80,35 @@ pub fn find_rcks(
     if m == 0 {
         return RckOutcome { keys: Vec::new(), complete: false };
     }
+    let mut reasoner = Reasoner::new(sigma);
+    let rhs = target.ident_pairs();
+    let mut pairs = PairTable::new(sigma, target);
 
     // Γ := { minimize((Y1, Y2 ‖ =,…,=)) }   (Fig. 7, lines 3–4)
-    let trivial = target.trivial_key();
-    let first = minimize(trivial, sigma, target, cost);
+    let first = minimize_with(&mut reasoner, target.trivial_key(), &rhs, cost);
     increment_counters(cost, &first);
     let mut gamma: Vec<RelativeKey> = vec![first];
-    let mut selected = 1usize;
 
     // Worklist over Γ: every (γ, φ) combination is inspected once — exactly
     // the completeness condition of Proposition 5.1.
+    let mut order: Vec<(f64, usize)> = Vec::with_capacity(sigma.len());
     let mut i = 0usize;
     while i < gamma.len() {
         let key = gamma[i].clone();
-        // LΣ := sortMD(Σ), ascending by summed LHS cost (line 6); re-sorted
-        // after every selection because `ct` counters moved (line 14).
-        let mut remaining: Vec<usize> = (0..sigma.len()).collect();
-        sort_by_lhs_cost(&mut remaining, sigma, cost);
-        while let Some(&phi_idx) = remaining.first() {
-            remaining.remove(0);
-            let phi = &sigma[phi_idx];
-            let applied = key.apply(phi);
+        // LΣ := sortMD(Σ), ascending by summed LHS cost (line 6); the
+        // unvisited suffix is re-sorted after every selection because the
+        // `ct` counters moved (line 14).
+        order.clear();
+        order.extend((0..sigma.len()).map(|phi_idx| (0.0, phi_idx)));
+        pairs.sort_by_lhs_cost(&mut order, cost);
+        let mut next = 0;
+        while let Some(&(_, phi_idx)) = order.get(next) {
+            next += 1;
+            let applied = key.apply(&sigma[phi_idx]);
             if applied.is_empty() || covered(&gamma, &applied) {
                 continue;
             }
-            let minimized = minimize(applied, sigma, target, cost);
+            let minimized = minimize_with(&mut reasoner, applied, &rhs, cost);
             // The published pseudo-code only ⪯-checks before minimize; we
             // also check after, so Γ stays an antichain set (minimize can
             // collapse distinct candidates onto an existing key).
@@ -103,11 +117,10 @@ pub fn find_rcks(
             }
             increment_counters(cost, &minimized);
             gamma.push(minimized);
-            selected += 1;
-            if selected == m {
+            if gamma.len() == m {
                 return RckOutcome { keys: gamma, complete: false };
             }
-            sort_by_lhs_cost(&mut remaining, sigma, cost);
+            pairs.sort_by_lhs_cost(&mut order[next..], cost);
         }
         i += 1;
     }
@@ -122,6 +135,17 @@ pub fn minimize(
     target: &Target,
     cost: &CostModel,
 ) -> RelativeKey {
+    minimize_with(&mut Reasoner::new(sigma), key, &target.ident_pairs(), cost)
+}
+
+/// [`minimize`] asking `reasoner` (built over Σ) whether a key identifies
+/// the target pairs `rhs`.
+fn minimize_with(
+    reasoner: &mut Reasoner,
+    key: RelativeKey,
+    rhs: &[IdentPair],
+    cost: &CostModel,
+) -> RelativeKey {
     let mut order: Vec<_> = key.atoms().to_vec();
     order.sort_by(|a, b| {
         cost.cost(b.left, b.right)
@@ -134,7 +158,7 @@ pub fn minimize(
         if candidate.is_empty() {
             continue;
         }
-        if deduces(sigma, &candidate.to_md(target)) {
+        if reasoner.implies(candidate.atoms(), rhs) {
             current = candidate;
         }
     }
@@ -144,25 +168,63 @@ pub fn minimize(
 /// `pairing(Σ, Y1, Y2)` (Fig. 7, line 1): the attribute pairs occurring in
 /// the target or anywhere in Σ — the universe the cost counters range over.
 pub fn pairing(sigma: &[MatchingDependency], target: &Target) -> Vec<(AttrId, AttrId)> {
-    let mut set: HashSet<(AttrId, AttrId)> = HashSet::new();
-    let mut out = Vec::new();
-    let mut push = |l: AttrId, r: AttrId| {
-        if set.insert((l, r)) {
-            out.push((l, r));
+    PairTable::new(sigma, target).pairs
+}
+
+/// `pairing(Σ, Y1, Y2)` as dense pair ids, with every MD's LHS as a list of
+/// those ids: what `sortMD` needs to cost Σ with one [`CostModel`] lookup
+/// per distinct pair.
+struct PairTable {
+    /// The distinct pairs, in first-occurrence order (target, then Σ).
+    pairs: Vec<(AttrId, AttrId)>,
+    /// MD `i`'s LHS pairs are `lhs[lhs_start[i]..lhs_start[i + 1]]`, in LHS
+    /// order.
+    lhs_start: Vec<usize>,
+    lhs: Vec<u32>,
+    /// Reused buffer: the current cost of each pair.
+    pair_cost: Vec<f64>,
+}
+
+impl PairTable {
+    fn new(sigma: &[MatchingDependency], target: &Target) -> PairTable {
+        let mut ids: HashMap<(AttrId, AttrId), u32> = HashMap::new();
+        let mut pairs = Vec::new();
+        let mut id = |l: AttrId, r: AttrId| {
+            *ids.entry((l, r)).or_insert_with(|| {
+                pairs.push((l, r));
+                (pairs.len() - 1) as u32
+            })
+        };
+        for (&l, &r) in target.y1().iter().zip(target.y2()) {
+            id(l, r);
         }
-    };
-    for (&l, &r) in target.y1().iter().zip(target.y2()) {
-        push(l, r);
+        let mut lhs_start = Vec::with_capacity(sigma.len() + 1);
+        let mut lhs = Vec::new();
+        for md in sigma {
+            lhs_start.push(lhs.len());
+            lhs.extend(md.lhs().iter().map(|atom| id(atom.left, atom.right)));
+            for ident in md.rhs() {
+                id(ident.left, ident.right);
+            }
+        }
+        lhs_start.push(lhs.len());
+        PairTable { pairs, lhs_start, lhs, pair_cost: Vec::new() }
     }
-    for md in sigma {
-        for atom in md.lhs() {
-            push(atom.left, atom.right);
+
+    /// `sortMD` over `order`'s MD indices: recomputes each entry's summed
+    /// LHS cost under the current `ct` counters, then sorts ascending by
+    /// cost, ties by index.
+    fn sort_by_lhs_cost(&mut self, order: &mut [(f64, usize)], cost: &CostModel) {
+        self.pair_cost.clear();
+        self.pair_cost.extend(self.pairs.iter().map(|&(l, r)| cost.cost(l, r)));
+        for (c, md) in order.iter_mut() {
+            let ids = &self.lhs[self.lhs_start[*md]..self.lhs_start[*md + 1]];
+            *c = ids.iter().map(|&id| self.pair_cost[id as usize]).sum();
         }
-        for ident in md.rhs() {
-            push(ident.left, ident.right);
-        }
+        order.sort_unstable_by(|a, b| {
+            a.0.partial_cmp(&b.0).expect("costs are finite").then(a.1.cmp(&b.1))
+        });
     }
-    out
 }
 
 fn covered(gamma: &[RelativeKey], candidate: &RelativeKey) -> bool {
@@ -175,20 +237,14 @@ fn increment_counters(cost: &mut CostModel, key: &RelativeKey) {
     }
 }
 
-fn sort_by_lhs_cost(indices: &mut [usize], sigma: &[MatchingDependency], cost: &CostModel) {
-    indices.sort_by(|&a, &b| {
-        let ca: f64 = sigma[a].lhs().iter().map(|t| cost.cost(t.left, t.right)).sum();
-        let cb: f64 = sigma[b].lhs().iter().map(|t| cost.cost(t.left, t.right)).sum();
-        ca.partial_cmp(&cb).expect("costs are finite").then(a.cmp(&b))
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::deduction::deduces;
     use crate::dependency::{IdentPair, SimilarityAtom};
     use crate::operators::OperatorTable;
     use crate::schema::{Schema, SchemaPair};
+    use std::collections::HashSet;
     use std::sync::Arc;
 
     /// Example 2.1's Σc over the credit/billing schemas.

@@ -2,10 +2,11 @@
 //! similarity axioms, closure soundness against the executable dynamic
 //! semantics, findRCKs minimality/completeness, and parser round-trips.
 
+use matchrules::core::closure::{Closure, Reasoner};
 use matchrules::core::cost::CostModel;
 use matchrules::core::deduction::deduces;
 use matchrules::core::dependency::{IdentPair, MatchingDependency, SimilarityAtom};
-use matchrules::core::operators::OperatorTable;
+use matchrules::core::operators::{OperatorId, OperatorTable};
 use matchrules::core::parser::parse_md;
 use matchrules::core::rck::{find_rcks, minimize};
 use matchrules::core::relative_key::{RelativeKey, Target};
@@ -373,5 +374,153 @@ proptest! {
         prop_assert!(k == 0 || !deduces(&sigma, &rev));
         let _ = OperatorTable::new();
         let _ = Target::new(&pair, vec![0], vec![0]).unwrap();
+    }
+}
+
+// ---------------------------------------------------------------------
+// Reasoning: keys pinned, and a reused Reasoner forgets each question.
+// ---------------------------------------------------------------------
+
+/// FNV-1a over 64-bit words.
+struct KeyDigest(u64);
+
+impl KeyDigest {
+    fn word(&mut self, w: u64) {
+        for byte in w.to_le_bytes() {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    /// Digests findRCKs on `MdGenConfig::fig8(card, y_len, seed)` under
+    /// the uniform cost model: every key's atoms (left, right, op), then
+    /// the `complete` flag.
+    fn find_rcks(&mut self, card: usize, y_len: usize, seed: u64, m: usize) {
+        let setting = generate(&MdGenConfig::fig8(card, y_len, seed));
+        let outcome = find_rcks(&setting.sigma, &setting.target, m, &mut CostModel::uniform());
+        self.word(outcome.keys.len() as u64);
+        for key in &outcome.keys {
+            self.word(key.len() as u64);
+            for atom in key.atoms() {
+                self.word(atom.left as u64);
+                self.word(atom.right as u64);
+                self.word(u64::from(atom.op.0));
+            }
+        }
+        self.word(u64::from(outcome.complete));
+    }
+}
+
+/// findRCKs returns exactly the keys (and the `complete` flag) it returned
+/// before MD ordering and deduction were rebuilt around one `Reasoner` per
+/// call: Fig. 8's card-2,000 sets at m = 20 (3 seeds), and exhaustive runs
+/// at cards 50 and 200 (6 seeds each). The pinned digest was computed by
+/// this same test on the code before the rebuild.
+#[test]
+fn reason_keys_match_parent() {
+    let mut d = KeyDigest(0xcbf2_9ce4_8422_2325);
+    for seed in 0..3 {
+        d.find_rcks(2_000, 12, seed, 20);
+    }
+    for card in [50, 200] {
+        for seed in 0..6 {
+            d.find_rcks(card, 7, seed, usize::MAX);
+        }
+    }
+    assert_eq!(d.0, 0x2d62_bd5d_5fa3_7aea, "findRCKs keys moved: digest {:#018x}", d.0);
+}
+
+/// One question for a reused `Reasoner`, drawn from `((kind, i), (l, r), op)`:
+/// an MD of Σ (deduced), the trivial key (deduced, the longest cascade), a
+/// random one-atom MD (mostly refuted), or a question whose seed reaches
+/// outside Σ's universe — a left attribute past the schema, equal to an
+/// attribute Σ mentions, and an operator Σ never uses.
+fn question(
+    setting: &matchrules::data::mdgen::GeneratedSetting,
+    ((kind, i), (l, r), op): ((u8, usize), (usize, usize), u16),
+) -> (Vec<SimilarityAtom>, Vec<IdentPair>) {
+    let arity = setting.pair.left().arity();
+    let (l, r) = (l % arity, r % arity);
+    let phi = &setting.sigma[i % setting.sigma.len()];
+    match kind {
+        0 => (phi.lhs().to_vec(), phi.rhs().to_vec()),
+        1 => (setting.target.trivial_key().atoms().to_vec(), setting.target.ident_pairs()),
+        2 => (
+            vec![SimilarityAtom::new(l, r, OperatorId(op % 5))],
+            vec![IdentPair::new((l + 1) % arity, (r + 1) % arity)],
+        ),
+        _ => {
+            let inside = phi.lhs()[0];
+            let outside = arity + l % 3;
+            (
+                vec![
+                    inside,
+                    SimilarityAtom::eq(outside, inside.right),
+                    SimilarityAtom::new(outside, r, OperatorId(50 + op)),
+                ],
+                vec![IdentPair::new(outside, phi.rhs()[0].right), phi.rhs()[0]],
+            )
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// One `Reasoner` asked a sequence of questions answers each exactly as
+    /// a fresh `compute_naive` does — the question's own RHS, each of its
+    /// pairs alone, and every pair over the schema plus the seed's outside
+    /// attribute — so nothing one question deduces leaks into the next,
+    /// and seeds outside Σ's universe extend it without a wrong `false`.
+    #[test]
+    fn reason_reused_reasoner_equals_fresh_closure(
+        seed in 0u64..5000,
+        card in 1usize..24,
+        questions in proptest::collection::vec(
+            ((0u8..4, 0usize..64), (0usize..32, 0usize..32), 0u16..5),
+            1..16,
+        ),
+    ) {
+        let setting = generate(&MdGenConfig::fig8(card, 4, seed));
+        let mut reasoner = Reasoner::new(&setting.sigma);
+        let arity = setting.pair.left().arity();
+        for q in questions {
+            let (lhs, rhs) = question(&setting, q);
+            let fresh = Closure::compute_naive(&setting.sigma, &lhs, &[]);
+            let want = |rhs: &[IdentPair]| {
+                rhs.iter().all(|p| fresh.holds(p.left, p.right, OperatorId::EQ))
+            };
+            prop_assert_eq!(reasoner.implies(&lhs, &rhs), want(&rhs), "verdict for {:?}", q);
+            let singles = rhs.iter().map(|&p| vec![p]);
+            let grid = (0..arity + 3)
+                .flat_map(|l| (0..arity).map(move |r| vec![IdentPair::new(l, r)]));
+            for probe in singles.chain(grid) {
+                prop_assert_eq!(
+                    reasoner.implies(&lhs, &probe),
+                    want(&probe),
+                    "verdict for {:?} asking {:?}",
+                    q,
+                    probe
+                );
+            }
+        }
+    }
+}
+
+/// `Closure::compute` fires Σc's rules in the same order as before it
+/// became a one-shot `Reasoner` (the sequences were recorded on that
+/// code), so deduction paths and explanations are unchanged.
+#[test]
+fn reason_fired_order_matches_parent() {
+    use matchrules::core::paper;
+    let setting = paper::example_1_1();
+    let expected: [&[usize]; 4] = [
+        &[0, 0, 0, 0, 0, 1],
+        &[1, 0, 0, 0, 0, 0],
+        &[2, 2, 0, 0, 0, 0, 0, 1],
+        &[2, 2, 1, 0, 0, 0, 0, 0],
+    ];
+    for (key, want) in paper::example_2_4_rcks(&setting).iter().zip(expected) {
+        assert_eq!(Closure::compute(&setting.sigma, key.atoms(), &[]).fired(), want);
     }
 }
