@@ -10,8 +10,8 @@
 //!   atoms (`matchrules_matcher::scoring::rck_comparison_vector`).
 //! * **SN** (Exp-3): [`sorted_neighborhood`] — multi-pass windowing under
 //!   the fixed [`standard_sort_keys`], a rule set (the 25 hand rules of
-//!   [`hernandez_stolfo_25`], or the RCKs) decided by the compiled
-//!   [`KeyMatcher`] evaluator, then union-find transitive closure.
+//!   [`hernandez_stolfo_25`], or the RCKs) decided by the library's one
+//!   pair verifier, [`KeyMatcher`], then union-find transitive closure.
 //! * **Blocking** (Exp-4): [`block_candidates`] under the manual key
 //!   ([`manual_block_key`]) or the RCK-derived one ([`rck_block_key`]).
 //!
@@ -22,10 +22,10 @@ use matchrules_core::dependency::SimilarityAtom;
 use matchrules_core::operators::OperatorId;
 use matchrules_core::relative_key::{RelativeKey, Target};
 use matchrules_core::schema::SchemaPair;
-use matchrules_data::eval::RuntimeOps;
+use matchrules_data::eval::{FilterStats, RuntimeOps};
 use matchrules_data::relation::Relation;
 use matchrules_data::unionfind::UnionFind;
-use matchrules_matcher::key::KeyMatcher;
+use matchrules_matcher::key::{KeyMatcher, PairSide};
 use matchrules_matcher::pipeline::field_for;
 use matchrules_matcher::scoring::ScoreModel;
 use matchrules_matcher::sortkey::{KeyField, SortKey};
@@ -77,12 +77,14 @@ pub fn sorted_neighborhood(
 ) -> (Vec<(usize, usize)>, usize) {
     let candidates = multi_pass_window(credit, billing, keys, window);
     let (credit_prep, billing_prep) = rules.prepare_in(&WorkPool::serial(), credit, billing);
-    let mut eval = rules.evaluator(credit, billing, &credit_prep, &billing_prep);
+    let mut stats = FilterStats::default();
     // Credit i ↦ i, billing j ↦ |C| + j.
     let n_credit = credit.len();
     let mut uf = UnionFind::new(n_credit + billing.len());
     for &(c, b) in &candidates {
-        if eval.matches(c, b) {
+        let left = PairSide::new(&credit.tuples()[c], credit_prep.row(c));
+        let right = PairSide::new(&billing.tuples()[b], billing_prep.row(b));
+        if rules.decide(left, right, None, &mut stats).is_some() {
             uf.union(c, n_credit + b);
         }
     }
@@ -292,7 +294,7 @@ mod tests {
         }
         let plan = w.engine.plan();
         let keys = standard_sort_keys(plan.pair());
-        let matcher = KeyMatcher::new(plan.rcks().iter(), w.engine.runtime());
+        let matcher = KeyMatcher::new(plan.rcks(), w.engine.runtime());
         let (_, comparisons) =
             sorted_neighborhood(&w.data.credit, &w.data.billing, &matcher, &keys, WINDOW);
         assert_eq!(comparisons, 8_933);
@@ -320,7 +322,7 @@ mod tests {
         let ops = w.engine.runtime();
         let keys = standard_sort_keys(plan.pair());
         let run = |rules: &[RelativeKey]| {
-            let matcher = KeyMatcher::new(rules.iter(), ops);
+            let matcher = KeyMatcher::new(rules, ops);
             let (pairs, _) =
                 sorted_neighborhood(&w.data.credit, &w.data.billing, &matcher, &keys, WINDOW);
             evaluate_pairs(&pairs, &w.data.truth)
@@ -442,7 +444,7 @@ mod tests {
         let (setting, inst) = fig1::setting_and_instance();
         let ops = RuntimeOps::resolve(&setting.ops, &paper_registry()).unwrap();
         let rcks = paper::example_2_4_rcks(&setting);
-        let matcher = KeyMatcher::new(rcks.iter(), &ops);
+        let matcher = KeyMatcher::new(&rcks, &ops);
         let (mut pairs, comparisons) =
             sorted_neighborhood(inst.left(), inst.right(), &matcher, &[ln_soundex(&setting)], 6);
         // All four billing tuples link to t1 (credit index 0).
@@ -462,7 +464,7 @@ mod tests {
         values[0] = matchrules_data::value::Value::str("333");
         credit2.push(matchrules_data::relation::Tuple::new(99, values));
         let rcks = paper::example_2_4_rcks(&setting);
-        let matcher = KeyMatcher::new(rcks.iter(), &ops);
+        let matcher = KeyMatcher::new(&rcks, &ops);
         let (pairs, _) =
             sorted_neighborhood(&credit2, inst.right(), &matcher, &[ln_soundex(&setting)], 8);
         // Both credit 0 and credit 2 (the clone) pair with all 4 billings.
@@ -476,7 +478,7 @@ mod tests {
         let (setting, data, ops) = extended_data(300, 31);
         let keys = standard_sort_keys(&setting.pair);
         let run = |rules: &[RelativeKey]| {
-            let matcher = KeyMatcher::new(rules.iter(), &ops);
+            let matcher = KeyMatcher::new(rules, &ops);
             let (pairs, _) =
                 sorted_neighborhood(&data.credit, &data.billing, &matcher, &keys, WINDOW);
             evaluate_pairs(&pairs, &data.truth)

@@ -42,7 +42,7 @@ fn union_of_keys(k: usize) {
     let keys = standard_sort_keys(w.engine.plan().pair());
     let mut table = Table::new(&["keys", "precision", "recall", "F1"]);
     for take in 1..=rcks.len() {
-        let matcher = KeyMatcher::new(rcks.iter().take(take), w.engine.runtime());
+        let matcher = KeyMatcher::new(&rcks[..take], w.engine.runtime());
         let (pairs, _) = sorted_neighborhood(&w.data.credit, &w.data.billing, &matcher, &keys, 10);
         let q = evaluate_pairs(&pairs, &w.data.truth);
         table.row(vec![
@@ -92,7 +92,7 @@ fn window_size(k: usize) {
     let keys = standard_sort_keys(w.engine.plan().pair());
     let mut table = Table::new(&["window", "comparisons", "precision", "recall"]);
     for window in [2usize, 5, 10, 20, 40] {
-        let matcher = KeyMatcher::new(rcks.iter(), w.engine.runtime());
+        let matcher = KeyMatcher::new(rcks, w.engine.runtime());
         let (pairs, comparisons) =
             sorted_neighborhood(&w.data.credit, &w.data.billing, &matcher, &keys, window);
         let q = evaluate_pairs(&pairs, &w.data.truth);

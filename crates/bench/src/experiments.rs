@@ -143,14 +143,14 @@ pub fn fig10_sn(w: &Workload) -> (MethodRow, MethodRow) {
     let dl = plan.ops().get("≈d").expect("preset interns ≈d");
     let rules25 = hernandez_stolfo_25(plan.pair(), dl);
     let start = std::time::Instant::now();
-    let matcher = KeyMatcher::new(rules25.iter(), ops);
+    let matcher = KeyMatcher::new(&rules25, ops);
     let (base_pairs, _) =
         sorted_neighborhood(&w.data.credit, &w.data.billing, &matcher, &keys, WINDOW);
     let base_secs = start.elapsed().as_secs_f64();
     let base_q = evaluate_pairs(&base_pairs, &w.data.truth);
 
     let start = std::time::Instant::now();
-    let matcher = KeyMatcher::new(plan.rcks().iter(), ops);
+    let matcher = KeyMatcher::new(plan.rcks(), ops);
     let (rck_pairs, _) =
         sorted_neighborhood(&w.data.credit, &w.data.billing, &matcher, &keys, WINDOW);
     let rck_secs = start.elapsed().as_secs_f64();

@@ -1,5 +1,5 @@
-//! Minimal JSON writer for the bench binaries' machine-readable output
-//! (`BENCH_*.json`) — std-only, like everything else in the workspace.
+//! Minimal JSON writer for the benchmark's machine-readable reports
+//! (`bench run --out`) — std-only, like everything else in the workspace.
 
 use std::fmt;
 

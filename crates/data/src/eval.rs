@@ -13,11 +13,13 @@
 //! instead of a virtual call, and the edit class additionally runs on
 //! the per-relation caches of [`crate::prep`] — cheap pair filters
 //! (length / character bag / positional q-grams) first, then the banded
-//! DP on cached character buffers with per-worker scratch rows. The
-//! `*_prepped` entry points report which stage decided each pair through
-//! [`FilterStats`].
+//! DP on cached character buffers with per-worker scratch rows.
+//! [`RuntimeOps::atom_matches_sigs`] is the one compiled atom entry: it
+//! takes each operand's signature and reports which stage decided the
+//! pair through [`FilterStats`]. [`RuntimeOps::atom_matches`] and
+//! [`RuntimeOps::lhs_matches`] stay the uncompiled reference.
 
-use crate::prep::{AttrSig, RelationPrep};
+use crate::prep::AttrSig;
 use crate::relation::Tuple;
 use crate::value::Value;
 use matchrules_core::dependency::SimilarityAtom;
@@ -51,6 +53,12 @@ fn banded_distance(transpositions: bool, a: &[char], b: &[char], bound: usize) -
             levenshtein_within_chars(a, b, bound, scratch)
         }
     })
+}
+
+/// `sig` when the caller holds it, else the signature of `value`
+/// extracted now.
+fn sig_or_extract<'s>(sig: Option<&'s AttrSig>, value: &Value) -> Cow<'s, AttrSig> {
+    sig.map_or_else(|| Cow::Owned(AttrSig::of_value(value)), Cow::Borrowed)
 }
 
 /// Where the edit ladder decided one pair: the deciding stage, the
@@ -168,8 +176,7 @@ impl FilterStats {
 
     /// Total thresholded edit-distance evaluations that reached the
     /// filter pipeline. Evaluations decided even earlier — a `Null` on
-    /// either side, both strings empty, or a missing signature falling
-    /// back to dynamic dispatch — increment no counter.
+    /// either side or both strings empty — increment no counter.
     pub fn evaluations(&self) -> u64 {
         self.equal_fast + self.rejected() + self.dp_runs
     }
@@ -219,7 +226,7 @@ impl AtomStage {
 
 /// How one LHS atom was decided: the outcome plus the evidence a match
 /// explanation reports. Decisions agree exactly with
-/// [`RuntimeOps::atom_matches`] / [`RuntimeOps::atom_matches_prepped`];
+/// [`RuntimeOps::atom_matches`] / [`RuntimeOps::atom_matches_sigs`];
 /// the extra fields only exist on this (cold) path.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AtomTrace {
@@ -284,7 +291,7 @@ impl RuntimeOps {
 
     /// Whether `op` compiles to an edit-distance kernel, i.e. whether
     /// attributes compared under it benefit from a
-    /// [`RelationPrep`] signature.
+    /// [`RelationPrep`](crate::prep::RelationPrep) signature.
     pub fn needs_signature(&self, op: OperatorId) -> bool {
         matches!(self.class(op), OpClass::Edit { .. })
     }
@@ -342,8 +349,8 @@ impl RuntimeOps {
     /// `sa` of `t1`'s left attribute, `sb` of `t2`'s right one. Decides
     /// exactly like [`RuntimeOps::atom_matches`]; `stats` records which
     /// filter stage (or the DP) decided edit-kernel evaluations. An edit
-    /// atom missing a signature falls back to the uncached path rather
-    /// than mis-decide, and records nothing.
+    /// atom missing a signature extracts it from the value on the spot —
+    /// how a match index verifies candidates it keeps no signatures for.
     pub fn atom_matches_sigs(
         &self,
         atom: &SimilarityAtom,
@@ -353,37 +360,28 @@ impl RuntimeOps {
         sb: Option<&AttrSig>,
         stats: &mut FilterStats,
     ) -> bool {
-        match (self.class(atom.op), sa, sb) {
-            (OpClass::Equality, ..) => {
-                match (t1.get(atom.left).as_str(), t2.get(atom.right).as_str()) {
-                    (Some(x), Some(y)) => x == y,
-                    _ => false,
-                }
-            }
-            (OpClass::Edit { theta, transpositions }, Some(sa), Some(sb)) => {
-                let rung = edit_ladder(theta, transpositions, sa, sb);
+        match self.class(atom.op) {
+            OpClass::Equality => match (t1.get(atom.left).as_str(), t2.get(atom.right).as_str()) {
+                (Some(x), Some(y)) => x == y,
+                _ => false,
+            },
+            OpClass::Edit { theta, transpositions } => {
+                let rung = match (sa, sb) {
+                    (Some(sa), Some(sb)) => edit_ladder(theta, transpositions, sa, sb),
+                    _ => edit_ladder(
+                        theta,
+                        transpositions,
+                        &sig_or_extract(sa, t1.get(atom.left)),
+                        &sig_or_extract(sb, t2.get(atom.right)),
+                    ),
+                };
                 stats.record(rung.stage);
                 rung.distance.is_some()
             }
-            _ => self.atom_matches(atom, t1, t2),
+            OpClass::Keys | OpClass::Elements { .. } | OpClass::Scan => {
+                self.atom_matches(atom, t1, t2)
+            }
         }
-    }
-
-    /// [`RuntimeOps::atom_matches_sigs`] on the tuples at positions
-    /// `l`/`r` of two prepared relations.
-    #[allow(clippy::too_many_arguments)]
-    pub fn atom_matches_prepped(
-        &self,
-        atom: &SimilarityAtom,
-        t1: &Tuple,
-        t2: &Tuple,
-        p1: &RelationPrep,
-        p2: &RelationPrep,
-        l: usize,
-        r: usize,
-        stats: &mut FilterStats,
-    ) -> bool {
-        self.atom_matches_sigs(atom, t1, t2, p1.sig(l, atom.left), p2.sig(r, atom.right), stats)
     }
 
     /// Traces one LHS atom: the same decision as
@@ -393,8 +391,7 @@ impl RuntimeOps {
     /// distance. This is the explanation path, called once per inspected
     /// pair, so unlike the hot path it always computes the **exact**
     /// distance for edit kernels, even when a filter (or the band) already
-    /// proved the pair out of bound, and it extracts any signature the
-    /// caller does not pass.
+    /// proved the pair out of bound.
     pub fn atom_trace(
         &self,
         atom: &SimilarityAtom,
@@ -410,14 +407,8 @@ impl RuntimeOps {
         match self.class(atom.op) {
             OpClass::Equality => decided(x == y, AtomStage::Equality),
             OpClass::Edit { theta, transpositions } => {
-                let sa = sa.map_or_else(
-                    || Cow::Owned(AttrSig::of_value(t1.get(atom.left))),
-                    Cow::Borrowed,
-                );
-                let sb = sb.map_or_else(
-                    || Cow::Owned(AttrSig::of_value(t2.get(atom.right))),
-                    Cow::Borrowed,
-                );
+                let (sa, sb) =
+                    (sig_or_extract(sa, t1.get(atom.left)), sig_or_extract(sb, t2.get(atom.right)));
                 let rung = edit_ladder(theta, transpositions, &sa, &sb);
                 let exact =
                     || if transpositions { damerau_levenshtein(x, y) } else { levenshtein(x, y) };
@@ -437,8 +428,8 @@ impl RuntimeOps {
     /// Computes the graded agreement feature of one atom: the same boolean
     /// decision as [`RuntimeOps::atom_matches`] plus an agreement strength
     /// in `[0, 1]` for scoring. Edit kernels climb the same ladder as the
-    /// hot path on signatures extracted on the fly (no [`RelationPrep`]
-    /// needed, so it works on ad-hoc probe tuples), but — unlike the
+    /// hot path on signatures extracted on the fly (no [`crate::prep`]
+    /// cache needed, so it works on ad-hoc probe tuples), but — unlike the
     /// trace — never compute an exact out-of-bound edit distance: a pair
     /// a filter or the band proves out of bound simply scores 0.
     pub fn atom_feature(&self, atom: &SimilarityAtom, t1: &Tuple, t2: &Tuple) -> AtomFeature {
@@ -474,23 +465,6 @@ impl RuntimeOps {
                 }
             }
         }
-    }
-
-    /// Evaluates a full LHS (conjunction) through the compiled kernels —
-    /// the prepped counterpart of [`RuntimeOps::lhs_matches`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn lhs_matches_prepped(
-        &self,
-        lhs: &[SimilarityAtom],
-        t1: &Tuple,
-        t2: &Tuple,
-        p1: &RelationPrep,
-        p2: &RelationPrep,
-        l: usize,
-        r: usize,
-        stats: &mut FilterStats,
-    ) -> bool {
-        lhs.iter().all(|atom| self.atom_matches_prepped(atom, t1, t2, p1, p2, l, r, stats))
     }
 
     /// Number of resolved operators.
@@ -556,15 +530,20 @@ mod tests {
         (0..inst.left().schema().arity()).for_each(|a| ln.mark(a));
         let mut rn = SigNeeds::none(inst.right().schema().arity());
         (0..inst.right().schema().arity()).for_each(|a| rn.mark(a));
-        let lp = RelationPrep::build(inst.left(), &ln);
-        let rp = RelationPrep::build(inst.right(), &rn);
+        let lp = RelationPrep::build(inst.left().tuples(), &ln);
+        let rp = RelationPrep::build(inst.right().tuples(), &rn);
         let mut stats = FilterStats::default();
         for (l, lt) in inst.left().tuples().iter().enumerate() {
             for (r, rt) in inst.right().tuples().iter().enumerate() {
+                let (sl, sr) = (lp.row(l), rp.row(r));
                 for md in &setting.sigma {
+                    let compiled = md.lhs().iter().all(|atom| {
+                        let (sa, sb) = (sl.sig(atom.left), sr.sig(atom.right));
+                        ops.atom_matches_sigs(atom, lt, rt, sa, sb, &mut stats)
+                    });
                     assert_eq!(
                         ops.lhs_matches(md.lhs(), lt, rt),
-                        ops.lhs_matches_prepped(md.lhs(), lt, rt, &lp, &rp, l, r, &mut stats),
+                        compiled,
                         "pair ({l},{r}) md {md:?}"
                     );
                 }
@@ -575,21 +554,21 @@ mod tests {
     }
 
     #[test]
-    fn prepped_evaluation_without_signatures_falls_back() {
-        use crate::prep::{RelationPrep, SigNeeds};
+    fn evaluation_without_signatures_extracts_them() {
         let (table, ops) = runtime();
         let dl = table.get("≈d").unwrap();
         let t1 = Tuple::new(1, vec![Value::str("Mark")]);
         let t2 = Tuple::new(2, vec![Value::str("Marx")]);
-        // Empty preps: the evaluator must fall back, not mis-decide.
-        let schema =
-            std::sync::Arc::new(matchrules_core::schema::Schema::text("R", &["a"]).unwrap());
-        let rel = crate::relation::Relation::new(schema);
-        let empty = RelationPrep::build(&rel, &SigNeeds::none(1));
+        // No signatures: the kernel extracts them and climbs the same
+        // ladder — same decision, same counter.
         let atom = SimilarityAtom::new(0, 0, dl);
         let mut stats = FilterStats::default();
-        assert!(ops.atom_matches_prepped(&atom, &t1, &t2, &empty, &empty, 0, 0, &mut stats));
-        assert_eq!(stats, FilterStats::default(), "fallback path records nothing");
+        assert!(ops.atom_matches_sigs(&atom, &t1, &t2, None, None, &mut stats));
+        let (sa, sb) = (AttrSig::of_value(t1.get(0)), AttrSig::of_value(t2.get(0)));
+        let mut cached = FilterStats::default();
+        assert!(ops.atom_matches_sigs(&atom, &t1, &t2, Some(&sa), Some(&sb), &mut cached));
+        assert_eq!(stats, cached);
+        assert_eq!(stats.dp_runs, 1);
     }
 
     #[test]
@@ -601,14 +580,14 @@ mod tests {
         (0..inst.left().schema().arity()).for_each(|a| ln.mark(a));
         let mut rn = SigNeeds::none(inst.right().schema().arity());
         (0..inst.right().schema().arity()).for_each(|a| rn.mark(a));
-        let lp = RelationPrep::build(inst.left(), &ln);
-        let rp = RelationPrep::build(inst.right(), &rn);
+        let lp = RelationPrep::build(inst.left().tuples(), &ln);
+        let rp = RelationPrep::build(inst.right().tuples(), &rn);
         let mut traced = 0usize;
         for (l, lt) in inst.left().tuples().iter().enumerate() {
             for (r, rt) in inst.right().tuples().iter().enumerate() {
                 for md in &setting.sigma {
                     for atom in md.lhs() {
-                        let (sa, sb) = (lp.sig(l, atom.left), rp.sig(r, atom.right));
+                        let (sa, sb) = (lp.row(l).sig(atom.left), rp.row(r).sig(atom.right));
                         let trace = ops.atom_trace(atom, lt, rt, sa, sb);
                         assert_eq!(
                             trace.matched,
@@ -681,12 +660,14 @@ mod tests {
             let value = |s: String, draw: u64| if draw == 0 { Value::Null } else { Value::str(s) };
             let t1 = Tuple::new(1, vec![value(word, next(12))]);
             let t2 = Tuple::new(2, vec![value(other.into_iter().collect(), next(12))]);
-            let (p1, p2) = (RelationPrep::single(&t1, &needs), RelationPrep::single(&t2, &needs));
+            let prep = |t: &Tuple| RelationPrep::build(std::slice::from_ref(t), &needs);
+            let (p1, p2) = (prep(&t1), prep(&t2));
+            let (sa, sb) = (p1.row(0).sig(0), p2.row(0).sig(0));
             for op in edit_ops {
                 let atom = SimilarityAtom::new(0, 0, op);
                 let mut stats = FilterStats::default();
-                let matched = ops.atom_matches_prepped(&atom, &t1, &t2, &p1, &p2, 0, 0, &mut stats);
-                let trace = ops.atom_trace(&atom, &t1, &t2, p1.sig(0, 0), p2.sig(0, 0));
+                let matched = ops.atom_matches_sigs(&atom, &t1, &t2, sa, sb, &mut stats);
+                let trace = ops.atom_trace(&atom, &t1, &t2, sa, sb);
                 let feature = ops.atom_feature(&atom, &t1, &t2);
                 let pair = (&t1, &t2, op);
                 assert_eq!(matched, ops.atom_matches(&atom, &t1, &t2), "{pair:?}");

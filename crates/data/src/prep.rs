@@ -8,13 +8,19 @@
 //! [`StringSig`] filter
 //! signature) per needed tuple attribute, once, optionally in parallel
 //! over a [`WorkPool`]; pair evaluation then runs the filter pipeline and
-//! the banded DP on cached buffers.
+//! the banded DP on cached buffers, reading each side's signatures
+//! through a [`SigRow`].
+//!
+//! One constructor serves every caller: the batch engine preps whole
+//! relations, a match index a probe batch or a single probe. A side
+//! without a row ([`SigRow::none`]) is not wrong, only uncached: the edit
+//! kernel extracts what it compares on the spot.
 //!
 //! Which attributes need signatures is decided by the operators appearing
 //! in the match rules (see [`SigNeeds`]): equality and opaque operators
 //! cost nothing here.
 
-use crate::relation::{Relation, Tuple};
+use crate::relation::Tuple;
 use crate::value::Value;
 use matchrules_core::schema::AttrId;
 use matchrules_runtime::WorkPool;
@@ -67,6 +73,11 @@ impl SigNeeds {
         self.attrs.is_empty()
     }
 
+    /// The signatures of `tuple`'s needed attributes, in slot order.
+    fn sigs_of<'t>(&'t self, tuple: &'t Tuple) -> impl Iterator<Item = AttrSig> + 't {
+        self.attrs.iter().map(|&attr| AttrSig::of_value(tuple.get(attr)))
+    }
+
     fn slot(&self, attr: AttrId) -> Option<usize> {
         self.slots.get(attr).copied().flatten().map(|s| s as usize)
     }
@@ -110,7 +121,32 @@ impl AttrSig {
     }
 }
 
-/// Signatures for every needed attribute of every tuple of one relation.
+/// The signatures of one prepared tuple — what the pair verifier reads
+/// an edit atom's operand from. [`SigRow::none`] holds none (every edit
+/// atom then extracts its operands' signatures itself).
+#[derive(Debug, Clone, Copy)]
+pub struct SigRow<'p> {
+    needs: &'p SigNeeds,
+    /// The tuple's signatures, in slot order.
+    sigs: &'p [AttrSig],
+}
+
+impl<'p> SigRow<'p> {
+    /// A row with no signatures.
+    pub fn none() -> SigRow<'static> {
+        static NO_NEEDS: SigNeeds = SigNeeds { slots: Vec::new(), attrs: Vec::new() };
+        SigRow { needs: &NO_NEEDS, sigs: &[] }
+    }
+
+    /// The signature of attribute `attr`, when the prep's [`SigNeeds`]
+    /// marked it.
+    pub fn sig(&self, attr: AttrId) -> Option<&'p AttrSig> {
+        self.sigs.get(self.needs.slot(attr)?)
+    }
+}
+
+/// Signatures for every needed attribute of every tuple of a slice — a
+/// relation, a probe batch or a single probe.
 #[derive(Debug, Clone)]
 pub struct RelationPrep {
     needs: SigNeeds,
@@ -121,57 +157,33 @@ pub struct RelationPrep {
 
 impl RelationPrep {
     /// Serial extraction.
-    pub fn build(relation: &Relation, needs: &SigNeeds) -> Self {
-        Self::build_in(&WorkPool::serial(), relation, needs)
+    pub fn build(tuples: &[Tuple], needs: &SigNeeds) -> Self {
+        Self::build_in(&WorkPool::serial(), tuples, needs)
     }
 
-    /// Extraction chunked over `pool` (tuple order preserved; the result
-    /// is identical to the serial build).
-    pub fn build_in(pool: &WorkPool, relation: &Relation, needs: &SigNeeds) -> Self {
-        if needs.is_empty() {
-            return Self::empty(needs);
-        }
-        let tuples = relation.tuples();
-        let chunks = pool.par_ranges(tuples.len(), PREP_MIN_CHUNK, |_, range| {
-            let mut chunk = Self::empty(needs);
-            tuples[range].iter().for_each(|t| chunk.push_row(t));
-            chunk.sigs
-        });
-        RelationPrep { needs: needs.clone(), sigs: chunks.into_iter().flatten().collect() }
+    /// Extraction chunked over `pool` when there are more tuples than one
+    /// chunk (tuple order preserved; the result is identical to the
+    /// serial build).
+    pub fn build_in(pool: &WorkPool, tuples: &[Tuple], needs: &SigNeeds) -> Self {
+        let sigs = if needs.is_empty() {
+            Vec::new()
+        } else if tuples.len() <= PREP_MIN_CHUNK {
+            tuples.iter().flat_map(|t| needs.sigs_of(t)).collect()
+        } else {
+            let chunks = pool.par_ranges(tuples.len(), PREP_MIN_CHUNK, |_, range| {
+                tuples[range].iter().flat_map(|t| needs.sigs_of(t)).collect::<Vec<_>>()
+            });
+            chunks.into_iter().flatten().collect()
+        };
+        RelationPrep { needs: needs.clone(), sigs }
     }
 
-    /// A prep with no rows yet — the starting point of a probe *batch*,
-    /// where rows are pushed one by one without building a [`Relation`].
-    pub fn empty(needs: &SigNeeds) -> Self {
-        RelationPrep { needs: needs.clone(), sigs: Vec::new() }
-    }
-
-    /// A one-tuple prep — the probe side of a point query against a
-    /// match index, where building a whole [`Relation`] first would be
-    /// wasted work.
-    pub fn single(tuple: &Tuple, needs: &SigNeeds) -> Self {
-        let mut prep = Self::empty(needs);
-        prep.push_row(tuple);
-        prep
-    }
-
-    /// Appends the signatures of one more tuple, which becomes position
-    /// `self.len()` — how a probe batch is prepared one tuple at a time.
-    /// No-op when nothing needs signatures.
-    pub fn push_row(&mut self, tuple: &Tuple) {
-        self.sigs.extend(self.needs.attrs.iter().map(|&attr| AttrSig::of_value(tuple.get(attr))));
-    }
-
-    /// The need set this prep was built for.
-    pub fn needs(&self) -> &SigNeeds {
-        &self.needs
-    }
-
-    /// The signature of attribute `attr` of the tuple at `pos`, when that
-    /// attribute was marked in the build's [`SigNeeds`].
-    pub fn sig(&self, pos: usize, attr: AttrId) -> Option<&AttrSig> {
-        let slot = self.needs.slot(attr)?;
-        self.sigs.get(pos * self.needs.len() + slot)
+    /// The signatures of the tuple at `pos` (none when `pos` is out of
+    /// range).
+    pub fn row(&self, pos: usize) -> SigRow<'_> {
+        let width = self.needs.len();
+        let sigs = self.sigs.get(pos * width..(pos + 1) * width).unwrap_or(&[]);
+        SigRow { needs: &self.needs, sigs }
     }
 
     /// Number of prepared tuples (0 when nothing needed signatures).
@@ -188,6 +200,7 @@ impl RelationPrep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::relation::Relation;
     use matchrules_core::schema::Schema;
     use std::sync::Arc;
 
@@ -197,6 +210,10 @@ mod tests {
         rel.push_strs(1, &["Mark", "Clifford", "07974"]);
         rel.push_strs(2, &["", "Brady", "07974"]);
         rel
+    }
+
+    fn text(sig: Option<&AttrSig>) -> String {
+        sig.unwrap().chars().iter().collect()
     }
 
     #[test]
@@ -221,15 +238,15 @@ mod tests {
         let rel = relation();
         let mut needs = SigNeeds::none(3);
         needs.mark(1);
-        let prep = RelationPrep::build(&rel, &needs);
+        let prep = RelationPrep::build(rel.tuples(), &needs);
         assert_eq!(prep.len(), 2);
         assert!(!prep.is_empty());
-        let sig = prep.sig(0, 1).unwrap();
+        let sig = prep.row(0).sig(1).unwrap();
         assert!(!sig.is_null());
-        assert_eq!(sig.chars().iter().collect::<String>(), "Clifford");
+        assert_eq!(text(Some(sig)), "Clifford");
         assert_eq!(sig.sig().char_len(), 8);
-        assert!(prep.sig(0, 0).is_none(), "unneeded attribute has no signature");
-        assert!(prep.sig(7, 1).is_none(), "out of range");
+        assert!(prep.row(0).sig(0).is_none(), "unneeded attribute has no signature");
+        assert!(prep.row(7).sig(1).is_none(), "out of range");
     }
 
     #[test]
@@ -240,11 +257,10 @@ mod tests {
         let mut needs = SigNeeds::none(3);
         needs.mark(2); // slot 0
         needs.mark(0); // slot 1
-        let prep = RelationPrep::build(&rel, &needs);
-        let a0: String = prep.sig(0, 0).unwrap().chars().iter().collect();
-        let a2: String = prep.sig(0, 2).unwrap().chars().iter().collect();
-        assert_eq!(a0, "Mark");
-        assert_eq!(a2, "07974");
+        let prep = RelationPrep::build(rel.tuples(), &needs);
+        assert_eq!(text(prep.row(0).sig(0)), "Mark");
+        assert_eq!(text(prep.row(0).sig(2)), "07974");
+        assert_eq!(text(prep.row(1).sig(2)), "07974");
     }
 
     #[test]
@@ -252,9 +268,9 @@ mod tests {
         let rel = relation();
         let mut needs = SigNeeds::none(3);
         needs.mark(0);
-        let prep = RelationPrep::build(&rel, &needs);
-        assert!(prep.sig(1, 0).unwrap().is_null());
-        assert!(prep.sig(1, 0).unwrap().chars().is_empty());
+        let prep = RelationPrep::build(rel.tuples(), &needs);
+        assert!(prep.row(1).sig(0).unwrap().is_null());
+        assert!(prep.row(1).sig(0).unwrap().chars().is_empty());
     }
 
     #[test]
@@ -266,48 +282,31 @@ mod tests {
         }
         let mut needs = SigNeeds::none(1);
         needs.mark(0);
-        let serial = RelationPrep::build(&rel, &needs);
-        let parallel = RelationPrep::build_in(&WorkPool::with_threads(4), &rel, &needs);
+        let serial = RelationPrep::build(rel.tuples(), &needs);
+        let parallel = RelationPrep::build_in(&WorkPool::with_threads(4), rel.tuples(), &needs);
         assert_eq!(serial.len(), parallel.len());
         for pos in 0..rel.len() {
-            assert_eq!(serial.sig(pos, 0).unwrap().chars(), parallel.sig(pos, 0).unwrap().chars());
+            assert_eq!(text(serial.row(pos).sig(0)), text(parallel.row(pos).sig(0)));
         }
     }
 
     #[test]
-    fn push_row_extends_a_built_prep() {
-        let rel = relation();
-        let mut needs = SigNeeds::none(3);
-        needs.mark(1);
-        let mut prep = RelationPrep::build(&rel, &needs);
-        assert_eq!(prep.needs(), &needs);
-        let extra = Tuple::new(3, vec![Value::Null, Value::str("Bradey"), Value::str("07975")]);
-        prep.push_row(&extra);
-        assert_eq!(prep.len(), 3);
-        let sig: String = prep.sig(2, 1).unwrap().chars().iter().collect();
-        assert_eq!(sig, "Bradey");
-        // Pushing onto an empty-needs prep stays a no-op.
-        let mut empty = RelationPrep::build(&rel, &SigNeeds::none(3));
-        empty.push_row(&extra);
-        assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn single_preps_one_probe_tuple() {
+    fn one_tuple_preps_a_single_probe() {
         let mut needs = SigNeeds::none(2);
         needs.mark(0);
         let probe = Tuple::new(7, vec![Value::str("Mark"), Value::Null]);
-        let prep = RelationPrep::single(&probe, &needs);
+        let prep = RelationPrep::build(std::slice::from_ref(&probe), &needs);
         assert_eq!(prep.len(), 1);
-        assert_eq!(prep.sig(0, 0).unwrap().sig().char_len(), 4);
-        assert!(prep.sig(0, 1).is_none());
+        assert_eq!(prep.row(0).sig(0).unwrap().sig().char_len(), 4);
+        assert!(prep.row(0).sig(1).is_none());
     }
 
     #[test]
     fn empty_needs_prepare_nothing() {
-        let prep = RelationPrep::build(&relation(), &SigNeeds::none(3));
+        let prep = RelationPrep::build(relation().tuples(), &SigNeeds::none(3));
         assert!(prep.is_empty());
         assert_eq!(prep.len(), 0);
-        assert!(prep.sig(0, 0).is_none());
+        assert!(prep.row(0).sig(0).is_none());
+        assert!(SigRow::none().sig(0).is_none());
     }
 }

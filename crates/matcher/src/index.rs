@@ -59,13 +59,13 @@
 //! A candidate set is the union over the plan's RCKs — deduplicated
 //! across keys, with each candidate remembering *which* keys retrieved
 //! it — always a superset of the tuples any key accepts. Every candidate
-//! is then verified through the same compiled kernels the batch engine
-//! uses ([`atom_matches_sigs`](RuntimeOps::atom_matches_sigs)), on
-//! signatures the index extracts for that candidate on demand — it keeps
-//! none per record — evaluating only the keys that retrieved it (a key
-//! whose retrieval missed the slot cannot accept it), so query answers
-//! are *exactly* the batch answers at a fraction of the verification
-//! work ([`QueryOutcome::key_evals`]).
+//! is then verified by the pair verifier the batch engine uses,
+//! [`KeyMatcher`], which extracts the candidate's signatures as its edit
+//! atoms compare them — the index keeps none per record — passing the
+//! candidate's key-provenance mask so only the keys that retrieved it are
+//! evaluated (a key whose retrieval missed the slot cannot accept it).
+//! Query answers are therefore *exactly* the batch answers, at a fraction
+//! of the verification work ([`QueryOutcome::key_evals`]).
 //! The index supports incremental [`MatchIndex::insert`] /
 //! [`MatchIndex::remove`] (tombstoned slots; rebuild to compact), which
 //! turns the batch reproduction into a serving core: build once, then
@@ -92,7 +92,7 @@
 //! assert!(index.query(t2).hits.is_empty());
 //! ```
 
-use crate::key::KeyMatcher;
+use crate::key::{mask_allows, KeyMatcher, PairSide};
 use crate::postings::PostingList;
 use matchrules_core::dependency::SimilarityAtom;
 use matchrules_core::negation::NegativeRule;
@@ -465,21 +465,18 @@ impl AtomIndex {
     /// union (filtered by the per-entry prefilter) is the atom's
     /// retrieval — a superset of the slots whose tuples satisfy the atom
     /// against the probe. An unsatisfiable probe value (`Null`)
-    /// prepares an empty retrieval. `probe_prep` is the probe side's
-    /// signature cache and `row` the probe's position in it (batched
-    /// probes share one prep).
+    /// prepares an empty retrieval. The probe side carries its
+    /// signatures (batched probes share one prep).
     fn prepare<'a>(
         &'a self,
-        probe: &Tuple,
-        probe_prep: &RelationPrep,
-        row: usize,
+        probe: PairSide<'_>,
         ops: &RuntimeOps,
         scratch: &mut AnchorScratch,
     ) -> PreparedAtom<'a> {
         let mut pa = PreparedAtom::empty();
         match self {
             AtomIndex::Keys { left, op, buckets, .. } => {
-                let Some(s) = probe.get(*left).as_str() else {
+                let Some(s) = probe.tuple.get(*left).as_str() else {
                     return pa; // null matches nothing
                 };
                 scratch.for_each_key(ops, *op, s, |key| {
@@ -490,10 +487,10 @@ impl AtomIndex {
             }
             AtomIndex::Grams { left, theta, safe_len, postings, sparse, lens, masks, .. } => {
                 let computed;
-                let sig = match probe_prep.sig(row, *left) {
+                let sig = match probe.sigs.sig(*left) {
                     Some(sig) => sig,
                     None => {
-                        computed = AttrSig::of_value(probe.get(*left));
+                        computed = AttrSig::of_value(probe.tuple.get(*left));
                         &computed
                     }
                 };
@@ -519,7 +516,7 @@ impl AtomIndex {
                 pa.filter = SlotFilter::EditMeta { lens, masks, edit };
             }
             AtomIndex::Elements { left, op, min_ratio, postings, sizes, empty, .. } => {
-                let Some(s) = probe.get(*left).as_str() else {
+                let Some(s) = probe.tuple.get(*left).as_str() else {
                     return pa;
                 };
                 let size = scratch.elements_of(ops, *op, s);
@@ -1014,17 +1011,9 @@ pub struct IndexStats {
 }
 
 /// The key-provenance mask of a candidate slot when pruning is off
-/// (more than 64 keys, or the unpruned reference path): every key must
-/// be verified.
+/// (more than 64 keys, or a scan-fallback key): every key must be
+/// verified.
 const NO_PRUNE: u64 = u64::MAX;
-
-/// Whether `mask` obliges the verifier to evaluate `key` — bit `key` of
-/// the provenance mask, with every index ≥ 64 unconditionally evaluated
-/// (plans that large never prune; their masks are [`NO_PRUNE`]).
-#[inline]
-fn mask_allows(mask: u64, key: usize) -> bool {
-    key >= 64 || mask & (1u64 << key) != 0
-}
 
 /// An RCK-driven inverted index over one relation: sub-quadratic
 /// candidate generation, point-query serving, incremental maintenance.
@@ -1057,7 +1046,8 @@ pub struct MatchIndex {
     alive: CowVec<bool>,
     live: usize,
     /// Signature needs of the probe side (probes are prepared per query;
-    /// the stored side keeps no signatures, see [`CandidateSigs`]).
+    /// the stored side keeps no signatures: verification extracts a
+    /// candidate's as its edit atoms compare them).
     probe_needs: SigNeeds,
     /// Inverted indices over the distinct indexable atoms of the keys.
     atom_indices: Vec<AtomIndex>,
@@ -1125,7 +1115,7 @@ impl MatchIndex {
             relation.len() <= u32::MAX as usize,
             "match index supports at most u32::MAX tuples"
         );
-        let matcher = KeyMatcher::new(keys.iter(), &ops).with_negatives(negatives);
+        let matcher = KeyMatcher::new(keys, &ops).with_negatives(negatives);
         let (probe_needs, _) = matcher.sig_needs(probe_arity, relation.schema().arity());
 
         // One inverted index per distinct indexable atom (several keys
@@ -1321,7 +1311,8 @@ impl MatchIndex {
     /// schema the keys were compiled for.
     pub fn candidates_for(&self, probe: &Tuple) -> Vec<usize> {
         let mut stats = FilterStats::default();
-        self.candidate_masks(probe, &RelationPrep::single(probe, &self.probe_needs), 0, &mut stats)
+        let prep = self.probe_prep(std::slice::from_ref(probe));
+        self.candidate_masks(PairSide::new(probe, prep.row(0)), &mut stats)
             .into_iter()
             .map(|(slot, _)| slot)
             .collect()
@@ -1333,13 +1324,13 @@ impl MatchIndex {
     /// the result is identical to mapping [`MatchIndex::candidates_for`]
     /// over the tuples.
     pub fn candidates_batch_in(&self, pool: &WorkPool, probes: &Relation) -> Vec<Vec<usize>> {
-        let prep = RelationPrep::build_in(pool, probes, &self.probe_needs);
         let tuples = probes.tuples();
+        let prep = RelationPrep::build_in(pool, tuples, &self.probe_needs);
         let chunks = pool.par_ranges(tuples.len(), BATCH_MIN_CHUNK, |_, range| {
             range
                 .map(|row| {
                     let mut stats = FilterStats::default();
-                    self.candidate_masks(&tuples[row], &prep, row, &mut stats)
+                    self.candidate_masks(PairSide::new(&tuples[row], prep.row(row)), &mut stats)
                         .into_iter()
                         .map(|(slot, _)| slot)
                         .collect::<Vec<_>>()
@@ -1350,7 +1341,7 @@ impl MatchIndex {
     }
 
     /// [`MatchIndex::candidates_for`] with the probe's signatures already
-    /// extracted (the one-row prep is built once per query, not once per
+    /// extracted (the probe is prepped once per query, not once per
     /// phase), carrying **key provenance**: each candidate slot comes
     /// with the bitmask of the keys whose retrieval produced it. A key
     /// whose bit is clear cannot accept the slot — its retrieval is a
@@ -1361,9 +1352,7 @@ impl MatchIndex {
     /// Retrieval work is accounted in `stats`: duplicate retrievals
     /// folded away ([`FilterStats::dedup_saved`]), blocks decoded and
     /// skipped, gallop and linear-scan steps, and candidates killed by
-    /// per-entry prefilters ([`FilterStats::retrieval_rejects`]). `row`
-    /// is the probe's position in `probe_prep` (batched probes share one
-    /// prep).
+    /// per-entry prefilters ([`FilterStats::retrieval_rejects`]).
     ///
     /// Each key is planned from this probe's own posting volumes (the
     /// entries its atoms' lists hold, read off list headers; ties broken
@@ -1385,13 +1374,7 @@ impl MatchIndex {
     ///
     /// The plan depends only on the probe and the index version, so
     /// answers *and* counters are deterministic per probe.
-    fn candidate_masks(
-        &self,
-        probe: &Tuple,
-        probe_prep: &RelationPrep,
-        row: usize,
-        stats: &mut FilterStats,
-    ) -> Vec<(usize, u64)> {
+    fn candidate_masks(&self, probe: PairSide<'_>, stats: &mut FilterStats) -> Vec<(usize, u64)> {
         let prune = self.key_atoms.len() <= 64;
         let n_slots = self.tuples.len();
         PROBE_SCRATCH.with(|cell| {
@@ -1421,7 +1404,7 @@ impl MatchIndex {
                 order.clear();
                 for &pos in refs {
                     let pa = prepared[pos].get_or_insert_with(|| {
-                        self.atom_indices[pos].prepare(probe, probe_prep, row, &self.ops, anchor)
+                        self.atom_indices[pos].prepare(probe, &self.ops, anchor)
                     });
                     order.push((pa.volume(), pos));
                 }
@@ -1541,54 +1524,14 @@ impl MatchIndex {
     ///
     /// Candidates are deduplicated across keys before verification
     /// (verifications saved by the fold are counted in
-    /// [`FilterStats::dedup_saved`]), and each candidate is verified
-    /// only against the keys that retrieved it (sound because a key's
-    /// retrieval is a superset of its acceptance);
-    /// [`QueryOutcome::key_evals`] counts the evaluations actually run.
-    /// Answers are byte-identical to [`MatchIndex::query_unpruned`].
+    /// [`FilterStats::dedup_saved`]), and each candidate is verified by
+    /// the same [`KeyMatcher`] as the batch path, only against the keys
+    /// that retrieved it (sound because a key's retrieval is a superset
+    /// of its acceptance); [`QueryOutcome::key_evals`] counts the
+    /// evaluations actually run.
     pub fn query(&self, probe: &Tuple) -> QueryOutcome {
-        self.query_impl_at(probe, &RelationPrep::single(probe, &self.probe_needs), 0, true)
-    }
-
-    /// [`MatchIndex::query`] without key-provenance pruning: every
-    /// candidate is verified against the full key disjunction. Answers
-    /// are always identical to [`MatchIndex::query`], only
-    /// [`QueryOutcome::key_evals`] differs.
-    pub fn query_unpruned(&self, probe: &Tuple) -> QueryOutcome {
-        self.query_impl_at(probe, &RelationPrep::single(probe, &self.probe_needs), 0, false)
-    }
-
-    /// The brute-force reference answer: every live tuple verified
-    /// against the full key disjunction, no retrieval at all. The ground
-    /// truth of the differential test harness — `hits` are always
-    /// identical to [`MatchIndex::query`]'s; `candidates` counts every
-    /// live tuple and the work counters reflect the scan.
-    pub fn query_reference(&self, probe: &Tuple) -> QueryOutcome {
-        let probe_prep = RelationPrep::single(probe, &self.probe_needs);
-        let mut sigs = CandidateSigs::default();
-        let mut stats = FilterStats::default();
-        let mut key_evals = 0usize;
-        let mut hits = Vec::new();
-        for slot in 0..self.tuples.len() {
-            if !self.alive[slot] {
-                continue;
-            }
-            if let Some(key) = self.matching_key_at(
-                probe,
-                &probe_prep,
-                0,
-                slot,
-                NO_PRUNE,
-                &mut sigs,
-                &mut key_evals,
-                &mut stats,
-            ) {
-                if !self.vetoed_at(probe, &probe_prep, 0, slot, &mut sigs, &mut stats) {
-                    hits.push(QueryHit { id: self.tuples[slot].id(), slot, key });
-                }
-            }
-        }
-        QueryOutcome { hits, candidates: self.live, key_evals, stats }
+        let prep = self.probe_prep(std::slice::from_ref(probe));
+        self.query_side(PairSide::new(probe, prep.row(0)))
     }
 
     /// Queries a batch of probes, sharing signature extraction and
@@ -1597,44 +1540,40 @@ impl MatchIndex {
     /// [`MatchIndex::query`] over the probes one by one; only the
     /// amortized preparation cost differs.
     pub fn query_batch(&self, probes: &[Tuple]) -> Vec<QueryOutcome> {
-        let mut prep = RelationPrep::empty(&self.probe_needs);
-        for probe in probes {
-            prep.push_row(probe);
-        }
-        probes.iter().enumerate().map(|(row, p)| self.query_impl_at(p, &prep, row, true)).collect()
+        let prep = self.probe_prep(probes);
+        let query = |(row, probe)| self.query_side(PairSide::new(probe, prep.row(row)));
+        probes.iter().enumerate().map(query).collect()
     }
 
-    fn query_impl_at(
-        &self,
-        probe: &Tuple,
-        probe_prep: &RelationPrep,
-        row: usize,
-        prune: bool,
-    ) -> QueryOutcome {
+    fn query_side(&self, probe: PairSide<'_>) -> QueryOutcome {
         let mut stats = FilterStats::default();
-        let masked = self.candidate_masks(probe, probe_prep, row, &mut stats);
+        let masked = self.candidate_masks(probe, &mut stats);
         let candidates = masked.len();
-        let mut sigs = CandidateSigs::default();
+        let matcher = self.matcher();
         let mut key_evals = 0usize;
         let mut hits = Vec::new();
         for (slot, mask) in masked {
-            let mask = if prune { mask } else { NO_PRUNE };
-            if let Some(key) = self.matching_key_at(
-                probe,
-                probe_prep,
-                row,
-                slot,
-                mask,
-                &mut sigs,
-                &mut key_evals,
-                &mut stats,
-            ) {
-                if !self.vetoed_at(probe, probe_prep, row, slot, &mut sigs, &mut stats) {
-                    hits.push(QueryHit { id: self.tuples[slot].id(), slot, key });
-                }
+            let record = PairSide::bare(&self.tuples[slot]);
+            let key = matcher.first_key(probe, record, Some(mask), &mut stats);
+            // `first_key` evaluated every key the mask allows, up to the
+            // one that fired.
+            let tried = key.map_or(self.keys.len(), |key| key + 1);
+            key_evals += (0..tried).filter(|&key| mask_allows(Some(mask), key)).count();
+            if let Some(key) = key.filter(|_| !matcher.vetoed(probe, record, &mut stats)) {
+                hits.push(QueryHit { id: record.tuple.id(), slot, key });
             }
         }
         QueryOutcome { hits, candidates, key_evals, stats }
+    }
+
+    /// The pair verifier over the index's keys and negative rules.
+    fn matcher(&self) -> KeyMatcher<'_> {
+        KeyMatcher::new(&self.keys, &self.ops).with_negatives(&self.negatives)
+    }
+
+    /// The signatures of a probe batch (or of one probe).
+    fn probe_prep(&self, probes: &[Tuple]) -> RelationPrep {
+        RelationPrep::build(probes, &self.probe_needs)
     }
 
     /// The compiled keys the index retrieves and verifies with.
@@ -1664,23 +1603,22 @@ impl MatchIndex {
     /// Fails with [`IndexError::UnknownId`] when `id` is not live.
     pub fn explain(&self, probe: &Tuple, id: TupleId) -> Result<PairTrace, IndexError> {
         let &slot = self.by_id.get(&id).ok_or(IndexError::UnknownId { id })?;
-        let (slot, probe_prep) = (slot as usize, RelationPrep::single(probe, &self.probe_needs));
-        let tuple = &self.tuples[slot];
-        let mut sigs = CandidateSigs::default();
-        let mut keys: Vec<KeyTrace> = Vec::with_capacity(self.keys.len());
-        for (key, k) in self.keys.iter().enumerate() {
-            let atoms: Vec<(SimilarityAtom, AtomTrace)> = (k.atoms().iter())
-                .map(|atom| {
-                    let (sa, sb) =
-                        (probe_prep.sig(0, atom.left), sigs.for_atom(&self.ops, atom, slot, tuple));
-                    (*atom, self.ops.atom_trace(atom, probe, tuple, sa, sb))
-                })
-                .collect();
-            keys.push(KeyTrace { key, matched: atoms.iter().all(|(_, t)| t.matched), atoms });
-        }
+        let probe_prep = self.probe_prep(std::slice::from_ref(probe));
+        let probe = PairSide::new(probe, probe_prep.row(0));
+        let record = PairSide::bare(&self.tuples[slot as usize]);
+        let keys: Vec<KeyTrace> = (self.keys.iter().enumerate())
+            .map(|(key, k)| {
+                let atoms: Vec<(SimilarityAtom, AtomTrace)> = (k.atoms().iter())
+                    .map(|atom| {
+                        let (sa, sb) = (probe.sigs.sig(atom.left), record.sigs.sig(atom.right));
+                        (*atom, self.ops.atom_trace(atom, probe.tuple, record.tuple, sa, sb))
+                    })
+                    .collect();
+                KeyTrace { key, matched: atoms.iter().all(|(_, t)| t.matched), atoms }
+            })
+            .collect();
         let matched_key = keys.iter().find(|k| k.matched).map(|k| k.key);
-        let mut stats = FilterStats::default();
-        let vetoed = self.vetoed_at(probe, &probe_prep, 0, slot, &mut sigs, &mut stats);
+        let vetoed = self.matcher().vetoed(probe, record, &mut FilterStats::default());
         Ok(PairTrace { keys, matched_key, vetoed })
     }
 
@@ -1730,100 +1668,6 @@ impl MatchIndex {
         });
         Ok(())
     }
-
-    /// First key accepting `(probe, tuple@slot)` through the compiled
-    /// evaluation path — the index-side counterpart of
-    /// [`KeyMatcher::matching_key`]. Keys whose provenance bit is clear
-    /// in `mask` are skipped without evaluation: their retrieval did not
-    /// produce the slot, so they cannot accept it, and skipping them
-    /// cannot change which key fires first.
-    #[allow(clippy::too_many_arguments)]
-    fn matching_key_at(
-        &self,
-        probe: &Tuple,
-        probe_prep: &RelationPrep,
-        row: usize,
-        slot: usize,
-        mask: u64,
-        sigs: &mut CandidateSigs,
-        key_evals: &mut usize,
-        stats: &mut FilterStats,
-    ) -> Option<usize> {
-        let tuple = &self.tuples[slot];
-        for (key, k) in self.keys.iter().enumerate() {
-            if !mask_allows(mask, key) {
-                continue;
-            }
-            *key_evals += 1;
-            if k.atoms().iter().all(|atom| {
-                let (sa, sb) =
-                    (probe_prep.sig(row, atom.left), sigs.for_atom(&self.ops, atom, slot, tuple));
-                self.ops.atom_matches_sigs(atom, probe, tuple, sa, sb, stats)
-            }) {
-                return Some(key);
-            }
-        }
-        None
-    }
-
-    /// Whether a negative rule vetoes `(probe, tuple@slot)`.
-    fn vetoed_at(
-        &self,
-        probe: &Tuple,
-        probe_prep: &RelationPrep,
-        row: usize,
-        slot: usize,
-        sigs: &mut CandidateSigs,
-        stats: &mut FilterStats,
-    ) -> bool {
-        let tuple = &self.tuples[slot];
-        self.negatives.iter().any(|rule| {
-            rule.vetoes(|atom| {
-                let (sa, sb) =
-                    (probe_prep.sig(row, atom.left), sigs.for_atom(&self.ops, atom, slot, tuple));
-                self.ops.atom_matches_sigs(atom, probe, tuple, sa, sb, stats)
-            })
-        })
-    }
-}
-
-/// The stored-side signatures of the candidate under verification. The
-/// index keeps no signature per record: each is extracted on first use,
-/// at most once per (candidate, attribute), into slots reused from one
-/// candidate to the next.
-#[derive(Default)]
-struct CandidateSigs {
-    slot: Option<usize>,
-    by_attr: Vec<Option<AttrSig>>,
-}
-
-impl CandidateSigs {
-    /// The signature `atom`'s kernel compares on the stored side — of the
-    /// right attribute of `tuple`, stored at `slot` — or `None` when the
-    /// kernel uses none. Moving to another slot forgets the previous
-    /// candidate's signatures.
-    fn for_atom(
-        &mut self,
-        ops: &RuntimeOps,
-        atom: &SimilarityAtom,
-        slot: usize,
-        tuple: &Tuple,
-    ) -> Option<&AttrSig> {
-        if !ops.needs_signature(atom.op) {
-            return None;
-        }
-        if self.slot != Some(slot) {
-            self.slot = Some(slot);
-            self.by_attr.iter_mut().for_each(|sig| *sig = None);
-        }
-        if self.by_attr.len() <= atom.right {
-            self.by_attr.resize_with(atom.right + 1, || None);
-        }
-        Some(
-            self.by_attr[atom.right]
-                .get_or_insert_with(|| AttrSig::of_value(tuple.get(atom.right))),
-        )
-    }
 }
 
 #[cfg(test)]
@@ -1854,11 +1698,13 @@ mod tests {
         let (setting, inst, index) = fig1_index();
         let ops = RuntimeOps::resolve(&setting.ops, &paper_registry()).unwrap();
         let rcks = example_2_4_rcks(&setting);
-        let matcher = KeyMatcher::new(rcks.iter(), &ops);
+        let matcher = KeyMatcher::new(&rcks, &ops);
+        let mut stats = FilterStats::default();
         for probe in inst.left().tuples() {
             let outcome = index.query(probe);
             for (slot, tuple) in inst.right().tuples().iter().enumerate() {
-                let expect = matcher.matching_key(probe, tuple);
+                let (a, b) = (PairSide::bare(probe), PairSide::bare(tuple));
+                let expect = matcher.first_key(a, b, None, &mut stats);
                 let got = outcome.hits.iter().find(|h| h.slot == slot).map(|h| h.key);
                 assert_eq!(got, expect, "probe #{} vs slot {slot}", probe.id());
             }
@@ -2039,55 +1885,6 @@ mod tests {
         let null = Tuple::new(11, vec![Value::Null]);
         assert!(index.query(&null).hits.is_empty());
         assert!(index.candidates_for(&null).is_empty());
-    }
-
-    #[test]
-    fn provenance_pruning_is_byte_identical_and_cheaper() {
-        let (_setting, inst, index) = fig1_index();
-        let mut pruned_evals = 0usize;
-        let mut full_evals = 0usize;
-        for probe in inst.left().tuples() {
-            let pruned = index.query(probe);
-            let full = index.query_unpruned(probe);
-            assert_eq!(pruned.hits, full.hits, "probe #{}", probe.id());
-            assert_eq!(pruned.candidates, full.candidates);
-            assert!(pruned.key_evals <= full.key_evals);
-            pruned_evals += pruned.key_evals;
-            full_evals += full.key_evals;
-        }
-        assert!(
-            pruned_evals < full_evals,
-            "pruning must skip some key evaluations ({pruned_evals} vs {full_evals})"
-        );
-    }
-
-    #[test]
-    fn scan_fallback_disables_pruning() {
-        // Key 0 is indexable, key 1 declares Scan: every live slot
-        // must still be verified against *both* keys — a hit through the
-        // scan key must not be lost to pruning.
-        let schema = Arc::new(Schema::text("R", &["name", "alias"]).unwrap());
-        let mut rel = Relation::new(schema);
-        rel.push_strs(1, &["Jones", "JJ"]);
-        rel.push_strs(2, &["Smith", "Slim"]);
-        let mut table = OperatorTable::new();
-        let eq = table.intern("=");
-        let op = table.intern("≈opaque");
-        let ops = Arc::new(RuntimeOps::resolve(&table, &scan_registry()).unwrap());
-        let keys = vec![
-            RelativeKey::new(vec![SimilarityAtom::new(0, 0, eq)]),
-            RelativeKey::new(vec![SimilarityAtom::new(1, 1, op)]),
-        ];
-        let index = MatchIndex::build(2, &rel, &keys, &[], ops).unwrap();
-        assert_eq!(index.stats().scan_keys, 1);
-        // "Slim" matches only via the opaque alias key; the name key's
-        // exact bucket never retrieves slot 1.
-        let probe = Tuple::new(9, vec![Value::str("nobody"), Value::str("Slim")]);
-        let outcome = index.query(&probe);
-        assert_eq!(outcome.hits.len(), 1);
-        assert_eq!(outcome.hits[0].id, 2);
-        assert_eq!(outcome.hits[0].key, 1);
-        assert_eq!(outcome.hits, index.query_unpruned(&probe).hits);
     }
 
     /// One single-atom key over a one-column relation, with the hit sets
@@ -2364,7 +2161,8 @@ mod tests {
         let (setting, inst, index) = fig1_index();
         let ops = RuntimeOps::resolve(&setting.ops, &paper_registry()).unwrap();
         let rcks = example_2_4_rcks(&setting);
-        let matcher = KeyMatcher::new(rcks.iter(), &ops);
+        let matcher = KeyMatcher::new(&rcks, &ops);
+        let mut stats = FilterStats::default();
         for probe in inst.left().tuples() {
             let hits = index.query(probe).hits;
             for tuple in inst.right().tuples() {
@@ -2372,7 +2170,8 @@ mod tests {
                 // Final decision and key provenance match the query path.
                 let hit = hits.iter().find(|h| h.id == tuple.id());
                 assert_eq!(trace.matched(), hit.is_some());
-                assert_eq!(trace.matched_key, matcher.matching_key(probe, tuple));
+                let (a, b) = (PairSide::bare(probe), PairSide::bare(tuple));
+                assert_eq!(trace.matched_key, matcher.first_key(a, b, None, &mut stats));
                 // Every atom of every key agrees with the dynamic path.
                 assert_eq!(trace.keys.len(), rcks.len());
                 for (key, kt) in rcks.iter().zip(&trace.keys) {

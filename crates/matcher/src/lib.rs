@@ -39,7 +39,7 @@ pub mod sortkey;
 pub mod windowing;
 
 pub use index::{IndexError, IndexStats, MatchIndex, QueryHit, QueryOutcome};
-pub use key::KeyMatcher;
+pub use key::{KeyMatcher, PairSide};
 pub use metrics::{evaluate_pairs, BlockingQuality, MatchQuality};
 pub use scoring::{resolve_one_to_one, resolve_one_to_one_shared, FsError, ScoreModel, ScoredEdge};
 pub use sortkey::{Encoding, KeyField, SortKey};

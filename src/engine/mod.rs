@@ -37,12 +37,14 @@
 //! **byte-identical** to serial; reports carry per-stage timings and the
 //! thread count ([`MatchReport::stages`], [`MatchReport::threads`]).
 //!
-//! Pairwise similarity runs through a compiled hot path: per-relation
-//! signature caches (the `"prep"` stage), cheap length/bag/q-gram pair
-//! filters and banded edit-distance kernels instead of per-pair dynamic
-//! dispatch. [`MatchReport::filter_stats`] reports how many evaluations
-//! each filter stage rejected versus how many reached the DP
-//! ([`FilterStats`]).
+//! Every mode decides its candidate pairs with one verifier,
+//! [`KeyMatcher`](matchrules_matcher::key::KeyMatcher), over a compiled
+//! hot path: the `"prep"` stage extracts one signature cache per relation
+//! for the attributes edit atoms compare, and each pair then runs cheap
+//! length/bag/q-gram filters and banded edit-distance kernels on it
+//! instead of per-pair dynamic dispatch. [`MatchReport::filter_stats`]
+//! reports how many evaluations each filter stage rejected versus how
+//! many reached the DP ([`FilterStats`]).
 //!
 //! The paper's own settings are just two [`Preset`] configurations of this
 //! engine; nothing in the pipeline dispatches on the paper's attribute

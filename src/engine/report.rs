@@ -10,7 +10,7 @@ use matchrules_data::eval::{FilterStats, RuntimeOps};
 use matchrules_data::relation::{InstancePair, Relation, TupleId};
 use matchrules_data::unionfind::UnionFind;
 use matchrules_matcher::index::MatchIndex;
-use matchrules_matcher::key::{KeyMatcher, PAR_MATCH_MIN_CHUNK};
+use matchrules_matcher::key::{KeyMatcher, PairSide, PAR_MATCH_MIN_CHUNK};
 use matchrules_matcher::metrics::{evaluate_pairs, MatchQuality};
 use matchrules_matcher::scoring::{resolve_one_to_one, resolve_one_to_one_shared, ScoredEdge};
 use matchrules_matcher::windowing::multi_pass_window_in;
@@ -312,16 +312,16 @@ impl MatchEngine {
     }
 
     fn matcher(&self) -> KeyMatcher<'_> {
-        KeyMatcher::new(self.plan.rcks().iter(), &self.runtime)
-            .with_negatives(self.plan.negatives())
+        KeyMatcher::new(self.plan.rcks(), &self.runtime).with_negatives(self.plan.negatives())
     }
 
-    /// Pairwise key evaluation over the candidates through the compiled
-    /// evaluator: filter signatures are extracted once per relation (the
-    /// `"prep"` stage), then evaluation is chunked on the pool with
-    /// per-chunk results concatenated in chunk order — the matched pairs
-    /// come back exactly as a serial scan would produce them, and the
-    /// per-chunk filter counters fold into one deterministic total.
+    /// Pairwise key evaluation over the candidates through the one pair
+    /// verifier, [`KeyMatcher`]: filter signatures are extracted once per
+    /// relation (the `"prep"` stage), then evaluation is chunked on the
+    /// pool with per-chunk results concatenated in chunk order — the
+    /// matched pairs come back exactly as a serial scan would produce
+    /// them, and the per-chunk filter counters fold into one
+    /// deterministic total.
     fn run(
         &self,
         left: &Relation,
@@ -339,26 +339,17 @@ impl MatchEngine {
             &candidates,
             PAR_MATCH_MIN_CHUNK,
             |_, chunk| {
-                let mut eval = matcher.evaluator(left, right, &left_prep, &right_prep);
+                let mut stats = FilterStats::default();
                 let mut out = Vec::new();
                 for &(l, r) in chunk {
-                    // One pass over the key disjunction, then only the
-                    // negative rules — `matches()` would re-evaluate
-                    // every key.
-                    if let Some(key) = eval.matching_key(l, r) {
-                        if !eval.vetoed(l, r) {
-                            let (lt, rt) = (&left.tuples()[l], &right.tuples()[r]);
-                            out.push(MatchedPair {
-                                left: l,
-                                right: r,
-                                left_id: lt.id(),
-                                right_id: rt.id(),
-                                key,
-                            });
-                        }
+                    let a = PairSide::new(&left.tuples()[l], left_prep.row(l));
+                    let b = PairSide::new(&right.tuples()[r], right_prep.row(r));
+                    if let Some(key) = matcher.decide(a, b, None, &mut stats) {
+                        let (left_id, right_id) = (a.tuple.id(), b.tuple.id());
+                        out.push(MatchedPair { left: l, right: r, left_id, right_id, key });
                     }
                 }
-                (out, eval.stats())
+                (out, stats)
             },
             (Vec::new(), FilterStats::default()),
             |(mut pairs, mut filters): (Vec<MatchedPair>, FilterStats), (chunk, chunk_stats)| {
@@ -640,8 +631,9 @@ impl MatchEngine {
     /// [`MatchEngine::match_pairs`]'s whenever the windowed path has full
     /// recall, and is a superset otherwise (the index retrieves every
     /// pair its keys accept; windows can miss pairs that never share a
-    /// window). Candidate counts are typically far smaller — that gap is
-    /// what `BENCH_index.json` measures.
+    /// window). Candidate counts are typically far smaller — the
+    /// benchmark's `batch_link` workload reports both paths' candidates
+    /// and F1 side by side.
     pub fn match_pairs_indexed(
         &self,
         left: &Relation,

@@ -3,8 +3,11 @@
 //!
 //! [`serve`] binds a [`std::net::TcpListener`] and runs an accept loop
 //! on a background thread, handling each connection on its own worker
-//! thread (capped — further connections queue in the OS backlog until a
-//! worker frees up). Workers poll with short read timeouts so a
+//! thread. A connection holds its worker until it closes, and workers
+//! are capped: a connection arriving while every worker is taken is
+//! answered one [`Response::Error`] naming the cap and closed, so its
+//! client fails fast instead of waiting on a busy server. Workers poll
+//! with short read timeouts so a
 //! [`ServerHandle::shutdown`] stops the acceptor *and* every idle
 //! worker promptly; in-flight requests finish first.
 //!
@@ -32,12 +35,12 @@ use crate::service::{QueryResponse, RankedResponse, Record, RecordId, ServiceErr
 use matchrules_core::schema::Schema;
 use matchrules_data::value::Value;
 use std::fmt;
-use std::io;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, Read};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// How long a worker blocks on a read before re-checking the shutdown
 /// flag.
@@ -96,8 +99,9 @@ pub fn serve(server: Arc<MatchServer>, addr: impl ToSocketAddrs) -> io::Result<S
 }
 
 /// [`serve`] with an explicit cap on concurrently handled connections.
-/// Further connections are accepted by the OS backlog and handled as
-/// workers free up.
+/// A connection beyond the cap is answered one [`Response::Error`] and
+/// closed (a [`MatchClient`] sees [`ClientError::Server`] from
+/// [`MatchClient::connect`]); it may retry once a connection closes.
 pub fn serve_with(
     server: Arc<MatchServer>,
     addr: impl ToSocketAddrs,
@@ -125,9 +129,9 @@ fn accept_loop(listener: TcpListener, server: Arc<MatchServer>, stop: Arc<Atomic
             break; // the wake-up connection from shutdown
         }
         workers.retain(|w| !w.is_finished());
-        while workers.len() >= cap && !stop.load(Ordering::Acquire) {
-            thread::sleep(POLL);
-            workers.retain(|w| !w.is_finished());
+        if workers.len() >= cap {
+            refuse(stream, cap);
+            continue;
         }
         let server = server.clone();
         let stop = stop.clone();
@@ -135,6 +139,26 @@ fn accept_loop(listener: TcpListener, server: Arc<MatchServer>, stop: Arc<Atomic
     }
     for worker in workers {
         let _ = worker.join();
+    }
+}
+
+/// Answers a connection beyond the worker cap with one error frame and
+/// closes it. The write side is shut first and the client's request (if
+/// any) drained until it hangs up or [`POLL`] passes, so the close does
+/// not reset the connection before the client has read the answer.
+fn refuse(mut stream: TcpStream, cap: usize) {
+    let message = format!("server busy: all {cap} connection workers are taken; retry later");
+    let _ = write_response(&mut stream, &Response::Error { message });
+    let _ = stream.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + POLL;
+    let mut buf = [0u8; 1024];
+    while let Some(left) = deadline.checked_duration_since(Instant::now()) {
+        if left.is_zero() || stream.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
+        if matches!(stream.read(&mut buf), Ok(0) | Err(_)) {
+            break;
+        }
     }
 }
 

@@ -20,9 +20,9 @@ fn example_1_1_added_value() {
     let rcks = paper::example_2_4_rcks(&setting);
     let t1 = instance.left().by_id(fig1::ids::T1).unwrap();
 
-    let given = KeyMatcher::new(std::iter::once(&rcks[0]), &ops);
-    let deduced = KeyMatcher::new(rcks.iter().skip(1), &ops);
-    let both = KeyMatcher::new(rcks.iter(), &ops);
+    let given = KeyMatcher::new(&rcks[..1], &ops);
+    let deduced = KeyMatcher::new(&rcks[1..], &ops);
+    let both = KeyMatcher::new(&rcks, &ops);
 
     let matched = |m: &KeyMatcher<'_>| -> Vec<u64> {
         instance.right().tuples().iter().filter(|bt| m.matches(t1, bt)).map(|bt| bt.id()).collect()

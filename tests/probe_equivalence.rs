@@ -1,11 +1,18 @@
 //! The differential harness pinning the probe hot path:
 //!
-//! * **compressed == reference** — `MatchIndex::query` (per-probe plan,
+//! * **every path == the oracle** — `match_all`, `match_pairs_indexed`,
+//!   `MatchIndex::query`, `query_batch` and `MatchServer::query` answer
+//!   exactly like the nested-loop [`common::Oracle`] (uncompiled
+//!   evaluation of every pair) on an Extended catalog and on the names
+//!   plan, and provenance pruning only ever skips key evaluations the
+//!   oracle's unpruned count would have spent;
+//! * **compressed == exhaustive** — `MatchIndex::query` (per-probe plan,
 //!   compressed postings, galloping intersection, per-entry prefilters,
-//!   provenance pruning) returns exactly the hits of `query_reference`
-//!   (brute-force verification of every live tuple) on every probe, at
-//!   1, 2 and 8 build threads, on a catalog where every branch of the
-//!   plan runs;
+//!   provenance pruning) returns exactly the pairs `match_all` (the
+//!   compiled verifier on every pair) reports for each probe, at 1, 2 and
+//!   8 build threads, on a catalog where every branch of the plan runs;
+//! * **pinned work** — the verifier's filter counters on the probe and
+//!   batch paths stay at their pinned values;
 //! * **cheapest anchor first** — decoding work is bounded by the atom
 //!   with the smallest posting volume, whatever the atom order;
 //! * **batched == sequential** — `query_batch` is byte-for-byte
@@ -18,21 +25,28 @@
 //!   work counters), and posting-list block invariants survive
 //!   insert → remove → insert churn.
 
+mod common;
+
+use common::Oracle;
 use matchrules::core::dependency::SimilarityAtom;
 use matchrules::core::operators::OperatorTable;
+use matchrules::core::paper;
 use matchrules::core::relative_key::RelativeKey;
 use matchrules::core::schema::Schema;
 use matchrules::data::dirty::{generate_dirty, NoiseConfig};
 use matchrules::data::eval::{paper_registry, RuntimeOps};
-use matchrules::data::relation::{Relation, Tuple};
+use matchrules::data::fig1;
+use matchrules::data::relation::{InstancePair, Relation, Tuple};
 use matchrules::data::Value;
 use matchrules::engine::{
-    EngineBuilder, ExecConfig, FilterStats, MatchEngine, MatchIndex, Preset, QueryOutcome,
+    EngineBuilder, ExecConfig, FilterStats, MatchEngine, MatchIndex, MatchReport, Preset,
+    QueryOutcome,
 };
 use matchrules::matcher::postings::{PostingList, BLOCK_LEN};
 use matchrules::server::{MatchServer, ServerConfig};
 use matchrules::service::{Record, RecordId};
 use matchrules::simdist::filters::{QgramSig, FILTER_Q};
+use matchrules::simdist::ops::{EqualityOp, SynonymOp};
 use proptest::collection;
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -124,10 +138,14 @@ fn probe_compressed_equals_brute_force_reference_at_every_thread_count() {
     // Large enough that common grams seal posting blocks, so the plan's
     // branches all run: folds that stop at an atom too large for the
     // running bitmap, membership cursors, and materialize-and-gallop.
+    // The reference is the exhaustive batch run (the compiled verifier
+    // on all 1.8M pairs; the uncompiled oracle would be too slow here).
     let (engine, credit, billing) = catalog(PLAN_CATALOG_PERSONS, 42);
-    let reference = engine.index(&billing).expect("index builds");
-    let expected: Vec<Vec<(u64, usize)>> =
-        credit.tuples().iter().map(|p| hit_ids(&reference.query_reference(p))).collect();
+    let exhaustive = engine.match_all(&credit, &billing).expect("exhaustive run");
+    let mut expected: Vec<Vec<(u64, usize)>> = vec![Vec::new(); credit.len()];
+    for pair in exhaustive.pairs() {
+        expected[pair.left].push((pair.right_id, pair.key));
+    }
     assert!(expected.iter().any(|h| !h.is_empty()), "the catalog must exercise a match");
     let mut work = FilterStats::default();
     for threads in THREAD_SWEEP {
@@ -137,9 +155,8 @@ fn probe_compressed_equals_brute_force_reference_at_every_thread_count() {
             assert_eq!(
                 &hit_ids(&fast),
                 expected,
-                "compressed probe diverged from the brute-force reference at {threads} threads"
+                "compressed probe diverged from the exhaustive run at {threads} threads"
             );
-            assert_eq!(hit_ids(&fast), hit_ids(&index.query_unpruned(probe)));
             work.merge(&fast.stats);
         }
     }
@@ -184,6 +201,168 @@ fn probe_verify_counters_match_parent() {
     assert_eq!(totals, pinned, "verification ran different filter stages");
 }
 
+/// The batch twin of `probe_verify_counters_match_parent`: the filter
+/// counters and matched-pair counts of the windowed and the indexed batch
+/// run over the same catalog, pinned at the values the batch verifier
+/// produced before the index and the batch path shared one. Verifying on
+/// the same cached signatures, every stage must count exactly what it
+/// counted then; a verifier that fell back to uncached evaluation would
+/// answer alike but zero these counters.
+#[test]
+fn batch_verify_counters_match_parent() {
+    let (engine, credit, billing) = catalog(PLAN_CATALOG_PERSONS, 42);
+    let windowed = engine.match_pairs(&credit, &billing).expect("windowed run");
+    let indexed = engine.match_pairs_indexed(&credit, &billing).expect("indexed run");
+    let mut stats = windowed.filter_stats();
+    stats.merge(&indexed.filter_stats());
+    let totals = [
+        ("equal_fast", stats.equal_fast),
+        ("length_rejects", stats.length_rejects),
+        ("bag_rejects", stats.bag_rejects),
+        ("qgram_rejects", stats.qgram_rejects),
+        ("dp_runs", stats.dp_runs),
+        ("windowed_pairs", windowed.len() as u64),
+        ("indexed_pairs", indexed.len() as u64),
+    ];
+    let pinned = [
+        ("equal_fast", 9582),
+        ("length_rejects", 17218),
+        ("bag_rejects", 23918),
+        ("qgram_rejects", 128),
+        ("dp_runs", 5688),
+        ("windowed_pairs", 1338),
+        ("indexed_pairs", 1390),
+    ];
+    assert_eq!(totals, pinned, "batch verification ran different filter stages");
+}
+
+/// Checks every matching path against the oracle: the exhaustive and the
+/// indexed batch runs, single and batched index queries, and a server
+/// holding `store` as records.
+fn assert_every_path_equals_the_oracle(engine: MatchEngine, probes: &Relation, store: &Relation) {
+    let oracle = Oracle::of(&engine);
+    let expected = oracle.match_all(probes, store);
+    assert!(!expected.is_empty(), "the instance must exercise a match");
+    let positions = |report: &MatchReport| -> Vec<(usize, usize, usize)> {
+        report.pairs().iter().map(|p| (p.left, p.right, p.key)).collect()
+    };
+    let exhaustive = engine.match_all(probes, store).expect("exhaustive run");
+    assert_eq!(positions(&exhaustive), expected, "match_all diverged from the oracle");
+    let indexed = engine.match_pairs_indexed(probes, store).expect("indexed run");
+    assert_eq!(positions(&indexed), expected, "match_pairs_indexed diverged from the oracle");
+
+    let hits: Vec<Vec<(u64, usize)>> =
+        probes.tuples().iter().map(|probe| oracle.query(probe, store.tuples())).collect();
+    let index = engine.index(store).expect("index builds");
+    let batched = index.query_batch(probes.tuples());
+    for ((probe, from_batch), want) in probes.tuples().iter().zip(&batched).zip(&hits) {
+        assert_eq!(&hit_ids(&index.query(probe)), want, "query of probe #{}", probe.id());
+        assert_eq!(&hit_ids(from_batch), want, "query_batch of probe #{}", probe.id());
+    }
+
+    let server = MatchServer::with_config(
+        engine,
+        ServerConfig { exec: ExecConfig::fixed(2), ..ServerConfig::default() },
+    );
+    let items: Vec<_> = (store.tuples().iter())
+        .map(|t| {
+            let record = Record::from_values(server.store_schema(), t.values().to_vec());
+            (RecordId(t.id()), record.expect("store record"))
+        })
+        .collect();
+    server.upsert_batch(&items).expect("upsert batch");
+    for (probe, want) in probes.tuples().iter().zip(hits) {
+        let record = Record::from_values(server.probe_schema(), probe.values().to_vec());
+        let served = server.query(&record.expect("probe record")).expect("served query");
+        let mut got: Vec<(u64, usize)> = served.hits.iter().map(|h| (h.id.0, h.key)).collect();
+        let mut want = want;
+        got.sort_unstable();
+        want.sort_unstable();
+        assert_eq!(got, want, "served query of probe #{}", probe.id());
+    }
+}
+
+#[test]
+fn probe_every_path_equals_the_oracle_on_extended() {
+    let (engine, credit, billing) = catalog(150, 42);
+    assert_every_path_equals_the_oracle(engine, &credit, &billing);
+}
+
+#[test]
+fn probe_every_path_equals_the_oracle_on_the_names_plan() {
+    let engine = names_engine();
+    let store = names_relation(&engine.plan().pair().right().clone(), &names_rows());
+    let probes = names_relation(&engine.plan().pair().left().clone(), &names_rows());
+    assert_every_path_equals_the_oracle(engine, &probes, &store);
+}
+
+fn fig1_index() -> (InstancePair, Vec<RelativeKey>, Arc<RuntimeOps>, MatchIndex) {
+    let (setting, inst) = fig1::setting_and_instance();
+    let ops = Arc::new(RuntimeOps::resolve(&setting.ops, &paper_registry()).expect("resolves"));
+    let rcks = paper::example_2_4_rcks(&setting);
+    let index =
+        MatchIndex::build(setting.pair.left().arity(), inst.right(), &rcks, &[], ops.clone())
+            .expect("index builds");
+    (inst, rcks, ops, index)
+}
+
+#[test]
+fn provenance_pruning_is_byte_identical_and_cheaper() {
+    let (inst, rcks, ops, index) = fig1_index();
+    let oracle = Oracle::new(&rcks, &[], &ops);
+    let mut pruned_evals = 0usize;
+    let mut full_evals = 0usize;
+    for probe in inst.left().tuples() {
+        let pruned = index.query(probe);
+        assert_eq!(hit_ids(&pruned), oracle.query(probe, inst.right().tuples()));
+        let candidates = index.candidates_for(probe);
+        assert_eq!(pruned.candidates, candidates.len());
+        let full = oracle
+            .unpruned_key_evals(probe, candidates.iter().map(|&slot| &inst.right().tuples()[slot]));
+        assert!(pruned.key_evals <= full, "probe #{}", probe.id());
+        pruned_evals += pruned.key_evals;
+        full_evals += full;
+    }
+    assert!(
+        pruned_evals < full_evals,
+        "pruning must skip some key evaluations ({pruned_evals} vs {full_evals})"
+    );
+}
+
+#[test]
+fn scan_fallback_disables_pruning() {
+    // Key 0 is indexable, key 1 declares Scan (a synonym table with a
+    // fallback): every live slot must still be verified against *both*
+    // keys — a hit through the scan key must not be lost to pruning.
+    let schema = Arc::new(Schema::text("R", &["name", "alias"]).expect("schema"));
+    let mut rel = Relation::new(schema);
+    rel.push_strs(1, &["Jones", "JJ"]);
+    rel.push_strs(2, &["Smith", "Slim"]);
+    let mut registry = paper_registry();
+    registry.register(Arc::new(
+        SynonymOp::from_groups("≈opaque", Vec::<Vec<&str>>::new())
+            .with_fallback(Arc::new(EqualityOp)),
+    ));
+    let mut table = OperatorTable::new();
+    let eq = table.intern("=");
+    let op = table.intern("≈opaque");
+    let ops = Arc::new(RuntimeOps::resolve(&table, &registry).expect("resolves"));
+    let keys = vec![
+        RelativeKey::new(vec![SimilarityAtom::new(0, 0, eq)]),
+        RelativeKey::new(vec![SimilarityAtom::new(1, 1, op)]),
+    ];
+    let index = MatchIndex::build(2, &rel, &keys, &[], ops.clone()).expect("index builds");
+    assert_eq!(index.stats().scan_keys, 1);
+    // "Slim" matches only via the opaque alias key; the name key's exact
+    // bucket never retrieves slot 1.
+    let probe = Tuple::new(9, vec![Value::str("nobody"), Value::str("Slim")]);
+    let outcome = index.query(&probe);
+    let oracle = Oracle::new(&keys, &[], &ops);
+    assert_eq!(hit_ids(&outcome), vec![(2, 1)]);
+    assert_eq!(hit_ids(&outcome), oracle.query(&probe, rel.tuples()));
+    assert_eq!(outcome.key_evals, oracle.unpruned_key_evals(&probe, rel.tuples()));
+}
+
 #[test]
 fn probe_decoding_is_bounded_by_the_cheapest_atom() {
     // Key `street ≈d ∧ name ≈d`, street interned first. Every street
@@ -201,12 +380,12 @@ fn probe_decoding_is_bounded_by_the_cheapest_atom() {
     let mut table = OperatorTable::new();
     let d = table.intern("≈d");
     let ops = Arc::new(RuntimeOps::resolve(&table, &paper_registry()).expect("≈d resolves"));
-    let key = RelativeKey::new(vec![SimilarityAtom::new(0, 0, d), SimilarityAtom::new(1, 1, d)]);
-    let index = MatchIndex::build(2, &rel, &[key], &[], ops).expect("index builds");
+    let keys = [RelativeKey::new(vec![SimilarityAtom::new(0, 0, d), SimilarityAtom::new(1, 1, d)])];
+    let index = MatchIndex::build(2, &rel, &keys, &[], ops.clone()).expect("index builds");
 
     let probe = Tuple::new(9_999, rel.tuples()[999].values().to_vec());
     let outcome = index.query(&probe);
-    assert_eq!(hit_ids(&outcome), hit_ids(&index.query_reference(&probe)));
+    assert_eq!(hit_ids(&outcome), Oracle::new(&keys, &[], &ops).query(&probe, rel.tuples()));
     assert!(!outcome.hits.is_empty(), "the probe copies a stored row");
 
     // Sealed blocks on the posting lists of the probe's name grams.

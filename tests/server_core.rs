@@ -31,7 +31,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const THREAD_SWEEP: [usize; 3] = [1, 2, 8];
 
@@ -356,6 +356,19 @@ fn raw_connection(addr: SocketAddr) -> TcpStream {
     stream
 }
 
+/// Connects, retrying while the server refuses for want of a free
+/// worker, until `within` has passed.
+fn connect_within(addr: SocketAddr, within: Duration) -> MatchClient {
+    let deadline = Instant::now() + within;
+    loop {
+        match MatchClient::connect(addr) {
+            Ok(client) => return client,
+            Err(ClientError::Server { .. }) if Instant::now() < deadline => {}
+            Err(e) => panic!("no worker freed up within {within:?}: {e}"),
+        }
+    }
+}
+
 /// End-to-end over TCP: connect, learn schemas, upsert, query (with
 /// fired-RCK provenance), explain, swap rules, stats, remove — then a
 /// service error that leaves the connection usable.
@@ -460,7 +473,8 @@ fn tcp_wrong_arity_probe_is_answered_and_the_connection_stays_usable() {
 }
 
 /// With one worker, a client that sends half a frame and hangs up frees
-/// that worker: the next client connects and is served.
+/// that worker: the next client connects (refused only until the worker
+/// has noticed the hang-up) and is served.
 #[test]
 fn tcp_half_frame_then_close_frees_the_only_worker() {
     let handle = serve_with(people_server(), "127.0.0.1:0", 1).unwrap();
@@ -472,12 +486,36 @@ fn tcp_half_frame_then_close_frees_the_only_worker() {
     let addr = handle.addr();
     let (served, answer) = mpsc::channel();
     let next = thread::spawn(move || {
-        let stats = MatchClient::connect(addr).and_then(|mut client| client.stats());
+        let stats = connect_within(addr, Duration::from_secs(30)).stats();
         served.send(stats.map(|stats| stats.version)).unwrap();
     });
     let version = answer.recv_timeout(Duration::from_secs(30)).expect("the next client is served");
     assert_eq!(version.unwrap(), 1);
     next.join().unwrap();
+}
+
+/// With one worker taken, another client is refused at once with an
+/// error naming the cap — not left waiting on its handshake — and is
+/// served once the first client disconnects.
+#[test]
+fn tcp_client_beyond_the_cap_is_refused_then_served_after_a_disconnect() {
+    let handle = serve_with(people_server(), "127.0.0.1:0", 1).unwrap();
+    let first = MatchClient::connect(handle.addr()).unwrap();
+    // The refused client runs on a thread, so a handshake that hangs
+    // fails the test instead of hanging it.
+    let addr = handle.addr();
+    let (refused, answer) = mpsc::channel();
+    let second = thread::spawn(move || refused.send(MatchClient::connect(addr).map(drop)).unwrap());
+    match answer.recv_timeout(Duration::from_secs(30)).expect("the refusal is prompt") {
+        Err(ClientError::Server { message }) => {
+            assert!(message.contains("all 1 connection workers"), "{message}")
+        }
+        other => panic!("expected a busy refusal, got {other:?}"),
+    }
+    second.join().unwrap();
+    drop(first);
+    let mut client = connect_within(addr, Duration::from_secs(30));
+    assert_eq!(client.stats().unwrap().version, 1);
 }
 
 /// An answer that encodes past `MAX_FRAME` is refused before a byte of it
