@@ -27,7 +27,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod discovery;
 pub mod em;
 pub mod index;
 pub mod key;

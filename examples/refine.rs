@@ -95,7 +95,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for rule in &report.selected {
         let origin = match &rule.origin {
             CandidateOrigin::Seed => "seed".to_owned(),
-            CandidateOrigin::Handwritten => "hand-written".to_owned(),
             CandidateOrigin::Discovered { support, confidence } => {
                 format!("mined (support {support}, confidence {confidence:.2})")
             }

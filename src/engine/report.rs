@@ -640,22 +640,10 @@ impl MatchEngine {
         right: &Relation,
     ) -> Result<MatchReport, EngineError> {
         self.check_side(Side::Left, left)?;
-        self.check_side(Side::Right, right)?;
         let started = Instant::now();
         let mut stages = Vec::new();
-        let index = {
-            let build_started = Instant::now();
-            let index = MatchIndex::build_in(
-                &self.pool,
-                self.plan.pair().left().arity(),
-                right,
-                self.plan.rcks(),
-                self.plan.negatives(),
-                self.runtime.clone(),
-            )?;
-            stages.push(Stage { name: "index", elapsed: build_started.elapsed() });
-            index
-        };
+        // `index` checks `right`'s schema.
+        let index = Self::staged("index", &mut stages, || self.index(right))?;
         let candidates = Self::staged("probe", &mut stages, || {
             let per_probe = index.candidates_batch_in(&self.pool, left);
             let mut out = Vec::new();

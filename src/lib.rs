@@ -249,10 +249,11 @@
 //! module *improves* them. A [`refine::LabelStore`] holds labeled
 //! positive/negative record pairs (generated from a
 //! [`GroundTruth`](data::dirty::GroundTruth) or appended from live
-//! feedback), and a [`refine::Refiner`] grows a candidate pool from the
-//! serving plan's rules — mined proposals plus per-atom θ-threshold
-//! sweeps — evaluates every candidate on the labels through the indexed
-//! engine, and selects the F_β-maximizing subset. A running server
+//! feedback), and one call, [`refine::refine`], grows a candidate pool
+//! from the serving plan's rules — mined proposals plus per-atom
+//! θ-threshold sweeps — evaluates every candidate on the labels through
+//! the indexed engine, and selects the F_β-maximizing subset (β is its
+//! one knob). A running server
 //! drives the whole loop: [`MatchServer::submit_labels`] accumulates the
 //! labels, [`MatchServer::refine`] selects and hot-swaps the resulting
 //! [`refine::Refinement`] in:
@@ -301,8 +302,9 @@
 //! (`SubmitLabels`), and a `Refine` request selects and deploys without
 //! restarting ([`server::MatchClient::submit_labels`] /
 //! [`server::MatchClient::refine`]). To inspect a selection before
-//! deploying it, run a [`refine::Refiner`] by hand and pass its
-//! [`refine::Refinement`] to [`MatchServer::swap_rules_refined`].
+//! deploying it, call [`refine::refine`] on the serving engine's plan
+//! and registry and pass its [`refine::Refinement`] to
+//! [`MatchServer::swap_rules_refined`].
 //!
 //! ## Parallel execution
 //!

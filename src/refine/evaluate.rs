@@ -15,47 +15,45 @@
 //! Everything here is sequential and index-driven, so coverage — and
 //! every selection derived from it — is identical at any thread count.
 
-use super::labels::LabelStore;
+use super::labels::{LabelRelations, LabelStore};
 use super::pool::CandidatePool;
 use super::RefineError;
-use crate::engine::{schemas_compatible, MatchIndex};
+use crate::engine::MatchIndex;
 use matchrules_core::relative_key::RelativeKey;
-use matchrules_core::schema::Side;
 use matchrules_data::eval::RuntimeOps;
-use matchrules_data::relation::{Relation, Tuple, TupleId};
-use matchrules_data::value::Value;
+use matchrules_data::relation::TupleId;
 use matchrules_matcher::metrics::MatchQuality;
-use std::collections::HashMap;
+use std::collections::HashSet;
 use std::sync::Arc;
 
 /// A fixed-size bitset over the labeled pairs.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct Bits {
+pub(super) struct Bits {
     blocks: Vec<u64>,
     len: usize,
 }
 
 impl Bits {
-    pub(crate) fn new(len: usize) -> Self {
+    pub(super) fn new(len: usize) -> Self {
         Bits { blocks: vec![0; len.div_ceil(64)], len }
     }
 
-    pub(crate) fn set(&mut self, i: usize) {
+    pub(super) fn set(&mut self, i: usize) {
         debug_assert!(i < self.len);
         self.blocks[i / 64] |= 1u64 << (i % 64);
     }
 
-    pub(crate) fn or_assign(&mut self, other: &Bits) {
+    pub(super) fn or_assign(&mut self, other: &Bits) {
         for (a, b) in self.blocks.iter_mut().zip(&other.blocks) {
             *a |= b;
         }
     }
 
-    pub(crate) fn count(&self) -> usize {
+    pub(super) fn count(&self) -> usize {
         self.blocks.iter().map(|b| b.count_ones() as usize).sum()
     }
 
-    pub(crate) fn and_count(&self, other: &Bits) -> usize {
+    pub(super) fn and_count(&self, other: &Bits) -> usize {
         self.blocks.iter().zip(&other.blocks).map(|(a, b)| (a & b).count_ones() as usize).sum()
     }
 }
@@ -63,41 +61,35 @@ impl Bits {
 /// Per-candidate coverage of the labeled pairs: which pairs each
 /// candidate's LHS accepts, plus the positive-label mask.
 #[derive(Debug, Clone)]
-pub struct Coverage {
-    pub(crate) accepts: Vec<Bits>,
-    pub(crate) positives: Bits,
-    n_pairs: usize,
+pub(super) struct Coverage {
+    pub(super) accepts: Vec<Bits>,
+    positives: Bits,
     n_positives: usize,
 }
 
 impl Coverage {
     /// Number of labeled pairs evaluated.
-    pub fn n_pairs(&self) -> usize {
-        self.n_pairs
-    }
-
-    /// Number of positively labeled pairs.
-    pub fn n_positives(&self) -> usize {
-        self.n_positives
+    pub(super) fn n_pairs(&self) -> usize {
+        self.positives.len
     }
 
     /// Number of candidates evaluated.
-    pub fn n_candidates(&self) -> usize {
+    pub(super) fn n_candidates(&self) -> usize {
         self.accepts.len()
     }
 
     /// Confusion counts of the *union* of the given candidates on the
     /// labeled set: a pair is returned iff at least one chosen
     /// candidate's LHS accepts it.
-    pub fn quality_of(&self, chosen: &[usize]) -> MatchQuality {
-        let mut union = Bits::new(self.n_pairs);
+    pub(super) fn quality_of(&self, chosen: &[usize]) -> MatchQuality {
+        let mut union = Bits::new(self.n_pairs());
         for &i in chosen {
             union.or_assign(&self.accepts[i]);
         }
         self.quality_of_bits(&union)
     }
 
-    pub(crate) fn quality_of_bits(&self, union: &Bits) -> MatchQuality {
+    pub(super) fn quality_of_bits(&self, union: &Bits) -> MatchQuality {
         let tp = union.and_count(&self.positives);
         let fp = union.count() - tp;
         MatchQuality {
@@ -108,48 +100,20 @@ impl Coverage {
     }
 }
 
-/// Builds per-candidate coverage of `labels` for every rule in `pool` by
-/// probing a candidate-keyed [`MatchIndex`] (see the module docs).
-pub fn evaluate(pool: &CandidatePool, labels: &LabelStore) -> Result<Coverage, RefineError> {
-    if labels.is_empty() {
-        return Err(RefineError::EmptyLabels);
-    }
-    if pool.is_empty() {
-        return Err(RefineError::NoCandidates);
-    }
-    for (schema, expected, side) in [
-        (labels.probe_schema(), pool.pair().left(), Side::Left),
-        (labels.store_schema(), pool.pair().right(), Side::Right),
-    ] {
-        if !schemas_compatible(schema.as_ref(), expected.as_ref()) {
-            return Err(RefineError::SchemaMismatch {
-                side,
-                expected: expected.name().to_owned(),
-                got: schema.name().to_owned(),
-            });
-        }
-    }
-
-    // Distinct right-side records become the indexed relation; distinct
-    // left-side records become the probes. Pairs sharing a side share the
+/// Builds per-candidate coverage of `labels` (over their distinct
+/// `records`) for every rule in `pool` by probing a candidate-keyed
+/// [`MatchIndex`] (see the module docs).
+pub(super) fn evaluate(
+    pool: &CandidatePool,
+    labels: &LabelStore,
+    records: &LabelRelations,
+) -> Result<Coverage, RefineError> {
+    // Distinct right-side records are the indexed relation; distinct
+    // left-side records are the probes. Pairs sharing a side share the
     // index work.
-    let mut right_rel = Relation::new(pool.pair().right().clone());
-    let mut right_ids: HashMap<Vec<Value>, TupleId> = HashMap::new();
-    let mut left_probes: Vec<(Tuple, Vec<(usize, TupleId)>)> = Vec::new();
-    let mut left_index: HashMap<Vec<Value>, usize> = HashMap::new();
-    for (pair_idx, pair) in labels.pairs().iter().enumerate() {
-        let right_values = pair.right.values().to_vec();
-        let next_id = right_ids.len() as TupleId;
-        let right_id = *right_ids.entry(right_values.clone()).or_insert_with(|| {
-            right_rel.push(Tuple::new(next_id, right_values));
-            next_id
-        });
-        let left_values = pair.left.values().to_vec();
-        let slot = *left_index.entry(left_values.clone()).or_insert_with(|| {
-            left_probes.push((Tuple::new(0, left_values), Vec::new()));
-            left_probes.len() - 1
-        });
-        left_probes[slot].1.push((pair_idx, right_id));
+    let mut targets: Vec<Vec<(usize, TupleId)>> = vec![Vec::new(); records.left.len()];
+    for (pair_idx, &(left, right)) in records.pairs.iter().enumerate() {
+        targets[left].push((pair_idx, right as TupleId));
     }
 
     // One key per candidate: its LHS conjunction. Key k in the index is
@@ -158,17 +122,17 @@ pub fn evaluate(pool: &CandidatePool, labels: &LabelStore) -> Result<Coverage, R
     let keys: Vec<RelativeKey> =
         pool.rules().iter().map(|r| RelativeKey::new(r.md.lhs().to_vec())).collect();
     let runtime = Arc::new(RuntimeOps::resolve(pool.ops(), pool.registry())?);
-    let index = MatchIndex::build(pool.pair().left().arity(), &right_rel, &keys, &[], runtime)?;
+    let index =
+        MatchIndex::build(records.left.schema().arity(), &records.right, &keys, &[], runtime)?;
 
     let n_pairs = labels.len();
     let mut accepts = vec![Bits::new(n_pairs); pool.len()];
-    for (probe, targets) in &left_probes {
+    for (probe, targets) in records.left.tuples().iter().zip(&targets) {
         let outcome = index.query(probe);
         if outcome.hits.is_empty() {
             continue;
         }
-        let hit_ids: std::collections::HashSet<TupleId> =
-            outcome.hits.iter().map(|h| h.id).collect();
+        let hit_ids: HashSet<TupleId> = outcome.hits.iter().map(|h| h.id).collect();
         for &(pair_idx, right_id) in targets {
             if !hit_ids.contains(&right_id) {
                 continue;
@@ -189,5 +153,5 @@ pub fn evaluate(pool: &CandidatePool, labels: &LabelStore) -> Result<Coverage, R
         }
     }
     let n_positives = positives.count();
-    Ok(Coverage { accepts, positives, n_pairs, n_positives })
+    Ok(Coverage { accepts, positives, n_positives })
 }

@@ -21,7 +21,7 @@
 use crate::service::Record;
 use matchrules_core::schema::{Schema, Side};
 use matchrules_data::dirty::GroundTruth;
-use matchrules_data::relation::Relation;
+use matchrules_data::relation::{Relation, Tuple, TupleId};
 use matchrules_data::value::Value;
 use std::collections::HashMap;
 use std::fmt;
@@ -81,6 +81,19 @@ impl fmt::Display for LabelError {
 }
 
 impl std::error::Error for LabelError {}
+
+/// The labeled pairs over two relations of distinct records, built by
+/// [`LabelStore::relations`].
+pub(super) struct LabelRelations {
+    /// Distinct left records in first-occurrence order; a tuple's id is
+    /// its position.
+    pub(super) left: Relation,
+    /// Distinct right records, likewise.
+    pub(super) right: Relation,
+    /// Per labeled pair, in store order: the positions of its left and
+    /// right records.
+    pub(super) pairs: Vec<(usize, usize)>,
+}
 
 /// Deduplicated labeled record pairs, keyed by value content.
 #[derive(Debug, Clone)]
@@ -209,6 +222,34 @@ impl LabelStore {
     /// Number of negative (non-matching) pairs.
     pub fn negatives(&self) -> usize {
         self.pairs.len() - self.positives
+    }
+
+    /// The labeled pairs over relations of distinct records — what the
+    /// miner samples and the evaluator indexes and probes.
+    pub(super) fn relations(&self) -> LabelRelations {
+        fn position(
+            rel: &mut Relation,
+            seen: &mut HashMap<Vec<Value>, usize>,
+            r: &Record,
+        ) -> usize {
+            if let Some(&pos) = seen.get(r.values()) {
+                return pos;
+            }
+            let pos = rel.len();
+            rel.push(Tuple::new(pos as TupleId, r.values().to_vec()));
+            seen.insert(r.values().to_vec(), pos);
+            pos
+        }
+        let mut left = Relation::new(self.probe_schema.clone());
+        let mut right = Relation::new(self.store_schema.clone());
+        let (mut left_seen, mut right_seen) = (HashMap::new(), HashMap::new());
+        let pairs = (self.pairs.iter())
+            .map(|p| {
+                let l = position(&mut left, &mut left_seen, &p.left);
+                (l, position(&mut right, &mut right_seen, &p.right))
+            })
+            .collect();
+        LabelRelations { left, right, pairs }
     }
 
     /// Schema of the left (probe) side.

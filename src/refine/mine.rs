@@ -13,109 +13,50 @@
 //!
 //! Only *minimal* rules are emitted: an LHS is not extended once it already
 //! yields the RHS at the confidence threshold.
+//!
+//! Refinement is the one caller: it mines the labeled pairs, with the
+//! support floor and the LHS operators derived from the labels and the
+//! serving plan, at a fixed confidence floor and LHS depth.
 
-use crate::windowing::multi_pass_window;
 use matchrules_core::dependency::{IdentPair, MatchingDependency, SimilarityAtom};
 use matchrules_core::operators::OperatorId;
 use matchrules_core::schema::AttrId;
 use matchrules_data::eval::RuntimeOps;
 use matchrules_data::relation::Relation;
 
-/// Discovery parameters.
-#[derive(Debug, Clone)]
-pub struct DiscoveryConfig {
-    /// Minimum number of LHS-matching sample pairs.
-    pub min_support: usize,
-    /// Minimum fraction of LHS-matching pairs whose RHS values agree.
-    pub min_confidence: f64,
-    /// Maximum LHS length explored (levelwise depth).
-    pub max_lhs: usize,
-    /// Operators tried on every candidate LHS pair (e.g. `=` and `≈d`).
-    pub lhs_ops: Vec<OperatorId>,
-}
-
-impl Default for DiscoveryConfig {
-    fn default() -> Self {
-        DiscoveryConfig {
-            min_support: 20,
-            min_confidence: 0.95,
-            max_lhs: 2,
-            lhs_ops: vec![OperatorId::EQ],
-        }
-    }
-}
+/// Minimum fraction of LHS-matching pairs whose RHS values agree.
+const MIN_CONFIDENCE: f64 = 0.9;
+/// Maximum LHS length explored (levelwise depth).
+const MAX_LHS: usize = 2;
 
 /// A mined MD with its sample statistics.
 #[derive(Debug, Clone)]
-pub struct DiscoveredMd {
+pub(super) struct DiscoveredMd {
     /// The rule, in normal form (single RHS pair).
-    pub md: MatchingDependency,
+    pub(super) md: MatchingDependency,
     /// Number of sample pairs matching the LHS.
-    pub support: usize,
+    pub(super) support: usize,
     /// Fraction of those pairs whose RHS values agree.
-    pub confidence: f64,
+    pub(super) confidence: f64,
 }
-
-/// Why a discovery request is unrunnable. Refinement feeds the miner
-/// user-controlled configuration, so degenerate inputs must surface as
-/// values rather than panics.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DiscoveryError {
-    /// `attr_pairs` was empty: there is nothing to build LHS atoms from.
-    NoAttributePairs,
-    /// `cfg.lhs_ops` was empty: no operator to try on any attribute pair.
-    NoOperators,
-    /// `cfg.max_lhs == 0`: the levelwise search would explore no level.
-    ZeroMaxLhs,
-}
-
-impl std::fmt::Display for DiscoveryError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DiscoveryError::NoAttributePairs => {
-                write!(f, "discovery needs at least one candidate attribute pair")
-            }
-            DiscoveryError::NoOperators => {
-                write!(f, "discovery needs at least one candidate LHS operator")
-            }
-            DiscoveryError::ZeroMaxLhs => {
-                write!(f, "discovery needs max_lhs >= 1 (got 0)")
-            }
-        }
-    }
-}
-
-impl std::error::Error for DiscoveryError {}
 
 /// Mines MDs over the given comparable attribute pairs from a sample of
-/// tuple pairs (candidate generation via the provided windowing keys keeps
-/// the sample dense in near-matches).
-///
-/// Fails with a [`DiscoveryError`] when `attr_pairs` or `cfg.lhs_ops` is
-/// empty, or `cfg.max_lhs == 0`. An empty *sample* is not an error: it
-/// simply mines nothing (no LHS can reach any support).
-pub fn discover(
+/// `(credit, billing)` tuple pairs, trying every operator of `lhs_ops` on
+/// every attribute pair. Empty `attr_pairs`, `lhs_ops` or `sample` mine
+/// nothing.
+pub(super) fn discover(
     credit: &Relation,
     billing: &Relation,
     attr_pairs: &[(AttrId, AttrId)],
     sample: &[(usize, usize)],
     ops: &RuntimeOps,
-    cfg: &DiscoveryConfig,
-) -> Result<Vec<DiscoveredMd>, DiscoveryError> {
-    if attr_pairs.is_empty() {
-        return Err(DiscoveryError::NoAttributePairs);
-    }
-    if cfg.lhs_ops.is_empty() {
-        return Err(DiscoveryError::NoOperators);
-    }
-    if cfg.max_lhs == 0 {
-        return Err(DiscoveryError::ZeroMaxLhs);
-    }
-
+    min_support: usize,
+    lhs_ops: &[OperatorId],
+) -> Vec<DiscoveredMd> {
     // Pre-evaluate every (attribute pair, operator) predicate on the sample.
     let atoms: Vec<SimilarityAtom> = attr_pairs
         .iter()
-        .flat_map(|&(l, r)| cfg.lhs_ops.iter().map(move |&op| SimilarityAtom::new(l, r, op)))
+        .flat_map(|&(l, r)| lhs_ops.iter().map(move |&op| SimilarityAtom::new(l, r, op)))
         .collect();
     let bits: Vec<Vec<bool>> = atoms
         .iter()
@@ -139,11 +80,11 @@ pub fn discover(
     let mut frontier: Vec<(Vec<usize>, Vec<bool>)> =
         (0..atoms.len()).map(|i| (vec![i], bits[i].clone())).collect();
 
-    for _level in 0..cfg.max_lhs {
+    for _level in 0..MAX_LHS {
         let mut next: Vec<(Vec<usize>, Vec<bool>)> = Vec::new();
         for (idxs, mask) in &frontier {
             let support = mask.iter().filter(|&&b| b).count();
-            if support < cfg.min_support {
+            if support < min_support {
                 continue; // anti-monotone prune
             }
             let mut saturated = false;
@@ -154,7 +95,7 @@ pub fn discover(
                 }
                 let hits = mask.iter().zip(eq_bits.iter()).filter(|(&m, &e)| m && e).count();
                 let confidence = hits as f64 / support as f64;
-                if confidence >= cfg.min_confidence {
+                if confidence >= MIN_CONFIDENCE {
                     let lhs: Vec<SimilarityAtom> = idxs.iter().map(|&i| atoms[i]).collect();
                     out.push(DiscoveredMd {
                         md: MatchingDependency::from_validated_parts(lhs, vec![*rhs]),
@@ -165,7 +106,7 @@ pub fn discover(
                 }
             }
             // Minimality: only extend LHSs that have not yet produced rules.
-            if !saturated && idxs.len() < cfg.max_lhs {
+            if !saturated && idxs.len() < MAX_LHS {
                 let last = *idxs.last().expect("non-empty");
                 for j in (last + 1)..atoms.len() {
                     // Avoid conjoining two operators on the same pair.
@@ -192,23 +133,7 @@ pub fn discover(
             .expect("finite confidence")
             .then(b.support.cmp(&a.support))
     });
-    Ok(out)
-}
-
-/// Convenience: mines over a target's attribute pairs using windowing to
-/// build the sample. Fails with the same [`DiscoveryError`] values as
-/// [`discover`].
-pub fn discover_from_windows(
-    credit: &Relation,
-    billing: &Relation,
-    attr_pairs: &[(AttrId, AttrId)],
-    keys: &[crate::sortkey::SortKey],
-    window: usize,
-    ops: &RuntimeOps,
-    cfg: &DiscoveryConfig,
-) -> Result<Vec<DiscoveredMd>, DiscoveryError> {
-    let sample = multi_pass_window(credit, billing, keys, window);
-    discover(credit, billing, attr_pairs, &sample, ops, cfg)
+    out
 }
 
 #[cfg(test)]
@@ -234,6 +159,18 @@ mod tests {
         setting.target.y1().iter().zip(setting.target.y2()).map(|(&l, &r)| (l, r)).collect()
     }
 
+    /// Mines with equality as the only LHS operator.
+    fn mine_eq(
+        setting: &paper::PaperSetting,
+        data: &matchrules_data::DirtyData,
+        ops: &RuntimeOps,
+        sample: &[(usize, usize)],
+        min_support: usize,
+    ) -> Vec<DiscoveredMd> {
+        let pairs = pairs_of(setting);
+        discover(&data.credit, &data.billing, &pairs, sample, ops, min_support, &[OperatorId::EQ])
+    }
+
     #[test]
     fn discovers_email_implies_name() {
         let (setting, data, ops) = setup();
@@ -241,17 +178,7 @@ mod tests {
             .flat_map(|c| (0..data.billing.len()).step_by(7).map(move |b| (c, b)))
             .take(40_000)
             .collect();
-        // Attribute errors hit 30% of duplicate fields, so a confidence of
-        // 0.8 admits the single-atom rules over clean identifiers.
-        let mined = discover(
-            &data.credit,
-            &data.billing,
-            &pairs_of(&setting),
-            &sample,
-            &ops,
-            &DiscoveryConfig { min_support: 5, min_confidence: 0.8, ..Default::default() },
-        )
-        .unwrap();
+        let mined = mine_eq(&setting, &data, &ops, &sample, 5);
         assert!(!mined.is_empty());
         // email= → LN⇌LN must be among the mined rules (emails are unique
         // per person in the generator).
@@ -270,12 +197,11 @@ mod tests {
             .flat_map(|c| (0..data.billing.len()).step_by(13).map(move |b| (c, b)))
             .take(20_000)
             .collect();
-        let cfg = DiscoveryConfig { min_support: 10, min_confidence: 0.9, ..Default::default() };
-        let mined = discover(&data.credit, &data.billing, &pairs_of(&setting), &sample, &ops, &cfg)
-            .unwrap();
+        let mined = mine_eq(&setting, &data, &ops, &sample, 10);
         for d in mined {
             assert!(d.support >= 10);
-            assert!(d.confidence >= 0.9);
+            assert!(d.confidence >= MIN_CONFIDENCE);
+            assert!(d.md.lhs().len() <= MAX_LHS);
             assert!(d.md.is_normal());
             // No trivial self-rules.
             assert!(d.md.lhs().iter().all(|a| a.pair() != d.md.rhs()[0]));
@@ -293,15 +219,7 @@ mod tests {
                 (c, b)
             })
             .collect();
-        let mined = discover(
-            &data.credit,
-            &data.billing,
-            &pairs_of(&setting),
-            &sample,
-            &ops,
-            &DiscoveryConfig { min_support: 20, min_confidence: 0.98, ..Default::default() },
-        )
-        .unwrap();
+        let mined = mine_eq(&setting, &data, &ops, &sample, 20);
         assert!(!mined.is_empty());
         let sigma: Vec<MatchingDependency> = mined.iter().map(|d| d.md.clone()).collect();
         // The mined Σ admits RCK deduction.
@@ -311,57 +229,17 @@ mod tests {
     }
 
     #[test]
-    fn degenerate_inputs_are_typed_errors() {
+    fn empty_inputs_mine_nothing() {
         let (setting, data, ops) = setup();
         let pairs = pairs_of(&setting);
-        let err = discover(
-            &data.credit,
-            &data.billing,
-            &[],
-            &[(0, 0)],
-            &ops,
-            &DiscoveryConfig::default(),
-        )
-        .unwrap_err();
-        assert_eq!(err, DiscoveryError::NoAttributePairs);
-
-        let err = discover(
-            &data.credit,
-            &data.billing,
-            &pairs,
-            &[(0, 0)],
-            &ops,
-            &DiscoveryConfig { lhs_ops: vec![], ..Default::default() },
-        )
-        .unwrap_err();
-        assert_eq!(err, DiscoveryError::NoOperators);
-
-        let err = discover(
-            &data.credit,
-            &data.billing,
-            &pairs,
-            &[(0, 0)],
-            &ops,
-            &DiscoveryConfig { max_lhs: 0, ..Default::default() },
-        )
-        .unwrap_err();
-        assert_eq!(err, DiscoveryError::ZeroMaxLhs);
-        // Errors render a human-readable reason for wire transport.
-        assert!(err.to_string().contains("max_lhs"));
-    }
-
-    #[test]
-    fn empty_sample_mines_nothing() {
-        let (setting, data, ops) = setup();
-        let mined = discover(
-            &data.credit,
-            &data.billing,
-            &pairs_of(&setting),
-            &[],
-            &ops,
-            &DiscoveryConfig::default(),
-        )
-        .unwrap();
-        assert!(mined.is_empty());
+        // One true pair: a rule over it has support 1 and confidence 1.
+        let b = (0..data.billing.len()).find(|&b| data.truth.is_match(0, b)).unwrap();
+        let sample = [(0, b)];
+        let (credit, billing) = (&data.credit, &data.billing);
+        assert!(discover(credit, billing, &[], &sample, &ops, 1, &[OperatorId::EQ]).is_empty());
+        assert!(discover(credit, billing, &pairs, &sample, &ops, 1, &[]).is_empty());
+        assert!(mine_eq(&setting, &data, &ops, &[], 0).is_empty());
+        // The same inputs with the empty one filled in do mine.
+        assert!(!discover(credit, billing, &pairs, &sample, &ops, 1, &[OperatorId::EQ]).is_empty());
     }
 }

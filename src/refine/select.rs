@@ -6,9 +6,8 @@
 //! [`Coverage`](super::Coverage) bitsets and therefore reproducible at
 //! any thread count:
 //!
-//! * **Exhaustive** — at or below
-//!   [`SelectionConfig::exhaustive_cutoff`] candidates, every subset is
-//!   scored. Ties break toward *fewer* rules, then the lexicographically
+//! * **Exhaustive** — at or below [`EXHAUSTIVE_CUTOFF`] candidates,
+//!   every subset is scored. Ties break toward *fewer* rules, then the lexicographically
 //!   smallest index set, so the winner is minimal: dropping any chosen
 //!   rule strictly lowers F_β.
 //! * **Greedy** — above the cutoff, marginal-gain greedy from two
@@ -25,34 +24,20 @@
 use super::evaluate::{Bits, Coverage};
 use matchrules_matcher::metrics::MatchQuality;
 
-/// Selection parameters.
-#[derive(Debug, Clone)]
-pub struct SelectionConfig {
-    /// The β of the F_β objective (1.0 = F1; larger favors recall).
-    pub beta: f64,
-    /// Candidate-count bound for the exact exhaustive regime.
-    pub exhaustive_cutoff: usize,
-}
-
-impl Default for SelectionConfig {
-    fn default() -> Self {
-        SelectionConfig { beta: 1.0, exhaustive_cutoff: 10 }
-    }
-}
+/// Candidate-count bound for the exact exhaustive regime.
+const EXHAUSTIVE_CUTOFF: usize = 10;
 
 /// Outcome of a selection run.
 #[derive(Debug, Clone)]
-pub struct Selection {
+pub(super) struct Selection {
     /// Chosen candidate indices, ascending.
-    pub chosen: Vec<usize>,
-    /// F_β of the chosen set on the labeled sample.
-    pub score: f64,
+    pub(super) chosen: Vec<usize>,
     /// Confusion counts of the chosen set.
-    pub quality: MatchQuality,
+    pub(super) quality: MatchQuality,
     /// Per chosen rule: `F_β(S) − F_β(S ∖ {rule})` — strictly positive.
-    pub marginal_gains: Vec<(usize, f64)>,
+    pub(super) marginal_gains: Vec<(usize, f64)>,
     /// Whether the exact exhaustive regime ran.
-    pub exhaustive: bool,
+    pub(super) exhaustive: bool,
 }
 
 fn union_of(cov: &Coverage, chosen: &[usize]) -> Bits {
@@ -154,11 +139,11 @@ fn exhaustive(cov: &Coverage, beta: f64) -> Vec<usize> {
 
 /// Selects the candidate subset maximizing F_β on the coverage, with
 /// `seed` (the serving rules' pool indices) as the floor the greedy
-/// regime can never fall below.
-pub fn select(cov: &Coverage, seed: &[usize], cfg: &SelectionConfig) -> Selection {
-    let beta = if cfg.beta.is_finite() && cfg.beta > 0.0 { cfg.beta } else { 1.0 };
+/// regime can never fall below. `beta` is finite and positive (checked
+/// by [`refine`](super::refine)).
+pub(super) fn select(cov: &Coverage, seed: &[usize], beta: f64) -> Selection {
     let n = cov.n_candidates();
-    let ran_exhaustive = n <= cfg.exhaustive_cutoff && n < 64;
+    let ran_exhaustive = n <= EXHAUSTIVE_CUTOFF;
     let chosen = if ran_exhaustive {
         exhaustive(cov, beta)
     } else {
@@ -183,5 +168,5 @@ pub fn select(cov: &Coverage, seed: &[usize], cfg: &SelectionConfig) -> Selectio
             (rule, score - score_of(cov, &without, beta))
         })
         .collect();
-    Selection { chosen, score, quality, marginal_gains, exhaustive: ran_exhaustive }
+    Selection { chosen, quality, marginal_gains, exhaustive: ran_exhaustive }
 }

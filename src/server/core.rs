@@ -5,7 +5,7 @@
 use crate::engine::{
     schemas_compatible, EngineBuilder, MatchEngine, MatchIndex, MatchPlan, QueryOutcome,
 };
-use crate::refine::{LabelStore, RefineConfig, Refinement, RefinementReport, Refiner};
+use crate::refine::{self, LabelStore, Refinement, RefinementReport};
 use crate::service::{
     MatchExplanation, QueryResponse, RankedResponse, Record, RecordBuilder, RecordId, RuleVersion,
     ScoredHit, ServiceError, ServiceHit,
@@ -638,15 +638,9 @@ impl MatchServer {
         // Stage on a copy so a mid-batch conflict leaves the store as it
         // was — the caller can fix the batch and resubmit it whole.
         let mut staged = store.clone();
-        let mut added = 0usize;
-        for (left, right, is_match) in pairs {
-            let fresh = staged
-                .insert(left.clone(), right.clone(), *is_match)
-                .map_err(|e| ServiceError::Refinement { message: e.to_string() })?;
-            if fresh {
-                added += 1;
-            }
-        }
+        let added = staged
+            .extend_pairs(pairs.iter().cloned())
+            .map_err(|e| ServiceError::Refinement { message: e.to_string() })?;
         *store = staged;
         Ok(LabelSummary {
             added,
@@ -667,29 +661,19 @@ impl MatchServer {
         }
     }
 
-    /// Runs the full refinement loop against the labels submitted so far
-    /// — mine candidates, θ-sweep fuzzy atoms, evaluate through the
+    /// Runs [`refine::refine`] at `beta` against the labels submitted so
+    /// far — mine candidates, θ-sweep fuzzy atoms, evaluate through the
     /// indexed engine, select the F_β-maximizing subset — and hot-swaps
     /// the selected rules in with zero read downtime. Returns the new
     /// rule version and the [`RefinementReport`] (before/after quality,
     /// per-rule marginal gains, chosen θ per atom). On any error
-    /// (no labels, nothing selected, compile failure) the old version
-    /// keeps serving untouched.
+    /// (a β that is not finite and positive, no labels, nothing
+    /// selected, compile failure) the old version keeps serving
+    /// untouched.
     pub fn refine(&self, beta: f64) -> Result<(RuleVersion, RefinementReport), ServiceError> {
-        self.refine_with(RefineConfig { beta, ..RefineConfig::default() })
-    }
-
-    /// [`MatchServer::refine`] with explicit [`RefineConfig`] knobs.
-    pub fn refine_with(
-        &self,
-        config: RefineConfig,
-    ) -> Result<(RuleVersion, RefinementReport), ServiceError> {
         let labels = self.labels.lock().unwrap_or_else(|e| e.into_inner()).clone();
-        let (view, _) = self.view.load();
-        let refiner = Refiner::new(view.rules.engine.plan(), view.rules.engine.registry())
-            .with_config(config);
-        let refinement = refiner
-            .refine(&labels)
+        let engine = self.engine();
+        let refinement = refine::refine(engine.plan(), engine.registry(), &labels, beta)
             .map_err(|e| ServiceError::Refinement { message: e.to_string() })?;
         let version = self.swap_rules_refined(&refinement)?;
         Ok((version, refinement.report))
@@ -697,9 +681,9 @@ impl MatchServer {
 
     /// The engine executing the current rule version — a cheap clone
     /// (plan and operators are shared) that keeps describing the version
-    /// it was loaded at. Its [`MatchEngine::registry`] is what a
-    /// [`Refiner`] seeds from so custom and θ-alias operators keep their
-    /// bindings.
+    /// it was loaded at. Its [`MatchEngine::registry`] is what
+    /// [`refine::refine`] runs against so custom and θ-alias operators
+    /// keep their bindings.
     pub fn engine(&self) -> MatchEngine {
         self.view.load().0.rules.engine.clone()
     }

@@ -552,7 +552,7 @@ wire_struct! {
     pub struct WireRefinement {
         /// The bumped rule version now serving the selected rules.
         pub version: u64,
-        /// Candidates evaluated (seed + hand-written + mined + θ-variants).
+        /// Candidates evaluated (seed + mined + θ-variants).
         pub pool_size: u64,
         /// How many of the selected rules are θ-sweep variants.
         pub theta_variants: u64,

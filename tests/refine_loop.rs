@@ -17,11 +17,12 @@
 use matchrules::data::dirty::{generate_dirty, DirtyData, NoiseConfig};
 use matchrules::data::value::Value;
 use matchrules::engine::{EngineBuilder, MatchEngine, Preset};
-use matchrules::refine::{LabelStore, RefineConfig, Refinement, Refiner};
+use matchrules::matcher::metrics::MatchQuality;
+use matchrules::refine::{self, LabelStore, RefineError, Refinement, RefinementReport};
 use matchrules::server::net::serve;
 use matchrules::server::wire::{Request, Response, WireLabel};
 use matchrules::server::{MatchClient, MatchServer};
-use matchrules::service::{Record, RecordId};
+use matchrules::service::{Record, RecordId, ServiceError};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -69,9 +70,8 @@ fn labels_for(data: &DirtyData) -> LabelStore {
 
 fn refine_once(data: &DirtyData, threads: usize, beta: f64) -> Refinement {
     let engine = weak_engine(data, threads);
-    let refiner = Refiner::new(engine.plan(), engine.registry())
-        .with_config(RefineConfig { beta, ..RefineConfig::default() });
-    refiner.refine(&labels_for(data)).expect("refinement selects a rule set")
+    refine::refine(engine.plan(), engine.registry(), &labels_for(data), beta)
+        .expect("refinement selects a rule set")
 }
 
 /// A server over `engine` holding every billing tuple.
@@ -200,8 +200,7 @@ fn refined_f1_holds_on_every_noise_rung_and_the_theta_sweep_contributes() {
             .statistics_from(&data.credit, &data.billing)
             .build()
             .expect("seed rules compile");
-        let refinement = Refiner::new(engine.plan(), engine.registry())
-            .refine(&labels_for(&data))
+        let refinement = refine::refine(engine.plan(), engine.registry(), &labels_for(&data), 1.0)
             .expect("refinement selects a rule set");
         let report = &refinement.report;
         assert!(
@@ -331,4 +330,171 @@ fn wire_submit_labels_and_refine_end_to_end() {
     assert_eq!(second.version, 3);
 
     handle.shutdown();
+}
+
+/// β is checked once, at refinement's entry: a NaN, zero, negative or
+/// infinite β is a typed error from the library, and the server — called
+/// directly or through a `Refine` frame — refuses it and publishes
+/// nothing.
+#[test]
+fn invalid_beta_is_rejected_at_every_entry() {
+    let data = dirty(30, 7);
+    let labels = labels_for(&data);
+    let server = Arc::new(filled_server(weak_engine(&data, 1), &data));
+    let pairs: Vec<(Record, Record, bool)> =
+        labels.pairs().iter().map(|p| (p.left.clone(), p.right.clone(), p.is_match)).collect();
+    server.submit_labels(&pairs).unwrap();
+    let handle = serve(server.clone(), "127.0.0.1:0").unwrap();
+    let mut client = MatchClient::connect(handle.addr()).unwrap();
+    let engine = server.engine();
+
+    for beta in [f64::NAN, 0.0, -1.0, f64::INFINITY] {
+        let err = refine::refine(engine.plan(), engine.registry(), &labels, beta).unwrap_err();
+        assert!(
+            matches!(err, RefineError::InvalidBeta(got) if got.to_bits() == beta.to_bits()),
+            "beta {beta}: {err}"
+        );
+
+        let err = server.refine(beta).unwrap_err();
+        assert!(matches!(err, ServiceError::Refinement { .. }), "beta {beta}: {err}");
+        assert!(err.to_string().contains("beta"), "{err}");
+        assert_eq!(server.version().number(), 1, "beta {beta} moved the version");
+
+        match client.request(&Request::Refine { beta_bits: beta.to_bits() }).unwrap() {
+            Response::Error { message } => assert!(message.contains("beta"), "{message}"),
+            other => panic!("beta {beta}: expected an error frame, got {other:?}"),
+        }
+        assert_eq!(server.version().number(), 1, "beta {beta} over the wire moved the version");
+    }
+    // The same labels refine at a valid β.
+    assert_eq!(server.refine(1.0).unwrap().0.number(), 2);
+    handle.shutdown();
+}
+
+/// The noise-rung test's seed rules: an exact key plus a `≈jw` name key
+/// at the registry's tight base threshold, where θ-sweep variants win.
+const JW_RULES: &str = "\
+    credit[email] = billing[email] -> \
+    credit[FN,MN,LN,street,city,county,state,zip,tel,email,gender] <=> \
+    billing[FN,MN,LN,street,city,county,state,zip,phn,email,gender]\n\
+    credit[LN] ~jw billing[LN] /\\ credit[FN] ~jw billing[FN] -> \
+    credit[FN,MN,LN,street,city,county,state,zip,tel,email,gender] <=> \
+    billing[FN,MN,LN,street,city,county,state,zip,phn,email,gender]\n";
+
+/// 100 persons at one rung of the attribute-error ladder.
+fn noise_rung(attr_error_prob: f64) -> DirtyData {
+    let shape = Preset::Extended.paper_setting();
+    generate_dirty(
+        &shape.pair,
+        &shape.target,
+        100,
+        &NoiseConfig { attr_error_prob, seed: 0xF1DE, ..NoiseConfig::default() },
+    )
+}
+
+fn jw_engine(data: &DirtyData) -> MatchEngine {
+    let shape = Preset::Extended.paper_setting();
+    EngineBuilder::new()
+        .schema_pair(shape.pair)
+        .md_text(JW_RULES)
+        .target_ids(shape.target)
+        .top_k(5)
+        .statistics_from(&data.credit, &data.billing)
+        .build()
+        .expect("seed rules compile")
+}
+
+/// The RHS of a rule identifying the whole target tuple, as rendered.
+const WHOLE_TARGET: &str = "credit[FN,MN,LN,street,city,county,state,zip,tel,email,gender] <=> \
+                            billing[FN,MN,LN,street,city,county,state,zip,phn,email,gender]";
+
+/// The parent's refinement reports on the pinned cases (see
+/// [`refine_report_matches_parent`]), one line per case header, selected
+/// rule and chosen θ. `<=> (all)` abbreviates the identification of the
+/// whole target tuple.
+const PARENT_REPORTS: &[&str] = &[
+    "seed=0xbeef beta=0.5 pool=30 exhaustive=false before=80/0/28 after=82/0/26",
+    "  rule credit[email] = billing[email] -> <=> (all) | Seed",
+    "  rule credit[FN] ≈d billing[FN] /\\ credit[LN] ≈d billing[LN] /\\ credit[zip] = billing[zip] -> <=> (all) | Seed",
+    "  rule credit[FN] ≈d billing[FN] /\\ credit[county] = billing[county] -> credit[gender] <=> billing[gender] | Discovered { support: 62, confidence: 1.0 }",
+    "seed=0xbeef beta=1 pool=30 exhaustive=false before=80/0/28 after=83/1/25",
+    "  rule credit[email] = billing[email] -> <=> (all) | Seed",
+    "  rule credit[FN] ≈d billing[FN] /\\ credit[LN] ≈d billing[LN] /\\ credit[zip] = billing[zip] -> <=> (all) | Seed",
+    "  rule credit[zip] = billing[zip] /\\ credit[tel] = billing[phn] -> credit[street] <=> billing[street] | Discovered { support: 63, confidence: 1.0 }",
+    "  rule credit[FN] ≈d billing[FN] /\\ credit[county] = billing[county] -> credit[gender] <=> billing[gender] | Discovered { support: 62, confidence: 1.0 }",
+    "seed=0xbeef beta=2 pool=30 exhaustive=false before=80/0/28 after=83/1/25",
+    "  rule credit[email] = billing[email] -> <=> (all) | Seed",
+    "  rule credit[FN] ≈d billing[FN] /\\ credit[LN] ≈d billing[LN] /\\ credit[zip] = billing[zip] -> <=> (all) | Seed",
+    "  rule credit[zip] = billing[zip] /\\ credit[tel] = billing[phn] -> credit[street] <=> billing[street] | Discovered { support: 63, confidence: 1.0 }",
+    "  rule credit[FN] ≈d billing[FN] /\\ credit[county] = billing[county] -> credit[gender] <=> billing[gender] | Discovered { support: 62, confidence: 1.0 }",
+    "seed=0x7 beta=0.5 pool=46 exhaustive=false before=74/0/34 after=74/0/34",
+    "  rule credit[email] = billing[email] -> <=> (all) | Seed",
+    "  rule credit[FN] ≈d billing[FN] /\\ credit[LN] ≈d billing[LN] /\\ credit[zip] = billing[zip] -> <=> (all) | Seed",
+    "seed=0x7 beta=1 pool=46 exhaustive=false before=74/0/34 after=74/0/34",
+    "  rule credit[email] = billing[email] -> <=> (all) | Seed",
+    "  rule credit[FN] ≈d billing[FN] /\\ credit[LN] ≈d billing[LN] /\\ credit[zip] = billing[zip] -> <=> (all) | Seed",
+    "seed=0x7 beta=2 pool=46 exhaustive=false before=74/0/34 after=74/0/34",
+    "  rule credit[email] = billing[email] -> <=> (all) | Seed",
+    "  rule credit[FN] ≈d billing[FN] /\\ credit[LN] ≈d billing[LN] /\\ credit[zip] = billing[zip] -> <=> (all) | Seed",
+    "jw error=0.2 beta=1 pool=58 exhaustive=false before=179/0/1 after=180/0/0",
+    "  rule credit[FN] ≈jw billing[FN] /\\ credit[LN] ≈jw billing[LN] -> <=> (all) | Seed",
+    "  rule credit[state] = billing[state] /\\ credit[email] ≈jw billing[email] -> credit[gender] <=> billing[gender] | Discovered { support: 161, confidence: 0.9503105590062112 }",
+    "jw error=0.5 beta=1 pool=46 exhaustive=false before=173/0/7 after=176/0/4",
+    "  rule credit[email] = billing[email] -> <=> (all) | Seed",
+    "  rule credit[MN] = billing[MN] /\\ credit[tel] = billing[phn] -> credit[city] <=> billing[city] | Discovered { support: 71, confidence: 0.971830985915493 }",
+    "  rule credit[FN] ≈jw billing[FN] /\\ credit[LN] ≈jw@0.70 billing[LN] -> <=> (all) | ThetaSweep { base: 1, theta: 0.7 }",
+    "  theta credit[LN] ≈jw@0.70 billing[LN] @ 0.7",
+    "jw error=0.8 beta=1 pool=26 exhaustive=false before=155/0/25 after=163/0/17",
+    "  rule credit[FN] ≈jw@0.85 billing[FN] /\\ credit[LN] ≈jw billing[LN] -> <=> (all) | ThetaSweep { base: 1, theta: 0.85 }",
+    "  rule credit[FN] ≈jw billing[FN] /\\ credit[LN] ≈jw@0.70 billing[LN] -> <=> (all) | ThetaSweep { base: 1, theta: 0.7 }",
+    "  theta credit[FN] ≈jw@0.85 billing[FN] @ 0.85",
+    "  theta credit[LN] ≈jw@0.70 billing[LN] @ 0.7",
+];
+
+/// One refinement report rendered as the values the parent pin compares:
+/// pool size, regime, before/after confusion counts, each selected rule's
+/// text and origin, and the chosen θ per swept atom.
+fn report_lines(case: String, report: &RefinementReport) -> Vec<String> {
+    let counts = |q: &MatchQuality| {
+        format!("{}/{}/{}", q.true_positives, q.false_positives, q.false_negatives)
+    };
+    let mut lines = vec![format!(
+        "{case} pool={} exhaustive={} before={} after={}",
+        report.pool_size,
+        report.exhaustive,
+        counts(&report.before),
+        counts(&report.after)
+    )];
+    for rule in &report.selected {
+        let rendered = rule.rendered.replace(WHOLE_TARGET, "<=> (all)");
+        lines.push(format!("  rule {rendered} | {:?}", rule.origin));
+    }
+    for (atom, theta) in &report.chosen_thetas {
+        lines.push(format!("  theta {atom} @ {theta}"));
+    }
+    lines
+}
+
+/// Refinement's observable choices are pinned at the values recorded
+/// before the refinement module was cut down to one `refine` call: two
+/// noise seeds of the weak rule set at β ∈ {0.5, 1, 2}, plus the three
+/// `≈jw` noise rungs (the cases where θ-sweep variants win).
+#[test]
+fn refine_report_matches_parent() {
+    let mut got = Vec::new();
+    for seed in [0xBEEF, 7] {
+        for beta in [0.5, 1.0, 2.0] {
+            let report = refine_once(&dirty(60, seed), 1, beta).report;
+            got.extend(report_lines(format!("seed={seed:#x} beta={beta}"), &report));
+        }
+    }
+    for attr_error_prob in [0.2, 0.5, 0.8] {
+        let data = noise_rung(attr_error_prob);
+        let engine = jw_engine(&data);
+        let report = refine::refine(engine.plan(), engine.registry(), &labels_for(&data), 1.0)
+            .expect("refinement selects a rule set")
+            .report;
+        got.extend(report_lines(format!("jw error={attr_error_prob} beta=1"), &report));
+    }
+    assert_eq!(got, PARENT_REPORTS);
 }
