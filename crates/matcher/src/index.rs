@@ -116,11 +116,6 @@ use std::sync::Arc;
 /// would be all claiming overhead.
 const BUILD_MIN_CHUNK: usize = 256;
 
-/// Minimum probes per chunk when a probe batch runs over a pool: one
-/// probe is tens of microseconds, so smaller chunks would be claiming
-/// overhead.
-const BATCH_MIN_CHUNK: usize = 16;
-
 /// Errors raised while building or maintaining a [`MatchIndex`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IndexError {
@@ -1316,28 +1311,6 @@ impl MatchIndex {
             .into_iter()
             .map(|(slot, _)| slot)
             .collect()
-    }
-
-    /// Candidate slots for every tuple of a probe *relation*, in probe
-    /// order — the batch engine's probe stage. Signature extraction is
-    /// shared across the whole batch and probes are chunked over `pool`;
-    /// the result is identical to mapping [`MatchIndex::candidates_for`]
-    /// over the tuples.
-    pub fn candidates_batch_in(&self, pool: &WorkPool, probes: &Relation) -> Vec<Vec<usize>> {
-        let tuples = probes.tuples();
-        let prep = RelationPrep::build_in(pool, tuples, &self.probe_needs);
-        let chunks = pool.par_ranges(tuples.len(), BATCH_MIN_CHUNK, |_, range| {
-            range
-                .map(|row| {
-                    let mut stats = FilterStats::default();
-                    self.candidate_masks(PairSide::new(&tuples[row], prep.row(row)), &mut stats)
-                        .into_iter()
-                        .map(|(slot, _)| slot)
-                        .collect::<Vec<_>>()
-                })
-                .collect::<Vec<_>>()
-        });
-        chunks.into_iter().flatten().collect()
     }
 
     /// [`MatchIndex::candidates_for`] with the probe's signatures already

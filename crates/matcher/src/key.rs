@@ -10,11 +10,13 @@
 //! and [`MatchIndex`](crate::index::MatchIndex) retrieval only choose
 //! *which* pairs to show it; [`KeyMatcher::first_key`] and
 //! [`KeyMatcher::vetoed`] decide each one. A pair is two [`PairSide`]s: a
-//! tuple plus a [`SigRow`] of its edit-atom signatures. Batch runs read
-//! those rows from one [`RelationPrep`] per relation
-//! ([`KeyMatcher::prepare_in`]); the index preps each probe, and its
-//! candidates come [`bare`](PairSide::bare), their signatures extracted
-//! as their edit atoms are compared. Edit atoms climb the filter ladder
+//! tuple plus a [`SigRow`] of its edit-atom signatures. Window and
+//! exhaustive runs read those rows from one [`RelationPrep`] per relation
+//! ([`KeyMatcher::prepare_in`]). The index (point queries, served
+//! batches and the engine's indexed batch path alike) preps each batch of
+//! probes, and its candidates come [`bare`](PairSide::bare), their
+//! signatures extracted as their edit atoms are compared, against only
+//! the keys that retrieved them. Edit atoms climb the filter ladder
 //! on the signatures ([`RuntimeOps::atom_matches_sigs`]), counting each
 //! stage in [`FilterStats`]; every other operator compares the tuples
 //! directly. [`RuntimeOps::lhs_matches`] stays the uncompiled reference.

@@ -26,8 +26,9 @@
 //! per plan via [`MatchPlan::atom_class`]), which answers point queries
 //! ([`MatchIndex::query`]: matched ids plus which RCK fired), supports
 //! incremental [`MatchIndex::insert`]/[`MatchIndex::remove`], and backs
-//! [`MatchEngine::match_pairs_indexed`] — batch matching whose candidates
-//! come from the index instead of sorted-neighborhood windows.
+//! [`MatchEngine::match_pairs_indexed`] — batch matching that answers
+//! every left tuple through [`MatchIndex::query_batch`], the served read
+//! path, instead of sorted-neighborhood windows.
 //!
 //! Execution is parallel by default: the engine runs windowing, index
 //! builds and pairwise key evaluation on a std-only work pool
@@ -39,8 +40,9 @@
 //!
 //! Every mode decides its candidate pairs with one verifier,
 //! [`KeyMatcher`](matchrules_matcher::key::KeyMatcher), over a compiled
-//! hot path: the `"prep"` stage extracts one signature cache per relation
-//! for the attributes edit atoms compare, and each pair then runs cheap
+//! hot path: window and exhaustive runs extract one signature cache per
+//! relation for the attributes edit atoms compare (the `"prep"` stage),
+//! the index one per batch of probes, and each pair then runs cheap
 //! length/bag/q-gram filters and banded edit-distance kernels on it
 //! instead of per-pair dynamic dispatch. [`MatchReport::filter_stats`]
 //! reports how many evaluations each filter stage rejected versus how

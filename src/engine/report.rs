@@ -9,7 +9,7 @@ use matchrules_data::enforce::{enforce, EnforceOutcome};
 use matchrules_data::eval::{FilterStats, RuntimeOps};
 use matchrules_data::relation::{InstancePair, Relation, TupleId};
 use matchrules_data::unionfind::UnionFind;
-use matchrules_matcher::index::MatchIndex;
+use matchrules_matcher::index::{MatchIndex, QueryHit};
 use matchrules_matcher::key::{KeyMatcher, PairSide, PAR_MATCH_MIN_CHUNK};
 use matchrules_matcher::metrics::{evaluate_pairs, MatchQuality};
 use matchrules_matcher::scoring::{resolve_one_to_one, resolve_one_to_one_shared, ScoredEdge};
@@ -19,6 +19,11 @@ use matchrules_simdist::ops::OpRegistry;
 use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
+
+/// Minimum probes per chunk when the indexed batch path runs over the
+/// pool: one probe (retrieval plus verification) is tens of
+/// microseconds, so smaller chunks would be claiming overhead.
+const PROBE_MIN_CHUNK: usize = 16;
 
 /// One matched tuple pair.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -622,10 +627,13 @@ impl MatchEngine {
 
     /// Matches a relation pair through an RCK-driven [`MatchIndex`]
     /// instead of sorted-neighborhood windows: the index is built over
-    /// `right` (the `"index"` stage), every left tuple is probed for its
-    /// candidate slots (the `"probe"` stage, chunked over the pool), and
-    /// the candidates — ordered by `(left, right)` position — run through
-    /// the same pairwise evaluation as every other mode.
+    /// `right` (the `"index"` stage), then the left tuples are answered
+    /// as [`MatchIndex::query_batch`] calls, one per chunk of the pool
+    /// (the `"probe"` stage). This is the served read path run over a
+    /// relation: each candidate is verified once, against the keys that
+    /// retrieved it, and the report holds exactly the hits, candidate
+    /// counts and filter counters (retrieval counters included) of
+    /// querying the index with every left tuple in turn.
     ///
     /// The matched-pair *set* equals
     /// [`MatchEngine::match_pairs`]'s whenever the windowed path has full
@@ -644,17 +652,30 @@ impl MatchEngine {
         let mut stages = Vec::new();
         // `index` checks `right`'s schema.
         let index = Self::staged("index", &mut stages, || self.index(right))?;
-        let candidates = Self::staged("probe", &mut stages, || {
-            let per_probe = index.candidates_batch_in(&self.pool, left);
-            let mut out = Vec::new();
-            for (l, slots) in per_probe.into_iter().enumerate() {
-                for r in slots {
-                    out.push((l, r));
-                }
-            }
-            out
+        let outcomes = Self::staged("probe", &mut stages, || {
+            self.pool
+                .par_chunks(left.tuples(), PROBE_MIN_CHUNK, |_, probes| index.query_batch(probes))
         });
-        Ok(self.run(left, right, candidates, started, stages))
+        let (mut pairs, mut candidates, mut filters) = (Vec::new(), 0, FilterStats::default());
+        for (l, outcome) in outcomes.into_iter().flatten().enumerate() {
+            candidates += outcome.candidates;
+            filters.merge(&outcome.stats);
+            let left_id = left.tuples()[l].id();
+            for QueryHit { id: right_id, slot: right, key } in outcome.hits {
+                pairs.push(MatchedPair { left: l, right, left_id, right_id, key });
+            }
+        }
+        Ok(MatchReport {
+            pairs,
+            candidates,
+            comparisons: candidates,
+            total_pairs: left.len() * right.len(),
+            elapsed: started.elapsed(),
+            plan_rcks: self.plan.rcks().len(),
+            stages,
+            threads: self.pool.threads(),
+            filters,
+        })
     }
 
     /// Candidate `(left, right)` pairs from multi-pass windowing over the

@@ -164,9 +164,11 @@ pub struct ServerStats {
 /// * **Query** — [`MatchServer::query`] takes a probe [`Record`] of the
 ///   plan's *left* schema and returns exactly the answer a
 ///   [`MatchIndex`](crate::engine::MatchIndex) built over
-///   [`MatchServer::snapshot`] gives for that probe — and so the hits a
-///   batch [`MatchEngine::match_pairs_indexed`] run reports: matched id,
-///   the RCK that fired, filter stats, and the current [`RuleVersion`].
+///   [`MatchServer::snapshot`] gives for that probe: matched id, the RCK
+///   that fired, filter stats, and the current [`RuleVersion`]. A batch
+///   [`MatchEngine::match_pairs_indexed`] run over the snapshot answers
+///   its probes through the same `query_batch`, so it reports the same
+///   hits.
 /// * **One writer** — mutations serialize on one writer lock. Each
 ///   clones the published index (structurally shared, so a write costs
 ///   what it touches, not the store), mutates the clone and publishes
@@ -349,7 +351,8 @@ impl MatchServer {
     /// to a [`MatchIndex::query`](crate::engine::MatchIndex::query) on an
     /// index built over [`MatchServer::snapshot`] when the store holds no
     /// tombstones; the hits (ids, keys, order) are those of a batch
-    /// [`MatchEngine::match_pairs_indexed`] run over the snapshot.
+    /// [`MatchEngine::match_pairs_indexed`] run over the snapshot, which
+    /// is that index's `query_batch` over the probe relation.
     pub fn query(&self, probe: &Record) -> Result<QueryResponse, ServiceError> {
         self.query_in(&self.view.load().0, probe)
     }
@@ -666,15 +669,25 @@ impl MatchServer {
     /// indexed engine, select the F_β-maximizing subset — and hot-swaps
     /// the selected rules in with zero read downtime. Returns the new
     /// rule version and the [`RefinementReport`] (before/after quality,
-    /// per-rule marginal gains, chosen θ per atom). On any error
-    /// (a β that is not finite and positive, no labels, nothing
-    /// selected, compile failure) the old version keeps serving
+    /// per-rule marginal gains, chosen θ per atom).
+    ///
+    /// A selection that *is* the rule set it was refined against (the
+    /// same MDs over the same operator table) publishes nothing: no index
+    /// rebuild, and the version and [`MatchServer::epoch`] stay where
+    /// they are; the returned version is the one serving those rules.
+    /// On any error (a β that is not finite and positive, no labels,
+    /// nothing selected, compile failure) the old version keeps serving
     /// untouched.
     pub fn refine(&self, beta: f64) -> Result<(RuleVersion, RefinementReport), ServiceError> {
         let labels = self.labels.lock().unwrap_or_else(|e| e.into_inner()).clone();
-        let engine = self.engine();
-        let refinement = refine::refine(engine.plan(), engine.registry(), &labels, beta)
+        let rules = self.view.load().0.rules.clone();
+        let plan = rules.engine.plan();
+        let refinement = refine::refine(plan, rules.engine.registry(), &labels, beta)
             .map_err(|e| ServiceError::Refinement { message: e.to_string() })?;
+        if refinement.rules == plan.sigma() && refinement.ops.len() == plan.ops().len() {
+            check_deployable(&refinement, plan)?;
+            return Ok((rules.version, refinement.report));
+        }
         let version = self.swap_rules_refined(&refinement)?;
         Ok((version, refinement.report))
     }

@@ -36,9 +36,10 @@ fn indexed_matches_equal_windowed_matches_on_example11() {
         "indexed and windowed matches must be identical on Fig. 1"
     );
     assert!(!indexed.is_empty());
-    // The indexed path reports its own stages.
+    // The indexed path reports its own stages: the probe stage both
+    // retrieves and verifies.
     let names: Vec<&str> = indexed.stages().iter().map(|s| s.name).collect();
-    assert_eq!(names, vec!["index", "probe", "prep", "match"]);
+    assert_eq!(names, vec!["index", "probe"]);
 }
 
 #[test]

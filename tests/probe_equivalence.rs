@@ -18,6 +18,9 @@
 //! * **batched == sequential** — `query_batch` is byte-for-byte
 //!   identical (hits, candidates, every work counter) to one-by-one
 //!   `query` calls;
+//! * **indexed batch == query batch** — `match_pairs_indexed` reports
+//!   exactly the pairs, candidate count and filter counters of one
+//!   `query_batch` over its probes, at 1, 2 and 8 threads;
 //! * **server** — `MatchServer::query_batch` agrees response-for-response
 //!   with per-probe `query`, and both with the batch path;
 //! * **tombstone hygiene** — block-level purging keeps a half-removed
@@ -201,39 +204,109 @@ fn probe_verify_counters_match_parent() {
     assert_eq!(totals, pinned, "verification ran different filter stages");
 }
 
-/// The batch twin of `probe_verify_counters_match_parent`: the filter
-/// counters and matched-pair counts of the windowed and the indexed batch
-/// run over the same catalog, pinned at the values the batch verifier
-/// produced before the index and the batch path shared one. Verifying on
-/// the same cached signatures, every stage must count exactly what it
-/// counted then; a verifier that fell back to uncached evaluation would
-/// answer alike but zero these counters.
-#[test]
-fn batch_verify_counters_match_parent() {
-    let (engine, credit, billing) = catalog(PLAN_CATALOG_PERSONS, 42);
-    let windowed = engine.match_pairs(&credit, &billing).expect("windowed run");
-    let indexed = engine.match_pairs_indexed(&credit, &billing).expect("indexed run");
-    let mut stats = windowed.filter_stats();
-    stats.merge(&indexed.filter_stats());
-    let totals = [
+/// The candidates and filter counters a batch of query outcomes sums to,
+/// folded in probe order.
+fn query_batch_totals(outcomes: &[QueryOutcome]) -> (usize, FilterStats) {
+    let mut stats = FilterStats::default();
+    let mut candidates = 0;
+    for outcome in outcomes {
+        candidates += outcome.candidates;
+        stats.merge(&outcome.stats);
+    }
+    (candidates, stats)
+}
+
+/// The verify counters of `stats`, in pin order.
+fn verify_counters(stats: FilterStats) -> [(&'static str, u64); 5] {
+    [
         ("equal_fast", stats.equal_fast),
         ("length_rejects", stats.length_rejects),
         ("bag_rejects", stats.bag_rejects),
         ("qgram_rejects", stats.qgram_rejects),
         ("dp_runs", stats.dp_runs),
-        ("windowed_pairs", windowed.len() as u64),
-        ("indexed_pairs", indexed.len() as u64),
-    ];
+    ]
+}
+
+/// The batch twin of `probe_verify_counters_match_parent`. The windowed
+/// run's filter counters and pair count are pinned at the values the
+/// batch verifier produced before the index and the batch path shared
+/// one; verifying on the same cached signatures, every stage must count
+/// exactly what it counted then (a verifier that fell back to uncached
+/// evaluation would answer alike but zero these counters). The indexed
+/// run is a `query_batch` over the probe relation: its counters are that
+/// batch's, which verifies each candidate only against the keys that
+/// retrieved it, so they equal the probe pins above.
+#[test]
+fn batch_verify_counters_match_parent() {
+    let (engine, credit, billing) = catalog(PLAN_CATALOG_PERSONS, 42);
+    let windowed = engine.match_pairs(&credit, &billing).expect("windowed run");
     let pinned = [
-        ("equal_fast", 9582),
+        ("equal_fast", 9131),
         ("length_rejects", 17218),
-        ("bag_rejects", 23918),
-        ("qgram_rejects", 128),
-        ("dp_runs", 5688),
-        ("windowed_pairs", 1338),
-        ("indexed_pairs", 1390),
+        ("bag_rejects", 23916),
+        ("qgram_rejects", 122),
+        ("dp_runs", 4401),
     ];
-    assert_eq!(totals, pinned, "batch verification ran different filter stages");
+    assert_eq!(verify_counters(windowed.filter_stats()), pinned, "windowed verification moved");
+    assert_eq!(windowed.len(), 1338, "windowed pairs");
+
+    let indexed = engine.match_pairs_indexed(&credit, &billing).expect("indexed run");
+    let index = engine.index(&billing).expect("index builds");
+    let (candidates, stats) = query_batch_totals(&index.query_batch(credit.tuples()));
+    assert_eq!(indexed.filter_stats(), stats, "indexed counters are the query batch's");
+    assert_eq!(indexed.candidates(), candidates, "indexed candidates are the query batch's");
+    let pinned = [
+        ("equal_fast", 313),
+        ("length_rejects", 0),
+        ("bag_rejects", 2),
+        ("qgram_rejects", 3),
+        ("dp_runs", 890),
+    ];
+    assert_eq!(verify_counters(stats), pinned, "indexed verification moved");
+    assert_eq!((indexed.len(), candidates), (1390, 1395), "indexed pairs and candidates");
+}
+
+/// The indexed batch path is a `query_batch` over the probe relation, at
+/// every thread count: the same pairs (positions, ids and keys), the same
+/// candidate count and the same filter counters, retrieval included.
+fn assert_indexed_batch_is_a_query_batch(
+    engine: &MatchEngine,
+    probes: &Relation,
+    store: &Relation,
+) {
+    let outcomes = engine.index(store).expect("index builds").query_batch(probes.tuples());
+    let mut expected = Vec::new();
+    for (l, outcome) in outcomes.iter().enumerate() {
+        let left_id = probes.tuples()[l].id();
+        for hit in &outcome.hits {
+            expected.push((l, hit.slot, hit.key, left_id, store.tuples()[hit.slot].id()));
+        }
+    }
+    assert!(!expected.is_empty(), "the instance must exercise a match");
+    let (candidates, stats) = query_batch_totals(&outcomes);
+    for threads in THREAD_SWEEP {
+        let report = (engine.with_exec(ExecConfig::fixed(threads)))
+            .match_pairs_indexed(probes, store)
+            .expect("indexed run");
+        let pairs: Vec<_> = report
+            .pairs()
+            .iter()
+            .map(|p| (p.left, p.right, p.key, p.left_id, p.right_id))
+            .collect();
+        assert_eq!(pairs, expected, "pairs at {threads} threads");
+        assert_eq!(report.candidates(), candidates, "candidates at {threads} threads");
+        assert_eq!(report.filter_stats(), stats, "filter counters at {threads} threads");
+    }
+}
+
+#[test]
+fn probe_indexed_batch_is_a_query_batch() {
+    let (engine, credit, billing) = catalog(150, 42);
+    assert_indexed_batch_is_a_query_batch(&engine, &credit, &billing);
+    let engine = names_engine();
+    let store = names_relation(&engine.plan().pair().right().clone(), &names_rows());
+    let probes = names_relation(&engine.plan().pair().left().clone(), &names_rows());
+    assert_indexed_batch_is_a_query_batch(&engine, &probes, &store);
 }
 
 /// Checks every matching path against the oracle: the exhaustive and the

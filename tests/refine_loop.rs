@@ -255,6 +255,27 @@ fn server_submit_labels_then_refine_swaps_live() {
     assert_eq!(server.query(&probe).unwrap().version, version);
 }
 
+/// A refine whose selection is the rule set already serving publishes
+/// nothing: no rebuild, and neither the version nor the epoch moves.
+#[test]
+fn second_refine_with_unchanged_labels_publishes_nothing() {
+    let data = dirty(60, 0xC0FFEE);
+    let server = filled_server(weak_engine(&data, 2), &data);
+    let pairs: Vec<(Record, Record, bool)> = (labels_for(&data).pairs().iter())
+        .map(|p| (p.left.clone(), p.right.clone(), p.is_match))
+        .collect();
+    server.submit_labels(&pairs).unwrap();
+    let (first, _) = server.refine(1.0).unwrap();
+    assert_eq!(first.number(), 2, "the first refine swaps the selection in");
+    let epoch = server.epoch();
+
+    let (second, report) = server.refine(1.0).unwrap();
+    assert_eq!(second, first, "the reselected rules are the serving version");
+    assert_eq!(server.version(), first);
+    assert_eq!(server.epoch(), epoch, "nothing was published");
+    assert_eq!(report.selected.len(), server.engine().plan().sigma().len());
+}
+
 /// A conflicting label rejects its whole batch atomically: nothing from
 /// the batch sticks, and the store still refines from the prior state.
 #[test]
@@ -324,10 +345,10 @@ fn wire_submit_labels_and_refine_end_to_end() {
         other => panic!("expected a query answer, got {other:?}"),
     }
 
-    // A second refine with no new labels still answers (version moves
-    // again; the selection is unchanged so quality holds).
+    // A second refine with no new labels reselects the rules now
+    // serving, so it publishes nothing and answers at the same version.
     let second = client.refine(1.0).unwrap();
-    assert_eq!(second.version, 3);
+    assert_eq!(second.version, 2);
 
     handle.shutdown();
 }
