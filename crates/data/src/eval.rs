@@ -123,10 +123,12 @@ pub struct FilterStats {
     /// once, not k times). Counted by `MatchIndex::query`, not by atom
     /// evaluation, so it is **not** part of [`FilterStats::evaluations`].
     pub dedup_saved: u64,
-    /// Retrieved slots rejected by per-entry index metadata (length
+    /// Retrieved entries rejected by per-entry index metadata (length
     /// window, char-bag presence mask, token-count ratio) before ever
-    /// becoming candidates. Counted during `MatchIndex` retrieval, not
-    /// atom evaluation — not part of [`FilterStats::evaluations`].
+    /// becoming candidates: distinct values when a q-gram atom is
+    /// materialized (one test covers every record holding the value),
+    /// slots otherwise. Counted during `MatchIndex` retrieval, not atom
+    /// evaluation — not part of [`FilterStats::evaluations`].
     pub retrieval_rejects: u64,
     /// Galloping comparison steps spent intersecting sorted candidate
     /// lists (work accounting for the probe hot path).

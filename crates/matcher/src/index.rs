@@ -16,16 +16,21 @@
 //!   classes otherwise) to the tuple slots deriving it. Matching values
 //!   share a key by the operator's contract, so the union of the probe's
 //!   buckets is a superset of the atom's match set;
-//! * **q-gram posting lists** for thresholded edit-distance atoms —
-//!   keyed by the grams of each value's
+//! * **q-gram posting lists** for thresholded edit-distance atoms, over
+//!   the attribute's **distinct values**: a per-atom dictionary gives
+//!   each distinct string a value id (handed out in first-occurrence
+//!   order, never reused) with its char length and presence mask, and
+//!   links it to the live slots holding it. Postings are keyed by the
+//!   grams of each value's
 //!   [`StringSig`](matchrules_simdist::filters::StringSig) filter
-//!   signature. A posting list alone would be unsound for short strings
-//!   (a within-bound pair need not share a gram when `max(|a|, |b|)` is
-//!   small), so every tuple whose
-//!   anchor string is shorter than a per-atom *safe length* also goes
-//!   into a **sparse list** that short probes always scan; the safe
-//!   length is derived from the same `θ`-bound arithmetic that makes the
-//!   q-gram count filter sound (see [`qgram_safe_len`]);
+//!   signature and hold value ids, so a value repeated across many
+//!   records is decoded, prefiltered and signed once. A posting list
+//!   alone would be unsound for short strings (a within-bound pair need
+//!   not share a gram when `max(|a|, |b|)` is small), so every value
+//!   shorter than a per-atom *safe length* also goes into a **sparse
+//!   list** that short probes always scan; the safe length is derived
+//!   from the same `θ`-bound arithmetic that makes the q-gram count
+//!   filter sound (see [`qgram_safe_len`]);
 //! * **element posting lists** for operators that decompose values into
 //!   elements — word tokens (Jaccard), padded q-grams (Dice), the
 //!   distinct characters of a sorted-character prefix (Jaro–Winkler
@@ -45,13 +50,12 @@
 //!
 //! How a key's intersection is computed is planned **per probe**, from
 //! the exact posting volume each atom's lists hold for that probe (read
-//! off list headers, no decoding): the cheapest atom is retrieved first,
-//! further atoms are AND'ed in at the bitmap level only while they are
-//! small against the running set, every remaining atom's per-entry
-//! prefilter (length window, presence mask, size ratio) runs before any
-//! of its lists is touched, and the survivors are tested against the
-//! rest by membership cursors or against a materialized union —
-//! whichever walks fewer entries. The index stores no plan and learns
+//! off list headers, no decoding; value entries for a q-gram atom): the
+//! cheapest atom is retrieved first, every remaining atom's prefilter
+//! (length window, presence mask, size ratio) runs on the survivors
+//! before any of its lists is touched, and the survivors are tested
+//! against the rest by membership cursors or against a materialized
+//! union — whichever walks fewer entries. The index stores no plan and learns
 //! nothing from traffic; a plan is a pure function of the probe and
 //! the index version, and any plan yields the same hits, because every
 //! intersection prefix is a superset of what the key accepts.
@@ -107,8 +111,11 @@ use matchrules_simdist::edit::theta_bound;
 use matchrules_simdist::filters::FILTER_Q;
 use matchrules_simdist::ops::OpClass;
 use std::cell::RefCell;
+use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::BuildHasher;
+use std::ops::Index;
 use std::sync::Arc;
 
 /// Minimum tuples per chunk when anchor indices are built over a pool:
@@ -198,7 +205,7 @@ pub fn qgram_safe_len(theta: f64, q: usize) -> Option<usize> {
 /// *weaker* than the exact real-arithmetic bound — never unsound.
 const RATIO_EPS: f64 = 1e-9;
 
-/// Sentinel in per-slot aligned arrays (`sizes` / `lens`) for slots
+/// Sentinel in the element anchors' per-slot `sizes` for slots
 /// whose anchor value is `Null`. Such slots appear on no posting or
 /// empty list, so the sentinel is never read by a ratio filter.
 const NULL_SLOT: u32 = u32::MAX;
@@ -296,6 +303,191 @@ impl AnchorScratch {
     }
 }
 
+/// A q-gram anchor's id for one distinct value of its attribute: handed
+/// out in first-occurrence order and never reused, so postings over
+/// value ids stay ascending under appends exactly as slot postings do.
+type ValueId = u32;
+
+/// "Nothing here" in the dictionary's links: no slot, no value.
+const NO_ID: u32 = u32::MAX;
+
+/// One distinct value of a q-gram anchor's attribute: the metadata its
+/// prefilter reads, the ends of its live-slot chain, and the next value
+/// whose string hashes alike.
+#[derive(Clone, Copy, Debug)]
+struct ValueEntry {
+    /// Char-bag presence mask.
+    mask: u64,
+    /// Length in chars.
+    len: u32,
+    /// First and last live slot holding the value; [`NO_ID`] once the
+    /// value is dead (its last slot was removed).
+    head: u32,
+    tail: u32,
+    /// The dictionary's collision chain.
+    collide: ValueId,
+}
+
+/// One slot of a q-gram anchor: its value ([`NO_ID`] for `Null`) and its
+/// neighbours in the value's chain of live slots (ascending).
+#[derive(Clone, Copy, Debug)]
+struct SlotLink {
+    value: ValueId,
+    prev: u32,
+    next: u32,
+}
+
+impl SlotLink {
+    const NULL: SlotLink = SlotLink { value: NO_ID, prev: NO_ID, next: NO_ID };
+}
+
+/// The distinct values of one q-gram anchor's attribute. Each value is
+/// reached by a hash of its string; the string itself is read back from
+/// the tuple of the value's first live slot (slots keep their tuples),
+/// so the dictionary copies no strings. Every container is a
+/// [`CowVec`]/[`CowMap`] of plain `Copy` entries: a clone shares all of
+/// it, and a write copies only the chunks and stripe it touches.
+#[derive(Clone)]
+struct ValueDict {
+    hasher: RandomState,
+    /// String hash → the newest live value with that hash; older ones
+    /// follow through [`ValueEntry::collide`].
+    ids: CowMap<u64, ValueId>,
+    values: CowVec<ValueEntry>,
+    /// One link per slot from `base` on.
+    slots: CowVec<SlotLink>,
+    /// The first slot `slots` covers: 0 for an index, the chunk start
+    /// for a partial of a parallel build.
+    base: u32,
+    /// Live values (those with at least one live slot).
+    live: usize,
+}
+
+impl ValueDict {
+    fn new(base: u32) -> ValueDict {
+        ValueDict {
+            hasher: RandomState::new(),
+            ids: CowMap::new(),
+            values: CowVec::new(),
+            slots: CowVec::new(),
+            base,
+            live: 0,
+        }
+    }
+
+    fn link(&self, slot: u32) -> SlotLink {
+        self.slots[(slot - self.base) as usize]
+    }
+
+    fn link_mut(&mut self, slot: u32) -> &mut SlotLink {
+        self.slots.get_mut((slot - self.base) as usize)
+    }
+
+    /// The value `slot` holds ([`NO_ID`] for `Null`).
+    #[inline]
+    fn value_of(&self, slot: u32) -> ValueId {
+        self.link(slot).value
+    }
+
+    /// The live value whose string is `s` (hashing to `hash`), compared
+    /// through each candidate value's first slot in `tuples`.
+    fn find<T>(&self, hash: u64, s: &str, right: AttrId, tuples: &T) -> Option<ValueId>
+    where
+        T: Index<usize, Output = Tuple> + ?Sized,
+    {
+        let mut v = *self.ids.get(&hash)?;
+        while v != NO_ID {
+            let entry = self.values[v as usize];
+            if tuples[entry.head as usize].get(right).as_str() == Some(s) {
+                return Some(v);
+            }
+            v = entry.collide;
+        }
+        None
+    }
+
+    /// Opens `entry` (its chain ends set) as a fresh live value hashing
+    /// to `hash`.
+    fn open(&mut self, hash: u64, entry: ValueEntry) -> ValueId {
+        let v = self.values.len() as ValueId;
+        let collide = self.ids.insert(hash, v).unwrap_or(NO_ID);
+        self.values.push(ValueEntry { collide, ..entry });
+        self.live += 1;
+        v
+    }
+
+    /// Hangs the chain starting at `head` (every slot of it above the
+    /// value's) onto live value `v`, whose chain now ends at `tail`;
+    /// returns the slot `head` follows.
+    fn splice(&mut self, v: ValueId, head: u32, tail: u32) -> u32 {
+        let entry = self.values.get_mut(v as usize);
+        let prev = std::mem::replace(&mut entry.tail, tail);
+        self.link_mut(prev).next = head;
+        prev
+    }
+
+    /// Unlinks `slot`, which holds `s`, from its value's chain; when that
+    /// was the value's last live slot, the value leaves the dictionary and
+    /// is returned (re-inserting `s` later opens a fresh id). The slot
+    /// keeps its value id.
+    fn remove(&mut self, slot: u32, s: &str) -> Option<ValueId> {
+        let SlotLink { value: v, prev, next } = self.link(slot);
+        match prev {
+            NO_ID => self.values.get_mut(v as usize).head = next,
+            prev => self.link_mut(prev).next = next,
+        }
+        match next {
+            NO_ID => self.values.get_mut(v as usize).tail = prev,
+            next => self.link_mut(next).prev = prev,
+        }
+        if self.values[v as usize].head != NO_ID {
+            return None;
+        }
+        self.live -= 1;
+        let hash = self.hasher.hash_one(s);
+        let successor = self.values[v as usize].collide;
+        let mut cur = *self.ids.get(&hash).expect("a live value is in the dictionary");
+        if cur == v {
+            match successor {
+                NO_ID => self.ids.remove(&hash),
+                successor => self.ids.insert(hash, successor),
+            };
+        } else {
+            while self.values[cur as usize].collide != v {
+                cur = self.values[cur as usize].collide;
+            }
+            self.values.get_mut(cur as usize).collide = successor;
+        }
+        Some(v)
+    }
+
+    /// Calls `f` on each live slot holding `v`, ascending.
+    #[inline]
+    fn for_each_slot(&self, v: ValueId, mut f: impl FnMut(u32)) {
+        let mut slot = self.values[v as usize].head;
+        while slot != NO_ID {
+            f(slot);
+            slot = self.link(slot).next;
+        }
+    }
+}
+
+/// Value liveness as the `bool` index [`PostingList::note_removed`]
+/// rewrites a block under: a value is live while it has a live slot.
+struct LiveValues<'a>(&'a CowVec<ValueEntry>);
+
+impl Index<usize> for LiveValues<'_> {
+    type Output = bool;
+
+    fn index(&self, v: usize) -> &bool {
+        if self.0[v].head != NO_ID {
+            &true
+        } else {
+            &false
+        }
+    }
+}
+
 /// An inverted index over one indexable atom, shared by every key that
 /// mentions the atom: one variant per [`Anchor`]; see the [module
 /// docs](self) for the per-kind soundness argument.
@@ -307,25 +499,24 @@ enum AtomIndex {
     /// key buckets is a superset of the atom's match set. `Null` values
     /// derive nothing: null matches nothing.
     Keys { left: AttrId, right: AttrId, op: OperatorId, buckets: CowMap<String, Vec<u32>> },
-    /// Thresholded edit atom: gram hash → compressed posting list of
-    /// slots whose string contains the gram, plus the sparse list of
-    /// slots whose string is shorter than `safe_len` (scanned whenever
-    /// the probe itself is short, because gram sharing is only
-    /// guaranteed above the safe length). `lens` / `masks` hold one
-    /// entry per slot (char length and char-bag presence mask,
-    /// [`NULL_SLOT`]/0 for nulls) backing the retrieval-time length
-    /// window and presence-mask prefilters — both sound because each
+    /// Thresholded edit atom over the attribute's distinct values
+    /// (`dict`): gram hash → compressed posting list of the value ids
+    /// whose string contains the gram, plus the sparse list of value ids
+    /// whose string is shorter than `safe_len` (scanned whenever the
+    /// probe itself is short, because gram sharing is only guaranteed
+    /// above the safe length). The retrieval-time length window and
+    /// presence-mask prefilters read each value's char length and
+    /// char-bag mask from `dict`, once per value — both sound because each
     /// lower-bounds the OSA distance the verification kernel would
-    /// compute.
+    /// compute. `Null` slots hold no value and appear on no list.
     Grams {
         left: AttrId,
         right: AttrId,
         theta: f64,
         safe_len: usize,
         postings: CowMap<u64, PostingList>,
-        sparse: Arc<Vec<u32>>,
-        lens: CowVec<u32>,
-        masks: CowVec<u64>,
+        sparse: Arc<Vec<ValueId>>,
+        dict: ValueDict,
     },
     /// Element atom (token Jaccard, q-gram Dice, Jaro–Winkler): element
     /// → slots containing it, with per-slot sizes for the
@@ -343,8 +534,9 @@ enum AtomIndex {
 }
 
 impl AtomIndex {
-    /// An empty index anchoring `atom` as `anchor`.
-    fn new(atom: &SimilarityAtom, anchor: Anchor) -> AtomIndex {
+    /// An empty index anchoring `atom` as `anchor`, for slots from `base`
+    /// on.
+    fn new(atom: &SimilarityAtom, anchor: Anchor, base: u32) -> AtomIndex {
         let (left, right, op) = (atom.left, atom.right, atom.op);
         match anchor {
             Anchor::Keys => AtomIndex::Keys { left, right, op, buckets: CowMap::new() },
@@ -355,8 +547,7 @@ impl AtomIndex {
                 safe_len,
                 postings: CowMap::new(),
                 sparse: Arc::default(),
-                lens: CowVec::new(),
-                masks: CowVec::new(),
+                dict: ValueDict::new(base),
             },
             Anchor::Elements { min_ratio } => AtomIndex::Elements {
                 left,
@@ -372,10 +563,21 @@ impl AtomIndex {
 
     /// Indexes one tuple (slot ids arrive in ascending order, so every
     /// bucket/posting/sparse list stays sorted; variants with per-slot
-    /// aligned arrays push exactly one entry per call). Gram signatures
-    /// are extracted from the value here and dropped once indexed; keys
-    /// and elements come from the operator via `ops`, through `scratch`.
-    fn add(&mut self, slot: u32, tuple: &Tuple, ops: &RuntimeOps, scratch: &mut AnchorScratch) {
+    /// aligned arrays push exactly one entry per call). `tuples` holds
+    /// every earlier slot's tuple: a q-gram atom reads its values'
+    /// strings back from them, and extracts a gram signature only for a
+    /// string no live value holds. Keys and elements come from the
+    /// operator via `ops`, through `scratch`.
+    fn add<T>(
+        &mut self,
+        slot: u32,
+        tuple: &Tuple,
+        tuples: &T,
+        ops: &RuntimeOps,
+        scratch: &mut AnchorScratch,
+    ) where
+        T: Index<usize, Output = Tuple> + ?Sized,
+    {
         match self {
             AtomIndex::Keys { right, op, buckets, .. } => {
                 if let Some(s) = tuple.get(*right).as_str() {
@@ -384,23 +586,25 @@ impl AtomIndex {
                     });
                 }
             }
-            AtomIndex::Grams { right, safe_len, postings, sparse, lens, masks, .. } => {
-                let sig = AttrSig::of_value(tuple.get(*right));
-                if sig.is_null() {
-                    // Null slots still need aligned metadata entries; they
-                    // never appear on a posting or sparse list, so the
-                    // sentinel is never consulted by the prefilter.
-                    lens.push(NULL_SLOT);
-                    masks.push(0);
-                    return;
+            AtomIndex::Grams { right, safe_len, postings, sparse, dict, .. } => {
+                let Some(s) = tuple.get(*right).as_str() else {
+                    return dict.slots.push(SlotLink::NULL);
+                };
+                let hash = dict.hasher.hash_one(s);
+                if let Some(v) = dict.find(hash, s, *right, tuples) {
+                    let prev = dict.splice(v, slot, slot);
+                    return dict.slots.push(SlotLink { value: v, prev, next: NO_ID });
                 }
-                lens.push(sig.sig().char_len() as u32);
-                masks.push(sig.sig().bag().presence_mask());
+                let sig = AttrSig::of_value(tuple.get(*right));
+                let (mask, len) = (sig.sig().bag().presence_mask(), sig.sig().char_len() as u32);
+                let v = dict
+                    .open(hash, ValueEntry { mask, len, head: slot, tail: slot, collide: NO_ID });
+                dict.slots.push(SlotLink { value: v, prev: NO_ID, next: NO_ID });
                 if sig.sig().char_len() < *safe_len {
-                    Arc::make_mut(sparse).push(slot);
+                    Arc::make_mut(sparse).push(v);
                 }
                 for hash in sig.sig().qgrams().distinct_hashes() {
-                    postings.or_default(hash).push(slot);
+                    postings.or_default(hash).push(v);
                 }
             }
             AtomIndex::Elements { right, op, postings, sizes, empty, .. } => {
@@ -421,8 +625,13 @@ impl AtomIndex {
     }
 
     /// Folds another (partial, higher-slot) index of the same shape in —
-    /// the deterministic merge step of the parallel build.
-    fn merge(&mut self, other: AtomIndex) {
+    /// the deterministic merge step of the parallel build. A q-gram
+    /// partial's values are matched to this index's by string (read from
+    /// `tuples`): a value both hold gets the partial's slots appended to
+    /// its chain, the others are opened here in the partial's order — so
+    /// value ids, chains and postings come out as a serial build makes
+    /// them.
+    fn merge(&mut self, other: AtomIndex, tuples: &[Tuple]) {
         let mut scratch = Vec::new();
         match (self, other) {
             (AtomIndex::Keys { buckets, .. }, AtomIndex::Keys { buckets: partial, .. }) => {
@@ -431,15 +640,43 @@ impl AtomIndex {
                 }
             }
             (
-                AtomIndex::Grams { postings, sparse, lens, masks, .. },
-                AtomIndex::Grams { postings: p2, sparse: s2, lens: l2, masks: m2, .. },
+                AtomIndex::Grams { right, postings, sparse, dict, .. },
+                AtomIndex::Grams { postings: p2, sparse: s2, dict: mut d2, .. },
             ) => {
-                for (hash, list) in p2.iter() {
-                    postings.or_default(*hash).extend_from(list, &mut scratch);
+                debug_assert_eq!(d2.base as usize, dict.base as usize + dict.slots.len());
+                let first_new = dict.values.len() as ValueId;
+                let mut global = Vec::with_capacity(d2.values.len());
+                for local in 0..d2.values.len() {
+                    let entry = d2.values[local];
+                    let s = tuples[entry.head as usize].get(*right).as_str();
+                    let s = s.expect("a value's slots hold its string");
+                    let hash = dict.hasher.hash_one(s);
+                    let v = match dict.find(hash, s, *right, tuples) {
+                        Some(v) => {
+                            d2.link_mut(entry.head).prev = dict.splice(v, entry.head, entry.tail);
+                            v
+                        }
+                        None => dict.open(hash, entry),
+                    };
+                    global.push(v);
                 }
-                Arc::make_mut(sparse).extend_from_slice(&s2);
-                lens.extend(l2.iter().copied());
-                masks.extend(m2.iter().copied());
+                let to_global = |v: ValueId| if v == NO_ID { NO_ID } else { global[v as usize] };
+                (dict.slots)
+                    .extend(d2.slots.iter().map(|l| SlotLink { value: to_global(l.value), ..*l }));
+                // Values this index already held are on their grams'
+                // lists; only the opened ones join, in ascending id order.
+                for (hash, list) in p2.iter() {
+                    scratch.clear();
+                    list.decode_all_into(&mut scratch);
+                    for &local in &scratch {
+                        let v = global[local as usize];
+                        if v >= first_new {
+                            postings.or_default(*hash).push(v);
+                        }
+                    }
+                }
+                let opened = s2.iter().map(|&local| global[local as usize]);
+                Arc::make_mut(sparse).extend(opened.filter(|&v| v >= first_new));
             }
             (
                 AtomIndex::Elements { postings, sizes, empty, .. },
@@ -456,12 +693,12 @@ impl AtomIndex {
     }
 
     /// Resolves the probe against this atom's buckets/postings into a
-    /// [`PreparedAtom`]: the posting lists and plain slot lists whose
-    /// union (filtered by the per-entry prefilter) is the atom's
-    /// retrieval — a superset of the slots whose tuples satisfy the atom
-    /// against the probe. An unsatisfiable probe value (`Null`)
-    /// prepares an empty retrieval. The probe side carries its
-    /// signatures (batched probes share one prep).
+    /// [`PreparedAtom`]: the posting lists and plain lists whose union
+    /// (filtered by the prefilter) is the atom's retrieval — a superset
+    /// of the slots whose tuples satisfy the atom against the probe. An
+    /// unsatisfiable probe value (`Null`) prepares an empty retrieval.
+    /// The probe side carries its signatures (batched probes share one
+    /// prep).
     fn prepare<'a>(
         &'a self,
         probe: PairSide<'_>,
@@ -480,7 +717,7 @@ impl AtomIndex {
                     }
                 });
             }
-            AtomIndex::Grams { left, theta, safe_len, postings, sparse, lens, masks, .. } => {
+            AtomIndex::Grams { left, theta, safe_len, postings, sparse, dict, .. } => {
                 let computed;
                 let sig = match probe.sigs.sig(*left) {
                     Some(sig) => sig,
@@ -508,7 +745,7 @@ impl AtomIndex {
                 let (len_lo, len_hi) = edit_len_window(*theta, len);
                 let mask = sig.sig().bag().presence_mask();
                 let edit = EditProbe { theta: *theta, len, mask, len_lo, len_hi };
-                pa.filter = SlotFilter::EditMeta { lens, masks, edit };
+                pa.filter = EntryFilter::Values { dict, edit };
             }
             AtomIndex::Elements { left, op, min_ratio, postings, sizes, empty, .. } => {
                 let Some(s) = probe.tuple.get(*left).as_str() else {
@@ -526,7 +763,7 @@ impl AtomIndex {
                         pa.comp.push(list);
                     }
                 }
-                pa.filter = SlotFilter::Ratio { ratio: *min_ratio, sizes, probe: size };
+                pa.filter = EntryFilter::Ratio { ratio: *min_ratio, sizes, probe: size };
             }
         }
         pa
@@ -536,10 +773,12 @@ impl AtomIndex {
     /// of [`AtomIndex::add`], recomputing the same anchor keys (and gram
     /// signature) from the stored tuple. Plain lists drop the entry
     /// immediately; compressed posting lists tombstone it and rewrite
-    /// their block once half dead (`alive` drives the rewrite's liveness
-    /// check). Aligned per-slot metadata (`sizes` / `lens` / `masks`)
-    /// keeps its entry: slots are never reused, and the data stays
-    /// correct for any stale reader.
+    /// their block once half dead (`alive` — slot liveness, or value
+    /// liveness for a q-gram atom — drives the rewrite's liveness check).
+    /// A q-gram atom drops the slot from its value, and only a value whose
+    /// last slot goes leaves its lists. Aligned per-slot data (`sizes`,
+    /// a q-gram slot's value id) keeps its entry: slots are never reused,
+    /// and the data stays correct for any stale reader.
     fn remove_slot(
         &mut self,
         slot: u32,
@@ -548,20 +787,20 @@ impl AtomIndex {
         alive: &CowVec<bool>,
         scratch: &mut AnchorScratch,
     ) {
-        fn drop_from(list: &mut Vec<u32>, slot: u32) {
-            if let Ok(i) = list.binary_search(&slot) {
+        fn drop_from(list: &mut Vec<u32>, entry: u32) {
+            if let Ok(i) = list.binary_search(&entry) {
                 list.remove(i);
             }
         }
-        fn drop_posting(
+        fn drop_posting<A: Index<usize, Output = bool> + ?Sized>(
             postings: &mut CowMap<u64, PostingList>,
             key: u64,
-            slot: u32,
-            alive: &CowVec<bool>,
+            entry: u32,
+            alive: &A,
         ) {
             let emptied = match postings.get_mut(&key) {
                 Some(list) => {
-                    list.note_removed(slot, alive);
+                    list.note_removed(entry, alive);
                     list.is_empty()
                 }
                 None => false,
@@ -587,16 +826,15 @@ impl AtomIndex {
                     });
                 }
             }
-            AtomIndex::Grams { right, safe_len, postings, sparse, .. } => {
+            AtomIndex::Grams { right, safe_len, postings, sparse, dict, .. } => {
+                let Some(s) = tuple.get(*right).as_str() else { return };
+                let Some(v) = dict.remove(slot, s) else { return };
                 let sig = AttrSig::of_value(tuple.get(*right));
-                if sig.is_null() {
-                    return;
-                }
                 if sig.sig().char_len() < *safe_len {
-                    drop_from(Arc::make_mut(sparse), slot);
+                    drop_from(Arc::make_mut(sparse), v);
                 }
                 for hash in sig.sig().qgrams().distinct_hashes() {
-                    drop_posting(postings, hash, slot, alive);
+                    drop_posting(postings, hash, v, &LiveValues(&dict.values));
                 }
             }
             AtomIndex::Elements { right, op, postings, empty, .. } => {
@@ -614,22 +852,23 @@ impl AtomIndex {
     }
 }
 
-/// A per-entry retrieval prefilter: decided from metadata the index
-/// stores alongside its slots, applied while a posting union is scanned
-/// out of the probe bitmap — candidates failing it die before the
-/// verification kernel ever sees them. Every variant is sound: a slot it
-/// rejects would be rejected by the corresponding verification filter
-/// (size ratio, length window, char-bag bound) anyway.
-enum SlotFilter<'a> {
-    /// No per-entry metadata (key buckets, empty-value lists).
+/// What a prepared atom's lists hold and the prefilter applied to them —
+/// decided from metadata the index stores alongside its entries, so
+/// candidates failing it die before the verification kernel ever sees
+/// them. Every variant is sound: an entry it rejects would be rejected by
+/// the corresponding verification filter (size ratio, length window,
+/// char-bag bound) anyway.
+enum EntryFilter<'a> {
+    /// Slots, unfiltered (key buckets, empty-value lists).
     None,
-    /// The size-ratio bound of element anchors: `min ≥ ratio·max` over
-    /// per-slot sizes vs the probe's size.
+    /// Slots, under the size-ratio bound of element anchors:
+    /// `min ≥ ratio·max` over per-slot sizes vs the probe's size.
     Ratio { ratio: f64, sizes: &'a CowVec<u32>, probe: u32 },
-    /// The edit-atom prefilters: the probe's length window
-    /// ([`edit_len_window`]) plus the char-bag presence-mask bound
-    /// against `theta_bound(θ, max(len))`.
-    EditMeta { lens: &'a CowVec<u32>, masks: &'a CowVec<u64>, edit: EditProbe },
+    /// Value ids of `dict`, under the edit-atom prefilters: the probe's
+    /// length window ([`edit_len_window`]) plus the char-bag
+    /// presence-mask bound against `theta_bound(θ, max(len))`, tested
+    /// once per value.
+    Values { dict: &'a ValueDict, edit: EditProbe },
 }
 
 /// The probe side of the edit-atom prefilter, computed once per probe.
@@ -663,68 +902,51 @@ fn edit_len_window(theta: f64, probe_len: u32) -> (u32, u32) {
     ((p - theta_bound(theta, p)) as u32, hi as u32)
 }
 
-/// The edit-atom prefilter on one slot's length `ls` and presence mask
-/// `sm` (fetched lazily: most rejects are decided by the length alone).
+/// The edit-atom prefilter on one value's length `ls` and presence mask
+/// `sm`.
 #[inline]
-fn edit_meta_ok(ls: u32, sm: impl FnOnce() -> u64, edit: &EditProbe) -> bool {
+fn edit_meta_ok(ls: u32, sm: u64, edit: &EditProbe) -> bool {
     if ls < edit.len_lo || ls > edit.len_hi {
         return false;
     }
     let bound = theta_bound(edit.theta, edit.len.max(ls) as usize);
-    let sm = sm();
     let diff = (edit.mask & !sm).count_ones().max((sm & !edit.mask).count_ones());
     diff as usize <= bound
 }
 
-impl SlotFilter<'_> {
+impl EntryFilter<'_> {
     /// Whether one slot passes — the membership-probe form, for the few
-    /// slots of a small running intersection.
+    /// slots of a small running intersection. A q-gram atom tests the
+    /// slot's value; a `Null` slot holds none and fails.
     fn accepts(&self, slot: u32) -> bool {
-        let slot = slot as usize;
         match *self {
-            SlotFilter::None => true,
-            SlotFilter::Ratio { ratio, sizes, probe } => ratio_ok(ratio, sizes[slot], probe),
-            SlotFilter::EditMeta { lens, masks, ref edit } => {
-                edit_meta_ok(lens[slot], || masks[slot], edit)
+            EntryFilter::None => true,
+            EntryFilter::Ratio { ratio, sizes, probe } => {
+                ratio_ok(ratio, sizes[slot as usize], probe)
             }
-        }
-    }
-
-    /// Scans the set bits of `words` out in ascending order, keeping the
-    /// slots that pass — the bulk form, for a coarse anchor's union of
-    /// thousands of slots. Each variant gets its own monomorphized loop
-    /// over plain slices (see [`scan_runs`]): no per-slot variant match,
-    /// no per-slot walk down a [`CowVec`] spine.
-    fn scan_out(&self, words: &[u64], stats: &mut FilterStats) -> Vec<u32> {
-        match *self {
-            SlotFilter::None => scan_runs(words, stats, |_| (), |_, _| true),
-            SlotFilter::Ratio { ratio, sizes, probe } => scan_runs(
-                words,
-                stats,
-                |base| sizes.run_of(base),
-                |sizes, offset| ratio_ok(ratio, sizes[offset], probe),
-            ),
-            SlotFilter::EditMeta { lens, masks, ref edit } => scan_runs(
-                words,
-                stats,
-                |base| (lens.run_of(base), masks.run_of(base)),
-                |(lens, masks), offset| edit_meta_ok(lens[offset], || masks[offset], edit),
-            ),
+            EntryFilter::Values { dict, ref edit } => match dict.value_of(slot) {
+                NO_ID => false,
+                v => {
+                    let entry = dict.values[v as usize];
+                    edit_meta_ok(entry.len, entry.mask, edit)
+                }
+            },
         }
     }
 }
 
-/// Walks a slot bitmap one [`CHUNK_LEN`] window at a time — the unit in
-/// which every per-slot [`CowVec`] of an index is contiguous — resolving
-/// the window's metadata `run_of(first slot)` once, then testing each set
-/// bit with `accepts(&run, offset into the window)`.
+/// Walks a bitmap one [`CHUNK_LEN`] window at a time — the unit in which
+/// every [`CowVec`] of an index is contiguous — resolving the window's
+/// metadata `run_of(first entry)` once, then testing each set bit with
+/// `accepts(&run, offset into the window)` and passing those that pass
+/// to `keep`, ascending.
 fn scan_runs<R>(
     words: &[u64],
     stats: &mut FilterStats,
     run_of: impl Fn(usize) -> R,
     accepts: impl Fn(&R, usize) -> bool,
-) -> Vec<u32> {
-    let mut out = Vec::new();
+    mut keep: impl FnMut(u32),
+) {
     for (window, group) in words.chunks(CHUNK_LEN / 64).enumerate() {
         if group.iter().all(|&word| word == 0) {
             continue;
@@ -738,87 +960,160 @@ fn scan_runs<R>(
                 bits &= bits - 1;
                 stats.linear_steps += 1;
                 if accepts(&run, offset) {
-                    out.push((base + offset) as u32);
+                    keep((base + offset) as u32);
                 } else {
                     stats.retrieval_rejects += 1;
                 }
             }
         }
     }
-    out
+}
+
+/// Reusable bitmaps of the probe hot path: one over slots, one over a
+/// q-gram atom's value ids, and the block-decode scratch.
+#[derive(Default)]
+struct Bitmaps {
+    slots: Vec<u64>,
+    values: Vec<u64>,
+    decode: Vec<u32>,
+}
+
+/// Clears `words` and sizes it to `n` bits, rounded to a 256-bit boundary
+/// so bitset posting blocks OR in whole.
+fn clear_bits(words: &mut Vec<u64>, n: usize) {
+    words.clear();
+    words.resize(n.div_ceil(256) * 4, 0);
 }
 
 /// One atom's retrieval, resolved against a probe but not yet
-/// materialized: the compressed posting lists and plain slot slices
+/// materialized: the compressed posting lists and plain sorted lists
 /// whose union — filtered per entry — is the atom's candidate set.
 struct PreparedAtom<'a> {
     /// Compressed posting lists (gram / element postings).
     comp: Vec<&'a PostingList>,
-    /// Plain sorted slot lists (key buckets, sparse/empty lists).
+    /// Plain sorted lists (key buckets, sparse/empty lists).
     plain: Vec<&'a [u32]>,
-    filter: SlotFilter<'a>,
+    filter: EntryFilter<'a>,
 }
 
 impl<'a> PreparedAtom<'a> {
     fn empty() -> Self {
-        PreparedAtom { comp: Vec::new(), plain: Vec::new(), filter: SlotFilter::None }
+        PreparedAtom { comp: Vec::new(), plain: Vec::new(), filter: EntryFilter::None }
     }
 
     /// Entries the atom's lists hold between them — the exact size of
-    /// its unfiltered, undeduplicated union, read off list headers
-    /// without decoding anything.
+    /// its unfiltered, undeduplicated union (in value ids for a q-gram
+    /// atom), read off list headers without decoding anything.
     fn volume(&self) -> usize {
         self.comp.iter().map(|list| list.len()).sum::<usize>()
             + self.plain.iter().map(|list| list.len()).sum::<usize>()
     }
 
-    /// Lists a membership probe walks per slot.
+    /// Lists a membership probe walks per entry.
     fn lists(&self) -> usize {
         self.comp.len() + self.plain.len()
     }
 
-    /// ORs the atom's *unfiltered* union into `words` (cleared first,
-    /// sized to a 256-slot boundary so bitset blocks OR in whole) — the
-    /// building block of bitmap-level intersection, where per-entry
-    /// filters are deferred until the intersected set is scanned out.
-    fn or_bitmap(
+    /// The entries `acc` needs membership decisions for: its distinct
+    /// value ids for a q-gram atom (left ascending in `vals`), its slots
+    /// otherwise.
+    fn decisions(&self, acc: &[u32], vals: &mut Vec<u32>) -> usize {
+        match self.filter {
+            EntryFilter::Values { dict, .. } => {
+                vals.clear();
+                vals.extend(acc.iter().map(|&slot| dict.value_of(slot)));
+                vals.sort_unstable();
+                vals.dedup();
+                vals.len()
+            }
+            _ => acc.len(),
+        }
+    }
+
+    /// ORs the atom's unfiltered union into `words`, sized for `n`
+    /// entries.
+    fn or_into(
         &self,
-        n_slots: usize,
+        n: usize,
         words: &mut Vec<u64>,
         decode: &mut Vec<u32>,
         stats: &mut FilterStats,
     ) {
-        let n_words = n_slots.div_ceil(256) * 4;
-        words.clear();
-        words.resize(n_words, 0);
+        clear_bits(words, n);
         for list in &self.comp {
             stats.blocks_decoded += list.or_into(words, decode);
         }
         for plain in &self.plain {
-            for &slot in *plain {
-                words[(slot >> 6) as usize] |= 1u64 << (slot & 63);
+            for &entry in *plain {
+                words[(entry >> 6) as usize] |= 1u64 << (entry & 63);
             }
         }
     }
 
-    /// Materializes the filtered union, ascending and deduplicated: OR
-    /// every list into a bitmap over the relation's slots (bitset blocks
-    /// land as four word-ORs each), then scan set bits through the
-    /// per-entry filter. A single unfiltered plain list (key bucket,
-    /// empty-value list) short-circuits without touching the bitmap.
-    fn materialize(
-        &self,
-        n_slots: usize,
-        words: &mut Vec<u64>,
-        decode: &mut Vec<u32>,
-        stats: &mut FilterStats,
-    ) -> Vec<u32> {
-        if self.comp.is_empty() && self.plain.len() <= 1 && matches!(self.filter, SlotFilter::None)
-        {
-            return self.plain.first().map(|list| list.to_vec()).unwrap_or_default();
+    /// Materializes the filtered union as slots, ascending and
+    /// deduplicated: OR every list into a bitmap (bitset blocks land as
+    /// four word-ORs each), then scan set bits through the prefilter. A
+    /// q-gram atom does that over value ids, testing each value once,
+    /// and expands the survivors to their live slots. A single
+    /// unfiltered plain list (key bucket, empty-value list)
+    /// short-circuits without touching a bitmap.
+    fn materialize(&self, n_slots: usize, bits: &mut Bitmaps, stats: &mut FilterStats) -> Vec<u32> {
+        let Bitmaps { slots, values, decode } = bits;
+        let mut out = Vec::new();
+        match self.filter {
+            EntryFilter::None if self.comp.is_empty() && self.plain.len() <= 1 => {
+                return self.plain.first().map(|list| list.to_vec()).unwrap_or_default();
+            }
+            EntryFilter::None => {
+                self.or_into(n_slots, slots, decode, stats);
+                scan_runs(slots, stats, |_| (), |_, _| true, |slot| out.push(slot));
+            }
+            EntryFilter::Ratio { ratio, sizes, probe } => {
+                self.or_into(n_slots, slots, decode, stats);
+                let accepts = |sizes: &&[u32], offset: usize| ratio_ok(ratio, sizes[offset], probe);
+                scan_runs(slots, stats, |base| sizes.run_of(base), accepts, |slot| out.push(slot));
+            }
+            EntryFilter::Values { dict, ref edit } => {
+                self.or_into(dict.values.len(), values, decode, stats);
+                clear_bits(slots, n_slots);
+                let accepts = |run: &&[ValueEntry], offset: usize| {
+                    edit_meta_ok(run[offset].len, run[offset].mask, edit)
+                };
+                let expand = |v| {
+                    dict.for_each_slot(v, |slot| slots[(slot >> 6) as usize] |= 1u64 << (slot & 63))
+                };
+                scan_runs(values, stats, |base| dict.values.run_of(base), accepts, expand);
+                scan_runs(slots, stats, |_| (), |_, _| true, |slot| out.push(slot));
+            }
         }
-        self.or_bitmap(n_slots, words, decode, stats);
-        self.filter.scan_out(words, stats)
+        out
+    }
+
+    /// Intersects `acc` with this (unmaterialized) atom by membership: a
+    /// slot survives iff its entry — the slot, or its value for a q-gram
+    /// atom, whose distinct values [`PreparedAtom::decisions`] left in
+    /// `vals` — appears on at least one of the atom's lists. Cursor
+    /// targets ascend, so whole blocks are skipped on their max without
+    /// decoding. Callers have already run `acc` through the atom's
+    /// prefilter, so this produces exactly the `acc` that
+    /// `gallop_intersect` against the materialized union would.
+    fn member_intersect(&self, acc: &mut Vec<u32>, vals: &mut Vec<u32>, stats: &mut FilterStats) {
+        let mut cursors: Vec<_> = self.comp.iter().map(|list| list.cursor()).collect();
+        let mut member = |entry: u32| {
+            cursors.iter_mut().any(|cur| cur.advance_to(entry) == Some(entry))
+                || self.plain.iter().any(|plain| plain.binary_search(&entry).is_ok())
+        };
+        match self.filter {
+            EntryFilter::Values { dict, .. } => {
+                vals.retain(|&v| member(v));
+                acc.retain(|&slot| vals.binary_search(&dict.value_of(slot)).is_ok());
+            }
+            _ => acc.retain(|&slot| member(slot)),
+        }
+        for cur in cursors {
+            stats.blocks_decoded += cur.blocks_decoded;
+            stats.blocks_skipped += cur.blocks_skipped;
+        }
     }
 }
 
@@ -848,57 +1143,27 @@ fn gallop_intersect(acc: &mut Vec<u32>, list: &[u32], stats: &mut FilterStats) {
     acc.truncate(kept);
 }
 
-/// Intersects `acc` with an unmaterialized atom by membership: a slot
-/// survives iff it appears on at least one of the atom's lists. Cursor
-/// targets ascend with `acc`, so whole blocks are skipped on their max
-/// without decoding. Callers have already run `acc` through the atom's
-/// per-entry filter, so this produces exactly the `acc` that
-/// `gallop_intersect` against the materialized union would.
-fn member_intersect(acc: &mut Vec<u32>, pa: &PreparedAtom<'_>, stats: &mut FilterStats) {
-    let mut cursors: Vec<_> = pa.comp.iter().map(|list| list.cursor()).collect();
-    acc.retain(|&slot| {
-        cursors.iter_mut().any(|cur| cur.advance_to(slot) == Some(slot))
-            || pa.plain.iter().any(|plain| plain.binary_search(&slot).is_ok())
-    });
-    for cur in cursors {
-        stats.blocks_decoded += cur.blocks_decoded;
-        stats.blocks_skipped += cur.blocks_skipped;
-    }
-}
-
-/// A key's next posting-backed atom is OR'd into the running bitmap
-/// only while its volume is at most this multiple of the running
-/// popcount. Past that, decoding its whole union costs more than
-/// testing the few survivors against it one slot at a time.
-const FOLD_RATIO: usize = 4;
-
-/// Reusable per-thread buffers of the probe hot path — the union bitmap
-/// and block-decode scratch — plus the key/element buffers that probes
-/// and index maintenance share. Thread-local so concurrent queries
-/// (server readers, batched pools) never contend, and sequential calls
-/// never re-allocate.
+/// Reusable per-thread buffers of the probe hot path — the bitmaps, the
+/// block-decode scratch and a value-id buffer — plus the key/element
+/// buffers that probes and index maintenance share. Thread-local so
+/// concurrent queries (server readers, batched pools) never contend, and
+/// sequential calls never re-allocate.
 #[derive(Default)]
 struct ProbeScratch {
-    words: Vec<u64>,
-    and_words: Vec<u64>,
-    decode: Vec<u32>,
+    bits: Bitmaps,
+    vals: Vec<u32>,
     anchor: AnchorScratch,
-}
-
-/// Set bits in a bitmap (the size of the running intersection during
-/// bitmap-level AND).
-fn popcount(words: &[u64]) -> usize {
-    words.iter().map(|w| w.count_ones() as usize).sum()
 }
 
 thread_local! {
     static PROBE_SCRATCH: RefCell<ProbeScratch> = RefCell::new(ProbeScratch::default());
 }
 
-/// When a key's running candidate set is this small, further
-/// intersection with its remaining (costlier) atom retrievals is skipped:
-/// verifying the leftover candidate is cheaper than another retrieval,
-/// and any prefix of the intersection is a sound superset.
+/// When a key's running candidate set needs at most this many membership
+/// decisions from its next atom (slots, or distinct values for a q-gram
+/// atom), that atom is left to verification: deciding the leftover
+/// candidate there is cheaper than another retrieval, and the
+/// intersection of any subset of a key's atoms is a sound superset.
 const ENOUGH: usize = 1;
 
 /// One query answer: a tuple the probe matches, and the key that fired.
@@ -993,9 +1258,15 @@ pub struct IndexStats {
     pub exact_buckets: usize,
     /// Distinct posting lists across all q-gram and element anchors.
     pub posting_lists: usize,
-    /// Slots on sparse/empty lists (short strings below an edit atom's
-    /// safe length, element-less or empty values under set/bag anchors).
+    /// Entries on sparse/empty lists: values shorter than an edit atom's
+    /// safe length (one entry per distinct value), and slots whose value
+    /// is element-less or empty under set/bag anchors.
     pub sparse_entries: usize,
+    /// Live distinct values summed over the q-gram anchors: each anchor
+    /// indexes its attribute's values, not its records, so
+    /// `live / distinct_values` is the repeat factor its postings,
+    /// prefilter and build work are divided by.
+    pub distinct_values: usize,
     /// Resident bytes of the compressed posting lists (delta blocks,
     /// bitset blocks, unsealed tails) across all posting anchors.
     pub postings_bytes: usize,
@@ -1063,6 +1334,7 @@ impl fmt::Debug for MatchIndex {
             .field("qgram_anchors", &stats.qgram_anchors)
             .field("element_anchors", &stats.element_anchors)
             .field("scan_keys", &stats.scan_keys)
+            .field("distinct_values", &stats.distinct_values)
             .finish()
     }
 }
@@ -1142,17 +1414,18 @@ impl MatchIndex {
         // chunk order so slot lists come out ascending. A one-thread pool
         // gets one chunk: partials it would only fold back together
         // serially are pure overhead.
-        let empty = || -> Vec<AtomIndex> {
-            anchors.iter().map(|(atom, anchor)| AtomIndex::new(atom, *anchor)).collect()
+        let empty = |base: usize| -> Vec<AtomIndex> {
+            let base = base as u32;
+            anchors.iter().map(|(atom, anchor)| AtomIndex::new(atom, *anchor, base)).collect()
         };
         let tuples = relation.tuples();
         let min_chunk = if pool.threads() == 1 { tuples.len() } else { BUILD_MIN_CHUNK };
         let partials: Vec<Vec<AtomIndex>> = pool.par_ranges(tuples.len(), min_chunk, |_, range| {
-            let mut partial = empty();
+            let mut partial = empty(range.start);
             let mut scratch = AnchorScratch::default();
             for pos in range {
                 for atom in &mut partial {
-                    atom.add(pos as u32, &tuples[pos], &ops, &mut scratch);
+                    atom.add(pos as u32, &tuples[pos], tuples, &ops, &mut scratch);
                 }
             }
             partial
@@ -1160,10 +1433,10 @@ impl MatchIndex {
         let mut partials = partials.into_iter();
         // The first chunk's partial *is* the index so far; folding it
         // into empty shapes would re-insert every entry.
-        let mut atom_indices = partials.next().unwrap_or_else(empty);
+        let mut atom_indices = partials.next().unwrap_or_else(|| empty(0));
         for chunk in partials {
             for (atom, partial) in atom_indices.iter_mut().zip(chunk) {
-                atom.merge(partial);
+                atom.merge(partial, tuples);
             }
         }
 
@@ -1225,8 +1498,13 @@ impl MatchIndex {
 
     /// Checks the structural invariants (tests only): every per-slot
     /// sequence covers exactly the allocated slots, `by_id` and the
-    /// liveness flags describe the same live set, and every posting
-    /// list passes [`PostingList::check_invariants`].
+    /// liveness flags describe the same live set, and every posting list
+    /// passes [`PostingList::check_invariants`] and counts exactly its
+    /// dead entries as tombstones. Each q-gram dictionary is exact: each
+    /// live slot's value maps back to the slot's string, each value's
+    /// chain is exactly the live slots holding it, and each live value is
+    /// on exactly its grams' lists (and the sparse list when short) while
+    /// a dead value is on no list but as a counted tombstone.
     #[doc(hidden)]
     pub fn check_invariants(&self) {
         let slots = self.tuples.len();
@@ -1239,16 +1517,96 @@ impl MatchIndex {
         for atom in &self.atom_indices {
             match atom {
                 AtomIndex::Keys { .. } => {}
-                AtomIndex::Grams { postings, lens, masks, .. } => {
-                    assert_eq!((lens.len(), masks.len()), (slots, slots));
-                    postings.values().for_each(PostingList::check_invariants);
+                AtomIndex::Grams { right, safe_len, postings, sparse, dict, .. } => {
+                    self.check_dict(*right, *safe_len, postings, sparse, dict);
                 }
                 AtomIndex::Elements { postings, sizes, .. } => {
                     assert_eq!(sizes.len(), slots);
-                    postings.values().for_each(PostingList::check_invariants);
+                    for list in postings.values() {
+                        list.check_invariants();
+                        list.check_tombstones(&self.alive);
+                    }
                 }
             }
         }
+    }
+
+    /// The q-gram half of [`MatchIndex::check_invariants`].
+    fn check_dict(
+        &self,
+        right: AttrId,
+        safe_len: usize,
+        postings: &CowMap<u64, PostingList>,
+        sparse: &[ValueId],
+        dict: &ValueDict,
+    ) {
+        assert_eq!((dict.base as usize, dict.slots.len()), (0, self.tuples.len()));
+        let mut holders = vec![Vec::new(); dict.values.len()];
+        for (slot, tuple) in self.live_tuples() {
+            let v = dict.value_of(slot as u32);
+            let Some(s) = tuple.get(right).as_str() else {
+                assert_eq!(v, NO_ID, "a null slot holds no value");
+                continue;
+            };
+            let found = dict.find(dict.hasher.hash_one(s), s, right, &self.tuples);
+            assert_eq!(found, Some(v), "slot {slot}'s value maps back to its string");
+            holders[v as usize].push(slot as u32);
+        }
+        let mut lists: HashMap<u64, Vec<ValueId>> = HashMap::new();
+        let mut short = Vec::new();
+        for (v, holders) in holders.iter().enumerate() {
+            let mut chain = Vec::new();
+            dict.for_each_slot(v as ValueId, |slot| chain.push(slot));
+            assert_eq!(&chain, holders, "value {v}'s chain is exactly the live slots holding it");
+            let entry = dict.values[v];
+            let Some(&last) = chain.last() else { continue };
+            assert_eq!(entry.tail, last, "value {v}'s chain ends at its tail");
+            let mut prev = NO_ID;
+            for &slot in &chain {
+                assert_eq!(dict.link(slot).prev, prev, "slot {slot} links back to its predecessor");
+                prev = slot;
+            }
+            let sig = AttrSig::of_value(self.tuples[last as usize].get(right));
+            assert_eq!(
+                (entry.len, entry.mask),
+                (sig.sig().char_len() as u32, sig.sig().bag().presence_mask())
+            );
+            if sig.sig().char_len() < safe_len {
+                short.push(v as ValueId);
+            }
+            for hash in sig.sig().qgrams().distinct_hashes() {
+                lists.entry(hash).or_default().push(v as ValueId);
+            }
+        }
+        let live = LiveValues(&dict.values);
+        assert_eq!(dict.live, holders.iter().filter(|h| !h.is_empty()).count(), "live values");
+        let reachable: usize = (dict.ids.values())
+            .map(|&head| {
+                let mut v = head;
+                let mut n = 0;
+                while v != NO_ID {
+                    assert!(live[v as usize], "the dictionary reaches only live values");
+                    n += 1;
+                    v = dict.values[v as usize].collide;
+                }
+                n
+            })
+            .sum();
+        assert_eq!(reachable, dict.live, "the dictionary reaches every live value once");
+        assert_eq!(sparse, short.as_slice(), "the sparse list holds exactly the short live values");
+        for (hash, list) in postings.iter() {
+            list.check_invariants();
+            list.check_tombstones(&live);
+            let mut entries = Vec::new();
+            list.decode_all_into(&mut entries);
+            entries.retain(|&v| live[v as usize]);
+            let expected = lists.remove(hash).unwrap_or_default();
+            assert_eq!(
+                entries, expected,
+                "gram {hash:#x} lists exactly the live values holding it"
+            );
+        }
+        assert!(lists.is_empty(), "every live value is on each of its grams' lists");
     }
 
     /// Aggregate shape counters.
@@ -1264,6 +1622,7 @@ impl MatchIndex {
             exact_buckets: 0,
             posting_lists: 0,
             sparse_entries: 0,
+            distinct_values: 0,
             postings_bytes: 0,
             postings_uncompressed_bytes: 0,
         };
@@ -1274,8 +1633,9 @@ impl MatchIndex {
                     stats.exact_buckets += buckets.len();
                     continue;
                 }
-                AtomIndex::Grams { postings, sparse, .. } => {
+                AtomIndex::Grams { postings, sparse, dict, .. } => {
                     stats.qgram_anchors += 1;
+                    stats.distinct_values += dict.live;
                     (postings, sparse)
                 }
                 AtomIndex::Elements { postings, empty, .. } => {
@@ -1328,22 +1688,23 @@ impl MatchIndex {
     /// per-entry prefilters ([`FilterStats::retrieval_rejects`]).
     ///
     /// Each key is planned from this probe's own posting volumes (the
-    /// entries its atoms' lists hold, read off list headers; ties broken
-    /// by atom position):
+    /// entries its atoms' lists hold, read off list headers — value ids
+    /// for a q-gram atom; ties broken by atom position):
     ///
     /// 1. *Order* — cheapest atom first.
-    /// 2. *Fold* — the cheapest atom's union is OR'd into a bitmap, and
-    ///    each next posting-backed atom is AND'ed in while its volume is
-    ///    at most [`FOLD_RATIO`] times the running popcount; the bitmap
-    ///    is then scanned out once through the folded atoms' prefilters.
+    /// 2. *Materialize* — the cheapest atom's union is OR'd into a bitmap
+    ///    and scanned out through its prefilter (a q-gram atom's over value
+    ///    ids, each value tested once, survivors expanded to their live
+    ///    slots), memoized for the probe's later keys.
     /// 3. *Prefilter* — the survivors run through every remaining atom's
     ///    prefilter, which costs a metadata lookup and decodes nothing.
     /// 4. *Intersect* — each remaining atom, cheapest first, either
     ///    tests the survivors by membership (galloping cursors that skip
-    ///    whole blocks) when `survivors × lists < volume`, or is
-    ///    materialized (memoized for later keys) and galloped against.
-    ///    Once at most [`ENOUGH`] survive, the remaining atoms are left
-    ///    to verification.
+    ///    whole blocks) when `decisions × lists < volume` — decisions are
+    ///    the survivors' distinct values for a q-gram atom, their slots
+    ///    otherwise — or is materialized (memoized) and galloped against.
+    ///    An atom the survivors need at most [`ENOUGH`] decisions from is
+    ///    left to verification.
     ///
     /// The plan depends only on the probe and the index version, so
     /// answers *and* counters are deterministic per probe.
@@ -1352,7 +1713,7 @@ impl MatchIndex {
         let n_slots = self.tuples.len();
         PROBE_SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
-            let ProbeScratch { words, and_words, decode, anchor } = scratch;
+            let ProbeScratch { bits, vals, anchor } = scratch;
             // Prepare and materialize each distinct atom at most once:
             // several keys usually share atoms.
             let mut prepared: Vec<Option<PreparedAtom<'_>>> =
@@ -1387,62 +1748,13 @@ impl MatchIndex {
                     continue; // an atom retrieving nothing empties the key
                 }
                 let atom = |pos: usize| prepared[pos].as_ref().expect("every key atom is prepared");
-
-                // Fold: OR the cheapest union into the bitmap and AND in
-                // each next un-memoized posting-backed atom that is small
-                // against the running popcount — whole-word operations,
-                // every per-entry filter deferred to one scan-out.
-                let mut applied = 1;
-                let mut acc = if let Some(list) = &retrieved[first] {
-                    list.clone()
-                } else if atom(first).comp.is_empty() {
-                    // Plain buckets: materialize short-circuits them.
-                    let list = atom(first).materialize(n_slots, words, decode, stats);
-                    retrieved[first] = Some(list.clone());
-                    list
-                } else {
-                    atom(first).or_bitmap(n_slots, words, decode, stats);
-                    while let Some(&(volume, pos)) = order.get(applied) {
-                        let next = atom(pos);
-                        if retrieved[pos].is_some()
-                            || next.comp.is_empty()
-                            || volume > FOLD_RATIO * popcount(words)
-                        {
-                            break;
-                        }
-                        next.or_bitmap(n_slots, and_words, decode, stats);
-                        for (w, m) in words.iter_mut().zip(and_words.iter()) {
-                            *w &= *m;
-                        }
-                        applied += 1;
-                    }
-                    if applied == 1 {
-                        let list = atom(first).filter.scan_out(words, stats);
-                        retrieved[first] = Some(list.clone());
-                        list
-                    } else {
-                        let folded = &order[..applied];
-                        let mut out = Vec::new();
-                        for (w, &word) in words.iter().enumerate() {
-                            let mut bits = word;
-                            while bits != 0 {
-                                let slot = (w as u32) * 64 + bits.trailing_zeros();
-                                bits &= bits - 1;
-                                stats.linear_steps += 1;
-                                if folded.iter().all(|&(_, p)| atom(p).filter.accepts(slot)) {
-                                    out.push(slot);
-                                } else {
-                                    stats.retrieval_rejects += 1;
-                                }
-                            }
-                        }
-                        out
-                    }
-                };
+                let mut acc = (retrieved[first])
+                    .get_or_insert_with(|| atom(first).materialize(n_slots, bits, stats))
+                    .clone();
 
                 // Prefilter: every remaining atom's per-entry test runs
                 // before any of their lists is touched.
-                let rest = &order[applied..];
+                let rest = &order[1..];
                 if !rest.is_empty() {
                     acc.retain(|&slot| {
                         let ok = rest.iter().all(|&(_, p)| atom(p).filter.accepts(slot));
@@ -1451,19 +1763,20 @@ impl MatchIndex {
                     });
                 }
 
-                // Intersect, cheapest first: test the few survivors by
+                // Intersect, cheapest first: test the survivors by
                 // membership unless that walks more entries than the
                 // atom's whole union holds.
                 for &(volume, pos) in rest {
-                    if acc.len() <= ENOUGH {
-                        break; // already cheap to verify; a prefix is sound
-                    }
                     let pa = atom(pos);
-                    if retrieved[pos].is_none() && acc.len() * pa.lists() < volume {
-                        member_intersect(&mut acc, pa, stats);
+                    let decisions = pa.decisions(&acc, vals);
+                    if decisions <= ENOUGH {
+                        continue; // cheap to verify; a subset of atoms is sound
+                    }
+                    if retrieved[pos].is_none() && decisions * pa.lists() < volume {
+                        pa.member_intersect(&mut acc, vals, stats);
                     } else {
                         let list = retrieved[pos]
-                            .get_or_insert_with(|| pa.materialize(n_slots, words, decode, stats));
+                            .get_or_insert_with(|| pa.materialize(n_slots, bits, stats));
                         gallop_intersect(&mut acc, list, stats);
                     }
                 }
@@ -1612,7 +1925,7 @@ impl MatchIndex {
         let slot = self.tuples.len() as u32;
         PROBE_SCRATCH.with_borrow_mut(|scratch| {
             for atom in &mut self.atom_indices {
-                atom.add(slot, &tuple, &self.ops, &mut scratch.anchor);
+                atom.add(slot, &tuple, &self.tuples, &self.ops, &mut scratch.anchor);
             }
         });
         self.by_id.insert(tuple.id(), slot);
@@ -1627,8 +1940,10 @@ impl MatchIndex {
     /// entry immediately, compressed posting lists count it dead and
     /// rewrite each block in place once half its entries are dead — so a
     /// heavily-churned index keeps probing at near-fresh cost without a
-    /// rebuild. (The slot still holds the tuple's handle and its per-slot
-    /// retrieval metadata; rebuild to reclaim that space.)
+    /// rebuild. A q-gram anchor drops the slot from its value, and a value
+    /// whose last slot goes leaves the dictionary and is tombstoned on its
+    /// lists. (The slot still holds the tuple's handle and its per-slot
+    /// retrieval data; rebuild to reclaim that space.)
     pub fn remove(&mut self, id: TupleId) -> Result<(), IndexError> {
         let slot = self.by_id.remove(&id).ok_or(IndexError::UnknownId { id })?;
         *self.alive.get_mut(slot as usize) = false;
@@ -1685,30 +2000,88 @@ mod tests {
         }
     }
 
+    /// Builds `rel` serially and at 2 and 8 threads: every build passes
+    /// the invariants, and the parallel ones answer every probe with the
+    /// serial build's whole outcome (counters included) and report its
+    /// stats.
+    fn assert_parallel_build_is_serial(
+        probe_arity: usize,
+        rel: &Relation,
+        probes: &[Tuple],
+        keys: &[RelativeKey],
+        ops: &Arc<RuntimeOps>,
+    ) {
+        let serial = MatchIndex::build(probe_arity, rel, keys, &[], ops.clone()).unwrap();
+        serial.check_invariants();
+        for threads in [2, 8] {
+            let pool = WorkPool::with_threads(threads);
+            let parallel =
+                MatchIndex::build_in(&pool, probe_arity, rel, keys, &[], ops.clone()).unwrap();
+            parallel.check_invariants();
+            assert_eq!(parallel.stats(), serial.stats(), "stats at {threads} threads");
+            for probe in probes {
+                assert_eq!(parallel.query(probe), serial.query(probe), "at {threads} threads");
+            }
+        }
+    }
+
     #[test]
     fn parallel_build_answers_like_serial() {
         let (setting, inst) = fig1::setting_and_instance();
         let ops = Arc::new(RuntimeOps::resolve(&setting.ops, &paper_registry()).unwrap());
         let rcks = example_2_4_rcks(&setting);
-        let serial =
-            MatchIndex::build(setting.pair.left().arity(), inst.right(), &rcks, &[], ops.clone())
-                .unwrap();
-        for threads in [2, 8] {
-            let pool = WorkPool::with_threads(threads);
-            let parallel = MatchIndex::build_in(
-                &pool,
-                setting.pair.left().arity(),
-                inst.right(),
-                &rcks,
-                &[],
-                ops.clone(),
-            )
-            .unwrap();
-            for probe in inst.left().tuples() {
-                assert_eq!(parallel.query(probe).hits, serial.query(probe).hits);
-                assert_eq!(parallel.candidates_for(probe), serial.candidates_for(probe));
-            }
-        }
+        let arity = setting.pair.left().arity();
+        assert_parallel_build_is_serial(arity, inst.right(), inst.left().tuples(), &rcks, &ops);
+
+        // Several build chunks over repeating values: partial
+        // dictionaries must merge into the serial one.
+        let setting = matchrules_core::paper::extended();
+        let data = matchrules_data::dirty::generate_dirty(
+            &setting.pair,
+            &setting.target,
+            700,
+            &matchrules_data::dirty::NoiseConfig { seed: 3, ..Default::default() },
+        );
+        assert!(data.billing.len() > 4 * BUILD_MIN_CHUNK, "the build must run in chunks");
+        let ops = Arc::new(RuntimeOps::resolve(&setting.ops, &paper_registry()).unwrap());
+        let (d, eq) = (setting.ops.get("≈d").unwrap(), setting.ops.get("=").unwrap());
+        let atom = |l: &str, r: &str, op| {
+            let (l, r) =
+                (setting.pair.left().attr(l).unwrap(), setting.pair.right().attr(r).unwrap());
+            SimilarityAtom::new(l, r, op)
+        };
+        let keys = [
+            RelativeKey::new(["FN", "LN", "street", "city"].map(|a| atom(a, a, d)).to_vec()),
+            RelativeKey::new(vec![atom("tel", "phn", eq), atom("FN", "FN", d)]),
+        ];
+        let arity = setting.pair.left().arity();
+        assert_parallel_build_is_serial(arity, &data.billing, data.credit.tuples(), &keys, &ops);
+    }
+
+    #[test]
+    fn distinct_values_count_live_values_per_qgram_anchor() {
+        let values = ["Clifford", "Jones", "Clifford", "Cliford", "Clifford", "Jones"];
+        let (mut index, _ops) = single_atom_index("≈dl", &values);
+        let distinct = |index: &MatchIndex| {
+            index.check_invariants();
+            index.stats().distinct_values
+        };
+        assert_eq!(distinct(&index), 3);
+        assert!(format!("{index:?}").contains("distinct_values: 3"), "{index:?}");
+        // A value lives while any slot holds it, and a dead value's string
+        // comes back under a fresh id.
+        index.remove(1).unwrap();
+        assert_eq!(distinct(&index), 3);
+        index.remove(4).unwrap();
+        assert_eq!(distinct(&index), 2);
+        index.insert(Tuple::new(7, vec![Value::str("Cliford")])).unwrap();
+        assert_eq!(distinct(&index), 3);
+        let probe = Tuple::new(9, vec![Value::str("Clifford")]);
+        let ids: Vec<u64> = index.query(&probe).hits.iter().map(|h| h.id).collect();
+        assert_eq!(ids, vec![3, 5, 7]);
+        // Element and key anchors index records: they count no values.
+        let (index, _ops) = single_atom_index("≈tok", &values);
+        assert_eq!(index.stats().distinct_values, 0);
     }
 
     #[test]
@@ -2120,7 +2493,7 @@ mod tests {
                     let per_slot = ls != NULL_SLOT
                         && p.abs_diff(ls) as usize <= theta_bound(theta, p.max(ls) as usize);
                     assert_eq!(
-                        edit_meta_ok(ls, || mask, &edit),
+                        edit_meta_ok(ls, mask, &edit),
                         per_slot,
                         "θ={theta} p={p} ls={ls}: window [{len_lo}, {len_hi}]"
                     );

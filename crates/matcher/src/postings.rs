@@ -313,6 +313,26 @@ impl PostingList {
         }
         assert_eq!(all.len() + self.tail.len(), self.total, "total matches stored entries");
     }
+
+    /// Checks that the tombstones are exact under `alive` (tests): each
+    /// block's dead counter equals its entries dead under `alive`, and the
+    /// tail (where removal is immediate) holds none.
+    #[doc(hidden)]
+    pub fn check_tombstones<A>(&self, alive: &A)
+    where
+        A: std::ops::Index<usize, Output = bool> + ?Sized,
+    {
+        let mut values = Vec::new();
+        for block in &self.blocks {
+            values.clear();
+            block.decode_into(&mut values);
+            let dead = values.iter().filter(|&&v| !alive[v as usize]).count();
+            assert_eq!(dead, block.dead as usize, "a block counts exactly its dead entries");
+        }
+        assert!(self.tail.iter().all(|&v| alive[v as usize]), "the tail holds no dead entry");
+        let dead: usize = self.blocks.iter().map(|b| b.dead as usize).sum();
+        assert_eq!(dead, self.dead, "the list's dead count sums its blocks'");
+    }
 }
 
 /// A forward-only galloping cursor over a [`PostingList`]. Targets must

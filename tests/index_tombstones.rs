@@ -1,7 +1,10 @@
 //! MatchIndex tombstone behavior under insert → remove → insert cycles:
 //! removed ids never resurface, re-inserted ids come back, and
 //! `stats()` / query results stay consistent with a fresh index built
-//! over the live records — at 1, 2 and 8 threads.
+//! over the live records — at 1, 2 and 8 threads. After every phase the
+//! index passes `check_invariants`, whose q-gram half checks the value
+//! dictionary: values dying with their last slot, and re-inserts opening
+//! fresh ones.
 
 use matchrules::data::dirty::{generate_dirty, NoiseConfig};
 use matchrules::data::relation::{Relation, Tuple};
@@ -47,6 +50,7 @@ proptest! {
             let total = data.billing.len();
             prop_assert_eq!(index.len(), total);
             prop_assert_eq!(index.stats().tombstones, 0);
+            index.check_invariants();
 
             // Remove a seed-keyed subset…
             let removed: Vec<u64> = data
@@ -61,6 +65,7 @@ proptest! {
             }
             prop_assert_eq!(index.len(), total - removed.len());
             prop_assert_eq!(index.stats().tombstones, removed.len());
+            index.check_invariants();
             for probe in data.credit.tuples() {
                 let hits = index.query(probe).hits;
                 prop_assert!(
@@ -86,6 +91,7 @@ proptest! {
                 index.stats().live + index.stats().tombstones,
                 index.slots()
             );
+            index.check_invariants();
 
             // The cycled index answers exactly like a fresh index over
             // its live records.
@@ -93,6 +99,8 @@ proptest! {
             prop_assert_eq!(live.len(), index.len());
             let fresh = engine.index(&live).unwrap();
             prop_assert_eq!(fresh.stats().tombstones, 0);
+            fresh.check_invariants();
+            prop_assert_eq!(fresh.stats().distinct_values, index.stats().distinct_values);
             for probe in data.credit.tuples() {
                 let cycled: Vec<(u64, usize)> =
                     index.query(probe).hits.iter().map(|h| (h.id, h.key)).collect();

@@ -15,6 +15,8 @@
 //!   batch paths stay at their pinned values;
 //! * **cheapest anchor first** — decoding work is bounded by the atom
 //!   with the smallest posting volume, whatever the atom order;
+//! * **values, not rows** — repeating every stored record adds no q-gram
+//!   decoding work, and each hit comes back once per copy;
 //! * **batched == sequential** — `query_batch` is byte-for-byte
 //!   identical (hits, candidates, every work counter) to one-by-one
 //!   `query` calls;
@@ -139,8 +141,9 @@ fn work_of(outcome: &QueryOutcome) -> u64 {
 #[test]
 fn probe_compressed_equals_brute_force_reference_at_every_thread_count() {
     // Large enough that common grams seal posting blocks, so the plan's
-    // branches all run: folds that stop at an atom too large for the
-    // running bitmap, membership cursors, and materialize-and-gallop.
+    // branches all run: value-level materialization of a q-gram atom,
+    // membership cursors over the survivors' distinct values, and
+    // materialize-and-gallop.
     // The reference is the exhaustive batch run (the compiled verifier
     // on all 1.8M pairs; the uncompiled oracle would be too slow here).
     let (engine, credit, billing) = catalog(PLAN_CATALOG_PERSONS, 42);
@@ -483,6 +486,50 @@ fn probe_decoding_is_bounded_by_the_cheapest_atom() {
         "decoded {} blocks; the name lists hold {name_blocks}",
         outcome.stats.blocks_decoded
     );
+}
+
+/// q-gram anchors index distinct values, so storing every record three
+/// times (fresh ids, same values) must not add q-gram retrieval work: each
+/// probe decodes exactly the blocks it decodes against the plain store,
+/// and finds each hit once per copy. Hits equal the oracle's on both
+/// stores (checked on every 16th probe: the oracle evaluates every pair).
+#[test]
+fn probe_qgram_work_ignores_repeated_values() {
+    let (engine, credit, billing) = catalog(2_000, 42);
+    let mut tripled = Relation::new(billing.schema().clone());
+    let copies = 3u64;
+    let stride = billing.tuples().iter().map(|t| t.id()).max().expect("a store") + 1;
+    for copy in 0..copies {
+        for t in billing.tuples() {
+            tripled.push(Tuple::new(t.id() + copy * stride, t.values().to_vec()));
+        }
+    }
+    let single = engine.index(&billing).expect("index builds");
+    let repeated = engine.index(&tripled).expect("index builds");
+    assert_eq!(repeated.stats().distinct_values, single.stats().distinct_values);
+    let oracle = Oracle::of(&engine);
+    let mut decoded = 0;
+    for (i, probe) in credit.tuples().iter().enumerate() {
+        let (a, b) = (single.query(probe), repeated.query(probe));
+        assert_eq!(
+            a.stats.blocks_decoded,
+            b.stats.blocks_decoded,
+            "probe #{} decodes more blocks on the repeated store",
+            probe.id()
+        );
+        decoded += a.stats.blocks_decoded;
+        if i % 16 == 0 {
+            assert_eq!(hit_ids(&a), oracle.query(probe, billing.tuples()), "probe #{}", probe.id());
+            assert_eq!(hit_ids(&b), oracle.query(probe, tripled.tuples()), "probe #{}", probe.id());
+        }
+        let mut once: Vec<u64> = b.hits.iter().map(|h| h.id % stride).collect();
+        once.sort_unstable();
+        let mut expected: Vec<u64> =
+            (a.hits.iter()).flat_map(|h| std::iter::repeat_n(h.id, copies as usize)).collect();
+        expected.sort_unstable();
+        assert_eq!(once, expected, "probe #{} finds each hit once per copy", probe.id());
+    }
+    assert!(decoded > 0, "the store must seal posting blocks: {decoded}");
 }
 
 /// `len` lowercase letters drawn from a splitmix64 stream seeded by `i`.
