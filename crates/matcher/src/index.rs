@@ -1164,6 +1164,8 @@ thread_local! {
 /// atom), that atom is left to verification: deciding the leftover
 /// candidate there is cheaper than another retrieval, and the
 /// intersection of any subset of a key's atoms is a sound superset.
+/// Survivors sharing one value would be kept or dropped together, so
+/// copies of a value add verifications in proportion but no retrieval.
 const ENOUGH: usize = 1;
 
 /// One query answer: a tuple the probe matches, and the key that fired.
@@ -2001,9 +2003,9 @@ mod tests {
     }
 
     /// Builds `rel` serially and at 2 and 8 threads: every build passes
-    /// the invariants, and the parallel ones answer every probe with the
-    /// serial build's whole outcome (counters included) and report its
-    /// stats.
+    /// the invariants, and the parallel ones retrieve the serial build's
+    /// candidate set for every probe, answer it with the serial build's
+    /// whole outcome (counters included) and report its stats.
     fn assert_parallel_build_is_serial(
         probe_arity: usize,
         rel: &Relation,
@@ -2020,7 +2022,9 @@ mod tests {
             parallel.check_invariants();
             assert_eq!(parallel.stats(), serial.stats(), "stats at {threads} threads");
             for probe in probes {
-                assert_eq!(parallel.query(probe), serial.query(probe), "at {threads} threads");
+                let at = format!("probe #{} at {threads} threads", probe.id());
+                assert_eq!(parallel.candidates_for(probe), serial.candidates_for(probe), "{at}");
+                assert_eq!(parallel.query(probe), serial.query(probe), "{at}");
             }
         }
     }

@@ -491,8 +491,9 @@ fn probe_decoding_is_bounded_by_the_cheapest_atom() {
 /// q-gram anchors index distinct values, so storing every record three
 /// times (fresh ids, same values) must not add q-gram retrieval work: each
 /// probe decodes exactly the blocks it decodes against the plain store,
-/// and finds each hit once per copy. Hits equal the oracle's on both
-/// stores (checked on every 16th probe: the oracle evaluates every pair).
+/// and retrieves, verifies and finds once per copy what it does there.
+/// Hits equal the oracle's on both stores (checked on every 16th probe:
+/// the oracle evaluates every pair).
 #[test]
 fn probe_qgram_work_ignores_repeated_values() {
     let (engine, credit, billing) = catalog(2_000, 42);
@@ -518,6 +519,12 @@ fn probe_qgram_work_ignores_repeated_values() {
             probe.id()
         );
         decoded += a.stats.blocks_decoded;
+        // An atom whose survivors share one value is left to verification
+        // (one decision, `ENOUGH`): its copies add verification work in
+        // proportion, never a plan of their own.
+        let per_copy = copies as usize;
+        assert_eq!(b.candidates, per_copy * a.candidates, "probe #{} candidates", probe.id());
+        assert_eq!(b.key_evals, per_copy * a.key_evals, "probe #{} key evals", probe.id());
         if i % 16 == 0 {
             assert_eq!(hit_ids(&a), oracle.query(probe, billing.tuples()), "probe #{}", probe.id());
             assert_eq!(hit_ids(&b), oracle.query(probe, tripled.tuples()), "probe #{}", probe.id());
