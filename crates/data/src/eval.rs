@@ -124,12 +124,23 @@ pub struct FilterStats {
     /// evaluation, so it is **not** part of [`FilterStats::evaluations`].
     pub dedup_saved: u64,
     /// Retrieved entries rejected by per-entry index metadata (length
-    /// window, char-bag presence mask, token-count ratio) before ever
-    /// becoming candidates: distinct values when a q-gram atom is
-    /// materialized (one test covers every record holding the value),
-    /// slots otherwise. Counted during `MatchIndex` retrieval, not atom
-    /// evaluation — not part of [`FilterStats::evaluations`].
+    /// window, char-bag presence mask, element-set size ratio) before ever
+    /// becoming candidates: distinct values when a q-gram or element atom
+    /// is materialized (one test covers every record holding the value),
+    /// slots when a running candidate set is prefiltered. Counted during
+    /// `MatchIndex` retrieval, not atom evaluation — not part of
+    /// [`FilterStats::evaluations`]. Always the sum of the four
+    /// per-reason counters below ([`FilterStats::reject`]).
     pub retrieval_rejects: u64,
+    /// Retrieval rejects outside an edit atom's length window.
+    pub retrieval_length_rejects: u64,
+    /// Retrieval rejects by an edit atom's char-bag presence mask.
+    pub retrieval_mask_rejects: u64,
+    /// Retrieval rejects by an element atom's size-ratio bound.
+    pub retrieval_ratio_rejects: u64,
+    /// Retrieval rejects of slots whose attribute is `Null` under a
+    /// later atom (they hold no value to test, and null matches nothing).
+    pub retrieval_null_rejects: u64,
     /// Galloping comparison steps spent intersecting sorted candidate
     /// lists (work accounting for the probe hot path).
     pub gallop_steps: u64,
@@ -151,10 +162,26 @@ impl FilterStats {
         self.dp_runs += other.dp_runs;
         self.dedup_saved += other.dedup_saved;
         self.retrieval_rejects += other.retrieval_rejects;
+        self.retrieval_length_rejects += other.retrieval_length_rejects;
+        self.retrieval_mask_rejects += other.retrieval_mask_rejects;
+        self.retrieval_ratio_rejects += other.retrieval_ratio_rejects;
+        self.retrieval_null_rejects += other.retrieval_null_rejects;
         self.gallop_steps += other.gallop_steps;
         self.linear_steps += other.linear_steps;
         self.blocks_decoded += other.blocks_decoded;
         self.blocks_skipped += other.blocks_skipped;
+    }
+
+    /// Counts `n` retrieval rejects, under their reason and in
+    /// [`FilterStats::retrieval_rejects`].
+    pub fn reject(&mut self, why: RetrievalReject, n: u64) {
+        self.retrieval_rejects += n;
+        *match why {
+            RetrievalReject::LengthWindow => &mut self.retrieval_length_rejects,
+            RetrievalReject::PresenceMask => &mut self.retrieval_mask_rejects,
+            RetrievalReject::SizeRatio => &mut self.retrieval_ratio_rejects,
+            RetrievalReject::Null => &mut self.retrieval_null_rejects,
+        } += n;
     }
 
     /// Counts one evaluation decided at `stage`: the equal-buffers fast
@@ -182,6 +209,30 @@ impl FilterStats {
     pub fn evaluations(&self) -> u64 {
         self.equal_fast + self.rejected() + self.dp_runs
     }
+}
+
+/// Why index retrieval dropped an entry before it became a candidate —
+/// the reasons [`FilterStats::retrieval_rejects`] is split by.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RetrievalReject {
+    /// The stored length lies outside the edit atom's length window.
+    LengthWindow,
+    /// The char-bag presence masks differ by more than the edit bound.
+    PresenceMask,
+    /// The element-set sizes violate the operator's size-ratio bound.
+    SizeRatio,
+    /// The slot's attribute is `Null`.
+    Null,
+}
+
+impl RetrievalReject {
+    /// Every reason, in declaration order (`why as usize` indexes it).
+    pub const ALL: [RetrievalReject; 4] = [
+        RetrievalReject::LengthWindow,
+        RetrievalReject::PresenceMask,
+        RetrievalReject::SizeRatio,
+        RetrievalReject::Null,
+    ];
 }
 
 /// Which stage of the compiled evaluation pipeline decided one atom —
@@ -776,6 +827,10 @@ mod tests {
             dp_runs: 4,
             dedup_saved: 7,
             retrieval_rejects: 2,
+            retrieval_length_rejects: 1,
+            retrieval_mask_rejects: 1,
+            retrieval_ratio_rejects: 0,
+            retrieval_null_rejects: 0,
             gallop_steps: 20,
             linear_steps: 30,
             blocks_decoded: 4,
@@ -789,6 +844,10 @@ mod tests {
             dp_runs: 2,
             dedup_saved: 3,
             retrieval_rejects: 1,
+            retrieval_length_rejects: 0,
+            retrieval_mask_rejects: 0,
+            retrieval_ratio_rejects: 1,
+            retrieval_null_rejects: 0,
             gallop_steps: 2,
             linear_steps: 3,
             blocks_decoded: 1,
@@ -807,6 +866,31 @@ mod tests {
         // dedup_saved and the retrieval counters track skipped or
         // amortized work, not evaluations.
         assert_eq!(a.evaluations(), 28);
+        assert_eq!(
+            (a.retrieval_length_rejects, a.retrieval_mask_rejects, a.retrieval_ratio_rejects),
+            (1, 1, 1)
+        );
+    }
+
+    #[test]
+    fn retrieval_rejects_are_the_sum_of_their_reasons() {
+        use RetrievalReject::*;
+        let mut stats = FilterStats::default();
+        let reasons = [LengthWindow, PresenceMask, PresenceMask, SizeRatio, Null, LengthWindow];
+        for why in reasons {
+            stats.reject(why, 1);
+        }
+        stats.reject(Null, 0);
+        let split = [
+            stats.retrieval_length_rejects,
+            stats.retrieval_mask_rejects,
+            stats.retrieval_ratio_rejects,
+            stats.retrieval_null_rejects,
+        ];
+        assert_eq!(split, [2, 2, 1, 1]);
+        assert_eq!(split.iter().sum::<u64>(), stats.retrieval_rejects);
+        assert_eq!(stats.retrieval_rejects, reasons.len() as u64);
+        assert_eq!(stats.evaluations(), 0, "retrieval rejects are not evaluations");
     }
 
     #[test]

@@ -34,11 +34,14 @@
 //! * **element posting lists** for operators that decompose values into
 //!   elements — word tokens (Jaccard), padded q-grams (Dice), the
 //!   distinct characters of a sorted-character prefix (Jaro–Winkler
-//!   above 0.8) — one list per distinct element, with candidates
-//!   filtered by the operator's sound size-ratio bound (Jaccard ≥ s
-//!   forces the smaller set to hold ≥ s·|larger| elements), plus an
-//!   **empty list** retrieved only by element-less probes (∅ ≈ ∅ holds
-//!   under every such operator; a one-sided ∅ never matches).
+//!   above 0.8) — over the attribute's distinct values through the same
+//!   kind of dictionary: one list of value ids per distinct element,
+//!   each value's elements extracted and its element-set size stored
+//!   once, with candidates filtered by the operator's sound size-ratio
+//!   bound (Jaccard ≥ s forces the smaller set to hold ≥ s·|larger|
+//!   elements), plus an **empty list** of the element-less values,
+//!   retrieved only by element-less probes (∅ ≈ ∅ holds under every such
+//!   operator; a one-sided ∅ never matches).
 //!
 //! Because an RCK is a *conjunction*, a key's candidates are the
 //! **intersection** of its indexed atoms' retrievals (each retrieval is a
@@ -50,12 +53,14 @@
 //!
 //! How a key's intersection is computed is planned **per probe**, from
 //! the exact posting volume each atom's lists hold for that probe (read
-//! off list headers, no decoding; value entries for a q-gram atom): the
-//! cheapest atom is retrieved first, every remaining atom's prefilter
+//! off list headers, no decoding; value entries for a q-gram or element
+//! atom): the cheapest atom is retrieved first — the only atom of a key
+//! ever expanded from values to slots — every remaining atom's prefilter
 //! (length window, presence mask, size ratio) runs on the survivors
 //! before any of its lists is touched, and the survivors are tested
-//! against the rest by membership cursors or against a materialized
-//! union — whichever walks fewer entries. The index stores no plan and learns
+//! against the rest over value ids (or slots, for key buckets) by
+//! membership cursors or against the atom's whole union — whichever
+//! walks fewer entries. The index stores no plan and learns
 //! nothing from traffic; a plan is a pure function of the probe and
 //! the index version, and any plan yields the same hits, because every
 //! intersection prefix is a superset of what the key accepts.
@@ -103,12 +108,12 @@ use matchrules_core::negation::NegativeRule;
 use matchrules_core::operators::OperatorId;
 use matchrules_core::relative_key::RelativeKey;
 use matchrules_core::schema::{AttrId, Schema};
-use matchrules_data::eval::{AtomTrace, FilterStats, RuntimeOps};
+use matchrules_data::eval::{AtomTrace, FilterStats, RetrievalReject, RuntimeOps};
 use matchrules_data::prep::{AttrSig, RelationPrep, SigNeeds};
 use matchrules_data::relation::{Relation, Tuple, TupleId};
 use matchrules_runtime::{CowMap, CowVec, WorkPool, CHUNK_LEN};
 use matchrules_simdist::edit::theta_bound;
-use matchrules_simdist::filters::FILTER_Q;
+use matchrules_simdist::filters::{StringSig, FILTER_Q};
 use matchrules_simdist::ops::OpClass;
 use std::cell::RefCell;
 use std::collections::hash_map::RandomState;
@@ -205,11 +210,6 @@ pub fn qgram_safe_len(theta: f64, q: usize) -> Option<usize> {
 /// *weaker* than the exact real-arithmetic bound — never unsound.
 const RATIO_EPS: f64 = 1e-9;
 
-/// Sentinel in the element anchors' per-slot `sizes` for slots
-/// whose anchor value is `Null`. Such slots appear on no posting or
-/// empty list, so the sentinel is never read by a ratio filter.
-const NULL_SLOT: u32 = u32::MAX;
-
 /// The element anchors' size-ratio filter: keeps a pair iff
 /// `min(a, b) ≥ ratio·max(a, b)` up to float slack.
 fn ratio_ok(ratio: f64, a: u32, b: u32) -> bool {
@@ -269,8 +269,9 @@ pub fn anchor_of(class: OpClass) -> Option<Anchor> {
 }
 
 /// Reusable buffers for what an operator derives from one value — its
-/// keys and its elements. Index maintenance and probe preparation both
-/// fill them, so neither allocates a fresh list per tuple.
+/// keys, and the posting keys (elements or gram hashes) it is listed
+/// under. Index maintenance and probe preparation both fill them, so
+/// neither allocates a fresh list per tuple.
 #[derive(Default)]
 struct AnchorScratch {
     keys: Vec<String>,
@@ -303,23 +304,25 @@ impl AnchorScratch {
     }
 }
 
-/// A q-gram anchor's id for one distinct value of its attribute: handed
-/// out in first-occurrence order and never reused, so postings over
-/// value ids stay ascending under appends exactly as slot postings do.
+/// A dictionary-backed anchor's id for one distinct value of its
+/// attribute: handed out in first-occurrence order and never reused, so
+/// postings over value ids stay ascending under appends exactly as slot
+/// postings do.
 type ValueId = u32;
 
 /// "Nothing here" in the dictionary's links: no slot, no value.
 const NO_ID: u32 = u32::MAX;
 
-/// One distinct value of a q-gram anchor's attribute: the metadata its
-/// prefilter reads, the ends of its live-slot chain, and the next value
-/// whose string hashes alike.
+/// One distinct value of a dictionary-backed anchor's attribute: the
+/// metadata its prefilter reads, the ends of its live-slot chain, and the
+/// next value whose string hashes alike.
 #[derive(Clone, Copy, Debug)]
 struct ValueEntry {
-    /// Char-bag presence mask.
+    /// Char-bag presence mask (q-gram anchors; 0 for element anchors).
     mask: u64,
-    /// Length in chars.
-    len: u32,
+    /// Length in chars (q-gram anchors), or the element-set size the
+    /// size-ratio bound reads (element anchors).
+    size: u32,
     /// First and last live slot holding the value; [`NO_ID`] once the
     /// value is dead (its last slot was removed).
     head: u32,
@@ -328,23 +331,17 @@ struct ValueEntry {
     collide: ValueId,
 }
 
-/// One slot of a q-gram anchor: its value ([`NO_ID`] for `Null`) and its
-/// neighbours in the value's chain of live slots (ascending).
+/// One slot's neighbours in its value's chain of live slots (ascending).
 #[derive(Clone, Copy, Debug)]
 struct SlotLink {
-    value: ValueId,
     prev: u32,
     next: u32,
 }
 
-impl SlotLink {
-    const NULL: SlotLink = SlotLink { value: NO_ID, prev: NO_ID, next: NO_ID };
-}
-
-/// The distinct values of one q-gram anchor's attribute. Each value is
-/// reached by a hash of its string; the string itself is read back from
-/// the tuple of the value's first live slot (slots keep their tuples),
-/// so the dictionary copies no strings. Every container is a
+/// The distinct values of one dictionary-backed anchor's attribute. Each
+/// value is reached by a hash of its string; the string itself is read
+/// back from the tuple of the value's first live slot (slots keep their
+/// tuples), so the dictionary copies no strings. Every container is a
 /// [`CowVec`]/[`CowMap`] of plain `Copy` entries: a clone shares all of
 /// it, and a write copies only the chunks and stripe it touches.
 #[derive(Clone)]
@@ -354,13 +351,19 @@ struct ValueDict {
     /// follow through [`ValueEntry::collide`].
     ids: CowMap<u64, ValueId>,
     values: CowVec<ValueEntry>,
-    /// One link per slot from `base` on.
-    slots: CowVec<SlotLink>,
-    /// The first slot `slots` covers: 0 for an index, the chunk start
+    /// Per slot from `base` on, the value it holds ([`NO_ID`] for
+    /// `Null`) — a column of its own, so retrieval reads a slot's value
+    /// from a dense array.
+    slot_values: CowVec<ValueId>,
+    /// Per slot from `base` on, its chain links.
+    links: CowVec<SlotLink>,
+    /// The first slot the columns cover: 0 for an index, the chunk start
     /// for a partial of a parallel build.
     base: u32,
     /// Live values (those with at least one live slot).
     live: usize,
+    /// Live slots holding a value: `held / live` is the repeat factor.
+    held: usize,
 }
 
 impl ValueDict {
@@ -369,24 +372,33 @@ impl ValueDict {
             hasher: RandomState::new(),
             ids: CowMap::new(),
             values: CowVec::new(),
-            slots: CowVec::new(),
+            slot_values: CowVec::new(),
+            links: CowVec::new(),
             base,
             live: 0,
+            held: 0,
         }
     }
 
     fn link(&self, slot: u32) -> SlotLink {
-        self.slots[(slot - self.base) as usize]
+        self.links[(slot - self.base) as usize]
     }
 
     fn link_mut(&mut self, slot: u32) -> &mut SlotLink {
-        self.slots.get_mut((slot - self.base) as usize)
+        self.links.get_mut((slot - self.base) as usize)
+    }
+
+    /// Appends the next slot, holding `value` ([`NO_ID`] for `Null`)
+    /// after `prev` in its chain.
+    fn push_slot(&mut self, value: ValueId, prev: u32) {
+        self.slot_values.push(value);
+        self.links.push(SlotLink { prev, next: NO_ID });
     }
 
     /// The value `slot` holds ([`NO_ID`] for `Null`).
     #[inline]
     fn value_of(&self, slot: u32) -> ValueId {
-        self.link(slot).value
+        self.slot_values[(slot - self.base) as usize]
     }
 
     /// The live value whose string is `s` (hashing to `hash`), compared
@@ -431,7 +443,7 @@ impl ValueDict {
     /// is returned (re-inserting `s` later opens a fresh id). The slot
     /// keeps its value id.
     fn remove(&mut self, slot: u32, s: &str) -> Option<ValueId> {
-        let SlotLink { value: v, prev, next } = self.link(slot);
+        let (v, SlotLink { prev, next }) = (self.value_of(slot), self.link(slot));
         match prev {
             NO_ID => self.values.get_mut(v as usize).head = next,
             prev => self.link_mut(prev).next = next,
@@ -440,6 +452,7 @@ impl ValueDict {
             NO_ID => self.values.get_mut(v as usize).tail = prev,
             next => self.link_mut(next).prev = prev,
         }
+        self.held -= 1;
         if self.values[v as usize].head != NO_ID {
             return None;
         }
@@ -488,9 +501,262 @@ impl Index<usize> for LiveValues<'_> {
     }
 }
 
+/// How a dictionary-backed anchor turns one distinct value into posting
+/// keys and prefilter metadata.
+#[derive(Clone, Copy, Debug)]
+enum ValueKind {
+    /// q-gram postings ([`Anchor::Grams`]).
+    Grams { theta: f64, safe_len: usize },
+    /// Element postings ([`Anchor::Elements`]) of operator `op`.
+    Elements { op: OperatorId, min_ratio: f64 },
+}
+
+impl ValueKind {
+    /// Describes the value `s` — once per distinct value: the entry its
+    /// prefilter reads (chain ends unset) and whether it goes on the side
+    /// list, with the keys of the posting lists it joins left in
+    /// `scratch.elems` (its distinct gram hashes, or its elements).
+    fn describe(
+        self,
+        s: &str,
+        ops: &RuntimeOps,
+        scratch: &mut AnchorScratch,
+    ) -> (ValueEntry, bool) {
+        let entry =
+            |size, mask| ValueEntry { mask, size, head: NO_ID, tail: NO_ID, collide: NO_ID };
+        match self {
+            ValueKind::Grams { safe_len, .. } => {
+                let chars: Vec<char> = s.chars().collect();
+                let sig = StringSig::of_chars(&chars);
+                scratch.elems.clear();
+                scratch.elems.extend(sig.qgrams().distinct_hashes());
+                let len = sig.char_len();
+                (entry(len as u32, sig.bag().presence_mask()), len < safe_len)
+            }
+            ValueKind::Elements { op, .. } => {
+                let size = scratch.elements_of(ops, op, s);
+                (entry(size, 0), scratch.elems.is_empty())
+            }
+        }
+    }
+}
+
+/// An atom indexed over its attribute's distinct values (`dict`): posting
+/// key → compressed posting list of the value ids listed under it, plus
+/// the `side` list of value ids retrieved without a shared key (the
+/// sparse list of a q-gram atom, the empty list of an element atom). Every
+/// list holds value ids, so a value repeated across many records is
+/// described, listed, decoded and prefiltered once; a retrieval expands
+/// surviving values to their live slots through the dictionary. `Null`
+/// slots hold no value and appear on no list.
+#[derive(Clone)]
+struct ValueIndex {
+    left: AttrId,
+    right: AttrId,
+    kind: ValueKind,
+    postings: CowMap<u64, PostingList>,
+    side: Arc<Vec<ValueId>>,
+    dict: ValueDict,
+}
+
+impl ValueIndex {
+    /// Indexes one slot; `tuples` holds every earlier slot's tuple (see
+    /// [`AtomIndex::add`]). A value some live slot already holds only
+    /// gains the slot; a new one is described and listed.
+    fn add<T>(
+        &mut self,
+        slot: u32,
+        tuple: &Tuple,
+        tuples: &T,
+        ops: &RuntimeOps,
+        scratch: &mut AnchorScratch,
+    ) where
+        T: Index<usize, Output = Tuple> + ?Sized,
+    {
+        let dict = &mut self.dict;
+        let Some(s) = tuple.get(self.right).as_str() else {
+            return dict.push_slot(NO_ID, NO_ID);
+        };
+        dict.held += 1;
+        let hash = dict.hasher.hash_one(s);
+        if let Some(v) = dict.find(hash, s, self.right, tuples) {
+            let prev = dict.splice(v, slot, slot);
+            return dict.push_slot(v, prev);
+        }
+        let (entry, side) = self.kind.describe(s, ops, scratch);
+        let v = dict.open(hash, ValueEntry { head: slot, tail: slot, ..entry });
+        dict.push_slot(v, NO_ID);
+        if side {
+            Arc::make_mut(&mut self.side).push(v);
+        }
+        for &key in &scratch.elems {
+            self.postings.or_default(key).push(v);
+        }
+    }
+
+    /// Folds a partial (higher-slot) index in. The partial's values are
+    /// matched to this index's by string (read from `tuples`): a value
+    /// both hold gets the partial's slots appended to its chain, the
+    /// others are opened here in the partial's order — so value ids,
+    /// chains and lists come out as a serial build makes them.
+    fn merge(&mut self, other: ValueIndex, tuples: &[Tuple]) {
+        let ValueIndex { postings: p2, side: s2, dict: mut d2, .. } = other;
+        let dict = &mut self.dict;
+        debug_assert_eq!(d2.base as usize, dict.base as usize + dict.links.len());
+        let first_new = dict.values.len() as ValueId;
+        let mut global = Vec::with_capacity(d2.values.len());
+        for local in 0..d2.values.len() {
+            let entry = d2.values[local];
+            let s = tuples[entry.head as usize].get(self.right).as_str();
+            let s = s.expect("a value's slots hold its string");
+            let hash = dict.hasher.hash_one(s);
+            let v = match dict.find(hash, s, self.right, tuples) {
+                Some(v) => {
+                    d2.link_mut(entry.head).prev = dict.splice(v, entry.head, entry.tail);
+                    v
+                }
+                None => dict.open(hash, entry),
+            };
+            global.push(v);
+        }
+        dict.held += d2.held;
+        let to_global = |v: ValueId| if v == NO_ID { NO_ID } else { global[v as usize] };
+        dict.slot_values.extend(d2.slot_values.iter().map(|&v| to_global(v)));
+        dict.links.extend(d2.links.iter().copied());
+        // Values this index already held are on their lists; only the
+        // opened ones join, in ascending id order.
+        let mut scratch = Vec::new();
+        for (key, list) in p2.iter() {
+            scratch.clear();
+            list.decode_all_into(&mut scratch);
+            for &local in &scratch {
+                let v = global[local as usize];
+                if v >= first_new {
+                    self.postings.or_default(*key).push(v);
+                }
+            }
+        }
+        let opened = s2.iter().map(|&local| global[local as usize]);
+        Arc::make_mut(&mut self.side).extend(opened.filter(|&v| v >= first_new));
+    }
+
+    /// Resolves the probe into the posting lists (and side list) whose
+    /// union holds its candidate values, under the kind's per-value
+    /// prefilter. A `Null` probe value prepares an empty retrieval.
+    fn prepare<'a>(
+        &'a self,
+        probe: PairSide<'_>,
+        ops: &RuntimeOps,
+        scratch: &mut AnchorScratch,
+    ) -> PreparedAtom<'a> {
+        let mut pa = PreparedAtom::empty();
+        let test = match self.kind {
+            ValueKind::Grams { theta, safe_len } => {
+                let computed;
+                let sig = match probe.sigs.sig(self.left) {
+                    Some(sig) => sig,
+                    None => {
+                        computed = AttrSig::of_value(probe.tuple.get(self.left));
+                        &computed
+                    }
+                };
+                if sig.is_null() {
+                    return pa;
+                }
+                if sig.sig().char_len() < safe_len {
+                    // Short probe: pairs below the safe length need not
+                    // share a gram; partners at or above it are caught by
+                    // the postings (their length alone puts the pair in
+                    // the guaranteed regime).
+                    pa.plain.push(self.side.as_slice());
+                }
+                for hash in sig.sig().qgrams().distinct_hashes() {
+                    if let Some(list) = self.postings.get(&hash) {
+                        pa.comp.push(list);
+                    }
+                }
+                let len = sig.sig().char_len() as u32;
+                let (len_lo, len_hi) = edit_len_window(theta, len);
+                let mask = sig.sig().bag().presence_mask();
+                ValueTest::Edit(EditProbe { theta, len, mask, len_lo, len_hi })
+            }
+            ValueKind::Elements { op, min_ratio } => {
+                let Some(s) = probe.tuple.get(self.left).as_str() else {
+                    return pa;
+                };
+                let size = scratch.elements_of(ops, op, s);
+                if scratch.elems.is_empty() {
+                    // An element-less probe can only match element-less
+                    // values (the ratio bound rules everything else out).
+                    pa.plain.push(self.side.as_slice());
+                    ValueTest::Any
+                } else {
+                    for elem in &scratch.elems {
+                        if let Some(list) = self.postings.get(elem) {
+                            pa.comp.push(list);
+                        }
+                    }
+                    ValueTest::Ratio { ratio: min_ratio, probe: size }
+                }
+            }
+        };
+        pa.filter = EntryFilter::Values { dict: &self.dict, test };
+        pa
+    }
+
+    /// Drops `slot`, which holds `tuple`, from its value; only a value
+    /// whose last slot goes is described again and leaves its lists (the
+    /// side list at once, posting lists as counted tombstones).
+    fn remove_slot(
+        &mut self,
+        slot: u32,
+        tuple: &Tuple,
+        ops: &RuntimeOps,
+        scratch: &mut AnchorScratch,
+    ) {
+        let Some(s) = tuple.get(self.right).as_str() else { return };
+        let Some(v) = self.dict.remove(slot, s) else { return };
+        let (_, side) = self.kind.describe(s, ops, scratch);
+        if side {
+            drop_from(Arc::make_mut(&mut self.side), v);
+        }
+        for &key in &scratch.elems {
+            drop_posting(&mut self.postings, key, v, &LiveValues(&self.dict.values));
+        }
+    }
+}
+
+/// Removes `entry` from a sorted plain list, if present.
+fn drop_from(list: &mut Vec<u32>, entry: u32) {
+    if let Ok(i) = list.binary_search(&entry) {
+        list.remove(i);
+    }
+}
+
+/// Tombstones `entry` on the posting list under `key` (dropping the list
+/// once empty); `alive` drives the block rewrite's liveness check.
+fn drop_posting<A: Index<usize, Output = bool> + ?Sized>(
+    postings: &mut CowMap<u64, PostingList>,
+    key: u64,
+    entry: u32,
+    alive: &A,
+) {
+    let emptied = match postings.get_mut(&key) {
+        Some(list) => {
+            list.note_removed(entry, alive);
+            list.is_empty()
+        }
+        None => false,
+    };
+    if emptied {
+        postings.remove(&key);
+    }
+}
+
 /// An inverted index over one indexable atom, shared by every key that
-/// mentions the atom: one variant per [`Anchor`]; see the [module
-/// docs](self) for the per-kind soundness argument.
+/// mentions the atom: key buckets, or lists over distinct values for
+/// q-gram and element anchors; see the [module docs](self) for the
+/// per-kind soundness argument.
 #[derive(Clone)]
 enum AtomIndex {
     /// Key atom (equality, soundex, digit equality, synonym tables):
@@ -499,38 +765,21 @@ enum AtomIndex {
     /// key buckets is a superset of the atom's match set. `Null` values
     /// derive nothing: null matches nothing.
     Keys { left: AttrId, right: AttrId, op: OperatorId, buckets: CowMap<String, Vec<u32>> },
-    /// Thresholded edit atom over the attribute's distinct values
-    /// (`dict`): gram hash → compressed posting list of the value ids
-    /// whose string contains the gram, plus the sparse list of value ids
-    /// whose string is shorter than `safe_len` (scanned whenever the
-    /// probe itself is short, because gram sharing is only guaranteed
-    /// above the safe length). The retrieval-time length window and
-    /// presence-mask prefilters read each value's char length and
-    /// char-bag mask from `dict`, once per value — both sound because each
-    /// lower-bounds the OSA distance the verification kernel would
-    /// compute. `Null` slots hold no value and appear on no list.
-    Grams {
-        left: AttrId,
-        right: AttrId,
-        theta: f64,
-        safe_len: usize,
-        postings: CowMap<u64, PostingList>,
-        sparse: Arc<Vec<ValueId>>,
-        dict: ValueDict,
-    },
-    /// Element atom (token Jaccard, q-gram Dice, Jaro–Winkler): element
-    /// → slots containing it, with per-slot sizes for the
-    /// `min ≥ min_ratio·max` filter. Slots whose value produces no
-    /// elements live on `empty`, retrieved only by element-less probes.
-    Elements {
-        left: AttrId,
-        right: AttrId,
-        op: OperatorId,
-        min_ratio: f64,
-        postings: CowMap<u64, PostingList>,
-        sizes: CowVec<u32>,
-        empty: Arc<Vec<u32>>,
-    },
+    /// Thresholded edit atom ([`ValueKind::Grams`]): gram hash → the
+    /// value ids whose string contains the gram; the side list holds the
+    /// values shorter than `safe_len`, scanned whenever the probe itself
+    /// is short (gram sharing is only guaranteed above the safe length).
+    /// The retrieval-time length window and presence-mask prefilters read
+    /// each value's char length and char-bag mask once — both sound
+    /// because each lower-bounds the OSA distance the verification kernel
+    /// would compute.
+    ///
+    /// Element atom ([`ValueKind::Elements`]: token Jaccard, q-gram Dice,
+    /// Jaro–Winkler): element → the value ids whose element set holds it,
+    /// under the `min ≥ min_ratio·max` filter on each value's element-set
+    /// size (stored once per value); the side list holds the element-less
+    /// values, retrieved only by element-less probes.
+    Values(Box<ValueIndex>),
 }
 
 impl AtomIndex {
@@ -538,35 +787,26 @@ impl AtomIndex {
     /// on.
     fn new(atom: &SimilarityAtom, anchor: Anchor, base: u32) -> AtomIndex {
         let (left, right, op) = (atom.left, atom.right, atom.op);
-        match anchor {
-            Anchor::Keys => AtomIndex::Keys { left, right, op, buckets: CowMap::new() },
-            Anchor::Grams { theta, safe_len } => AtomIndex::Grams {
-                left,
-                right,
-                theta,
-                safe_len,
-                postings: CowMap::new(),
-                sparse: Arc::default(),
-                dict: ValueDict::new(base),
-            },
-            Anchor::Elements { min_ratio } => AtomIndex::Elements {
-                left,
-                right,
-                op,
-                min_ratio,
-                postings: CowMap::new(),
-                sizes: CowVec::new(),
-                empty: Arc::default(),
-            },
-        }
+        let kind = match anchor {
+            Anchor::Keys => return AtomIndex::Keys { left, right, op, buckets: CowMap::new() },
+            Anchor::Grams { theta, safe_len } => ValueKind::Grams { theta, safe_len },
+            Anchor::Elements { min_ratio } => ValueKind::Elements { op, min_ratio },
+        };
+        AtomIndex::Values(Box::new(ValueIndex {
+            left,
+            right,
+            kind,
+            postings: CowMap::new(),
+            side: Arc::default(),
+            dict: ValueDict::new(base),
+        }))
     }
 
     /// Indexes one tuple (slot ids arrive in ascending order, so every
-    /// bucket/posting/sparse list stays sorted; variants with per-slot
-    /// aligned arrays push exactly one entry per call). `tuples` holds
-    /// every earlier slot's tuple: a q-gram atom reads its values'
-    /// strings back from them, and extracts a gram signature only for a
-    /// string no live value holds. Keys and elements come from the
+    /// bucket and list stays sorted, and a value index pushes exactly one
+    /// slot link per call). `tuples` holds every earlier slot's tuple: a
+    /// value index reads its values' strings back from them, and describes
+    /// only a string no live value holds. Keys and elements come from the
     /// operator via `ops`, through `scratch`.
     fn add<T>(
         &mut self,
@@ -586,108 +826,20 @@ impl AtomIndex {
                     });
                 }
             }
-            AtomIndex::Grams { right, safe_len, postings, sparse, dict, .. } => {
-                let Some(s) = tuple.get(*right).as_str() else {
-                    return dict.slots.push(SlotLink::NULL);
-                };
-                let hash = dict.hasher.hash_one(s);
-                if let Some(v) = dict.find(hash, s, *right, tuples) {
-                    let prev = dict.splice(v, slot, slot);
-                    return dict.slots.push(SlotLink { value: v, prev, next: NO_ID });
-                }
-                let sig = AttrSig::of_value(tuple.get(*right));
-                let (mask, len) = (sig.sig().bag().presence_mask(), sig.sig().char_len() as u32);
-                let v = dict
-                    .open(hash, ValueEntry { mask, len, head: slot, tail: slot, collide: NO_ID });
-                dict.slots.push(SlotLink { value: v, prev: NO_ID, next: NO_ID });
-                if sig.sig().char_len() < *safe_len {
-                    Arc::make_mut(sparse).push(v);
-                }
-                for hash in sig.sig().qgrams().distinct_hashes() {
-                    postings.or_default(hash).push(v);
-                }
-            }
-            AtomIndex::Elements { right, op, postings, sizes, empty, .. } => {
-                match tuple.get(*right).as_str() {
-                    None => sizes.push(NULL_SLOT),
-                    Some(s) => {
-                        sizes.push(scratch.elements_of(ops, *op, s));
-                        if scratch.elems.is_empty() {
-                            Arc::make_mut(empty).push(slot);
-                        }
-                        for &elem in &scratch.elems {
-                            postings.or_default(elem).push(slot);
-                        }
-                    }
-                }
-            }
+            AtomIndex::Values(vi) => vi.add(slot, tuple, tuples, ops, scratch),
         }
     }
 
     /// Folds another (partial, higher-slot) index of the same shape in —
-    /// the deterministic merge step of the parallel build. A q-gram
-    /// partial's values are matched to this index's by string (read from
-    /// `tuples`): a value both hold gets the partial's slots appended to
-    /// its chain, the others are opened here in the partial's order — so
-    /// value ids, chains and postings come out as a serial build makes
-    /// them.
+    /// the deterministic merge step of the parallel build.
     fn merge(&mut self, other: AtomIndex, tuples: &[Tuple]) {
-        let mut scratch = Vec::new();
         match (self, other) {
             (AtomIndex::Keys { buckets, .. }, AtomIndex::Keys { buckets: partial, .. }) => {
                 for (key, slots) in partial.into_entries() {
                     buckets.or_default(key).extend(slots);
                 }
             }
-            (
-                AtomIndex::Grams { right, postings, sparse, dict, .. },
-                AtomIndex::Grams { postings: p2, sparse: s2, dict: mut d2, .. },
-            ) => {
-                debug_assert_eq!(d2.base as usize, dict.base as usize + dict.slots.len());
-                let first_new = dict.values.len() as ValueId;
-                let mut global = Vec::with_capacity(d2.values.len());
-                for local in 0..d2.values.len() {
-                    let entry = d2.values[local];
-                    let s = tuples[entry.head as usize].get(*right).as_str();
-                    let s = s.expect("a value's slots hold its string");
-                    let hash = dict.hasher.hash_one(s);
-                    let v = match dict.find(hash, s, *right, tuples) {
-                        Some(v) => {
-                            d2.link_mut(entry.head).prev = dict.splice(v, entry.head, entry.tail);
-                            v
-                        }
-                        None => dict.open(hash, entry),
-                    };
-                    global.push(v);
-                }
-                let to_global = |v: ValueId| if v == NO_ID { NO_ID } else { global[v as usize] };
-                (dict.slots)
-                    .extend(d2.slots.iter().map(|l| SlotLink { value: to_global(l.value), ..*l }));
-                // Values this index already held are on their grams'
-                // lists; only the opened ones join, in ascending id order.
-                for (hash, list) in p2.iter() {
-                    scratch.clear();
-                    list.decode_all_into(&mut scratch);
-                    for &local in &scratch {
-                        let v = global[local as usize];
-                        if v >= first_new {
-                            postings.or_default(*hash).push(v);
-                        }
-                    }
-                }
-                let opened = s2.iter().map(|&local| global[local as usize]);
-                Arc::make_mut(sparse).extend(opened.filter(|&v| v >= first_new));
-            }
-            (
-                AtomIndex::Elements { postings, sizes, empty, .. },
-                AtomIndex::Elements { postings: p2, sizes: s2, empty: e2, .. },
-            ) => {
-                for (elem, list) in p2.iter() {
-                    postings.or_default(*elem).extend_from(list, &mut scratch);
-                }
-                sizes.extend(s2.iter().copied());
-                Arc::make_mut(empty).extend_from_slice(&e2);
-            }
+            (AtomIndex::Values(vi), AtomIndex::Values(partial)) => vi.merge(*partial, tuples),
             _ => unreachable!("parallel build merges atom indices of one shape"),
         }
     }
@@ -705,110 +857,37 @@ impl AtomIndex {
         ops: &RuntimeOps,
         scratch: &mut AnchorScratch,
     ) -> PreparedAtom<'a> {
-        let mut pa = PreparedAtom::empty();
         match self {
             AtomIndex::Keys { left, op, buckets, .. } => {
-                let Some(s) = probe.tuple.get(*left).as_str() else {
-                    return pa; // null matches nothing
-                };
-                scratch.for_each_key(ops, *op, s, |key| {
-                    if let Some(bucket) = buckets.get(key) {
-                        pa.plain.push(bucket.as_slice());
-                    }
-                });
+                let mut pa = PreparedAtom::empty();
+                if let Some(s) = probe.tuple.get(*left).as_str() {
+                    scratch.for_each_key(ops, *op, s, |key| {
+                        if let Some(bucket) = buckets.get(key) {
+                            pa.plain.push(bucket.as_slice());
+                        }
+                    });
+                }
+                pa
             }
-            AtomIndex::Grams { left, theta, safe_len, postings, sparse, dict, .. } => {
-                let computed;
-                let sig = match probe.sigs.sig(*left) {
-                    Some(sig) => sig,
-                    None => {
-                        computed = AttrSig::of_value(probe.tuple.get(*left));
-                        &computed
-                    }
-                };
-                if sig.is_null() {
-                    return pa;
-                }
-                if sig.sig().char_len() < *safe_len {
-                    // Short probe: pairs below the safe length need not
-                    // share a gram; partners at or above it are caught by
-                    // the postings (their length alone puts the pair in
-                    // the guaranteed regime).
-                    pa.plain.push(sparse.as_slice());
-                }
-                for hash in sig.sig().qgrams().distinct_hashes() {
-                    if let Some(list) = postings.get(&hash) {
-                        pa.comp.push(list);
-                    }
-                }
-                let len = sig.sig().char_len() as u32;
-                let (len_lo, len_hi) = edit_len_window(*theta, len);
-                let mask = sig.sig().bag().presence_mask();
-                let edit = EditProbe { theta: *theta, len, mask, len_lo, len_hi };
-                pa.filter = EntryFilter::Values { dict, edit };
-            }
-            AtomIndex::Elements { left, op, min_ratio, postings, sizes, empty, .. } => {
-                let Some(s) = probe.tuple.get(*left).as_str() else {
-                    return pa;
-                };
-                let size = scratch.elements_of(ops, *op, s);
-                if scratch.elems.is_empty() {
-                    // An element-less probe can only match element-less
-                    // tuples (the ratio bound rules everything else out).
-                    pa.plain.push(empty.as_slice());
-                    return pa;
-                }
-                for elem in &scratch.elems {
-                    if let Some(list) = postings.get(elem) {
-                        pa.comp.push(list);
-                    }
-                }
-                pa.filter = EntryFilter::Ratio { ratio: *min_ratio, sizes, probe: size };
-            }
+            AtomIndex::Values(vi) => vi.prepare(probe, ops, scratch),
         }
-        pa
     }
 
     /// Purges `slot` from this atom's buckets and postings — the inverse
-    /// of [`AtomIndex::add`], recomputing the same anchor keys (and gram
-    /// signature) from the stored tuple. Plain lists drop the entry
-    /// immediately; compressed posting lists tombstone it and rewrite
-    /// their block once half dead (`alive` — slot liveness, or value
-    /// liveness for a q-gram atom — drives the rewrite's liveness check).
-    /// A q-gram atom drops the slot from its value, and only a value whose
-    /// last slot goes leaves its lists. Aligned per-slot data (`sizes`,
-    /// a q-gram slot's value id) keeps its entry: slots are never reused,
-    /// and the data stays correct for any stale reader.
+    /// of [`AtomIndex::add`], recomputing the same anchor keys from the
+    /// stored tuple. Key buckets drop the slot immediately. A value index
+    /// drops the slot from its value, and only a value whose last slot
+    /// goes leaves its lists: compressed posting lists tombstone it and
+    /// rewrite their block once half dead. The slot keeps its value id:
+    /// slots are never reused, and the link stays correct for any stale
+    /// reader.
     fn remove_slot(
         &mut self,
         slot: u32,
         tuple: &Tuple,
         ops: &RuntimeOps,
-        alive: &CowVec<bool>,
         scratch: &mut AnchorScratch,
     ) {
-        fn drop_from(list: &mut Vec<u32>, entry: u32) {
-            if let Ok(i) = list.binary_search(&entry) {
-                list.remove(i);
-            }
-        }
-        fn drop_posting<A: Index<usize, Output = bool> + ?Sized>(
-            postings: &mut CowMap<u64, PostingList>,
-            key: u64,
-            entry: u32,
-            alive: &A,
-        ) {
-            let emptied = match postings.get_mut(&key) {
-                Some(list) => {
-                    list.note_removed(entry, alive);
-                    list.is_empty()
-                }
-                None => false,
-            };
-            if emptied {
-                postings.remove(&key);
-            }
-        }
         match self {
             AtomIndex::Keys { right, op, buckets, .. } => {
                 if let Some(s) = tuple.get(*right).as_str() {
@@ -826,28 +905,7 @@ impl AtomIndex {
                     });
                 }
             }
-            AtomIndex::Grams { right, safe_len, postings, sparse, dict, .. } => {
-                let Some(s) = tuple.get(*right).as_str() else { return };
-                let Some(v) = dict.remove(slot, s) else { return };
-                let sig = AttrSig::of_value(tuple.get(*right));
-                if sig.sig().char_len() < *safe_len {
-                    drop_from(Arc::make_mut(sparse), v);
-                }
-                for hash in sig.sig().qgrams().distinct_hashes() {
-                    drop_posting(postings, hash, v, &LiveValues(&dict.values));
-                }
-            }
-            AtomIndex::Elements { right, op, postings, empty, .. } => {
-                if let Some(s) = tuple.get(*right).as_str() {
-                    scratch.elements_of(ops, *op, s);
-                    if scratch.elems.is_empty() {
-                        drop_from(Arc::make_mut(empty), slot);
-                    }
-                    for &elem in &scratch.elems {
-                        drop_posting(postings, elem, slot, alive);
-                    }
-                }
-            }
+            AtomIndex::Values(vi) => vi.remove_slot(slot, tuple, ops, scratch),
         }
     }
 }
@@ -855,20 +913,43 @@ impl AtomIndex {
 /// What a prepared atom's lists hold and the prefilter applied to them —
 /// decided from metadata the index stores alongside its entries, so
 /// candidates failing it die before the verification kernel ever sees
-/// them. Every variant is sound: an entry it rejects would be rejected by
+/// them. Every test is sound: an entry it rejects would be rejected by
 /// the corresponding verification filter (size ratio, length window,
 /// char-bag bound) anyway.
 enum EntryFilter<'a> {
-    /// Slots, unfiltered (key buckets, empty-value lists).
+    /// Slots, unfiltered (key buckets).
     None,
-    /// Slots, under the size-ratio bound of element anchors:
-    /// `min ≥ ratio·max` over per-slot sizes vs the probe's size.
-    Ratio { ratio: f64, sizes: &'a CowVec<u32>, probe: u32 },
-    /// Value ids of `dict`, under the edit-atom prefilters: the probe's
-    /// length window ([`edit_len_window`]) plus the char-bag
-    /// presence-mask bound against `theta_bound(θ, max(len))`, tested
-    /// once per value.
-    Values { dict: &'a ValueDict, edit: EditProbe },
+    /// Value ids of `dict`, each tested once under `test`.
+    Values { dict: &'a ValueDict, test: ValueTest },
+}
+
+/// The per-value prefilter of a dictionary-backed atom, computed once
+/// per probe.
+enum ValueTest {
+    /// The edit-atom prefilters: the probe's length window
+    /// ([`edit_len_window`]) plus the char-bag presence-mask bound against
+    /// `theta_bound(θ, max(len))`.
+    Edit(EditProbe),
+    /// The element anchors' size-ratio bound, `min ≥ ratio·max` over the
+    /// value's element-set size vs the probe's.
+    Ratio { ratio: f64, probe: u32 },
+    /// Every value passes: an element-less probe against the element-less
+    /// values (∅ ≈ ∅ holds under every element operator).
+    Any,
+}
+
+impl ValueTest {
+    /// Why `entry` fails the test, or `None` when it passes.
+    #[inline]
+    fn reject(&self, entry: &ValueEntry) -> Option<RetrievalReject> {
+        match *self {
+            ValueTest::Edit(ref edit) => edit_reject(entry.size, entry.mask, edit),
+            ValueTest::Ratio { ratio, probe } => {
+                (!ratio_ok(ratio, entry.size, probe)).then_some(RetrievalReject::SizeRatio)
+            }
+            ValueTest::Any => None,
+        }
+    }
 }
 
 /// The probe side of the edit-atom prefilter, computed once per probe.
@@ -889,13 +970,13 @@ struct EditProbe {
 /// side never decreases as `ls` grows (the floor rises by at most one
 /// per step), so the accepted lengths are contiguous and end at most at
 /// `p/θ`. Finite for every `θ > 0` — q-gram anchors exist only for
-/// `θ > 2/3` — and never reaches [`NULL_SLOT`].
+/// `θ > 2/3`.
 fn edit_len_window(theta: f64, probe_len: u32) -> (u32, u32) {
     debug_assert!(theta > 0.0, "edit anchors need θ > 0");
     let p = probe_len as usize;
     let passes = |ls: usize| ls - theta_bound(theta, ls) <= p;
     // Two past the real-arithmetic end `p/θ`, then settle downwards.
-    let mut hi = ((p as f64 / theta) as usize).saturating_add(2).min(NULL_SLOT as usize - 1);
+    let mut hi = ((p as f64 / theta) as usize).saturating_add(2).min(u32::MAX as usize);
     while hi > p && !passes(hi) {
         hi -= 1;
     }
@@ -903,33 +984,28 @@ fn edit_len_window(theta: f64, probe_len: u32) -> (u32, u32) {
 }
 
 /// The edit-atom prefilter on one value's length `ls` and presence mask
-/// `sm`.
+/// `sm`: why the value fails, or `None` when it passes.
 #[inline]
-fn edit_meta_ok(ls: u32, sm: u64, edit: &EditProbe) -> bool {
+fn edit_reject(ls: u32, sm: u64, edit: &EditProbe) -> Option<RetrievalReject> {
     if ls < edit.len_lo || ls > edit.len_hi {
-        return false;
+        return Some(RetrievalReject::LengthWindow);
     }
     let bound = theta_bound(edit.theta, edit.len.max(ls) as usize);
     let diff = (edit.mask & !sm).count_ones().max((sm & !edit.mask).count_ones());
-    diff as usize <= bound
+    (diff as usize > bound).then_some(RetrievalReject::PresenceMask)
 }
 
 impl EntryFilter<'_> {
-    /// Whether one slot passes — the membership-probe form, for the few
-    /// slots of a small running intersection. A q-gram atom tests the
-    /// slot's value; a `Null` slot holds none and fails.
-    fn accepts(&self, slot: u32) -> bool {
+    /// Why one slot fails — the membership-probe form, for the few slots
+    /// of a small running intersection — or `None` when it passes. A
+    /// dictionary-backed atom tests the slot's value; a `Null` slot holds
+    /// none and fails.
+    fn reject(&self, slot: u32) -> Option<RetrievalReject> {
         match *self {
-            EntryFilter::None => true,
-            EntryFilter::Ratio { ratio, sizes, probe } => {
-                ratio_ok(ratio, sizes[slot as usize], probe)
-            }
-            EntryFilter::Values { dict, ref edit } => match dict.value_of(slot) {
-                NO_ID => false,
-                v => {
-                    let entry = dict.values[v as usize];
-                    edit_meta_ok(entry.len, entry.mask, edit)
-                }
+            EntryFilter::None => None,
+            EntryFilter::Values { dict, ref test } => match dict.value_of(slot) {
+                NO_ID => Some(RetrievalReject::Null),
+                v => test.reject(&dict.values[v as usize]),
             },
         }
     }
@@ -938,15 +1014,16 @@ impl EntryFilter<'_> {
 /// Walks a bitmap one [`CHUNK_LEN`] window at a time — the unit in which
 /// every [`CowVec`] of an index is contiguous — resolving the window's
 /// metadata `run_of(first entry)` once, then testing each set bit with
-/// `accepts(&run, offset into the window)` and passing those that pass
-/// to `keep`, ascending.
+/// `reject(&run, offset into the window)` and passing those that pass to
+/// `keep`, ascending; rejects are counted by reason.
 fn scan_runs<R>(
     words: &[u64],
     stats: &mut FilterStats,
     run_of: impl Fn(usize) -> R,
-    accepts: impl Fn(&R, usize) -> bool,
+    reject: impl Fn(&R, usize) -> Option<RetrievalReject>,
     mut keep: impl FnMut(u32),
 ) {
+    let (mut steps, mut rejected) = (0, [0; RetrievalReject::ALL.len()]);
     for (window, group) in words.chunks(CHUNK_LEN / 64).enumerate() {
         if group.iter().all(|&word| word == 0) {
             continue;
@@ -958,23 +1035,36 @@ fn scan_runs<R>(
             while bits != 0 {
                 let offset = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                stats.linear_steps += 1;
-                if accepts(&run, offset) {
-                    keep((base + offset) as u32);
-                } else {
-                    stats.retrieval_rejects += 1;
+                steps += 1;
+                match reject(&run, offset) {
+                    None => keep((base + offset) as u32),
+                    Some(why) => rejected[why as usize] += 1,
                 }
             }
         }
     }
+    stats.linear_steps += steps;
+    for (why, n) in RetrievalReject::ALL.into_iter().zip(rejected) {
+        stats.reject(why, n);
+    }
 }
 
-/// Reusable bitmaps of the probe hot path: one over slots, one over a
-/// q-gram atom's value ids, and the block-decode scratch.
+/// Whether bit `entry` is set in `words`.
+#[inline]
+fn bit_set(words: &[u64], entry: u32) -> bool {
+    words[(entry >> 6) as usize] >> (entry & 63) & 1 == 1
+}
+
+/// Reusable buffers of the probe hot path: a bitmap over slots, one over
+/// a dictionary-backed atom's value ids, the distinct values of a running
+/// candidate set (`vals`, deduplicated through `marks`, which is all
+/// zero between uses), and the block-decode scratch.
 #[derive(Default)]
 struct Bitmaps {
     slots: Vec<u64>,
     values: Vec<u64>,
+    marks: Vec<u64>,
+    vals: Vec<u32>,
     decode: Vec<u32>,
 }
 
@@ -991,7 +1081,7 @@ fn clear_bits(words: &mut Vec<u64>, n: usize) {
 struct PreparedAtom<'a> {
     /// Compressed posting lists (gram / element postings).
     comp: Vec<&'a PostingList>,
-    /// Plain sorted lists (key buckets, sparse/empty lists).
+    /// Plain sorted lists (key buckets, side lists).
     plain: Vec<&'a [u32]>,
     filter: EntryFilter<'a>,
 }
@@ -1002,11 +1092,31 @@ impl<'a> PreparedAtom<'a> {
     }
 
     /// Entries the atom's lists hold between them — the exact size of
-    /// its unfiltered, undeduplicated union (in value ids for a q-gram
-    /// atom), read off list headers without decoding anything.
+    /// its unfiltered, undeduplicated union (in value ids for a
+    /// dictionary-backed atom), read off list headers without decoding
+    /// anything.
     fn volume(&self) -> usize {
         self.comp.iter().map(|list| list.len()).sum::<usize>()
             + self.plain.iter().map(|list| list.len()).sum::<usize>()
+    }
+
+    /// The volume a key's atoms are ordered by, as the fraction
+    /// `(numerator, denominator)`. An element atom's value entries are
+    /// scaled by its dictionary's slots per live value — the slots its
+    /// union expands to when values repeat evenly — because its few, much
+    /// repeated values (60 cities under 20,000 records) would otherwise
+    /// always look cheapest. Kept as a fraction, so storing every record
+    /// k times scales it by exactly k, as it does a key bucket. Slot lists
+    /// count their entries, and a q-gram atom its value entries unscaled:
+    /// scaling it too moved the Extended plan and raised its decoded blocks.
+    fn slot_volume(&self) -> (u64, u64) {
+        let volume = self.volume() as u64;
+        match self.filter {
+            EntryFilter::Values { dict, test: ValueTest::Ratio { .. } | ValueTest::Any } => {
+                (volume * dict.held as u64, dict.live.max(1) as u64)
+            }
+            _ => (volume, 1),
+        }
     }
 
     /// Lists a membership probe walks per entry.
@@ -1015,31 +1125,52 @@ impl<'a> PreparedAtom<'a> {
     }
 
     /// The entries `acc` needs membership decisions for: its distinct
-    /// value ids for a q-gram atom (left ascending in `vals`), its slots
-    /// otherwise.
-    fn decisions(&self, acc: &[u32], vals: &mut Vec<u32>) -> usize {
+    /// value ids for a dictionary-backed atom (left in `bits.vals`, in
+    /// first-seen order), its slots otherwise. `acc` has passed the
+    /// atom's prefilter, so every slot in it holds a value.
+    fn decisions(&self, acc: &[u32], bits: &mut Bitmaps) -> usize {
         match self.filter {
             EntryFilter::Values { dict, .. } => {
+                let Bitmaps { marks, vals, .. } = bits;
+                let words = dict.values.len().div_ceil(64);
+                if marks.len() < words {
+                    marks.resize(words, 0);
+                }
                 vals.clear();
-                vals.extend(acc.iter().map(|&slot| dict.value_of(slot)));
-                vals.sort_unstable();
-                vals.dedup();
+                for &slot in acc {
+                    let v = dict.value_of(slot);
+                    let (word, bit) = ((v >> 6) as usize, 1u64 << (v & 63));
+                    if marks[word] & bit == 0 {
+                        marks[word] |= bit;
+                        vals.push(v);
+                    }
+                }
+                vals.iter().for_each(|&v| marks[(v >> 6) as usize] = 0);
                 vals.len()
             }
-            _ => acc.len(),
+            EntryFilter::None => acc.len(),
         }
     }
 
-    /// ORs the atom's unfiltered union into `words`, sized for `n`
-    /// entries.
+    /// Entries the atom's lists range over: value ids for a
+    /// dictionary-backed atom, `n_slots` slots otherwise.
+    fn universe(&self, n_slots: usize) -> usize {
+        match self.filter {
+            EntryFilter::Values { dict, .. } => dict.values.len(),
+            EntryFilter::None => n_slots,
+        }
+    }
+
+    /// ORs the atom's unfiltered union into `words`, sized for its
+    /// universe.
     fn or_into(
         &self,
-        n: usize,
+        n_slots: usize,
         words: &mut Vec<u64>,
         decode: &mut Vec<u32>,
         stats: &mut FilterStats,
     ) {
-        clear_bits(words, n);
+        clear_bits(words, self.universe(n_slots));
         for list in &self.comp {
             stats.blocks_decoded += list.or_into(words, decode);
         }
@@ -1053,12 +1184,12 @@ impl<'a> PreparedAtom<'a> {
     /// Materializes the filtered union as slots, ascending and
     /// deduplicated: OR every list into a bitmap (bitset blocks land as
     /// four word-ORs each), then scan set bits through the prefilter. A
-    /// q-gram atom does that over value ids, testing each value once,
-    /// and expands the survivors to their live slots. A single
-    /// unfiltered plain list (key bucket, empty-value list)
-    /// short-circuits without touching a bitmap.
+    /// dictionary-backed atom does that over value ids, testing each
+    /// value once and expanding the survivors to their live slots. A
+    /// single unfiltered plain list (key bucket) short-circuits without
+    /// touching a bitmap.
     fn materialize(&self, n_slots: usize, bits: &mut Bitmaps, stats: &mut FilterStats) -> Vec<u32> {
-        let Bitmaps { slots, values, decode } = bits;
+        let Bitmaps { slots, values, decode, .. } = bits;
         let mut out = Vec::new();
         match self.filter {
             EntryFilter::None if self.comp.is_empty() && self.plain.len() <= 1 => {
@@ -1066,38 +1197,31 @@ impl<'a> PreparedAtom<'a> {
             }
             EntryFilter::None => {
                 self.or_into(n_slots, slots, decode, stats);
-                scan_runs(slots, stats, |_| (), |_, _| true, |slot| out.push(slot));
+                scan_runs(slots, stats, |_| (), |_, _| None, |slot| out.push(slot));
             }
-            EntryFilter::Ratio { ratio, sizes, probe } => {
-                self.or_into(n_slots, slots, decode, stats);
-                let accepts = |sizes: &&[u32], offset: usize| ratio_ok(ratio, sizes[offset], probe);
-                scan_runs(slots, stats, |base| sizes.run_of(base), accepts, |slot| out.push(slot));
-            }
-            EntryFilter::Values { dict, ref edit } => {
-                self.or_into(dict.values.len(), values, decode, stats);
+            EntryFilter::Values { dict, ref test } => {
+                self.or_into(n_slots, values, decode, stats);
                 clear_bits(slots, n_slots);
-                let accepts = |run: &&[ValueEntry], offset: usize| {
-                    edit_meta_ok(run[offset].len, run[offset].mask, edit)
-                };
+                let reject = |run: &&[ValueEntry], offset: usize| test.reject(&run[offset]);
                 let expand = |v| {
                     dict.for_each_slot(v, |slot| slots[(slot >> 6) as usize] |= 1u64 << (slot & 63))
                 };
-                scan_runs(values, stats, |base| dict.values.run_of(base), accepts, expand);
-                scan_runs(slots, stats, |_| (), |_, _| true, |slot| out.push(slot));
+                scan_runs(values, stats, |base| dict.values.run_of(base), reject, expand);
+                scan_runs(slots, stats, |_| (), |_, _| None, |slot| out.push(slot));
             }
         }
         out
     }
 
     /// Intersects `acc` with this (unmaterialized) atom by membership: a
-    /// slot survives iff its entry — the slot, or its value for a q-gram
-    /// atom, whose distinct values [`PreparedAtom::decisions`] left in
-    /// `vals` — appears on at least one of the atom's lists. Cursor
-    /// targets ascend, so whole blocks are skipped on their max without
-    /// decoding. Callers have already run `acc` through the atom's
-    /// prefilter, so this produces exactly the `acc` that
-    /// `gallop_intersect` against the materialized union would.
-    fn member_intersect(&self, acc: &mut Vec<u32>, vals: &mut Vec<u32>, stats: &mut FilterStats) {
+    /// slot survives iff its entry — the slot, or its value for a
+    /// dictionary-backed atom, whose distinct values
+    /// [`PreparedAtom::decisions`] left in `bits.vals` — appears on at least
+    /// one of the atom's lists. Cursor targets ascend, so whole blocks are
+    /// skipped on their max without decoding. Callers have already run
+    /// `acc` through the atom's prefilter, so this produces exactly the
+    /// `acc` that intersecting with the filtered union would.
+    fn member_intersect(&self, acc: &mut Vec<u32>, bits: &mut Bitmaps, stats: &mut FilterStats) {
         let mut cursors: Vec<_> = self.comp.iter().map(|list| list.cursor()).collect();
         let mut member = |entry: u32| {
             cursors.iter_mut().any(|cur| cur.advance_to(entry) == Some(entry))
@@ -1105,15 +1229,37 @@ impl<'a> PreparedAtom<'a> {
         };
         match self.filter {
             EntryFilter::Values { dict, .. } => {
+                let Bitmaps { marks, vals, .. } = bits;
+                vals.sort_unstable();
                 vals.retain(|&v| member(v));
-                acc.retain(|&slot| vals.binary_search(&dict.value_of(slot)).is_ok());
+                vals.iter().for_each(|&v| marks[(v >> 6) as usize] |= 1u64 << (v & 63));
+                acc.retain(|&slot| bit_set(marks, dict.value_of(slot)));
+                vals.iter().for_each(|&v| marks[(v >> 6) as usize] = 0);
             }
-            _ => acc.retain(|&slot| member(slot)),
+            EntryFilter::None => acc.retain(|&slot| member(slot)),
         }
         for cur in cursors {
             stats.blocks_decoded += cur.blocks_decoded;
             stats.blocks_skipped += cur.blocks_skipped;
         }
+    }
+
+    /// Intersects `acc` with this dictionary-backed atom over value ids:
+    /// ORs the atom's unfiltered union into the value bitmap, then keeps
+    /// the slots whose value's bit is set — no slot of the union is ever
+    /// listed. Like [`PreparedAtom::member_intersect`], exact because
+    /// `acc` already passed the atom's prefilter.
+    fn value_intersect(&self, acc: &mut Vec<u32>, bits: &mut Bitmaps, stats: &mut FilterStats) {
+        let EntryFilter::Values { dict, .. } = self.filter else {
+            unreachable!("only a dictionary-backed atom has a value union")
+        };
+        let Bitmaps { values: union, decode, .. } = bits;
+        self.or_into(0, union, decode, stats); // sized by the dictionary
+        stats.linear_steps += acc.len() as u64;
+        acc.retain(|&slot| match dict.value_of(slot) {
+            NO_ID => false,
+            v => bit_set(union, v),
+        });
     }
 }
 
@@ -1143,15 +1289,14 @@ fn gallop_intersect(acc: &mut Vec<u32>, list: &[u32], stats: &mut FilterStats) {
     acc.truncate(kept);
 }
 
-/// Reusable per-thread buffers of the probe hot path — the bitmaps, the
-/// block-decode scratch and a value-id buffer — plus the key/element
-/// buffers that probes and index maintenance share. Thread-local so
-/// concurrent queries (server readers, batched pools) never contend, and
-/// sequential calls never re-allocate.
+/// Reusable per-thread buffers of the probe hot path — the bitmaps and
+/// the block-decode scratch — plus the key/element buffers that probes
+/// and index maintenance share. Thread-local so concurrent queries
+/// (server readers, batched pools) never contend, and sequential calls
+/// never re-allocate.
 #[derive(Default)]
 struct ProbeScratch {
     bits: Bitmaps,
-    vals: Vec<u32>,
     anchor: AnchorScratch,
 }
 
@@ -1160,8 +1305,8 @@ thread_local! {
 }
 
 /// When a key's running candidate set needs at most this many membership
-/// decisions from its next atom (slots, or distinct values for a q-gram
-/// atom), that atom is left to verification: deciding the leftover
+/// decisions from its next atom (slots, or distinct values for a
+/// dictionary-backed atom), that atom is left to verification: deciding the leftover
 /// candidate there is cheaper than another retrieval, and the
 /// intersection of any subset of a key's atoms is a sound superset.
 /// Survivors sharing one value would be kept or dropped together, so
@@ -1260,14 +1405,14 @@ pub struct IndexStats {
     pub exact_buckets: usize,
     /// Distinct posting lists across all q-gram and element anchors.
     pub posting_lists: usize,
-    /// Entries on sparse/empty lists: values shorter than an edit atom's
-    /// safe length (one entry per distinct value), and slots whose value
-    /// is element-less or empty under set/bag anchors.
+    /// Entries on side lists, one per distinct value: values shorter than
+    /// an edit atom's safe length, and element-less values under element
+    /// anchors.
     pub sparse_entries: usize,
-    /// Live distinct values summed over the q-gram anchors: each anchor
-    /// indexes its attribute's values, not its records, so
-    /// `live / distinct_values` is the repeat factor its postings,
-    /// prefilter and build work are divided by.
+    /// Live distinct values summed over the q-gram and element anchors:
+    /// each such anchor indexes its attribute's values, not its records,
+    /// so `live / distinct_values` (per anchor) is the repeat factor its
+    /// postings, prefilter and build work are divided by.
     pub distinct_values: usize,
     /// Resident bytes of the compressed posting lists (delta blocks,
     /// bitset blocks, unsealed tails) across all posting anchors.
@@ -1502,11 +1647,12 @@ impl MatchIndex {
     /// sequence covers exactly the allocated slots, `by_id` and the
     /// liveness flags describe the same live set, and every posting list
     /// passes [`PostingList::check_invariants`] and counts exactly its
-    /// dead entries as tombstones. Each q-gram dictionary is exact: each
-    /// live slot's value maps back to the slot's string, each value's
-    /// chain is exactly the live slots holding it, and each live value is
-    /// on exactly its grams' lists (and the sparse list when short) while
-    /// a dead value is on no list but as a counted tombstone.
+    /// dead entries as tombstones. Each value dictionary (q-gram and
+    /// element anchors) is exact: each live slot's value maps back to the
+    /// slot's string, each value's chain is exactly the live slots holding
+    /// it, and each live value carries its described metadata and is on
+    /// exactly its posting keys' lists (and the side list when it belongs
+    /// there) while a dead value is on no list but as a counted tombstone.
     #[doc(hidden)]
     pub fn check_invariants(&self) {
         let slots = self.tuples.len();
@@ -1517,45 +1663,34 @@ impl MatchIndex {
             assert_eq!(self.by_id.get(&tuple.id()), Some(&(slot as u32)), "id maps to its slot");
         }
         for atom in &self.atom_indices {
-            match atom {
-                AtomIndex::Keys { .. } => {}
-                AtomIndex::Grams { right, safe_len, postings, sparse, dict, .. } => {
-                    self.check_dict(*right, *safe_len, postings, sparse, dict);
-                }
-                AtomIndex::Elements { postings, sizes, .. } => {
-                    assert_eq!(sizes.len(), slots);
-                    for list in postings.values() {
-                        list.check_invariants();
-                        list.check_tombstones(&self.alive);
-                    }
-                }
+            if let AtomIndex::Values(vi) = atom {
+                self.check_dict(vi);
             }
         }
     }
 
-    /// The q-gram half of [`MatchIndex::check_invariants`].
-    fn check_dict(
-        &self,
-        right: AttrId,
-        safe_len: usize,
-        postings: &CowMap<u64, PostingList>,
-        sparse: &[ValueId],
-        dict: &ValueDict,
-    ) {
-        assert_eq!((dict.base as usize, dict.slots.len()), (0, self.tuples.len()));
+    /// The value-index half of [`MatchIndex::check_invariants`].
+    fn check_dict(&self, vi: &ValueIndex) {
+        let ValueIndex { right, kind, postings, side, dict, .. } = vi;
+        let slots = self.tuples.len();
+        assert_eq!(
+            (dict.base as usize, dict.slot_values.len(), dict.links.len()),
+            (0, slots, slots)
+        );
         let mut holders = vec![Vec::new(); dict.values.len()];
         for (slot, tuple) in self.live_tuples() {
             let v = dict.value_of(slot as u32);
-            let Some(s) = tuple.get(right).as_str() else {
+            let Some(s) = tuple.get(*right).as_str() else {
                 assert_eq!(v, NO_ID, "a null slot holds no value");
                 continue;
             };
-            let found = dict.find(dict.hasher.hash_one(s), s, right, &self.tuples);
+            let found = dict.find(dict.hasher.hash_one(s), s, *right, &self.tuples);
             assert_eq!(found, Some(v), "slot {slot}'s value maps back to its string");
             holders[v as usize].push(slot as u32);
         }
         let mut lists: HashMap<u64, Vec<ValueId>> = HashMap::new();
-        let mut short = Vec::new();
+        let mut on_side = Vec::new();
+        let mut scratch = AnchorScratch::default();
         for (v, holders) in holders.iter().enumerate() {
             let mut chain = Vec::new();
             dict.for_each_slot(v as ValueId, |slot| chain.push(slot));
@@ -1568,20 +1703,19 @@ impl MatchIndex {
                 assert_eq!(dict.link(slot).prev, prev, "slot {slot} links back to its predecessor");
                 prev = slot;
             }
-            let sig = AttrSig::of_value(self.tuples[last as usize].get(right));
-            assert_eq!(
-                (entry.len, entry.mask),
-                (sig.sig().char_len() as u32, sig.sig().bag().presence_mask())
-            );
-            if sig.sig().char_len() < safe_len {
-                short.push(v as ValueId);
+            let s = self.tuples[last as usize].get(*right).as_str().expect("a live value");
+            let (described, side) = kind.describe(s, &self.ops, &mut scratch);
+            assert_eq!((entry.size, entry.mask), (described.size, described.mask), "value {v}");
+            if side {
+                on_side.push(v as ValueId);
             }
-            for hash in sig.sig().qgrams().distinct_hashes() {
-                lists.entry(hash).or_default().push(v as ValueId);
+            for &key in &scratch.elems {
+                lists.entry(key).or_default().push(v as ValueId);
             }
         }
         let live = LiveValues(&dict.values);
         assert_eq!(dict.live, holders.iter().filter(|h| !h.is_empty()).count(), "live values");
+        assert_eq!(dict.held, holders.iter().map(Vec::len).sum::<usize>(), "slots holding values");
         let reachable: usize = (dict.ids.values())
             .map(|&head| {
                 let mut v = head;
@@ -1595,20 +1729,17 @@ impl MatchIndex {
             })
             .sum();
         assert_eq!(reachable, dict.live, "the dictionary reaches every live value once");
-        assert_eq!(sparse, short.as_slice(), "the sparse list holds exactly the short live values");
-        for (hash, list) in postings.iter() {
+        assert_eq!(side.as_slice(), on_side.as_slice(), "the side list holds exactly its values");
+        for (key, list) in postings.iter() {
             list.check_invariants();
             list.check_tombstones(&live);
             let mut entries = Vec::new();
             list.decode_all_into(&mut entries);
             entries.retain(|&v| live[v as usize]);
-            let expected = lists.remove(hash).unwrap_or_default();
-            assert_eq!(
-                entries, expected,
-                "gram {hash:#x} lists exactly the live values holding it"
-            );
+            let expected = lists.remove(key).unwrap_or_default();
+            assert_eq!(entries, expected, "key {key:#x} lists exactly the live values under it");
         }
-        assert!(lists.is_empty(), "every live value is on each of its grams' lists");
+        assert!(lists.is_empty(), "every live value is on each of its keys' lists");
     }
 
     /// Aggregate shape counters.
@@ -1629,25 +1760,22 @@ impl MatchIndex {
             postings_uncompressed_bytes: 0,
         };
         for atom in &self.atom_indices {
-            let (postings, sparse) = match atom {
+            let vi = match atom {
                 AtomIndex::Keys { buckets, .. } => {
                     stats.key_anchors += 1;
                     stats.exact_buckets += buckets.len();
                     continue;
                 }
-                AtomIndex::Grams { postings, sparse, dict, .. } => {
-                    stats.qgram_anchors += 1;
-                    stats.distinct_values += dict.live;
-                    (postings, sparse)
-                }
-                AtomIndex::Elements { postings, empty, .. } => {
-                    stats.element_anchors += 1;
-                    (postings, empty)
-                }
+                AtomIndex::Values(vi) => vi,
             };
-            stats.posting_lists += postings.len();
-            stats.sparse_entries += sparse.len();
-            for list in postings.values() {
+            match vi.kind {
+                ValueKind::Grams { .. } => stats.qgram_anchors += 1,
+                ValueKind::Elements { .. } => stats.element_anchors += 1,
+            }
+            stats.distinct_values += vi.dict.live;
+            stats.posting_lists += vi.postings.len();
+            stats.sparse_entries += vi.side.len();
+            for list in vi.postings.values() {
                 stats.postings_bytes += list.bytes();
                 stats.postings_uncompressed_bytes += list.uncompressed_bytes();
             }
@@ -1691,22 +1819,28 @@ impl MatchIndex {
     ///
     /// Each key is planned from this probe's own posting volumes (the
     /// entries its atoms' lists hold, read off list headers — value ids
-    /// for a q-gram atom; ties broken by atom position):
+    /// for a dictionary-backed atom):
     ///
-    /// 1. *Order* — cheapest atom first.
+    /// 1. *Order* — cheapest atom first by volume in slots (a
+    ///    dictionary-backed atom's value entries scaled by its slots per
+    ///    live value, [`PreparedAtom::slot_volume`]); ties broken by atom
+    ///    position.
     /// 2. *Materialize* — the cheapest atom's union is OR'd into a bitmap
-    ///    and scanned out through its prefilter (a q-gram atom's over value
-    ///    ids, each value tested once, survivors expanded to their live
-    ///    slots), memoized for the probe's later keys.
+    ///    and scanned out through its prefilter (a dictionary-backed
+    ///    atom's over value ids, each value tested once, survivors
+    ///    expanded to their live slots), memoized for the probe's later
+    ///    keys. Only a key's first atom is ever expanded to slots.
     /// 3. *Prefilter* — the survivors run through every remaining atom's
     ///    prefilter, which costs a metadata lookup and decodes nothing.
     /// 4. *Intersect* — each remaining atom, cheapest first, either
     ///    tests the survivors by membership (galloping cursors that skip
     ///    whole blocks) when `decisions × lists < volume` — decisions are
-    ///    the survivors' distinct values for a q-gram atom, their slots
-    ///    otherwise — or is materialized (memoized) and galloped against.
-    ///    An atom the survivors need at most [`ENOUGH`] decisions from is
-    ///    left to verification.
+    ///    the survivors' distinct values for a dictionary-backed atom,
+    ///    their slots otherwise — or ORs its whole union: a
+    ///    dictionary-backed atom into a value bitmap each survivor's value
+    ///    is tested against, a key atom into a slot list galloped against
+    ///    (memoized when a later key mentions it). An atom the survivors
+    ///    need at most [`ENOUGH`] decisions from is left to verification.
     ///
     /// The plan depends only on the probe and the index version, so
     /// answers *and* counters are deterministic per probe.
@@ -1715,14 +1849,16 @@ impl MatchIndex {
         let n_slots = self.tuples.len();
         PROBE_SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
-            let ProbeScratch { bits, vals, anchor } = scratch;
-            // Prepare and materialize each distinct atom at most once:
+            let ProbeScratch { bits, anchor } = scratch;
+            // Prepare and retrieve each distinct atom at most once:
             // several keys usually share atoms.
             let mut prepared: Vec<Option<PreparedAtom<'_>>> =
                 (0..self.atom_indices.len()).map(|_| None).collect();
             let mut retrieved: Vec<Option<Vec<u32>>> = vec![None; self.atom_indices.len()];
             let mut pairs: Vec<(u32, u64)> = Vec::new();
-            let mut order: Vec<(usize, usize)> = Vec::new();
+            // (position, volume, volume in slots as a fraction)
+            let widest = self.key_atoms.iter().map(Vec::len).max().unwrap_or(0);
+            let mut order: Vec<(usize, usize, (u64, u64))> = Vec::with_capacity(widest);
             for (key, refs) in self.key_atoms.iter().enumerate() {
                 if refs.is_empty() {
                     // Unindexable key: every live slot is a candidate, no
@@ -1736,50 +1872,78 @@ impl MatchIndex {
                 }
                 let bit = if prune { 1u64 << key } else { NO_PRUNE };
 
-                // Order: (volume, position), cheapest first.
+                // Order: (volume in slots, position), cheapest first.
                 order.clear();
                 for &pos in refs {
                     let pa = prepared[pos].get_or_insert_with(|| {
                         self.atom_indices[pos].prepare(probe, &self.ops, anchor)
                     });
-                    order.push((pa.volume(), pos));
+                    order.push((pos, pa.volume(), pa.slot_volume()));
                 }
-                order.sort_unstable();
-                let (cheapest, first) = order[0];
+                order.sort_unstable_by(|&(p, _, (n, d)), &(q, _, (m, e))| {
+                    let (n, d, m, e) = (n as u128, d as u128, m as u128, e as u128);
+                    (n * e).cmp(&(m * d)).then(p.cmp(&q))
+                });
+                let (first, cheapest, _) = order[0];
                 if cheapest == 0 {
                     continue; // an atom retrieving nothing empties the key
                 }
                 let atom = |pos: usize| prepared[pos].as_ref().expect("every key atom is prepared");
-                let mut acc = (retrieved[first])
-                    .get_or_insert_with(|| atom(first).materialize(n_slots, bits, stats))
-                    .clone();
+                // Only a retrieval a later key can reuse is memoized.
+                let reused =
+                    |pos: usize| self.key_atoms[key + 1..].iter().any(|r| r.contains(&pos));
+                let mut acc = match &retrieved[first] {
+                    Some(slots) => slots.clone(),
+                    None => {
+                        let slots = atom(first).materialize(n_slots, bits, stats);
+                        if reused(first) {
+                            retrieved[first] = Some(slots.clone());
+                        }
+                        slots
+                    }
+                };
 
                 // Prefilter: every remaining atom's per-entry test runs
-                // before any of their lists is touched.
+                // before any of their lists is touched, one atom (one
+                // metadata column) at a time.
                 let rest = &order[1..];
-                if !rest.is_empty() {
-                    acc.retain(|&slot| {
-                        let ok = rest.iter().all(|&(_, p)| atom(p).filter.accepts(slot));
-                        stats.retrieval_rejects += u64::from(!ok);
-                        ok
-                    });
+                for &(pos, ..) in rest {
+                    let filter = &atom(pos).filter;
+                    if let EntryFilter::Values { .. } = filter {
+                        acc.retain(|&slot| match filter.reject(slot) {
+                            None => true,
+                            Some(why) => {
+                                stats.reject(why, 1);
+                                false
+                            }
+                        });
+                    }
                 }
 
                 // Intersect, cheapest first: test the survivors by
                 // membership unless that walks more entries than the
                 // atom's whole union holds.
-                for &(volume, pos) in rest {
+                for &(pos, volume, _) in rest {
                     let pa = atom(pos);
-                    let decisions = pa.decisions(&acc, vals);
+                    let decisions = pa.decisions(&acc, bits);
                     if decisions <= ENOUGH {
                         continue; // cheap to verify; a subset of atoms is sound
                     }
-                    if retrieved[pos].is_none() && decisions * pa.lists() < volume {
-                        pa.member_intersect(&mut acc, vals, stats);
-                    } else {
-                        let list = retrieved[pos]
-                            .get_or_insert_with(|| pa.materialize(n_slots, bits, stats));
-                        gallop_intersect(&mut acc, list, stats);
+                    match &retrieved[pos] {
+                        Some(list) => gallop_intersect(&mut acc, list, stats),
+                        None if decisions * pa.lists() < volume => {
+                            pa.member_intersect(&mut acc, bits, stats);
+                        }
+                        None => match pa.filter {
+                            EntryFilter::Values { .. } => pa.value_intersect(&mut acc, bits, stats),
+                            EntryFilter::None => {
+                                let list = pa.materialize(n_slots, bits, stats);
+                                gallop_intersect(&mut acc, &list, stats);
+                                if reused(pos) {
+                                    retrieved[pos] = Some(list);
+                                }
+                            }
+                        },
                     }
                 }
                 pairs.extend(acc.into_iter().map(|slot| (slot, bit)));
@@ -1938,13 +2102,13 @@ impl MatchIndex {
     }
 
     /// Removes the tuple with `id` from query visibility. The slot is
-    /// tombstoned and purged from every anchor: plain buckets drop the
-    /// entry immediately, compressed posting lists count it dead and
-    /// rewrite each block in place once half its entries are dead — so a
+    /// tombstoned and purged from every anchor: key buckets drop the slot
+    /// immediately. A q-gram or element anchor drops the slot from its
+    /// value, and a value whose last slot goes leaves the dictionary and
+    /// is tombstoned on its lists, which count it dead and rewrite each
+    /// block in place once half its entries are dead — so a
     /// heavily-churned index keeps probing at near-fresh cost without a
-    /// rebuild. A q-gram anchor drops the slot from its value, and a value
-    /// whose last slot goes leaves the dictionary and is tombstoned on its
-    /// lists. (The slot still holds the tuple's handle and its per-slot
+    /// rebuild. (The slot still holds the tuple's handle and its per-slot
     /// retrieval data; rebuild to reclaim that space.)
     pub fn remove(&mut self, id: TupleId) -> Result<(), IndexError> {
         let slot = self.by_id.remove(&id).ok_or(IndexError::UnknownId { id })?;
@@ -1953,7 +2117,7 @@ impl MatchIndex {
         let tuple = &self.tuples[slot as usize];
         PROBE_SCRATCH.with_borrow_mut(|scratch| {
             for atom in &mut self.atom_indices {
-                atom.remove_slot(slot, tuple, &self.ops, &self.alive, &mut scratch.anchor);
+                atom.remove_slot(slot, tuple, &self.ops, &mut scratch.anchor);
             }
         });
         Ok(())
@@ -2060,8 +2224,28 @@ mod tests {
         ];
         let arity = setting.pair.left().arity();
         assert_parallel_build_is_serial(arity, &data.billing, data.credit.tuples(), &keys, &ops);
+
+        // The names plan's element anchors over generated persons, whose
+        // first names and cities repeat across chunks.
+        let schema = Arc::new(Schema::text("R", &["first", "last", "city", "phone"]).unwrap());
+        let mut rel = Relation::new(schema);
+        for (i, p) in matchrules_data::gen::generate_persons(1_500, 11).iter().enumerate() {
+            rel.push_strs(i as u64 + 1, &[&p.first, &p.last, &p.city, &p.tel]);
+        }
+        let mut table = OperatorTable::new();
+        let [jw, sx, tok, eq] = ["≈jw", "≈sx", "≈tok", "="].map(|op| table.intern(op));
+        let ops = Arc::new(RuntimeOps::resolve(&table, &paper_registry()).unwrap());
+        let atom = |attr, op| SimilarityAtom::new(attr, attr, op);
+        let keys = [
+            RelativeKey::new(vec![atom(0, jw), atom(1, sx), atom(2, tok)]),
+            RelativeKey::new(vec![atom(3, eq), atom(1, sx)]),
+        ];
+        let probes: Vec<Tuple> = rel.tuples().iter().step_by(3).cloned().collect();
+        assert_parallel_build_is_serial(4, &rel, &probes, &keys, &ops);
     }
 
+    /// q-gram and element anchors count their live values; key anchors
+    /// count none.
     #[test]
     fn distinct_values_count_live_values_per_qgram_anchor() {
         let values = ["Clifford", "Jones", "Clifford", "Cliford", "Clifford", "Jones"];
@@ -2083,8 +2267,17 @@ mod tests {
         let probe = Tuple::new(9, vec![Value::str("Clifford")]);
         let ids: Vec<u64> = index.query(&probe).hits.iter().map(|h| h.id).collect();
         assert_eq!(ids, vec![3, 5, 7]);
-        // Element and key anchors index records: they count no values.
-        let (index, _ops) = single_atom_index("≈tok", &values);
+        // Element anchors index distinct values too; key anchors count
+        // none.
+        let (mut index, _ops) = single_atom_index("≈tok", &values);
+        assert_eq!(distinct(&index), 3);
+        let shown = format!("{index:?}");
+        assert!(shown.contains("element_anchors: 1, ") && shown.contains("distinct_values: 3"));
+        index.remove(1).unwrap();
+        assert_eq!(distinct(&index), 3);
+        index.remove(4).unwrap();
+        assert_eq!(distinct(&index), 2);
+        let (index, _ops) = single_atom_index("≈sx", &values);
         assert_eq!(index.stats().distinct_values, 0);
     }
 
@@ -2486,19 +2679,19 @@ mod tests {
     #[test]
     fn edit_len_window_equals_the_per_slot_length_test_exhaustively() {
         // The interval must accept exactly the stored lengths the
-        // per-slot test `|p − ls| ≤ θ-bound(max(p, ls))` accepts, and
-        // never the null sentinel.
+        // per-value test `|p − ls| ≤ θ-bound(max(p, ls))` accepts, even
+        // the largest.
         let mask = 0b1011;
         for theta in [0.7, 0.75, 0.8, 0.9, 1.0] {
             for p in 0..=64u32 {
                 let (len_lo, len_hi) = edit_len_window(theta, p);
                 let edit = EditProbe { theta, len: p, mask, len_lo, len_hi };
-                for ls in (0..=128u32).chain([NULL_SLOT]) {
-                    let per_slot = ls != NULL_SLOT
-                        && p.abs_diff(ls) as usize <= theta_bound(theta, p.max(ls) as usize);
+                for ls in (0..=128u32).chain([u32::MAX]) {
+                    let per_value =
+                        p.abs_diff(ls) as usize <= theta_bound(theta, p.max(ls) as usize);
                     assert_eq!(
-                        edit_meta_ok(ls, mask, &edit),
-                        per_slot,
+                        edit_reject(ls, mask, &edit).is_none(),
+                        per_value,
                         "θ={theta} p={p} ls={ls}: window [{len_lo}, {len_hi}]"
                     );
                 }

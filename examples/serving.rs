@@ -60,9 +60,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut index = engine.index(&orders_rel)?;
     let stats = index.stats();
     println!(
-        "index over {} orders: {} key atom indices, {} q-gram atom indices \
-         over {} distinct values\n",
-        stats.live, stats.key_anchors, stats.qgram_anchors, stats.distinct_values
+        "index over {} orders: {} key atom indices, {} q-gram and {} element atom \
+         indices over {} distinct values\n",
+        stats.live,
+        stats.key_anchors,
+        stats.qgram_anchors,
+        stats.element_anchors,
+        stats.distinct_values
     );
 
     // ...query many. Which orders belong to this CRM record?

@@ -345,14 +345,19 @@ macro_rules! wire_message {
             /// Encodes the message body (opcode + fields, no length prefix).
             pub fn encode(&self) -> Vec<u8> {
                 let mut out = Vec::new();
+                self.encode_into(&mut out);
+                out
+            }
+
+            /// Appends the message body to `out`.
+            fn encode_into(&self, out: &mut Vec<u8>) {
                 match self {
                     $($name::$variant $({ $($field),* })? $(($payload))? => {
                         out.push($opcode);
-                        $($($field.put(&mut out);)*)?
-                        $($payload.put(&mut out);)?
+                        $($($field.put(out);)*)?
+                        $($payload.put(out);)?
                     })*
                 }
-                out
             }
 
             /// Decodes one message from a complete frame body; every byte
@@ -669,11 +674,22 @@ wire_message!(Response, "response opcode" {
 
 /// Writes one frame: a big-endian `u32` length prefix, then `body`.
 pub fn write_frame(w: &mut impl Write, body: &[u8]) -> Result<(), ProtocolError> {
-    if body.len() > MAX_FRAME {
-        return Err(ProtocolError::Oversized { len: body.len() as u64 });
+    let mut frame = Vec::with_capacity(4 + body.len());
+    frame.extend_from_slice(&[0; 4]);
+    frame.extend_from_slice(body);
+    send_frame(w, frame)
+}
+
+/// Fills in the length prefix of `frame` (four placeholder bytes, then
+/// the body) and writes it with one call, so an unbuffered socket with
+/// `TCP_NODELAY` sends the frame as one segment, not two.
+fn send_frame(w: &mut impl Write, mut frame: Vec<u8>) -> Result<(), ProtocolError> {
+    let len = frame.len() - 4;
+    if len > MAX_FRAME {
+        return Err(ProtocolError::Oversized { len: len as u64 });
     }
-    w.write_all(&(body.len() as u32).to_be_bytes())?;
-    w.write_all(body)?;
+    frame[..4].copy_from_slice(&(len as u32).to_be_bytes());
+    w.write_all(&frame)?;
     w.flush()?;
     Ok(())
 }
@@ -761,7 +777,9 @@ pub(crate) fn read_frame_until(
 
 /// Writes one request as a frame.
 pub fn write_request(w: &mut impl Write, request: &Request) -> Result<(), ProtocolError> {
-    write_frame(w, &request.encode())
+    let mut frame = vec![0; 4];
+    request.encode_into(&mut frame);
+    send_frame(w, frame)
 }
 
 /// Reads one request; `Ok(None)` on clean end-of-stream.
@@ -771,7 +789,9 @@ pub fn read_request(r: &mut impl Read) -> Result<Option<Request>, ProtocolError>
 
 /// Writes one response as a frame.
 pub fn write_response(w: &mut impl Write, response: &Response) -> Result<(), ProtocolError> {
-    write_frame(w, &response.encode())
+    let mut frame = vec![0; 4];
+    response.encode_into(&mut frame);
+    send_frame(w, frame)
 }
 
 /// Reads one response; `Ok(None)` on clean end-of-stream.
@@ -792,6 +812,35 @@ mod tests {
         assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(&b"hello"[..]));
         assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(&b""[..]));
         assert!(read_frame(&mut r).unwrap().is_none(), "clean EOF between frames");
+    }
+
+    /// A writer recording each `write` call's bytes.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.push(buf.to_vec());
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn each_frame_is_one_write_of_prefix_and_body() {
+        let request = Request::Query { values: vec![Some("Mark".into()), None] };
+        let response = Response::RemoveBatch { version: 7 };
+        let mut w = Writes::default();
+        write_request(&mut w, &request).unwrap();
+        write_response(&mut w, &response).unwrap();
+        write_frame(&mut w, b"raw").unwrap();
+        let framed = |body: Vec<u8>| [(body.len() as u32).to_be_bytes().to_vec(), body].concat();
+        assert_eq!(
+            w.0,
+            vec![framed(request.encode()), framed(response.encode()), framed(b"raw".to_vec())]
+        );
     }
 
     #[test]

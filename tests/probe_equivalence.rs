@@ -16,7 +16,9 @@
 //! * **cheapest anchor first** — decoding work is bounded by the atom
 //!   with the smallest posting volume, whatever the atom order;
 //! * **values, not rows** — repeating every stored record adds no q-gram
-//!   decoding work, and each hit comes back once per copy;
+//!   or element decoding work, and each hit comes back once per copy;
+//! * **rejects by reason** — retrieval rejects split exactly into length
+//!   window, presence mask, size ratio and null;
 //! * **batched == sequential** — `query_batch` is byte-for-byte
 //!   identical (hits, candidates, every work counter) to one-by-one
 //!   `query` calls;
@@ -31,6 +33,8 @@
 //!   insert → remove → insert churn.
 
 mod common;
+
+mod roster;
 
 use common::Oracle;
 use matchrules::core::dependency::SimilarityAtom;
@@ -537,6 +541,92 @@ fn probe_qgram_work_ignores_repeated_values() {
         assert_eq!(once, expected, "probe #{} finds each hit once per copy", probe.id());
     }
     assert!(decoded > 0, "the store must seal posting blocks: {decoded}");
+}
+
+/// The element twin of `probe_qgram_work_ignores_repeated_values`:
+/// Jaro–Winkler and token anchors index distinct values, so storing the
+/// roster signup rows three times (fresh ids, same values) decodes
+/// exactly the blocks the plain store does, per probe, and retrieves,
+/// verifies and finds once per copy what it does there. Hits equal the
+/// oracle's on both stores (every 16th probe).
+///
+/// The keys are the roster rules' left-hand sides, `first ≈jw ∧ last ≈sx
+/// ∧ city ≈tok` and `phone = ∧ last ≈sx`. The compiled roster plan adds
+/// `first = ∧ last = ∧ city =`, all key buckets, which index slots: there
+/// a single bucket slot skips the later atoms (one decision, `ENOUGH`)
+/// where its three copies do not, so that key alone retrieves fewer than
+/// three times the candidates on the tripled store.
+#[test]
+fn probe_element_work_ignores_repeated_values() {
+    const PERSONS: usize = 3_000;
+    let (probes, billing) = roster::roster_data(PERSONS, 42, 1);
+    let (_, tripled) = roster::roster_data(PERSONS, 42, 3);
+    let mut table = OperatorTable::new();
+    let [jw, sx, tok, eq] = ["≈jw", "≈sx", "≈tok", "="].map(|op| table.intern(op));
+    let ops = Arc::new(RuntimeOps::resolve(&table, &paper_registry()).expect("operators resolve"));
+    let atom = |attr, op| SimilarityAtom::new(attr, attr, op);
+    let keys = [
+        RelativeKey::new(vec![atom(0, jw), atom(1, sx), atom(2, tok)]),
+        RelativeKey::new(vec![atom(3, eq), atom(1, sx)]),
+    ];
+    let build = |store: &Relation| MatchIndex::build(4, store, &keys, &[], ops.clone());
+    let (single, repeated) = (build(&billing).expect("builds"), build(&tripled).expect("builds"));
+    assert_eq!(single.stats().element_anchors, 2, "{:?}", single.stats());
+    assert_eq!(repeated.stats().distinct_values, single.stats().distinct_values);
+    let oracle = Oracle::new(&keys, &[], &ops);
+    let (mut decoded, mut found) = (0, 0);
+    for (i, probe) in probes.tuples().iter().enumerate() {
+        let (a, b) = (single.query(probe), repeated.query(probe));
+        let at = format!("probe #{}", probe.id());
+        assert_eq!(a.stats.blocks_decoded, b.stats.blocks_decoded, "{at} blocks");
+        decoded += a.stats.blocks_decoded;
+        assert_eq!(b.candidates, 3 * a.candidates, "{at} candidates");
+        assert_eq!(b.key_evals, 3 * a.key_evals, "{at} key evals");
+        if i % 16 == 0 {
+            assert_eq!(hit_ids(&a), oracle.query(probe, billing.tuples()), "{at}");
+            assert_eq!(hit_ids(&b), oracle.query(probe, tripled.tuples()), "{at}");
+        }
+        let mut once: Vec<u64> = b.hits.iter().map(|h| (h.id - 1) % PERSONS as u64 + 1).collect();
+        once.sort_unstable();
+        let mut expected: Vec<u64> = (a.hits.iter()).flat_map(|h| [h.id; 3]).collect();
+        expected.sort_unstable();
+        assert_eq!(once, expected, "{at} finds each hit once per copy");
+        found += a.hits.len();
+    }
+    assert!(decoded > 0, "the store must seal element posting blocks: {decoded}");
+    assert!(found > PERSONS / 2, "most signups are found: {found}");
+}
+
+/// Every retrieval reject has one reason, so the per-reason counters sum
+/// to `retrieval_rejects` on every probe: on Extended (edit atoms: length
+/// window, presence mask, null) and on the compiled roster plan (element
+/// atoms: size ratio), each reason occurring.
+#[test]
+fn probe_retrieval_rejects_split_by_reason() {
+    let split = |index: &MatchIndex, probes: &Relation| {
+        let mut total = FilterStats::default();
+        for probe in probes.tuples() {
+            let s = index.query(probe).stats;
+            let parts = [
+                s.retrieval_length_rejects,
+                s.retrieval_mask_rejects,
+                s.retrieval_ratio_rejects,
+                s.retrieval_null_rejects,
+            ];
+            assert_eq!(parts.iter().sum::<u64>(), s.retrieval_rejects, "probe #{}", probe.id());
+            total.merge(&s);
+        }
+        total
+    };
+    let (engine, credit, billing) = catalog(PLAN_CATALOG_PERSONS, 42);
+    let edit = split(&engine.index(&billing).expect("index builds"), &credit);
+    assert!(edit.retrieval_length_rejects > 0 && edit.retrieval_mask_rejects > 0, "{edit:?}");
+    assert!(edit.retrieval_null_rejects > 0, "{edit:?}");
+    assert_eq!(edit.retrieval_ratio_rejects, 0, "Extended has no element atom");
+    let (probes, store) = roster::roster_data(2_000, 7, 1);
+    let engine = roster::roster_engine(1);
+    let element = split(&engine.index(&store).expect("index builds"), &probes);
+    assert!(element.retrieval_ratio_rejects > 0, "{element:?}");
 }
 
 /// `len` lowercase letters drawn from a splitmix64 stream seeded by `i`.

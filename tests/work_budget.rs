@@ -2,12 +2,14 @@
 //!
 //! A counting global allocator tallies allocations and bytes allocated
 //! (every `alloc` and `realloc`, frees not subtracted), and each outcome
-//! carries the index's own work counters. On Extended at 4 500 persons
-//! (8 100 billing records, one build thread) a fixed sample of 512 probes
-//! is queried twice: the first pass grows the per-thread scratch buffers,
-//! the second is measured. Per query it records allocations, bytes
-//! allocated, posting blocks decoded, candidates verified and key
-//! evaluations, and checks each against the budget below.
+//! carries the index's own work counters. On two stores — Extended at
+//! 4 500 persons (8 100 billing records: q-gram and key anchors) and the
+//! roster plan at 20 000 persons (Jaro–Winkler and token element anchors,
+//! soundex and phone key anchors), one build thread each — a fixed sample
+//! of 512 probes is queried twice: the first pass grows the per-thread
+//! scratch buffers, the second is measured. Per query it records
+//! allocations, bytes allocated, posting blocks decoded, candidates
+//! verified and key evaluations, and checks each against its budget.
 //!
 //! Every count is deterministic (no clocks, no thread scheduling), so a
 //! budget moves only when the work a query does moves. A change that
@@ -16,8 +18,11 @@
 //! This file holds one test on purpose: the allocator counts the whole
 //! process, and the test harness runs tests of one binary in parallel.
 
+mod roster;
+
 use matchrules::data::dirty::{generate_dirty, NoiseConfig};
-use matchrules::engine::Preset;
+use matchrules::data::relation::Tuple;
+use matchrules::engine::{MatchIndex, Preset};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -60,18 +65,27 @@ const SAMPLE: usize = 512;
 /// A measured value may exceed its recorded budget by this factor.
 const HEADROOM: f64 = 1.10;
 
-/// Per-query work recorded on the index over distinct q-gram values, in
-/// the order [`measure`] reports it.
+/// Per-query work recorded on Extended, in the order [`measure`]
+/// reports it.
 const BUDGET: [(&str, f64); 5] = [
-    ("allocations", 62.8),
-    ("bytes_allocated", 6_992.0),
+    ("allocations", 60.8),
+    ("bytes_allocated", 6_968.0),
     ("blocks_decoded", 1.39),
     ("candidates", 1.43),
     ("key_evals", 1.43),
 ];
 
-/// Per-query means of the counted work over the sample.
-fn measure() -> [(&'static str, f64); 5] {
+/// Per-query work recorded on the roster plan, in the same order.
+const ROSTER_BUDGET: [(&str, f64); 5] = [
+    ("allocations", 41.6),
+    ("bytes_allocated", 3_888.0),
+    ("blocks_decoded", 1.63),
+    ("candidates", 3.28),
+    ("key_evals", 3.28),
+];
+
+/// Extended's index and probe sample.
+fn extended() -> (MatchIndex, Vec<Tuple>) {
     let shape = Preset::Extended.paper_setting();
     let data = generate_dirty(
         &shape.pair,
@@ -83,14 +97,25 @@ fn measure() -> [(&'static str, f64); 5] {
     let index = engine.index(&data.billing).expect("index builds");
     let probes = data.credit.tuples();
     assert!(probes.len() >= SAMPLE, "the generator yields one credit row per person");
-    let sample: Vec<_> = probes.iter().step_by(probes.len() / SAMPLE).take(SAMPLE).collect();
+    (index, probes.iter().step_by(probes.len() / SAMPLE).take(SAMPLE).cloned().collect())
+}
 
-    for probe in &sample {
+/// The roster plan's index and probe sample.
+fn roster() -> (MatchIndex, Vec<Tuple>) {
+    let (probes, store) = roster::roster_data(20_000, 0x5EA7, 1);
+    let index = roster::roster_engine(1).index(&store).expect("index builds");
+    let probes = probes.tuples();
+    (index, probes.iter().step_by(probes.len() / SAMPLE).take(SAMPLE).cloned().collect())
+}
+
+/// Per-query means of the counted work over the sample.
+fn measure(index: &MatchIndex, sample: &[Tuple]) -> [(&'static str, f64); 5] {
+    for probe in sample {
         index.query(probe);
     }
     let (allocs, bytes) = (ALLOCS.load(Ordering::Relaxed), BYTES.load(Ordering::Relaxed));
     let (mut blocks, mut candidates, mut key_evals) = (0, 0, 0);
-    for probe in &sample {
+    for probe in sample {
         let outcome = index.query(probe);
         blocks += outcome.stats.blocks_decoded;
         candidates += outcome.candidates as u64;
@@ -110,14 +135,24 @@ fn measure() -> [(&'static str, f64); 5] {
 
 #[test]
 fn query_work_stays_within_budget() {
-    let measured = measure();
-    for ((name, got), (_, budget)) in measured.iter().zip(BUDGET) {
-        println!("{name}: {got:.2} per query (budget {budget}, headroom {HEADROOM})");
+    let (index, sample) = extended();
+    let extended = measure(&index, &sample);
+    drop(index);
+    let (index, sample) = roster();
+    let roster = measure(&index, &sample);
+    let cases = [("extended", extended, BUDGET), ("roster", roster, ROSTER_BUDGET)];
+    for (case, measured, budgets) in &cases {
+        for ((name, got), (_, budget)) in measured.iter().zip(budgets) {
+            println!("{case} {name}: {got:.2} per query (budget {budget}, headroom {HEADROOM})");
+        }
     }
-    for ((name, got), (_, budget)) in measured.iter().zip(BUDGET) {
-        assert!(
-            *got <= budget * HEADROOM,
-            "{name}: {got:.2} per query exceeds its budget {budget} by more than {HEADROOM}x"
-        );
+    for (case, measured, budgets) in &cases {
+        for ((name, got), (_, budget)) in measured.iter().zip(budgets) {
+            assert!(
+                *got <= budget * HEADROOM,
+                "{case} {name}: {got:.2} per query exceeds its budget {budget} by more than \
+                 {HEADROOM}x"
+            );
+        }
     }
 }
