@@ -19,9 +19,10 @@
 //! * **q-gram posting lists** for thresholded edit-distance atoms, over
 //!   the attribute's **distinct values**: a per-atom dictionary gives
 //!   each distinct string a value id (handed out in first-occurrence
-//!   order, never reused) with its char length and presence mask, and
-//!   links it to the live slots holding it. Postings are keyed by the
-//!   grams of each value's
+//!   order, never reused), keeps its char length and presence mask in
+//!   two dense *hot columns* the prefilter reads, and stores the live
+//!   slots holding it as one ascending *run* (inline when it is a single
+//!   slot). Postings are keyed by the grams of each value's
 //!   [`StringSig`](matchrules_simdist::filters::StringSig) filter
 //!   signature and hold value ids, so a value repeated across many
 //!   records is decoded, prefiltered and signed once. A posting list
@@ -55,9 +56,11 @@
 //! the exact posting volume each atom's lists hold for that probe (read
 //! off list headers, no decoding; value entries for a q-gram or element
 //! atom): the cheapest atom is retrieved first — the only atom of a key
-//! ever expanded from values to slots — every remaining atom's prefilter
-//! (length window, presence mask, size ratio) runs on the survivors
-//! before any of its lists is touched, and the survivors are tested
+//! ever expanded from values to slots, by copying each surviving value's
+//! run — every remaining atom's prefilter (length window, presence mask,
+//! size ratio; one test per value, an edit atom's reading a bound table
+//! built once per probe) runs on the survivors before any of its lists
+//! is touched, and the survivors are tested
 //! against the rest over value ids (or slots, for key buckets) by
 //! membership cursors or against the atom's whole union — whichever
 //! walks fewer entries. The index stores no plan and learns
@@ -102,7 +105,7 @@
 //! ```
 
 use crate::key::{mask_allows, KeyMatcher, PairSide};
-use crate::postings::PostingList;
+use crate::postings::{Cursor, PostingList};
 use matchrules_core::dependency::SimilarityAtom;
 use matchrules_core::negation::NegativeRule;
 use matchrules_core::operators::OperatorId;
@@ -310,55 +313,159 @@ impl AnchorScratch {
 /// postings do.
 type ValueId = u32;
 
-/// "Nothing here" in the dictionary's links: no slot, no value.
+/// "Nothing here" in the dictionary: no value (a `Null` slot), no next
+/// value in a collision chain.
 const NO_ID: u32 = u32::MAX;
 
-/// One distinct value of a dictionary-backed anchor's attribute: the
-/// metadata its prefilter reads, the ends of its live-slot chain, and the
-/// next value whose string hashes alike.
-#[derive(Clone, Copy, Debug)]
-struct ValueEntry {
-    /// Char-bag presence mask (q-gram anchors; 0 for element anchors).
-    mask: u64,
+/// What the prefilter reads of one value — the hot columns of its
+/// [`ValueDict`] entry, as [`ValueKind::describe`] computes them.
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct ValueMeta {
     /// Length in chars (q-gram anchors), or the element-set size the
     /// size-ratio bound reads (element anchors).
     size: u32,
-    /// First and last live slot holding the value; [`NO_ID`] once the
-    /// value is dead (its last slot was removed).
-    head: u32,
-    tail: u32,
-    /// The dictionary's collision chain.
-    collide: ValueId,
+    /// Char-bag presence mask (q-gram anchors; 0 for element anchors,
+    /// which store no mask column).
+    mask: u64,
 }
 
-/// One slot's neighbours in its value's chain of live slots (ascending).
-#[derive(Clone, Copy, Debug)]
-struct SlotLink {
-    prev: u32,
-    next: u32,
+/// The live slots holding one value: ascending and contiguous, so a
+/// retrieval expands a value by copying one run.
+#[derive(Clone, Debug, Default)]
+enum SlotRun {
+    /// No live slot: the value is dead.
+    #[default]
+    Empty,
+    /// Exactly one live slot, stored inline.
+    One(u32),
+    /// Two or more live slots in one buffer: `buf[0]` is their count `n`,
+    /// `buf[1..=n]` the slots, and the rest room to append into while no
+    /// clone of the index shares the buffer.
+    Many(Arc<[u32]>),
 }
 
-/// The distinct values of one dictionary-backed anchor's attribute. Each
-/// value is reached by a hash of its string; the string itself is read
-/// back from the tuple of the value's first live slot (slots keep their
-/// tuples), so the dictionary copies no strings. Every container is a
-/// [`CowVec`]/[`CowMap`] of plain `Copy` entries: a clone shares all of
-/// it, and a write copies only the chunks and stripe it touches.
+impl SlotRun {
+    /// A run of exactly `slots` (ascending), with no room to spare.
+    fn of(slots: &[u32]) -> SlotRun {
+        match *slots {
+            [] => SlotRun::Empty,
+            [slot] => SlotRun::One(slot),
+            _ => SlotRun::Many(run_buffer(slots, &[], 0)),
+        }
+    }
+
+    /// The run's slots, ascending.
+    #[inline]
+    fn slots(&self) -> &[u32] {
+        match self {
+            SlotRun::Empty => &[],
+            SlotRun::One(slot) => std::slice::from_ref(slot),
+            SlotRun::Many(buf) => &buf[1..=buf[0] as usize],
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        matches!(self, SlotRun::Empty)
+    }
+
+    /// Appends `slot`, which is above every slot of the run: in place
+    /// while the buffer is unshared and has room, otherwise into a fresh
+    /// buffer with room for as many slots again.
+    fn push(&mut self, slot: u32) {
+        match self {
+            SlotRun::Empty => *self = SlotRun::One(slot),
+            &mut SlotRun::One(first) => *self = SlotRun::Many(run_buffer(&[first], &[slot], 0)),
+            SlotRun::Many(buf) => {
+                let n = buf[0] as usize;
+                if let Some(owned) = Arc::get_mut(buf).filter(|owned| n + 1 < owned.len()) {
+                    owned[n + 1] = slot;
+                    owned[0] += 1;
+                } else {
+                    *buf = run_buffer(&buf[1..=n], &[slot], n + 1);
+                }
+            }
+        }
+    }
+
+    /// Drops `slot` from the run, in place while the buffer is unshared.
+    fn remove(&mut self, slot: u32) {
+        let slots = self.slots();
+        let at = slots.binary_search(&slot).expect("a removed slot is in its value's run");
+        match slots.len() {
+            1 => *self = SlotRun::Empty,
+            2 => *self = SlotRun::One(slots[1 - at]),
+            n => {
+                let SlotRun::Many(buf) = self else {
+                    unreachable!("a run of 3+ slots is a buffer")
+                };
+                match Arc::get_mut(buf) {
+                    Some(owned) => {
+                        owned.copy_within(at + 2..=n, at + 1);
+                        owned[0] -= 1;
+                    }
+                    None => *buf = run_buffer(&buf[1..=at], &buf[at + 2..=n], 0),
+                }
+            }
+        }
+    }
+}
+
+/// A [`SlotRun::Many`] buffer holding `head` then `tail`, with room for
+/// `room` more slots — one allocation.
+fn run_buffer(head: &[u32], tail: &[u32], room: usize) -> Arc<[u32]> {
+    let n = (head.len() + tail.len()) as u32;
+    let slots = head.iter().chain(tail).copied();
+    std::iter::once(n).chain(slots).chain(std::iter::repeat_n(0, room)).collect()
+}
+
+/// How [`AtomIndex::add`] treats the runs of a value index.
+#[derive(Clone, Copy, PartialEq)]
+enum Runs {
+    /// Append the slot to its value's run (incremental insert).
+    Append,
+    /// Leave runs to [`AtomIndex::fill_runs`] (a build: every value's
+    /// slots are counted first, then each run is filled once, exactly
+    /// sized).
+    Deferred,
+}
+
+/// The distinct values of one dictionary-backed anchor's attribute,
+/// laid out for the probe. Per value, in columns of their own: the
+/// **hot** columns a prefilter reads (`sizes` for every anchor, `masks`
+/// for q-gram anchors), the run of live slots a surviving value expands
+/// to, and the **cold** collision link only lookups walk. Per slot, the
+/// value it holds. Each value is reached by a hash of its string; the
+/// string itself is read back from the tuple of the value's first live
+/// slot (slots keep their tuples), so the dictionary copies no strings.
+/// Every container is a [`CowVec`]/[`CowMap`]: a clone shares all of it
+/// (runs included — a chunk of runs is shared whole, and a run's buffer
+/// is shared until one side changes that run), and a write copies only
+/// the chunks, stripe and run it touches.
 #[derive(Clone)]
 struct ValueDict {
     hasher: RandomState,
     /// String hash → the newest live value with that hash; older ones
-    /// follow through [`ValueEntry::collide`].
+    /// follow through `collide`.
     ids: CowMap<u64, ValueId>,
-    values: CowVec<ValueEntry>,
+    /// Per value, its [`ValueMeta::size`].
+    sizes: CowVec<u32>,
+    /// Per value, its [`ValueMeta::mask`] — q-gram anchors only (empty
+    /// for element anchors, whose prefilter reads no mask).
+    masks: CowVec<u64>,
+    /// Whether this dictionary keeps the `masks` column.
+    masked: bool,
+    /// Per value, the next value whose string hashes alike ([`NO_ID`]
+    /// ends the chain).
+    collide: CowVec<ValueId>,
+    /// Per value, its live slots; a value is live iff its run is
+    /// non-empty.
+    runs: CowVec<SlotRun>,
     /// Per slot from `base` on, the value it holds ([`NO_ID`] for
-    /// `Null`) — a column of its own, so retrieval reads a slot's value
-    /// from a dense array.
+    /// `Null`) — a dense column, so retrieval reads a slot's value with
+    /// one load. A removed slot keeps its value id.
     slot_values: CowVec<ValueId>,
-    /// Per slot from `base` on, its chain links.
-    links: CowVec<SlotLink>,
-    /// The first slot the columns cover: 0 for an index, the chunk start
-    /// for a partial of a parallel build.
+    /// The first slot the slot column covers: 0 for an index, the chunk
+    /// start for a partial of a parallel build.
     base: u32,
     /// Live values (those with at least one live slot).
     live: usize,
@@ -367,32 +474,31 @@ struct ValueDict {
 }
 
 impl ValueDict {
-    fn new(base: u32) -> ValueDict {
+    fn new(base: u32, masked: bool) -> ValueDict {
         ValueDict {
             hasher: RandomState::new(),
             ids: CowMap::new(),
-            values: CowVec::new(),
+            sizes: CowVec::new(),
+            masks: CowVec::new(),
+            masked,
+            collide: CowVec::new(),
+            runs: CowVec::new(),
             slot_values: CowVec::new(),
-            links: CowVec::new(),
             base,
             live: 0,
             held: 0,
         }
     }
 
-    fn link(&self, slot: u32) -> SlotLink {
-        self.links[(slot - self.base) as usize]
+    /// Values handed out so far, dead ones included.
+    fn len(&self) -> usize {
+        self.sizes.len()
     }
 
-    fn link_mut(&mut self, slot: u32) -> &mut SlotLink {
-        self.links.get_mut((slot - self.base) as usize)
-    }
-
-    /// Appends the next slot, holding `value` ([`NO_ID`] for `Null`)
-    /// after `prev` in its chain.
-    fn push_slot(&mut self, value: ValueId, prev: u32) {
-        self.slot_values.push(value);
-        self.links.push(SlotLink { prev, next: NO_ID });
+    /// The hot columns of value `v`.
+    fn meta(&self, v: ValueId) -> ValueMeta {
+        let v = v as usize;
+        ValueMeta { size: self.sizes[v], mask: if self.masked { self.masks[v] } else { 0 } }
     }
 
     /// The value `slot` holds ([`NO_ID`] for `Null`).
@@ -409,56 +515,64 @@ impl ValueDict {
     {
         let mut v = *self.ids.get(&hash)?;
         while v != NO_ID {
-            let entry = self.values[v as usize];
-            if tuples[entry.head as usize].get(right).as_str() == Some(s) {
+            let first = self.runs[v as usize].slots()[0];
+            if tuples[first as usize].get(right).as_str() == Some(s) {
                 return Some(v);
             }
-            v = entry.collide;
+            v = self.collide[v as usize];
         }
         None
     }
 
-    /// Opens `entry` (its chain ends set) as a fresh live value hashing
-    /// to `hash`.
-    fn open(&mut self, hash: u64, entry: ValueEntry) -> ValueId {
-        let v = self.values.len() as ValueId;
-        let collide = self.ids.insert(hash, v).unwrap_or(NO_ID);
-        self.values.push(ValueEntry { collide, ..entry });
+    /// Opens a fresh live value hashing to `hash`, described by `meta`,
+    /// whose run starts at `slot`.
+    fn open(&mut self, hash: u64, meta: ValueMeta, slot: u32) -> ValueId {
+        let v = self.len() as ValueId;
+        self.collide.push(self.ids.insert(hash, v).unwrap_or(NO_ID));
+        self.sizes.push(meta.size);
+        if self.masked {
+            self.masks.push(meta.mask);
+        }
+        self.runs.push(SlotRun::One(slot));
         self.live += 1;
         v
     }
 
-    /// Hangs the chain starting at `head` (every slot of it above the
-    /// value's) onto live value `v`, whose chain now ends at `tail`;
-    /// returns the slot `head` follows.
-    fn splice(&mut self, v: ValueId, head: u32, tail: u32) -> u32 {
-        let entry = self.values.get_mut(v as usize);
-        let prev = std::mem::replace(&mut entry.tail, tail);
-        self.link_mut(prev).next = head;
-        prev
+    /// Refills every run from the slot column — a build's last step, when
+    /// every slot is live: counts each value's slots, then copies them
+    /// into one exactly sized run per value, ascending.
+    fn fill_runs(&mut self) {
+        let mut start = vec![0usize; self.len() + 1];
+        for &v in self.slot_values.iter().filter(|&&v| v != NO_ID) {
+            start[v as usize + 1] += 1;
+        }
+        for v in 1..start.len() {
+            start[v] += start[v - 1];
+        }
+        let mut flat = vec![0u32; self.held];
+        let mut next = start.clone();
+        for (offset, &v) in self.slot_values.iter().enumerate().filter(|(_, &v)| v != NO_ID) {
+            flat[next[v as usize]] = self.base + offset as u32;
+            next[v as usize] += 1;
+        }
+        self.runs = start.windows(2).map(|w| SlotRun::of(&flat[w[0]..w[1]])).collect();
     }
 
-    /// Unlinks `slot`, which holds `s`, from its value's chain; when that
-    /// was the value's last live slot, the value leaves the dictionary and
-    /// is returned (re-inserting `s` later opens a fresh id). The slot
-    /// keeps its value id.
+    /// Drops `slot`, which holds `s`, from its value's run; when that was
+    /// the value's last live slot, the value leaves the dictionary and is
+    /// returned (re-inserting `s` later opens a fresh id). The slot keeps
+    /// its value id.
     fn remove(&mut self, slot: u32, s: &str) -> Option<ValueId> {
-        let (v, SlotLink { prev, next }) = (self.value_of(slot), self.link(slot));
-        match prev {
-            NO_ID => self.values.get_mut(v as usize).head = next,
-            prev => self.link_mut(prev).next = next,
-        }
-        match next {
-            NO_ID => self.values.get_mut(v as usize).tail = prev,
-            next => self.link_mut(next).prev = prev,
-        }
+        let v = self.value_of(slot);
+        let run = self.runs.get_mut(v as usize);
+        run.remove(slot);
         self.held -= 1;
-        if self.values[v as usize].head != NO_ID {
+        if !run.is_empty() {
             return None;
         }
         self.live -= 1;
         let hash = self.hasher.hash_one(s);
-        let successor = self.values[v as usize].collide;
+        let successor = self.collide[v as usize];
         let mut cur = *self.ids.get(&hash).expect("a live value is in the dictionary");
         if cur == v {
             match successor {
@@ -466,37 +580,27 @@ impl ValueDict {
                 successor => self.ids.insert(hash, successor),
             };
         } else {
-            while self.values[cur as usize].collide != v {
-                cur = self.values[cur as usize].collide;
+            while self.collide[cur as usize] != v {
+                cur = self.collide[cur as usize];
             }
-            self.values.get_mut(cur as usize).collide = successor;
+            *self.collide.get_mut(cur as usize) = successor;
         }
         Some(v)
-    }
-
-    /// Calls `f` on each live slot holding `v`, ascending.
-    #[inline]
-    fn for_each_slot(&self, v: ValueId, mut f: impl FnMut(u32)) {
-        let mut slot = self.values[v as usize].head;
-        while slot != NO_ID {
-            f(slot);
-            slot = self.link(slot).next;
-        }
     }
 }
 
 /// Value liveness as the `bool` index [`PostingList::note_removed`]
-/// rewrites a block under: a value is live while it has a live slot.
-struct LiveValues<'a>(&'a CowVec<ValueEntry>);
+/// rewrites a block under: a value is live while its run is non-empty.
+struct LiveValues<'a>(&'a CowVec<SlotRun>);
 
 impl Index<usize> for LiveValues<'_> {
     type Output = bool;
 
     fn index(&self, v: usize) -> &bool {
-        if self.0[v].head != NO_ID {
-            &true
-        } else {
+        if self.0[v].is_empty() {
             &false
+        } else {
+            &true
         }
     }
 }
@@ -512,18 +616,11 @@ enum ValueKind {
 }
 
 impl ValueKind {
-    /// Describes the value `s` — once per distinct value: the entry its
-    /// prefilter reads (chain ends unset) and whether it goes on the side
-    /// list, with the keys of the posting lists it joins left in
-    /// `scratch.elems` (its distinct gram hashes, or its elements).
-    fn describe(
-        self,
-        s: &str,
-        ops: &RuntimeOps,
-        scratch: &mut AnchorScratch,
-    ) -> (ValueEntry, bool) {
-        let entry =
-            |size, mask| ValueEntry { mask, size, head: NO_ID, tail: NO_ID, collide: NO_ID };
+    /// Describes the value `s` — once per distinct value: the hot columns
+    /// its prefilter reads and whether it goes on the side list, with the
+    /// keys of the posting lists it joins left in `scratch.elems` (its
+    /// distinct gram hashes, or its elements).
+    fn describe(self, s: &str, ops: &RuntimeOps, scratch: &mut AnchorScratch) -> (ValueMeta, bool) {
         match self {
             ValueKind::Grams { safe_len, .. } => {
                 let chars: Vec<char> = s.chars().collect();
@@ -531,11 +628,12 @@ impl ValueKind {
                 scratch.elems.clear();
                 scratch.elems.extend(sig.qgrams().distinct_hashes());
                 let len = sig.char_len();
-                (entry(len as u32, sig.bag().presence_mask()), len < safe_len)
+                let meta = ValueMeta { size: len as u32, mask: sig.bag().presence_mask() };
+                (meta, len < safe_len)
             }
             ValueKind::Elements { op, .. } => {
                 let size = scratch.elements_of(ops, op, s);
-                (entry(size, 0), scratch.elems.is_empty())
+                (ValueMeta { size, mask: 0 }, scratch.elems.is_empty())
             }
         }
     }
@@ -547,8 +645,8 @@ impl ValueKind {
 /// sparse list of a q-gram atom, the empty list of an element atom). Every
 /// list holds value ids, so a value repeated across many records is
 /// described, listed, decoded and prefiltered once; a retrieval expands
-/// surviving values to their live slots through the dictionary. `Null`
-/// slots hold no value and appear on no list.
+/// surviving values to their runs of live slots. `Null` slots hold no
+/// value and appear on no list.
 #[derive(Clone)]
 struct ValueIndex {
     left: AttrId,
@@ -562,7 +660,8 @@ struct ValueIndex {
 impl ValueIndex {
     /// Indexes one slot; `tuples` holds every earlier slot's tuple (see
     /// [`AtomIndex::add`]). A value some live slot already holds only
-    /// gains the slot; a new one is described and listed.
+    /// gains the slot (on its run, under [`Runs::Append`]); a new one is
+    /// described, listed and opened with the slot as its run.
     fn add<T>(
         &mut self,
         slot: u32,
@@ -570,22 +669,25 @@ impl ValueIndex {
         tuples: &T,
         ops: &RuntimeOps,
         scratch: &mut AnchorScratch,
+        runs: Runs,
     ) where
         T: Index<usize, Output = Tuple> + ?Sized,
     {
         let dict = &mut self.dict;
         let Some(s) = tuple.get(self.right).as_str() else {
-            return dict.push_slot(NO_ID, NO_ID);
+            return dict.slot_values.push(NO_ID);
         };
         dict.held += 1;
         let hash = dict.hasher.hash_one(s);
         if let Some(v) = dict.find(hash, s, self.right, tuples) {
-            let prev = dict.splice(v, slot, slot);
-            return dict.push_slot(v, prev);
+            if runs == Runs::Append {
+                dict.runs.get_mut(v as usize).push(slot);
+            }
+            return dict.slot_values.push(v);
         }
-        let (entry, side) = self.kind.describe(s, ops, scratch);
-        let v = dict.open(hash, ValueEntry { head: slot, tail: slot, ..entry });
-        dict.push_slot(v, NO_ID);
+        let (meta, side) = self.kind.describe(s, ops, scratch);
+        let v = dict.open(hash, meta, slot);
+        dict.slot_values.push(v);
         if side {
             Arc::make_mut(&mut self.side).push(v);
         }
@@ -594,35 +696,32 @@ impl ValueIndex {
         }
     }
 
-    /// Folds a partial (higher-slot) index in. The partial's values are
-    /// matched to this index's by string (read from `tuples`): a value
-    /// both hold gets the partial's slots appended to its chain, the
-    /// others are opened here in the partial's order — so value ids,
-    /// chains and lists come out as a serial build makes them.
+    /// Folds a partial (higher-slot) index of a build in. The partial's
+    /// values are matched to this index's by string (read from `tuples`
+    /// through each value's first slot): a value both hold keeps this
+    /// index's id, the others are opened here in the partial's order — so
+    /// value ids and lists come out as a serial build makes them. Runs are
+    /// left to [`ValueDict::fill_runs`].
     fn merge(&mut self, other: ValueIndex, tuples: &[Tuple]) {
-        let ValueIndex { postings: p2, side: s2, dict: mut d2, .. } = other;
+        let ValueIndex { postings: p2, side: s2, dict: d2, .. } = other;
         let dict = &mut self.dict;
-        debug_assert_eq!(d2.base as usize, dict.base as usize + dict.links.len());
-        let first_new = dict.values.len() as ValueId;
-        let mut global = Vec::with_capacity(d2.values.len());
-        for local in 0..d2.values.len() {
-            let entry = d2.values[local];
-            let s = tuples[entry.head as usize].get(self.right).as_str();
+        debug_assert_eq!(d2.base as usize, dict.base as usize + dict.slot_values.len());
+        let first_new = dict.len() as ValueId;
+        let mut global = Vec::with_capacity(d2.len());
+        for local in 0..d2.len() as ValueId {
+            let first = d2.runs[local as usize].slots()[0];
+            let s = tuples[first as usize].get(self.right).as_str();
             let s = s.expect("a value's slots hold its string");
             let hash = dict.hasher.hash_one(s);
             let v = match dict.find(hash, s, self.right, tuples) {
-                Some(v) => {
-                    d2.link_mut(entry.head).prev = dict.splice(v, entry.head, entry.tail);
-                    v
-                }
-                None => dict.open(hash, entry),
+                Some(v) => v,
+                None => dict.open(hash, d2.meta(local), first),
             };
             global.push(v);
         }
         dict.held += d2.held;
         let to_global = |v: ValueId| if v == NO_ID { NO_ID } else { global[v as usize] };
         dict.slot_values.extend(d2.slot_values.iter().map(|&v| to_global(v)));
-        dict.links.extend(d2.links.iter().copied());
         // Values this index already held are on their lists; only the
         // opened ones join, in ascending id order.
         let mut scratch = Vec::new();
@@ -641,15 +740,18 @@ impl ValueIndex {
     }
 
     /// Resolves the probe into the posting lists (and side list) whose
-    /// union holds its candidate values, under the kind's per-value
-    /// prefilter. A `Null` probe value prepares an empty retrieval.
+    /// union holds its candidate values, into `pa`'s buffers, and sets
+    /// `pa`'s per-value prefilter — an edit atom's over the bound table it
+    /// builds into `bounds`. A `Null` probe value prepares an empty
+    /// retrieval.
     fn prepare<'a>(
         &'a self,
         probe: PairSide<'_>,
         ops: &RuntimeOps,
         scratch: &mut AnchorScratch,
-    ) -> PreparedAtom<'a> {
-        let mut pa = PreparedAtom::empty();
+        pa: &mut PreparedAtom<'a>,
+        bounds: Vec<u8>,
+    ) {
         let test = match self.kind {
             ValueKind::Grams { theta, safe_len } => {
                 let computed;
@@ -661,7 +763,7 @@ impl ValueIndex {
                     }
                 };
                 if sig.is_null() {
-                    return pa;
+                    return;
                 }
                 if sig.sig().char_len() < safe_len {
                     // Short probe: pairs below the safe length need not
@@ -676,13 +778,12 @@ impl ValueIndex {
                     }
                 }
                 let len = sig.sig().char_len() as u32;
-                let (len_lo, len_hi) = edit_len_window(theta, len);
                 let mask = sig.sig().bag().presence_mask();
-                ValueTest::Edit(EditProbe { theta, len, mask, len_lo, len_hi })
+                ValueTest::Edit(EditProbe::new(theta, len, mask, bounds))
             }
             ValueKind::Elements { op, min_ratio } => {
                 let Some(s) = probe.tuple.get(self.left).as_str() else {
-                    return pa;
+                    return;
                 };
                 let size = scratch.elements_of(ops, op, s);
                 if scratch.elems.is_empty() {
@@ -701,7 +802,6 @@ impl ValueIndex {
             }
         };
         pa.filter = EntryFilter::Values { dict: &self.dict, test };
-        pa
     }
 
     /// Drops `slot`, which holds `tuple`, from its value; only a value
@@ -721,7 +821,7 @@ impl ValueIndex {
             drop_from(Arc::make_mut(&mut self.side), v);
         }
         for &key in &scratch.elems {
-            drop_posting(&mut self.postings, key, v, &LiveValues(&self.dict.values));
+            drop_posting(&mut self.postings, key, v, &LiveValues(&self.dict.runs));
         }
     }
 }
@@ -798,16 +898,18 @@ impl AtomIndex {
             kind,
             postings: CowMap::new(),
             side: Arc::default(),
-            dict: ValueDict::new(base),
+            dict: ValueDict::new(base, matches!(kind, ValueKind::Grams { .. })),
         }))
     }
 
     /// Indexes one tuple (slot ids arrive in ascending order, so every
-    /// bucket and list stays sorted, and a value index pushes exactly one
-    /// slot link per call). `tuples` holds every earlier slot's tuple: a
-    /// value index reads its values' strings back from them, and describes
-    /// only a string no live value holds. Keys and elements come from the
-    /// operator via `ops`, through `scratch`.
+    /// bucket, list and run stays sorted, and a value index pushes exactly
+    /// one slot-column entry per call). `tuples` holds every earlier
+    /// slot's tuple: a value index reads its values' strings back from
+    /// them, and describes only a string no live value holds; `runs` says
+    /// whether it appends the slot to its value's run now or leaves that to
+    /// [`AtomIndex::fill_runs`]. Keys and elements come from the operator
+    /// via `ops`, through `scratch`.
     fn add<T>(
         &mut self,
         slot: u32,
@@ -815,6 +917,7 @@ impl AtomIndex {
         tuples: &T,
         ops: &RuntimeOps,
         scratch: &mut AnchorScratch,
+        runs: Runs,
     ) where
         T: Index<usize, Output = Tuple> + ?Sized,
     {
@@ -826,7 +929,15 @@ impl AtomIndex {
                     });
                 }
             }
-            AtomIndex::Values(vi) => vi.add(slot, tuple, tuples, ops, scratch),
+            AtomIndex::Values(vi) => vi.add(slot, tuple, tuples, ops, scratch, runs),
+        }
+    }
+
+    /// Fills a value index's runs after a build added its slots under
+    /// [`Runs::Deferred`] (see [`ValueDict::fill_runs`]).
+    fn fill_runs(&mut self) {
+        if let AtomIndex::Values(vi) = self {
+            vi.dict.fill_runs();
         }
     }
 
@@ -850,16 +961,19 @@ impl AtomIndex {
     /// of the slots whose tuples satisfy the atom against the probe. An
     /// unsatisfiable probe value (`Null`) prepares an empty retrieval.
     /// The probe side carries its signatures (batched probes share one
-    /// prep).
+    /// prep); the prepared atom's lists and bound table live in `bufs`.
     fn prepare<'a>(
         &'a self,
         probe: PairSide<'_>,
         ops: &RuntimeOps,
         scratch: &mut AnchorScratch,
+        bufs: AtomBufs,
     ) -> PreparedAtom<'a> {
+        let AtomBufs { comp, plain, bounds } = bufs;
+        let mut pa =
+            PreparedAtom { comp: recycle(comp), plain: recycle(plain), filter: EntryFilter::None };
         match self {
             AtomIndex::Keys { left, op, buckets, .. } => {
-                let mut pa = PreparedAtom::empty();
                 if let Some(s) = probe.tuple.get(*left).as_str() {
                     scratch.for_each_key(ops, *op, s, |key| {
                         if let Some(bucket) = buckets.get(key) {
@@ -867,10 +981,10 @@ impl AtomIndex {
                         }
                     });
                 }
-                pa
             }
-            AtomIndex::Values(vi) => vi.prepare(probe, ops, scratch),
+            AtomIndex::Values(vi) => vi.prepare(probe, ops, scratch, &mut pa, bounds),
         }
+        pa
     }
 
     /// Purges `slot` from this atom's buckets and postings — the inverse
@@ -879,7 +993,7 @@ impl AtomIndex {
     /// drops the slot from its value, and only a value whose last slot
     /// goes leaves its lists: compressed posting lists tombstone it and
     /// rewrite their block once half dead. The slot keeps its value id:
-    /// slots are never reused, and the link stays correct for any stale
+    /// slots are never reused, so the id stays correct for any stale
     /// reader.
     fn remove_slot(
         &mut self,
@@ -926,9 +1040,8 @@ enum EntryFilter<'a> {
 /// The per-value prefilter of a dictionary-backed atom, computed once
 /// per probe.
 enum ValueTest {
-    /// The edit-atom prefilters: the probe's length window
-    /// ([`edit_len_window`]) plus the char-bag presence-mask bound against
-    /// `theta_bound(θ, max(len))`.
+    /// The edit-atom prefilters, table-driven: the probe's length window
+    /// plus the char-bag presence-mask bound (see [`EditProbe`]).
     Edit(EditProbe),
     /// The element anchors' size-ratio bound, `min ≥ ratio·max` over the
     /// value's element-set size vs the probe's.
@@ -939,28 +1052,62 @@ enum ValueTest {
 }
 
 impl ValueTest {
-    /// Why `entry` fails the test, or `None` when it passes.
+    /// Why value `at` of a window of the hot columns (`sizes`, and
+    /// `masks` for an edit atom) fails the test, or `None` when it passes
+    /// — the one per-value test, shared by a materializing value scan and
+    /// the slot-level [`EntryFilter::reject`].
     #[inline]
-    fn reject(&self, entry: &ValueEntry) -> Option<RetrievalReject> {
+    fn reject(&self, sizes: &[u32], masks: &[u64], at: usize) -> Option<RetrievalReject> {
         match *self {
-            ValueTest::Edit(ref edit) => edit_reject(entry.size, entry.mask, edit),
+            ValueTest::Edit(ref edit) => edit.reject(sizes[at], masks[at]),
             ValueTest::Ratio { ratio, probe } => {
-                (!ratio_ok(ratio, entry.size, probe)).then_some(RetrievalReject::SizeRatio)
+                (!ratio_ok(ratio, sizes[at], probe)).then_some(RetrievalReject::SizeRatio)
             }
             ValueTest::Any => None,
         }
     }
 }
 
-/// The probe side of the edit-atom prefilter, computed once per probe.
+/// The probe side of the edit-atom prefilter, computed once per probe:
+/// for every stored length `ls` in the probe's length window
+/// ([`edit_len_window`]), `bounds[ls − len_lo]` is the edit bound
+/// `theta_bound(θ, max(p, ls))` the presence-mask test compares against,
+/// so testing a value costs a table read and no float arithmetic. Bounds
+/// are stored saturated at `u8::MAX`: a mask difference never exceeds 64,
+/// so every larger bound passes alike.
 struct EditProbe {
-    theta: f64,
-    len: u32,
+    /// The probe's char-bag presence mask.
     mask: u64,
-    /// Inclusive bounds of the stored lengths within the θ-bound of
-    /// `len` (see [`edit_len_window`]).
+    /// The shortest stored length in the window.
     len_lo: u32,
-    len_hi: u32,
+    /// One bound per length of the window, `len_lo` first.
+    bounds: Vec<u8>,
+}
+
+impl EditProbe {
+    /// The prefilter of a probe of `len` chars with presence mask `mask`
+    /// under threshold `theta`; its table is built in `bounds` (cleared
+    /// first, so a reused buffer allocates nothing).
+    fn new(theta: f64, len: u32, mask: u64, mut bounds: Vec<u8>) -> EditProbe {
+        let (len_lo, len_hi) = edit_len_window(theta, len);
+        bounds.clear();
+        bounds.extend(
+            (len_lo..=len_hi)
+                .map(|ls| theta_bound(theta, len.max(ls) as usize).min(u8::MAX as usize) as u8),
+        );
+        EditProbe { mask, len_lo, bounds }
+    }
+
+    /// The edit-atom prefilter on one value's length `ls` and presence
+    /// mask `sm`: why the value fails, or `None` when it passes.
+    #[inline]
+    fn reject(&self, ls: u32, sm: u64) -> Option<RetrievalReject> {
+        let Some(&bound) = self.bounds.get(ls.wrapping_sub(self.len_lo) as usize) else {
+            return Some(RetrievalReject::LengthWindow);
+        };
+        let diff = (self.mask & !sm).count_ones().max((sm & !self.mask).count_ones());
+        (diff > bound as u32).then_some(RetrievalReject::PresenceMask)
+    }
 }
 
 /// The stored lengths `ls` passing the edit prefilter's length test
@@ -983,18 +1130,6 @@ fn edit_len_window(theta: f64, probe_len: u32) -> (u32, u32) {
     ((p - theta_bound(theta, p)) as u32, hi as u32)
 }
 
-/// The edit-atom prefilter on one value's length `ls` and presence mask
-/// `sm`: why the value fails, or `None` when it passes.
-#[inline]
-fn edit_reject(ls: u32, sm: u64, edit: &EditProbe) -> Option<RetrievalReject> {
-    if ls < edit.len_lo || ls > edit.len_hi {
-        return Some(RetrievalReject::LengthWindow);
-    }
-    let bound = theta_bound(edit.theta, edit.len.max(ls) as usize);
-    let diff = (edit.mask & !sm).count_ones().max((sm & !edit.mask).count_ones());
-    (diff as usize > bound).then_some(RetrievalReject::PresenceMask)
-}
-
 impl EntryFilter<'_> {
     /// Why one slot fails — the membership-probe form, for the few slots
     /// of a small running intersection — or `None` when it passes. A
@@ -1005,7 +1140,10 @@ impl EntryFilter<'_> {
             EntryFilter::None => None,
             EntryFilter::Values { dict, ref test } => match dict.value_of(slot) {
                 NO_ID => Some(RetrievalReject::Null),
-                v => test.reject(&dict.values[v as usize]),
+                v => {
+                    let v = v as usize;
+                    test.reject(dict.sizes.run_of(v), dict.masks.run_of(v), v % CHUNK_LEN)
+                }
             },
         }
     }
@@ -1058,7 +1196,8 @@ fn bit_set(words: &[u64], entry: u32) -> bool {
 /// Reusable buffers of the probe hot path: a bitmap over slots, one over
 /// a dictionary-backed atom's value ids, the distinct values of a running
 /// candidate set (`vals`, deduplicated through `marks`, which is all
-/// zero between uses), and the block-decode scratch.
+/// zero between uses), the block-decode scratch and the membership
+/// cursors (empty between uses, see [`recycle`]).
 #[derive(Default)]
 struct Bitmaps {
     slots: Vec<u64>,
@@ -1066,6 +1205,7 @@ struct Bitmaps {
     marks: Vec<u64>,
     vals: Vec<u32>,
     decode: Vec<u32>,
+    cursors: Vec<Cursor<'static>>,
 }
 
 /// Clears `words` and sizes it to `n` bits, rounded to a 256-bit boundary
@@ -1087,8 +1227,13 @@ struct PreparedAtom<'a> {
 }
 
 impl<'a> PreparedAtom<'a> {
-    fn empty() -> Self {
-        PreparedAtom { comp: Vec::new(), plain: Vec::new(), filter: EntryFilter::None }
+    /// Empties the atom back into the buffers it was prepared in.
+    fn into_bufs(self) -> AtomBufs {
+        let bounds = match self.filter {
+            EntryFilter::Values { test: ValueTest::Edit(edit), .. } => edit.bounds,
+            _ => Vec::new(),
+        };
+        AtomBufs { comp: recycle(self.comp), plain: recycle(self.plain), bounds }
     }
 
     /// Entries the atom's lists hold between them — the exact size of
@@ -1132,7 +1277,7 @@ impl<'a> PreparedAtom<'a> {
         match self.filter {
             EntryFilter::Values { dict, .. } => {
                 let Bitmaps { marks, vals, .. } = bits;
-                let words = dict.values.len().div_ceil(64);
+                let words = dict.len().div_ceil(64);
                 if marks.len() < words {
                     marks.resize(words, 0);
                 }
@@ -1156,7 +1301,7 @@ impl<'a> PreparedAtom<'a> {
     /// dictionary-backed atom, `n_slots` slots otherwise.
     fn universe(&self, n_slots: usize) -> usize {
         match self.filter {
-            EntryFilter::Values { dict, .. } => dict.values.len(),
+            EntryFilter::Values { dict, .. } => dict.len(),
             EntryFilter::None => n_slots,
         }
     }
@@ -1181,19 +1326,26 @@ impl<'a> PreparedAtom<'a> {
         }
     }
 
-    /// Materializes the filtered union as slots, ascending and
-    /// deduplicated: OR every list into a bitmap (bitset blocks land as
-    /// four word-ORs each), then scan set bits through the prefilter. A
-    /// dictionary-backed atom does that over value ids, testing each
-    /// value once and expanding the survivors to their live slots. A
-    /// single unfiltered plain list (key bucket) short-circuits without
-    /// touching a bitmap.
-    fn materialize(&self, n_slots: usize, bits: &mut Bitmaps, stats: &mut FilterStats) -> Vec<u32> {
+    /// Materializes the filtered union into `out` as slots, ascending
+    /// and deduplicated. A key-bucket atom ORs every list into a slot
+    /// bitmap (bitset blocks land as four word-ORs each) and scans its set
+    /// bits out; a single bucket is copied as is. A dictionary-backed atom
+    /// ORs its lists into a value bitmap, tests each set value once
+    /// through the hot columns, copies each survivor's run into `out` and
+    /// sorts it — runs of distinct values are disjoint, so that is the
+    /// union, and no bitmap over slots is touched.
+    fn materialize(
+        &self,
+        n_slots: usize,
+        bits: &mut Bitmaps,
+        stats: &mut FilterStats,
+        out: &mut Vec<u32>,
+    ) {
         let Bitmaps { slots, values, decode, .. } = bits;
-        let mut out = Vec::new();
+        out.clear();
         match self.filter {
             EntryFilter::None if self.comp.is_empty() && self.plain.len() <= 1 => {
-                return self.plain.first().map(|list| list.to_vec()).unwrap_or_default();
+                out.extend_from_slice(self.plain.first().copied().unwrap_or_default());
             }
             EntryFilter::None => {
                 self.or_into(n_slots, slots, decode, stats);
@@ -1201,16 +1353,16 @@ impl<'a> PreparedAtom<'a> {
             }
             EntryFilter::Values { dict, ref test } => {
                 self.or_into(n_slots, values, decode, stats);
-                clear_bits(slots, n_slots);
-                let reject = |run: &&[ValueEntry], offset: usize| test.reject(&run[offset]);
-                let expand = |v| {
-                    dict.for_each_slot(v, |slot| slots[(slot >> 6) as usize] |= 1u64 << (slot & 63))
-                };
-                scan_runs(values, stats, |base| dict.values.run_of(base), reject, expand);
-                scan_runs(slots, stats, |_| (), |_, _| None, |slot| out.push(slot));
+                let window = |base| (dict.sizes.run_of(base), dict.masks.run_of(base));
+                let reject = |&(sizes, masks): &(&[u32], &[u64]), at| test.reject(sizes, masks, at);
+                let expand = |v: u32| out.extend_from_slice(dict.runs[v as usize].slots());
+                scan_runs(values, stats, window, reject, expand);
+                out.sort_unstable();
+                // One step per slot produced, as a scan of the slots would
+                // count.
+                stats.linear_steps += out.len() as u64;
             }
         }
-        out
     }
 
     /// Intersects `acc` with this (unmaterialized) atom by membership: a
@@ -1222,7 +1374,8 @@ impl<'a> PreparedAtom<'a> {
     /// `acc` through the atom's prefilter, so this produces exactly the
     /// `acc` that intersecting with the filtered union would.
     fn member_intersect(&self, acc: &mut Vec<u32>, bits: &mut Bitmaps, stats: &mut FilterStats) {
-        let mut cursors: Vec<_> = self.comp.iter().map(|list| list.cursor()).collect();
+        let mut cursors: Vec<Cursor<'_>> = recycle(std::mem::take(&mut bits.cursors));
+        cursors.extend(self.comp.iter().map(|list| list.cursor()));
         let mut member = |entry: u32| {
             cursors.iter_mut().any(|cur| cur.advance_to(entry) == Some(entry))
                 || self.plain.iter().any(|plain| plain.binary_search(&entry).is_ok())
@@ -1238,10 +1391,11 @@ impl<'a> PreparedAtom<'a> {
             }
             EntryFilter::None => acc.retain(|&slot| member(slot)),
         }
-        for cur in cursors {
+        for cur in &cursors {
             stats.blocks_decoded += cur.blocks_decoded;
             stats.blocks_skipped += cur.blocks_skipped;
         }
+        bits.cursors = recycle(cursors);
     }
 
     /// Intersects `acc` with this dictionary-backed atom over value ids:
@@ -1289,15 +1443,57 @@ fn gallop_intersect(acc: &mut Vec<u32>, list: &[u32], stats: &mut FilterStats) {
     acc.truncate(kept);
 }
 
+/// Empties `v` and hands its allocation back as a vector of `U`, a type
+/// of the same layout — here the same borrowing type at another lifetime
+/// — so buffers of borrows from one probe's index can wait in the
+/// thread-local scratch for the next probe. No element is converted (the
+/// vector is empty), and the standard library collects a mapped
+/// `IntoIter` into its own allocation.
+fn recycle<T, U>(mut v: Vec<T>) -> Vec<U> {
+    v.clear();
+    v.into_iter().map(|_| unreachable!("the vector is empty")).collect()
+}
+
+/// The buffers of one prepared atom between probes, emptied: its list
+/// references and its edit bound table.
+#[derive(Default)]
+struct AtomBufs {
+    comp: Vec<&'static PostingList>,
+    plain: Vec<&'static [u32]>,
+    bounds: Vec<u8>,
+}
+
 /// Reusable per-thread buffers of the probe hot path — the bitmaps and
-/// the block-decode scratch — plus the key/element buffers that probes
-/// and index maintenance share. Thread-local so concurrent queries
-/// (server readers, batched pools) never contend, and sequential calls
-/// never re-allocate.
+/// the block-decode scratch, each atom's prepared lists and bound table,
+/// the memoized retrievals, the plan order, the running intersection and
+/// the candidate pairs — plus the key/element buffers that probes and
+/// index maintenance share. Thread-local so concurrent queries (server
+/// readers, batched pools) never contend; every buffer is cleared, never
+/// freed, so sequential calls allocate nothing once they have grown.
 #[derive(Default)]
 struct ProbeScratch {
     bits: Bitmaps,
     anchor: AnchorScratch,
+    /// Per atom position, the buffers its prepared retrieval uses.
+    atoms: Vec<AtomBufs>,
+    /// The probe's prepared atoms by position — empty between probes,
+    /// kept for its allocation (see [`recycle`]).
+    prepared: Vec<Option<PreparedAtom<'static>>>,
+    /// Per atom position, its memoized slot retrieval, valid where
+    /// `memoized` is set.
+    retrieved: Vec<Vec<u32>>,
+    memoized: Vec<bool>,
+    /// A key's atoms as (position, volume, volume in slots), planned.
+    order: Vec<(usize, usize, (u64, u64))>,
+    /// A key's running intersection.
+    acc: Vec<u32>,
+    /// A later key-bucket atom's materialized retrieval.
+    list: Vec<u32>,
+    /// (slot, key bit) per key's candidate.
+    pairs: Vec<(u32, u64)>,
+    /// The probe's candidates with their key masks, ascending by slot:
+    /// what [`MatchIndex::candidate_masks`] leaves behind.
+    masked: Vec<(u32, u64)>,
 }
 
 thread_local! {
@@ -1572,7 +1768,7 @@ impl MatchIndex {
             let mut scratch = AnchorScratch::default();
             for pos in range {
                 for atom in &mut partial {
-                    atom.add(pos as u32, &tuples[pos], tuples, &ops, &mut scratch);
+                    atom.add(pos as u32, &tuples[pos], tuples, &ops, &mut scratch, Runs::Deferred);
                 }
             }
             partial
@@ -1586,6 +1782,8 @@ impl MatchIndex {
                 atom.merge(partial, tuples);
             }
         }
+        // Every value's slots are known now: fill each run once.
+        atom_indices.iter_mut().for_each(AtomIndex::fill_runs);
 
         let mut by_id = CowMap::new();
         for (pos, tuple) in tuples.iter().enumerate() {
@@ -1648,11 +1846,15 @@ impl MatchIndex {
     /// liveness flags describe the same live set, and every posting list
     /// passes [`PostingList::check_invariants`] and counts exactly its
     /// dead entries as tombstones. Each value dictionary (q-gram and
-    /// element anchors) is exact: each live slot's value maps back to the
-    /// slot's string, each value's chain is exactly the live slots holding
-    /// it, and each live value carries its described metadata and is on
-    /// exactly its posting keys' lists (and the side list when it belongs
-    /// there) while a dead value is on no list but as a counted tombstone.
+    /// element anchors) is exact: its per-value columns have one entry per
+    /// value (masks only under q-gram anchors), each live slot's value
+    /// maps back to the slot's string, each value's run is ascending and
+    /// exactly the live slots holding it (so a value is live iff its run
+    /// is non-empty, and `live`/`held` count them), each value's hot
+    /// columns equal what [`ValueKind::describe`] gives its string, and
+    /// each live value is on exactly its posting keys' lists (and the side
+    /// list when it belongs there) while a dead value is on no list but as
+    /// a counted tombstone.
     #[doc(hidden)]
     pub fn check_invariants(&self) {
         let slots = self.tuples.len();
@@ -1672,40 +1874,51 @@ impl MatchIndex {
     /// The value-index half of [`MatchIndex::check_invariants`].
     fn check_dict(&self, vi: &ValueIndex) {
         let ValueIndex { right, kind, postings, side, dict, .. } = vi;
-        let slots = self.tuples.len();
+        let (slots, values) = (self.tuples.len(), dict.len());
+        assert_eq!((dict.base as usize, dict.slot_values.len()), (0, slots), "one value per slot");
+        let masks = if dict.masked { values } else { 0 };
         assert_eq!(
-            (dict.base as usize, dict.slot_values.len(), dict.links.len()),
-            (0, slots, slots)
+            (dict.collide.len(), dict.runs.len(), dict.masks.len()),
+            (values, values, masks),
+            "one entry per value in every per-value column"
         );
-        let mut holders = vec![Vec::new(); dict.values.len()];
-        for (slot, tuple) in self.live_tuples() {
+        let mut holders = vec![Vec::new(); values];
+        // Some slot, live or not, that holds each value: slots keep their
+        // tuples, so even a dead value's string can be described again.
+        let mut any_slot = vec![None; values];
+        for (slot, tuple) in self.tuples.iter().enumerate() {
             let v = dict.value_of(slot as u32);
             let Some(s) = tuple.get(*right).as_str() else {
                 assert_eq!(v, NO_ID, "a null slot holds no value");
                 continue;
             };
-            let found = dict.find(dict.hasher.hash_one(s), s, *right, &self.tuples);
-            assert_eq!(found, Some(v), "slot {slot}'s value maps back to its string");
-            holders[v as usize].push(slot as u32);
+            any_slot[v as usize].get_or_insert(slot);
+            if self.alive[slot] {
+                let found = dict.find(dict.hasher.hash_one(s), s, *right, &self.tuples);
+                assert_eq!(found, Some(v), "slot {slot}'s value maps back to its string");
+                holders[v as usize].push(slot as u32);
+            }
         }
         let mut lists: HashMap<u64, Vec<ValueId>> = HashMap::new();
         let mut on_side = Vec::new();
         let mut scratch = AnchorScratch::default();
         for (v, holders) in holders.iter().enumerate() {
-            let mut chain = Vec::new();
-            dict.for_each_slot(v as ValueId, |slot| chain.push(slot));
-            assert_eq!(&chain, holders, "value {v}'s chain is exactly the live slots holding it");
-            let entry = dict.values[v];
-            let Some(&last) = chain.last() else { continue };
-            assert_eq!(entry.tail, last, "value {v}'s chain ends at its tail");
-            let mut prev = NO_ID;
-            for &slot in &chain {
-                assert_eq!(dict.link(slot).prev, prev, "slot {slot} links back to its predecessor");
-                prev = slot;
-            }
-            let s = self.tuples[last as usize].get(*right).as_str().expect("a live value");
+            let run = dict.runs[v].slots();
+            assert!(run.windows(2).all(|w| w[0] < w[1]), "value {v}'s run ascends");
+            assert_eq!(
+                run,
+                holders.as_slice(),
+                "value {v}'s run is exactly the live slots holding it"
+            );
+            assert_eq!(dict.runs[v].is_empty(), holders.is_empty(), "value {v} is live iff held");
+            let slot = any_slot[v].expect("every value was opened by a slot holding it");
+            let s =
+                self.tuples[slot].get(*right).as_str().expect("a value's slots hold its string");
             let (described, side) = kind.describe(s, &self.ops, &mut scratch);
-            assert_eq!((entry.size, entry.mask), (described.size, described.mask), "value {v}");
+            assert_eq!(dict.meta(v as ValueId), described, "value {v}'s hot columns");
+            if holders.is_empty() {
+                continue;
+            }
             if side {
                 on_side.push(v as ValueId);
             }
@@ -1713,7 +1926,7 @@ impl MatchIndex {
                 lists.entry(key).or_default().push(v as ValueId);
             }
         }
-        let live = LiveValues(&dict.values);
+        let live = LiveValues(&dict.runs);
         assert_eq!(dict.live, holders.iter().filter(|h| !h.is_empty()).count(), "live values");
         assert_eq!(dict.held, holders.iter().map(Vec::len).sum::<usize>(), "slots holding values");
         let reachable: usize = (dict.ids.values())
@@ -1723,7 +1936,7 @@ impl MatchIndex {
                 while v != NO_ID {
                     assert!(live[v as usize], "the dictionary reaches only live values");
                     n += 1;
-                    v = dict.values[v as usize].collide;
+                    v = dict.collide[v as usize];
                 }
                 n
             })
@@ -1797,10 +2010,10 @@ impl MatchIndex {
     pub fn candidates_for(&self, probe: &Tuple) -> Vec<usize> {
         let mut stats = FilterStats::default();
         let prep = self.probe_prep(std::slice::from_ref(probe));
-        self.candidate_masks(PairSide::new(probe, prep.row(0)), &mut stats)
-            .into_iter()
-            .map(|(slot, _)| slot)
-            .collect()
+        PROBE_SCRATCH.with_borrow_mut(|scratch| {
+            self.candidate_masks(PairSide::new(probe, prep.row(0)), scratch, &mut stats);
+            scratch.masked.iter().map(|&(slot, _)| slot as usize).collect()
+        })
     }
 
     /// [`MatchIndex::candidates_for`] with the probe's signatures already
@@ -1843,130 +2056,153 @@ impl MatchIndex {
     ///    need at most [`ENOUGH`] decisions from is left to verification.
     ///
     /// The plan depends only on the probe and the index version, so
-    /// answers *and* counters are deterministic per probe.
-    fn candidate_masks(&self, probe: PairSide<'_>, stats: &mut FilterStats) -> Vec<(usize, u64)> {
+    /// answers *and* counters are deterministic per probe. The candidates
+    /// are left in `scratch.masked`, ascending by slot; every buffer the
+    /// probe uses is `scratch`'s.
+    fn candidate_masks(
+        &self,
+        probe: PairSide<'_>,
+        scratch: &mut ProbeScratch,
+        stats: &mut FilterStats,
+    ) {
         let prune = self.key_atoms.len() <= 64;
         let n_slots = self.tuples.len();
-        PROBE_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            let ProbeScratch { bits, anchor } = scratch;
-            // Prepare and retrieve each distinct atom at most once:
-            // several keys usually share atoms.
-            let mut prepared: Vec<Option<PreparedAtom<'_>>> =
-                (0..self.atom_indices.len()).map(|_| None).collect();
-            let mut retrieved: Vec<Option<Vec<u32>>> = vec![None; self.atom_indices.len()];
-            let mut pairs: Vec<(u32, u64)> = Vec::new();
-            // (position, volume, volume in slots as a fraction)
-            let widest = self.key_atoms.iter().map(Vec::len).max().unwrap_or(0);
-            let mut order: Vec<(usize, usize, (u64, u64))> = Vec::with_capacity(widest);
-            for (key, refs) in self.key_atoms.iter().enumerate() {
-                if refs.is_empty() {
-                    // Unindexable key: every live slot is a candidate, no
-                    // other key can add more, and later keys were never
-                    // intersected — so no key may be pruned (and no
-                    // duplicate retrievals exist to fold).
-                    return (0..n_slots)
-                        .filter(|&s| self.alive[s])
-                        .map(|s| (s, NO_PRUNE))
-                        .collect();
-                }
-                let bit = if prune { 1u64 << key } else { NO_PRUNE };
+        let n_atoms = self.atom_indices.len();
+        let ProbeScratch {
+            bits,
+            anchor,
+            atoms,
+            prepared: spare,
+            retrieved,
+            memoized,
+            order,
+            acc,
+            list,
+            pairs,
+            masked,
+        } = scratch;
+        if atoms.len() < n_atoms {
+            atoms.resize_with(n_atoms, AtomBufs::default);
+            retrieved.resize_with(n_atoms, Vec::new);
+        }
+        memoized.clear();
+        memoized.resize(n_atoms, false);
+        pairs.clear();
+        masked.clear();
+        // Prepare and retrieve each distinct atom at most once: several
+        // keys usually share atoms.
+        let mut prepared: Vec<Option<PreparedAtom<'_>>> = recycle(std::mem::take(spare));
+        prepared.resize_with(n_atoms, || None);
+        let mut scan = false;
+        for (key, refs) in self.key_atoms.iter().enumerate() {
+            if refs.is_empty() {
+                // Unindexable key: every live slot is a candidate, no
+                // other key can add more, and later keys were never
+                // intersected — so no key may be pruned (and no duplicate
+                // retrievals exist to fold).
+                scan = true;
+                break;
+            }
+            let bit = if prune { 1u64 << key } else { NO_PRUNE };
 
-                // Order: (volume in slots, position), cheapest first.
-                order.clear();
-                for &pos in refs {
-                    let pa = prepared[pos].get_or_insert_with(|| {
-                        self.atom_indices[pos].prepare(probe, &self.ops, anchor)
-                    });
-                    order.push((pos, pa.volume(), pa.slot_volume()));
-                }
-                order.sort_unstable_by(|&(p, _, (n, d)), &(q, _, (m, e))| {
-                    let (n, d, m, e) = (n as u128, d as u128, m as u128, e as u128);
-                    (n * e).cmp(&(m * d)).then(p.cmp(&q))
+            // Order: (volume in slots, position), cheapest first.
+            order.clear();
+            for &pos in refs {
+                let pa = prepared[pos].get_or_insert_with(|| {
+                    let bufs = std::mem::take(&mut atoms[pos]);
+                    self.atom_indices[pos].prepare(probe, &self.ops, anchor, bufs)
                 });
-                let (first, cheapest, _) = order[0];
-                if cheapest == 0 {
-                    continue; // an atom retrieving nothing empties the key
-                }
-                let atom = |pos: usize| prepared[pos].as_ref().expect("every key atom is prepared");
-                // Only a retrieval a later key can reuse is memoized.
-                let reused =
-                    |pos: usize| self.key_atoms[key + 1..].iter().any(|r| r.contains(&pos));
-                let mut acc = match &retrieved[first] {
-                    Some(slots) => slots.clone(),
-                    None => {
-                        let slots = atom(first).materialize(n_slots, bits, stats);
-                        if reused(first) {
-                            retrieved[first] = Some(slots.clone());
-                        }
-                        slots
-                    }
-                };
-
-                // Prefilter: every remaining atom's per-entry test runs
-                // before any of their lists is touched, one atom (one
-                // metadata column) at a time.
-                let rest = &order[1..];
-                for &(pos, ..) in rest {
-                    let filter = &atom(pos).filter;
-                    if let EntryFilter::Values { .. } = filter {
-                        acc.retain(|&slot| match filter.reject(slot) {
-                            None => true,
-                            Some(why) => {
-                                stats.reject(why, 1);
-                                false
-                            }
-                        });
-                    }
-                }
-
-                // Intersect, cheapest first: test the survivors by
-                // membership unless that walks more entries than the
-                // atom's whole union holds.
-                for &(pos, volume, _) in rest {
-                    let pa = atom(pos);
-                    let decisions = pa.decisions(&acc, bits);
-                    if decisions <= ENOUGH {
-                        continue; // cheap to verify; a subset of atoms is sound
-                    }
-                    match &retrieved[pos] {
-                        Some(list) => gallop_intersect(&mut acc, list, stats),
-                        None if decisions * pa.lists() < volume => {
-                            pa.member_intersect(&mut acc, bits, stats);
-                        }
-                        None => match pa.filter {
-                            EntryFilter::Values { .. } => pa.value_intersect(&mut acc, bits, stats),
-                            EntryFilter::None => {
-                                let list = pa.materialize(n_slots, bits, stats);
-                                gallop_intersect(&mut acc, &list, stats);
-                                if reused(pos) {
-                                    retrieved[pos] = Some(list);
-                                }
-                            }
-                        },
-                    }
-                }
-                pairs.extend(acc.into_iter().map(|slot| (slot, bit)));
+                order.push((pos, pa.volume(), pa.slot_volume()));
             }
-            pairs.sort_unstable_by_key(|&(slot, _)| slot);
-            let pairs_len = pairs.len();
-            // Fold duplicate slots (retrieved by several keys) into one
-            // candidate carrying the union of their key bits — each fold
-            // is one preparation + verification saved.
-            let mut masked: Vec<(u32, u64)> = Vec::with_capacity(pairs.len());
-            for (slot, bit) in pairs {
-                match masked.last_mut() {
-                    Some((last, mask)) if *last == slot => *mask |= bit,
-                    _ => masked.push((slot, bit)),
+            order.sort_unstable_by(|&(p, _, (n, d)), &(q, _, (m, e))| {
+                let (n, d, m, e) = (n as u128, d as u128, m as u128, e as u128);
+                (n * e).cmp(&(m * d)).then(p.cmp(&q))
+            });
+            let (first, cheapest, _) = order[0];
+            if cheapest == 0 {
+                continue; // an atom retrieving nothing empties the key
+            }
+            let atom = |pos: usize| prepared[pos].as_ref().expect("every key atom is prepared");
+            // Only a retrieval a later key can reuse is memoized.
+            let reused = |pos: usize| self.key_atoms[key + 1..].iter().any(|r| r.contains(&pos));
+            if memoized[first] {
+                acc.clear();
+                acc.extend_from_slice(&retrieved[first]);
+            } else {
+                atom(first).materialize(n_slots, bits, stats, acc);
+                if reused(first) {
+                    retrieved[first].clear();
+                    retrieved[first].extend_from_slice(acc);
+                    memoized[first] = true;
                 }
             }
-            stats.dedup_saved += (pairs_len - masked.len()) as u64;
-            masked
-                .into_iter()
-                .map(|(slot, mask)| (slot as usize, mask))
-                .filter(|&(slot, _)| self.alive[slot])
-                .collect()
-        })
+
+            // Prefilter: every remaining atom's per-entry test runs before
+            // any of their lists is touched, one atom (one metadata
+            // column) at a time.
+            let rest = &order[1..];
+            for &(pos, ..) in rest {
+                let filter = &atom(pos).filter;
+                if let EntryFilter::Values { .. } = filter {
+                    acc.retain(|&slot| match filter.reject(slot) {
+                        None => true,
+                        Some(why) => {
+                            stats.reject(why, 1);
+                            false
+                        }
+                    });
+                }
+            }
+
+            // Intersect, cheapest first: test the survivors by membership
+            // unless that walks more entries than the atom's whole union
+            // holds.
+            for &(pos, volume, _) in rest {
+                let pa = atom(pos);
+                let decisions = pa.decisions(acc, bits);
+                if decisions <= ENOUGH {
+                    continue; // cheap to verify; a subset of atoms is sound
+                }
+                if memoized[pos] {
+                    gallop_intersect(acc, &retrieved[pos], stats);
+                } else if decisions * pa.lists() < volume {
+                    pa.member_intersect(acc, bits, stats);
+                } else if let EntryFilter::Values { .. } = pa.filter {
+                    pa.value_intersect(acc, bits, stats);
+                } else {
+                    pa.materialize(n_slots, bits, stats, list);
+                    gallop_intersect(acc, list, stats);
+                    if reused(pos) {
+                        std::mem::swap(&mut retrieved[pos], list);
+                        memoized[pos] = true;
+                    }
+                }
+            }
+            pairs.extend(acc.iter().map(|&slot| (slot, bit)));
+        }
+        for (pos, pa) in prepared.iter_mut().enumerate() {
+            if let Some(pa) = pa.take() {
+                atoms[pos] = pa.into_bufs();
+            }
+        }
+        *spare = recycle(prepared);
+        if scan {
+            let live = (0..n_slots as u32).filter(|&s| self.alive[s as usize]);
+            masked.extend(live.map(|s| (s, NO_PRUNE)));
+            return;
+        }
+        pairs.sort_unstable_by_key(|&(slot, _)| slot);
+        // Fold duplicate slots (retrieved by several keys) into one
+        // candidate carrying the union of their key bits — each fold is
+        // one preparation + verification saved.
+        for &(slot, bit) in pairs.iter() {
+            match masked.last_mut() {
+                Some((last, mask)) if *last == slot => *mask |= bit,
+                _ => masked.push((slot, bit)),
+            }
+        }
+        stats.dedup_saved += (pairs.len() - masked.len()) as u64;
+        masked.retain(|&(slot, _)| self.alive[slot as usize]);
     }
 
     /// Point query: every live tuple the probe matches (some key accepts,
@@ -1999,12 +2235,26 @@ impl MatchIndex {
 
     fn query_side(&self, probe: PairSide<'_>) -> QueryOutcome {
         let mut stats = FilterStats::default();
-        let masked = self.candidate_masks(probe, &mut stats);
+        PROBE_SCRATCH.with_borrow_mut(|scratch| {
+            self.candidate_masks(probe, scratch, &mut stats);
+            self.verify(probe, &scratch.masked, stats)
+        })
+    }
+
+    /// Verifies the candidates `masked` retrieved for `probe` (each with
+    /// its key-provenance mask) into the query's outcome.
+    fn verify(
+        &self,
+        probe: PairSide<'_>,
+        masked: &[(u32, u64)],
+        mut stats: FilterStats,
+    ) -> QueryOutcome {
         let candidates = masked.len();
         let matcher = self.matcher();
         let mut key_evals = 0usize;
         let mut hits = Vec::new();
-        for (slot, mask) in masked {
+        for &(slot, mask) in masked {
+            let slot = slot as usize;
             let record = PairSide::bare(&self.tuples[slot]);
             let key = matcher.first_key(probe, record, Some(mask), &mut stats);
             // `first_key` evaluated every key the mask allows, up to the
@@ -2091,7 +2341,7 @@ impl MatchIndex {
         let slot = self.tuples.len() as u32;
         PROBE_SCRATCH.with_borrow_mut(|scratch| {
             for atom in &mut self.atom_indices {
-                atom.add(slot, &tuple, &self.tuples, &self.ops, &mut scratch.anchor);
+                atom.add(slot, &tuple, &self.tuples, &self.ops, &mut scratch.anchor, Runs::Append);
             }
         });
         self.by_id.insert(tuple.id(), slot);
@@ -2685,18 +2935,67 @@ mod tests {
         for theta in [0.7, 0.75, 0.8, 0.9, 1.0] {
             for p in 0..=64u32 {
                 let (len_lo, len_hi) = edit_len_window(theta, p);
-                let edit = EditProbe { theta, len: p, mask, len_lo, len_hi };
+                let edit = EditProbe::new(theta, p, mask, Vec::new());
                 for ls in (0..=128u32).chain([u32::MAX]) {
                     let per_value =
                         p.abs_diff(ls) as usize <= theta_bound(theta, p.max(ls) as usize);
                     assert_eq!(
-                        edit_reject(ls, mask, &edit).is_none(),
+                        edit.reject(ls, mask).is_none(),
                         per_value,
                         "θ={theta} p={p} ls={ls}: window [{len_lo}, {len_hi}]"
                     );
                 }
             }
         }
+    }
+
+    #[test]
+    fn edit_bound_table_equals_theta_bound_exhaustively() {
+        // The table holds `theta_bound(θ, max(p, ls))` for every `ls` of
+        // the length window and nothing else, whatever the window's width
+        // (up to 28 lengths here, at θ = 0.7 and p = 64) and whatever the
+        // reused buffer held before; and the mask test reads it exactly as
+        // the float bound would decide.
+        let mut reused = vec![7u8; 3];
+        for theta in [0.70, 0.75, 0.80, 0.85, 0.90] {
+            for p in 0..=64u32 {
+                let (len_lo, len_hi) = edit_len_window(theta, p);
+                let edit = EditProbe::new(theta, p, 0, reused);
+                assert_eq!(edit.len_lo, len_lo, "θ={theta} p={p}");
+                let expected: Vec<usize> =
+                    (len_lo..=len_hi).map(|ls| theta_bound(theta, p.max(ls) as usize)).collect();
+                let table: Vec<usize> = edit.bounds.iter().map(|&b| b as usize).collect();
+                assert_eq!(table, expected, "θ={theta} p={p}: window [{len_lo}, {len_hi}]");
+                for ls in len_lo..=len_hi {
+                    let bound = theta_bound(theta, p.max(ls) as usize);
+                    for diff in 0..=bound as u32 + 1 {
+                        let sm = (1u64 << diff) - 1; // `diff` chars the probe lacks
+                        let rejected = edit.reject(ls, sm) == Some(RetrievalReject::PresenceMask);
+                        assert_eq!(rejected, diff as usize > bound, "θ={theta} p={p} ls={ls}");
+                    }
+                }
+                reused = edit.bounds;
+            }
+        }
+        let widest = EditProbe::new(0.70, 64, 0, Vec::new()).bounds.len();
+        assert!(widest > 16, "the windows tested reach {widest} lengths");
+    }
+
+    #[test]
+    fn recycle_keeps_the_allocation() {
+        // The probe scratch relies on it: a recycled buffer must come back
+        // with its capacity, not as a fresh allocation per probe.
+        let list = PostingList::new();
+        let mut lists: Vec<&PostingList> = Vec::with_capacity(16);
+        lists.push(&list);
+        let at = lists.as_ptr() as usize;
+        let kept: Vec<&'static PostingList> = recycle(lists);
+        assert_eq!((kept.as_ptr() as usize, kept.capacity(), kept.len()), (at, 16, 0));
+        let prepared: Vec<Option<PreparedAtom<'static>>> = Vec::with_capacity(4);
+        let at = prepared.as_ptr() as usize;
+        let mut probe: Vec<Option<PreparedAtom<'_>>> = recycle(prepared);
+        probe.push(None);
+        assert_eq!((probe.as_ptr() as usize, probe.capacity()), (at, 4));
     }
 
     #[test]

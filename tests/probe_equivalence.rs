@@ -17,6 +17,8 @@
 //!   with the smallest posting volume, whatever the atom order;
 //! * **values, not rows** — repeating every stored record adds no q-gram
 //!   or element decoding work, and each hit comes back once per copy;
+//!   where no value repeats (every run one slot), a built and an
+//!   insert-loaded index both answer like the oracle;
 //! * **rejects by reason** — retrieval rejects split exactly into length
 //!   window, presence mask, size ratio and null;
 //! * **batched == sequential** — `query_batch` is byte-for-byte
@@ -35,6 +37,8 @@
 mod common;
 
 mod roster;
+
+mod unique;
 
 use common::Oracle;
 use matchrules::core::dependency::SimilarityAtom;
@@ -60,6 +64,7 @@ use proptest::collection;
 use proptest::prelude::*;
 use std::collections::HashSet;
 use std::sync::Arc;
+use unique::letters;
 
 const THREAD_SWEEP: [usize; 3] = [1, 2, 8];
 
@@ -629,18 +634,38 @@ fn probe_retrieval_rejects_split_by_reason() {
     assert!(element.retrieval_ratio_rejects > 0, "{element:?}");
 }
 
-/// `len` lowercase letters drawn from a splitmix64 stream seeded by `i`.
-fn letters(i: u64, len: usize) -> String {
-    let mut x = i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    (0..len)
-        .map(|_| {
-            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = x;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            char::from(b'a' + ((z ^ (z >> 31)) % 26) as u8)
-        })
-        .collect()
+/// The other end from repeated values: on a store where no value repeats,
+/// so every value's run holds one slot, an index built over the store and
+/// one loaded by inserting its records one at a time return the same
+/// outcome (hits and every counter) for every probe, and hits equal the
+/// oracle's (every 8th probe).
+#[test]
+fn probe_unique_values_equal_the_oracle() {
+    let (store, keys, ops, probes) = unique::unique_store(3_000, 256);
+    let built = MatchIndex::build(4, &store, &keys, &[], ops.clone()).expect("index builds");
+    let empty = Relation::new(store.schema().clone());
+    let mut loaded = MatchIndex::build(4, &empty, &keys, &[], ops.clone()).expect("index builds");
+    for tuple in store.tuples() {
+        loaded.insert(tuple.clone()).expect("insert");
+    }
+    loaded.check_invariants();
+    assert_eq!(built.stats().distinct_values, 4 * store.len(), "no value repeats");
+    let oracle = Oracle::new(&keys, &[], &ops);
+    let mut found = 0;
+    for (i, probe) in probes.iter().enumerate() {
+        let outcome = built.query(probe);
+        assert_eq!(loaded.query(probe), outcome, "probe #{}", probe.id());
+        if i % 8 == 0 {
+            assert_eq!(
+                hit_ids(&outcome),
+                oracle.query(probe, store.tuples()),
+                "probe #{}",
+                probe.id()
+            );
+        }
+        found += outcome.hits.len();
+    }
+    assert!(found >= probes.len() * 9 / 10, "probes find their source rows: {found}");
 }
 
 #[test]
