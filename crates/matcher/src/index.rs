@@ -8,41 +8,46 @@
 //! distinct *indexable atom* appearing in the compiled RCKs (shared when
 //! several keys mention the same atom). [`anchor_of`] picks one of three
 //! anchor kinds from the operator's declared [`OpClass`], so an operator
-//! becomes index-ready by declaring its class, with no change here:
+//! becomes index-ready by declaring its class, with no change here.
 //!
-//! * **key buckets** for equality and key-deriving atoms — a hash map
-//!   from each key the operator derives for the attribute's value (the
-//!   value itself under `=`; soundex codes, digit strings or synonym
-//!   classes otherwise) to the tuple slots deriving it. Matching values
+//! Every anchor indexes its attribute's **distinct values**, through one
+//! kind of per-atom *value dictionary*: each distinct string gets a value
+//! id (handed out in first-occurrence order, never reused), the hot
+//! columns a prefilter reads (char length and presence mask, or
+//! element-set size; none for key anchors), and the live slots holding
+//! it as one ascending *run* (inline when it is a single slot). Posting
+//! lists hold value ids, so a value repeated across many records is
+//! described, listed, decoded and prefiltered once, and a retrieval
+//! expands the surviving values to their runs. The anchors differ only
+//! in the posting keys a value is listed under:
+//!
+//! * **keys** for equality and key-deriving atoms. Under `=` a value's
+//!   one key is the value itself, and the dictionary's own string lookup
+//!   is the bucket: the atom keeps no postings. Otherwise a value is
+//!   listed under the hash of each key the operator derives for it
+//!   (soundex codes, digit strings or synonym classes). Matching values
 //!   share a key by the operator's contract, so the union of the probe's
-//!   buckets is a superset of the atom's match set;
-//! * **q-gram posting lists** for thresholded edit-distance atoms, over
-//!   the attribute's **distinct values**: a per-atom dictionary gives
-//!   each distinct string a value id (handed out in first-occurrence
-//!   order, never reused), keeps its char length and presence mask in
-//!   two dense *hot columns* the prefilter reads, and stores the live
-//!   slots holding it as one ascending *run* (inline when it is a single
-//!   slot). Postings are keyed by the grams of each value's
-//!   [`StringSig`](matchrules_simdist::filters::StringSig) filter
-//!   signature and hold value ids, so a value repeated across many
-//!   records is decoded, prefiltered and signed once. A posting list
-//!   alone would be unsound for short strings (a within-bound pair need
-//!   not share a gram when `max(|a|, |b|)` is small), so every value
-//!   shorter than a per-atom *safe length* also goes into a **sparse
-//!   list** that short probes always scan; the safe length is derived
-//!   from the same `θ`-bound arithmetic that makes the q-gram count
-//!   filter sound (see [`qgram_safe_len`]);
+//!   lists is a superset of the atom's match set; two keys whose hashes
+//!   collide only share a list, which widens a retrieval and keeps it
+//!   sound;
+//! * **q-gram posting lists** for thresholded edit-distance atoms, keyed
+//!   by the grams of each value's [`StringSig`] filter signature. A
+//!   posting list alone would be unsound for short strings (a
+//!   within-bound pair need not share a gram when `max(|a|, |b|)` is
+//!   small), so every value shorter than a per-atom *safe length* also
+//!   goes into a **sparse list** that short probes always scan; the safe
+//!   length is derived from the same `θ`-bound arithmetic that makes the
+//!   q-gram count filter sound (see [`qgram_safe_len`]);
 //! * **element posting lists** for operators that decompose values into
 //!   elements — word tokens (Jaccard), padded q-grams (Dice), the
 //!   distinct characters of a sorted-character prefix (Jaro–Winkler
-//!   above 0.8) — over the attribute's distinct values through the same
-//!   kind of dictionary: one list of value ids per distinct element,
-//!   each value's elements extracted and its element-set size stored
-//!   once, with candidates filtered by the operator's sound size-ratio
-//!   bound (Jaccard ≥ s forces the smaller set to hold ≥ s·|larger|
-//!   elements), plus an **empty list** of the element-less values,
-//!   retrieved only by element-less probes (∅ ≈ ∅ holds under every such
-//!   operator; a one-sided ∅ never matches).
+//!   above 0.8) — one list of value ids per distinct element, each
+//!   value's element-set size stored once, with candidates filtered by
+//!   the operator's sound size-ratio bound (Jaccard ≥ s forces the
+//!   smaller set to hold ≥ s·|larger| elements), plus an **empty list**
+//!   of the element-less values, retrieved only by element-less probes
+//!   (∅ ≈ ∅ holds under every such operator; a one-sided ∅ never
+//!   matches).
 //!
 //! Because an RCK is a *conjunction*, a key's candidates are the
 //! **intersection** of its indexed atoms' retrievals (each retrieval is a
@@ -53,20 +58,19 @@
 //! tuple, so correctness never depends on indexability.
 //!
 //! How a key's intersection is computed is planned **per probe**, from
-//! the exact posting volume each atom's lists hold for that probe (read
-//! off list headers, no decoding; value entries for a q-gram or element
-//! atom): the cheapest atom is retrieved first — the only atom of a key
-//! ever expanded from values to slots, by copying each surviving value's
-//! run — every remaining atom's prefilter (length window, presence mask,
-//! size ratio; one test per value, an edit atom's reading a bound table
-//! built once per probe) runs on the survivors before any of its lists
-//! is touched, and the survivors are tested
-//! against the rest over value ids (or slots, for key buckets) by
-//! membership cursors or against the atom's whole union — whichever
-//! walks fewer entries. The index stores no plan and learns
-//! nothing from traffic; a plan is a pure function of the probe and
-//! the index version, and any plan yields the same hits, because every
-//! intersection prefix is a superset of what the key accepts.
+//! the exact posting volume each atom's lists hold for that probe (value
+//! entries, read off list headers, no decoding): the cheapest atom is
+//! retrieved first — the only atom of a key ever expanded from values to
+//! slots, by copying each surviving value's run — every remaining atom's
+//! prefilter (length window, presence mask, size ratio, `Null`; one test
+//! per value, an edit atom's reading a bound table built once per probe)
+//! runs on the survivors before any of its lists is touched, and the
+//! survivors are tested against the rest over value ids by membership
+//! cursors or against the atom's whole union — whichever walks fewer
+//! entries. The index stores no plan and learns nothing from traffic; a
+//! plan is a pure function of the probe and the index version, and any
+//! plan yields the same hits, because every intersection prefix is a
+//! superset of what the key accepts.
 //!
 //! A candidate set is the union over the plan's RCKs — deduplicated
 //! across keys, with each candidate remembering *which* keys retrieved
@@ -117,7 +121,7 @@ use matchrules_data::relation::{Relation, Tuple, TupleId};
 use matchrules_runtime::{CowMap, CowVec, WorkPool, CHUNK_LEN};
 use matchrules_simdist::edit::theta_bound;
 use matchrules_simdist::filters::{StringSig, FILTER_Q};
-use matchrules_simdist::ops::OpClass;
+use matchrules_simdist::ops::{hash_element, OpClass};
 use std::cell::RefCell;
 use std::collections::hash_map::RandomState;
 use std::collections::HashMap;
@@ -224,8 +228,8 @@ fn ratio_ok(ratio: f64, a: u32, b: u32) -> bool {
 /// operator's [`OpClass`] to.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Anchor {
-    /// Buckets over the keys the operator derives (the raw value for
-    /// equality).
+    /// Lists over the keys the operator derives; under equality the one
+    /// key is the raw value, found by the dictionary's own lookup.
     Keys,
     /// q-gram posting lists, plus a sparse list of the values shorter
     /// than `safe_len` ([`qgram_safe_len`]).
@@ -272,9 +276,9 @@ pub fn anchor_of(class: OpClass) -> Option<Anchor> {
 }
 
 /// Reusable buffers for what an operator derives from one value — its
-/// keys, and the posting keys (elements or gram hashes) it is listed
-/// under. Index maintenance and probe preparation both fill them, so
-/// neither allocates a fresh list per tuple.
+/// keys, and the posting keys (key hashes, elements or gram hashes) it
+/// is listed under. Index maintenance and probe preparation both fill
+/// them, so neither allocates a fresh list per value.
 #[derive(Default)]
 struct AnchorScratch {
     keys: Vec<String>,
@@ -282,18 +286,20 @@ struct AnchorScratch {
 }
 
 impl AnchorScratch {
-    /// Calls `f` once per distinct key `op` derives from `s`. An equality
-    /// operator keys on the value itself, which is passed straight
-    /// through: no call into the operator, no copy.
-    fn for_each_key(&mut self, ops: &RuntimeOps, op: OperatorId, s: &str, mut f: impl FnMut(&str)) {
+    /// The hashes of the keys `op` derives from `s`, sorted and
+    /// deduplicated, into `self.elems`. None under an equality operator:
+    /// its one key is `s` itself, which the dictionary looks up, so the
+    /// operator is never asked.
+    fn key_hashes(&mut self, ops: &RuntimeOps, op: OperatorId, s: &str) {
+        self.elems.clear();
         if ops.class(op) == OpClass::Equality {
-            return f(s);
+            return;
         }
         self.keys.clear();
         ops.derived_keys_into(op, s, &mut self.keys);
-        self.keys.sort_unstable();
-        self.keys.dedup();
-        self.keys.iter().for_each(|key| f(key));
+        self.elems.extend(self.keys.iter().map(|key| hash_element(key.chars())));
+        self.elems.sort_unstable();
+        self.elems.dedup();
     }
 
     /// `op`'s elements for `s`, sorted and deduplicated, into
@@ -307,10 +313,9 @@ impl AnchorScratch {
     }
 }
 
-/// A dictionary-backed anchor's id for one distinct value of its
-/// attribute: handed out in first-occurrence order and never reused, so
-/// postings over value ids stay ascending under appends exactly as slot
-/// postings do.
+/// An anchor's id for one distinct value of its attribute: handed out in
+/// first-occurrence order and never reused, so postings over value ids
+/// stay ascending under appends.
 type ValueId = u32;
 
 /// "Nothing here" in the dictionary: no value (a `Null` slot), no next
@@ -319,10 +324,11 @@ const NO_ID: u32 = u32::MAX;
 
 /// What the prefilter reads of one value — the hot columns of its
 /// [`ValueDict`] entry, as [`ValueKind::describe`] computes them.
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 struct ValueMeta {
     /// Length in chars (q-gram anchors), or the element-set size the
-    /// size-ratio bound reads (element anchors).
+    /// size-ratio bound reads (element anchors; 0 for key anchors, which
+    /// store no size column).
     size: u32,
     /// Char-bag presence mask (q-gram anchors; 0 for element anchors,
     /// which store no mask column).
@@ -418,21 +424,21 @@ fn run_buffer(head: &[u32], tail: &[u32], room: usize) -> Arc<[u32]> {
     std::iter::once(n).chain(slots).chain(std::iter::repeat_n(0, room)).collect()
 }
 
-/// How [`AtomIndex::add`] treats the runs of a value index.
+/// How [`ValueIndex::add`] treats the runs of a value index.
 #[derive(Clone, Copy, PartialEq)]
 enum Runs {
     /// Append the slot to its value's run (incremental insert).
     Append,
-    /// Leave runs to [`AtomIndex::fill_runs`] (a build: every value's
+    /// Leave runs to [`ValueDict::fill_runs`] (a build: every value's
     /// slots are counted first, then each run is filled once, exactly
     /// sized).
     Deferred,
 }
 
-/// The distinct values of one dictionary-backed anchor's attribute,
-/// laid out for the probe. Per value, in columns of their own: the
-/// **hot** columns a prefilter reads (`sizes` for every anchor, `masks`
-/// for q-gram anchors), the run of live slots a surviving value expands
+/// The distinct values of one anchor's attribute, laid out for the
+/// probe. Per value, in columns of their own: the **hot** columns a
+/// prefilter reads (`sizes` for q-gram and element anchors, `masks` for
+/// q-gram anchors), the run of live slots a surviving value expands
 /// to, and the **cold** collision link only lookups walk. Per slot, the
 /// value it holds. Each value is reached by a hash of its string; the
 /// string itself is read back from the tuple of the value's first live
@@ -447,11 +453,14 @@ struct ValueDict {
     /// String hash → the newest live value with that hash; older ones
     /// follow through `collide`.
     ids: CowMap<u64, ValueId>,
-    /// Per value, its [`ValueMeta::size`].
+    /// Per value, its [`ValueMeta::size`] — q-gram and element anchors
+    /// only (empty for key anchors, whose prefilter reads no size).
     sizes: CowVec<u32>,
     /// Per value, its [`ValueMeta::mask`] — q-gram anchors only (empty
-    /// for element anchors, whose prefilter reads no mask).
+    /// otherwise).
     masks: CowVec<u64>,
+    /// Whether this dictionary keeps the `sizes` column.
+    sized: bool,
     /// Whether this dictionary keeps the `masks` column.
     masked: bool,
     /// Per value, the next value whose string hashes alike ([`NO_ID`]
@@ -474,12 +483,13 @@ struct ValueDict {
 }
 
 impl ValueDict {
-    fn new(base: u32, masked: bool) -> ValueDict {
+    fn new(base: u32, sized: bool, masked: bool) -> ValueDict {
         ValueDict {
             hasher: RandomState::new(),
             ids: CowMap::new(),
             sizes: CowVec::new(),
             masks: CowVec::new(),
+            sized,
             masked,
             collide: CowVec::new(),
             runs: CowVec::new(),
@@ -492,13 +502,14 @@ impl ValueDict {
 
     /// Values handed out so far, dead ones included.
     fn len(&self) -> usize {
-        self.sizes.len()
+        self.runs.len()
     }
 
-    /// The hot columns of value `v`.
+    /// The hot columns of value `v` (0 for a column not kept).
     fn meta(&self, v: ValueId) -> ValueMeta {
         let v = v as usize;
-        ValueMeta { size: self.sizes[v], mask: if self.masked { self.masks[v] } else { 0 } }
+        let size = if self.sized { self.sizes[v] } else { 0 };
+        ValueMeta { size, mask: if self.masked { self.masks[v] } else { 0 } }
     }
 
     /// The value `slot` holds ([`NO_ID`] for `Null`).
@@ -508,18 +519,21 @@ impl ValueDict {
     }
 
     /// The live value whose string is `s` (hashing to `hash`), compared
-    /// through each candidate value's first slot in `tuples`.
-    fn find<T>(&self, hash: u64, s: &str, right: AttrId, tuples: &T) -> Option<ValueId>
+    /// through each candidate value's first slot in `tuples` — as the
+    /// link that holds its id (its `ids` entry, or the `collide` entry of
+    /// the value before it in the chain), so a probe can list the one
+    /// value without copying it.
+    fn find<T>(&self, hash: u64, s: &str, right: AttrId, tuples: &T) -> Option<&ValueId>
     where
         T: Index<usize, Output = Tuple> + ?Sized,
     {
-        let mut v = *self.ids.get(&hash)?;
-        while v != NO_ID {
-            let first = self.runs[v as usize].slots()[0];
+        let mut link = self.ids.get(&hash)?;
+        while *link != NO_ID {
+            let first = self.runs[*link as usize].slots()[0];
             if tuples[first as usize].get(right).as_str() == Some(s) {
-                return Some(v);
+                return Some(link);
             }
-            v = self.collide[v as usize];
+            link = &self.collide[*link as usize];
         }
         None
     }
@@ -529,7 +543,9 @@ impl ValueDict {
     fn open(&mut self, hash: u64, meta: ValueMeta, slot: u32) -> ValueId {
         let v = self.len() as ValueId;
         self.collide.push(self.ids.insert(hash, v).unwrap_or(NO_ID));
-        self.sizes.push(meta.size);
+        if self.sized {
+            self.sizes.push(meta.size);
+        }
         if self.masked {
             self.masks.push(meta.mask);
         }
@@ -605,21 +621,25 @@ impl Index<usize> for LiveValues<'_> {
     }
 }
 
-/// How a dictionary-backed anchor turns one distinct value into posting
-/// keys and prefilter metadata.
+/// How an anchor turns one distinct value into posting keys and
+/// prefilter metadata.
 #[derive(Clone, Copy, Debug)]
 enum ValueKind {
     /// q-gram postings ([`Anchor::Grams`]).
     Grams { theta: f64, safe_len: usize },
     /// Element postings ([`Anchor::Elements`]) of operator `op`.
     Elements { op: OperatorId, min_ratio: f64 },
+    /// Key postings ([`Anchor::Keys`]) of operator `op`: the hashes of
+    /// the keys it derives. None for an equality operator, whose one key
+    /// is the value itself: the dictionary's own lookup is its bucket.
+    Keys { op: OperatorId },
 }
 
 impl ValueKind {
     /// Describes the value `s` — once per distinct value: the hot columns
     /// its prefilter reads and whether it goes on the side list, with the
     /// keys of the posting lists it joins left in `scratch.elems` (its
-    /// distinct gram hashes, or its elements).
+    /// distinct gram hashes, its elements, or its derived keys' hashes).
     fn describe(self, s: &str, ops: &RuntimeOps, scratch: &mut AnchorScratch) -> (ValueMeta, bool) {
         match self {
             ValueKind::Grams { safe_len, .. } => {
@@ -635,18 +655,44 @@ impl ValueKind {
                 let size = scratch.elements_of(ops, op, s);
                 (ValueMeta { size, mask: 0 }, scratch.elems.is_empty())
             }
+            ValueKind::Keys { op } => {
+                scratch.key_hashes(ops, op, s);
+                (ValueMeta::default(), false)
+            }
         }
     }
 }
 
-/// An atom indexed over its attribute's distinct values (`dict`): posting
-/// key → compressed posting list of the value ids listed under it, plus
-/// the `side` list of value ids retrieved without a shared key (the
-/// sparse list of a q-gram atom, the empty list of an element atom). Every
-/// list holds value ids, so a value repeated across many records is
+/// The inverted index over one indexable atom, shared by every key that
+/// mentions the atom, over its attribute's distinct values (`dict`):
+/// posting key → compressed posting list of the value ids listed under
+/// it, plus the `side` list of value ids retrieved without a shared key
+/// (the sparse list of a q-gram atom, the empty list of an element atom).
+/// Every list holds value ids, so a value repeated across many records is
 /// described, listed, decoded and prefiltered once; a retrieval expands
 /// surviving values to their runs of live slots. `Null` slots hold no
-/// value and appear on no list.
+/// value and appear on no list: null matches nothing.
+///
+/// Per kind ([`ValueKind`]; see the [module docs](self) for each one's
+/// soundness argument):
+///
+/// * a key atom (equality, soundex, digit equality, synonym tables) lists
+///   each value under its derived keys' hashes; matching values share a
+///   key and every non-null value derives at least one, so the union of
+///   the probe's key lists is a superset of the atom's match set. An
+///   equality atom keeps no lists: its retrieval is the one value the
+///   dictionary finds for the probe's string;
+/// * a thresholded edit atom lists each value under its grams; the side
+///   list holds the values shorter than `safe_len`, scanned whenever the
+///   probe itself is short (gram sharing is only guaranteed above the
+///   safe length). The length window and presence-mask prefilters read
+///   each value's char length and char-bag mask — both sound because
+///   each lower-bounds the OSA distance the verification kernel would
+///   compute;
+/// * an element atom (token Jaccard, q-gram Dice, Jaro–Winkler) lists
+///   each value under its elements, filtered by `min ≥ min_ratio·max` on
+///   each value's element-set size; the side list holds the element-less
+///   values, retrieved only by element-less probes.
 #[derive(Clone)]
 struct ValueIndex {
     left: AttrId,
@@ -658,10 +704,39 @@ struct ValueIndex {
 }
 
 impl ValueIndex {
-    /// Indexes one slot; `tuples` holds every earlier slot's tuple (see
-    /// [`AtomIndex::add`]). A value some live slot already holds only
-    /// gains the slot (on its run, under [`Runs::Append`]); a new one is
-    /// described, listed and opened with the slot as its run.
+    /// An empty index anchoring `atom` as `anchor`, for slots from `base`
+    /// on.
+    fn new(atom: &SimilarityAtom, anchor: Anchor, base: u32) -> ValueIndex {
+        let op = atom.op;
+        let kind = match anchor {
+            Anchor::Keys => ValueKind::Keys { op },
+            Anchor::Grams { theta, safe_len } => ValueKind::Grams { theta, safe_len },
+            Anchor::Elements { min_ratio } => ValueKind::Elements { op, min_ratio },
+        };
+        let (sized, masked) = match kind {
+            ValueKind::Keys { .. } => (false, false),
+            ValueKind::Grams { .. } => (true, true),
+            ValueKind::Elements { .. } => (true, false),
+        };
+        ValueIndex {
+            left: atom.left,
+            right: atom.right,
+            kind,
+            postings: CowMap::new(),
+            side: Arc::default(),
+            dict: ValueDict::new(base, sized, masked),
+        }
+    }
+
+    /// Indexes one slot (slot ids arrive in ascending order, so every
+    /// list and run stays sorted, and exactly one slot-column entry is
+    /// pushed per call). `tuples` holds every earlier slot's tuple: values'
+    /// strings are read back from them. A value some live slot already
+    /// holds only gains the slot (on its run now under [`Runs::Append`],
+    /// or later through [`ValueDict::fill_runs`] under [`Runs::Deferred`]);
+    /// a new one is described, listed and opened with the slot as its
+    /// run. Keys and elements come from the operator via `ops`, through
+    /// `scratch`.
     fn add<T>(
         &mut self,
         slot: u32,
@@ -679,7 +754,7 @@ impl ValueIndex {
         };
         dict.held += 1;
         let hash = dict.hasher.hash_one(s);
-        if let Some(v) = dict.find(hash, s, self.right, tuples) {
+        if let Some(&v) = dict.find(hash, s, self.right, tuples) {
             if runs == Runs::Append {
                 dict.runs.get_mut(v as usize).push(slot);
             }
@@ -714,7 +789,7 @@ impl ValueIndex {
             let s = s.expect("a value's slots hold its string");
             let hash = dict.hasher.hash_one(s);
             let v = match dict.find(hash, s, self.right, tuples) {
-                Some(v) => v,
+                Some(&v) => v,
                 None => dict.open(hash, d2.meta(local), first),
             };
             global.push(v);
@@ -739,20 +814,31 @@ impl ValueIndex {
         Arc::make_mut(&mut self.side).extend(opened.filter(|&v| v >= first_new));
     }
 
-    /// Resolves the probe into the posting lists (and side list) whose
-    /// union holds its candidate values, into `pa`'s buffers, and sets
-    /// `pa`'s per-value prefilter — an edit atom's over the bound table it
-    /// builds into `bounds`. A `Null` probe value prepares an empty
-    /// retrieval.
+    /// Resolves the probe against this atom's lists into a
+    /// [`PreparedAtom`] built in `bufs`: the posting lists and plain lists
+    /// whose union (filtered per value by the prepared test, an edit
+    /// atom's over the bound table it builds) is the atom's retrieval — a
+    /// superset of the values whose slots satisfy the atom against the
+    /// probe. The probe side carries its signatures (batched probes share
+    /// one prep); an equality atom finds the probe's value through the
+    /// dictionary, reading strings from `tuples`. An unsatisfiable probe
+    /// value (`Null`) prepares an empty retrieval.
     fn prepare<'a>(
         &'a self,
         probe: PairSide<'_>,
+        tuples: &CowVec<Tuple>,
         ops: &RuntimeOps,
         scratch: &mut AnchorScratch,
-        pa: &mut PreparedAtom<'a>,
-        bounds: Vec<u8>,
-    ) {
-        let test = match self.kind {
+        bufs: AtomBufs,
+    ) -> PreparedAtom<'a> {
+        let AtomBufs { comp, plain, bounds } = bufs;
+        let mut pa = PreparedAtom {
+            comp: recycle(comp),
+            plain: recycle(plain),
+            index: self,
+            test: ValueTest::Any,
+        };
+        pa.test = match self.kind {
             ValueKind::Grams { theta, safe_len } => {
                 let computed;
                 let sig = match probe.sigs.sig(self.left) {
@@ -763,7 +849,7 @@ impl ValueIndex {
                     }
                 };
                 if sig.is_null() {
-                    return;
+                    return pa;
                 }
                 if sig.sig().char_len() < safe_len {
                     // Short probe: pairs below the safe length need not
@@ -772,18 +858,14 @@ impl ValueIndex {
                     // the guaranteed regime).
                     pa.plain.push(self.side.as_slice());
                 }
-                for hash in sig.sig().qgrams().distinct_hashes() {
-                    if let Some(list) = self.postings.get(&hash) {
-                        pa.comp.push(list);
-                    }
-                }
+                self.lists_into(sig.sig().qgrams().distinct_hashes(), &mut pa.comp);
                 let len = sig.sig().char_len() as u32;
                 let mask = sig.sig().bag().presence_mask();
                 ValueTest::Edit(EditProbe::new(theta, len, mask, bounds))
             }
             ValueKind::Elements { op, min_ratio } => {
                 let Some(s) = probe.tuple.get(self.left).as_str() else {
-                    return;
+                    return pa;
                 };
                 let size = scratch.elements_of(ops, op, s);
                 if scratch.elems.is_empty() {
@@ -792,21 +874,42 @@ impl ValueIndex {
                     pa.plain.push(self.side.as_slice());
                     ValueTest::Any
                 } else {
-                    for elem in &scratch.elems {
-                        if let Some(list) = self.postings.get(elem) {
-                            pa.comp.push(list);
-                        }
-                    }
+                    self.lists_into(scratch.elems.iter().copied(), &mut pa.comp);
                     ValueTest::Ratio { ratio: min_ratio, probe: size }
                 }
             }
+            ValueKind::Keys { op } => {
+                let Some(s) = probe.tuple.get(self.left).as_str() else {
+                    return pa;
+                };
+                if ops.class(op) == OpClass::Equality {
+                    // The dictionary's own lookup is the bucket: one value,
+                    // or none when no live slot holds the probe's string.
+                    let hash = self.dict.hasher.hash_one(s);
+                    let found = self.dict.find(hash, s, self.right, tuples);
+                    pa.plain.extend(found.map(std::slice::from_ref));
+                } else {
+                    scratch.key_hashes(ops, op, s);
+                    self.lists_into(scratch.elems.iter().copied(), &mut pa.comp);
+                }
+                ValueTest::Any
+            }
         };
-        pa.filter = EntryFilter::Values { dict: &self.dict, test };
+        pa
     }
 
-    /// Drops `slot`, which holds `tuple`, from its value; only a value
-    /// whose last slot goes is described again and leaves its lists (the
-    /// side list at once, posting lists as counted tombstones).
+    /// Pushes the posting list under each of `keys` that exists.
+    fn lists_into<'a>(&'a self, keys: impl Iterator<Item = u64>, comp: &mut Vec<&'a PostingList>) {
+        comp.extend(keys.filter_map(|key| self.postings.get(&key)));
+    }
+
+    /// Purges `slot`, which holds `tuple` — the inverse of
+    /// [`ValueIndex::add`]. The slot leaves its value's run, and only a
+    /// value whose last slot goes is described again and leaves its
+    /// lists: the side list at once, compressed posting lists as counted
+    /// tombstones, rewriting a block once half of it is dead. The slot
+    /// keeps its value id: slots are never reused, so the id stays
+    /// correct for any stale reader.
     fn remove_slot(
         &mut self,
         slot: u32,
@@ -853,192 +956,12 @@ fn drop_posting<A: Index<usize, Output = bool> + ?Sized>(
     }
 }
 
-/// An inverted index over one indexable atom, shared by every key that
-/// mentions the atom: key buckets, or lists over distinct values for
-/// q-gram and element anchors; see the [module docs](self) for the
-/// per-kind soundness argument.
-#[derive(Clone)]
-enum AtomIndex {
-    /// Key atom (equality, soundex, digit equality, synonym tables):
-    /// key → slots deriving it. Matching values share a key and every
-    /// non-null value derives at least one, so the union of the probe's
-    /// key buckets is a superset of the atom's match set. `Null` values
-    /// derive nothing: null matches nothing.
-    Keys { left: AttrId, right: AttrId, op: OperatorId, buckets: CowMap<String, Vec<u32>> },
-    /// Thresholded edit atom ([`ValueKind::Grams`]): gram hash → the
-    /// value ids whose string contains the gram; the side list holds the
-    /// values shorter than `safe_len`, scanned whenever the probe itself
-    /// is short (gram sharing is only guaranteed above the safe length).
-    /// The retrieval-time length window and presence-mask prefilters read
-    /// each value's char length and char-bag mask once — both sound
-    /// because each lower-bounds the OSA distance the verification kernel
-    /// would compute.
-    ///
-    /// Element atom ([`ValueKind::Elements`]: token Jaccard, q-gram Dice,
-    /// Jaro–Winkler): element → the value ids whose element set holds it,
-    /// under the `min ≥ min_ratio·max` filter on each value's element-set
-    /// size (stored once per value); the side list holds the element-less
-    /// values, retrieved only by element-less probes.
-    Values(Box<ValueIndex>),
-}
-
-impl AtomIndex {
-    /// An empty index anchoring `atom` as `anchor`, for slots from `base`
-    /// on.
-    fn new(atom: &SimilarityAtom, anchor: Anchor, base: u32) -> AtomIndex {
-        let (left, right, op) = (atom.left, atom.right, atom.op);
-        let kind = match anchor {
-            Anchor::Keys => return AtomIndex::Keys { left, right, op, buckets: CowMap::new() },
-            Anchor::Grams { theta, safe_len } => ValueKind::Grams { theta, safe_len },
-            Anchor::Elements { min_ratio } => ValueKind::Elements { op, min_ratio },
-        };
-        AtomIndex::Values(Box::new(ValueIndex {
-            left,
-            right,
-            kind,
-            postings: CowMap::new(),
-            side: Arc::default(),
-            dict: ValueDict::new(base, matches!(kind, ValueKind::Grams { .. })),
-        }))
-    }
-
-    /// Indexes one tuple (slot ids arrive in ascending order, so every
-    /// bucket, list and run stays sorted, and a value index pushes exactly
-    /// one slot-column entry per call). `tuples` holds every earlier
-    /// slot's tuple: a value index reads its values' strings back from
-    /// them, and describes only a string no live value holds; `runs` says
-    /// whether it appends the slot to its value's run now or leaves that to
-    /// [`AtomIndex::fill_runs`]. Keys and elements come from the operator
-    /// via `ops`, through `scratch`.
-    fn add<T>(
-        &mut self,
-        slot: u32,
-        tuple: &Tuple,
-        tuples: &T,
-        ops: &RuntimeOps,
-        scratch: &mut AnchorScratch,
-        runs: Runs,
-    ) where
-        T: Index<usize, Output = Tuple> + ?Sized,
-    {
-        match self {
-            AtomIndex::Keys { right, op, buckets, .. } => {
-                if let Some(s) = tuple.get(*right).as_str() {
-                    scratch.for_each_key(ops, *op, s, |key| {
-                        buckets.or_default(key.to_owned()).push(slot);
-                    });
-                }
-            }
-            AtomIndex::Values(vi) => vi.add(slot, tuple, tuples, ops, scratch, runs),
-        }
-    }
-
-    /// Fills a value index's runs after a build added its slots under
-    /// [`Runs::Deferred`] (see [`ValueDict::fill_runs`]).
-    fn fill_runs(&mut self) {
-        if let AtomIndex::Values(vi) = self {
-            vi.dict.fill_runs();
-        }
-    }
-
-    /// Folds another (partial, higher-slot) index of the same shape in —
-    /// the deterministic merge step of the parallel build.
-    fn merge(&mut self, other: AtomIndex, tuples: &[Tuple]) {
-        match (self, other) {
-            (AtomIndex::Keys { buckets, .. }, AtomIndex::Keys { buckets: partial, .. }) => {
-                for (key, slots) in partial.into_entries() {
-                    buckets.or_default(key).extend(slots);
-                }
-            }
-            (AtomIndex::Values(vi), AtomIndex::Values(partial)) => vi.merge(*partial, tuples),
-            _ => unreachable!("parallel build merges atom indices of one shape"),
-        }
-    }
-
-    /// Resolves the probe against this atom's buckets/postings into a
-    /// [`PreparedAtom`]: the posting lists and plain lists whose union
-    /// (filtered by the prefilter) is the atom's retrieval — a superset
-    /// of the slots whose tuples satisfy the atom against the probe. An
-    /// unsatisfiable probe value (`Null`) prepares an empty retrieval.
-    /// The probe side carries its signatures (batched probes share one
-    /// prep); the prepared atom's lists and bound table live in `bufs`.
-    fn prepare<'a>(
-        &'a self,
-        probe: PairSide<'_>,
-        ops: &RuntimeOps,
-        scratch: &mut AnchorScratch,
-        bufs: AtomBufs,
-    ) -> PreparedAtom<'a> {
-        let AtomBufs { comp, plain, bounds } = bufs;
-        let mut pa =
-            PreparedAtom { comp: recycle(comp), plain: recycle(plain), filter: EntryFilter::None };
-        match self {
-            AtomIndex::Keys { left, op, buckets, .. } => {
-                if let Some(s) = probe.tuple.get(*left).as_str() {
-                    scratch.for_each_key(ops, *op, s, |key| {
-                        if let Some(bucket) = buckets.get(key) {
-                            pa.plain.push(bucket.as_slice());
-                        }
-                    });
-                }
-            }
-            AtomIndex::Values(vi) => vi.prepare(probe, ops, scratch, &mut pa, bounds),
-        }
-        pa
-    }
-
-    /// Purges `slot` from this atom's buckets and postings — the inverse
-    /// of [`AtomIndex::add`], recomputing the same anchor keys from the
-    /// stored tuple. Key buckets drop the slot immediately. A value index
-    /// drops the slot from its value, and only a value whose last slot
-    /// goes leaves its lists: compressed posting lists tombstone it and
-    /// rewrite their block once half dead. The slot keeps its value id:
-    /// slots are never reused, so the id stays correct for any stale
-    /// reader.
-    fn remove_slot(
-        &mut self,
-        slot: u32,
-        tuple: &Tuple,
-        ops: &RuntimeOps,
-        scratch: &mut AnchorScratch,
-    ) {
-        match self {
-            AtomIndex::Keys { right, op, buckets, .. } => {
-                if let Some(s) = tuple.get(*right).as_str() {
-                    scratch.for_each_key(ops, *op, s, |key| {
-                        let emptied = match buckets.get_mut(key) {
-                            Some(bucket) => {
-                                drop_from(bucket, slot);
-                                bucket.is_empty()
-                            }
-                            None => false,
-                        };
-                        if emptied {
-                            buckets.remove(key);
-                        }
-                    });
-                }
-            }
-            AtomIndex::Values(vi) => vi.remove_slot(slot, tuple, ops, scratch),
-        }
-    }
-}
-
-/// What a prepared atom's lists hold and the prefilter applied to them —
-/// decided from metadata the index stores alongside its entries, so
-/// candidates failing it die before the verification kernel ever sees
-/// them. Every test is sound: an entry it rejects would be rejected by
-/// the corresponding verification filter (size ratio, length window,
-/// char-bag bound) anyway.
-enum EntryFilter<'a> {
-    /// Slots, unfiltered (key buckets).
-    None,
-    /// Value ids of `dict`, each tested once under `test`.
-    Values { dict: &'a ValueDict, test: ValueTest },
-}
-
-/// The per-value prefilter of a dictionary-backed atom, computed once
-/// per probe.
+/// The per-value prefilter of a prepared atom, computed once per probe
+/// from metadata the dictionary stores per value, so candidates failing
+/// it die before the verification kernel ever sees them. Every test is
+/// sound: a value it rejects would be rejected by the corresponding
+/// verification filter (size ratio, length window, char-bag bound)
+/// anyway.
 enum ValueTest {
     /// The edit-atom prefilters, table-driven: the probe's length window
     /// plus the char-bag presence-mask bound (see [`EditProbe`]).
@@ -1046,8 +969,9 @@ enum ValueTest {
     /// The element anchors' size-ratio bound, `min ≥ ratio·max` over the
     /// value's element-set size vs the probe's.
     Ratio { ratio: f64, probe: u32 },
-    /// Every value passes: an element-less probe against the element-less
-    /// values (∅ ≈ ∅ holds under every element operator).
+    /// Every value passes: a key atom's values, and an element-less probe
+    /// against the element-less values (∅ ≈ ∅ holds under every element
+    /// operator).
     Any,
 }
 
@@ -1055,7 +979,7 @@ impl ValueTest {
     /// Why value `at` of a window of the hot columns (`sizes`, and
     /// `masks` for an edit atom) fails the test, or `None` when it passes
     /// — the one per-value test, shared by a materializing value scan and
-    /// the slot-level [`EntryFilter::reject`].
+    /// the slot-level [`PreparedAtom::reject`].
     #[inline]
     fn reject(&self, sizes: &[u32], masks: &[u64], at: usize) -> Option<RetrievalReject> {
         match *self {
@@ -1130,35 +1054,16 @@ fn edit_len_window(theta: f64, probe_len: u32) -> (u32, u32) {
     ((p - theta_bound(theta, p)) as u32, hi as u32)
 }
 
-impl EntryFilter<'_> {
-    /// Why one slot fails — the membership-probe form, for the few slots
-    /// of a small running intersection — or `None` when it passes. A
-    /// dictionary-backed atom tests the slot's value; a `Null` slot holds
-    /// none and fails.
-    fn reject(&self, slot: u32) -> Option<RetrievalReject> {
-        match *self {
-            EntryFilter::None => None,
-            EntryFilter::Values { dict, ref test } => match dict.value_of(slot) {
-                NO_ID => Some(RetrievalReject::Null),
-                v => {
-                    let v = v as usize;
-                    test.reject(dict.sizes.run_of(v), dict.masks.run_of(v), v % CHUNK_LEN)
-                }
-            },
-        }
-    }
-}
-
-/// Walks a bitmap one [`CHUNK_LEN`] window at a time — the unit in which
-/// every [`CowVec`] of an index is contiguous — resolving the window's
-/// metadata `run_of(first entry)` once, then testing each set bit with
-/// `reject(&run, offset into the window)` and passing those that pass to
-/// `keep`, ascending; rejects are counted by reason.
-fn scan_runs<R>(
+/// Walks a bitmap over `dict`'s value ids one [`CHUNK_LEN`] window at a
+/// time — the unit in which every [`CowVec`] of a dictionary is
+/// contiguous — resolving the window's hot columns once, then testing
+/// each set value under `test` and passing those that pass to `keep`,
+/// ascending; rejects are counted by reason.
+fn scan_values(
     words: &[u64],
+    dict: &ValueDict,
+    test: &ValueTest,
     stats: &mut FilterStats,
-    run_of: impl Fn(usize) -> R,
-    reject: impl Fn(&R, usize) -> Option<RetrievalReject>,
     mut keep: impl FnMut(u32),
 ) {
     let (mut steps, mut rejected) = (0, [0; RetrievalReject::ALL.len()]);
@@ -1167,14 +1072,14 @@ fn scan_runs<R>(
             continue;
         }
         let base = window * CHUNK_LEN;
-        let run = run_of(base);
+        let (sizes, masks) = (dict.sizes.run_of(base), dict.masks.run_of(base));
         for (w, &word) in group.iter().enumerate() {
             let mut bits = word;
             while bits != 0 {
                 let offset = w * 64 + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
                 steps += 1;
-                match reject(&run, offset) {
+                match test.reject(sizes, masks, offset) {
                     None => keep((base + offset) as u32),
                     Some(why) => rejected[why as usize] += 1,
                 }
@@ -1193,14 +1098,13 @@ fn bit_set(words: &[u64], entry: u32) -> bool {
     words[(entry >> 6) as usize] >> (entry & 63) & 1 == 1
 }
 
-/// Reusable buffers of the probe hot path: a bitmap over slots, one over
-/// a dictionary-backed atom's value ids, the distinct values of a running
-/// candidate set (`vals`, deduplicated through `marks`, which is all
-/// zero between uses), the block-decode scratch and the membership
-/// cursors (empty between uses, see [`recycle`]).
+/// Reusable buffers of the probe hot path: a bitmap over an atom's value
+/// ids, the distinct values of a running candidate set (`vals`,
+/// deduplicated through `marks`, which is all zero between uses), the
+/// block-decode scratch and the membership cursors (empty between uses,
+/// see [`recycle`]).
 #[derive(Default)]
 struct Bitmaps {
-    slots: Vec<u64>,
     values: Vec<u64>,
     marks: Vec<u64>,
     vals: Vec<u32>,
@@ -1216,51 +1120,61 @@ fn clear_bits(words: &mut Vec<u64>, n: usize) {
 }
 
 /// One atom's retrieval, resolved against a probe but not yet
-/// materialized: the compressed posting lists and plain sorted lists
-/// whose union — filtered per entry — is the atom's candidate set.
+/// materialized: the compressed posting lists and plain sorted lists of
+/// value ids whose union — each value tested once under `test` — is the
+/// atom's candidate set.
 struct PreparedAtom<'a> {
-    /// Compressed posting lists (gram / element postings).
+    /// Compressed posting lists (key, gram or element postings).
     comp: Vec<&'a PostingList>,
-    /// Plain sorted lists (key buckets, side lists).
+    /// Plain sorted lists (side lists, an equality atom's found value).
     plain: Vec<&'a [u32]>,
-    filter: EntryFilter<'a>,
+    /// The atom's index, whose dictionary the lists' value ids are of.
+    index: &'a ValueIndex,
+    test: ValueTest,
 }
 
 impl<'a> PreparedAtom<'a> {
     /// Empties the atom back into the buffers it was prepared in.
     fn into_bufs(self) -> AtomBufs {
-        let bounds = match self.filter {
-            EntryFilter::Values { test: ValueTest::Edit(edit), .. } => edit.bounds,
+        let bounds = match self.test {
+            ValueTest::Edit(edit) => edit.bounds,
             _ => Vec::new(),
         };
         AtomBufs { comp: recycle(self.comp), plain: recycle(self.plain), bounds }
     }
 
-    /// Entries the atom's lists hold between them — the exact size of
-    /// its unfiltered, undeduplicated union (in value ids for a
-    /// dictionary-backed atom), read off list headers without decoding
-    /// anything.
+    /// The dictionary the atom's value ids are of.
+    fn dict(&self) -> &'a ValueDict {
+        &self.index.dict
+    }
+
+    /// Value entries the atom's lists hold between them — the exact size
+    /// of its unfiltered, undeduplicated union, read off list headers
+    /// without decoding anything.
     fn volume(&self) -> usize {
         self.comp.iter().map(|list| list.len()).sum::<usize>()
             + self.plain.iter().map(|list| list.len()).sum::<usize>()
     }
 
-    /// The volume a key's atoms are ordered by, as the fraction
-    /// `(numerator, denominator)`. An element atom's value entries are
-    /// scaled by its dictionary's slots per live value — the slots its
-    /// union expands to when values repeat evenly — because its few, much
-    /// repeated values (60 cities under 20,000 records) would otherwise
-    /// always look cheapest. Kept as a fraction, so storing every record
-    /// k times scales it by exactly k, as it does a key bucket. Slot lists
-    /// count their entries, and a q-gram atom its value entries unscaled:
-    /// scaling it too moved the Extended plan and raised its decoded blocks.
+    /// The volume a key's atoms are ordered by: the slots the atom's union
+    /// expands to, as the fraction `(numerator, denominator)`. An equality
+    /// atom's one value counts its run exactly. An element or derived-key
+    /// atom's value entries are scaled by its dictionary's slots per live
+    /// value — the slots its union expands to when values repeat evenly —
+    /// because its few, much repeated values (60 cities under 20,000
+    /// records) would otherwise always look cheapest. Kept as a fraction,
+    /// so storing every record k times scales every atom but a q-gram one
+    /// by exactly k. A q-gram atom counts its value entries unscaled:
+    /// scaling it too moved the Extended plan and raised its decoded
+    /// blocks.
     fn slot_volume(&self) -> (u64, u64) {
-        let volume = self.volume() as u64;
-        match self.filter {
-            EntryFilter::Values { dict, test: ValueTest::Ratio { .. } | ValueTest::Any } => {
-                (volume * dict.held as u64, dict.live.max(1) as u64)
+        let (volume, dict) = (self.volume() as u64, self.dict());
+        match (self.index.kind, self.plain.first()) {
+            (ValueKind::Grams { .. }, _) => (volume, 1),
+            (ValueKind::Keys { .. }, Some(found)) => {
+                (dict.runs[found[0] as usize].slots().len() as u64, 1)
             }
-            _ => (volume, 1),
+            _ => (volume * dict.held as u64, dict.live.max(1) as u64),
         }
     }
 
@@ -1269,53 +1183,50 @@ impl<'a> PreparedAtom<'a> {
         self.comp.len() + self.plain.len()
     }
 
-    /// The entries `acc` needs membership decisions for: its distinct
-    /// value ids for a dictionary-backed atom (left in `bits.vals`, in
-    /// first-seen order), its slots otherwise. `acc` has passed the
-    /// atom's prefilter, so every slot in it holds a value.
-    fn decisions(&self, acc: &[u32], bits: &mut Bitmaps) -> usize {
-        match self.filter {
-            EntryFilter::Values { dict, .. } => {
-                let Bitmaps { marks, vals, .. } = bits;
-                let words = dict.len().div_ceil(64);
-                if marks.len() < words {
-                    marks.resize(words, 0);
-                }
-                vals.clear();
-                for &slot in acc {
-                    let v = dict.value_of(slot);
-                    let (word, bit) = ((v >> 6) as usize, 1u64 << (v & 63));
-                    if marks[word] & bit == 0 {
-                        marks[word] |= bit;
-                        vals.push(v);
-                    }
-                }
-                vals.iter().for_each(|&v| marks[(v >> 6) as usize] = 0);
-                vals.len()
-            }
-            EntryFilter::None => acc.len(),
+    /// Why one slot fails the atom's prefilter — the membership-probe
+    /// form, for the few slots of a small running intersection — or
+    /// `None` when it passes: the slot's value is tested, and a `Null`
+    /// slot holds none and fails.
+    fn reject(&self, slot: u32) -> Option<RetrievalReject> {
+        match self.dict().value_of(slot) {
+            NO_ID => Some(RetrievalReject::Null),
+            v => self.reject_value(v),
         }
     }
 
-    /// Entries the atom's lists range over: value ids for a
-    /// dictionary-backed atom, `n_slots` slots otherwise.
-    fn universe(&self, n_slots: usize) -> usize {
-        match self.filter {
-            EntryFilter::Values { dict, .. } => dict.len(),
-            EntryFilter::None => n_slots,
+    /// Why value `v` fails the atom's prefilter, or `None` when it passes.
+    fn reject_value(&self, v: u32) -> Option<RetrievalReject> {
+        let (dict, v) = (self.dict(), v as usize);
+        self.test.reject(dict.sizes.run_of(v), dict.masks.run_of(v), v % CHUNK_LEN)
+    }
+
+    /// The membership decisions `acc` needs: its distinct value ids, left
+    /// in `bits.vals` in first-seen order. `acc` has passed the atom's
+    /// prefilter, so every slot in it holds a value.
+    fn decisions(&self, acc: &[u32], bits: &mut Bitmaps) -> usize {
+        let dict = self.dict();
+        let Bitmaps { marks, vals, .. } = bits;
+        let words = dict.len().div_ceil(64);
+        if marks.len() < words {
+            marks.resize(words, 0);
         }
+        vals.clear();
+        for &slot in acc {
+            let v = dict.value_of(slot);
+            let (word, bit) = ((v >> 6) as usize, 1u64 << (v & 63));
+            if marks[word] & bit == 0 {
+                marks[word] |= bit;
+                vals.push(v);
+            }
+        }
+        vals.iter().for_each(|&v| marks[(v >> 6) as usize] = 0);
+        vals.len()
     }
 
     /// ORs the atom's unfiltered union into `words`, sized for its
-    /// universe.
-    fn or_into(
-        &self,
-        n_slots: usize,
-        words: &mut Vec<u64>,
-        decode: &mut Vec<u32>,
-        stats: &mut FilterStats,
-    ) {
-        clear_bits(words, self.universe(n_slots));
+    /// dictionary.
+    fn or_into(&self, words: &mut Vec<u64>, decode: &mut Vec<u32>, stats: &mut FilterStats) {
+        clear_bits(words, self.dict().len());
         for list in &self.comp {
             stats.blocks_decoded += list.or_into(words, decode);
         }
@@ -1326,71 +1237,85 @@ impl<'a> PreparedAtom<'a> {
         }
     }
 
-    /// Materializes the filtered union into `out` as slots, ascending
-    /// and deduplicated. A key-bucket atom ORs every list into a slot
-    /// bitmap (bitset blocks land as four word-ORs each) and scans its set
-    /// bits out; a single bucket is copied as is. A dictionary-backed atom
-    /// ORs its lists into a value bitmap, tests each set value once
-    /// through the hot columns, copies each survivor's run into `out` and
-    /// sorts it — runs of distinct values are disjoint, so that is the
-    /// union, and no bitmap over slots is touched.
+    /// Materializes the filtered union: tests each value of the union once
+    /// through the hot columns, leaves the survivors in `survivors`,
+    /// ascending, and expands them into `out` (see
+    /// [`PreparedAtom::expand`]). A union of several lists is ORed into a
+    /// value bitmap first (bitset blocks land as four word-ORs each); a
+    /// union that is one plain list — an equality atom's value, a side
+    /// list alone — is sorted and distinct already and is walked as it
+    /// is, so it costs its length, not the dictionary's. No bitmap over
+    /// slots is touched.
     fn materialize(
         &self,
-        n_slots: usize,
         bits: &mut Bitmaps,
         stats: &mut FilterStats,
+        survivors: &mut Vec<u32>,
         out: &mut Vec<u32>,
     ) {
-        let Bitmaps { slots, values, decode, .. } = bits;
-        out.clear();
-        match self.filter {
-            EntryFilter::None if self.comp.is_empty() && self.plain.len() <= 1 => {
-                out.extend_from_slice(self.plain.first().copied().unwrap_or_default());
+        let Bitmaps { values, decode, .. } = bits;
+        survivors.clear();
+        if let ([], [list]) = (self.comp.as_slice(), self.plain.as_slice()) {
+            stats.linear_steps += list.len() as u64;
+            for &v in *list {
+                match self.reject_value(v) {
+                    None => survivors.push(v),
+                    Some(why) => stats.reject(why, 1),
+                }
             }
-            EntryFilter::None => {
-                self.or_into(n_slots, slots, decode, stats);
-                scan_runs(slots, stats, |_| (), |_, _| None, |slot| out.push(slot));
-            }
-            EntryFilter::Values { dict, ref test } => {
-                self.or_into(n_slots, values, decode, stats);
-                let window = |base| (dict.sizes.run_of(base), dict.masks.run_of(base));
-                let reject = |&(sizes, masks): &(&[u32], &[u64]), at| test.reject(sizes, masks, at);
-                let expand = |v: u32| out.extend_from_slice(dict.runs[v as usize].slots());
-                scan_runs(values, stats, window, reject, expand);
-                out.sort_unstable();
-                // One step per slot produced, as a scan of the slots would
-                // count.
-                stats.linear_steps += out.len() as u64;
-            }
+        } else {
+            self.or_into(values, decode, stats);
+            scan_values(values, self.dict(), &self.test, stats, |v| survivors.push(v));
         }
+        self.expand(survivors, out);
+        // One step per slot produced, as a scan of the slots would count.
+        stats.linear_steps += out.len() as u64;
+    }
+
+    /// The live slots holding `values` into `out`: each value's run in
+    /// turn, so slots come grouped by value, each run ascending, and no
+    /// slot twice (runs of distinct values are disjoint). Nothing
+    /// downstream needs them in slot order: a key's candidates are sorted
+    /// once, as pairs.
+    fn expand(&self, values: &[u32], out: &mut Vec<u32>) {
+        let runs = &self.dict().runs;
+        out.clear();
+        values.iter().for_each(|&v| out.extend_from_slice(runs[v as usize].slots()));
+    }
+
+    /// Keeps the slots of `acc` whose value survives `decide`, which
+    /// filters in place the distinct values [`PreparedAtom::decisions`]
+    /// left in `bits.vals`, sorted ascending first.
+    fn keep_values(
+        &self,
+        acc: &mut Vec<u32>,
+        bits: &mut Bitmaps,
+        decide: impl FnOnce(&mut Vec<u32>),
+    ) {
+        let dict = self.dict();
+        let Bitmaps { marks, vals, .. } = bits;
+        vals.sort_unstable();
+        decide(vals);
+        vals.iter().for_each(|&v| marks[(v >> 6) as usize] |= 1u64 << (v & 63));
+        acc.retain(|&slot| bit_set(marks, dict.value_of(slot)));
+        vals.iter().for_each(|&v| marks[(v >> 6) as usize] = 0);
     }
 
     /// Intersects `acc` with this (unmaterialized) atom by membership: a
-    /// slot survives iff its entry — the slot, or its value for a
-    /// dictionary-backed atom, whose distinct values
-    /// [`PreparedAtom::decisions`] left in `bits.vals` — appears on at least
-    /// one of the atom's lists. Cursor targets ascend, so whole blocks are
-    /// skipped on their max without decoding. Callers have already run
-    /// `acc` through the atom's prefilter, so this produces exactly the
-    /// `acc` that intersecting with the filtered union would.
+    /// slot survives iff its value appears on at least one of the atom's
+    /// lists. Cursor targets ascend, so whole blocks are skipped on their
+    /// max without decoding. Callers have already run `acc` through the
+    /// atom's prefilter, so this produces exactly the `acc` that
+    /// intersecting with the filtered union would.
     fn member_intersect(&self, acc: &mut Vec<u32>, bits: &mut Bitmaps, stats: &mut FilterStats) {
         let mut cursors: Vec<Cursor<'_>> = recycle(std::mem::take(&mut bits.cursors));
         cursors.extend(self.comp.iter().map(|list| list.cursor()));
-        let mut member = |entry: u32| {
-            cursors.iter_mut().any(|cur| cur.advance_to(entry) == Some(entry))
-                || self.plain.iter().any(|plain| plain.binary_search(&entry).is_ok())
-        };
-        match self.filter {
-            EntryFilter::Values { dict, .. } => {
-                let Bitmaps { marks, vals, .. } = bits;
-                vals.sort_unstable();
-                vals.retain(|&v| member(v));
-                vals.iter().for_each(|&v| marks[(v >> 6) as usize] |= 1u64 << (v & 63));
-                acc.retain(|&slot| bit_set(marks, dict.value_of(slot)));
-                vals.iter().for_each(|&v| marks[(v >> 6) as usize] = 0);
-            }
-            EntryFilter::None => acc.retain(|&slot| member(slot)),
-        }
+        self.keep_values(acc, bits, |vals| {
+            vals.retain(|&v| {
+                cursors.iter_mut().any(|cur| cur.advance_to(v) == Some(v))
+                    || self.plain.iter().any(|plain| plain.binary_search(&v).is_ok())
+            })
+        });
         for cur in &cursors {
             stats.blocks_decoded += cur.blocks_decoded;
             stats.blocks_skipped += cur.blocks_skipped;
@@ -1398,17 +1323,15 @@ impl<'a> PreparedAtom<'a> {
         bits.cursors = recycle(cursors);
     }
 
-    /// Intersects `acc` with this dictionary-backed atom over value ids:
-    /// ORs the atom's unfiltered union into the value bitmap, then keeps
-    /// the slots whose value's bit is set — no slot of the union is ever
-    /// listed. Like [`PreparedAtom::member_intersect`], exact because
-    /// `acc` already passed the atom's prefilter.
+    /// Intersects `acc` with this atom over value ids: ORs the atom's
+    /// unfiltered union into the value bitmap, then keeps the slots whose
+    /// value's bit is set — no slot of the union is ever listed. Like
+    /// [`PreparedAtom::member_intersect`], exact because `acc` already
+    /// passed the atom's prefilter.
     fn value_intersect(&self, acc: &mut Vec<u32>, bits: &mut Bitmaps, stats: &mut FilterStats) {
-        let EntryFilter::Values { dict, .. } = self.filter else {
-            unreachable!("only a dictionary-backed atom has a value union")
-        };
+        let dict = self.dict();
         let Bitmaps { values: union, decode, .. } = bits;
-        self.or_into(0, union, decode, stats); // sized by the dictionary
+        self.or_into(union, decode, stats);
         stats.linear_steps += acc.len() as u64;
         acc.retain(|&slot| match dict.value_of(slot) {
             NO_ID => false,
@@ -1417,10 +1340,10 @@ impl<'a> PreparedAtom<'a> {
     }
 }
 
-/// Intersects `acc` (sorted ascending) with a materialized retrieval in
-/// place, galloping through `list` — exponential stride doubling then a
-/// binary settle, so a small `acc` against a long list costs
-/// `O(|acc|·log)` instead of a full merge.
+/// Intersects `acc` (sorted ascending) with the sorted `list` in place,
+/// galloping through `list` — exponential stride doubling then a binary
+/// settle, so a small `acc` against a long list costs `O(|acc|·log)`
+/// instead of a full merge.
 fn gallop_intersect(acc: &mut Vec<u32>, list: &[u32], stats: &mut FilterStats) {
     let mut kept = 0usize;
     let mut j = 0usize;
@@ -1479,16 +1402,14 @@ struct ProbeScratch {
     /// The probe's prepared atoms by position — empty between probes,
     /// kept for its allocation (see [`recycle`]).
     prepared: Vec<Option<PreparedAtom<'static>>>,
-    /// Per atom position, its memoized slot retrieval, valid where
-    /// `memoized` is set.
+    /// Per atom position, the values that survived its retrieval as an
+    /// earlier key's first atom, ascending; valid where `memoized` is set.
     retrieved: Vec<Vec<u32>>,
     memoized: Vec<bool>,
     /// A key's atoms as (position, volume, volume in slots), planned.
     order: Vec<(usize, usize, (u64, u64))>,
     /// A key's running intersection.
     acc: Vec<u32>,
-    /// A later key-bucket atom's materialized retrieval.
-    list: Vec<u32>,
     /// (slot, key bit) per key's candidate.
     pairs: Vec<(u32, u64)>,
     /// The probe's candidates with their key masks, ascending by slot:
@@ -1501,10 +1422,10 @@ thread_local! {
 }
 
 /// When a key's running candidate set needs at most this many membership
-/// decisions from its next atom (slots, or distinct values for a
-/// dictionary-backed atom), that atom is left to verification: deciding the leftover
-/// candidate there is cheaper than another retrieval, and the
-/// intersection of any subset of a key's atoms is a sound superset.
+/// decisions from its next atom (its distinct values there), that atom is
+/// left to verification: deciding the leftover candidate there is
+/// cheaper than another retrieval, and the intersection of any subset of
+/// a key's atoms is a sound superset.
 /// Survivors sharing one value would be kept or dropped together, so
 /// copies of a value add verifications in proportion but no retrieval.
 const ENOUGH: usize = 1;
@@ -1583,8 +1504,8 @@ impl PairTrace {
 pub struct IndexStats {
     /// Number of keys.
     pub keys: usize,
-    /// Distinct atoms indexed as key buckets (equality, soundex, digits,
-    /// synonym tables).
+    /// Distinct atoms indexed by key (equality, soundex, digits, synonym
+    /// tables).
     pub key_anchors: usize,
     /// Distinct edit atoms indexed (q-gram postings + sparse list).
     pub qgram_anchors: usize,
@@ -1597,21 +1518,20 @@ pub struct IndexStats {
     pub live: usize,
     /// Removed tuples still occupying slots (rebuild to compact).
     pub tombstones: usize,
-    /// Distinct bucket keys across all key anchors.
-    pub exact_buckets: usize,
-    /// Distinct posting lists across all q-gram and element anchors.
+    /// Distinct posting lists across all anchors (an equality anchor
+    /// keeps none).
     pub posting_lists: usize,
     /// Entries on side lists, one per distinct value: values shorter than
     /// an edit atom's safe length, and element-less values under element
     /// anchors.
     pub sparse_entries: usize,
-    /// Live distinct values summed over the q-gram and element anchors:
-    /// each such anchor indexes its attribute's values, not its records,
-    /// so `live / distinct_values` (per anchor) is the repeat factor its
-    /// postings, prefilter and build work are divided by.
+    /// Live distinct values summed over the anchors: each anchor indexes
+    /// its attribute's values, not its records, so `live /
+    /// distinct_values` (per anchor) is the repeat factor its postings,
+    /// prefilter and build work are divided by.
     pub distinct_values: usize,
     /// Resident bytes of the compressed posting lists (delta blocks,
-    /// bitset blocks, unsealed tails) across all posting anchors.
+    /// bitset blocks, unsealed tails) across all anchors.
     pub postings_bytes: usize,
     /// Bytes the same postings would occupy as plain `u32` slot lists —
     /// `postings_bytes / postings_uncompressed_bytes` is the compression
@@ -1659,7 +1579,7 @@ pub struct MatchIndex {
     /// candidate's as its edit atoms compare them).
     probe_needs: SigNeeds,
     /// Inverted indices over the distinct indexable atoms of the keys.
-    atom_indices: Vec<AtomIndex>,
+    atom_indices: Vec<ValueIndex>,
     /// Per key: positions into `atom_indices` of the key's indexed atoms.
     /// An empty list means the key is unindexable and scans.
     key_atoms: Arc<[Vec<usize>]>,
@@ -1754,25 +1674,33 @@ impl MatchIndex {
         }
 
         // Populate every atom index: per-chunk partial indices, folded in
-        // chunk order so slot lists come out ascending. A one-thread pool
+        // chunk order so value ids and lists come out as a serial build's. A one-thread pool
         // gets one chunk: partials it would only fold back together
         // serially are pure overhead.
-        let empty = |base: usize| -> Vec<AtomIndex> {
+        let empty = |base: usize| -> Vec<ValueIndex> {
             let base = base as u32;
-            anchors.iter().map(|(atom, anchor)| AtomIndex::new(atom, *anchor, base)).collect()
+            anchors.iter().map(|(atom, anchor)| ValueIndex::new(atom, *anchor, base)).collect()
         };
         let tuples = relation.tuples();
         let min_chunk = if pool.threads() == 1 { tuples.len() } else { BUILD_MIN_CHUNK };
-        let partials: Vec<Vec<AtomIndex>> = pool.par_ranges(tuples.len(), min_chunk, |_, range| {
-            let mut partial = empty(range.start);
-            let mut scratch = AnchorScratch::default();
-            for pos in range {
-                for atom in &mut partial {
-                    atom.add(pos as u32, &tuples[pos], tuples, &ops, &mut scratch, Runs::Deferred);
+        let partials: Vec<Vec<ValueIndex>> =
+            pool.par_ranges(tuples.len(), min_chunk, |_, range| {
+                let mut partial = empty(range.start);
+                let mut scratch = AnchorScratch::default();
+                for pos in range {
+                    for atom in &mut partial {
+                        atom.add(
+                            pos as u32,
+                            &tuples[pos],
+                            tuples,
+                            &ops,
+                            &mut scratch,
+                            Runs::Deferred,
+                        );
+                    }
                 }
-            }
-            partial
-        });
+                partial
+            });
         let mut partials = partials.into_iter();
         // The first chunk's partial *is* the index so far; folding it
         // into empty shapes would re-insert every entry.
@@ -1783,7 +1711,7 @@ impl MatchIndex {
             }
         }
         // Every value's slots are known now: fill each run once.
-        atom_indices.iter_mut().for_each(AtomIndex::fill_runs);
+        atom_indices.iter_mut().for_each(|atom| atom.dict.fill_runs());
 
         let mut by_id = CowMap::new();
         for (pos, tuple) in tuples.iter().enumerate() {
@@ -1845,9 +1773,10 @@ impl MatchIndex {
     /// sequence covers exactly the allocated slots, `by_id` and the
     /// liveness flags describe the same live set, and every posting list
     /// passes [`PostingList::check_invariants`] and counts exactly its
-    /// dead entries as tombstones. Each value dictionary (q-gram and
-    /// element anchors) is exact: its per-value columns have one entry per
-    /// value (masks only under q-gram anchors), each live slot's value
+    /// dead entries as tombstones. Every anchor's value dictionary is
+    /// exact: its per-value columns have one entry per value (sizes only
+    /// under q-gram and element anchors, masks only under q-gram
+    /// anchors), each live slot's value
     /// maps back to the slot's string, each value's run is ascending and
     /// exactly the live slots holding it (so a value is live iff its run
     /// is non-empty, and `live`/`held` count them), each value's hot
@@ -1864,11 +1793,7 @@ impl MatchIndex {
         for (slot, tuple) in self.live_tuples() {
             assert_eq!(self.by_id.get(&tuple.id()), Some(&(slot as u32)), "id maps to its slot");
         }
-        for atom in &self.atom_indices {
-            if let AtomIndex::Values(vi) = atom {
-                self.check_dict(vi);
-            }
-        }
+        self.atom_indices.iter().for_each(|atom| self.check_dict(atom));
     }
 
     /// The value-index half of [`MatchIndex::check_invariants`].
@@ -1876,10 +1801,10 @@ impl MatchIndex {
         let ValueIndex { right, kind, postings, side, dict, .. } = vi;
         let (slots, values) = (self.tuples.len(), dict.len());
         assert_eq!((dict.base as usize, dict.slot_values.len()), (0, slots), "one value per slot");
-        let masks = if dict.masked { values } else { 0 };
+        let kept = |column: bool| if column { values } else { 0 };
         assert_eq!(
-            (dict.collide.len(), dict.runs.len(), dict.masks.len()),
-            (values, values, masks),
+            (dict.collide.len(), dict.sizes.len(), dict.masks.len()),
+            (values, kept(dict.sized), kept(dict.masked)),
             "one entry per value in every per-value column"
         );
         let mut holders = vec![Vec::new(); values];
@@ -1895,7 +1820,7 @@ impl MatchIndex {
             any_slot[v as usize].get_or_insert(slot);
             if self.alive[slot] {
                 let found = dict.find(dict.hasher.hash_one(s), s, *right, &self.tuples);
-                assert_eq!(found, Some(v), "slot {slot}'s value maps back to its string");
+                assert_eq!(found, Some(&v), "slot {slot}'s value maps back to its string");
                 holders[v as usize].push(slot as u32);
             }
         }
@@ -1965,23 +1890,15 @@ impl MatchIndex {
             scan_keys: self.key_atoms.iter().filter(|refs| refs.is_empty()).count(),
             live: self.live,
             tombstones: self.tuples.len() - self.live,
-            exact_buckets: 0,
             posting_lists: 0,
             sparse_entries: 0,
             distinct_values: 0,
             postings_bytes: 0,
             postings_uncompressed_bytes: 0,
         };
-        for atom in &self.atom_indices {
-            let vi = match atom {
-                AtomIndex::Keys { buckets, .. } => {
-                    stats.key_anchors += 1;
-                    stats.exact_buckets += buckets.len();
-                    continue;
-                }
-                AtomIndex::Values(vi) => vi,
-            };
+        for vi in &self.atom_indices {
             match vi.kind {
+                ValueKind::Keys { .. } => stats.key_anchors += 1,
                 ValueKind::Grams { .. } => stats.qgram_anchors += 1,
                 ValueKind::Elements { .. } => stats.element_anchors += 1,
             }
@@ -2031,29 +1948,26 @@ impl MatchIndex {
     /// per-entry prefilters ([`FilterStats::retrieval_rejects`]).
     ///
     /// Each key is planned from this probe's own posting volumes (the
-    /// entries its atoms' lists hold, read off list headers — value ids
-    /// for a dictionary-backed atom):
+    /// value entries its atoms' lists hold, read off list headers):
     ///
-    /// 1. *Order* — cheapest atom first by volume in slots (a
-    ///    dictionary-backed atom's value entries scaled by its slots per
-    ///    live value, [`PreparedAtom::slot_volume`]); ties broken by atom
-    ///    position.
-    /// 2. *Materialize* — the cheapest atom's union is OR'd into a bitmap
-    ///    and scanned out through its prefilter (a dictionary-backed
-    ///    atom's over value ids, each value tested once, survivors
-    ///    expanded to their live slots), memoized for the probe's later
-    ///    keys. Only a key's first atom is ever expanded to slots.
+    /// 1. *Order* — cheapest atom first by volume in slots
+    ///    ([`PreparedAtom::slot_volume`]); ties broken by atom position.
+    /// 2. *Materialize* — the cheapest atom's union is OR'd into a value
+    ///    bitmap and scanned out through its prefilter, each value tested
+    ///    once; the surviving values are memoized for the probe's later
+    ///    keys and expanded to their live slots. Only a key's first atom
+    ///    is ever expanded to slots.
     /// 3. *Prefilter* — the survivors run through every remaining atom's
     ///    prefilter, which costs a metadata lookup and decodes nothing.
     /// 4. *Intersect* — each remaining atom, cheapest first, either
-    ///    tests the survivors by membership (galloping cursors that skip
-    ///    whole blocks) when `decisions × lists < volume` — decisions are
-    ///    the survivors' distinct values for a dictionary-backed atom,
-    ///    their slots otherwise — or ORs its whole union: a
-    ///    dictionary-backed atom into a value bitmap each survivor's value
-    ///    is tested against, a key atom into a slot list galloped against
-    ///    (memoized when a later key mentions it). An atom the survivors
-    ///    need at most [`ENOUGH`] decisions from is left to verification.
+    ///    tests the survivors' distinct values by membership (galloping
+    ///    cursors that skip whole blocks) when `decisions × lists <
+    ///    volume`, or ORs its whole union into a value bitmap each
+    ///    survivor's value is tested against; an atom that was an earlier
+    ///    key's first gallops the survivors' distinct values through its
+    ///    memoized ones. An atom
+    ///    the survivors need at most [`ENOUGH`] decisions from is left to
+    ///    verification.
     ///
     /// The plan depends only on the probe and the index version, so
     /// answers *and* counters are deterministic per probe. The candidates
@@ -2077,7 +1991,6 @@ impl MatchIndex {
             memoized,
             order,
             acc,
-            list,
             pairs,
             masked,
         } = scratch;
@@ -2110,7 +2023,7 @@ impl MatchIndex {
             for &pos in refs {
                 let pa = prepared[pos].get_or_insert_with(|| {
                     let bufs = std::mem::take(&mut atoms[pos]);
-                    self.atom_indices[pos].prepare(probe, &self.ops, anchor, bufs)
+                    self.atom_indices[pos].prepare(probe, &self.tuples, &self.ops, anchor, bufs)
                 });
                 order.push((pos, pa.volume(), pa.slot_volume()));
             }
@@ -2123,18 +2036,11 @@ impl MatchIndex {
                 continue; // an atom retrieving nothing empties the key
             }
             let atom = |pos: usize| prepared[pos].as_ref().expect("every key atom is prepared");
-            // Only a retrieval a later key can reuse is memoized.
-            let reused = |pos: usize| self.key_atoms[key + 1..].iter().any(|r| r.contains(&pos));
             if memoized[first] {
-                acc.clear();
-                acc.extend_from_slice(&retrieved[first]);
+                atom(first).expand(&retrieved[first], acc);
             } else {
-                atom(first).materialize(n_slots, bits, stats, acc);
-                if reused(first) {
-                    retrieved[first].clear();
-                    retrieved[first].extend_from_slice(acc);
-                    memoized[first] = true;
-                }
+                atom(first).materialize(bits, stats, &mut retrieved[first], acc);
+                memoized[first] = true;
             }
 
             // Prefilter: every remaining atom's per-entry test runs before
@@ -2142,16 +2048,14 @@ impl MatchIndex {
             // column) at a time.
             let rest = &order[1..];
             for &(pos, ..) in rest {
-                let filter = &atom(pos).filter;
-                if let EntryFilter::Values { .. } = filter {
-                    acc.retain(|&slot| match filter.reject(slot) {
-                        None => true,
-                        Some(why) => {
-                            stats.reject(why, 1);
-                            false
-                        }
-                    });
-                }
+                let pa = atom(pos);
+                acc.retain(|&slot| match pa.reject(slot) {
+                    None => true,
+                    Some(why) => {
+                        stats.reject(why, 1);
+                        false
+                    }
+                });
             }
 
             // Intersect, cheapest first: test the survivors by membership
@@ -2164,18 +2068,14 @@ impl MatchIndex {
                     continue; // cheap to verify; a subset of atoms is sound
                 }
                 if memoized[pos] {
-                    gallop_intersect(acc, &retrieved[pos], stats);
+                    // An earlier key's first atom: its surviving values
+                    // are known.
+                    let survivors = &retrieved[pos];
+                    pa.keep_values(acc, bits, |vals| gallop_intersect(vals, survivors, stats));
                 } else if decisions * pa.lists() < volume {
                     pa.member_intersect(acc, bits, stats);
-                } else if let EntryFilter::Values { .. } = pa.filter {
-                    pa.value_intersect(acc, bits, stats);
                 } else {
-                    pa.materialize(n_slots, bits, stats, list);
-                    gallop_intersect(acc, list, stats);
-                    if reused(pos) {
-                        std::mem::swap(&mut retrieved[pos], list);
-                        memoized[pos] = true;
-                    }
+                    pa.value_intersect(acc, bits, stats);
                 }
             }
             pairs.extend(acc.iter().map(|&slot| (slot, bit)));
@@ -2352,14 +2252,14 @@ impl MatchIndex {
     }
 
     /// Removes the tuple with `id` from query visibility. The slot is
-    /// tombstoned and purged from every anchor: key buckets drop the slot
-    /// immediately. A q-gram or element anchor drops the slot from its
-    /// value, and a value whose last slot goes leaves the dictionary and
-    /// is tombstoned on its lists, which count it dead and rewrite each
-    /// block in place once half its entries are dead — so a
-    /// heavily-churned index keeps probing at near-fresh cost without a
-    /// rebuild. (The slot still holds the tuple's handle and its per-slot
-    /// retrieval data; rebuild to reclaim that space.)
+    /// tombstoned and purged from every anchor, each of which indexes
+    /// distinct values: the slot leaves its value's run, and a value
+    /// whose last slot goes leaves the dictionary and is tombstoned on
+    /// its lists, which count it dead and rewrite each block in place once
+    /// half its entries are dead — so a heavily-churned index keeps
+    /// probing at near-fresh cost without a rebuild. (The slot still holds
+    /// the tuple's handle and its per-slot retrieval data; rebuild to
+    /// reclaim that space.)
     pub fn remove(&mut self, id: TupleId) -> Result<(), IndexError> {
         let slot = self.by_id.remove(&id).ok_or(IndexError::UnknownId { id })?;
         *self.alive.get_mut(slot as usize) = false;
@@ -2494,41 +2394,42 @@ mod tests {
         assert_parallel_build_is_serial(4, &rel, &probes, &keys, &ops);
     }
 
-    /// q-gram and element anchors count their live values; key anchors
-    /// count none.
+    /// Every anchor counts its live values — q-gram, element, derived-key
+    /// and equality alike: a repeated string once, a value while any slot
+    /// holds it, and a dead value's string comes back under a fresh id;
+    /// the invariants hold after each step.
     #[test]
     fn distinct_values_count_live_values_per_qgram_anchor() {
         let values = ["Clifford", "Jones", "Clifford", "Cliford", "Clifford", "Jones"];
-        let (mut index, _ops) = single_atom_index("≈dl", &values);
         let distinct = |index: &MatchIndex| {
             index.check_invariants();
             index.stats().distinct_values
         };
-        assert_eq!(distinct(&index), 3);
-        assert!(format!("{index:?}").contains("distinct_values: 3"), "{index:?}");
-        // A value lives while any slot holds it, and a dead value's string
-        // comes back under a fresh id.
-        index.remove(1).unwrap();
-        assert_eq!(distinct(&index), 3);
-        index.remove(4).unwrap();
-        assert_eq!(distinct(&index), 2);
-        index.insert(Tuple::new(7, vec![Value::str("Cliford")])).unwrap();
-        assert_eq!(distinct(&index), 3);
-        let probe = Tuple::new(9, vec![Value::str("Clifford")]);
-        let ids: Vec<u64> = index.query(&probe).hits.iter().map(|h| h.id).collect();
-        assert_eq!(ids, vec![3, 5, 7]);
-        // Element anchors index distinct values too; key anchors count
-        // none.
-        let (mut index, _ops) = single_atom_index("≈tok", &values);
-        assert_eq!(distinct(&index), 3);
-        let shown = format!("{index:?}");
-        assert!(shown.contains("element_anchors: 1, ") && shown.contains("distinct_values: 3"));
-        index.remove(1).unwrap();
-        assert_eq!(distinct(&index), 3);
-        index.remove(4).unwrap();
-        assert_eq!(distinct(&index), 2);
-        let (index, _ops) = single_atom_index("≈sx", &values);
-        assert_eq!(index.stats().distinct_values, 0);
+        // Per operator, the hits of a "Clifford" probe once "Cliford" is
+        // back: the edit and soundex anchors retrieve it, the token and
+        // equality anchors do not.
+        let cases: [(&str, &[u64]); 4] =
+            [("≈dl", &[3, 5, 7]), ("≈tok", &[3, 5]), ("≈sx", &[3, 5, 7]), ("=", &[3, 5])];
+        for (op, hits) in cases {
+            let (mut index, _ops) = single_atom_index(op, &values);
+            assert_eq!(distinct(&index), 3, "{op}");
+            assert!(format!("{index:?}").contains("distinct_values: 3"), "{op}: {index:?}");
+            index.remove(1).unwrap();
+            assert_eq!(distinct(&index), 3, "{op}: Clifford is still held");
+            index.remove(4).unwrap();
+            assert_eq!(distinct(&index), 2, "{op}: Cliford left with its one slot");
+            let slot = index.insert(Tuple::new(7, vec![Value::str("Cliford")])).unwrap();
+            assert_eq!(distinct(&index), 3, "{op}");
+            let dict = &index.atom_indices[0].dict;
+            assert_eq!(
+                (dict.len(), dict.value_of(slot as u32)),
+                (4, 3),
+                "{op}: Cliford came back under a fresh id"
+            );
+            let probe = Tuple::new(9, vec![Value::str("Clifford")]);
+            let ids: Vec<u64> = index.query(&probe).hits.iter().map(|h| h.id).collect();
+            assert_eq!(ids, hits, "{op}");
+        }
     }
 
     #[test]
@@ -2725,16 +2626,19 @@ mod tests {
 
     #[test]
     fn key_anchor_buckets_soundex_codes() {
-        let values = ["Robert", "Rupert", "Smith", "Smyth", "", "908-1111"];
+        let values = ["Robert", "Rupert", "Smith", "Smyth", "", "908-1111", "Smith", "Robert"];
         let (index, ops) = single_atom_index("≈sx", &values);
+        index.check_invariants();
         let stats = index.stats();
         assert_eq!(stats.key_anchors, 1);
         assert_eq!(stats.scan_keys, 0);
+        // The anchor indexes the six distinct names, not the eight rows.
+        assert_eq!((stats.live, stats.distinct_values), (8, 6));
         assert_matches_scan(&index, &ops, "≈sx", &["Robert", "Smith", "smith", "", "none"]);
-        // Soundex twins are retrieved through one bucket, not a scan.
+        // Soundex twins are retrieved through one key's list, not a scan.
         let probe = Tuple::new(50, vec![Value::str("Robert")]);
         let cands = index.candidates_for(&probe);
-        assert!(cands.len() < values.len(), "bucket should prune: {cands:?}");
+        assert!(cands.len() < values.len(), "the key list should prune: {cands:?}");
     }
 
     #[test]

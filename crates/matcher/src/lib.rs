@@ -4,8 +4,9 @@
 //! *"Reasoning about Record Matching Rules"*, VLDB 2009):
 //!
 //! * [`key`] — executable match keys (unions of RCKs, negative-rule vetoes);
-//! * [`index`] — RCK-driven inverted indices ([`MatchIndex`]): exact
-//!   buckets for equality atoms, q-gram posting lists for edit atoms —
+//! * [`index`] — RCK-driven inverted indices ([`MatchIndex`]) over
+//!   distinct values: an exact dictionary lookup for equality atoms,
+//!   q-gram posting lists for edit atoms —
 //!   sub-quadratic candidate generation, point-query serving and
 //!   incremental insert/remove on top of the same compiled keys;
 //! * [`sortkey`] / [`windowing`] — windowed candidate generation over

@@ -38,8 +38,8 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum OpClass {
     /// `matches(a, b)` iff `a == b`: compiled string equality. Retrieval
-    /// is key buckets on the raw value. The class fixes that key, so an
-    /// index uses the value directly and never asks the operator for
+    /// keys on the raw value. The class fixes that key, so an index looks
+    /// the value up directly and never asks the operator for
     /// [`SimilarityOp::derived_keys`].
     Equality,
     /// `matches(a, b)` iff the OSA distance (plain Levenshtein without
@@ -55,8 +55,8 @@ pub enum OpClass {
     },
     /// Contract: `matches(a, b)` implies [`SimilarityOp::derived_keys`]
     /// of `a` and of `b` share at least one key (and every input derives
-    /// at least one key, so `a == b` always shares). Retrieval is buckets
-    /// over the derived keys — soundex codes, digit strings, synonym
+    /// at least one key, so `a == b` always shares). Retrieval is posting
+    /// lists over the derived keys — soundex codes, digit strings, synonym
     /// classes.
     Keys,
     /// Contract: `matches(a, b)` implies the element sets
@@ -81,9 +81,10 @@ pub enum OpClass {
 const RAW_KEY_TAG: char = '\u{1}';
 
 /// FNV-1a over the scalar values of `s` — the element hash of
-/// [`SimilarityOp::index_elements`]. Equal strings hash equally;
-/// collisions only merge posting lists (sound).
-fn hash_element(chars: impl Iterator<Item = char>) -> u64 {
+/// [`SimilarityOp::index_elements`], and the posting key an index files
+/// a derived key ([`SimilarityOp::derived_keys`]) under. Equal strings
+/// hash equally; collisions only merge posting lists (sound).
+pub fn hash_element(chars: impl Iterator<Item = char>) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for c in chars {
         h ^= u64::from(c as u32);

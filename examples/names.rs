@@ -7,8 +7,8 @@
 //! on surnames, token-set similarity on cities — and shows that the
 //! `MatchIndex` still serves it with **zero scan-fallback keys**: each
 //! operator declares its own class (`OpClass`), so jaro-winkler probes
-//! postings of its sorted-character prefix, soundex probes buckets of
-//! phonetic codes, and the token atom probes word posting lists. Run
+//! postings of its sorted-character prefix, soundex probes posting lists
+//! of phonetic codes, and the token atom probes word posting lists. Run
 //! with:
 //!
 //! ```sh

@@ -19,10 +19,11 @@
 //!
 //! Next to batch matching and dedup there is a third execution mode:
 //! [`MatchEngine::index`] compiles the plan's RCKs into a [`MatchIndex`]
-//! (per-RCK inverted indices — key buckets for equality, phonetic and
-//! normalizing atoms, q-gram posting lists for edit atoms, and element
-//! posting lists with a sound size-ratio prefilter for token, q-gram and
-//! Jaro–Winkler atoms; every operator declares its [`OpClass`], reported
+//! (per-RCK inverted indices over each attribute's distinct values — an
+//! exact dictionary lookup for equality atoms, derived-key postings for
+//! phonetic and normalizing atoms, q-gram posting lists for edit atoms,
+//! and element posting lists with a sound size-ratio prefilter for token,
+//! q-gram and Jaro–Winkler atoms; every operator declares its [`OpClass`], reported
 //! per plan via [`MatchPlan::atom_class`]), which answers point queries
 //! ([`MatchIndex::query`]: matched ids plus which RCK fired), supports
 //! incremental [`MatchIndex::insert`]/[`MatchIndex::remove`], and backs

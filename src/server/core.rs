@@ -104,12 +104,12 @@ impl ServerView {
 }
 
 /// Which anchor kinds the serving plan's [`MatchIndex`] compiled, via
-/// [`ServerStats::index`]: how many RCK atoms retrieve through key
-/// buckets, q-gram postings or element postings — and how many keys fell
-/// back to scans.
+/// [`ServerStats::index`]: how many RCK atoms retrieve through keys,
+/// q-gram postings or element postings — and how many keys fell back to
+/// scans.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IndexKinds {
-    /// Equality, phonetic and normalizing atoms indexed as key buckets.
+    /// Equality, phonetic and normalizing atoms indexed by key.
     pub key_anchors: u64,
     /// Edit-distance atoms indexed as q-gram posting lists.
     pub qgram_anchors: u64,

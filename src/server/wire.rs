@@ -533,7 +533,7 @@ wire_struct! {
         pub upserts: u64,
         /// Records removed since the server started.
         pub removes: u64,
-        /// Atoms indexed as key buckets (equality, phonetic, normalizing).
+        /// Atoms indexed by key (equality, phonetic, normalizing).
         pub key_anchors: u64,
         /// Edit-distance atoms indexed as q-gram posting lists.
         pub qgram_anchors: u64,

@@ -1,5 +1,5 @@
 //! The `OpClass` retrieval contract, per anchor kind, end to end through
-//! the engine: for each fuzzy operator — key buckets (`≈sx`, `≈num`) and
+//! the engine: for each fuzzy operator — key postings (`≈sx`, `≈num`) and
 //! element postings (`≈tok`, `≈qg`, and `≈jw` over its sorted-character
 //! prefix) — a `MatchIndex` built over
 //! arbitrary proptest-generated strings must answer every point query

@@ -15,9 +15,9 @@
 //!   batch paths stay at their pinned values;
 //! * **cheapest anchor first** — decoding work is bounded by the atom
 //!   with the smallest posting volume, whatever the atom order;
-//! * **values, not rows** — repeating every stored record adds no q-gram
-//!   or element decoding work, and each hit comes back once per copy;
-//!   where no value repeats (every run one slot), a built and an
+//! * **values, not rows** — repeating every stored record changes no
+//!   plan and adds no decoding work, and each hit comes back once per
+//!   copy; where no value repeats (every run one slot), a built and an
 //!   insert-loaded index both answer like the oracle;
 //! * **rejects by reason** — retrieval rejects split exactly into length
 //!   window, presence mask, size ratio and null;
@@ -92,7 +92,7 @@ fn catalog(persons: usize, seed: u64) -> (MatchEngine, Relation, Relation) {
 }
 
 /// A names plan over the serving-shaped anchors (jaro-winkler and token
-/// element postings, soundex and phone key buckets).
+/// element postings, soundex and phone key anchors).
 fn names_engine() -> MatchEngine {
     let a = Schema::text("a", &["first", "last", "city", "phone"]).expect("schema a");
     let b = Schema::text("b", &["first", "last", "city", "phone"]).expect("schema b");
@@ -439,7 +439,7 @@ fn scan_fallback_disables_pruning() {
     let index = MatchIndex::build(2, &rel, &keys, &[], ops.clone()).expect("index builds");
     assert_eq!(index.stats().scan_keys, 1);
     // "Slim" matches only via the opaque alias key; the name key's exact
-    // bucket never retrieves slot 1.
+    // lookup never retrieves slot 1.
     let probe = Tuple::new(9, vec![Value::str("nobody"), Value::str("Slim")]);
     let outcome = index.query(&probe);
     let oracle = Oracle::new(&keys, &[], &ops);
@@ -497,109 +497,71 @@ fn probe_decoding_is_bounded_by_the_cheapest_atom() {
     );
 }
 
-/// q-gram anchors index distinct values, so storing every record three
-/// times (fresh ids, same values) must not add q-gram retrieval work: each
-/// probe decodes exactly the blocks it decodes against the plain store,
-/// and retrieves, verifies and finds once per copy what it does there.
-/// Hits equal the oracle's on both stores (checked on every 16th probe:
-/// the oracle evaluates every pair).
-#[test]
-fn probe_qgram_work_ignores_repeated_values() {
-    let (engine, credit, billing) = catalog(2_000, 42);
-    let mut tripled = Relation::new(billing.schema().clone());
-    let copies = 3u64;
-    let stride = billing.tuples().iter().map(|t| t.id()).max().expect("a store") + 1;
+/// `store` with every record stored `copies` times, copy `c` under its
+/// ids offset by `c · stride`; returns the store and the stride.
+fn stored_copies(store: &Relation, copies: u64) -> (Relation, u64) {
+    let mut repeated = Relation::new(store.schema().clone());
+    let stride = store.tuples().iter().map(|t| t.id()).max().expect("a store") + 1;
     for copy in 0..copies {
-        for t in billing.tuples() {
-            tripled.push(Tuple::new(t.id() + copy * stride, t.values().to_vec()));
+        for t in store.tuples() {
+            repeated.push(Tuple::new(t.id() + copy * stride, t.values().to_vec()));
         }
     }
-    let single = engine.index(&billing).expect("index builds");
-    let repeated = engine.index(&tripled).expect("index builds");
-    assert_eq!(repeated.stats().distinct_values, single.stats().distinct_values);
-    let oracle = Oracle::of(&engine);
-    let mut decoded = 0;
-    for (i, probe) in credit.tuples().iter().enumerate() {
-        let (a, b) = (single.query(probe), repeated.query(probe));
-        assert_eq!(
-            a.stats.blocks_decoded,
-            b.stats.blocks_decoded,
-            "probe #{} decodes more blocks on the repeated store",
-            probe.id()
-        );
-        decoded += a.stats.blocks_decoded;
-        // An atom whose survivors share one value is left to verification
-        // (one decision, `ENOUGH`): its copies add verification work in
-        // proportion, never a plan of their own.
-        let per_copy = copies as usize;
-        assert_eq!(b.candidates, per_copy * a.candidates, "probe #{} candidates", probe.id());
-        assert_eq!(b.key_evals, per_copy * a.key_evals, "probe #{} key evals", probe.id());
-        if i % 16 == 0 {
-            assert_eq!(hit_ids(&a), oracle.query(probe, billing.tuples()), "probe #{}", probe.id());
-            assert_eq!(hit_ids(&b), oracle.query(probe, tripled.tuples()), "probe #{}", probe.id());
-        }
-        let mut once: Vec<u64> = b.hits.iter().map(|h| h.id % stride).collect();
-        once.sort_unstable();
-        let mut expected: Vec<u64> =
-            (a.hits.iter()).flat_map(|h| std::iter::repeat_n(h.id, copies as usize)).collect();
-        expected.sort_unstable();
-        assert_eq!(once, expected, "probe #{} finds each hit once per copy", probe.id());
-    }
-    assert!(decoded > 0, "the store must seal posting blocks: {decoded}");
+    (repeated, stride)
 }
 
-/// The element twin of `probe_qgram_work_ignores_repeated_values`:
-/// Jaro–Winkler and token anchors index distinct values, so storing the
-/// roster signup rows three times (fresh ids, same values) decodes
-/// exactly the blocks the plain store does, per probe, and retrieves,
-/// verifies and finds once per copy what it does there. Hits equal the
-/// oracle's on both stores (every 16th probe).
-///
-/// The keys are the roster rules' left-hand sides, `first ≈jw ∧ last ≈sx
-/// ∧ city ≈tok` and `phone = ∧ last ≈sx`. The compiled roster plan adds
-/// `first = ∧ last = ∧ city =`, all key buckets, which index slots: there
-/// a single bucket slot skips the later atoms (one decision, `ENOUGH`)
-/// where its three copies do not, so that key alone retrieves fewer than
-/// three times the candidates on the tripled store.
+/// Every anchor indexes distinct values, so storing every record three
+/// times (fresh ids, same values) must not change what a key retrieves or
+/// add retrieval work: each probe decodes exactly the blocks it decodes
+/// against the plain store, and retrieves, verifies and finds once per
+/// copy what it does there. Run on two compiled plans: Extended (q-gram
+/// and equality anchors) and the roster plan (Jaro–Winkler and token
+/// element anchors, soundex and equality anchors, among them the
+/// all-equality key `first = ∧ last = ∧ city =`). Hits equal the
+/// oracle's on both stores (checked on every 16th probe: the oracle
+/// evaluates every pair).
 #[test]
-fn probe_element_work_ignores_repeated_values() {
-    const PERSONS: usize = 3_000;
-    let (probes, billing) = roster::roster_data(PERSONS, 42, 1);
-    let (_, tripled) = roster::roster_data(PERSONS, 42, 3);
-    let mut table = OperatorTable::new();
-    let [jw, sx, tok, eq] = ["≈jw", "≈sx", "≈tok", "="].map(|op| table.intern(op));
-    let ops = Arc::new(RuntimeOps::resolve(&table, &paper_registry()).expect("operators resolve"));
-    let atom = |attr, op| SimilarityAtom::new(attr, attr, op);
-    let keys = [
-        RelativeKey::new(vec![atom(0, jw), atom(1, sx), atom(2, tok)]),
-        RelativeKey::new(vec![atom(3, eq), atom(1, sx)]),
-    ];
-    let build = |store: &Relation| MatchIndex::build(4, store, &keys, &[], ops.clone());
-    let (single, repeated) = (build(&billing).expect("builds"), build(&tripled).expect("builds"));
-    assert_eq!(single.stats().element_anchors, 2, "{:?}", single.stats());
-    assert_eq!(repeated.stats().distinct_values, single.stats().distinct_values);
-    let oracle = Oracle::new(&keys, &[], &ops);
-    let (mut decoded, mut found) = (0, 0);
-    for (i, probe) in probes.tuples().iter().enumerate() {
-        let (a, b) = (single.query(probe), repeated.query(probe));
-        let at = format!("probe #{}", probe.id());
-        assert_eq!(a.stats.blocks_decoded, b.stats.blocks_decoded, "{at} blocks");
-        decoded += a.stats.blocks_decoded;
-        assert_eq!(b.candidates, 3 * a.candidates, "{at} candidates");
-        assert_eq!(b.key_evals, 3 * a.key_evals, "{at} key evals");
-        if i % 16 == 0 {
-            assert_eq!(hit_ids(&a), oracle.query(probe, billing.tuples()), "{at}");
-            assert_eq!(hit_ids(&b), oracle.query(probe, tripled.tuples()), "{at}");
+fn probe_work_ignores_repeated_values() {
+    let (extended, credit, billing) = catalog(2_000, 42);
+    let (signups, roster_store) = roster::roster_data(3_000, 42, 1);
+    let roster = roster::roster_engine(1);
+    let cases =
+        [("Extended", &extended, &credit, &billing), ("roster", &roster, &signups, &roster_store)];
+    let copies = 3u64;
+    for (plan, engine, probes, store) in cases {
+        let (repeated_store, stride) = stored_copies(store, copies);
+        let single = engine.index(store).expect("index builds");
+        let repeated = engine.index(&repeated_store).expect("index builds");
+        assert!(single.stats().key_anchors > 0, "{plan}: {:?}", single.stats());
+        assert_eq!(repeated.stats().distinct_values, single.stats().distinct_values, "{plan}");
+        let oracle = Oracle::of(engine);
+        let (mut decoded, mut found) = (0, 0);
+        for (i, probe) in probes.tuples().iter().enumerate() {
+            let (a, b) = (single.query(probe), repeated.query(probe));
+            let at = format!("{plan} probe #{}", probe.id());
+            assert_eq!(a.stats.blocks_decoded, b.stats.blocks_decoded, "{at} blocks");
+            decoded += a.stats.blocks_decoded;
+            // An atom whose survivors share one value is left to
+            // verification (one decision, `ENOUGH`): its copies add
+            // verification work in proportion, never a plan of their own.
+            let per_copy = copies as usize;
+            assert_eq!(b.candidates, per_copy * a.candidates, "{at} candidates");
+            assert_eq!(b.key_evals, per_copy * a.key_evals, "{at} key evals");
+            if i % 16 == 0 {
+                assert_eq!(hit_ids(&a), oracle.query(probe, store.tuples()), "{at}");
+                assert_eq!(hit_ids(&b), oracle.query(probe, repeated_store.tuples()), "{at}");
+            }
+            let mut once: Vec<u64> = b.hits.iter().map(|h| h.id % stride).collect();
+            once.sort_unstable();
+            let mut expected: Vec<u64> =
+                (a.hits.iter()).flat_map(|h| std::iter::repeat_n(h.id, per_copy)).collect();
+            expected.sort_unstable();
+            assert_eq!(once, expected, "{at} finds each hit once per copy");
+            found += a.hits.len();
         }
-        let mut once: Vec<u64> = b.hits.iter().map(|h| (h.id - 1) % PERSONS as u64 + 1).collect();
-        once.sort_unstable();
-        let mut expected: Vec<u64> = (a.hits.iter()).flat_map(|h| [h.id; 3]).collect();
-        expected.sort_unstable();
-        assert_eq!(once, expected, "{at} finds each hit once per copy");
-        found += a.hits.len();
+        assert!(decoded > 0, "{plan}: the store must seal posting blocks: {decoded}");
+        assert!(found > probes.len() / 2, "{plan}: most probes are found: {found}");
     }
-    assert!(decoded > 0, "the store must seal element posting blocks: {decoded}");
-    assert!(found > PERSONS / 2, "most signups are found: {found}");
 }
 
 /// Every retrieval reject has one reason, so the per-reason counters sum

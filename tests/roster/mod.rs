@@ -1,6 +1,6 @@
 //! The roster/signup shape shared by the integration tests that exercise
 //! element anchors: a plan whose keys retrieve through Jaro–Winkler and
-//! token element postings, soundex and phone key buckets, over stores of
+//! token element postings, soundex and phone key anchors, over stores of
 //! generated persons whose signup rows carry a first-name transposition
 //! and a city word rotation (so true pairs are reachable only through the
 //! fuzzy anchors).
