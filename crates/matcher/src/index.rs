@@ -22,8 +22,9 @@
 //! in the posting keys a value is listed under:
 //!
 //! * **keys** for equality and key-deriving atoms. Under `=` a value's
-//!   one key is the value itself, and the dictionary's own string lookup
-//!   is the bucket: the atom keeps no postings. Otherwise a value is
+//!   one key is the value itself, and the dictionary's own hash lookup is
+//!   the bucket: the atom keeps no postings, and a probe retrieves every
+//!   value filed under its string's hash (a collision only widens that). Otherwise a value is
 //!   listed under the hash of each key the operator derives for it
 //!   (soundex codes, digit strings or synonym classes). Matching values
 //!   share a key by the operator's contract, so the union of the probe's
@@ -518,24 +519,27 @@ impl ValueDict {
         self.slot_values[(slot - self.base) as usize]
     }
 
+    /// Every live value whose string hashes to `hash`, newest first, as
+    /// the links that hold their ids (the `ids` entry, then each
+    /// `collide` entry of the chain) — so a probe can list them without
+    /// copying any.
+    fn chain(&self, hash: u64) -> impl Iterator<Item = &ValueId> {
+        // `successors` asks for the link after the end mark too: `get`
+        // answers `None` for `NO_ID`.
+        let next = |&v: &&ValueId| self.collide.get(*v as usize);
+        std::iter::successors(self.ids.get(&hash), next).take_while(|&&v| v != NO_ID)
+    }
+
     /// The live value whose string is `s` (hashing to `hash`), compared
-    /// through each candidate value's first slot in `tuples` — as the
-    /// link that holds its id (its `ids` entry, or the `collide` entry of
-    /// the value before it in the chain), so a probe can list the one
-    /// value without copying it.
-    fn find<T>(&self, hash: u64, s: &str, right: AttrId, tuples: &T) -> Option<&ValueId>
+    /// through each candidate value's first slot in `tuples`.
+    fn find<T>(&self, hash: u64, s: &str, right: AttrId, tuples: &T) -> Option<ValueId>
     where
         T: Index<usize, Output = Tuple> + ?Sized,
     {
-        let mut link = self.ids.get(&hash)?;
-        while *link != NO_ID {
-            let first = self.runs[*link as usize].slots()[0];
-            if tuples[first as usize].get(right).as_str() == Some(s) {
-                return Some(link);
-            }
-            link = &self.collide[*link as usize];
-        }
-        None
+        self.chain(hash).copied().find(|&v| {
+            let first = self.runs[v as usize].slots()[0];
+            tuples[first as usize].get(right).as_str() == Some(s)
+        })
     }
 
     /// Opens a fresh live value hashing to `hash`, described by `meta`,
@@ -680,8 +684,8 @@ impl ValueKind {
 ///   each value under its derived keys' hashes; matching values share a
 ///   key and every non-null value derives at least one, so the union of
 ///   the probe's key lists is a superset of the atom's match set. An
-///   equality atom keeps no lists: its retrieval is the one value the
-///   dictionary finds for the probe's string;
+///   equality atom keeps no lists: its retrieval is the values the
+///   dictionary files under the probe string's hash;
 /// * a thresholded edit atom lists each value under its grams; the side
 ///   list holds the values shorter than `safe_len`, scanned whenever the
 ///   probe itself is short (gram sharing is only guaranteed above the
@@ -754,7 +758,7 @@ impl ValueIndex {
         };
         dict.held += 1;
         let hash = dict.hasher.hash_one(s);
-        if let Some(&v) = dict.find(hash, s, self.right, tuples) {
+        if let Some(v) = dict.find(hash, s, self.right, tuples) {
             if runs == Runs::Append {
                 dict.runs.get_mut(v as usize).push(slot);
             }
@@ -789,7 +793,7 @@ impl ValueIndex {
             let s = s.expect("a value's slots hold its string");
             let hash = dict.hasher.hash_one(s);
             let v = match dict.find(hash, s, self.right, tuples) {
-                Some(&v) => v,
+                Some(v) => v,
                 None => dict.open(hash, d2.meta(local), first),
             };
             global.push(v);
@@ -820,13 +824,11 @@ impl ValueIndex {
     /// atom's over the bound table it builds) is the atom's retrieval — a
     /// superset of the values whose slots satisfy the atom against the
     /// probe. The probe side carries its signatures (batched probes share
-    /// one prep); an equality atom finds the probe's value through the
-    /// dictionary, reading strings from `tuples`. An unsatisfiable probe
-    /// value (`Null`) prepares an empty retrieval.
+    /// one prep). An unsatisfiable probe value (`Null`) prepares an empty
+    /// retrieval.
     fn prepare<'a>(
         &'a self,
         probe: PairSide<'_>,
-        tuples: &CowVec<Tuple>,
         ops: &RuntimeOps,
         scratch: &mut AnchorScratch,
         bufs: AtomBufs,
@@ -883,11 +885,13 @@ impl ValueIndex {
                     return pa;
                 };
                 if ops.class(op) == OpClass::Equality {
-                    // The dictionary's own lookup is the bucket: one value,
-                    // or none when no live slot holds the probe's string.
+                    // The dictionary's own lookup is the bucket: every live
+                    // value filed under the probe string's hash — almost
+                    // always one, the probe's own string when it is
+                    // stored. Another string sharing the hash only widens
+                    // the retrieval: verification compares the strings.
                     let hash = self.dict.hasher.hash_one(s);
-                    let found = self.dict.find(hash, s, self.right, tuples);
-                    pa.plain.extend(found.map(std::slice::from_ref));
+                    pa.plain.extend(self.dict.chain(hash).map(std::slice::from_ref));
                 } else {
                     scratch.key_hashes(ops, op, s);
                     self.lists_into(scratch.elems.iter().copied(), &mut pa.comp);
@@ -1126,7 +1130,7 @@ fn clear_bits(words: &mut Vec<u64>, n: usize) {
 struct PreparedAtom<'a> {
     /// Compressed posting lists (key, gram or element postings).
     comp: Vec<&'a PostingList>,
-    /// Plain sorted lists (side lists, an equality atom's found value).
+    /// Plain sorted lists (side lists, an equality atom's values).
     plain: Vec<&'a [u32]>,
     /// The atom's index, whose dictionary the lists' value ids are of.
     index: &'a ValueIndex,
@@ -1158,7 +1162,7 @@ impl<'a> PreparedAtom<'a> {
 
     /// The volume a key's atoms are ordered by: the slots the atom's union
     /// expands to, as the fraction `(numerator, denominator)`. An equality
-    /// atom's one value counts its run exactly. An element or derived-key
+    /// atom's values (one plain list each) count their runs exactly. An element or derived-key
     /// atom's value entries are scaled by its dictionary's slots per live
     /// value — the slots its union expands to when values repeat evenly —
     /// because its few, much repeated values (60 cities under 20,000
@@ -1169,10 +1173,11 @@ impl<'a> PreparedAtom<'a> {
     /// blocks.
     fn slot_volume(&self) -> (u64, u64) {
         let (volume, dict) = (self.volume() as u64, self.dict());
-        match (self.index.kind, self.plain.first()) {
-            (ValueKind::Grams { .. }, _) => (volume, 1),
-            (ValueKind::Keys { .. }, Some(found)) => {
-                (dict.runs[found[0] as usize].slots().len() as u64, 1)
+        match self.index.kind {
+            ValueKind::Grams { .. } => (volume, 1),
+            ValueKind::Keys { .. } if self.comp.is_empty() => {
+                let runs = self.plain.iter().flat_map(|list| list.iter());
+                (runs.map(|&v| dict.runs[v as usize].slots().len() as u64).sum(), 1)
             }
             _ => (volume * dict.held as u64, dict.live.max(1) as u64),
         }
@@ -1820,7 +1825,7 @@ impl MatchIndex {
             any_slot[v as usize].get_or_insert(slot);
             if self.alive[slot] {
                 let found = dict.find(dict.hasher.hash_one(s), s, *right, &self.tuples);
-                assert_eq!(found, Some(&v), "slot {slot}'s value maps back to its string");
+                assert_eq!(found, Some(v), "slot {slot}'s value maps back to its string");
                 holders[v as usize].push(slot as u32);
             }
         }
@@ -2023,7 +2028,7 @@ impl MatchIndex {
             for &pos in refs {
                 let pa = prepared[pos].get_or_insert_with(|| {
                     let bufs = std::mem::take(&mut atoms[pos]);
-                    self.atom_indices[pos].prepare(probe, &self.tuples, &self.ops, anchor, bufs)
+                    self.atom_indices[pos].prepare(probe, &self.ops, anchor, bufs)
                 });
                 order.push((pos, pa.volume(), pa.slot_volume()));
             }

@@ -5,7 +5,7 @@
 //!
 //! * [`key`] — executable match keys (unions of RCKs, negative-rule vetoes);
 //! * [`index`] — RCK-driven inverted indices ([`MatchIndex`]) over
-//!   distinct values: an exact dictionary lookup for equality atoms,
+//!   distinct values: a dictionary hash lookup for equality atoms,
 //!   q-gram posting lists for edit atoms —
 //!   sub-quadratic candidate generation, point-query serving and
 //!   incremental insert/remove on top of the same compiled keys;

@@ -20,7 +20,7 @@
 //! Next to batch matching and dedup there is a third execution mode:
 //! [`MatchEngine::index`] compiles the plan's RCKs into a [`MatchIndex`]
 //! (per-RCK inverted indices over each attribute's distinct values — an
-//! exact dictionary lookup for equality atoms, derived-key postings for
+//! dictionary hash lookup for equality atoms, derived-key postings for
 //! phonetic and normalizing atoms, q-gram posting lists for edit atoms,
 //! and element posting lists with a sound size-ratio prefilter for token,
 //! q-gram and Jaro–Winkler atoms; every operator declares its [`OpClass`], reported

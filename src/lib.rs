@@ -73,7 +73,7 @@
 //! Batch matching and dedup are two of the engine's execution modes; the
 //! third is the RCK-driven [`MatchIndex`](engine::MatchIndex): compile
 //! the plan's keys into per-attribute inverted indices over distinct
-//! values (an exact dictionary lookup for equality atoms, q-gram posting
+//! values (a dictionary hash lookup for equality atoms, q-gram posting
 //! lists for edit atoms), then answer
 //! *point queries* — "which tuples match this record, and which RCK
 //! fired?" — and maintain the index incrementally, instead of rescanning
