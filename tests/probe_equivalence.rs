@@ -514,54 +514,64 @@ fn stored_copies(store: &Relation, copies: u64) -> (Relation, u64) {
 /// times (fresh ids, same values) must not change what a key retrieves or
 /// add retrieval work: each probe decodes exactly the blocks it decodes
 /// against the plain store, and retrieves, verifies and finds once per
-/// copy what it does there. Run on two compiled plans: Extended (q-gram
-/// and equality anchors) and the roster plan (Jaro–Winkler and token
-/// element anchors, soundex and equality anchors, among them the
-/// all-equality key `first = ∧ last = ∧ city =`). Hits equal the
-/// oracle's on both stores (checked on every 16th probe: the oracle
-/// evaluates every pair).
-#[test]
-fn probe_work_ignores_repeated_values() {
-    let (extended, credit, billing) = catalog(2_000, 42);
-    let (signups, roster_store) = roster::roster_data(3_000, 42, 1);
-    let roster = roster::roster_engine(1);
-    let cases =
-        [("Extended", &extended, &credit, &billing), ("roster", &roster, &signups, &roster_store)];
+/// copy what it does there. Hits equal the oracle's on both stores
+/// (checked on every 16th probe: the oracle evaluates every pair).
+fn assert_work_ignores_repeated_values(
+    plan: &str,
+    engine: &MatchEngine,
+    probes: &Relation,
+    store: &Relation,
+) {
     let copies = 3u64;
-    for (plan, engine, probes, store) in cases {
-        let (repeated_store, stride) = stored_copies(store, copies);
-        let single = engine.index(store).expect("index builds");
-        let repeated = engine.index(&repeated_store).expect("index builds");
-        assert!(single.stats().key_anchors > 0, "{plan}: {:?}", single.stats());
-        assert_eq!(repeated.stats().distinct_values, single.stats().distinct_values, "{plan}");
-        let oracle = Oracle::of(engine);
-        let (mut decoded, mut found) = (0, 0);
-        for (i, probe) in probes.tuples().iter().enumerate() {
-            let (a, b) = (single.query(probe), repeated.query(probe));
-            let at = format!("{plan} probe #{}", probe.id());
-            assert_eq!(a.stats.blocks_decoded, b.stats.blocks_decoded, "{at} blocks");
-            decoded += a.stats.blocks_decoded;
-            // An atom whose survivors share one value is left to
-            // verification (one decision, `ENOUGH`): its copies add
-            // verification work in proportion, never a plan of their own.
-            let per_copy = copies as usize;
-            assert_eq!(b.candidates, per_copy * a.candidates, "{at} candidates");
-            assert_eq!(b.key_evals, per_copy * a.key_evals, "{at} key evals");
-            if i % 16 == 0 {
-                assert_eq!(hit_ids(&a), oracle.query(probe, store.tuples()), "{at}");
-                assert_eq!(hit_ids(&b), oracle.query(probe, repeated_store.tuples()), "{at}");
-            }
-            let mut once: Vec<u64> = b.hits.iter().map(|h| h.id % stride).collect();
-            once.sort_unstable();
-            let mut expected: Vec<u64> =
-                (a.hits.iter()).flat_map(|h| std::iter::repeat_n(h.id, per_copy)).collect();
-            expected.sort_unstable();
-            assert_eq!(once, expected, "{at} finds each hit once per copy");
-            found += a.hits.len();
+    let (repeated_store, stride) = stored_copies(store, copies);
+    let single = engine.index(store).expect("index builds");
+    let repeated = engine.index(&repeated_store).expect("index builds");
+    assert!(single.stats().key_anchors > 0, "{plan}: {:?}", single.stats());
+    assert_eq!(repeated.stats().distinct_values, single.stats().distinct_values, "{plan}");
+    let oracle = Oracle::of(engine);
+    let (mut decoded, mut found) = (0, 0);
+    for (i, probe) in probes.tuples().iter().enumerate() {
+        let (a, b) = (single.query(probe), repeated.query(probe));
+        let at = format!("{plan} probe #{}", probe.id());
+        assert_eq!(a.stats.blocks_decoded, b.stats.blocks_decoded, "{at} blocks");
+        decoded += a.stats.blocks_decoded;
+        // An atom whose survivors share one value is left to
+        // verification (one decision, `ENOUGH`): its copies add
+        // verification work in proportion, never a plan of their own.
+        let per_copy = copies as usize;
+        assert_eq!(b.candidates, per_copy * a.candidates, "{at} candidates");
+        assert_eq!(b.key_evals, per_copy * a.key_evals, "{at} key evals");
+        if i % 16 == 0 {
+            assert_eq!(hit_ids(&a), oracle.query(probe, store.tuples()), "{at}");
+            assert_eq!(hit_ids(&b), oracle.query(probe, repeated_store.tuples()), "{at}");
         }
-        assert!(decoded > 0, "{plan}: the store must seal posting blocks: {decoded}");
-        assert!(found > probes.len() / 2, "{plan}: most probes are found: {found}");
+        let mut once: Vec<u64> = b.hits.iter().map(|h| h.id % stride).collect();
+        once.sort_unstable();
+        let mut expected: Vec<u64> =
+            (a.hits.iter()).flat_map(|h| std::iter::repeat_n(h.id, per_copy)).collect();
+        expected.sort_unstable();
+        assert_eq!(once, expected, "{at} finds each hit once per copy");
+        found += a.hits.len();
     }
+    assert!(decoded > 0, "{plan}: the store must seal posting blocks: {decoded}");
+    assert!(found > probes.len() / 2, "{plan}: most probes are found: {found}");
+}
+
+/// Repeated values on the compiled Extended plan: q-gram and equality
+/// anchors.
+#[test]
+fn probe_qgram_work_ignores_repeated_values() {
+    let (extended, credit, billing) = catalog(2_000, 42);
+    assert_work_ignores_repeated_values("Extended", &extended, &credit, &billing);
+}
+
+/// Repeated values on the compiled roster plan: Jaro–Winkler and token
+/// element anchors, soundex and equality anchors, among them the
+/// all-equality key `first = ∧ last = ∧ city =`.
+#[test]
+fn probe_element_work_ignores_repeated_values() {
+    let (signups, store) = roster::roster_data(3_000, 42, 1);
+    assert_work_ignores_repeated_values("roster", &roster::roster_engine(1), &signups, &store);
 }
 
 /// Every retrieval reject has one reason, so the per-reason counters sum
