@@ -1,8 +1,8 @@
 //! The §6 experiments as pure point functions.
 //!
 //! Every figure of the paper maps to one function here; the `fig*` binaries
-//! sweep the paper's parameter ranges and print the series, the criterion
-//! benches sample reduced points. See DESIGN.md §2 for the index.
+//! sweep the paper's parameter ranges and print the series. See DESIGN.md
+//! §2 for the index.
 //!
 //! Workloads run through the schema-agnostic engine API: the `Extended`
 //! preset is compiled once into a `MatchPlan` (with data-calibrated cost

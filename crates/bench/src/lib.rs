@@ -9,8 +9,8 @@
 //! * **binaries** (`src/bin/fig*.rs`) print the full paper-scale series as
 //!   text tables — one binary per figure, run with
 //!   `cargo run --release -p matchrules-bench --bin <name> [quick|paper]`;
-//! * **criterion benches** (`benches/*.rs`) measure the kernels at reduced
-//!   scale so `cargo bench` terminates quickly.
+//! * **the `bench` driver** (`src/bin/bench/`) runs the workloads of
+//!   `BENCHMARK.json` end to end and layer by layer.
 //!
 //! The mapping from figures to binaries is indexed in `DESIGN.md` §2;
 //! recorded paper-vs-measured outcomes live in `EXPERIMENTS.md`.

@@ -379,14 +379,6 @@ impl RuntimeOps {
         }
     }
 
-    /// Graded similarity of two values in `\[0, 1\]`; `Null` scores 0.
-    pub fn value_similarity(&self, op: OperatorId, a: &Value, b: &Value) -> f64 {
-        match (a.as_str(), b.as_str()) {
-            (Some(x), Some(y)) => self.resolved[op.0 as usize].similarity(x, y),
-            _ => 0.0,
-        }
-    }
-
     /// Evaluates one LHS atom on a tuple pair.
     pub fn atom_matches(&self, atom: &SimilarityAtom, t1: &Tuple, t2: &Tuple) -> bool {
         self.value_matches(atom.op, t1.get(atom.left), t2.get(atom.right))
@@ -561,7 +553,6 @@ mod tests {
         let (_table, ops) = runtime();
         assert!(!ops.value_matches(OperatorId::EQ, &Value::Null, &Value::Null));
         assert!(!ops.value_matches(OperatorId::EQ, &Value::Null, &Value::str("x")));
-        assert_eq!(ops.value_similarity(OperatorId::EQ, &Value::Null, &Value::Null), 0.0);
     }
 
     #[test]

@@ -4,11 +4,11 @@
 //! *"Reasoning about Record Matching Rules"*, VLDB 2009):
 //!
 //! * [`key`] — executable match keys (unions of RCKs, negative-rule vetoes);
-//! * [`index`] — RCK-driven inverted indices ([`MatchIndex`]) over
-//!   distinct values: a dictionary hash lookup for equality atoms,
-//!   q-gram posting lists for edit atoms —
-//!   sub-quadratic candidate generation, point-query serving and
-//!   incremental insert/remove on top of the same compiled keys;
+//! * [`index`] — RCK-driven inverted indices ([`MatchIndex`]) over each
+//!   anchor's distinct values (a value dictionary per atom; key, q-gram or
+//!   element posting lists over its value ids) — sub-quadratic candidate
+//!   generation, point-query serving and incremental insert/remove on top
+//!   of the same compiled keys;
 //! * [`sortkey`] / [`windowing`] — windowed candidate generation over
 //!   Soundex-encoded sort keys (multi-pass unions);
 //! * [`em`] / [`scoring`] — Fellegi–Sunter with EM-estimated parameters,
