@@ -36,15 +36,20 @@
 //! (clearing just the cells the previous question set), a copy of the
 //! per-rule unsatisfied-atom counters from a template, and the work on the
 //! facts it actually touches (`O(h)` propagation per fact plus the watchers
-//! of its pair). findRCKs asks one `Reasoner` every question of a call;
-//! [`Closure::compute`] is a one-shot `Reasoner`, and
+//! of its pair). A question ([`Reasoner::implies`]) stops as soon as every
+//! pair it asks about is an equality fact: facts only accumulate, so the
+//! answer is already the fixpoint's, and the queued rest is dropped.
+//! findRCKs asks one `Reasoner` every question of a call;
+//! [`Closure::compute`] is a one-shot `Reasoner` that runs to fixpoint (its
+//! facts and firing trace are the whole closure), and
 //! [`Closure::compute_naive`] keeps the published control flow as the
-//! differential oracle.
+//! differential oracle. The universe maps attributes and operators to
+//! their matrix indices through dense vectors (by side and schema
+//! position, by operator id), so no lookup hashes.
 
 use crate::dependency::{IdentPair, MatchingDependency, SimilarityAtom};
 use crate::operators::OperatorId;
-use crate::schema::{AttrId, AttrRef};
-use std::collections::HashMap;
+use crate::schema::{AttrId, AttrRef, Side};
 
 /// A deduced fact: `left ≈op right` over universe attribute references.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -216,10 +221,16 @@ struct NormalRule<'a> {
 #[derive(Debug, Clone, Default)]
 struct Universe {
     attrs: Vec<AttrRef>,
-    attr_idx: HashMap<AttrRef, u32>,
+    /// Per side (`R1`, `R2`), indexed by schema position: the attribute's
+    /// index in `attrs`, or [`ABSENT`].
+    attr_idx: [Vec<u32>; 2],
     planes: Vec<OperatorId>,
-    plane_idx: HashMap<OperatorId, u32>,
+    /// Indexed by operator id: the operator's plane, or [`ABSENT`].
+    plane_idx: Vec<u32>,
 }
+
+/// A dense-index entry for an attribute or operator outside the universe.
+const ABSENT: u32 = u32::MAX;
 
 impl Universe {
     /// The universe of every attribute and operator `rules`, `seed` and
@@ -248,9 +259,12 @@ impl Universe {
             if let Some(pos) = u.planes.iter().position(|&op| op == OperatorId::EQ) {
                 u.planes.swap(0, pos);
             } else {
-                u.planes.insert(0, OperatorId::EQ);
+                u.add_op(OperatorId::EQ);
+                u.planes.rotate_right(1);
             }
-            u.plane_idx = u.planes.iter().enumerate().map(|(i, &op)| (op, i as u32)).collect();
+            for (plane, &op) in u.planes.iter().enumerate() {
+                u.plane_idx[usize::from(op.0)] = plane as u32;
+            }
         }
         u
     }
@@ -259,18 +273,39 @@ impl Universe {
         self.attrs.len()
     }
 
+    /// The universe index of `r`, if it is in the universe.
+    fn attr(&self, r: AttrRef) -> Option<u32> {
+        self.attr_idx[side(r)].get(r.attr).copied().filter(|&i| i != ABSENT)
+    }
+
+    /// The plane of `op`, if it is in the universe.
+    fn plane(&self, op: OperatorId) -> Option<u32> {
+        self.plane_idx.get(usize::from(op.0)).copied().filter(|&p| p != ABSENT)
+    }
+
     fn add_ref(&mut self, r: AttrRef) -> u32 {
-        *self.attr_idx.entry(r).or_insert_with(|| {
+        let h = self.attrs.len() as u32;
+        let idx = &mut self.attr_idx[side(r)];
+        if idx.len() <= r.attr {
+            idx.resize(r.attr + 1, ABSENT);
+        }
+        if idx[r.attr] == ABSENT {
+            idx[r.attr] = h;
             self.attrs.push(r);
-            (self.attrs.len() - 1) as u32
-        })
+        }
+        idx[r.attr]
     }
 
     fn add_op(&mut self, op: OperatorId) -> u32 {
-        *self.plane_idx.entry(op).or_insert_with(|| {
+        let id = usize::from(op.0);
+        if self.plane_idx.len() <= id {
+            self.plane_idx.resize(id + 1, ABSENT);
+        }
+        if self.plane_idx[id] == ABSENT {
+            self.plane_idx[id] = self.planes.len() as u32;
             self.planes.push(op);
-            (self.planes.len() - 1) as u32
-        })
+        }
+        self.plane_idx[id]
     }
 
     /// Adds the atom's attributes and operator (appending any that are new)
@@ -281,10 +316,16 @@ impl Universe {
         (a, b, self.add_op(atom.op))
     }
 
+    /// The universe indices of `(R1[left], R2[right])`, when both are in
+    /// the universe.
+    fn pair(&self, left: AttrId, right: AttrId) -> Option<(u32, u32)> {
+        Some((self.attr(AttrRef::left(left))?, self.attr(AttrRef::right(right))?))
+    }
+
     /// The universe indices of a rule's RHS pair (both are in the universe
     /// by construction).
     fn rhs(&self, rhs: IdentPair) -> (u32, u32) {
-        (self.attr_idx[&AttrRef::left(rhs.left)], self.attr_idx[&AttrRef::right(rhs.right)])
+        self.pair(rhs.left, rhs.right).expect("Σ's attributes are in the universe")
     }
 
     fn cell(&self, a: usize, b: usize, plane: usize) -> usize {
@@ -297,17 +338,25 @@ impl Universe {
             // Reflexivity of every operator.
             return true;
         }
-        let (Some(&ia), Some(&ib)) = (self.attr_idx.get(&a), self.attr_idx.get(&b)) else {
+        let (Some(ia), Some(ib)) = (self.attr(a), self.attr(b)) else {
             return false;
         };
         let (ia, ib) = (ia as usize, ib as usize);
         if bits[self.cell(ia, ib, 0)] {
             return true;
         }
-        match self.plane_idx.get(&op) {
-            Some(&p) => bits[self.cell(ia, ib, p as usize)],
+        match self.plane(op) {
+            Some(p) => bits[self.cell(ia, ib, p as usize)],
             None => false,
         }
+    }
+}
+
+/// The row of [`Universe::attr_idx`] an attribute reference is numbered in.
+fn side(r: AttrRef) -> usize {
+    match r.side {
+        Side::Left => 0,
+        Side::Right => 1,
     }
 }
 
@@ -325,9 +374,9 @@ struct Watcher {
 ///
 /// [`Reasoner::new`] normalizes Σ, fixes the universe and indexes every
 /// rule by its LHS atoms; each question ([`Reasoner::deduces`],
-/// [`Reasoner::implies`]) only resets the matrix and
-/// the counters before running the worklist, and forgets everything the
-/// previous question deduced. A question that mentions an attribute or
+/// [`Reasoner::implies`]) only resets the matrix and the counters before
+/// running the worklist until the asked pairs hold, and forgets everything
+/// the previous question deduced. A question that mentions an attribute or
 /// operator outside Σ's universe extends the universe for good.
 ///
 /// ```
@@ -370,8 +419,14 @@ pub struct Reasoner {
     satisfied: Vec<bool>,
     /// Worklist of newly-recorded facts, as universe indices + plane.
     queue: Vec<(u32, u32, u32)>,
+    /// Reused buffer: the pairs [`Reasoner::implies`] asks about, as
+    /// universe indices.
+    goal: Vec<(u32, u32)>,
     /// Normalized rules fired, in firing order.
     fired: Vec<u32>,
+    /// Questions asked and rules fired over the reasoner's life.
+    questions: usize,
+    rules_fired: usize,
 }
 
 impl Reasoner {
@@ -389,12 +444,29 @@ impl Reasoner {
 
     /// Decides `Σ |=m ⋀ lhs → rhs`: whether every pair of `rhs` is an
     /// equality fact in the closure of Σ and `lhs`.
+    ///
+    /// The question stops as soon as every pair of `rhs` holds with
+    /// equality: facts are never retracted, so the fixpoint would answer
+    /// the same. The facts still queued are dropped and the rules they
+    /// would have fired never fire; the next question starts from a clean
+    /// matrix as always. [`Closure::compute`] does not stop early.
     pub fn implies(&mut self, lhs: &[SimilarityAtom], rhs: &[IdentPair]) -> bool {
-        self.ask(lhs);
+        self.seed(lhs);
+        let mut goal = std::mem::take(&mut self.goal);
+        goal.clear();
+        goal.extend(rhs.iter().map_while(|p| self.universe.pair(p.left, p.right)));
         // An attribute outside the universe is in no fact: such a pair
         // does not hold, as in a closure that numbered it.
-        rhs.iter()
-            .all(|p| self.holds(AttrRef::left(p.left), AttrRef::right(p.right), OperatorId::EQ))
+        let holds = goal.len() == rhs.len() && self.drain_until(&goal);
+        self.queue.clear();
+        self.goal = goal;
+        holds
+    }
+
+    /// The work of every question asked so far: the number of questions,
+    /// and the rules of Σ (normalized to one RHS pair each) they fired.
+    pub(crate) fn work(&self) -> (usize, usize) {
+        (self.questions, self.rules_fired)
     }
 
     /// The closure of Σ and `seed` as a standalone [`Closure`] (a copy of
@@ -421,9 +493,8 @@ impl Reasoner {
             if ri == 0 || rules[ri - 1].source != rule.source {
                 lhs.clear();
                 lhs.extend(rule.lhs.iter().map(|atom| {
-                    let ia = universe.attr_idx[&AttrRef::left(atom.left)];
-                    let ib = universe.attr_idx[&AttrRef::right(atom.right)];
-                    (slot(ia, ib), universe.plane_idx[&atom.op])
+                    let (ia, ib) = universe.pair(atom.left, atom.right).expect("Σ's attributes");
+                    (slot(ia, ib), universe.plane(atom.op).expect("Σ's operators"))
                 }));
             }
             for &(s, plane) in &lhs {
@@ -451,7 +522,10 @@ impl Reasoner {
             watchers,
             lhs_len,
             queue: Vec::new(),
+            goal: Vec::new(),
             fired: Vec::new(),
+            questions: 0,
+            rules_fired: 0,
         }
     }
 
@@ -459,6 +533,15 @@ impl Reasoner {
     /// (extending the universe with anything it mentions that is new) and
     /// runs the worklist to fixpoint.
     fn ask(&mut self, seed: &[SimilarityAtom]) {
+        self.seed(seed);
+        self.drain();
+    }
+
+    /// Forgets the previous question and records `seed`'s facts, extending
+    /// the universe with anything it mentions that is new; the worklist
+    /// holds them, not yet propagated.
+    fn seed(&mut self, seed: &[SimilarityAtom]) {
+        self.questions += 1;
         for atom in seed {
             self.universe.add_atom(atom);
         }
@@ -478,7 +561,6 @@ impl Reasoner {
             let (ia, ib, plane) = self.universe.add_atom(atom);
             self.assign(ia, ib, plane);
         }
-        self.drain();
     }
 
     fn holds(&self, a: AttrRef, b: AttrRef, op: OperatorId) -> bool {
@@ -525,6 +607,26 @@ impl Reasoner {
         }
     }
 
+    /// Runs propagation and rule firing until every universe pair of
+    /// `goal` is an equality fact (`true`) or the worklist is empty
+    /// (`false`). Checks each pair once it holds: a fact stays set.
+    fn drain_until(&mut self, goal: &[(u32, u32)]) -> bool {
+        let mut met = 0;
+        loop {
+            while goal.get(met).is_some_and(|&(a, b)| self.get(a as usize, b as usize, 0)) {
+                met += 1;
+            }
+            if met == goal.len() {
+                return true;
+            }
+            let Some((a, b, plane)) = self.queue.pop() else {
+                return false;
+            };
+            self.notify(a, b, plane);
+            self.propagate(a, b, plane);
+        }
+    }
+
     /// Wakes rules watching the pair `(a, b)`; fires those whose LHS became
     /// fully satisfied, in watcher order. A watcher's atom is satisfied by
     /// its own operator or by equality (line 7 of Fig. 5).
@@ -552,6 +654,7 @@ impl Reasoner {
     /// on stable instances the matching operator yields equality).
     fn fire(&mut self, rule: u32) {
         self.fired.push(rule);
+        self.rules_fired += 1;
         let (ia, ib) = self.rules[rule as usize].1;
         self.assign(ia, ib, 0);
     }
@@ -786,6 +889,45 @@ mod tests {
             f1.sort_by_key(key);
             f2.sort_by_key(key);
             assert_eq!(f1, f2, "closures diverge for seed {seed:?}");
+        }
+    }
+
+    /// On the chain `A0 = A0 → A1 ⇌ A1`, …, `A7 = A7 → A8 ⇌ A8`, asking
+    /// whether `A0 = A0` identifies `A1` stops after the first firing,
+    /// where the closure fires the whole chain; the questions after that
+    /// early stop see none of the facts it left queued.
+    #[test]
+    fn implies_stops_once_its_pairs_hold() {
+        const N: usize = 8;
+        let names: Vec<String> = (0..=N).map(|i| format!("A{i}")).collect();
+        let names: Vec<&str> = names.iter().map(String::as_str).collect();
+        let pair = SchemaPair::reflexive(Arc::new(Schema::text("R", &names).unwrap()));
+        let sigma: Vec<_> = (0..N)
+            .map(|i| md(&pair, vec![SimilarityAtom::eq(i, i)], vec![IdentPair::new(i + 1, i + 1)]))
+            .collect();
+        let seed = [SimilarityAtom::eq(0, 0)];
+        assert_eq!(Closure::compute(&sigma, &seed, &[]).fired().len(), N);
+
+        let mut reasoner = Reasoner::new(&sigma);
+        assert!(reasoner.implies(&seed, &[IdentPair::new(1, 1)]));
+        assert_eq!(reasoner.fired.len(), 1);
+        assert!(reasoner.queue.is_empty(), "the early stop drops the queued facts");
+        assert!(reasoner.implies(&seed, &[IdentPair::new(1, 1), IdentPair::new(N, N)]));
+        assert_eq!(reasoner.fired.len(), N);
+        assert!(!reasoner.implies(&[SimilarityAtom::eq(3, 3)], &[IdentPair::new(2, 2)]));
+        assert_eq!(reasoner.work(), (3, 1 + N + (N - 3)));
+
+        let facts = |c: &Closure| {
+            let mut facts: Vec<_> = c.facts().into_iter().map(|f| (f.a, f.b, f.op)).collect();
+            facts.sort();
+            facts
+        };
+        for question in [vec![SimilarityAtom::eq(4, 4)], seed.to_vec(), vec![]] {
+            reasoner.implies(&seed, &[IdentPair::new(1, 1)]);
+            let reused = reasoner.closure(&question, &[]);
+            let fresh = Closure::compute_naive(&sigma, &question, &[]);
+            assert_eq!(facts(&reused), facts(&fresh), "closures diverge for {question:?}");
+            assert_eq!(reused.fired().len(), fresh.fired().len());
         }
     }
 

@@ -19,21 +19,34 @@
 //! works).
 //!
 //! **What a call pays for once.** One call builds one [`Reasoner`] over Σ
-//! and asks it every `minimize` question. It also builds Fig. 7 line 1's
+//! and asks it every `minimize` question; each question stops as soon as
+//! the target pairs are identified. It also builds Fig. 7 line 1's
 //! `pairing(Σ, Y1, Y2)` once, as a table of dense pair ids with each MD's
-//! LHS stored as a list of those ids. The MD order `sortMD` (line 6) then
-//! reads one cost per distinct pair from the [`CostModel`], sums each MD's
-//! LHS in LHS order, and orders `(lhs_cost, index)` keys — ascending cost,
-//! ties by position in Σ. A cursor walks that order. After a selection
-//! moves the `ct` counters (line 14), the unvisited suffix is re-costed
-//! and sorted again.
+//! LHS stored as a list of those ids, and a column holding each pair's
+//! current cost from the [`CostModel`]. A selection moves the `ct`
+//! counters of its key's pairs only (line 14), so only their column
+//! entries are refreshed.
+//!
+//! **`sortMD` (line 6), lazily.** The MDs wait in a min-heap keyed by
+//! `(lhs_cost, index)`: an MD's LHS cost is the sum of its pairs' column
+//! entries in LHS order, ties break by position in Σ. A pop recomputes the
+//! popped MD's cost; if it moved, the MD goes back with its new cost,
+//! otherwise it is visited. This visits MDs in exactly the order a full
+//! re-sort of the unvisited MDs after every selection gives, because costs
+//! only grow: `ct` only increments and the weights are non-negative, so
+//! every pair's cost, and (floating-point addition being monotone) every
+//! LHS sum, is at least what it was when the MD was pushed. An MD whose
+//! stored cost is current therefore precedes every other MD's current
+//! `(cost, index)` as well as its stored one. A call pays for the MDs it
+//! pops, not for re-costing Σ after every selection.
 
 use crate::closure::Reasoner;
 use crate::cost::CostModel;
 use crate::dependency::{IdentPair, MatchingDependency};
 use crate::relative_key::{RelativeKey, Target};
 use crate::schema::AttrId;
-use std::collections::HashMap;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// The result of [`find_rcks`].
 #[derive(Debug, Clone)]
@@ -44,6 +57,12 @@ pub struct RckOutcome {
     /// `true` when the enumeration exhausted before reaching `m`: by
     /// Proposition 5.1, `keys` then contains **all** RCKs deducible from Σ.
     pub complete: bool,
+    /// The deduction questions (`minimize` steps) the call asked its
+    /// [`Reasoner`].
+    pub questions: usize,
+    /// The rules of Σ (normalized to one RHS pair each) those questions
+    /// fired, summed over the questions.
+    pub rules_fired: usize,
 }
 
 impl RckOutcome {
@@ -78,32 +97,44 @@ pub fn find_rcks(
 ) -> RckOutcome {
     cost.reset_counters();
     if m == 0 {
-        return RckOutcome { keys: Vec::new(), complete: false };
+        return RckOutcome { keys: Vec::new(), complete: false, questions: 0, rules_fired: 0 };
     }
     let mut reasoner = Reasoner::new(sigma);
     let rhs = target.ident_pairs();
     let mut pairs = PairTable::new(sigma, target);
+    pairs.price(cost);
+    let outcome = |keys, complete, reasoner: &Reasoner| {
+        let (questions, rules_fired) = reasoner.work();
+        RckOutcome { keys, complete, questions, rules_fired }
+    };
 
     // Γ := { minimize((Y1, Y2 ‖ =,…,=)) }   (Fig. 7, lines 3–4)
     let first = minimize_with(&mut reasoner, target.trivial_key(), &rhs, cost);
-    increment_counters(cost, &first);
+    pairs.select(cost, &first);
     let mut gamma: Vec<RelativeKey> = vec![first];
+    if gamma.len() == m {
+        return outcome(gamma, false, &reasoner);
+    }
 
     // Worklist over Γ: every (γ, φ) combination is inspected once — exactly
     // the completeness condition of Proposition 5.1.
-    let mut order: Vec<(f64, usize)> = Vec::with_capacity(sigma.len());
+    let mut heap = BinaryHeap::with_capacity(sigma.len());
     let mut i = 0usize;
     while i < gamma.len() {
         let key = gamma[i].clone();
-        // LΣ := sortMD(Σ), ascending by summed LHS cost (line 6); the
-        // unvisited suffix is re-sorted after every selection because the
-        // `ct` counters moved (line 14).
+        // LΣ := sortMD(Σ), ascending by summed LHS cost (line 6), kept as
+        // a lazy heap (see the module docs).
+        let mut order = heap.into_vec();
         order.clear();
-        order.extend((0..sigma.len()).map(|phi_idx| (0.0, phi_idx)));
-        pairs.sort_by_lhs_cost(&mut order, cost);
-        let mut next = 0;
-        while let Some(&(_, phi_idx)) = order.get(next) {
-            next += 1;
+        order.extend((0..sigma.len()).map(|md| Pending { cost: pairs.lhs_cost(md), md }));
+        heap = BinaryHeap::from(order);
+        while let Some(Pending { cost: pushed, md: phi_idx }) = heap.pop() {
+            let now = pairs.lhs_cost(phi_idx);
+            if now != pushed {
+                // A selection since the push raised this MD's cost.
+                heap.push(Pending { cost: now, md: phi_idx });
+                continue;
+            }
             let applied = key.apply(&sigma[phi_idx]);
             if applied.is_empty() || covered(&gamma, &applied) {
                 continue;
@@ -115,16 +146,15 @@ pub fn find_rcks(
             if covered(&gamma, &minimized) {
                 continue;
             }
-            increment_counters(cost, &minimized);
+            pairs.select(cost, &minimized);
             gamma.push(minimized);
             if gamma.len() == m {
-                return RckOutcome { keys: gamma, complete: false };
+                return outcome(gamma, false, &reasoner);
             }
-            pairs.sort_by_lhs_cost(&mut order[next..], cost);
         }
         i += 1;
     }
-    RckOutcome { keys: gamma, complete: true }
+    outcome(gamma, true, &reasoner)
 }
 
 /// `minimize` (Fig. 7): removes atoms in descending cost order while the
@@ -172,69 +202,113 @@ pub fn pairing(sigma: &[MatchingDependency], target: &Target) -> Vec<(AttrId, At
 }
 
 /// `pairing(Σ, Y1, Y2)` as dense pair ids, with every MD's LHS as a list of
-/// those ids: what `sortMD` needs to cost Σ with one [`CostModel`] lookup
-/// per distinct pair.
+/// those ids and every pair's current cost: what `sortMD` needs to cost an
+/// MD without asking the [`CostModel`].
 struct PairTable {
     /// The distinct pairs, in first-occurrence order (target, then Σ).
     pairs: Vec<(AttrId, AttrId)>,
+    /// Indexed by left attribute (schema position): the right attribute
+    /// and id of each of its pairs.
+    partners: Vec<Vec<(AttrId, u32)>>,
     /// MD `i`'s LHS pairs are `lhs[lhs_start[i]..lhs_start[i + 1]]`, in LHS
     /// order.
     lhs_start: Vec<usize>,
     lhs: Vec<u32>,
-    /// Reused buffer: the current cost of each pair.
+    /// The current cost of each pair.
     pair_cost: Vec<f64>,
 }
 
 impl PairTable {
     fn new(sigma: &[MatchingDependency], target: &Target) -> PairTable {
-        let mut ids: HashMap<(AttrId, AttrId), u32> = HashMap::new();
-        let mut pairs = Vec::new();
-        let mut id = |l: AttrId, r: AttrId| {
-            *ids.entry((l, r)).or_insert_with(|| {
-                pairs.push((l, r));
-                (pairs.len() - 1) as u32
-            })
+        let mut table = PairTable {
+            pairs: Vec::new(),
+            partners: Vec::new(),
+            lhs_start: Vec::with_capacity(sigma.len() + 1),
+            lhs: Vec::new(),
+            pair_cost: Vec::new(),
         };
         for (&l, &r) in target.y1().iter().zip(target.y2()) {
-            id(l, r);
+            table.id(l, r);
         }
-        let mut lhs_start = Vec::with_capacity(sigma.len() + 1);
-        let mut lhs = Vec::new();
         for md in sigma {
-            lhs_start.push(lhs.len());
-            lhs.extend(md.lhs().iter().map(|atom| id(atom.left, atom.right)));
+            table.lhs_start.push(table.lhs.len());
+            for atom in md.lhs() {
+                let id = table.id(atom.left, atom.right);
+                table.lhs.push(id);
+            }
             for ident in md.rhs() {
-                id(ident.left, ident.right);
+                table.id(ident.left, ident.right);
             }
         }
-        lhs_start.push(lhs.len());
-        PairTable { pairs, lhs_start, lhs, pair_cost: Vec::new() }
+        table.lhs_start.push(table.lhs.len());
+        table
     }
 
-    /// `sortMD` over `order`'s MD indices: recomputes each entry's summed
-    /// LHS cost under the current `ct` counters, then sorts ascending by
-    /// cost, ties by index.
-    fn sort_by_lhs_cost(&mut self, order: &mut [(f64, usize)], cost: &CostModel) {
-        self.pair_cost.clear();
-        self.pair_cost.extend(self.pairs.iter().map(|&(l, r)| cost.cost(l, r)));
-        for (c, md) in order.iter_mut() {
-            let ids = &self.lhs[self.lhs_start[*md]..self.lhs_start[*md + 1]];
-            *c = ids.iter().map(|&id| self.pair_cost[id as usize]).sum();
+    /// The id of `(l, r)`, assigning the next one if the pair is new.
+    fn id(&mut self, l: AttrId, r: AttrId) -> u32 {
+        if self.partners.len() <= l {
+            self.partners.resize_with(l + 1, Vec::new);
         }
-        order.sort_unstable_by(|a, b| {
-            a.0.partial_cmp(&b.0).expect("costs are finite").then(a.1.cmp(&b.1))
-        });
+        let partners = &mut self.partners[l];
+        if let Some(&(_, id)) = partners.iter().find(|&&(right, _)| right == r) {
+            return id;
+        }
+        let id = self.pairs.len() as u32;
+        partners.push((r, id));
+        self.pairs.push((l, r));
+        id
+    }
+
+    /// Reads every pair's cost from `cost`.
+    fn price(&mut self, cost: &CostModel) {
+        self.pair_cost = self.pairs.iter().map(|&(l, r)| cost.cost(l, r)).collect();
+    }
+
+    /// MD `md`'s summed LHS cost, in LHS order, under the current `ct`
+    /// counters.
+    fn lhs_cost(&self, md: usize) -> f64 {
+        let ids = &self.lhs[self.lhs_start[md]..self.lhs_start[md + 1]];
+        ids.iter().map(|&id| self.pair_cost[id as usize]).sum()
+    }
+
+    /// `incrementCt` for every pair of the selected `key` (Fig. 7, line
+    /// 14), refreshing their costs. A key's pairs come from the target and
+    /// Σ's LHSs, so each already has an id.
+    fn select(&mut self, cost: &mut CostModel, key: &RelativeKey) {
+        for atom in key.atoms() {
+            cost.increment(atom.left, atom.right);
+        }
+        for atom in key.atoms() {
+            let id = self.id(atom.left, atom.right);
+            self.pair_cost[id as usize] = cost.cost(atom.left, atom.right);
+        }
+    }
+}
+
+/// An MD waiting in `sortMD`'s heap with the LHS cost it had when pushed.
+/// Ordered so the max-heap pops the lowest `(cost, md)` first.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Pending {
+    cost: f64,
+    md: usize,
+}
+
+impl Eq for Pending {}
+
+impl Ord for Pending {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.cost.partial_cmp(&self.cost).expect("costs are finite").then(other.md.cmp(&self.md))
+    }
+}
+
+impl PartialOrd for Pending {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
     }
 }
 
 fn covered(gamma: &[RelativeKey], candidate: &RelativeKey) -> bool {
     gamma.iter().any(|existing| existing.covers(candidate))
-}
-
-fn increment_counters(cost: &mut CostModel, key: &RelativeKey) {
-    for atom in key.atoms() {
-        cost.increment(atom.left, atom.right);
-    }
 }
 
 #[cfg(test)]
@@ -376,6 +450,20 @@ mod tests {
         assert!(!outcome.complete);
         assert_eq!(outcome.top(1).len(), 1);
         assert_eq!(outcome.top(99).len(), 2);
+    }
+
+    /// m = 1 returns the minimized trivial key alone, not everything the
+    /// enumeration reaches after it.
+    #[test]
+    fn one_key_is_the_minimized_trivial_key() {
+        let (_pair, _ops, sigma, target) = paper_setting();
+        let mut cost = CostModel::uniform();
+        let outcome = find_rcks(&sigma, &target, 1, &mut cost);
+        assert!(!outcome.complete);
+        let trivial = minimize(target.trivial_key(), &sigma, &target, &CostModel::uniform());
+        assert_eq!(outcome.keys, [trivial]);
+        let total: u32 = pairing(&sigma, &target).iter().map(|&(a, b)| cost.counter(a, b)).sum();
+        assert_eq!(total as usize, outcome.keys[0].len());
     }
 
     /// m = 0 returns nothing.

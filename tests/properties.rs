@@ -524,3 +524,158 @@ fn reason_fired_order_matches_parent() {
         assert_eq!(Closure::compute(&setting.sigma, key.atoms(), &[]).fired(), want);
     }
 }
+
+/// findRCKs' counted work on Fig. 8's card-2,000 sets at m = 20: the
+/// deduction questions a call asks and the rules those questions fire.
+/// Both are exact counts, so they gate the reasoning cost without a
+/// clock. A question stops once the target pairs hold, so it fires the
+/// rules it needs, not every rule of Σ the seed reaches (the code before
+/// the early stop fired 32,252, 32,450 and 32,296 rules on seeds 0–2,
+/// over the same 11 questions each).
+#[test]
+fn reason_work_budget() {
+    // (questions, rules fired) per seed, as recorded: the questions are
+    // pinned, the rules fired are a budget.
+    let recorded = [(11, 451), (11, 561), (11, 692)];
+    for (seed, (questions, fired)) in recorded.into_iter().enumerate() {
+        let setting = generate(&MdGenConfig::fig8(2_000, 12, seed as u64));
+        let outcome = find_rcks(&setting.sigma, &setting.target, 20, &mut CostModel::uniform());
+        assert_eq!(outcome.keys.len(), 20);
+        assert_eq!(outcome.questions, questions, "seed {seed}: questions moved");
+        assert!(
+            outcome.rules_fired <= fired,
+            "seed {seed}: {} rules fired, budget {fired}",
+            outcome.rules_fired
+        );
+    }
+}
+
+/// Fig. 7 written out from the paper, as slowly as it reads: `sortMD`
+/// re-sorts the unvisited MDs by summed LHS cost (ties by position in Σ)
+/// after every selection, and `minimize` decides each question with a
+/// fresh `deduction::deduces`. Returns the keys and the `complete` flag;
+/// `m` is at least 1.
+fn reference_find_rcks(
+    sigma: &[MatchingDependency],
+    target: &Target,
+    m: usize,
+    cost: &mut CostModel,
+) -> (Vec<RelativeKey>, bool) {
+    cost.reset_counters();
+    let minimize = |key: RelativeKey, cost: &CostModel| {
+        let mut order = key.atoms().to_vec();
+        order.sort_by(|a, b| {
+            cost.cost(b.left, b.right).partial_cmp(&cost.cost(a.left, a.right)).unwrap()
+        });
+        let mut current = key;
+        for atom in order {
+            let candidate = current.without(&atom);
+            if !candidate.is_empty() && deduces(sigma, &candidate.to_md(target)) {
+                current = candidate;
+            }
+        }
+        current
+    };
+    let select = |key: &RelativeKey, cost: &mut CostModel| {
+        key.atoms().iter().for_each(|a| cost.increment(a.left, a.right));
+    };
+    let sort_md = |order: &mut [usize], cost: &CostModel| {
+        let lhs_cost =
+            |md: usize| -> f64 { sigma[md].lhs().iter().map(|a| cost.cost(a.left, a.right)).sum() };
+        order.sort_by(|&a, &b| lhs_cost(a).partial_cmp(&lhs_cost(b)).unwrap().then(a.cmp(&b)));
+    };
+    let first = minimize(target.trivial_key(), cost);
+    select(&first, cost);
+    let mut gamma = vec![first];
+    if gamma.len() == m {
+        return (gamma, false);
+    }
+    let covered = |gamma: &[RelativeKey], k: &RelativeKey| gamma.iter().any(|g| g.covers(k));
+    let mut i = 0;
+    while i < gamma.len() {
+        let key = gamma[i].clone();
+        let mut order: Vec<usize> = (0..sigma.len()).collect();
+        sort_md(&mut order, cost);
+        let mut next = 0;
+        while next < order.len() {
+            let phi = order[next];
+            next += 1;
+            let applied = key.apply(&sigma[phi]);
+            if applied.is_empty() || covered(&gamma, &applied) {
+                continue;
+            }
+            let minimized = minimize(applied, cost);
+            if covered(&gamma, &minimized) {
+                continue;
+            }
+            select(&minimized, cost);
+            gamma.push(minimized);
+            if gamma.len() == m {
+                return (gamma, false);
+            }
+            sort_md(&mut order[next..], cost);
+        }
+        i += 1;
+    }
+    (gamma, true)
+}
+
+/// A cost model for the reference check: `uniform`, `diversity_only`,
+/// `new(0, 1, 1)` (costs never move), or random weights with random
+/// per-pair statistics — fractional lengths and accuracies drawn from
+/// short lists, so non-integer costs and ties both occur.
+fn reference_cost_model(
+    kind: u8,
+    weights: (usize, usize, usize),
+    stats: &[(usize, usize)],
+) -> CostModel {
+    use matchrules::core::cost::PairStats;
+    const WEIGHTS: [f64; 4] = [0.0, 0.5, 1.0, 1.75];
+    const LENGTHS: [f64; 4] = [0.0, 0.25, 1.5, 3.125];
+    const ACCURACIES: [f64; 4] = [0.2, 0.5, 0.75, 1.0];
+    match kind {
+        0 => CostModel::uniform(),
+        1 => CostModel::diversity_only(),
+        2 => CostModel::new(0.0, 1.0, 1.0),
+        _ => {
+            let mut model =
+                CostModel::new(WEIGHTS[weights.0], WEIGHTS[weights.1], WEIGHTS[weights.2]);
+            for (attr, &(len, acc)) in stats.iter().enumerate() {
+                let stats = PairStats { avg_len: LENGTHS[len], accuracy: ACCURACIES[acc] };
+                model.set_stats(attr, attr, stats);
+            }
+            model
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// `find_rcks` (one `Reasoner` whose questions stop early, a lazy
+    /// `sortMD` heap) returns the keys of the reference Fig. 7 above, key
+    /// for key and in order, the same `complete` flag and the same final
+    /// `ct` counters, under every kind of cost model and m ∈ {1, 3, ∞}.
+    #[test]
+    fn reason_find_rcks_matches_reference(
+        seed in 0u64..5000,
+        card in 1usize..60,
+        y_len in 2usize..7,
+        kind in 0u8..6,
+        weights in (0usize..4, 0usize..4, 0usize..4),
+        stats in proptest::collection::vec((0usize..4, 0usize..4), 16..17),
+    ) {
+        let setting = generate(&MdGenConfig::fig8(card, y_len, seed));
+        let model = reference_cost_model(kind, weights, &stats);
+        for m in [1, 3, usize::MAX] {
+            let (mut fast, mut slow) = (model.clone(), model.clone());
+            let outcome = find_rcks(&setting.sigma, &setting.target, m, &mut fast);
+            let (keys, complete) = reference_find_rcks(&setting.sigma, &setting.target, m, &mut slow);
+            prop_assert_eq!(&outcome.keys, &keys, "keys differ at m = {}", m);
+            prop_assert_eq!(outcome.complete, complete, "complete differs at m = {}", m);
+            for (l, r) in matchrules::core::rck::pairing(&setting.sigma, &setting.target) {
+                prop_assert_eq!(fast.counter(l, r), slow.counter(l, r));
+            }
+        }
+    }
+}
